@@ -19,26 +19,19 @@
 //! every node the duplicate is charged for was physically fetched by its
 //! representative.
 //!
-//! The `STRG_NO_BATCH` escape hatch collapses every batch entry point to
-//! one-at-a-time sequential execution; only `batch_shared_accesses` (which
-//! drops to zero) distinguishes the two modes.
-//!
 //! Leaf visits inside a batch always run at `Threads::Fixed(1)`: the
 //! sequential scan *is* the canonical decision sequence, and single-query
 //! parallel paths are already pinned to replay it exactly.
 
 use std::cell::RefCell;
 
-use strg_distance::{
-    batching_enabled, lower_bounds_enabled, BoundedDistance, LowerBound, MetricDistance,
-    SeqSummary, SeqValue,
-};
+use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
 use strg_parallel::Threads;
 
 use super::search::{
-    self, knn_visit_cand, leaf_len, range_visit_cand, reserve_counted, sort_cands,
-    sort_hits_stable, Cand, Hit, QueryScratch,
+    knn_visit_cand, leaf_len, range_visit_cand, reserve_counted, sort_cands, sort_hits_stable,
+    Cand, Hit, QueryScratch,
 };
 use super::RootRecord;
 
@@ -183,9 +176,8 @@ pub fn with_batch_scratch<R>(f: impl FnOnce(&mut BatchScratch<strg_graph::Point2
 
 /// Executes `items` against the tree in one shared descent. Results land in
 /// `scratch` ([`BatchScratch::hits`] / [`BatchScratch::cost`] by item
-/// position). `threads` is only honored by the `STRG_NO_BATCH` fallback;
-/// the batched descent itself is sequential per tree — its parallelism
-/// budget is spent across queries, and per-query results are pinned to the
+/// position). The descent is sequential per tree — a batch's parallelism
+/// budget is spent across shards, and per-query results are pinned to the
 /// sequential decision sequence either way.
 pub(crate) fn query_batch_into<
     V: SeqValue,
@@ -194,7 +186,6 @@ pub(crate) fn query_batch_into<
     roots: &[RootRecord<V>],
     metric: &D,
     items: &[BatchItem<'_, V>],
-    threads: Threads,
     scratch: &mut BatchScratch<V>,
 ) {
     let n = items.len();
@@ -210,42 +201,6 @@ pub(crate) fn query_batch_into<
     scratch.costs.extend((0..n).map(|_| QueryCost::default()));
     for slot in &mut scratch.slots[..n] {
         slot.hits.clear();
-    }
-
-    if !batching_enabled() {
-        // Hatch: one-at-a-time sequential execution, exactly the unbatched
-        // entry points (batch_shared_accesses stays zero).
-        for (i, it) in items.iter().enumerate() {
-            let cost = &mut scratch.costs[i];
-            let slot = &mut scratch.slots[i];
-            match it.kind {
-                BatchKind::Knn(k) => {
-                    search::knn_into(
-                        roots,
-                        metric,
-                        it.query,
-                        k,
-                        it.root_filter,
-                        threads,
-                        cost,
-                        slot,
-                    );
-                }
-                BatchKind::Range(radius) => {
-                    search::range_into(
-                        roots,
-                        metric,
-                        it.query,
-                        radius,
-                        it.root_filter,
-                        threads,
-                        cost,
-                        slot,
-                    );
-                }
-            }
-        }
-        return;
     }
 
     // Dedup: identical items execute once; reps[i] names the first
@@ -268,7 +223,6 @@ pub(crate) fn query_batch_into<
         }
     }
 
-    let lb_active = lower_bounds_enabled();
     scratch.qsums.clear();
     reserve_counted(&mut scratch.qsums, n, &mut scratch.grows);
     scratch.qsums.extend((0..n).map(|_| None));
@@ -410,7 +364,6 @@ pub(crate) fn query_batch_into<
                         items[u].query,
                         qsum,
                         k,
-                        lb_active,
                         Threads::Fixed(1),
                         cand,
                         &mut scratch.slots[u].hits,
@@ -449,7 +402,6 @@ pub(crate) fn query_batch_into<
                         items[u].query,
                         qsum,
                         radius,
-                        lb_active,
                         Threads::Fixed(1),
                         cand,
                         hits,

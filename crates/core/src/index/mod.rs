@@ -18,6 +18,7 @@ mod search;
 
 pub(crate) use batch::query_batch_into;
 pub use batch::{with_batch_scratch, BatchItem, BatchKind, BatchScratch};
+pub(crate) use search::reserve_counted;
 pub use search::{with_query_scratch, Hit, QueryScratch};
 
 use strg_cluster::{bic, bic_sweep_threads, ClusterValue, Clusterer, EmClusterer, EmConfig};
@@ -302,10 +303,7 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             });
             // Bulk load: push records per cluster in OG order, then sort
             // each leaf once — byte-identical to N sorted insertions (see
-            // `LeafNode::sort_records`) at a fraction of the moves. The
-            // `STRG_NAIVE_SEGMENT` hatch keeps the one-at-a-time insertion
-            // path alive for the equivalence suite.
-            let naive = strg_video::naive_segmentation_enabled();
+            // `LeafNode::sort_records`) at a fraction of the moves.
             for (j, ((og_id, seq), (key, summary))) in
                 ids.into_iter().zip(data).zip(prepared).enumerate()
             {
@@ -317,17 +315,11 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
                     seq,
                     summary,
                 };
-                if naive {
-                    clusters[c].leaf.insert_sorted(rec);
-                } else {
-                    clusters[c].leaf.records.push(rec);
-                }
+                clusters[c].leaf.records.push(rec);
                 self.len += 1;
             }
-            if !naive {
-                for c in clusters.iter_mut() {
-                    c.leaf.sort_records();
-                }
+            for c in clusters.iter_mut() {
+                c.leaf.sort_records();
             }
             // Drop empty clusters, renumber.
             clusters.retain(|c| !c.leaf.records.is_empty());
@@ -638,15 +630,13 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// position ([`BatchScratch::hits`] / [`BatchScratch::cost`]); every
     /// item's `elapsed` is the whole-batch wall clock. With a warmed-up
     /// arena this performs zero heap allocations (`tests/query_alloc.rs`).
-    /// The `STRG_NO_BATCH` hatch falls back to per-item sequential
-    /// execution.
     pub fn query_batch_with_cost_into(
         &self,
         items: &[BatchItem<'_, V>],
         scratch: &mut BatchScratch<V>,
     ) {
         let start = std::time::Instant::now();
-        query_batch_into(&self.roots, &self.metric, items, self.cfg.threads, scratch);
+        query_batch_into(&self.roots, &self.metric, items, scratch);
         scratch.stamp_elapsed(start.elapsed());
     }
 
@@ -875,6 +865,33 @@ mod tests {
         let mut idx = StrgIndex::new(EgedMetric::new(), StrgIndexConfig::default());
         idx.add_segment(bg(), grouped_ogs());
         idx
+    }
+
+    /// Bulk sort-once leaf loading (`sort_records`) lays records out exactly
+    /// like one-at-a-time `insert_sorted`, including duplicate keys, where
+    /// stability is what keeps the push order.
+    #[test]
+    fn sort_records_matches_insert_sorted_with_duplicate_keys() {
+        let metric = EgedMetric::<f64>::new();
+        let keys = [3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.5, 2.0];
+        let rec = |(i, &key): (usize, &f64)| LeafRecord {
+            key,
+            og_id: i as u64,
+            seq: vec![key],
+            summary: metric.summarize(&[key]),
+        };
+        let mut bulk = LeafNode::default();
+        let mut incremental = LeafNode::default();
+        for r in keys.iter().enumerate().map(rec) {
+            bulk.records.push(r.clone());
+            incremental.insert_sorted(r);
+        }
+        bulk.sort_records();
+        let layout = |leaf: &LeafNode<f64>| -> Vec<(u64, f64)> {
+            leaf.records.iter().map(|r| (r.og_id, r.key)).collect()
+        };
+        assert_eq!(layout(&bulk), layout(&incremental));
+        assert_eq!(layout(&bulk)[..3], [(6, 0.5), (1, 1.0), (4, 1.0)]);
     }
 
     #[test]

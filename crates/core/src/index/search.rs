@@ -23,10 +23,9 @@
 //! the current cutoff (charging `lb_pruned` on exclusion), and the
 //! evaluation itself runs through `distance_upto` with the cutoff so the DP
 //! can abandon early (charging `early_abandoned`, still within
-//! `distance_calls`). The `STRG_NO_LB` escape hatch changes only *physical*
-//! evaluation — the same predicates are computed and charged, but excluded
-//! candidates are speculatively refined and offered to the result set, so
-//! an inadmissible bound would surface as a hit-list difference.
+//! `distance_calls`). Both shortcuts are exact; `tests/kernel_equivalence.rs`
+//! pins the hits to a linear `metric.distance` scan, so an inadmissible
+//! bound or an over-eager abandon surfaces as a hit-list difference.
 //!
 //! Every search runs out of a reusable [`QueryScratch`] arena (candidate
 //! list, hit buffers, sort permutation), so sequential steady-state queries
@@ -39,9 +38,7 @@
 
 use std::cell::RefCell;
 
-use strg_distance::{
-    lower_bounds_enabled, BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue,
-};
+use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
 use strg_parallel::{par_map, Threads};
 
@@ -151,7 +148,7 @@ pub fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
 
 /// Reserves room for `need` elements, charging the arena's growth counter
 /// only when the reservation actually enlarges the buffer.
-pub(super) fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
+pub(crate) fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
     if v.capacity() < need {
         *grows += 1;
         v.reserve(need - v.len());
@@ -298,7 +295,6 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
     if k == 0 {
         return;
     }
-    let lb_active = lower_bounds_enabled();
     let qsum = metric.summarize(query);
     gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
     sort_cands(&mut scratch.cands);
@@ -323,7 +319,6 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
             query,
             &qsum,
             k,
-            lb_active,
             threads,
             cand,
             &mut scratch.hits,
@@ -371,7 +366,6 @@ pub(super) fn knn_visit_cand<
     query: &[V],
     qsum: &SeqSummary<V>,
     k: usize,
-    lb_active: bool,
     threads: Threads,
     cand: Cand,
     hits: &mut Vec<Hit>,
@@ -395,20 +389,14 @@ pub(super) fn knn_visit_cand<
     cost.pruned += lo as u64;
     // Parallel path: evaluate the dk-at-entry band up front. It covers
     // every record the adaptive scan below can reach, because d_k only
-    // shrinks while scanning. With lower bounds active the speculative
-    // evaluations are bounded by dk-at-entry: a `None` in the replay
-    // certifies d > dk-at-entry >= dk_now, exactly what the sequential
-    // `distance_upto(.., dk_now)` would have concluded.
+    // shrinks while scanning. The speculative evaluations are bounded by
+    // dk-at-entry: a `None` in the replay certifies d > dk-at-entry >=
+    // dk_now, exactly what the sequential `distance_upto(.., dk_now)`
+    // would have concluded.
     let (band, dists) = if parallel {
         let hi = lo + records[lo..].partition_point(|r| r.key <= cand.centroid_dist + dk);
         let band = &records[lo..hi];
-        let d = par_map(band, threads, |r| {
-            if lb_active {
-                metric.distance_upto(query, &r.seq, dk)
-            } else {
-                Some(metric.distance(query, &r.seq))
-            }
-        });
+        let d = par_map(band, threads, |r| metric.distance_upto(query, &r.seq, dk));
         (band, Some(d))
     } else {
         (&records[lo..], None)
@@ -433,45 +421,24 @@ pub(super) fn knn_visit_cand<
             cost.pruned += 1;
             continue;
         }
-        // Summary lower bound: an excluded record is charged to
-        // lb_pruned in both modes; only the hatch refines it anyway
-        // (speculatively, uncharged) to expose an inadmissible bound.
-        let lb_cut = metric.lower_bound(query, qsum, &r.summary) > dk_now;
-        if lb_cut {
+        // Summary lower bound: excluded without touching the sequence.
+        if metric.lower_bound(query, qsum, &r.summary) > dk_now {
             cost.lb_pruned += 1;
-            if lb_active {
-                continue;
-            }
-        } else {
-            cost.distance_calls += 1;
+            continue;
         }
-        let d = match &dists {
-            Some(ds) => match ds[i] {
-                Some(d) => d,
-                None => {
-                    // d > dk-at-entry >= dk_now: the sequential bounded
-                    // call would have abandoned too.
-                    cost.early_abandoned += 1;
-                    continue;
-                }
-            },
-            None => {
-                if lb_cut {
-                    metric.distance(query, &r.seq)
-                } else if lb_active {
-                    match metric.distance_upto(query, &r.seq, dk_now) {
-                        Some(d) => d,
-                        None => {
-                            cost.early_abandoned += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    metric.distance(query, &r.seq)
-                }
-            }
+        cost.distance_calls += 1;
+        let bounded = match &dists {
+            Some(ds) => ds[i],
+            None => metric.distance_upto(query, &r.seq, dk_now),
         };
-        if !lb_cut && d > dk_now {
+        // `None` means d > dk-at-entry >= dk_now on the parallel path and
+        // d > dk_now on the sequential one; a precomputed distance in
+        // (dk_now, dk-at-entry] is what the sequential call abandons on.
+        let Some(d) = bounded else {
+            cost.early_abandoned += 1;
+            continue;
+        };
+        if d > dk_now {
             cost.early_abandoned += 1;
         }
         if d < dk_now || hits.len() < k {
@@ -530,7 +497,6 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
-    let lb_active = lower_bounds_enabled();
     let qsum = metric.summarize(query);
     scratch.hits.clear();
     gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
@@ -549,8 +515,7 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
             ..
         } = scratch;
         range_visit_cand(
-            roots, metric, query, &qsum, radius, lb_active, threads, cand, hits, survivors, grows,
-            cost,
+            roots, metric, query, &qsum, radius, threads, cand, hits, survivors, grows, cost,
         );
     }
     sort_hits_stable(scratch);
@@ -571,7 +536,6 @@ pub(super) fn range_visit_cand<
     query: &[V],
     qsum: &SeqSummary<V>,
     radius: f64,
-    lb_active: bool,
     threads: Threads,
     cand: Cand,
     hits: &mut Vec<Hit>,
@@ -601,72 +565,36 @@ pub(super) fn range_visit_cand<
     // The lb predicate depends only on the fixed radius, so it commutes
     // with scan order: filter the band up front, refine only the
     // survivors (fanned out over the workers in parallel mode, straight
-    // out of the arena sequentially). The hatch evaluates everything
-    // fully instead, with the same charges, and lets lb-cut records
-    // compete for the result set.
-    if lb_active {
-        if sequential {
-            for r in band {
-                if metric.lower_bound(query, qsum, &r.summary) <= radius {
-                    cost.distance_calls += 1;
-                    match metric.distance_upto(query, &r.seq, radius) {
-                        Some(dist) => hits.push(hit(r, dist)),
-                        None => cost.early_abandoned += 1,
-                    }
-                } else {
-                    cost.lb_pruned += 1;
-                }
-            }
-        } else {
-            survivors.clear();
-            reserve_counted(survivors, band.len(), grows);
-            for (i, r) in band.iter().enumerate() {
-                if metric.lower_bound(query, qsum, &r.summary) <= radius {
-                    survivors.push(i as u32);
-                }
-            }
-            cost.lb_pruned += (band.len() - survivors.len()) as u64;
-            cost.distance_calls += survivors.len() as u64;
-            let dists = par_map(survivors, threads, |&si| {
-                metric.distance_upto(query, &band[si as usize].seq, radius)
-            });
-            for (&si, dist) in survivors.iter().zip(dists) {
-                match dist {
-                    Some(dist) => hits.push(hit(&band[si as usize], dist)),
-                    None => cost.early_abandoned += 1,
-                }
-            }
-        }
-    } else if sequential {
+    // out of the arena sequentially).
+    if sequential {
         for r in band {
-            let keep = metric.lower_bound(query, qsum, &r.summary) <= radius;
-            let dist = metric.distance(query, &r.seq);
-            if keep {
+            if metric.lower_bound(query, qsum, &r.summary) <= radius {
                 cost.distance_calls += 1;
-                if dist > radius {
-                    cost.early_abandoned += 1;
+                match metric.distance_upto(query, &r.seq, radius) {
+                    Some(dist) => hits.push(hit(r, dist)),
+                    None => cost.early_abandoned += 1,
                 }
             } else {
                 cost.lb_pruned += 1;
-            }
-            if dist <= radius {
-                hits.push(hit(r, dist));
             }
         }
     } else {
-        let dists = par_map(band, threads, |r| metric.distance(query, &r.seq));
-        for (r, dist) in band.iter().zip(dists) {
-            let keep = metric.lower_bound(query, qsum, &r.summary) <= radius;
-            if keep {
-                cost.distance_calls += 1;
-                if dist > radius {
-                    cost.early_abandoned += 1;
-                }
-            } else {
-                cost.lb_pruned += 1;
+        survivors.clear();
+        reserve_counted(survivors, band.len(), grows);
+        for (i, r) in band.iter().enumerate() {
+            if metric.lower_bound(query, qsum, &r.summary) <= radius {
+                survivors.push(i as u32);
             }
-            if dist <= radius {
-                hits.push(hit(r, dist));
+        }
+        cost.lb_pruned += (band.len() - survivors.len()) as u64;
+        cost.distance_calls += survivors.len() as u64;
+        let dists = par_map(survivors, threads, |&si| {
+            metric.distance_upto(query, &band[si as usize].seq, radius)
+        });
+        for (&si, dist) in survivors.iter().zip(dists) {
+            match dist {
+                Some(dist) => hits.push(hit(&band[si as usize], dist)),
+                None => cost.early_abandoned += 1,
             }
         }
     }
@@ -731,7 +659,6 @@ pub fn knn_single_cluster_into<
     scratch: &mut QueryScratch,
 ) {
     scratch.hits.clear();
-    let lb_active = lower_bounds_enabled();
     let qsum = metric.summarize(query);
     // Centroid scan in parallel; the winner is picked on this thread in
     // cluster order (strict `<`, so ties keep the earlier cluster exactly
@@ -786,32 +713,22 @@ pub fn knn_single_cluster_into<
             cost.pruned += 1;
             continue;
         }
-        let lb_cut = metric.lower_bound(query, &qsum, &r.summary) > dk;
-        if lb_cut {
+        if metric.lower_bound(query, &qsum, &r.summary) > dk {
             cost.lb_pruned += 1;
-            if lb_active {
-                continue;
-            }
-        } else {
-            cost.distance_calls += 1;
+            continue;
         }
+        cost.distance_calls += 1;
         let d = match &dists {
             Some(d) => d[i],
-            None => {
-                if lb_cut || !lb_active {
-                    metric.distance(query, &r.seq)
-                } else {
-                    match metric.distance_upto(query, &r.seq, dk) {
-                        Some(d) => d,
-                        None => {
-                            cost.early_abandoned += 1;
-                            continue;
-                        }
-                    }
+            None => match metric.distance_upto(query, &r.seq, dk) {
+                Some(d) => d,
+                None => {
+                    cost.early_abandoned += 1;
+                    continue;
                 }
-            }
+            },
         };
-        if !lb_cut && d > dk {
+        if d > dk {
             cost.early_abandoned += 1;
         }
         // Insertion past position k is truncated right away, so a record

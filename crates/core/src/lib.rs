@@ -30,10 +30,8 @@ pub use index::{
     with_batch_scratch, with_query_scratch, BatchItem, BatchKind, BatchScratch, ClusterRecord, Hit,
     LeafNode, LeafRecord, QueryScratch, RootRecord, StrgIndex, StrgIndexConfig,
 };
-#[allow(deprecated)]
-pub use options::VideoDbConfig;
 pub use options::{open, Database, DbOptions, Metric};
-pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION, PERSIST_V1_ENV};
+pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};
 pub use pipeline::{ClipMeta, DbStats, IngestReport, QueryHit, StoredOg, VideoDatabase};
 pub use query::{Query, QueryBatch, QueryResult};
 pub use shard::{

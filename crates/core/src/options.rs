@@ -11,10 +11,9 @@
 //! ```
 //!
 //! `DbOptions::new().threads(..)` sets one worker-count policy for *every*
-//! stage (frame extraction, clustering, and search) — the historical
-//! `VideoDbConfig::with_threads` asymmetry, where `persist::load` and
-//! `VideoDatabase::new` could disagree about `index.threads`, is gone
-//! because both constructors now take the same options value.
+//! stage (frame extraction, clustering, and search), and both
+//! constructors (`VideoDatabase::new`, `persist::load`) take the same
+//! options value, so they cannot disagree about `index.threads`.
 //!
 //! [`Database`] abstracts over [`VideoDatabase`] (one STRG-Index tree) and
 //! [`ShardedDatabase`](crate::ShardedDatabase) (N independent trees behind
@@ -114,27 +113,12 @@ impl DbOptions {
         self
     }
 
-    /// Deprecated spelling of [`DbOptions::threads`], kept for one release
-    /// so `VideoDbConfig::with_threads` callers migrate cleanly.
-    #[deprecated(since = "0.2.0", note = "use `DbOptions::threads`")]
-    pub fn with_threads(self, threads: Threads) -> Self {
-        self.threads(threads)
-    }
-
     /// Opens (or creates) a database at `path` with these options — see
     /// [`open`].
     pub fn open(self, path: impl AsRef<Path>) -> io::Result<Box<dyn Database>> {
         open(path, self)
     }
 }
-
-/// Deprecated name of [`DbOptions`], kept for one release.
-///
-/// `VideoDbConfig` predates sharding; `DbOptions` carries the same fields
-/// plus [`DbOptions::shards`] and [`DbOptions::metric`], and is accepted by
-/// both [`VideoDatabase`] and [`ShardedDatabase`](crate::ShardedDatabase).
-#[deprecated(since = "0.2.0", note = "use `DbOptions`")]
-pub type VideoDbConfig = DbOptions;
 
 /// The operations `strg-serve` and the CLI need, implemented by both
 /// [`VideoDatabase`] and [`ShardedDatabase`](crate::ShardedDatabase).
@@ -159,8 +143,8 @@ pub trait Database: Send + Sync {
     /// Executes a batch of queries, returning one result per query in
     /// order. Each query's hits and cost are byte-identical to
     /// [`Database::query`] run alone — both database flavors override this
-    /// to share one index traversal across the batch (disabled by the
-    /// `STRG_NO_BATCH` hatch); the default executes them one at a time.
+    /// to share one index traversal across the batch; the default executes
+    /// them one at a time.
     fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
         queries.iter().map(|q| self.query(q.clone())).collect()
     }
@@ -247,13 +231,6 @@ mod tests {
     fn shards_clamped_to_one() {
         assert_eq!(DbOptions::new().shards(0).shards, 1);
         assert_eq!(DbOptions::new().shards(4).shards, 4);
-    }
-
-    #[test]
-    fn deprecated_shim_still_routes() {
-        #[allow(deprecated)]
-        let opts = DbOptions::new().with_threads(Threads::Fixed(2));
-        assert_eq!(opts.index.threads, Threads::Fixed(2));
     }
 
     #[test]

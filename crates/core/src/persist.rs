@@ -14,7 +14,8 @@
 //! sidecars, in fixed-width checksummed binary records. Loading a v2 file
 //! reassembles the tree with [`StrgIndex::from_parts`] — no clustering, no
 //! distance evaluations — so a reopened database serves its first k-NN in
-//! milliseconds (`bench --bin persist` quantifies the gap).
+//! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*` rows
+//! measure it).
 //!
 //! # The v2 record grammar (DESIGN.md §14)
 //!
@@ -40,24 +41,21 @@
 //! TOC instead of slurping the file; today the loader reads everything and
 //! only uses the TOC as an end-to-end structural cross-check.
 //!
-//! # Compatibility and the rebuild hatch
+//! # Compatibility
 //!
-//! * v1 files load transparently (the loader sniffs the first bytes) and
-//!   are rebuilt by re-clustering, exactly as before. Saving always
-//!   writes v2; [`VideoDatabase::save_v1`] keeps the old writer reachable
-//!   for compatibility tooling and the persistence benchmark.
-//! * Setting [`PERSIST_V1_ENV`] (`STRG_PERSIST_V1=1`) forces the
-//!   rebuild-on-load path even for v2 files: the serialized index extents
-//!   are ignored and the tree is re-clustered from the stored OGs. Because
-//!   production ingest only ever builds segments wholesale
-//!   (`StrgIndex::add_segment`), the rebuilt tree is bit-identical to the
-//!   deserialized one — `tests/persist_equivalence.rs` diffs the two
-//!   loaders end to end in hits, costs, stats, and re-saved bytes.
+//! v1 files load transparently (the loader sniffs the first bytes) and are
+//! rebuilt by re-clustering ([`ReopenMode::Rebuild`]), exactly as before.
+//! Saving always writes v2, so a v1 database upgrades on its first save;
+//! the v1 *writer* survives only as a `#[cfg(test)]` fixture for this
+//! module's compatibility tests. Because production ingest only ever
+//! builds segments wholesale (`StrgIndex::add_segment`), a rebuilt tree is
+//! bit-identical to a deserialized one — `tests/persist_equivalence.rs`
+//! pins the fast load to the originally built database in hits, costs,
+//! stats, and re-saved bytes.
 //!
 //! A sharded database persists as a *directory* of these files plus a
 //! manifest — see [`crate::ShardedDatabase::save`].
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -82,31 +80,12 @@ const V2_END_MAGIC: &[u8; 8] = b"STRG2END";
 /// The format version [`VideoDatabase::save`] writes.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Environment variable forcing the v1 rebuild-on-load path: set to `1`
-/// (or any non-empty value other than `0`) to ignore the serialized index
-/// extents of a v2 file and re-cluster from the stored OGs, exactly as a
-/// v1 load does. The escape hatch for the persistence equivalence suite;
-/// results must be bit-identical in both modes.
-pub const PERSIST_V1_ENV: &str = "STRG_PERSIST_V1";
-
-/// Whether [`PERSIST_V1_ENV`] forces the rebuild-on-load path. Re-read per
-/// call so tests can toggle the hatch mid-process.
-pub fn persist_v1_forced() -> bool {
-    match std::env::var(PERSIST_V1_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty() || v == "0")
-        }
-        Err(_) => false,
-    }
-}
-
 /// How a database came to hold its in-memory index when it was opened.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReopenMode {
     /// Created empty — nothing was loaded.
     Fresh,
-    /// Loaded from disk and re-clustered (a v1 file, or [`PERSIST_V1_ENV`]).
+    /// Loaded from a v1 file and re-clustered.
     Rebuild,
     /// Deserialized from v2 index extents — no clustering on load.
     Fast,
@@ -418,94 +397,10 @@ impl VideoDatabase {
         fs::write(path, out)
     }
 
-    /// Serializes the database in the legacy STRGDB v1 text format (data
-    /// only — a v1 load re-clusters). Kept for compatibility tooling and
-    /// the `bench --bin persist` v1-vs-v2 comparison; [`VideoDatabase::save`]
-    /// always writes v2.
-    pub fn save_v1(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let clips = self.clips.read();
-        let ogs = self.ogs.read();
-        let index = self.index.read();
-
-        fn hex(v: f64) -> String {
-            format!("{:016x}", v.to_bits())
-        }
-
-        let mut out = String::new();
-        out.push_str(V1_HEADER);
-        out.push('\n');
-        let _ = writeln!(out, "clips {}", clips.len());
-        for c in clips.iter() {
-            let _ = writeln!(out, "clip {} 0 {}", c.frames, c.name);
-        }
-        // Background graphs, one per root record (same order as clips).
-        for (ci, c) in clips.iter().enumerate() {
-            let root = index
-                .roots()
-                .iter()
-                .find(|r| r.id == c.root_id)
-                .ok_or_else(|| bad("clip without root record"))?;
-            let rag = &root.bg.rag;
-            let _ = writeln!(
-                out,
-                "bg {} {} {} {}",
-                ci,
-                root.bg.frames_covered,
-                rag.node_count(),
-                rag.edge_count()
-            );
-            for v in rag.node_ids() {
-                let a = rag.attr(v);
-                let _ = writeln!(
-                    out,
-                    "bgnode {} {} {} {} {} {}",
-                    a.size,
-                    hex(a.color.r),
-                    hex(a.color.g),
-                    hex(a.color.b),
-                    hex(a.centroid.x),
-                    hex(a.centroid.y)
-                );
-            }
-            for (u, v, _) in rag.edges() {
-                let _ = writeln!(out, "bgedge {} {}", u.0, v.0);
-            }
-        }
-        let _ = writeln!(out, "ogs {}", ogs.len());
-        for s in ogs.iter() {
-            let _ = writeln!(
-                out,
-                "og {} {} {} {}",
-                s.id,
-                s.clip,
-                s.og.start_frame,
-                s.og.samples.len()
-            );
-            for smp in &s.og.samples {
-                let _ = writeln!(
-                    out,
-                    "s {} {} {} {} {} {} {} {}",
-                    smp.size,
-                    hex(smp.color.r),
-                    hex(smp.color.g),
-                    hex(smp.color.b),
-                    hex(smp.centroid.x),
-                    hex(smp.centroid.y),
-                    hex(smp.velocity),
-                    hex(smp.direction)
-                );
-            }
-        }
-        // Append the raw-STRG accounting so stats() round-trips.
-        let _ = writeln!(out, "strg_bytes {}", *self.strg_bytes.read());
-        fs::write(path, out)
-    }
-
     /// Loads a database from `path`. v2 files deserialize the built index
-    /// directly ([`ReopenMode::Fast`]); v1 files — and v2 files under the
-    /// [`PERSIST_V1_ENV`] hatch — rebuild it by re-clustering with `opts`
-    /// ([`ReopenMode::Rebuild`]). Both paths produce bit-identical
-    /// databases for anything a save produced.
+    /// directly ([`ReopenMode::Fast`]); v1 files rebuild it by
+    /// re-clustering with `opts` ([`ReopenMode::Rebuild`]). Both paths
+    /// produce bit-identical databases for anything a save produced.
     pub fn load(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<Self> {
         Self::load_into(VideoDatabase::new(opts), path.as_ref())
     }
@@ -954,21 +849,11 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
     })
 }
 
-/// Assembles a database from a parsed v2 file: the fast path deserializes
-/// the index with [`StrgIndex::from_parts`]; the [`PERSIST_V1_ENV`] hatch
-/// re-clusters from the stored OGs exactly like a v1 load.
+/// Assembles a database from a parsed v2 file, deserializing the index
+/// with [`StrgIndex::from_parts`] — no clustering, no distance evaluations.
 fn load_v2_into(db: VideoDatabase, bytes: &[u8]) -> io::Result<VideoDatabase> {
     let parsed = parse_v2(bytes)?;
     let mut db = db;
-    if persist_v1_forced() {
-        let bgs = parsed.roots.into_iter().map(|r| r.bg).collect();
-        rebuild_index(&db, parsed.clips, bgs, parsed.ogs, parsed.strg_bytes);
-        db.persist = PersistInfo {
-            loaded_format: Some(FORMAT_VERSION),
-            reopen: ReopenMode::Rebuild,
-        };
-        return Ok(db);
-    }
     let _ = parsed.index_len; // verified against the leaves in parse_v2
     let mut index = StrgIndex::from_parts(db.cfg.metric.build(), db.cfg.index, parsed.roots);
     index.set_recorder(db.recorder.clone());
@@ -1196,7 +1081,92 @@ fn load_v1_into(db: VideoDatabase, text: &str) -> io::Result<VideoDatabase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
     use strg_video::{lab_scene, ScenarioConfig, VideoClip};
+
+    impl VideoDatabase {
+        /// Serializes the database in the legacy STRGDB v1 text format (data
+        /// only — a v1 load re-clusters). Fixture support for the v1
+        /// compatibility tests below; [`VideoDatabase::save`] always writes v2.
+        fn save_v1(&self, path: impl AsRef<Path>) -> io::Result<()> {
+            let clips = self.clips.read();
+            let ogs = self.ogs.read();
+            let index = self.index.read();
+
+            fn hex(v: f64) -> String {
+                format!("{:016x}", v.to_bits())
+            }
+
+            let mut out = String::new();
+            out.push_str(V1_HEADER);
+            out.push('\n');
+            let _ = writeln!(out, "clips {}", clips.len());
+            for c in clips.iter() {
+                let _ = writeln!(out, "clip {} 0 {}", c.frames, c.name);
+            }
+            // Background graphs, one per root record (same order as clips).
+            for (ci, c) in clips.iter().enumerate() {
+                let root = index
+                    .roots()
+                    .iter()
+                    .find(|r| r.id == c.root_id)
+                    .ok_or_else(|| bad("clip without root record"))?;
+                let rag = &root.bg.rag;
+                let _ = writeln!(
+                    out,
+                    "bg {} {} {} {}",
+                    ci,
+                    root.bg.frames_covered,
+                    rag.node_count(),
+                    rag.edge_count()
+                );
+                for v in rag.node_ids() {
+                    let a = rag.attr(v);
+                    let _ = writeln!(
+                        out,
+                        "bgnode {} {} {} {} {} {}",
+                        a.size,
+                        hex(a.color.r),
+                        hex(a.color.g),
+                        hex(a.color.b),
+                        hex(a.centroid.x),
+                        hex(a.centroid.y)
+                    );
+                }
+                for (u, v, _) in rag.edges() {
+                    let _ = writeln!(out, "bgedge {} {}", u.0, v.0);
+                }
+            }
+            let _ = writeln!(out, "ogs {}", ogs.len());
+            for s in ogs.iter() {
+                let _ = writeln!(
+                    out,
+                    "og {} {} {} {}",
+                    s.id,
+                    s.clip,
+                    s.og.start_frame,
+                    s.og.samples.len()
+                );
+                for smp in &s.og.samples {
+                    let _ = writeln!(
+                        out,
+                        "s {} {} {} {} {} {} {} {}",
+                        smp.size,
+                        hex(smp.color.r),
+                        hex(smp.color.g),
+                        hex(smp.color.b),
+                        hex(smp.centroid.x),
+                        hex(smp.centroid.y),
+                        hex(smp.velocity),
+                        hex(smp.direction)
+                    );
+                }
+            }
+            // Append the raw-STRG accounting so stats() round-trips.
+            let _ = writeln!(out, "strg_bytes {}", *self.strg_bytes.read());
+            fs::write(path, out)
+        }
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("strgdb_test_{name}_{}", std::process::id()))
@@ -1300,6 +1270,57 @@ mod tests {
             assert_eq!(x.og_id, y.og_id);
             assert_eq!(x.dist.to_bits(), y.dist.to_bits());
         }
+    }
+
+    /// The v1 → v2 upgrade is *stable*: a v1-loaded database answers like
+    /// the v2 fast load of the same data, and once saved as v2 every
+    /// further `load → save` round-trip is a byte identity. (The upgrade is
+    /// not compared against the original v2 save because v1 never stored
+    /// the OG-internal ids — the one documented lossy field of the legacy
+    /// format, renumbered on load.)
+    #[test]
+    fn v1_upgrade_is_a_fixed_point() {
+        let db = sample_db();
+        let (v1_path, upgraded, roundtrip) = (
+            temp_path("upgrade_v1"),
+            temp_path("upgrade_out"),
+            temp_path("upgrade_roundtrip"),
+        );
+        db.save_v1(&v1_path).unwrap();
+        let from_v1 = VideoDatabase::load(&v1_path, DbOptions::new()).unwrap();
+        assert_eq!(from_v1.persist_info().reopen, ReopenMode::Rebuild);
+
+        from_v1.save(&upgraded).unwrap();
+        let reloaded = VideoDatabase::load(&upgraded, DbOptions::new()).unwrap();
+        assert_eq!(reloaded.persist_info().reopen, ReopenMode::Fast);
+        assert_eq!(reloaded.persist_info().loaded_format, Some(2));
+        let q = db.og(0).unwrap().centroid_series();
+        for k in [1, 5] {
+            let query = || crate::Query::knn(k).trajectory(&q).with_cost();
+            let (a, b, c) = (
+                db.query(query()),
+                from_v1.query(query()),
+                reloaded.query(query()),
+            );
+            for other in [&b, &c] {
+                assert_eq!(a.hits.len(), other.hits.len());
+                for (x, y) in a.hits.iter().zip(&other.hits) {
+                    assert_eq!((x.og_id, x.dist.to_bits()), (y.og_id, y.dist.to_bits()));
+                }
+                assert!(a.cost.unwrap().same_work(&other.cost.unwrap()));
+            }
+        }
+
+        reloaded.save(&roundtrip).unwrap();
+        let first = std::fs::read(&upgraded).unwrap();
+        let second = std::fs::read(&roundtrip).unwrap();
+        for p in [&v1_path, &upgraded, &roundtrip] {
+            let _ = std::fs::remove_file(p);
+        }
+        assert_eq!(
+            first, second,
+            "upgraded v2 file is not a save → load → save fixed point"
+        );
     }
 
     #[test]

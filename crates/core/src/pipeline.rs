@@ -341,10 +341,9 @@ impl VideoDatabase {
     /// `QueryCost::batch_shared_accesses`. Clip-scoped queries batch with a
     /// root filter (an unknown clip still yields empty hits);
     /// background-matched queries fall back to the single-query path, which
-    /// their extraction pipeline dominates anyway. The `STRG_NO_BATCH`
-    /// hatch executes everything one at a time.
+    /// their extraction pipeline dominates anyway.
     pub fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        if queries.len() <= 1 || !strg_distance::batching_enabled() {
+        if queries.len() <= 1 {
             return queries.iter().map(|q| self.query(q.clone())).collect();
         }
         enum Plan {

@@ -35,10 +35,13 @@
 //! replay skips is intentionally uncharged, exactly like the speculative
 //! cluster evaluations inside a single tree.
 //!
-//! Setting `STRG_NO_SHARD_LB=1` keeps the charges and decisions identical
-//! but lets the logically-pruned shards' hits compete in the merge — an
-//! inadmissible envelope then surfaces as a hit-list diff, mirroring the
-//! `STRG_NO_LB` hatch for record-level bounds.
+//! Every entry point — k-NN, range, and the batched fan-out — runs the
+//! one private replay (`Replay::run`), differing only in where an opened
+//! shard's hits come from: a lazy `*_into` search (sequential), the
+//! speculative prefetch (parallel), or a per-shard `BatchScratch` slot
+//! (batched). `tests/shard_equivalence.rs` pins the merged hits to a
+//! linear scan on queries that provably prune whole shards, so an
+//! inadmissible envelope surfaces as a hit-list difference.
 
 use std::cell::RefCell;
 use std::fs;
@@ -48,13 +51,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use strg_distance::{batching_enabled, shard_bounds_enabled, EgedMetric, LowerBound};
+use strg_distance::{EgedMetric, LowerBound};
 use strg_graph::{background_similarity, build_strg, decompose, ObjectGraph, Point2};
 use strg_obs::{QueryCost, Recorder};
 use strg_parallel::{par_map, Threads};
 use strg_video::{frames_to_rags, Frame};
 
-use crate::index::{BatchItem, BatchKind, BatchScratch, Hit, QueryScratch, StrgIndex};
+use crate::index::{
+    reserve_counted, BatchItem, BatchKind, BatchScratch, Hit, QueryScratch, StrgIndex,
+};
 use crate::options::{Database, DbOptions};
 use crate::persist::{PersistInfo, ReopenMode};
 use crate::pipeline::{DbStats, IngestReport, QueryHit, VideoDatabase};
@@ -94,100 +99,6 @@ struct ShardPlan {
     bound: f64,
 }
 
-/// Reusable fan-out arena: the per-tree [`QueryScratch`] plus every buffer
-/// the shard-level protocol needs (visit plan, merged best list, outcome
-/// staging, sort permutation). A warmed-up arena makes a sequential
-/// fan-out allocation-free end to end (`tests/query_alloc.rs`); the
-/// long-lived workers of the serve pool each converge on their own via
-/// [`with_shard_scratch`].
-#[derive(Default)]
-pub struct ShardScratch {
-    tree: QueryScratch,
-    plans: Vec<ShardPlan>,
-    stage: Vec<Option<ShardOutcome>>,
-    outcomes: Vec<ShardOutcome>,
-    /// Merged result list (`best` for knn, `tagged` for range).
-    hits: Vec<(usize, Hit)>,
-    hits_tmp: Vec<(usize, Hit)>,
-    order: Vec<u32>,
-    grows: u64,
-}
-
-impl ShardScratch {
-    /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    const fn empty() -> Self {
-        Self {
-            tree: QueryScratch::empty(),
-            plans: Vec::new(),
-            stage: Vec::new(),
-            outcomes: Vec::new(),
-            hits: Vec::new(),
-            hits_tmp: Vec::new(),
-            order: Vec::new(),
-            grows: 0,
-        }
-    }
-
-    /// The shard-tagged hits of the last `*_into` fan-out, ascending by
-    /// distance.
-    pub fn hits(&self) -> &[(usize, Hit)] {
-        &self.hits
-    }
-
-    /// Per-shard outcomes of the last `*_into` fan-out, in shard-id order.
-    pub fn outcomes(&self) -> &[ShardOutcome] {
-        &self.outcomes
-    }
-
-    /// Number of buffer growth events (shard-level buffers only) since
-    /// construction — stops moving once the arena reaches its high-water
-    /// mark.
-    pub fn grow_events(&self) -> u64 {
-        self.grows + self.tree.grow_events()
-    }
-}
-
-thread_local! {
-    static SHARD_SCRATCH: RefCell<ShardScratch> = const { RefCell::new(ShardScratch::empty()) };
-}
-
-/// Runs `f` with this thread's fan-out arena; reentrant calls fall back to
-/// a fresh local arena.
-pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ShardScratch) -> R) -> R {
-    SHARD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut ShardScratch::empty()),
-    })
-}
-
-fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
-    if v.capacity() < need {
-        *grows += 1;
-        v.reserve(need - v.len());
-    }
-}
-
-fn shard_plans_into(idxs: &[&Idx], query: &[Point2], plans: &mut Vec<ShardPlan>, grows: &mut u64) {
-    plans.clear();
-    reserve_counted(plans, idxs.len(), grows);
-    for (shard, idx) in idxs.iter().enumerate() {
-        let m = idx.metric();
-        let qs = m.summarize(query);
-        plans.push(ShardPlan {
-            shard,
-            bound: m.envelope_bound(query, &qs, idx.envelope()),
-        });
-    }
-    // Unstable sort with the shard id as a total tie-break: pushes are in
-    // ascending shard order, so this is the stable by-bound order (equal
-    // bounds visit in shard order) without the stable sort's buffer.
-    plans.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.shard.cmp(&b.shard)));
-}
-
 /// Full charge for skipping a shard whole: every record and cluster is
 /// pruned (keeping the conservation law), zero node accesses.
 fn prune_charge(idx: &Idx) -> QueryCost {
@@ -211,6 +122,245 @@ fn merge_hits(best: &mut Vec<(usize, Hit)>, shard: usize, hits: &[Hit], k: usize
         let pos = best.partition_point(|(_, e)| e.dist <= h.dist);
         best.insert(pos, (shard, h));
         best.truncate(k);
+    }
+}
+
+/// One query's search against one shard tree, into `tree`.
+fn search_into<'t>(
+    idx: &Idx,
+    query: &[Point2],
+    kind: BatchKind,
+    tree: &'t mut QueryScratch,
+) -> (&'t [Hit], QueryCost) {
+    match kind {
+        BatchKind::Knn(k) => idx.knn_with_cost_into(query, k, tree),
+        BatchKind::Range(radius) => idx.range_with_cost_into(query, radius, tree),
+    }
+}
+
+/// The buffers of one fan-out replay — visit plan, merged result list and
+/// its sort permutation — shared by the single-query and batched arenas.
+#[derive(Default)]
+struct Replay {
+    plans: Vec<ShardPlan>,
+    /// Merged result list (best-k for knn, every in-radius hit for range).
+    merged: Vec<(usize, Hit)>,
+    merged_tmp: Vec<(usize, Hit)>,
+    order: Vec<u32>,
+    grows: u64,
+}
+
+impl Replay {
+    const fn empty() -> Self {
+        Self {
+            plans: Vec::new(),
+            merged: Vec::new(),
+            merged_tmp: Vec::new(),
+            order: Vec::new(),
+            grows: 0,
+        }
+    }
+
+    /// The fan-out protocol of the module docs, for every caller: walk the
+    /// shards in ascending `(bound, shard)` order and open one iff its
+    /// bound is within the cutoff — the merged `d_k` for k-NN, the radius
+    /// for range. `fetch(shard, sink)` supplies an opened shard's search —
+    /// it hands the shard's ascending hits to `sink` and returns the
+    /// search's cost — and is never called for a skipped shard, so a lazy
+    /// `fetch` does no physical work there. Leaves the merged hits in
+    /// `self.merged`, appends one [`ShardOutcome`] per shard (shard-id
+    /// order) to `outcomes`, and returns the total logical cost.
+    fn run(
+        &mut self,
+        idxs: &[&Idx],
+        query: &[Point2],
+        kind: BatchKind,
+        outcomes: &mut Vec<ShardOutcome>,
+        mut fetch: impl FnMut(usize, &mut dyn FnMut(&[Hit])) -> QueryCost,
+    ) -> QueryCost {
+        let Self {
+            plans,
+            merged,
+            merged_tmp,
+            order,
+            grows,
+        } = self;
+        plans.clear();
+        reserve_counted(plans, idxs.len(), grows);
+        for (shard, idx) in idxs.iter().enumerate() {
+            let m = idx.metric();
+            let qs = m.summarize(query);
+            plans.push(ShardPlan {
+                shard,
+                bound: m.envelope_bound(query, &qs, idx.envelope()),
+            });
+        }
+        // Unstable sort with the shard id as a total tie-break: pushes are
+        // in ascending shard order, so this is the stable by-bound order
+        // (equal bounds visit in shard order) without the stable sort's
+        // buffer.
+        plans.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.shard.cmp(&b.shard)));
+
+        let total_len: usize = idxs.iter().map(|i| i.len()).sum();
+        merged.clear();
+        let room = match kind {
+            BatchKind::Knn(k) => k.min(total_len) + 1,
+            BatchKind::Range(_) => total_len,
+        };
+        reserve_counted(merged, room, grows);
+        let base = outcomes.len();
+        reserve_counted(outcomes, base + idxs.len(), grows);
+        outcomes.resize(
+            base + idxs.len(),
+            ShardOutcome {
+                opened: false,
+                bound: f64::NAN,
+                cost: QueryCost::default(),
+            },
+        );
+        let mut total = QueryCost::default();
+        for p in plans.iter() {
+            let cutoff = match kind {
+                BatchKind::Knn(k) if k > 0 && merged.len() >= k => merged[k - 1].1.dist,
+                BatchKind::Knn(_) => f64::INFINITY,
+                BatchKind::Range(radius) => radius,
+            };
+            // A single shard is always opened: the fan-out adds nothing and
+            // `shards(1)` stays bit-identical to the plain single tree.
+            // Bounds ascend and `d_k` never increases, so after the first
+            // k-NN skip every later shard skips too.
+            let opened = p.bound <= cutoff || idxs.len() == 1;
+            let cost = if opened {
+                fetch(p.shard, &mut |hits| match kind {
+                    BatchKind::Knn(k) => merge_hits(merged, p.shard, hits, k),
+                    BatchKind::Range(_) => merged.extend(hits.iter().map(|&h| (p.shard, h))),
+                })
+            } else {
+                prune_charge(idxs[p.shard])
+            };
+            total.merge(&cost);
+            outcomes[base + p.shard] = ShardOutcome {
+                opened,
+                bound: p.bound,
+                cost,
+            };
+        }
+        if let BatchKind::Range(_) = kind {
+            // The single tree's contract is "stable by shard id, then
+            // stable by distance". Entries were appended in bound order,
+            // but any two entries of the same shard were appended
+            // contiguously in the shard's own hit order, so an unstable
+            // index sort keyed (distance, shard id, append position)
+            // reproduces that double stable sort without its buffers.
+            order.clear();
+            reserve_counted(order, merged.len(), grows);
+            order.extend(0..merged.len() as u32);
+            order.sort_unstable_by(|&i, &j| {
+                let (sa, ha) = &merged[i as usize];
+                let (sb, hb) = &merged[j as usize];
+                ha.dist.total_cmp(&hb.dist).then(sa.cmp(sb)).then(i.cmp(&j))
+            });
+            merged_tmp.clear();
+            reserve_counted(merged_tmp, merged.len(), grows);
+            merged_tmp.extend(order.iter().map(|&i| merged[i as usize]));
+            std::mem::swap(merged, merged_tmp);
+        }
+        total
+    }
+}
+
+/// Reusable fan-out arena: the per-tree [`QueryScratch`] plus every buffer
+/// the shard-level protocol needs (visit plan, merged result list, sort
+/// permutation, outcomes). A warmed-up arena makes a sequential fan-out
+/// allocation-free end to end (`tests/query_alloc.rs`); the long-lived
+/// workers of the serve pool each converge on their own via
+/// [`with_shard_scratch`].
+#[derive(Default)]
+pub struct ShardScratch {
+    tree: QueryScratch,
+    replay: Replay,
+    outcomes: Vec<ShardOutcome>,
+}
+
+impl ShardScratch {
+    /// An empty arena (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    const fn empty() -> Self {
+        Self {
+            tree: QueryScratch::empty(),
+            replay: Replay::empty(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The shard-tagged hits of the last `*_into` fan-out, ascending by
+    /// distance.
+    pub fn hits(&self) -> &[(usize, Hit)] {
+        &self.replay.merged
+    }
+
+    /// Per-shard outcomes of the last `*_into` fan-out, in shard-id order.
+    pub fn outcomes(&self) -> &[ShardOutcome] {
+        &self.outcomes
+    }
+
+    /// Number of buffer growth events since construction — stops moving
+    /// once the arena reaches its high-water mark.
+    pub fn grow_events(&self) -> u64 {
+        self.replay.grows + self.tree.grow_events()
+    }
+}
+
+thread_local! {
+    static SHARD_SCRATCH: RefCell<ShardScratch> = const { RefCell::new(ShardScratch::empty()) };
+}
+
+/// Runs `f` with this thread's fan-out arena; reentrant calls fall back to
+/// a fresh local arena.
+pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ShardScratch) -> R) -> R {
+    SHARD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut ShardScratch::empty()),
+    })
+}
+
+/// One query's fan-out into `scratch`. Sequentially each opened shard is
+/// searched lazily, straight into the arena's tree scratch — skipped shards
+/// cost nothing and a warmed-up arena allocates nothing. With more than one
+/// worker every shard is searched speculatively in parallel (allocating)
+/// and the replay consumes the precomputed results.
+fn fan_out_into(
+    idxs: &[&Idx],
+    query: &[Point2],
+    kind: BatchKind,
+    threads: Threads,
+    scratch: &mut ShardScratch,
+) -> QueryCost {
+    let ShardScratch {
+        tree,
+        replay,
+        outcomes,
+    } = scratch;
+    outcomes.clear();
+    if threads.resolve() > 1 {
+        let prefetched = par_map(idxs, threads, |idx| {
+            let mut tree = QueryScratch::new();
+            let (hits, cost) = search_into(idx, query, kind, &mut tree);
+            (hits.to_vec(), cost)
+        });
+        replay.run(idxs, query, kind, outcomes, |s, sink| {
+            sink(&prefetched[s].0);
+            prefetched[s].1
+        })
+    } else {
+        replay.run(idxs, query, kind, outcomes, |s, sink| {
+            let (hits, cost) = search_into(idxs[s], query, kind, tree);
+            sink(hits);
+            cost
+        })
     }
 }
 
@@ -244,91 +394,7 @@ pub fn sharded_knn_into(
     threads: Threads,
     scratch: &mut ShardScratch,
 ) -> QueryCost {
-    let ShardScratch {
-        tree,
-        plans,
-        stage,
-        outcomes,
-        hits: best,
-        grows,
-        ..
-    } = scratch;
-    shard_plans_into(idxs, query, plans, grows);
-    let hatch = !shard_bounds_enabled();
-    // The hatch must search every shard physically so pruned shards' hits
-    // can compete; the parallel path searches every shard speculatively
-    // and replays the decisions. Both reuse the same replay below. Only
-    // the speculative paths allocate — the sequential replay fetches each
-    // opened shard straight into the arena.
-    let speculative = hatch || threads.resolve() > 1;
-    let mut prefetched: Vec<Option<(Vec<Hit>, QueryCost)>> = if speculative {
-        par_map(&*plans, threads, |p| {
-            Some(idxs[p.shard].knn_with_cost(query, k))
-        })
-    } else {
-        Vec::new()
-    };
-
-    let total_len: usize = idxs.iter().map(|i| i.len()).sum();
-    best.clear();
-    reserve_counted(best, k.min(total_len) + 1, grows);
-    stage.clear();
-    reserve_counted(stage, idxs.len(), grows);
-    stage.extend((0..idxs.len()).map(|_| None));
-    let mut total = QueryCost::default();
-    let mut pruning = false;
-    for (pi, p) in plans.iter().enumerate() {
-        let dk = if k > 0 && best.len() >= k {
-            best[k - 1].1.dist
-        } else {
-            f64::INFINITY
-        };
-        // A single shard is always opened: the fan-out adds nothing and
-        // `shards(1)` stays bit-identical to the plain single tree.
-        if !pruning && (p.bound <= dk || idxs.len() == 1) {
-            let cost = match speculative.then(|| prefetched[pi].take()).flatten() {
-                Some((hits, cost)) => {
-                    merge_hits(best, p.shard, &hits, k);
-                    cost
-                }
-                None => {
-                    let (hits, cost) = idxs[p.shard].knn_with_cost_into(query, k, tree);
-                    merge_hits(best, p.shard, hits, k);
-                    cost
-                }
-            };
-            total.merge(&cost);
-            stage[p.shard] = Some(ShardOutcome {
-                opened: true,
-                bound: p.bound,
-                cost,
-            });
-        } else {
-            pruning = true;
-            let cost = prune_charge(idxs[p.shard]);
-            total.merge(&cost);
-            stage[p.shard] = Some(ShardOutcome {
-                opened: false,
-                bound: p.bound,
-                cost,
-            });
-            if hatch {
-                // Same charges, but the speculative hits compete: an
-                // inadmissible envelope surfaces as a hit diff.
-                if let Some((hits, _)) = prefetched[pi].take() {
-                    merge_hits(best, p.shard, &hits, k);
-                }
-            }
-        }
-    }
-    outcomes.clear();
-    reserve_counted(outcomes, idxs.len(), grows);
-    outcomes.extend(
-        stage
-            .iter_mut()
-            .map(|o| o.take().expect("every shard decided")),
-    );
-    total
+    fan_out_into(idxs, query, BatchKind::Knn(k), threads, scratch)
 }
 
 /// Range fan-out: the radius is a static cutoff, so the decisions are
@@ -355,111 +421,18 @@ pub fn sharded_range_into(
     threads: Threads,
     scratch: &mut ShardScratch,
 ) -> QueryCost {
-    let ShardScratch {
-        tree,
-        plans,
-        stage,
-        outcomes,
-        hits: tagged,
-        hits_tmp,
-        order,
-        grows,
-    } = scratch;
-    shard_plans_into(idxs, query, plans, grows);
-    let hatch = !shard_bounds_enabled();
-    let speculative = hatch || threads.resolve() > 1;
-    let mut prefetched: Vec<Option<(Vec<Hit>, QueryCost)>> = if speculative {
-        par_map(&*plans, threads, |p| {
-            Some(idxs[p.shard].range_with_cost(query, radius))
-        })
-    } else {
-        Vec::new()
-    };
-
-    let total_len: usize = idxs.iter().map(|i| i.len()).sum();
-    tagged.clear();
-    reserve_counted(tagged, total_len, grows);
-    stage.clear();
-    reserve_counted(stage, idxs.len(), grows);
-    stage.extend((0..idxs.len()).map(|_| None));
-    let mut total = QueryCost::default();
-    for (pi, p) in plans.iter().enumerate() {
-        if p.bound <= radius || idxs.len() == 1 {
-            let cost = match speculative.then(|| prefetched[pi].take()).flatten() {
-                Some((hits, cost)) => {
-                    tagged.extend(hits.into_iter().map(|h| (p.shard, h)));
-                    cost
-                }
-                None => {
-                    let (hits, cost) = idxs[p.shard].range_with_cost_into(query, radius, tree);
-                    tagged.extend(hits.iter().map(|&h| (p.shard, h)));
-                    cost
-                }
-            };
-            total.merge(&cost);
-            stage[p.shard] = Some(ShardOutcome {
-                opened: true,
-                bound: p.bound,
-                cost,
-            });
-        } else {
-            let cost = prune_charge(idxs[p.shard]);
-            total.merge(&cost);
-            stage[p.shard] = Some(ShardOutcome {
-                opened: false,
-                bound: p.bound,
-                cost,
-            });
-            if hatch {
-                if let Some((hits, _)) = prefetched[pi].take() {
-                    tagged.extend(hits.into_iter().map(|h| (p.shard, h)));
-                }
-            }
-        }
-    }
-    // The single tree's contract is "stable by shard id, then stable by
-    // distance". Entries were appended in bound order, but any two entries
-    // of the same shard were appended contiguously in the shard's own hit
-    // order, so an unstable index sort keyed (distance, shard id, append
-    // position) reproduces that double stable sort without its buffers.
-    order.clear();
-    reserve_counted(order, tagged.len(), grows);
-    order.extend(0..tagged.len() as u32);
-    order.sort_unstable_by(|&i, &j| {
-        let (sa, ha) = &tagged[i as usize];
-        let (sb, hb) = &tagged[j as usize];
-        ha.dist.total_cmp(&hb.dist).then(sa.cmp(sb)).then(i.cmp(&j))
-    });
-    hits_tmp.clear();
-    reserve_counted(hits_tmp, tagged.len(), grows);
-    hits_tmp.extend(order.iter().map(|&i| tagged[i as usize]));
-    std::mem::swap(tagged, hits_tmp);
-    outcomes.clear();
-    reserve_counted(outcomes, idxs.len(), grows);
-    outcomes.extend(
-        stage
-            .iter_mut()
-            .map(|o| o.take().expect("every shard decided")),
-    );
-    total
+    fan_out_into(idxs, query, BatchKind::Range(radius), threads, scratch)
 }
 
 /// Reusable arena for [`sharded_query_batch_into`]: one per-tree
 /// [`BatchScratch`] per shard (holding that shard's batched prefetch) plus
-/// the shard-level replay buffers (visit plan, per-item merge list, final
-/// hit store, spans, costs, outcomes). A warmed-up arena makes a
-/// sequential batched fan-out allocation-free end to end
-/// (`tests/query_alloc.rs`).
+/// the shard-level replay buffers and the per-item results (final hit
+/// store, spans, costs, outcomes). A warmed-up arena makes a sequential
+/// batched fan-out allocation-free end to end (`tests/query_alloc.rs`).
 #[derive(Default)]
 pub struct ShardBatchScratch {
     shards: Vec<BatchScratch<Point2>>,
-    plans: Vec<ShardPlan>,
-    stage: Vec<Option<ShardOutcome>>,
-    /// Working list for the item currently being replayed (`best` for knn,
-    /// `tagged` for range).
-    item: Vec<(usize, Hit)>,
-    item_tmp: Vec<(usize, Hit)>,
-    order: Vec<u32>,
+    replay: Replay,
     /// Every item's final merged hits, concatenated in item order.
     hits: Vec<(usize, Hit)>,
     /// Per-item `(start, len)` into [`ShardBatchScratch::hits`].
@@ -481,11 +454,7 @@ impl ShardBatchScratch {
     const fn empty() -> Self {
         Self {
             shards: Vec::new(),
-            plans: Vec::new(),
-            stage: Vec::new(),
-            item: Vec::new(),
-            item_tmp: Vec::new(),
-            order: Vec::new(),
+            replay: Replay::empty(),
             hits: Vec::new(),
             spans: Vec::new(),
             costs: Vec::new(),
@@ -527,7 +496,7 @@ impl ShardBatchScratch {
     /// Number of buffer growth events since construction — stops moving
     /// once the arena reaches its high-water mark.
     pub fn grow_events(&self) -> u64 {
-        self.grows + self.shards.iter().map(|s| s.grow_events()).sum::<u64>()
+        self.grows + self.replay.grows + self.shards.iter().map(|s| s.grow_events()).sum::<u64>()
     }
 }
 
@@ -547,20 +516,19 @@ pub fn with_shard_batch_scratch<R>(f: impl FnOnce(&mut ShardBatchScratch) -> R) 
 
 /// Batched fan-out: every shard runs **one** batched descent over the
 /// whole item list ([`StrgIndex::query_batch_with_cost_into`]), then the
-/// bound-ordered open/skip protocol of [`sharded_knn_into`] /
-/// [`sharded_range_into`] is replayed per item over the prefetched
-/// per-shard results. Each item's hits and cost are byte-identical to its
-/// own single-query fan-out (`batch_shared_accesses` excepted — that field
-/// reports the physical sharing and is exempt from the identity contract).
+/// same open/skip replay as [`sharded_knn_into`] / [`sharded_range_into`]
+/// runs per item over the prefetched per-shard results. Each item's hits
+/// and cost are byte-identical to its own single-query fan-out
+/// (`batch_shared_accesses` excepted — that field reports the physical
+/// sharing and is exempt from the identity contract).
 ///
 /// Items are global searches; a `root_filter` is honored inside each shard
 /// but the envelope bounds ignore it, so production callers route
 /// clip-scoped queries to the owning shard instead. Skipped shards charge
 /// [`prune_charge`] exactly as in the single-query replay — their
-/// speculative batch work is intentionally uncharged — and under
-/// `STRG_NO_SHARD_LB=1` their hits still compete in the merge. With more
-/// than one worker the per-shard prefetches run in parallel; the replay is
-/// a pure function of thread-invariant inputs either way.
+/// speculative batch work is intentionally uncharged. With more than one
+/// worker the per-shard prefetches run in parallel; the replay is a pure
+/// function of thread-invariant inputs either way.
 pub fn sharded_query_batch_into(
     idxs: &[&Idx],
     items: &[BatchItem<'_, Point2>],
@@ -593,15 +561,9 @@ pub fn sharded_query_batch_into(
     }
 
     // Phase 2: replay the fan-out decisions per item.
-    let hatch = !shard_bounds_enabled();
-    let total_len: usize = idxs.iter().map(|i| i.len()).sum();
     let ShardBatchScratch {
         shards,
-        plans,
-        stage,
-        item,
-        item_tmp,
-        order,
+        replay,
         hits,
         spans,
         costs,
@@ -617,96 +579,15 @@ pub fn sharded_query_batch_into(
     outcomes.clear();
     reserve_counted(outcomes, n * idxs.len(), grows);
     for (i, it) in items.iter().enumerate() {
-        shard_plans_into(idxs, it.query, plans, grows);
-        stage.clear();
-        reserve_counted(stage, idxs.len(), grows);
-        stage.extend((0..idxs.len()).map(|_| None));
-        item.clear();
-        let mut total = QueryCost::default();
-        match it.kind {
-            BatchKind::Knn(k) => {
-                reserve_counted(item, k.min(total_len) + 1, grows);
-                let mut pruning = false;
-                for p in plans.iter() {
-                    let dk = if k > 0 && item.len() >= k {
-                        item[k - 1].1.dist
-                    } else {
-                        f64::INFINITY
-                    };
-                    if !pruning && (p.bound <= dk || idxs.len() == 1) {
-                        let cost = shards[p.shard].cost(i);
-                        merge_hits(item, p.shard, shards[p.shard].hits(i), k);
-                        total.merge(&cost);
-                        stage[p.shard] = Some(ShardOutcome {
-                            opened: true,
-                            bound: p.bound,
-                            cost,
-                        });
-                    } else {
-                        pruning = true;
-                        let cost = prune_charge(idxs[p.shard]);
-                        total.merge(&cost);
-                        stage[p.shard] = Some(ShardOutcome {
-                            opened: false,
-                            bound: p.bound,
-                            cost,
-                        });
-                        if hatch {
-                            merge_hits(item, p.shard, shards[p.shard].hits(i), k);
-                        }
-                    }
-                }
-            }
-            BatchKind::Range(radius) => {
-                reserve_counted(item, total_len, grows);
-                for p in plans.iter() {
-                    if p.bound <= radius || idxs.len() == 1 {
-                        let cost = shards[p.shard].cost(i);
-                        item.extend(shards[p.shard].hits(i).iter().map(|&h| (p.shard, h)));
-                        total.merge(&cost);
-                        stage[p.shard] = Some(ShardOutcome {
-                            opened: true,
-                            bound: p.bound,
-                            cost,
-                        });
-                    } else {
-                        let cost = prune_charge(idxs[p.shard]);
-                        total.merge(&cost);
-                        stage[p.shard] = Some(ShardOutcome {
-                            opened: false,
-                            bound: p.bound,
-                            cost,
-                        });
-                        if hatch {
-                            item.extend(shards[p.shard].hits(i).iter().map(|&h| (p.shard, h)));
-                        }
-                    }
-                }
-                // Same keyed permutation sort as `sharded_range_into`.
-                order.clear();
-                reserve_counted(order, item.len(), grows);
-                order.extend(0..item.len() as u32);
-                order.sort_unstable_by(|&a, &b| {
-                    let (sa, ha) = &item[a as usize];
-                    let (sb, hb) = &item[b as usize];
-                    ha.dist.total_cmp(&hb.dist).then(sa.cmp(sb)).then(a.cmp(&b))
-                });
-                item_tmp.clear();
-                reserve_counted(item_tmp, item.len(), grows);
-                item_tmp.extend(order.iter().map(|&x| item[x as usize]));
-                std::mem::swap(item, item_tmp);
-            }
-        }
+        let total = replay.run(idxs, it.query, it.kind, outcomes, |s, sink| {
+            sink(shards[s].hits(i));
+            shards[s].cost(i)
+        });
         let start = hits.len();
-        reserve_counted(hits, start + item.len(), grows);
-        hits.extend_from_slice(item);
-        spans.push((start as u32, item.len() as u32));
+        reserve_counted(hits, start + replay.merged.len(), grows);
+        hits.extend_from_slice(&replay.merged);
+        spans.push((start as u32, replay.merged.len() as u32));
         costs.push(total);
-        outcomes.extend(
-            stage
-                .iter_mut()
-                .map(|o| o.take().expect("every shard decided")),
-        );
     }
 }
 
@@ -935,21 +816,7 @@ impl ShardedDatabase {
 
         let hits = self.resolve_tagged(tagged);
         cost.elapsed = start.elapsed();
-        let prefix = match q.kind {
-            QueryKind::Knn(_) => "query.knn",
-            QueryKind::Range(_) => "query.range",
-        };
-        self.recorder.record_cost(prefix, &cost);
-        for (s, o) in outcomes.iter().enumerate() {
-            if o.opened {
-                self.recorder.add("shard.opened", 1);
-                self.recorder
-                    .record_cost(&format!("shard.{s}.query"), &o.cost);
-            } else {
-                self.recorder.add("shard.pruned_whole", 1);
-                self.recorder.add(&format!("shard.{s}.pruned_whole"), 1);
-            }
-        }
+        self.record_fan_out(q.kind, &cost, &outcomes);
         QueryResult {
             hits,
             cost: q.want_cost.then_some(cost),
@@ -966,10 +833,9 @@ impl ShardedDatabase {
     /// descent per shard per group); background-matched queries fall back
     /// to the single-query path. Each query's hits and cost are
     /// byte-identical to [`ShardedDatabase::query`] run alone, and the
-    /// same `query.*` / `shard.*` metrics are recorded. The
-    /// `STRG_NO_BATCH` hatch executes everything one at a time.
+    /// same `query.*` / `shard.*` metrics are recorded.
     pub fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        if queries.len() <= 1 || !batching_enabled() {
+        if queries.len() <= 1 {
             return queries.iter().map(|q| self.query(q.clone())).collect();
         }
         /// One global query's share of the fan-out, copied out of the
@@ -1054,21 +920,7 @@ impl ShardedDatabase {
                     harvested.next().expect("one harvest per global item");
                 let hits = self.resolve_tagged(tagged);
                 cost.elapsed = elapsed;
-                let prefix = match queries[pos].kind {
-                    QueryKind::Knn(_) => "query.knn",
-                    QueryKind::Range(_) => "query.range",
-                };
-                self.recorder.record_cost(prefix, &cost);
-                for (s, o) in outcomes.iter().enumerate() {
-                    if o.opened {
-                        self.recorder.add("shard.opened", 1);
-                        self.recorder
-                            .record_cost(&format!("shard.{s}.query"), &o.cost);
-                    } else {
-                        self.recorder.add("shard.pruned_whole", 1);
-                        self.recorder.add(&format!("shard.{s}.pruned_whole"), 1);
-                    }
-                }
+                self.record_fan_out(queries[pos].kind, &cost, &outcomes);
                 slots[pos] = Some(QueryResult {
                     hits,
                     cost: queries[pos].want_cost.then_some(cost),
@@ -1086,6 +938,26 @@ impl ShardedDatabase {
             .into_iter()
             .map(|r| r.expect("every query planned"))
             .collect()
+    }
+
+    /// Records one global query's `query.*` cost and per-shard
+    /// `shard.*` open/skip rows.
+    fn record_fan_out(&self, kind: QueryKind, cost: &QueryCost, outcomes: &[ShardOutcome]) {
+        let prefix = match kind {
+            QueryKind::Knn(_) => "query.knn",
+            QueryKind::Range(_) => "query.range",
+        };
+        self.recorder.record_cost(prefix, cost);
+        for (s, o) in outcomes.iter().enumerate() {
+            if o.opened {
+                self.recorder.add("shard.opened", 1);
+                self.recorder
+                    .record_cost(&format!("shard.{s}.query"), &o.cost);
+            } else {
+                self.recorder.add("shard.pruned_whole", 1);
+                self.recorder.add(&format!("shard.{s}.pruned_whole"), 1);
+            }
+        }
     }
 
     fn resolve_tagged(&self, tagged: Vec<(usize, Hit)>) -> Vec<QueryHit> {

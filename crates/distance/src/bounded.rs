@@ -30,67 +30,6 @@ use crate::lp::{resample, Lerp, LpNorm};
 use crate::traits::SequenceDistance;
 use crate::value::SeqValue;
 
-/// Environment variable that disables lower-bound filtering (the escape
-/// hatch for equivalence testing): set to `1` (or any non-empty value other
-/// than `0`) to force every candidate through the full refine step.
-pub const NO_LB_ENV: &str = "STRG_NO_LB";
-
-/// Whether lower-bound filtering is active (i.e. [`NO_LB_ENV`] is unset).
-///
-/// The hatch changes only *physical* evaluation: search paths still charge
-/// `lb_pruned` / `early_abandoned` logically in both modes, so costs and
-/// results must be byte-identical — which is exactly what
-/// `tests/kernel_equivalence.rs` checks.
-pub fn lower_bounds_enabled() -> bool {
-    match std::env::var(NO_LB_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
-
-/// Environment variable that disables *shard-granularity* envelope
-/// filtering: set to `1` (or any non-empty value other than `0`) to open
-/// every shard of a sharded database. The sharded search still charges
-/// `shards_pruned` logically in both modes, and lets the hits of
-/// logically-pruned shards compete for the result list — so an
-/// inadmissible envelope surfaces as a hit-list difference, exactly like
-/// [`NO_LB_ENV`] does for per-record bounds.
-pub const NO_SHARD_LB_ENV: &str = "STRG_NO_SHARD_LB";
-
-/// Whether shard-envelope filtering is active ([`NO_SHARD_LB_ENV`] unset).
-pub fn shard_bounds_enabled() -> bool {
-    match std::env::var(NO_SHARD_LB_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
-
-/// Environment variable that disables *batched* query execution: set to `1`
-/// (or any non-empty value other than `0`) to make every batch entry point
-/// fall back to one-at-a-time sequential execution. Batching is a purely
-/// physical optimization — each query's hits and logical `QueryCost` are
-/// byte-identical in both modes (only the `batch_shared_accesses` sharing
-/// telemetry collapses to zero under the hatch), which is exactly what
-/// `tests/batch_equivalence.rs` pins down.
-pub const NO_BATCH_ENV: &str = "STRG_NO_BATCH";
-
-/// Whether batched execution is active ([`NO_BATCH_ENV`] unset).
-pub fn batching_enabled() -> bool {
-    match std::env::var(NO_BATCH_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
-
 /// Deflates an analytic bound by a small relative + absolute margin so that
 /// floating-point rounding in the summary arithmetic can never push it
 /// above the true distance. Clamped at zero (bounds are non-negative).
@@ -449,35 +388,25 @@ impl<V: SeqValue + Lerp> BoundedDistance<V> for LpNorm {
             rb = resample(b, len);
             (&ra, &rb)
         };
-        // The vectorized paths stage ground distances in fixed chunks via
-        // `SeqValue::dist_pairs` and replay the exact scalar fold (max or
-        // p-power sum, same order) with the exact per-element abandon
-        // checks — an abandon mid-chunk merely wastes the rest of the
-        // staged chunk, it never changes a value or a decision.
-        let vector = crate::simd::simd_enabled();
+        // Ground distances are staged in fixed chunks via
+        // `SeqValue::dist_pairs` and folded in element order (max or
+        // p-power sum) with a per-element abandon check — an abandon
+        // mid-chunk merely wastes the rest of the staged chunk, it never
+        // changes a value or a decision relative to the one-at-a-time fold.
         const CHUNK: usize = 16;
+        let mut buf = [0.0f64; CHUNK];
         if self.p.is_infinite() {
             // Chebyshev: the running max is exact, so abandoning the moment
             // it exceeds the cutoff loses nothing.
             let mut acc = 0.0f64;
-            if vector {
-                let mut buf = [0.0f64; CHUNK];
-                for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-                    let d = &mut buf[..ca.len()];
-                    V::dist_pairs(ca, cb, d);
-                    for &x in d.iter() {
-                        acc = acc.max(x);
-                        if acc > cutoff {
-                            return None;
-                        }
+            for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
+                let d = &mut buf[..ca.len()];
+                V::dist_pairs(ca, cb, d);
+                for &x in d.iter() {
+                    acc = acc.max(x);
+                    if acc > cutoff {
+                        return None;
                     }
-                }
-                return Some(acc);
-            }
-            for (x, y) in a.iter().zip(b) {
-                acc = acc.max(x.dist(y));
-                if acc > cutoff {
-                    return None;
                 }
             }
             return Some(acc);
@@ -495,21 +424,11 @@ impl<V: SeqValue + Lerp> BoundedDistance<V> for LpNorm {
             f64::INFINITY
         };
         let mut sum = 0.0f64;
-        if vector {
-            let mut buf = [0.0f64; CHUNK];
-            for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-                let d = &mut buf[..ca.len()];
-                V::dist_pairs(ca, cb, d);
-                for &x in d.iter() {
-                    sum += x.powf(self.p);
-                    if sum > cut_p {
-                        return None;
-                    }
-                }
-            }
-        } else {
-            for (x, y) in a.iter().zip(b) {
-                sum += x.dist(y).powf(self.p);
+        for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
+            let d = &mut buf[..ca.len()];
+            V::dist_pairs(ca, cb, d);
+            for &x in d.iter() {
+                sum += x.powf(self.p);
                 if sum > cut_p {
                     return None;
                 }
@@ -626,25 +545,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn env_hatch_parses() {
-        // Not set in the test environment by default.
-        if std::env::var(NO_LB_ENV).is_err() {
-            assert!(lower_bounds_enabled());
+    /// The one-pair-at-a-time Lp fold the chunked kernel must reproduce.
+    fn lp_upto_scalar(p: f64, a: &[f64], b: &[f64], cutoff: f64) -> Option<f64> {
+        if p.is_infinite() {
+            let mut acc = 0.0f64;
+            for (x, y) in a.iter().zip(b) {
+                acc = acc.max(x.dist(y));
+                if acc > cutoff {
+                    return None;
+                }
+            }
+            return Some(acc);
         }
+        let cut_p = if cutoff.is_finite() && cutoff >= 0.0 {
+            cutoff.powf(p) * (1.0 + 1e-9) + 1e-300
+        } else if cutoff < 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        };
+        let mut sum = 0.0f64;
+        for (x, y) in a.iter().zip(b) {
+            sum += x.dist(y).powf(p);
+            if sum > cut_p {
+                return None;
+            }
+        }
+        let d = sum.powf(1.0 / p);
+        (d <= cutoff).then_some(d)
     }
 
     #[test]
-    fn shard_hatch_parses() {
-        if std::env::var(NO_SHARD_LB_ENV).is_err() {
-            assert!(shard_bounds_enabled());
-        }
-    }
-
-    #[test]
-    fn batch_hatch_parses() {
-        if std::env::var(NO_BATCH_ENV).is_err() {
-            assert!(batching_enabled());
+    fn lp_chunked_fold_matches_scalar_bitwise() {
+        // Lengths straddle the 16-element chunk and the SIMD lane widths.
+        for n in [1, 2, 3, 15, 16, 17, 31, 32, 33, 50] {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 5.0).collect();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() * 4.0).collect();
+            for lp in [LpNorm::L1, LpNorm::L2, LpNorm::LINF, LpNorm { p: 3.0 }] {
+                let d = SequenceDistance::<f64>::distance(&lp, &a, &b);
+                for cutoff in [f64::INFINITY, d, d * 0.999, d * 0.5, 0.0, -1.0] {
+                    assert_eq!(
+                        lp.distance_upto(&a, &b, cutoff).map(f64::to_bits),
+                        lp_upto_scalar(lp.p, &a, &b, cutoff).map(f64::to_bits),
+                        "p={} n={n} cutoff={cutoff}",
+                        lp.p
+                    );
+                }
+            }
         }
     }
 

@@ -27,14 +27,12 @@ pub(crate) fn dtw_upto<V: SeqValue>(a: &[V], b: &[V], cutoff: f64) -> Option<f64
         let d: f64 = rest.iter().map(|v| v.dist(&V::origin())).sum();
         return if d <= cutoff { Some(d) } else { None };
     }
-    if crate::simd::simd_enabled() {
-        crate::scratch::with_dp_scratch(|s| dtw_upto_vector(a, b, cutoff, s))
-    } else {
-        dtw_upto_scalar(a, b, cutoff)
-    }
+    crate::scratch::with_dp_scratch(|s| dtw_upto_vector(a, b, cutoff, s))
 }
 
-/// The original scalar DP (the `STRG_SCALAR=1` reference path).
+/// The textbook scalar DP: the reference `vector_path_matches_scalar_bitwise`
+/// pins the vectorized kernel to.
+#[cfg(test)]
 fn dtw_upto_scalar<V: SeqValue>(a: &[V], b: &[V], cutoff: f64) -> Option<f64> {
     let m = a.len();
     let n = b.len();

@@ -64,12 +64,12 @@ pub(crate) fn eged_dp<V: SeqValue>(a: &[V], b: &[V], policy: &GapPolicy<V>) -> f
 /// distance must too. Floating point preserves the argument — adding a
 /// non-negative `f64` never rounds below the addend, and `min` is exact.
 ///
-/// Two implementations behind the `STRG_SCALAR` hatch: the original scalar
-/// double loop, and a vectorized one that stages each row's ground
-/// distances with [`SeqValue::dist_many`], combines the two previous-row
-/// terms in SIMD lanes, and resolves the loop-carried `add` term in a
-/// scalar prefix pass — the same association as the scalar kernel, so the
-/// value (and every abandon decision) is bit-identical (DESIGN.md §13).
+/// Each row's ground distances are staged with [`SeqValue::dist_many`],
+/// the two previous-row terms are combined in SIMD lanes, and the
+/// loop-carried `add` term is resolved in a scalar prefix pass — the same
+/// association as the textbook double loop (`eged_dp_upto_scalar`, kept as
+/// the unit tests' reference), so the value and every abandon decision are
+/// bit-identical to it (DESIGN.md §13).
 pub(crate) fn eged_dp_upto<V: SeqValue>(
     a: &[V],
     b: &[V],
@@ -79,11 +79,7 @@ pub(crate) fn eged_dp_upto<V: SeqValue>(
     if a.is_empty() && b.is_empty() {
         return if 0.0 <= cutoff { Some(0.0) } else { None };
     }
-    if crate::simd::simd_enabled() {
-        crate::scratch::with_dp_scratch(|s| eged_dp_upto_vector(a, b, policy, cutoff, s))
-    } else {
-        eged_dp_upto_scalar(a, b, policy, cutoff)
-    }
+    crate::scratch::with_dp_scratch(|s| eged_dp_upto_vector(a, b, policy, cutoff, s))
 }
 
 /// Cost of deleting `v` when the other sequence is positioned at `opp`
@@ -103,7 +99,9 @@ fn edit_cost<V: SeqValue>(v: &V, opp: Option<&V>, policy: &GapPolicy<V>) -> f64 
     }
 }
 
-/// The original scalar DP (the `STRG_SCALAR=1` reference path).
+/// The textbook scalar DP: the reference `vector_path_matches_scalar_bitwise`
+/// pins the vectorized kernel to.
+#[cfg(test)]
 fn eged_dp_upto_scalar<V: SeqValue>(
     a: &[V],
     b: &[V],

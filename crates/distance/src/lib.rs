@@ -48,10 +48,7 @@ mod simd;
 mod traits;
 mod value;
 
-pub use bounded::{
-    batching_enabled, lower_bounds_enabled, shard_bounds_enabled, BoundedDistance, LowerBound,
-    SeqSummary, SummaryEnvelope, NO_BATCH_ENV, NO_LB_ENV, NO_SHARD_LB_ENV,
-};
+pub use bounded::{BoundedDistance, LowerBound, SeqSummary, SummaryEnvelope};
 pub use counting::CountingDistance;
 pub use dtw::Dtw;
 pub use edr::Edr;
@@ -59,6 +56,5 @@ pub use eged::{Eged, EgedMetric, EgedRepeatGap, Erp, GapPolicy};
 pub use lcs::Lcs;
 pub use lp::{resample, Lerp, LpNorm};
 pub use observed::ObservedDistance;
-pub use simd::{simd_enabled, SCALAR_ENV};
 pub use traits::{MetricDistance, SequenceDistance};
 pub use value::SeqValue;

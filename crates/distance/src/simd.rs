@@ -24,27 +24,9 @@
 //! `SeqValue::dist` implementation produces one — outside the metric
 //! contract. Finite inputs round identically on every path.
 //!
-//! The [`SCALAR_ENV`] hatch (`STRG_SCALAR=1`) routes every caller back to
-//! the original scalar kernels, in the style of `STRG_NAIVE_SEGMENT`; the
-//! equivalence suites diff the two modes byte-for-byte.
-
-/// Environment variable that disables the SIMD kernels (the escape hatch
-/// for equivalence testing): set to `1` (or any non-empty value other than
-/// `0`) to force the original scalar DP loops everywhere.
-pub const SCALAR_ENV: &str = "STRG_SCALAR";
-
-/// Whether the vectorized kernels are active (i.e. [`SCALAR_ENV`] is
-/// unset). Re-read on every call so tests can toggle the hatch
-/// mid-process, like `lower_bounds_enabled`.
-pub fn simd_enabled() -> bool {
-    match std::env::var(SCALAR_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
+//! The pre-SIMD scalar DPs survive as `#[cfg(test)]` references next to
+//! their kernels (`eged_dp_upto_scalar`, `dtw_upto_scalar`); the unit tests
+//! there pin the vector paths to them bit for bit, call by call.
 
 /// `out[i] = (q - xs[i]).abs()` — the f64 ground-distance row.
 pub(crate) fn dist_abs_many(q: f64, xs: &[f64], out: &mut [f64]) {
@@ -507,13 +489,6 @@ mod tests {
             min_shift(&prev, &mut fast);
             scalar::min_shift(&prev, &mut slow);
             assert_eq!(fast, slow, "min_shift n={n}");
-        }
-    }
-
-    #[test]
-    fn hatch_parses() {
-        if std::env::var(SCALAR_ENV).is_err() {
-            assert!(simd_enabled());
         }
     }
 }

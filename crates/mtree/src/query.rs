@@ -10,15 +10,14 @@
 //! distance evaluation, and surviving candidates are refined with
 //! [`BoundedDistance::distance_upto`] so hopeless alignments abandon early
 //! (charged as `early_abandoned`, still counted in `distance_calls`).
-//! Setting `STRG_NO_LB=1` disables the physical shortcuts while charging
-//! the identical logical costs, so results and [`QueryCost`] are
-//! byte-identical in both modes whenever the bounds are admissible.
+//! Both shortcuts are exact; `tests/kernel_equivalence.rs` pins the hits
+//! to a linear scan.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use strg_distance::{lower_bounds_enabled, BoundedDistance, LowerBound, MetricDistance, SeqValue};
+use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqValue};
 use strg_obs::QueryCost;
 
 use crate::node::Node;
@@ -202,7 +201,6 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
         return;
     }
     let caps = scratch.capacities();
-    let lb_active = lower_bounds_enabled();
     let qsum = dist.summarize(query);
     // The best-k max-heap borrows the arena's storage but runs through the
     // real `BinaryHeap`, so push/pop tie behavior is exactly the standard
@@ -239,37 +237,20 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
                         continue;
                     }
                     // Summary lower bound: cut without any distance work.
-                    let lb_cut = dist.lower_bound(query, &qsum, &e.summary) > dk_now;
-                    if lb_cut {
+                    if dist.lower_bound(query, &qsum, &e.summary) > dk_now {
                         cost.lb_pruned += 1;
-                        if lb_active {
-                            continue;
-                        }
-                    } else {
-                        cost.distance_calls += 1;
+                        continue;
                     }
-                    // With `STRG_NO_LB=1` a cut candidate is still refined
-                    // (uncharged) and offered to the result set, so an
-                    // inadmissible bound surfaces as a hit-list diff.
-                    let d = if lb_active {
-                        match dist.distance_upto(query, &e.seq, dk_now) {
-                            Some(d) => d,
-                            None => {
-                                cost.early_abandoned += 1;
-                                continue;
-                            }
-                        }
-                    } else {
-                        dist.distance(query, &e.seq)
-                    };
-                    if !lb_cut && d > dk_now {
+                    cost.distance_calls += 1;
+                    // `Some(d)` iff `d <= dk_now`, so a survivor always
+                    // enters the best-k heap.
+                    let Some(d) = dist.distance_upto(query, &e.seq, dk_now) else {
                         cost.early_abandoned += 1;
-                    }
-                    if d <= current_bound(&best, k) {
-                        best.push(Best { dist: d, id: e.id });
-                        if best.len() > k {
-                            best.pop();
-                        }
+                        continue;
+                    };
+                    best.push(Best { dist: d, id: e.id });
+                    if best.len() > k {
+                        best.pop();
                     }
                 }
             }
@@ -282,39 +263,24 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
                         cost.pruned += 1;
                         continue;
                     }
-                    let lb_cut = dist.lower_bound(query, &qsum, &r.summary) > cutoff;
-                    if lb_cut {
+                    if dist.lower_bound(query, &qsum, &r.summary) > cutoff {
                         cost.lb_pruned += 1;
-                        if lb_active {
-                            continue;
-                        }
-                    } else {
-                        cost.distance_calls += 1;
+                        continue;
                     }
-                    let d = if lb_active {
-                        match dist.distance_upto(query, &r.pivot, cutoff) {
-                            Some(d) => d,
-                            None => {
-                                cost.early_abandoned += 1;
-                                cost.pruned += 1;
-                                continue;
-                            }
-                        }
-                    } else {
-                        dist.distance(query, &r.pivot)
-                    };
-                    if d <= cutoff {
-                        heap_push(
+                    cost.distance_calls += 1;
+                    match dist.distance_upto(query, &r.pivot, cutoff) {
+                        Some(d) => heap_push(
                             pending,
                             (
                                 (d - r.radius).max(0.0),
                                 d,
                                 &*r.child as *const Node<V> as *const (),
                             ),
-                        );
-                    } else if !lb_cut {
-                        cost.early_abandoned += 1;
-                        cost.pruned += 1;
+                        ),
+                        None => {
+                            cost.early_abandoned += 1;
+                            cost.pruned += 1;
+                        }
                     }
                 }
             }
@@ -371,7 +337,6 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
     scratch: &mut MtreeScratch,
 ) {
     let caps = scratch.capacities();
-    let lb_active = lower_bounds_enabled();
     let qsum = dist.summarize(query);
     scratch.out.clear();
     walk(
@@ -379,7 +344,6 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
         dist,
         query,
         &qsum,
-        lb_active,
         radius,
         f64::NAN,
         &mut scratch.out,
@@ -418,7 +382,6 @@ fn walk<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
     dist: &D,
     query: &[V],
     qsum: &strg_distance::SeqSummary<V>,
-    lb_active: bool,
     radius: f64,
     dq_pivot: f64,
     out: &mut Vec<Neighbor>,
@@ -432,31 +395,14 @@ fn walk<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
                     cost.pruned += 1;
                     continue;
                 }
-                let lb_cut = dist.lower_bound(query, qsum, &e.summary) > radius;
-                if lb_cut {
+                if dist.lower_bound(query, qsum, &e.summary) > radius {
                     cost.lb_pruned += 1;
-                    if lb_active {
-                        continue;
-                    }
-                } else {
-                    cost.distance_calls += 1;
+                    continue;
                 }
-                let d = if lb_active {
-                    match dist.distance_upto(query, &e.seq, radius) {
-                        Some(d) => d,
-                        None => {
-                            cost.early_abandoned += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    dist.distance(query, &e.seq)
-                };
-                if !lb_cut && d > radius {
-                    cost.early_abandoned += 1;
-                }
-                if d <= radius {
-                    out.push(Neighbor { id: e.id, dist: d });
+                cost.distance_calls += 1;
+                match dist.distance_upto(query, &e.seq, radius) {
+                    Some(d) => out.push(Neighbor { id: e.id, dist: d }),
+                    None => cost.early_abandoned += 1,
                 }
             }
         }
@@ -467,32 +413,17 @@ fn walk<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
                     cost.pruned += 1;
                     continue;
                 }
-                let lb_cut = dist.lower_bound(query, qsum, &r.summary) > cutoff;
-                if lb_cut {
+                if dist.lower_bound(query, qsum, &r.summary) > cutoff {
                     cost.lb_pruned += 1;
-                    if lb_active {
-                        continue;
-                    }
-                } else {
-                    cost.distance_calls += 1;
+                    continue;
                 }
-                let d = if lb_active {
-                    match dist.distance_upto(query, &r.pivot, cutoff) {
-                        Some(d) => d,
-                        None => {
-                            cost.early_abandoned += 1;
-                            cost.pruned += 1;
-                            continue;
-                        }
+                cost.distance_calls += 1;
+                match dist.distance_upto(query, &r.pivot, cutoff) {
+                    Some(d) => walk(&r.child, dist, query, qsum, radius, d, out, cost),
+                    None => {
+                        cost.early_abandoned += 1;
+                        cost.pruned += 1;
                     }
-                } else {
-                    dist.distance(query, &r.pivot)
-                };
-                if d <= cutoff {
-                    walk(&r.child, dist, query, qsum, lb_active, radius, d, out, cost);
-                } else if !lb_cut {
-                    cost.early_abandoned += 1;
-                    cost.pruned += 1;
                 }
             }
         }

@@ -47,7 +47,7 @@ pub struct QueryCost {
     /// `batch_shared_accesses` is exempt from [`QueryCost::same_work`]
     /// exactly like `elapsed`. Always `<= node_accesses` (the extended
     /// conservation invariant), and always zero outside a batched
-    /// execution (including under `STRG_NO_BATCH=1`).
+    /// execution.
     pub batch_shared_accesses: u64,
     /// Wall-clock duration of the query.
     pub elapsed: Duration,

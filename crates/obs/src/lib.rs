@@ -15,8 +15,8 @@
 //! * [`Recorder`] — a cloneable handle owning a named registry of the
 //!   above; every layer of the stack records into one shared recorder;
 //! * [`Snapshot`] — a point-in-time view of a recorder, serializable to
-//!   JSON (the report format the CLI's `--json` flag and the bench
-//!   `BENCH_*.json` files share);
+//!   JSON (the report format the CLI's `--json` flag, the serve `metrics`
+//!   verb and `benchmark/` share);
 //! * [`QueryCost`] — the per-query cost record (`distance_calls`,
 //!   `node_accesses`, `pruned`, `elapsed`) returned by every search.
 //!

@@ -30,7 +30,6 @@ pub use scenario::{
 };
 pub use scene::{line_path, Actor, BgPatch, Scene, SceneNoise, Sprite, SpritePart};
 pub use segment::{
-    box_blur, naive_segmentation_enabled, segment, segment_into, Region, SegScratch, SegmentConfig,
-    Segmentation, NAIVE_SEGMENT_ENV,
+    box_blur, segment, segment_into, Region, SegScratch, SegmentConfig, Segmentation,
 };
 pub use strg_parallel::Threads;

@@ -18,17 +18,13 @@
 //! ## Hot-path kernels (DESIGN.md §10)
 //!
 //! The mode filter and [`box_blur`] are the per-pixel hot path of ingest.
-//! Both ship two implementations with **byte-identical outputs**:
-//!
-//! * the *fast* kernels (default): a Huang-style incremental sliding
-//!   histogram for the mode filter (add/remove one clipped column per step
-//!   instead of rescanning the `(2r+1)^2` window) and a two-pass separable
-//!   running-sum filter with exact `u32` integer accumulators for the box
-//!   blur — per-pixel cost `O(r)` resp. `O(1)` instead of `O(r^2)`;
-//! * the *naïve* reference kernels, kept behind the
-//!   [`NAIVE_SEGMENT_ENV`] (`STRG_NAIVE_SEGMENT=1`) hatch. The top-level
-//!   `tests/ingest_equivalence.rs` suite diffs the two paths
-//!   label-for-label; `bench --bin ingest` measures the gap.
+//! The mode filter is a Huang-style incremental sliding histogram
+//! (add/remove one clipped column per step instead of rescanning the
+//! `(2r+1)^2` window); the box blur is a two-pass separable running-sum
+//! filter with exact `u32` integer accumulators — per-pixel cost `O(r)`
+//! resp. `O(1)` instead of `O(r^2)`. The `O(r^2)` window rescans they
+//! replaced (`mode_filter_naive`, `box_blur_naive`) are compiled only for
+//! this module's unit tests, which pin the kernels to them byte for byte.
 //!
 //! Per-frame buffers live in a reusable [`SegScratch`] arena so that
 //! steady-state segmentation performs **zero heap allocations** (pinned by
@@ -38,25 +34,6 @@
 use strg_graph::{Point2, Rgb};
 
 use crate::raster::{Frame, Pixel};
-
-/// Environment variable selecting the naïve reference kernels (the escape
-/// hatch for equivalence testing): set to `1` (or any non-empty value other
-/// than `0`) to run the `O(r^2)`-per-pixel rescan implementations of the
-/// mode filter and [`box_blur`], plus one-at-a-time sorted insertion on the
-/// index-build side. Outputs are byte-identical in both modes.
-pub const NAIVE_SEGMENT_ENV: &str = "STRG_NAIVE_SEGMENT";
-
-/// Whether the naïve reference kernels are active (i.e. [`NAIVE_SEGMENT_ENV`]
-/// is set to a non-empty value other than `0`).
-pub fn naive_segmentation_enabled() -> bool {
-    match std::env::var(NAIVE_SEGMENT_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty() || v == "0")
-        }
-        Err(_) => false,
-    }
-}
 
 /// Configuration of the segmenter.
 #[derive(Copy, Clone, Debug)]
@@ -241,7 +218,6 @@ pub fn segment_into<'s>(
     let w = frame.width();
     let h = frame.height();
     let n = w * h;
-    let naive = naive_segmentation_enabled();
 
     let SegScratch {
         classes,
@@ -295,28 +271,22 @@ pub fn segment_into<'s>(
     // Edge-preserving mode filter: each pixel takes the majority class of
     // its window (the center wins ties).
     let classes: &[u32] = if cfg.smooth_radius > 0 {
-        if naive {
-            let filtered = mode_filter_naive(classes, w, h, cfg.smooth_radius);
-            smoothed.clear();
-            smoothed.extend_from_slice(&filtered);
-        } else {
-            mode_filter_fast(
-                classes,
-                w,
-                h,
-                cfg.smooth_radius,
-                smoothed,
-                hist,
-                freq,
-                present,
-                present_pos,
-                remap_keys,
-                remapped,
-                transposed,
-                tie_counts,
-                grows,
-            );
-        }
+        mode_filter_fast(
+            classes,
+            w,
+            h,
+            cfg.smooth_radius,
+            smoothed,
+            hist,
+            freq,
+            present,
+            present_pos,
+            remap_keys,
+            remapped,
+            transposed,
+            tie_counts,
+            grows,
+        );
         smoothed
     } else {
         classes
@@ -538,8 +508,8 @@ fn adjacency_pairs_into(
 /// computed it: counts accumulate in first-encounter (row-major window
 /// scan) order, `max_by_key` picks the **last** maximal entry in that
 /// order, and the center class wins unless strictly beaten. Shared by the
-/// naïve reference filter and the fast filter's tie fallback, so both
-/// paths resolve multi-way ties identically by construction.
+/// test-only reference filter and the fast filter's tie fallback, so both
+/// resolve multi-way ties identically by construction.
 fn mode_of_window_naive(
     classes: &[u32],
     w: usize,
@@ -571,9 +541,10 @@ fn mode_of_window_naive(
     }
 }
 
-/// The original `O(r^2)`-per-pixel mode filter (the [`NAIVE_SEGMENT_ENV`]
-/// reference path): each output pixel is the most frequent class in its
+/// The original `O(r^2)`-per-pixel mode filter (the unit tests'
+/// reference): each output pixel is the most frequent class in its
 /// `(2r+1)^2` window, with the center class winning ties.
+#[cfg(test)]
 fn mode_filter_naive(classes: &[u32], w: usize, h: usize, radius: usize) -> Vec<u32> {
     let mut out = vec![0u32; classes.len()];
     let mut counts: Vec<(u32, u32)> = Vec::with_capacity(9);
@@ -702,7 +673,7 @@ fn remove_column(
 /// the per-pixel majority decision is O(1) in the common case where the
 /// center class already holds the (non-strict) majority.
 ///
-/// Byte-identical to [`mode_filter_naive`]: a non-strict majority keeps
+/// Byte-identical to `mode_filter_naive`: a non-strict majority keeps
 /// the center class in both implementations, a strict *unique* winner is
 /// order-independent (found by scanning the present list only on such
 /// boundary pixels), and the rare multi-way strict tie falls back to
@@ -764,9 +735,8 @@ fn mode_filter_fast(
     // step: the outgoing/incoming window columns become contiguous
     // slices, so the (usually all-equal) compare runs four lanes at a
     // time (`simd::for_each_diff_u32`). Built once per frame, only when
-    // interior steps exist; `STRG_SCALAR=1` keeps the strided walk.
-    let use_simd = crate::simd::vector_kernels_enabled() && w > 2 * r + 1;
-    let ids_t: &[u32] = if use_simd {
+    // interior steps exist.
+    let ids_t: &[u32] = if w > 2 * r + 1 {
         fill_to(transposed, ids.len(), 0, grows);
         for (yy, row) in ids.chunks_exact(w).enumerate() {
             for (xx, &c) in row.iter().enumerate() {
@@ -845,35 +815,16 @@ fn mode_filter_fast(
                     // nearly every update, making the slide O(1) amortized
                     // rather than O(2r+1).
                     let (xa, xr) = (x + r, x - r - 1);
-                    if use_simd {
-                        // Same walk over the column-major mirror: rows are
-                        // visited in the same ascending order with the same
-                        // remove-then-add per diff, so histogram state is
-                        // byte-identical to the strided loop below.
-                        let col_r = &ids_t[xr * h + y0..xr * h + y1 + 1];
-                        let col_a = &ids_t[xa * h + y0..xa * h + y1 + 1];
-                        crate::simd::for_each_diff_u32(col_r, col_a, |i| {
-                            let (cr, ca) = (col_r[i], col_a[i]);
-                            remove_one(cr as usize, hist, freq, &mut max_n, present, present_pos);
-                            add_one(ca as usize, hist, freq, &mut max_n, present, present_pos);
-                        });
-                    } else {
-                        for yy in y0..=y1 {
-                            let ca = ids[yy * w + xa];
-                            let cr = ids[yy * w + xr];
-                            if ca != cr {
-                                remove_one(
-                                    cr as usize,
-                                    hist,
-                                    freq,
-                                    &mut max_n,
-                                    present,
-                                    present_pos,
-                                );
-                                add_one(ca as usize, hist, freq, &mut max_n, present, present_pos);
-                            }
-                        }
-                    }
+                    // The walk runs over the column-major mirror: rows
+                    // are visited in ascending order with remove-then-add
+                    // per diff, exactly as a strided walk over `ids` would.
+                    let col_r = &ids_t[xr * h + y0..xr * h + y1 + 1];
+                    let col_a = &ids_t[xa * h + y0..xa * h + y1 + 1];
+                    crate::simd::for_each_diff_u32(col_r, col_a, |i| {
+                        let (cr, ca) = (col_r[i], col_a[i]);
+                        remove_one(cr as usize, hist, freq, &mut max_n, present, present_pos);
+                        add_one(ca as usize, hist, freq, &mut max_n, present, present_pos);
+                    });
                 }
             }
             let center_id = ids[y * w + x] as usize;
@@ -911,56 +862,16 @@ fn mode_filter_fast(
 /// Runs as a two-pass separable running-sum filter in `O(1)` per pixel;
 /// sums are exact `u32` integers over the `u8` channels and the final
 /// `sum / count` integer division is the same expression the naïve
-/// `O(r^2)` rescan (kept behind [`NAIVE_SEGMENT_ENV`]) evaluates, so the
-/// two paths are byte-identical for any radius below 2048.
-pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
-    if naive_segmentation_enabled() {
-        box_blur_naive(frame, radius)
-    } else {
-        box_blur_fast(frame, radius)
-    }
-}
-
-/// The original per-pixel window rescan (the [`NAIVE_SEGMENT_ENV`]
-/// reference path).
-fn box_blur_naive(frame: &Frame, radius: usize) -> Frame {
-    let w = frame.width();
-    let h = frame.height();
-    let r = radius as isize;
-    let mut out = Frame::new(w, h, Pixel::default());
-    for y in 0..h as isize {
-        for x in 0..w as isize {
-            let mut sum = (0u32, 0u32, 0u32);
-            let mut n = 0u32;
-            for yy in (y - r).max(0)..=(y + r).min(h as isize - 1) {
-                for xx in (x - r).max(0)..=(x + r).min(w as isize - 1) {
-                    let p = frame.get(xx as usize, yy as usize);
-                    sum.0 += p.r as u32;
-                    sum.1 += p.g as u32;
-                    sum.2 += p.b as u32;
-                    n += 1;
-                }
-            }
-            out.set(
-                x,
-                y,
-                Pixel::new((sum.0 / n) as u8, (sum.1 / n) as u8, (sum.2 / n) as u8),
-            );
-        }
-    }
-    out
-}
-
-/// Two-pass separable running-sum box blur; see [`box_blur`].
+/// `O(r^2)` rescan (`box_blur_naive`, the unit tests' reference)
+/// evaluates, so the two are byte-identical for any radius below 2048.
 ///
 /// The vertical pass keeps the per-pixel `[r, g, b]` sums in one flat
 /// interleaved `u32` buffer, so its add/subtract sweeps run whole rows
-/// through the SIMD kernels of `crate::simd` (exact integer lanes —
-/// bit-identical to the scalar sweeps, which `STRG_SCALAR=1` selects).
+/// through the SIMD kernels of `crate::simd` (exact integer lanes).
 /// Only the final `sum / n` division stays per-element scalar: a
 /// reciprocal-multiply trick would have to reproduce the exact truncated
 /// quotient for every `(sum, n)` pair and buys little next to the sweeps.
-fn box_blur_fast(frame: &Frame, radius: usize) -> Frame {
+pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
     let w = frame.width();
     let h = frame.height();
     let mut out = Frame::new(w, h, Pixel::default());
@@ -970,7 +881,6 @@ fn box_blur_fast(frame: &Frame, radius: usize) -> Frame {
     debug_assert!(radius <= 2047, "u32 channel sums overflow past radius 2047");
     let r = radius;
     let px = frame.pixels();
-    let vector = crate::simd::vector_kernels_enabled();
     let row_len = w * 3;
 
     // Pass 1: horizontal clipped running sums, interleaved r, g, b per
@@ -1011,19 +921,11 @@ fn box_blur_fast(frame: &Frame, radius: usize) -> Frame {
     // each sweep one contiguous element-wise add/subtract).
     let add = |colsum: &mut [u32], yy: usize| {
         let row = &rows[yy * row_len..(yy + 1) * row_len];
-        if vector {
-            crate::simd::add_assign_u32(colsum, row);
-        } else {
-            crate::simd::scalar::add_assign(colsum, row);
-        }
+        crate::simd::add_assign_u32(colsum, row);
     };
     let sub = |colsum: &mut [u32], yy: usize| {
         let row = &rows[yy * row_len..(yy + 1) * row_len];
-        if vector {
-            crate::simd::sub_assign_u32(colsum, row);
-        } else {
-            crate::simd::scalar::sub_assign(colsum, row);
-        }
+        crate::simd::sub_assign_u32(colsum, row);
     };
     let nx_of = |x: usize| ((x + r).min(w - 1) - x.saturating_sub(r) + 1) as u32;
     let nx: Vec<u32> = (0..w).map(nx_of).collect();
@@ -1051,6 +953,37 @@ fn box_blur_fast(frame: &Frame, radius: usize) -> Frame {
                     (colsum[x * 3 + 1] / n) as u8,
                     (colsum[x * 3 + 2] / n) as u8,
                 ),
+            );
+        }
+    }
+    out
+}
+
+/// The original per-pixel window rescan (the unit tests' reference for
+/// [`box_blur`]).
+#[cfg(test)]
+fn box_blur_naive(frame: &Frame, radius: usize) -> Frame {
+    let w = frame.width();
+    let h = frame.height();
+    let r = radius as isize;
+    let mut out = Frame::new(w, h, Pixel::default());
+    for y in 0..h as isize {
+        for x in 0..w as isize {
+            let mut sum = (0u32, 0u32, 0u32);
+            let mut n = 0u32;
+            for yy in (y - r).max(0)..=(y + r).min(h as isize - 1) {
+                for xx in (x - r).max(0)..=(x + r).min(w as isize - 1) {
+                    let p = frame.get(xx as usize, yy as usize);
+                    sum.0 += p.r as u32;
+                    sum.1 += p.g as u32;
+                    sum.2 += p.b as u32;
+                    n += 1;
+                }
+            }
+            out.set(
+                x,
+                y,
+                Pixel::new((sum.0 / n) as u8, (sum.1 / n) as u8, (sum.2 / n) as u8),
             );
         }
     }
@@ -1212,7 +1145,7 @@ mod tests {
         let mut f = Frame::new(4, 4, Pixel::new(0, 0, 0));
         f.set(0, 0, Pixel::new(100, 100, 100));
         f.set(1, 0, Pixel::new(50, 50, 50));
-        for b in [box_blur_naive(&f, 1), box_blur_fast(&f, 1)] {
+        for b in [box_blur_naive(&f, 1), box_blur(&f, 1)] {
             // Corner window = {(0,0),(1,0),(0,1),(1,1)}: (100+50+0+0)/4.
             assert_eq!(b.get(0, 0), Pixel::new(37, 37, 37));
             // Top edge window is 3x2 = 6 pixels: 150/6 = 25.
@@ -1226,7 +1159,7 @@ mod tests {
     fn box_blur_radius_larger_than_frame() {
         let mut f = Frame::new(3, 2, Pixel::new(10, 10, 10));
         f.set(0, 0, Pixel::new(70, 70, 70));
-        for b in [box_blur_naive(&f, 50), box_blur_fast(&f, 50)] {
+        for b in [box_blur_naive(&f, 50), box_blur(&f, 50)] {
             // (70 + 5*10) / 6 = 20.
             for y in 0..2 {
                 for x in 0..3 {
@@ -1239,7 +1172,7 @@ mod tests {
     #[test]
     fn box_blur_zero_radius_is_identity() {
         let f = busy_frame(17, 9, 3);
-        for b in [box_blur_naive(&f, 0), box_blur_fast(&f, 0)] {
+        for b in [box_blur_naive(&f, 0), box_blur(&f, 0)] {
             assert_eq!(b.pixels(), f.pixels());
         }
     }
@@ -1250,7 +1183,7 @@ mod tests {
             let f = busy_frame(w, h, seed);
             for radius in [0, 1, 2, 3, 5, 8, 40] {
                 let naive = box_blur_naive(&f, radius);
-                let fast = box_blur_fast(&f, radius);
+                let fast = box_blur(&f, radius);
                 assert_eq!(
                     naive.pixels(),
                     fast.pixels(),

@@ -4,31 +4,11 @@
 //! sweeps (`colsum += row`, `colsum -= row`) over contiguous channel
 //! slices. Integer lane addition is exact, so the vectorized sweeps are
 //! bit-identical to the scalar loops for every input; the final `sum / n`
-//! division stays scalar (see `segment::box_blur_fast`).
+//! division stays scalar (see `segment::box_blur`).
 //!
-//! Honors the same `STRG_SCALAR=1` escape hatch as the floating-point DP
-//! kernels in `strg-distance` ([`SCALAR_ENV`] mirrors
-//! `strg_distance::SCALAR_ENV` — this crate deliberately does not depend
-//! on the distance crate). Tiers: SSE2 on `x86_64` (baseline, always
-//! present), NEON on `aarch64`, and a scalar fallback that doubles as the
-//! tail handler for the vector bodies.
-
-/// The environment variable (`STRG_SCALAR`) that forces every vectorized
-/// kernel in the workspace onto its scalar reference path. Same parse as
-/// the other hatches: set to anything but empty or `0` to disable SIMD.
-pub(crate) const SCALAR_ENV: &str = "STRG_SCALAR";
-
-/// Whether the vectorized kernels are active (the default). Re-read per
-/// call so tests can toggle the hatch mid-process.
-pub(crate) fn vector_kernels_enabled() -> bool {
-    match std::env::var(SCALAR_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
+//! Tiers: SSE2 on `x86_64` (baseline, always present), NEON on `aarch64`,
+//! and a scalar fallback that doubles as the tail handler for the vector
+//! bodies and as the reference the unit tests below compare against.
 
 /// `dst[i] += src[i]` over equal-length slices.
 pub(crate) fn add_assign_u32(dst: &mut [u32], src: &[u32]) {
@@ -88,10 +68,9 @@ pub(crate) fn sub_assign_u32(dst: &mut [u32], src: &[u32]) {
     scalar::sub_assign(dst, src)
 }
 
-/// Scalar reference sweeps — the `STRG_SCALAR=1` path (called directly by
-/// `box_blur_fast` when the hatch is set) and the tail handler for the
-/// vector bodies.
-pub(crate) mod scalar {
+/// Scalar reference sweeps — the portable fallback and the tail handler
+/// for the vector bodies.
+mod scalar {
     pub(crate) fn add_assign(dst: &mut [u32], src: &[u32]) {
         for (d, s) in dst.iter_mut().zip(src) {
             *d += s;
@@ -105,7 +84,10 @@ pub(crate) mod scalar {
     }
 
     /// Diff walk from `base` (the vector bodies hand their tails here with
-    /// the absolute starting index).
+    /// the absolute starting index). Inlined: at small radii the mode
+    /// filter's window columns are shorter than a vector, so this tail *is*
+    /// the per-pixel walk and a call per pixel would dominate it.
+    #[inline(always)]
     pub(crate) fn for_each_diff(a: &[u32], b: &[u32], base: usize, f: &mut impl FnMut(usize)) {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             if x != y {

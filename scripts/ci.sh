@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, build, the whole test suite, and the
-# parallel/sequential equivalence suite pinned to both extremes of the
-# STRG_THREADS knob. Run from the repository root.
+# Full CI gate: formatting, lints, build, the whole test suite, every
+# equivalence / fault / allocation suite pinned to both extremes of the
+# STRG_THREADS knob, and the benchmark's own tests and smoke run.
+# Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,103 +18,43 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> sequential-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test parallel_equivalence
+# The matrix: every suite below runs once per STRG_THREADS value; adding a
+# leg is one line. GUARDED suites talk to a real TCP server (or spawn
+# one): `timeout` keeps a wedged worker or a lost response from turning CI
+# into an infinite hang — the suites' own per-read timeouts should fire
+# long before it does.
+SUITES=(
+    parallel_equivalence
+    obs_equivalence
+    kernel_equivalence
+    ingest_equivalence
+    shard_equivalence
+    persist_equivalence
+    persist_faults
+    query_alloc
+    ingest_alloc
+)
+GUARDED=(
+    batch_equivalence
+    serve_protocol
+    serve_concurrency
+    serve_faults
+)
+for threads in 1 8; do
+    for suite in "${SUITES[@]}"; do
+        echo "==> $suite under STRG_THREADS=$threads"
+        STRG_THREADS=$threads cargo test -q --test "$suite"
+    done
+    for suite in "${GUARDED[@]}"; do
+        echo "==> $suite under STRG_THREADS=$threads (timeout 600)"
+        STRG_THREADS=$threads timeout 600 cargo test -q --test "$suite"
+    done
+done
 
-echo "==> sequential-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test parallel_equivalence
+echo "==> benchmark: unit tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> observability-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test obs_equivalence
-
-echo "==> observability-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test obs_equivalence
-
-echo "==> kernel-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test kernel_equivalence
-
-echo "==> kernel-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test kernel_equivalence
-
-# The suite itself toggles STRG_SCALAR per test; running the whole binary
-# once more under a *preset* hatch pins the env-inherited scalar mode too.
-echo "==> kernel-equivalence suite under STRG_SCALAR=1"
-STRG_SCALAR=1 cargo test -q --test kernel_equivalence
-
-echo "==> bounded-kernel bench smoke (--quick)"
-cargo run --release -p strg-bench --bin kernels -- --quick
-
-echo "==> ingest-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test ingest_equivalence
-
-echo "==> ingest-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test ingest_equivalence
-
-echo "==> ingest allocation-discipline suite"
-cargo test -q --test ingest_alloc
-
-echo "==> ingest hot-path bench smoke (--quick, checks the 2x floor)"
-cargo run --release -p strg-bench --bin ingest -- --quick
-
-echo "==> shard-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test shard_equivalence
-
-echo "==> shard-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test shard_equivalence
-
-# The zero-alloc proof needs the hatch-free production configuration: a
-# *set* hatch variable makes std::env::var allocate its String per read
-# (the suite clears the hatches itself; STRG_THREADS is never read on the
-# sequential Fixed(1) path, so both pins are exercised for free).
-echo "==> query allocation-discipline suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test query_alloc
-
-echo "==> query allocation-discipline suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test query_alloc
-
-echo "==> query-path bench smoke (--quick, checks SIMD/arena vs scalar identity)"
-cargo run --release -p strg-bench --bin query -- --quick
-
-echo "==> query-cost bench smoke (--quick, checks shard fan-out pruning)"
-cargo run --release -p strg-bench --bin costs -- --quick
-
-echo "==> persistence-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test persist_equivalence
-
-echo "==> persistence-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test persist_equivalence
-
-echo "==> persistence fault-injection suite under STRG_THREADS=1"
-STRG_THREADS=1 cargo test -q --test persist_faults
-
-echo "==> persistence fault-injection suite under STRG_THREADS=8"
-STRG_THREADS=8 cargo test -q --test persist_faults
-
-echo "==> reopen-latency bench smoke (--quick, checks v1/v2 hit identity)"
-cargo run --release -p strg-bench --bin persist -- --quick
-
-echo "==> batch-equivalence suite under STRG_THREADS=1"
-STRG_THREADS=1 timeout 600 cargo test -q --test batch_equivalence
-
-echo "==> batch-equivalence suite under STRG_THREADS=8"
-STRG_THREADS=8 timeout 600 cargo test -q --test batch_equivalence
-
-# The suite itself toggles STRG_NO_BATCH per test; running the whole
-# binary once more under a *preset* hatch pins the env-inherited
-# sequential-fallback mode at every layer too.
-echo "==> batch-equivalence suite under STRG_NO_BATCH=1"
-STRG_NO_BATCH=1 timeout 600 cargo test -q --test batch_equivalence
-
-echo "==> batched-query bench smoke (--quick, checks batched/sequential identity)"
-cargo run --release -p strg-bench --bin batch -- --quick
-
-# The serve suites talk to a real TCP server; `timeout` guards against a
-# wedged worker or a lost response turning CI into an infinite hang (the
-# suites' own per-read timeouts should fire long before this does).
-echo "==> serve protocol + concurrency + fault suites under STRG_THREADS=1"
-STRG_THREADS=1 timeout 600 cargo test -q --test serve_protocol --test serve_concurrency --test serve_faults
-
-echo "==> serve protocol + concurrency + fault suites under STRG_THREADS=8"
-STRG_THREADS=8 timeout 600 cargo test -q --test serve_protocol --test serve_concurrency --test serve_faults
+echo "==> benchmark: smoke run (all five workloads, failed: 0)"
+benchmark/run.sh --smoke
 
 echo "CI gate passed."

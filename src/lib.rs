@@ -58,18 +58,14 @@ pub mod prelude {
         bic_sweep, clustering_error_rate, Clusterer, Clustering, EmClusterer, EmConfig, HardConfig,
         KHarmonicMeans, KMeans,
     };
-    #[allow(deprecated)]
-    pub use strg_core::VideoDbConfig;
     pub use strg_core::{
         open, Database, DbOptions, Hit, IngestReport, Metric, PersistInfo, Query, QueryBatch,
         QueryCost, QueryHit, QueryResult, Recorder, ReopenMode, ShardedDatabase, Snapshot,
-        StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION, PERSIST_V1_ENV,
+        StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{
-        batching_enabled, lower_bounds_enabled, shard_bounds_enabled, simd_enabled,
         BoundedDistance, CountingDistance, Dtw, Edr, Eged, EgedMetric, Lcs, LowerBound, LpNorm,
-        MetricDistance, SeqSummary, SequenceDistance, SummaryEnvelope, NO_BATCH_ENV, NO_LB_ENV,
-        NO_SHARD_LB_ENV, SCALAR_ENV,
+        MetricDistance, SeqSummary, SequenceDistance, SummaryEnvelope,
     };
     pub use strg_graph::{
         decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Scalarization,
@@ -80,8 +76,8 @@ pub mod prelude {
     pub use strg_rtree::{Aabb3, RTree3};
     pub use strg_synth::{generate, generate_total, SynthConfig};
     pub use strg_video::{
-        box_blur, frames_to_rags, frames_to_rags_with_stats, lab_scene, naive_segmentation_enabled,
-        segment, segment_into, table1_clips, traffic_scene, ExtractStats, Frame, Pixel,
-        ScenarioConfig, SegScratch, SegmentConfig, Segmentation, VideoClip, NAIVE_SEGMENT_ENV,
+        box_blur, frames_to_rags, frames_to_rags_with_stats, lab_scene, segment, segment_into,
+        table1_clips, traffic_scene, ExtractStats, Frame, Pixel, ScenarioConfig, SegScratch,
+        SegmentConfig, Segmentation, VideoClip,
     };
 }

@@ -6,23 +6,22 @@
 //! observable except wall clock: identical hit lists (ids **and** distance
 //! bits) and identical logical [`QueryCost`] work fields, on a single
 //! STRG-Index tree, across a sharded fan-out, through both `Database`
-//! facades, and over the server socket. The `STRG_NO_BATCH=1` escape
-//! hatch (which falls back to per-query sequential execution) must never
-//! change a result — a divergence in the shared descent shows up here as
-//! a hit-list or cost diff.
+//! facades, and over the server socket. The reference is the single-query
+//! entry points themselves: every batch is replayed sequentially through
+//! them, so a divergence in the shared descent shows up here as a hit-list
+//! or cost diff.
 //!
 //! The one documented exception is `QueryCost::batch_shared_accesses`:
 //! it reports *physical* sharing (node accesses this query did not pay
 //! for because a batch neighbor already walked the node), is excluded
-//! from [`QueryCost::same_work`], and is zero under the hatch.
+//! from [`QueryCost::same_work`], and is zero outside a batch.
 //!
-//! `scripts/ci.sh` runs this binary under `STRG_THREADS=1`,
-//! `STRG_THREADS=8` and `STRG_NO_BATCH=1`, so the equivalence is pinned
-//! against both the frozen parallel band and the hatch.
+//! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
+//! `STRG_THREADS=8`, so the equivalence is pinned against the frozen
+//! parallel band.
 
 mod serve_util;
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use serve_util::*;
@@ -33,34 +32,6 @@ use strg::core::{
 use strg::prelude::*;
 use strg::serve::protocol::result_slice;
 use strg::serve::{json_parse, wire, ServeConfig};
-
-/// Serializes every test that reads or toggles `STRG_NO_BATCH`: the flag
-/// is process global, so two modes must never overlap in time.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` twice — once with batching active, once with
-/// `STRG_NO_BATCH=1` — and returns both results, restoring the
-/// environment.
-fn in_both_batch_modes<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = env_lock();
-    let saved = std::env::var(NO_BATCH_ENV).ok();
-    std::env::remove_var(NO_BATCH_ENV);
-    assert!(batching_enabled());
-    let batched = f();
-    std::env::set_var(NO_BATCH_ENV, "1");
-    assert!(!batching_enabled());
-    let sequential = f();
-    match saved {
-        Some(v) => std::env::set_var(NO_BATCH_ENV, v),
-        None => std::env::remove_var(NO_BATCH_ENV),
-    }
-    (batched, sequential)
-}
 
 fn dataset(n: usize, seed: u64) -> Vec<(u64, Vec<Point2>)> {
     generate_total(n, &SynthConfig::with_noise(0.10), seed)
@@ -129,7 +100,6 @@ fn mixed_items<'a>(
 /// by duplicates, with mixed k-NN/range kinds and root-scoped items.
 #[test]
 fn single_tree_batch_matches_sequential_replay() {
-    let _guard = env_lock();
     let mut idx = build_index(dataset(120, 11), 5);
     let second_root = idx.add_segment(BackgroundGraph::default(), dataset(60, 47));
     let first_root = idx.roots()[0].id;
@@ -167,9 +137,8 @@ fn single_tree_batch_matches_sequential_replay() {
             shared_total += cost.batch_shared_accesses;
         }
         // A wide batch cycling an 8-query pool is dominated by duplicates:
-        // the batched path must actually share work (unless the hatch
-        // disabled it from the outside, e.g. the STRG_NO_BATCH=1 CI leg).
-        if width >= 16 && batching_enabled() {
+        // the batched path must actually share work.
+        if width >= 16 {
             assert!(
                 shared_total > 0,
                 "width={width}: duplicate-heavy batch shared no node accesses"
@@ -178,43 +147,11 @@ fn single_tree_batch_matches_sequential_replay() {
     }
 }
 
-/// The `STRG_NO_BATCH=1` hatch (per-query sequential fallback) produces
-/// byte-identical hits and work fields, and reports zero shared accesses.
-#[test]
-fn no_batch_hatch_preserves_results() {
-    let idx = build_index(dataset(150, 23), 9);
-    let pool = queries(6, 321);
-    let radius = idx.knn(&pool[0], 5).last().expect("warm hits").dist * 1.5;
-    let items = mixed_items(&pool, 24, radius, &[]);
-
-    let (batched, sequential) = in_both_batch_modes(|| {
-        let mut scratch = BatchScratch::new();
-        idx.query_batch_with_cost_into(&items, &mut scratch);
-        (0..items.len())
-            .map(|i| (scratch.hits(i).to_vec(), scratch.cost(i)))
-            .collect::<Vec<_>>()
-    });
-
-    for (i, ((ha, ca), (hb, cb))) in batched.iter().zip(&sequential).enumerate() {
-        assert_hits_eq(ha, hb, &format!("item={i}"));
-        assert!(ca.same_work(cb), "item={i}: {ca:?} vs {cb:?}");
-        assert_eq!(
-            cb.batch_shared_accesses, 0,
-            "item={i}: hatch mode reported sharing"
-        );
-    }
-    assert!(
-        batched.iter().any(|(_, c)| c.batch_shared_accesses > 0),
-        "duplicate-heavy batch shared nothing"
-    );
-}
-
 /// The batched sharded fan-out replays the per-query fan-out's decision
 /// sequence exactly: same hits, same total cost, same per-shard
 /// open/prune outcomes — at one thread and at eight.
 #[test]
 fn sharded_index_batch_matches_sequential_fanout() {
-    let _guard = env_lock();
     let shards: Vec<_> = (0..3)
         .map(|s| build_index(dataset(80, 20 + s), 7 + s))
         .collect();
@@ -326,7 +263,6 @@ fn assert_results_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
 /// database answers exactly like the single-tree one.
 #[test]
 fn database_batch_matches_per_query_loop() {
-    let _guard = env_lock();
     let plain = VideoDatabase::new(DbOptions::new());
     let sharded = ShardedDatabase::new(DbOptions::new().shards(3));
     for seed in [3, 7, 11] {

@@ -1,49 +1,15 @@
 //! Allocation-discipline harness for the ingest hot path.
 //!
-//! Installs a counting `#[global_allocator]` shim (no new dependencies —
-//! it forwards to [`System`]) and asserts that steady-state segmentation
-//! through a warm [`SegScratch`] arena performs **zero** heap allocations:
-//! every buffer the pipeline touches is owned by the arena and only
-//! recycled after warm-up (DESIGN.md §10).
-//!
-//! This file is its own test binary, so the global allocator swap cannot
-//! perturb any other suite.
+//! Runs under the per-thread counting `#[global_allocator]` of
+//! `tests/alloc_util` (shared with `query_alloc.rs`) and asserts that
+//! steady-state segmentation through a warm [`SegScratch`] arena performs
+//! **zero** heap allocations: every buffer the pipeline touches is owned
+//! by the arena and only recycled after warm-up (DESIGN.md §10).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod alloc_util;
 
+use alloc_util::alloc_events;
 use strg::prelude::*;
-
-/// Forwards to the system allocator, counting every allocation path that
-/// can acquire or move heap memory (alloc, alloc_zeroed, realloc).
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::SeqCst)
-}
 
 /// A deterministic busy frame (blocks + xorshift speckles) at the paper's
 /// scene scale, matching the equivalence suite's workload shape.
@@ -81,11 +47,6 @@ fn busy_frame(w: usize, h: usize, seed: u64) -> Frame {
 /// arena performs zero alloc/realloc events.
 #[test]
 fn steady_state_segmentation_allocates_nothing() {
-    // The fast path must be active (the naïve reference kernels allocate
-    // by design).
-    std::env::remove_var(NAIVE_SEGMENT_ENV);
-    assert!(!naive_segmentation_enabled());
-
     let cfg = SegmentConfig::default();
     let frames: Vec<Frame> = (0..3).map(|i| busy_frame(160, 120, 11 + i)).collect();
     let mut scratch = SegScratch::new();
@@ -126,7 +87,6 @@ fn steady_state_segmentation_allocates_nothing() {
 /// grows, a warm one does not, and `alloc_bytes` is monotone under reuse.
 #[test]
 fn cold_arena_grows_then_stops() {
-    std::env::remove_var(NAIVE_SEGMENT_ENV);
     let cfg = SegmentConfig::default();
     let f = busy_frame(96, 72, 3);
     let mut scratch = SegScratch::new();

@@ -1,45 +1,19 @@
-//! Ingest equivalence suite: the fast hot-path kernels are *physical*
-//! optimizations only.
+//! Ingest equivalence suite: arenas and worker threads are *physical*
+//! choices only.
 //!
-//! `STRG_NAIVE_SEGMENT=1` switches the ingest pipeline back to the naïve
-//! reference implementations — the `O(r^2)`-per-pixel mode filter and box
-//! blur rescans, and one-at-a-time sorted leaf insertion in
-//! `add_segment` — while the default path runs the sliding-histogram /
-//! separable running-sum kernels through reusable [`SegScratch`] arenas
-//! and bulk sort-once leaf loading (DESIGN.md §10). Both modes must
-//! produce **byte-identical** segmentations, RAGs, index layouts, metrics,
-//! and query hits, at `STRG_THREADS=1` and `8`.
+//! The ingest pipeline runs the sliding-histogram / separable running-sum
+//! kernels through reusable [`SegScratch`] arenas and bulk sort-once leaf
+//! loading (DESIGN.md §10). Whichever way it is driven — a fresh arena per
+//! frame or one recycled arena, one worker or eight — it must produce
+//! **byte-identical** segmentations, RAGs, index layouts, metrics, and
+//! query hits. (The kernels themselves are pinned to their naïve `O(r^2)`
+//! references by `strg-video`'s unit tests, the bulk leaf load to
+//! one-at-a-time insertion by `strg-core`'s.)
 //!
-//! `scripts/ci.sh` runs this binary under both thread counts so the
+//! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and `8`, so the
 //! equivalence is also pinned against the frozen parallel band.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 use strg::prelude::*;
-
-/// Serializes every test that toggles `STRG_NAIVE_SEGMENT`: the flag is
-/// process global, so two modes must never overlap in time.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` twice — once on the fast kernels, once with
-/// `STRG_NAIVE_SEGMENT=1` — and returns both results, restoring the
-/// environment.
-fn in_both_modes<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = env_lock();
-    std::env::remove_var(NAIVE_SEGMENT_ENV);
-    assert!(!naive_segmentation_enabled());
-    let fast = f();
-    std::env::set_var(NAIVE_SEGMENT_ENV, "1");
-    assert!(naive_segmentation_enabled());
-    let naive = f();
-    std::env::remove_var(NAIVE_SEGMENT_ENV);
-    (fast, naive)
-}
 
 /// A deterministic busy test frame: background, blocks, and xorshift
 /// speckle noise (exercises smoothing, merging, and adjacency).
@@ -121,9 +95,13 @@ fn rag_fingerprint(rag: &Rag) -> Vec<u64> {
     out
 }
 
+/// Both segmentation modes agree: [`segment`] on a fresh arena per call and
+/// [`segment_into`] through one arena recycled across every frame and
+/// configuration — the arena carries capacity, never results.
 #[test]
 fn segmentation_identical_in_both_modes() {
     let frames: Vec<Frame> = (0..4).map(|i| busy_frame(80, 60, 1 + i)).collect();
+    let mut arena = SegScratch::new();
     for cfg in [
         SegmentConfig::default(),
         SegmentConfig {
@@ -137,48 +115,44 @@ fn segmentation_identical_in_both_modes() {
         },
     ] {
         for f in &frames {
-            let (fast, naive) = in_both_modes(|| seg_fingerprint(&segment(f, &cfg)));
-            assert_eq!(fast, naive, "radius {}", cfg.smooth_radius);
+            let fresh = seg_fingerprint(&segment(f, &cfg));
+            let recycled = seg_fingerprint(segment_into(f, &cfg, &mut arena));
+            assert_eq!(fresh, recycled, "radius {}", cfg.smooth_radius);
         }
     }
 }
 
-#[test]
-fn box_blur_identical_in_both_modes() {
-    for (w, h) in [(1, 1), (13, 1), (1, 17), (80, 60), (160, 120)] {
-        let f = busy_frame(w, h, 9);
-        for radius in [0, 1, 2, 4, 7] {
-            let (fast, naive) = in_both_modes(|| box_blur(&f, radius).pixels().to_vec());
-            assert_eq!(fast, naive, "{w}x{h} radius {radius}");
-        }
-    }
-}
-
+/// Both extraction modes — [`frames_to_rags`] (a fresh arena per frame) and
+/// [`frames_to_rags_with_stats`] (one arena per worker) — produce the same
+/// RAGs, at any thread count.
 #[test]
 fn rag_extraction_identical_in_both_modes_at_any_thread_count() {
     let frames: Vec<Frame> = (0..10).map(|i| busy_frame(64, 48, 100 + i)).collect();
     let cfg = SegmentConfig::default();
     let mut reference: Option<Vec<Vec<u64>>> = None;
     for threads in [1usize, 8] {
-        let (fast, naive) = in_both_modes(|| {
-            let (rags, stats) = frames_to_rags_with_stats(&frames, &cfg, Threads::Fixed(threads));
-            assert!(stats.workers >= 1);
-            assert!(stats.scratch_bytes > 0);
-            rags.iter().map(rag_fingerprint).collect::<Vec<_>>()
-        });
-        assert_eq!(fast, naive, "threads {threads}: fast vs naive RAGs");
+        let threads = Threads::Fixed(threads);
+        let (rags, stats) = frames_to_rags_with_stats(&frames, &cfg, threads);
+        assert!(stats.workers >= 1);
+        assert!(stats.scratch_bytes > 0);
+        let pooled: Vec<_> = rags.iter().map(rag_fingerprint).collect();
+        let plain: Vec<_> = frames_to_rags(&frames, &cfg, threads)
+            .iter()
+            .map(rag_fingerprint)
+            .collect();
+        assert_eq!(pooled, plain, "{threads:?}: per-worker vs per-frame arenas");
         // ... and the frozen parallel band: identical across thread counts.
         match &reference {
-            None => reference = Some(fast),
-            Some(r) => assert_eq!(r, &fast, "threads {threads}: thread-count band"),
+            None => reference = Some(pooled),
+            Some(r) => assert_eq!(r, &pooled, "{threads:?}: thread-count band"),
         }
     }
 }
 
 /// Full-pipeline equivalence: ingest real scripted clips through
-/// [`VideoDatabase`] in both modes at `STRG_THREADS` 1 and 8, comparing OG
-/// ids, index statistics, the entire leaf layout bit-for-bit, the
-/// deterministic metrics snapshot, and k-NN hits.
+/// [`VideoDatabase`] in both thread modes (`Threads::Fixed` 1 and 8),
+/// comparing OG ids, index statistics, the entire leaf layout bit-for-bit,
+/// the deterministic metrics snapshot, and k-NN hits.
 #[test]
 fn video_database_identical_in_both_modes() {
     let clips: Vec<VideoClip> = [11u64, 23]
@@ -207,7 +181,7 @@ fn video_database_identical_in_both_modes() {
 
     let mut reference: Option<Outcome> = None;
     for threads in [1usize, 8] {
-        let (fast, naive) = in_both_modes(|| {
+        let outcome = {
             let db = VideoDatabase::new(DbOptions::new().threads(Threads::Fixed(threads)));
             let mut objects = Vec::new();
             for (clip, frames) in clips.iter().zip(&rendered) {
@@ -244,62 +218,50 @@ fn video_database_identical_in_both_modes() {
                 metrics: db.metrics_snapshot().deterministic_json(),
                 hits,
             }
-        });
-        assert_eq!(fast, naive, "threads {threads}: fast vs naive database");
-        assert!(fast.stats.1 >= 2, "enough OGs to be non-vacuous");
+        };
+        assert!(outcome.stats.1 >= 2, "enough OGs to be non-vacuous");
         match &reference {
-            None => reference = Some(fast),
-            Some(r) => assert_eq!(r, &fast, "threads {threads}: thread-count band"),
+            None => reference = Some(outcome),
+            Some(r) => assert_eq!(r, &outcome, "threads {threads}: thread-count band"),
         }
     }
 }
 
-/// Bulk sort-once leaf loading lays records out exactly like one-at-a-time
-/// sorted insertion, including the duplicate-key case where stability is
-/// what keeps the OG order.
+/// `add_segment`'s bulk sort-once leaf load lays records out exactly like
+/// one-at-a-time sorted insertion (modelled here on `(og_id, key)` pairs:
+/// each record goes after all equal keys), including the duplicate-key
+/// case where stability is what keeps the OG order. The leaf-level
+/// primitives are pinned to each other by `strg-core`'s unit tests.
 #[test]
 fn bulk_leaf_load_matches_incremental_with_duplicate_keys() {
     // Groups of identical sequences → identical keys within each cluster,
     // so the leaf order among them is decided purely by insertion
     // stability.
     let mut ogs: Vec<(u64, Vec<f64>)> = Vec::new();
-    let mut id = 0;
-    for g in 0..3 {
+    for g in 0..3u64 {
         let base = 50.0 * g as f64;
-        for i in 0..9 {
+        for i in 0..9u64 {
             // Three repeats of each of three distinct sequences per group.
             let v = (i % 3) as f64;
-            ogs.push((id, vec![base + v, base + v, base]));
-            id += 1;
+            ogs.push((g * 9 + i, vec![base + v, base + v, base]));
         }
     }
-    let (fast, naive) = in_both_modes(|| {
-        let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(3));
-        idx.add_segment(Default::default(), ogs.clone());
-        idx.roots()
-            .iter()
-            .flat_map(|r| {
-                r.clusters.iter().map(|c| {
-                    c.leaf
-                        .records
-                        .iter()
-                        .map(|rec| (rec.og_id, rec.key.to_bits()))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(fast, naive, "leaf layouts diverged");
+    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(3));
+    idx.add_segment(Default::default(), ogs);
+    let mut has_dup = false;
+    for c in idx.roots().iter().flat_map(|r| &r.clusters) {
+        let bulk: Vec<(u64, f64)> = c.leaf.records.iter().map(|r| (r.og_id, r.key)).collect();
+        let mut in_og_order = bulk.clone();
+        in_og_order.sort_by_key(|r| r.0);
+        let mut incremental: Vec<(u64, f64)> = Vec::new();
+        for rec in in_og_order {
+            let pos = incremental.partition_point(|r| r.1 <= rec.1);
+            incremental.insert(pos, rec);
+        }
+        assert_eq!(bulk, incremental, "leaf layouts diverged");
+        has_dup |= bulk.windows(2).any(|w| w[0].1 == w[1].1);
+    }
     // Vacuity guard: at least one leaf must actually contain equal
     // adjacent keys, otherwise stability was never exercised.
-    let has_dup = fast
-        .iter()
-        .any(|leaf| leaf.windows(2).any(|w| w[0].1 == w[1].1));
     assert!(has_dup, "no duplicate keys in any leaf — test is vacuous");
-    // Keys are sorted ascending in every leaf.
-    for leaf in &fast {
-        for w in leaf.windows(2) {
-            assert!(f64::from_bits(w[0].1) <= f64::from_bits(w[1].1));
-        }
-    }
 }

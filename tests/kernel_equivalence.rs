@@ -1,45 +1,28 @@
 //! Kernel equivalence suite: early abandoning and lower-bound filtering
 //! are *physical* optimizations only.
 //!
-//! `STRG_NO_LB=1` disables the bounded kernels and the summary filter
-//! physically while still charging the identical logical costs (DESIGN.md
-//! §9). For every query, both modes must therefore produce byte-identical
-//! hit lists **and** byte-identical work fields in [`QueryCost`] — on the
-//! STRG-Index and on both M-tree variants. An inadmissible lower bound or
-//! a kernel that abandons too eagerly shows up here as a hit-list or cost
-//! diff.
+//! The searches skip candidates whose summary lower bound exceeds the
+//! cutoff and abandon DP evaluations that cannot finish under it
+//! (DESIGN.md §9). The reference is the search **without** either: a
+//! linear `metric.distance` scan (`tests/oracle`). For every query the
+//! STRG-Index and both M-tree variants must return exactly the scan's
+//! answer — an inadmissible lower bound or a kernel that abandons too
+//! eagerly shows up here as a hit diff against ground truth — while the
+//! `kernels_fired` asserts prove the filters actually ran.
 //!
-//! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
-//! `STRG_THREADS=8`, so the equivalence is also pinned against the frozen
-//! parallel band.
+//! Every case runs at `Threads::Fixed(1)` and `Fixed(8)` (the adaptive
+//! sequential scan and the frozen parallel band) and requires identical
+//! work fields in [`QueryCost`] across the two; `scripts/ci.sh`
+//! additionally runs this binary under `STRG_THREADS=1` and `8`.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+mod oracle;
 
-use strg::distance::{simd_enabled, SCALAR_ENV};
+use oracle::{assert_matches, radius_including, scan};
+use strg::core::index::BatchKind;
 use strg::prelude::*;
 
-/// Serializes every test that toggles `STRG_NO_LB`: the flag is process
-/// global, so two modes must never overlap in time.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` twice — once with lower bounds active, once with
-/// `STRG_NO_LB=1` — and returns both results, restoring the environment.
-fn in_both_modes<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = env_lock();
-    std::env::remove_var(NO_LB_ENV);
-    assert!(lower_bounds_enabled());
-    let with_lb = f();
-    std::env::set_var(NO_LB_ENV, "1");
-    assert!(!lower_bounds_enabled());
-    let without_lb = f();
-    std::env::remove_var(NO_LB_ENV);
-    (with_lb, without_lb)
-}
+/// The two thread modes every case runs in.
+const THREAD_MODES: [usize; 2] = [1, 8];
 
 fn dataset() -> Vec<(u64, Vec<f64>)> {
     let mut out = Vec::new();
@@ -63,26 +46,56 @@ fn queries() -> Vec<Vec<f64>> {
     ]
 }
 
+fn index_at(threads: usize) -> StrgIndex<f64, EgedMetric<f64>> {
+    let cfg = StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(threads));
+    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), cfg);
+    idx.add_segment(Default::default(), dataset());
+    idx
+}
+
+fn pairs(hits: &[Hit]) -> Vec<(u64, f64)> {
+    hits.iter().map(|h| (h.og_id, h.dist)).collect()
+}
+
+/// Runs `probe` at both thread modes, checks each answer against the scan
+/// and the two costs against each other, and returns the cost.
+fn probe_index(
+    idxs: &[StrgIndex<f64, EgedMetric<f64>>],
+    truth: &[(u64, f64)],
+    q: &[f64],
+    probe: BatchKind,
+) -> QueryCost {
+    let costs: Vec<QueryCost> = idxs
+        .iter()
+        .zip(THREAD_MODES)
+        .map(|(idx, t)| {
+            let (hits, cost) = match probe {
+                BatchKind::Knn(k) => idx.knn_with_cost(q, k),
+                BatchKind::Range(radius) => idx.range_with_cost(q, radius),
+            };
+            assert_matches(truth, &pairs(&hits), probe, &format!("threads {t}"));
+            cost
+        })
+        .collect();
+    assert!(
+        costs[0].same_work(&costs[1]),
+        "{probe:?}: cost diverged across threads: {:?} vs {:?}",
+        costs[0],
+        costs[1]
+    );
+    costs[0]
+}
+
 #[test]
 fn strg_index_knn_identical_without_lb() {
-    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
-    idx.add_segment(Default::default(), dataset());
+    let data = dataset();
+    let idxs = THREAD_MODES.map(index_at);
     let mut kernels_fired = false;
     for q in queries() {
+        let truth = scan(&data, &q);
         for k in [1, 5, 48] {
-            let (a, b) = in_both_modes(|| idx.knn_with_cost(&q, k));
-            assert_eq!(a.0.len(), b.0.len(), "k {k}: hit count");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.og_id, y.og_id, "k {k}: hit id");
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "k {k}: hit distance");
-            }
-            assert!(
-                a.1.same_work(&b.1),
-                "k {k}: cost diverged: {:?} vs {:?}",
-                a.1,
-                b.1
-            );
-            kernels_fired |= a.1.lb_pruned + a.1.early_abandoned > 0;
+            let cost = probe_index(&idxs, &truth, &q, BatchKind::Knn(k));
+            kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
         }
     }
     assert!(
@@ -93,28 +106,16 @@ fn strg_index_knn_identical_without_lb() {
 
 #[test]
 fn strg_index_range_identical_without_lb() {
-    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
-    idx.add_segment(Default::default(), dataset());
+    let data = dataset();
+    let idxs = THREAD_MODES.map(index_at);
     let mut kernels_fired = false;
     for q in queries() {
-        for radius in [0.0, 2.0, 5.0, 15.0, 1e6] {
-            let (a, b) = in_both_modes(|| idx.range_with_cost(&q, radius));
-            assert_eq!(a.0.len(), b.0.len(), "r {radius}: hit count");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.og_id, y.og_id, "r {radius}: hit id");
-                assert_eq!(
-                    x.dist.to_bits(),
-                    y.dist.to_bits(),
-                    "r {radius}: hit distance"
-                );
-            }
-            assert!(
-                a.1.same_work(&b.1),
-                "r {radius}: cost diverged: {:?} vs {:?}",
-                a.1,
-                b.1
-            );
-            kernels_fired |= a.1.lb_pruned + a.1.early_abandoned > 0;
+        let truth = scan(&data, &q);
+        // Fixed radii plus ones a hair above the 1st and 5th neighbour.
+        let near = [0, 4].map(|i| radius_including(truth[i].1));
+        for radius in [0.0, 2.0, 5.0, 15.0, 1e6].into_iter().chain(near) {
+            let cost = probe_index(&idxs, &truth, &q, BatchKind::Range(radius));
+            kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
         }
     }
     assert!(kernels_fired, "range never exercised the bounded kernels");
@@ -127,27 +128,20 @@ fn mtree_identical_without_lb() {
         let tree = MTree::bulk_insert(EgedMetric::<f64>::new(), cfg, data.clone());
         let mut kernels_fired = false;
         for q in queries() {
-            for k in [1, 5, 10] {
-                let (a, b) = in_both_modes(|| tree.knn_with_cost(&q, k));
-                assert_eq!(a.0, b.0, "knn k {k}: hits diverged");
-                assert!(
-                    a.1.same_work(&b.1),
-                    "knn k {k}: cost diverged: {:?} vs {:?}",
-                    a.1,
-                    b.1
-                );
-                kernels_fired |= a.1.lb_pruned + a.1.early_abandoned > 0;
-            }
-            for radius in [0.0, 15.0, 120.0] {
-                let (a, b) = in_both_modes(|| tree.range_with_cost(&q, radius));
-                assert_eq!(a.0, b.0, "range r {radius}: hits diverged");
-                assert!(
-                    a.1.same_work(&b.1),
-                    "range r {radius}: cost diverged: {:?} vs {:?}",
-                    a.1,
-                    b.1
-                );
-                kernels_fired |= a.1.lb_pruned + a.1.early_abandoned > 0;
+            let truth = scan(&data, &q);
+            let near = radius_including(truth[4].1);
+            let probes = [1, 5, 10]
+                .map(BatchKind::Knn)
+                .into_iter()
+                .chain([0.0, 15.0, 120.0, near].map(BatchKind::Range));
+            for probe in probes {
+                let (hits, cost) = match probe {
+                    BatchKind::Knn(k) => tree.knn_with_cost(&q, k),
+                    BatchKind::Range(radius) => tree.range_with_cost(&q, radius),
+                };
+                let hits: Vec<(u64, f64)> = hits.iter().map(|n| (n.id, n.dist)).collect();
+                assert_matches(&truth, &hits, probe, &format!("{cfg:?}"));
+                kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
             }
         }
         assert!(
@@ -157,180 +151,52 @@ fn mtree_identical_without_lb() {
     }
 }
 
-/// The conservation partition holds with the kernels active *and* under
-/// the hatch — `lb_pruned` joins `distance_calls` and `pruned` as the
-/// third class of the per-record accounting.
+/// The conservation partition holds in both thread modes — `lb_pruned`
+/// joins `distance_calls` and `pruned` as the third class of the
+/// per-record accounting.
 #[test]
 fn conservation_holds_in_both_modes() {
-    let data = dataset();
-    let n = data.len() as u64;
-    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
-    idx.add_segment(Default::default(), data);
-    let clusters = idx.cluster_count() as u64;
-    for k in [1, 5, 48] {
-        let (a, b) = in_both_modes(|| idx.knn_with_cost(&[91.0, 92.0, 93.0], k).1);
-        for (mode, cost) in [("lb", &a), ("no-lb", &b)] {
+    let n = dataset().len() as u64;
+    for (idx, threads) in THREAD_MODES.map(index_at).iter().zip(THREAD_MODES) {
+        let clusters = idx.cluster_count() as u64;
+        for k in [1, 5, 48] {
+            let cost = idx.knn_with_cost(&[91.0, 92.0, 93.0], k).1;
             assert_eq!(
                 cost.distance_calls + cost.pruned + cost.lb_pruned,
                 n + clusters,
-                "k {k} mode {mode}: conservation"
+                "k {k} threads {threads}: conservation"
             );
             assert!(
                 cost.early_abandoned <= cost.distance_calls,
-                "k {k} mode {mode}: abandoned calls are still calls"
+                "k {k} threads {threads}: abandoned calls are still calls"
             );
         }
     }
 }
 
-/// Runs `f` twice — once on the vectorized kernels (the default), once
-/// under `STRG_SCALAR=1` — and returns both results, restoring the
-/// environment. Shares [`env_lock`] with the lower-bound toggles: both
-/// hatches are process-global.
-fn in_simd_modes<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = env_lock();
-    std::env::remove_var(SCALAR_ENV);
-    assert!(simd_enabled());
-    let vectorized = f();
-    std::env::set_var(SCALAR_ENV, "1");
-    assert!(!simd_enabled());
-    let scalar = f();
-    std::env::remove_var(SCALAR_ENV);
-    (vectorized, scalar)
-}
-
-/// Point2 trajectories at a scale where every DP row is long enough for
-/// the vector bodies (not just their scalar tails) to execute.
-fn point_dataset() -> Vec<(u64, Vec<Point2>)> {
-    generate_total(60, &SynthConfig::with_noise(0.10), 41)
-        .series()
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (i as u64, s))
-        .collect()
-}
-
-/// The SIMD DP kernels are byte-identical to the scalar reference on
-/// scalar (`f64`) sequences: same hit bits, same logical costs — lane
-/// width must never leak into results (DESIGN.md §13).
+/// What no two-implementation diff could cover, because both twins shared
+/// the corner: `k = 0`, `k > n`, `radius = 0`, an empty index and
+/// all-identical objects, on a single tree (`shard_equivalence.rs` runs
+/// the same corners across 4 shards).
 #[test]
-fn strg_index_identical_under_scalar_hatch_f64() {
-    let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
-    idx.add_segment(Default::default(), dataset());
-    for q in queries() {
-        for k in [1, 5, 48] {
-            let (a, b) = in_simd_modes(|| idx.knn_with_cost(&q, k));
-            assert_eq!(a.0.len(), b.0.len(), "k {k}: hit count");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.og_id, y.og_id, "k {k}: hit id");
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "k {k}: hit distance");
+fn oracle_corners_single_tree() {
+    for (name, objects) in oracle::corner_corpora() {
+        for threads in THREAD_MODES {
+            let cfg = StrgIndexConfig::with_k(3).with_threads(Threads::Fixed(threads));
+            let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), cfg);
+            if !objects.is_empty() {
+                idx.add_segment(Default::default(), objects.clone());
             }
-            assert!(a.1.same_work(&b.1), "k {k}: cost diverged");
-        }
-        for radius in [0.0, 2.0, 15.0, 1e6] {
-            let (a, b) = in_simd_modes(|| idx.range_with_cost(&q, radius));
-            assert_eq!(a.0.len(), b.0.len(), "r {radius}: hit count");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.og_id, y.og_id, "r {radius}: hit id");
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "r {radius}: distance");
-            }
-            assert!(a.1.same_work(&b.1), "r {radius}: cost diverged");
-        }
-    }
-}
-
-/// Same on Point2 trajectories: element distances stay on the scalar
-/// `hypot` path (not SIMD-reproducible), but the vectorized DP row
-/// combines still run — results must not move by a bit. The M-tree
-/// baseline shares the kernels, so it is pinned here too.
-#[test]
-fn strg_index_and_mtree_identical_under_scalar_hatch_point2() {
-    let data = point_dataset();
-    let queries: Vec<Vec<Point2>> = generate_total(4, &SynthConfig::with_noise(0.10), 1234)
-        .items
-        .into_iter()
-        .map(|q| q.points)
-        .collect();
-
-    let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), StrgIndexConfig::with_k(6));
-    idx.add_segment(Default::default(), data.clone());
-    let tree = MTree::bulk_insert(EgedMetric::<Point2>::new(), MTreeConfig::random(1), data);
-
-    for q in &queries {
-        for k in [1, 5, 20] {
-            let (a, b) = in_simd_modes(|| idx.knn_with_cost(q, k));
-            assert_eq!(a.0.len(), b.0.len(), "k {k}: hit count");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.og_id, y.og_id, "k {k}: hit id");
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "k {k}: hit distance");
-            }
-            assert!(a.1.same_work(&b.1), "k {k}: cost diverged");
-
-            let (ta, tb) = in_simd_modes(|| tree.knn_with_cost(q, k));
-            assert_eq!(ta.0, tb.0, "M-tree k {k}: hits diverged");
-            assert!(ta.1.same_work(&tb.1), "M-tree k {k}: cost diverged");
-        }
-    }
-
-    // The index construction itself (EM clustering over EGED distances)
-    // must also be hatch-invariant: rebuilding under the hatch yields the
-    // same tree shape and the same answers.
-    let (va, vb) = in_simd_modes(|| {
-        let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), StrgIndexConfig::with_k(6));
-        idx.add_segment(Default::default(), point_dataset());
-        let (hits, cost) = idx.knn_with_cost(&queries[0], 5);
-        let bits: Vec<(u64, u64)> = hits.iter().map(|h| (h.og_id, h.dist.to_bits())).collect();
-        (idx.cluster_count(), bits, cost)
-    });
-    assert_eq!(va.0, vb.0, "cluster count diverged under the hatch");
-    assert_eq!(va.1, vb.1, "post-build hits diverged under the hatch");
-    assert!(va.2.same_work(&vb.2), "post-build cost diverged");
-}
-
-/// The vectorized mode-filter interior step (the column-transposed diff
-/// walk) is byte-identical to the scalar strided walk: whole-frame
-/// segmentations — labels, region statistics, and adjacency — must not
-/// move by a bit under `STRG_SCALAR=1`, across radii that exercise the
-/// fringe-only, interior, and degenerate (window ≥ frame) regimes.
-#[test]
-fn segmentation_identical_under_scalar_hatch() {
-    let scene = lab_scene(&ScenarioConfig {
-        n_actors: 3,
-        frames: 6,
-        seed: 97,
-        ..Default::default()
-    });
-    let clip = VideoClip {
-        name: "simd-pin".into(),
-        scene,
-        fps: 30.0,
-    };
-    let frames = clip.render_all(7);
-    for radius in [1usize, 2, 3, 200] {
-        let cfg = SegmentConfig {
-            smooth_radius: radius,
-            ..Default::default()
-        };
-        for (fi, frame) in frames.iter().enumerate() {
-            let (a, b) = in_simd_modes(|| segment(frame, &cfg));
-            assert_eq!(a.labels, b.labels, "frame {fi} radius {radius}: labels");
-            assert_eq!(
-                a.adjacency, b.adjacency,
-                "frame {fi} radius {radius}: adjacency"
-            );
-            assert_eq!(
-                a.regions.len(),
-                b.regions.len(),
-                "frame {fi} radius {radius}: region count"
-            );
-            for (x, y) in a.regions.iter().zip(&b.regions) {
-                assert_eq!(x.label, y.label);
-                assert_eq!(x.size, y.size);
-                assert_eq!(x.color.r.to_bits(), y.color.r.to_bits());
-                assert_eq!(x.color.g.to_bits(), y.color.g.to_bits());
-                assert_eq!(x.color.b.to_bits(), y.color.b.to_bits());
-                assert_eq!(x.centroid.x.to_bits(), y.centroid.x.to_bits());
-                assert_eq!(x.centroid.y.to_bits(), y.centroid.y.to_bits());
+            for q in oracle::corner_queries() {
+                let truth = scan(&objects, &q);
+                for probe in oracle::corner_probes(&truth) {
+                    let hits = match probe {
+                        BatchKind::Knn(k) => idx.knn(&q, k),
+                        BatchKind::Range(radius) => idx.range(&q, radius),
+                    };
+                    let ctx = format!("{name} threads {threads}");
+                    assert_matches(&truth, &pairs(&hits), probe, &ctx);
+                }
             }
         }
     }

@@ -1,49 +1,22 @@
 //! Persistence equivalence suite: the STRGDB v2 fast reopen is a
 //! *physical* optimization only.
 //!
-//! Loading a v2 file deserializes the built index (`ReopenMode::Fast`);
-//! setting `STRG_PERSIST_V1=1` forces the legacy rebuild-on-load path,
-//! which re-clusters from the stored OGs exactly as a v1 text file load
-//! does. The two loaders — and a v1 file of the same database — must be
-//! indistinguishable in every observable: hits, logical [`QueryCost`]s,
-//! stats, clip names, and the bytes a re-save produces. A serialization
-//! bug (missed field, drifted order, stale summary) shows up here as a
-//! bit diff.
+//! Loading a v2 file deserializes the built index (`ReopenMode::Fast`)
+//! instead of re-clustering. The reference is the database the file was
+//! saved from — and a second one rebuilt from the same clips: the loaded
+//! database must be indistinguishable from both in every observable: hits,
+//! logical [`QueryCost`]s, stats, clip names, and the bytes a re-save
+//! produces. A serialization bug (missed field, drifted order, stale
+//! summary) shows up here as a bit diff. (Legacy v1 text files, which do
+//! re-cluster on load, are pinned by `strg-core`'s `persist` unit tests.)
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`, so byte-stability of the format across thread counts
 //! is pinned too.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use strg::prelude::*;
-
-/// Serializes every test that toggles `STRG_PERSIST_V1`: the flag is
-/// process global, so two modes must never overlap in time.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` with `STRG_PERSIST_V1=1` set, restoring the environment.
-fn with_rebuild_hatch<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = env_lock();
-    std::env::set_var(PERSIST_V1_ENV, "1");
-    let out = f();
-    std::env::remove_var(PERSIST_V1_ENV);
-    out
-}
-
-/// Runs `f` with the hatch guaranteed unset (still under the lock, so a
-/// concurrent hatched test can't interleave).
-fn without_rebuild_hatch<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = env_lock();
-    std::env::remove_var(PERSIST_V1_ENV);
-    f()
-}
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("strg_persist_eq_{name}_{}", std::process::id()))
@@ -128,9 +101,9 @@ fn assert_dbs_equivalent(a: &dyn Database, b: &dyn Database, ctx: &str) {
     }
 }
 
-/// v2 fast load ≡ the `STRG_PERSIST_V1=1` rebuild of the same file, ≡ the
-/// freshly built database, in every observable — and both loaders re-save
-/// the exact original bytes.
+/// v2 fast load ≡ the database it was saved from ≡ a rebuild from the same
+/// clips, in every observable — and the loaded database re-saves the exact
+/// original bytes.
 #[test]
 fn v2_fast_load_matches_rebuild_single_tree() {
     let built = VideoDatabase::new(DbOptions::new());
@@ -139,75 +112,26 @@ fn v2_fast_load_matches_rebuild_single_tree() {
     built.save(&path).expect("save v2");
     let original = std::fs::read(&path).unwrap();
 
-    let fast = without_rebuild_hatch(|| VideoDatabase::load(&path, DbOptions::new()).unwrap());
+    let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
     assert_eq!(fast.persist_info().loaded_format, Some(2));
-
-    let rebuilt = with_rebuild_hatch(|| VideoDatabase::load(&path, DbOptions::new()).unwrap());
-    assert_eq!(rebuilt.persist_info().reopen, ReopenMode::Rebuild);
-    assert_eq!(rebuilt.persist_info().loaded_format, Some(2));
+    let rebuilt = VideoDatabase::new(DbOptions::new());
+    ingest_all(&rebuilt);
 
     assert_dbs_equivalent(&fast, &built, "fast vs built");
     assert_dbs_equivalent(&fast, &rebuilt, "fast vs rebuild");
 
-    // Both loaders re-save the original bytes.
-    for (db, name) in [(&fast, "fast"), (&rebuilt, "rebuild")] {
-        let out = temp_path(&format!("single_resave_{name}"));
-        db.save(&out).unwrap();
-        let resaved = std::fs::read(&out).unwrap();
-        let _ = std::fs::remove_file(&out);
-        assert_eq!(original, resaved, "{name}: re-saved bytes differ");
-    }
+    let out = temp_path("single_resave");
+    fast.save(&out).unwrap();
+    let resaved = std::fs::read(&out).unwrap();
+    let _ = std::fs::remove_file(&out);
     let _ = std::fs::remove_file(&path);
+    assert_eq!(original, resaved, "re-saved bytes differ");
 }
 
-/// A v1 text file of the same database loads (rebuild path) into the same
-/// observables as the v2 fast load, and the v1 → v2 upgrade is *stable*:
-/// once saved as v2, every further `load → save` round-trip is a byte
-/// identity. (The upgrade itself is not compared against the original v2
-/// save because v1 never stored the OG-internal ids — the one documented
-/// lossy field of the legacy format, renumbered on load.)
-#[test]
-fn v1_file_rebuild_matches_v2_fast_load() {
-    let built = VideoDatabase::new(DbOptions::new());
-    ingest_all(&built);
-    let v2_path = temp_path("upgrade_v2");
-    let v1_path = temp_path("upgrade_v1");
-    built.save(&v2_path).unwrap();
-    built.save_v1(&v1_path).unwrap();
-
-    let from_v1 =
-        without_rebuild_hatch(|| VideoDatabase::load(&v1_path, DbOptions::new()).unwrap());
-    assert_eq!(from_v1.persist_info().reopen, ReopenMode::Rebuild);
-    assert_eq!(from_v1.persist_info().loaded_format, Some(1));
-    let from_v2 =
-        without_rebuild_hatch(|| VideoDatabase::load(&v2_path, DbOptions::new()).unwrap());
-    assert_dbs_equivalent(&from_v2, &from_v1, "v2 fast vs v1 rebuild");
-
-    // Saving the v1-loaded database upgrades it to v2; from there the
-    // round-trip is a fixed point.
-    let upgraded = temp_path("upgrade_out");
-    from_v1.save(&upgraded).unwrap();
-    let upgraded_bytes = std::fs::read(&upgraded).unwrap();
-    let reloaded =
-        without_rebuild_hatch(|| VideoDatabase::load(&upgraded, DbOptions::new()).unwrap());
-    assert_eq!(reloaded.persist_info().reopen, ReopenMode::Fast);
-    assert_dbs_equivalent(&reloaded, &from_v1, "upgraded reload vs v1 rebuild");
-    let roundtrip = temp_path("upgrade_roundtrip");
-    reloaded.save(&roundtrip).unwrap();
-    let roundtrip_bytes = std::fs::read(&roundtrip).unwrap();
-    for p in [&v2_path, &v1_path, &upgraded, &roundtrip] {
-        let _ = std::fs::remove_file(p);
-    }
-    assert_eq!(
-        upgraded_bytes, roundtrip_bytes,
-        "upgraded v2 file is not a save → load → save fixed point"
-    );
-}
-
-/// The same contract on a sharded database: fast load ≡ hatched rebuild ≡
-/// the built database, and the re-saved directory (manifest + every shard
-/// file) is byte-identical.
+/// The same contract on a sharded database: fast load ≡ the built
+/// database ≡ a rebuild from the same clips, and the re-saved directory
+/// (manifest + every shard file) is byte-identical.
 #[test]
 fn v2_fast_load_matches_rebuild_sharded() {
     let built = ShardedDatabase::new(DbOptions::new().shards(3));
@@ -231,36 +155,30 @@ fn v2_fast_load_matches_rebuild_sharded() {
     let original = read_dir(&dir);
     assert_eq!(original.len(), 4, "manifest + 3 shard files");
 
-    let fast = without_rebuild_hatch(|| ShardedDatabase::load(&dir, DbOptions::new()).unwrap());
+    let fast = ShardedDatabase::load(&dir, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
     assert_eq!(fast.persist_info().loaded_format, Some(2));
-    let rebuilt = with_rebuild_hatch(|| ShardedDatabase::load(&dir, DbOptions::new()).unwrap());
-    assert_eq!(rebuilt.persist_info().reopen, ReopenMode::Rebuild);
+    let rebuilt = ShardedDatabase::new(DbOptions::new().shards(3));
+    ingest_all(&rebuilt);
 
     assert_dbs_equivalent(&fast, &built, "sharded fast vs built");
     assert_dbs_equivalent(&fast, &rebuilt, "sharded fast vs rebuild");
 
-    for (db, name) in [(&fast, "fast"), (&rebuilt, "rebuild")] {
-        let out = temp_path(&format!("sharded_resave_{name}"));
-        db.save(&out).unwrap();
-        let resaved = read_dir(&out);
-        let _ = std::fs::remove_dir_all(&out);
-        assert_eq!(
-            original.len(),
-            resaved.len(),
-            "{name}: re-saved file set differs"
-        );
-        for ((an, ab), (bn, bb)) in original.iter().zip(&resaved) {
-            assert_eq!(an, bn, "{name}: file name");
-            assert_eq!(ab, bb, "{name}: {an} bytes differ");
-        }
-    }
+    let out = temp_path("sharded_resave");
+    fast.save(&out).unwrap();
+    let resaved = read_dir(&out);
+    let _ = std::fs::remove_dir_all(&out);
     let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(original.len(), resaved.len(), "re-saved file set differs");
+    for ((an, ab), (bn, bb)) in original.iter().zip(&resaved) {
+        assert_eq!(an, bn, "file name");
+        assert_eq!(ab, bb, "{an} bytes differ");
+    }
 }
 
 /// Clip removal leaves non-contiguous root ids in memory; the canonical
 /// remap on save must still make `save → load → save` a byte identity and
-/// keep the fast loader equivalent to the rebuild path.
+/// keep the fast loader equivalent to the database it was saved from.
 #[test]
 fn removal_then_save_stays_canonical() {
     let built = VideoDatabase::new(DbOptions::new());
@@ -271,10 +189,8 @@ fn removal_then_save_stays_canonical() {
     built.save(&path).unwrap();
     let original = std::fs::read(&path).unwrap();
 
-    let fast = without_rebuild_hatch(|| VideoDatabase::load(&path, DbOptions::new()).unwrap());
-    let rebuilt = with_rebuild_hatch(|| VideoDatabase::load(&path, DbOptions::new()).unwrap());
+    let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
     assert_dbs_equivalent(&fast, &built, "removal: fast vs built");
-    assert_dbs_equivalent(&fast, &rebuilt, "removal: fast vs rebuild");
 
     let out = temp_path("removal_resave");
     fast.save(&out).unwrap();
@@ -292,7 +208,7 @@ fn open_reports_persist_info() {
     built.ingest_clip(&demo_clip(31), 31);
     let path = temp_path("open_file");
     built.save(&path).unwrap();
-    let db = without_rebuild_hatch(|| open(&path, DbOptions::new()).unwrap());
+    let db = open(&path, DbOptions::new()).unwrap();
     let info = db.persist_info();
     let _ = std::fs::remove_file(&path);
     assert_eq!(info.reopen, ReopenMode::Fast);

@@ -1,77 +1,24 @@
 //! Allocation-discipline harness for the query hot path.
 //!
-//! Installs the same counting `#[global_allocator]` shim as
-//! `ingest_alloc.rs` and asserts that steady-state sequential k-NN and
-//! range queries through warm arenas perform **zero** heap allocations —
-//! on a single STRG-Index tree ([`QueryScratch`]), across a sharded
-//! fan-out ([`ShardScratch`]), and on the M-tree baseline
-//! ([`MtreeScratch`]). Every DP row, candidate list, pending heap and hit
-//! buffer is owned by an arena and only recycled after warm-up
-//! (DESIGN.md §13).
-//!
-//! The proof holds in the hatch-free production configuration: the env
-//! hatches (`STRG_SCALAR`, `STRG_NO_LB`, `STRG_NO_SHARD_LB`,
-//! `STRG_NO_BATCH`) are re-read
-//! per query, and `std::env::var` only allocates its `String` result when
-//! the variable is **set** — absent variables are alloc-free. The tests
-//! therefore clear the hatches up front; `scripts/ci.sh` runs this binary
-//! in default (SIMD + bounds) mode only, while the hatched modes are
-//! covered by the equivalence suites.
-//!
-//! This file is its own test binary, so the global allocator swap cannot
-//! perturb any other suite.
+//! Runs under the per-thread counting `#[global_allocator]` of
+//! `tests/alloc_util` (shared with `ingest_alloc.rs`) and asserts that
+//! steady-state sequential k-NN and range queries through warm arenas
+//! perform **zero** heap allocations — on a single STRG-Index tree
+//! ([`QueryScratch`]), across a sharded fan-out ([`ShardScratch`]), through
+//! the batched descent ([`BatchScratch`], [`ShardBatchScratch`]), and on
+//! the M-tree baseline ([`MtreeScratch`]). Every DP row, candidate list,
+//! pending heap and hit buffer is owned by an arena and only recycled
+//! after warm-up (DESIGN.md §13).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod alloc_util;
 
+use alloc_util::alloc_events;
 use strg::core::{
     sharded_knn_into, sharded_query_batch_into, sharded_range_into, BatchItem, BatchKind,
     BatchScratch, QueryScratch, ShardBatchScratch, ShardScratch,
 };
-use strg::distance::SCALAR_ENV;
 use strg::mtree::MtreeScratch;
 use strg::prelude::*;
-
-/// Forwards to the system allocator, counting every allocation path that
-/// can acquire or move heap memory (alloc, alloc_zeroed, realloc).
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::SeqCst)
-}
-
-/// Clears every env hatch the query path re-reads per call: a set
-/// variable makes `std::env::var` allocate the returned `String`, which
-/// would charge the hatch — not the query path — with an allocation.
-fn clear_hatches() {
-    std::env::remove_var(SCALAR_ENV);
-    std::env::remove_var(NO_LB_ENV);
-    std::env::remove_var(NO_SHARD_LB_ENV);
-    std::env::remove_var(NO_BATCH_ENV);
-}
 
 /// Synthetic trajectory workload at a scale where clusters, leaves and
 /// the lower-bound filter all participate.
@@ -107,7 +54,6 @@ fn build_index(items: Vec<(u64, Vec<Point2>)>, seed: u64) -> StrgIndex<Point2, E
 /// allocator once the arena has seen the workload.
 #[test]
 fn steady_state_tree_queries_allocate_nothing() {
-    clear_hatches();
     let idx = build_index(dataset(240, 11), 5);
     let qs = queries(6, 999);
     let mut scratch = QueryScratch::new();
@@ -159,7 +105,6 @@ fn steady_state_tree_queries_allocate_nothing() {
 /// every opened shard.
 #[test]
 fn steady_state_sharded_queries_allocate_nothing() {
-    clear_hatches();
     let shards: Vec<_> = (0..3)
         .map(|s| build_index(dataset(90, 20 + s), 7 + s))
         .collect();
@@ -209,7 +154,6 @@ fn steady_state_sharded_queries_allocate_nothing() {
 /// fan-out's [`ShardBatchScratch`].
 #[test]
 fn steady_state_batched_queries_allocate_nothing() {
-    clear_hatches();
     let idx = build_index(dataset(240, 11), 5);
     let qs = queries(6, 999);
     let mut scratch = BatchScratch::new();
@@ -291,7 +235,6 @@ fn steady_state_batched_queries_allocate_nothing() {
 /// heap storage and neighbor lists all live in the arena.
 #[test]
 fn steady_state_mtree_queries_allocate_nothing() {
-    clear_hatches();
     let tree = MTree::bulk_insert(
         EgedMetric::<Point2>::new(),
         MTreeConfig::random(3),

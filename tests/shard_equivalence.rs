@@ -5,42 +5,87 @@
 //! reproduces the plain database bit-for-bit (hits **and** costs), raising
 //! the shard count never changes a hit list, the logical cost counting is
 //! identical at any `STRG_THREADS` setting, and the shard-envelope filter
-//! (`STRG_NO_SHARD_LB=1` escape hatch, DESIGN.md §12) never changes a
-//! result — an inadmissible aggregate envelope shows up here as a hit-list
-//! or cost diff.
+//! (DESIGN.md §12) never changes a result — sharded hits are pinned to a
+//! linear scan (`tests/oracle`) on queries that provably prune whole
+//! shards, so an inadmissible aggregate envelope shows up here as a hit
+//! diff against ground truth.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`, so the equivalence is also pinned against the frozen
 //! parallel band.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+mod oracle;
 
-use strg::core::shard::route;
-use strg::core::shard::sharded_knn;
+use oracle::{assert_matches, radius_including, scan, Corpus};
+use strg::core::index::BatchKind;
+use strg::core::shard::{route, sharded_knn, sharded_range};
 use strg::prelude::*;
 
-/// Serializes every test that toggles `STRG_NO_SHARD_LB`: the flag is
-/// process global, so two modes must never overlap in time.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
+
+/// Hash-routes `items` across `shards` raw index trees, exactly as
+/// [`ShardedDatabase`] routes clips.
+fn shard_indexes(items: &[(u64, Vec<Point2>)], shards: usize) -> Vec<Idx> {
+    let mut chunks: Vec<Corpus> = vec![Vec::new(); shards];
+    for (id, series) in items {
+        chunks[route(&format!("series-{id}"), shards)].push((*id, series.clone()));
+    }
+    chunks
+        .into_iter()
+        .map(|chunk| {
+            let mut cfg = StrgIndexConfig::with_k(8.min(chunk.len().max(1)));
+            cfg.seed = 17;
+            cfg.em_max_iters = 10;
+            cfg.em_n_init = 1;
+            let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), cfg);
+            if !chunk.is_empty() {
+                idx.add_segment(BackgroundGraph::default(), chunk);
+            }
+            idx
+        })
+        .collect()
 }
 
-/// Runs `f` twice — once with the shard envelope filter active, once with
-/// `STRG_NO_SHARD_LB=1` — and returns both results, restoring the
-/// environment.
-fn in_both_shard_modes<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = env_lock();
-    std::env::remove_var(NO_SHARD_LB_ENV);
-    assert!(shard_bounds_enabled());
-    let with_filter = f();
-    std::env::set_var(NO_SHARD_LB_ENV, "1");
-    assert!(!shard_bounds_enabled());
-    let without_filter = f();
-    std::env::remove_var(NO_SHARD_LB_ENV);
-    (with_filter, without_filter)
+/// One fan-out over raw shard trees: `(og_id, distance)` hits + cost.
+fn fan_out(
+    shards: &[Idx],
+    q: &[Point2],
+    probe: BatchKind,
+    threads: usize,
+) -> (Vec<(u64, f64)>, QueryCost) {
+    let idxs: Vec<&Idx> = shards.iter().collect();
+    let threads = Threads::Fixed(threads);
+    let (hits, cost, _) = match probe {
+        BatchKind::Knn(k) => sharded_knn(&idxs, q, k, threads),
+        BatchKind::Range(radius) => sharded_range(&idxs, q, radius, threads),
+    };
+    let hits = hits.iter().map(|(_, h)| (h.og_id, h.dist)).collect();
+    (hits, cost)
+}
+
+/// The synthetic trajectory workload of the pruning tests.
+fn synth_items() -> Corpus {
+    generate_total(48, &SynthConfig::with_noise(0.10), 17)
+        .series()
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (i as u64, s))
+        .collect()
+}
+
+/// The stored series with the globally extreme summary: querying it at
+/// `k = 1` drives the shared cutoff to ~0 after the owning shard, so every
+/// shard with a positive envelope bound is pruned.
+fn extreme_series(items: &[(u64, Vec<Point2>)]) -> &(u64, Vec<Point2>) {
+    let dist = EgedMetric::<Point2>::new();
+    items
+        .iter()
+        .max_by(|a, b| {
+            dist.summarize(&a.1)
+                .gap_mass
+                .total_cmp(&dist.summarize(&b.1).gap_mass)
+        })
+        .expect("non-empty workload")
 }
 
 fn demo_clip(seed: u64) -> VideoClip {
@@ -64,15 +109,21 @@ fn ingest_all(db: &dyn Database) {
     }
 }
 
-/// Query trajectories: a stored series (self-query), a synthetic line, and
-/// a far-away outlier.
-fn trajectories(db: &dyn Database) -> Vec<Vec<Point2>> {
-    let stored = db.og(0).expect("og 0 stored").centroid_series();
+/// A synthetic line and a far-away outlier.
+fn trajectories_far_and_line() -> Vec<Vec<Point2>> {
     let line: Vec<Point2> = (0..25).map(|i| Point2::new(3.0 * i as f64, 70.0)).collect();
     let far: Vec<Point2> = (0..10)
         .map(|i| Point2::new(900.0 + i as f64, 900.0))
         .collect();
-    vec![stored, line, far]
+    vec![line, far]
+}
+
+/// Query trajectories: a stored series (self-query), a synthetic line, and
+/// a far-away outlier.
+fn trajectories(db: &dyn Database) -> Vec<Vec<Point2>> {
+    let mut out = vec![db.og(0).expect("og 0 stored").centroid_series()];
+    out.extend(trajectories_far_and_line());
+    out
 }
 
 fn run(db: &dyn Database, q: Query) -> (Vec<QueryHit>, QueryCost) {
@@ -175,93 +226,106 @@ fn fan_out_costs_identical_across_thread_counts() {
     }
 }
 
-/// The shard envelope filter is a physical optimization only: disabling it
-/// with `STRG_NO_SHARD_LB=1` (which opens every shard speculatively but
-/// charges the identical logical costs) must produce byte-identical hit
-/// lists and work fields. An inadmissible envelope bound fails here.
+/// The shard envelope filter is a physical optimization only: at 1, 2 and
+/// 4 shards, sequentially and in parallel, the fan-out returns exactly the
+/// linear scan's answer — on the raw shard trees with queries that
+/// provably prune whole shards, and through the [`ShardedDatabase`] facade
+/// on real clips. An inadmissible envelope bound fails here.
 #[test]
-fn envelope_filter_matches_no_shard_lb_hatch() {
+fn envelope_filter_matches_linear_scan() {
+    let items = synth_items();
+    let mut queries = vec![extreme_series(&items).1.clone(), items[0].1.clone()];
+    queries.extend(trajectories_far_and_line());
+    for shards in [1, 2, 4] {
+        let trees = shard_indexes(&items, shards);
+        let mut shards_pruned = 0;
+        for q in &queries {
+            let truth = scan(&items, q);
+            let probes = [1, 5]
+                .map(BatchKind::Knn)
+                .into_iter()
+                .chain([radius_including(truth[4].1), 1e6].map(BatchKind::Range));
+            for probe in probes {
+                let (seq, cost) = fan_out(&trees, q, probe, 1);
+                assert_matches(&truth, &seq, probe, &format!("{shards} shards"));
+                let (par, par_cost) = fan_out(&trees, q, probe, 8);
+                assert_eq!(seq, par, "{shards} shards {probe:?}: parallel hits");
+                assert!(cost.same_work(&par_cost), "{shards} shards {probe:?}");
+                shards_pruned += cost.shards_pruned;
+            }
+        }
+        assert!(
+            shards == 1 || shards_pruned > 0,
+            "{shards} shards: no query pruned a whole shard — the check is vacuous"
+        );
+    }
+
     let db = ShardedDatabase::new(DbOptions::new().shards(4));
     ingest_all(&db);
-
+    let stored: Corpus = (0..db.stats().objects as u64)
+        .map(|id| (id, db.og(id).expect("dense og ids").centroid_series()))
+        .collect();
     for q in trajectories(&db) {
-        for k in [1, 5] {
-            let (a, b) = in_both_shard_modes(|| run(&db, Query::knn(k).trajectory(&q)));
-            assert_hits_eq(&a.0, &b.0, &format!("knn k={k}"));
-            assert!(a.1.same_work(&b.1), "knn k={k}: {:?} vs {:?}", a.1, b.1);
-        }
-        for radius in [20.0, 200.0] {
-            let (a, b) = in_both_shard_modes(|| run(&db, Query::range(radius).trajectory(&q)));
-            assert_hits_eq(&a.0, &b.0, &format!("range r={radius}"));
-            assert!(
-                a.1.same_work(&b.1),
-                "range r={radius}: {:?} vs {:?}",
-                a.1,
-                b.1
+        let truth = scan(&stored, &q);
+        let probes = [1, 5]
+            .map(|k| (BatchKind::Knn(k), Query::knn(k)))
+            .into_iter()
+            .chain(
+                [radius_including(truth[2].1), 200.0]
+                    .map(|r| (BatchKind::Range(r), Query::range(r))),
             );
+        for (probe, query) in probes {
+            let hits: Vec<(u64, f64)> = run(&db, query.trajectory(&q))
+                .0
+                .iter()
+                .map(|h| (h.og_id, h.dist))
+                .collect();
+            assert_matches(&truth, &hits, probe, "facade, 4 shards");
         }
     }
 }
 
 /// On a self-query workload the bound-ordered fan-out actually skips whole
-/// shards: querying the stored series with the globally extreme summary at
-/// `k=1` drives the shared cutoff to ~0 after the owning shard, so every
-/// shard with a positive envelope bound is pruned — and the hits still
-/// match the hatch exactly.
+/// shards — sequentially without searching them — and the hits still match
+/// the linear scan exactly.
 #[test]
 fn fan_out_prunes_whole_shards_on_self_queries() {
-    const SHARDS: usize = 4;
-    let dist = EgedMetric::<Point2>::new();
-    let data = generate_total(48, &SynthConfig::with_noise(0.10), 17);
-    let items: Vec<(u64, Vec<Point2>)> = data
-        .series()
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (i as u64, s))
-        .collect();
-
-    let mut chunks: Vec<Vec<(u64, Vec<Point2>)>> = vec![Vec::new(); SHARDS];
-    for (id, series) in &items {
-        chunks[route(&format!("series-{id}"), SHARDS)].push((*id, series.clone()));
-    }
-    let shards: Vec<StrgIndex<Point2, EgedMetric<Point2>>> = chunks
-        .into_iter()
-        .map(|chunk| {
-            let mut cfg = StrgIndexConfig::with_k(8.min(chunk.len().max(1)));
-            cfg.seed = 17;
-            cfg.em_max_iters = 10;
-            cfg.em_n_init = 1;
-            let mut idx = StrgIndex::new(dist, cfg);
-            idx.add_segment(BackgroundGraph::default(), chunk);
-            idx
-        })
-        .collect();
-    let idxs: Vec<_> = shards.iter().collect();
-
-    let extreme = items
-        .iter()
-        .max_by(|a, b| {
-            dist.summarize(&a.1)
-                .gap_mass
-                .total_cmp(&dist.summarize(&b.1).gap_mass)
-        })
-        .expect("non-empty workload");
-
-    let (a, b) = in_both_shard_modes(|| sharded_knn(&idxs, &extreme.1, 1, Threads::Fixed(1)));
+    let items = synth_items();
+    let trees = shard_indexes(&items, 4);
+    let extreme = extreme_series(&items);
+    let (hits, cost) = fan_out(&trees, &extreme.1, BatchKind::Knn(1), 1);
     assert!(
-        a.1.shards_pruned >= 1,
-        "self-query should prune at least one whole shard: {:?}",
-        a.1
+        cost.shards_pruned >= 1,
+        "self-query should prune at least one whole shard: {cost:?}"
     );
-    assert!(a.1.same_work(&b.1), "{:?} vs {:?}", a.1, b.1);
-    assert_eq!(a.0.len(), b.0.len(), "hit count");
-    for (x, y) in a.0.iter().zip(&b.0) {
-        assert_eq!(x.0, y.0, "hit shard");
-        assert_eq!(x.1.og_id, y.1.og_id, "hit id");
-        assert_eq!(x.1.dist.to_bits(), y.1.dist.to_bits(), "hit distance");
+    // A skipped shard charges all its records to `pruned` and nothing else:
+    // conservation holds database-wide with zero work inside it.
+    let clusters: usize = trees.iter().map(|t| t.cluster_count()).sum();
+    assert_eq!(
+        cost.distance_calls + cost.pruned + cost.lb_pruned,
+        (items.len() + clusters) as u64
+    );
+    assert_matches(&scan(&items, &extreme.1), &hits, BatchKind::Knn(1), "self");
+    assert_eq!(hits[0], (extreme.0, 0.0), "self-query returns itself first");
+}
+
+/// The corners of `kernel_equivalence.rs`'s `oracle_corners_single_tree`
+/// across 4 shards: `k = 0`, `k > n`, `radius = 0`, an all-empty database
+/// and all-identical objects (every shard ties with every other).
+#[test]
+fn oracle_corners_four_shards() {
+    for (name, objects) in oracle::corner_corpora() {
+        let trees = shard_indexes(&objects, 4);
+        for q in oracle::corner_queries() {
+            let truth = scan(&objects, &q);
+            for probe in oracle::corner_probes(&truth) {
+                for threads in [1, 8] {
+                    let (hits, _) = fan_out(&trees, &q, probe, threads);
+                    assert_matches(&truth, &hits, probe, &format!("{name} threads {threads}"));
+                }
+            }
+        }
     }
-    assert_eq!(a.0[0].1.og_id, extreme.0, "self-query returns itself first");
-    assert_eq!(a.0[0].1.dist, 0.0, "self-distance is zero");
 }
 
 /// Directory save/load round-trip: the manifest's shard count wins over
