@@ -33,8 +33,13 @@
 //! The `Vec`-returning entry points borrow a thread-local arena and copy
 //! the hits out; the `*_into` variants expose the arena directly
 //! (DESIGN.md §13). The parallel paths still allocate inside
-//! `strg_parallel::par_map` (scoped worker spawning), which is why the
-//! zero-alloc contract is stated for `Threads::Fixed(1)`.
+//! `strg_parallel::par_map` (job boxes and result vectors), which is why
+//! the zero-alloc contract is stated for `Threads::Fixed(1)`.
+//!
+//! The public entry points resolve their [`Threads`] policy once and pass
+//! `Threads::Fixed(n)` down, so `Threads::Auto` costs one environment read
+//! per query rather than one per visited leaf; and a leaf's key band is
+//! fanned out only when it holds at least `PAR_BAND_MIN` records.
 
 use std::cell::RefCell;
 
@@ -56,6 +61,15 @@ pub struct Hit {
     /// Distance to the query under the index's metric.
     pub dist: f64,
 }
+
+/// Shortest key band worth a hand-off to the pool. Waking a parked helper
+/// costs the forking thread about as much as a dozen bounded DP
+/// evaluations, so a shorter band is scanned by the adaptive sequential
+/// loop instead — which for k-NN also skips the speculative evaluations
+/// the frozen band would have paid for. Logical costs are path-independent,
+/// so the rule changes no count. Chosen by measurement (DESIGN.md §7 "The
+/// band rule"); depends on nothing but the band's length.
+const PAR_BAND_MIN: usize = 16;
 
 /// A cluster candidate gathered during pass 1. Plain positional indices
 /// into the roots slice (not references), so the candidate list can live in
@@ -295,6 +309,7 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
     if k == 0 {
         return;
     }
+    let threads = Threads::Fixed(threads.resolve());
     let qsum = metric.summarize(query);
     gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
     sort_cands(&mut scratch.cands);
@@ -371,7 +386,6 @@ pub(super) fn knn_visit_cand<
     hits: &mut Vec<Hit>,
     cost: &mut QueryCost,
 ) -> bool {
-    let parallel = !threads.is_sequential();
     let dk = if hits.len() < k {
         f64::INFINITY
     } else {
@@ -381,7 +395,8 @@ pub(super) fn knn_visit_cand<
         return false;
     }
     cost.node_accesses += 1; // the candidate's leaf node
-                             // Key-band scan: records outside |key - d_q| <= dk cannot qualify.
+
+    // Key-band scan: records outside |key - d_q| <= dk cannot qualify.
     let records = &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
         .leaf
         .records;
@@ -392,14 +407,20 @@ pub(super) fn knn_visit_cand<
     // shrinks while scanning. The speculative evaluations are bounded by
     // dk-at-entry: a `None` in the replay certifies d > dk-at-entry >=
     // dk_now, exactly what the sequential `distance_upto(.., dk_now)`
-    // would have concluded.
-    let (band, dists) = if parallel {
-        let hi = lo + records[lo..].partition_point(|r| r.key <= cand.centroid_dist + dk);
-        let band = &records[lo..hi];
-        let d = par_map(band, threads, |r| metric.distance_upto(query, &r.seq, dk));
-        (band, Some(d))
+    // would have concluded. Bands too short to repay the hand-off take
+    // the adaptive scan like the sequential path.
+    let frozen = if threads.is_sequential() {
+        None
     } else {
-        (&records[lo..], None)
+        let hi = lo + records[lo..].partition_point(|r| r.key <= cand.centroid_dist + dk);
+        Some(&records[lo..hi]).filter(|band| band.len() >= PAR_BAND_MIN)
+    };
+    let (band, dists) = match frozen {
+        Some(band) => {
+            let d = par_map(band, threads, |r| metric.distance_upto(query, &r.seq, dk));
+            (band, Some(d))
+        }
+        None => (&records[lo..], None),
     };
     // `reached` is where the adaptive scan stops; records past it are
     // pruned in bulk below. When the frozen parallel band is exhausted
@@ -497,6 +518,7 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
+    let threads = Threads::Fixed(threads.resolve());
     let qsum = metric.summarize(query);
     scratch.hits.clear();
     gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
@@ -543,7 +565,6 @@ pub(super) fn range_visit_cand<
     grows: &mut u64,
     cost: &mut QueryCost,
 ) {
-    let sequential = threads.is_sequential();
     let d = cand.centroid_dist;
     let records = &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
         .leaf
@@ -564,9 +585,10 @@ pub(super) fn range_visit_cand<
     };
     // The lb predicate depends only on the fixed radius, so it commutes
     // with scan order: filter the band up front, refine only the
-    // survivors (fanned out over the workers in parallel mode, straight
-    // out of the arena sequentially).
-    if sequential {
+    // survivors (fanned out over the workers in parallel mode when the
+    // band is long enough to repay it, straight out of the arena
+    // otherwise).
+    if threads.is_sequential() || band.len() < PAR_BAND_MIN {
         for r in band {
             if metric.lower_bound(query, qsum, &r.summary) <= radius {
                 cost.distance_calls += 1;
@@ -659,6 +681,7 @@ pub fn knn_single_cluster_into<
     scratch: &mut QueryScratch,
 ) {
     scratch.hits.clear();
+    let threads = Threads::Fixed(threads.resolve());
     let qsum = metric.summarize(query);
     // Centroid scan in parallel; the winner is picked on this thread in
     // cluster order (strict `<`, so ties keep the earlier cluster exactly
@@ -689,8 +712,9 @@ pub fn knn_single_cluster_into<
     // Scan the leaf around Key_q = EGED_M(q, OG_clus) outwards. The
     // parallel path evaluates the whole leaf up front (the adaptive key
     // prune below only ever skips records, so the precomputed distances are
-    // a superset), then replays the sequential predicates in record order.
-    let dists = if threads.is_sequential() {
+    // a superset), then replays the sequential predicates in record order —
+    // unless the leaf is too short to repay the hand-off.
+    let dists = if threads.is_sequential() || leaf.records.len() < PAR_BAND_MIN {
         None
     } else {
         Some(par_map(&leaf.records, threads, |r| {
@@ -985,6 +1009,49 @@ mod tests {
                     let (_, b) = par.range_with_cost(&q, radius);
                     assert!(a.same_work(&b), "range r={radius}: {a:?} vs {b:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn band_rule_changes_no_hit_and_no_cost() {
+        use super::PAR_BAND_MIN;
+        use strg_parallel::Threads;
+        // One cluster, so the leaf — and with `k` = everything or a huge
+        // radius, the key band — holds exactly `n` records: every length on
+        // both sides of the rule, against the sequential answer.
+        for n in 0..=2 * PAR_BAND_MIN {
+            let data: Vec<(u64, Vec<f64>)> = (0..n as u64)
+                .map(|i| (i, vec![1.5 * i as f64, 2.0, 3.0 + i as f64]))
+                .collect();
+            let build = |threads| {
+                let mut idx = StrgIndex::new(
+                    EgedMetric::<f64>::new(),
+                    StrgIndexConfig::with_k(1).with_threads(threads),
+                );
+                idx.add_segment(BackgroundGraph::default(), data.clone());
+                idx
+            };
+            let (seq, par) = (build(Threads::Fixed(1)), build(Threads::Fixed(8)));
+            let q = vec![4.0, 2.5, 6.0];
+            for k in [1, 3, n.max(1)] {
+                let (a, ca) = seq.knn_with_cost(&q, k);
+                let (b, cb) = par.knn_with_cost(&q, k);
+                assert_eq!(a, b, "knn n={n} k={k}");
+                assert!(ca.same_work(&cb), "knn n={n} k={k}: {ca:?} vs {cb:?}");
+                let (a, ca) = seq.knn_single_cluster_with_cost(&q, k);
+                let (b, cb) = par.knn_single_cluster_with_cost(&q, k);
+                assert_eq!(a, b, "single n={n} k={k}");
+                assert!(ca.same_work(&cb), "single n={n} k={k}: {ca:?} vs {cb:?}");
+            }
+            for radius in [5.0, 1e6] {
+                let (a, ca) = seq.range_with_cost(&q, radius);
+                let (b, cb) = par.range_with_cost(&q, radius);
+                assert_eq!(a, b, "range n={n} r={radius}");
+                assert!(
+                    ca.same_work(&cb),
+                    "range n={n} r={radius}: {ca:?} vs {cb:?}"
+                );
             }
         }
     }

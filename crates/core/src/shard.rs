@@ -345,7 +345,8 @@ fn fan_out_into(
         outcomes,
     } = scratch;
     outcomes.clear();
-    if threads.resolve() > 1 {
+    let threads = Threads::Fixed(threads.resolve());
+    if !threads.is_sequential() {
         let prefetched = par_map(idxs, threads, |idx| {
             let mut tree = QueryScratch::new();
             let (hits, cost) = search_into(idx, query, kind, &mut tree);
@@ -545,7 +546,8 @@ pub fn sharded_query_batch_into(
     // warm arenas for fresh per-call scratches (like the single-query
     // speculative prefetch, it allocates); the sequential path reuses the
     // arena and stays allocation-free.
-    if threads.resolve() > 1 {
+    let threads = Threads::Fixed(threads.resolve());
+    if !threads.is_sequential() {
         let fresh = par_map(idxs, threads, |idx| {
             let mut bs = BatchScratch::new();
             idx.query_batch_with_cost_into(items, &mut bs);

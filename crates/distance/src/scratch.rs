@@ -8,7 +8,8 @@
 //! zero heap allocations (proven by `tests/query_alloc.rs`).
 //!
 //! The arena is keyed by thread, so the long-lived workers of the serve
-//! pool and of `strg_parallel::par_map` each converge on their own
+//! pool and the persistent helpers of `strg_parallel`'s fork/join pool
+//! (which outlive the forks they serve) each converge on their own
 //! high-water-mark rows. Reentrancy (a ground distance that itself calls a
 //! sequence distance) falls back to a fresh local arena instead of
 //! panicking on the `RefCell`.

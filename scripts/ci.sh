@@ -41,6 +41,10 @@ GUARDED=(
     serve_faults
 )
 for threads in 1 8; do
+    # The fork/join pool's own tests first: a pool deadlock must fail CI
+    # here, under the timeout, not hang a suite further down.
+    echo "==> strg-parallel under STRG_THREADS=$threads (timeout 600)"
+    STRG_THREADS=$threads timeout 600 cargo test -q -p strg-parallel
     for suite in "${SUITES[@]}"; do
         echo "==> $suite under STRG_THREADS=$threads"
         STRG_THREADS=$threads cargo test -q --test "$suite"
@@ -50,6 +54,14 @@ for threads in 1 8; do
         STRG_THREADS=$threads timeout 600 cargo test -q --test "$suite"
     done
 done
+
+# Once more with eight libtest threads, so that on a two-core runner the
+# stress cases' concurrent callers (and the tests beside them, which share
+# the process-wide pool) really overlap.
+echo "==> pool stress with RUST_TEST_THREADS=8 (timeout 600)"
+RUST_TEST_THREADS=8 timeout 600 cargo test -q -p strg-parallel
+RUST_TEST_THREADS=8 timeout 600 cargo test -q --test parallel_equivalence \
+    concurrent_queries_on_the_shared_pool_match_sequential
 
 echo "==> benchmark: unit tests"
 cargo test --offline --manifest-path benchmark/Cargo.toml

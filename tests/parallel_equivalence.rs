@@ -186,3 +186,46 @@ fn default_config_matches_pinned_sequential() {
         "auto vs sequential knn",
     );
 }
+
+/// Four threads querying one `Fixed(8)` database at once share the fork/join
+/// pool (every query forks for its centroid pass and its longer key bands):
+/// each must still get exactly the `Fixed(1)` answer and logical cost.
+#[test]
+fn concurrent_queries_on_the_shared_pool_match_sequential() {
+    let seeds = [13, 17, 31];
+    let seq_db = db_with(Threads::Fixed(1));
+    ingest_all(&seq_db, &seeds);
+    let par_db = db_with(Threads::Fixed(8));
+    ingest_all(&par_db, &seeds);
+    let queries: Vec<Vec<Point2>> = (0..8)
+        .map(|q| {
+            (0..25)
+                .map(|i| Point2::new(3.0 * i as f64 + q as f64, 60.0 + 4.0 * q as f64))
+                .collect()
+        })
+        .collect();
+    let expect: Vec<QueryResult> = queries
+        .iter()
+        .map(|q| seq_db.query(Query::knn(5).trajectory(q).with_cost()))
+        .collect();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (par_db, queries, expect, start) = (&par_db, &queries, &expect, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..25 {
+                    for (qi, q) in queries.iter().enumerate() {
+                        let got = par_db.query(Query::knn(5).trajectory(q).with_cost());
+                        let ctx = format!("thread {t} round {round} query {qi}");
+                        assert_hits_equal(&expect[qi].hits, &got.hits, &ctx);
+                        assert!(
+                            expect[qi].cost.unwrap().same_work(&got.cost.unwrap()),
+                            "{ctx}: cost diverged"
+                        );
+                    }
+                }
+            });
+        }
+    });
+}

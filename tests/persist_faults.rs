@@ -10,11 +10,19 @@
 
 use std::io::ErrorKind;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use strg::prelude::*;
 
+/// A fresh path per call: the tests of this file run on parallel threads
+/// of one process, and two of them sharing a path delete each other's file.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("strg_persist_faults_{name}_{}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "strg_persist_faults_{name}_{}_{unique}",
+        std::process::id()
+    ))
 }
 
 /// A small but structurally complete database: multiple clips, clusters,
