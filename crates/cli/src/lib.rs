@@ -69,12 +69,12 @@ database's metrics snapshot (same serialization as
 newline-delimited JSON on TCP (port 0 picks an ephemeral port;
 `--port-file` records the bound address); `send` writes one request line
 and prints the response. `--batch-file` executes many queries in one
-index traversal: one JSON object per line (`{\"from\":\"x,y\",
+call, identical ones once: one JSON object per line (`{\"from\":\"x,y\",
 \"to\":\"x,y\",\"steps\":N,\"k\":N|\"radius\":R,\"clip\":name}` — the
 same grammar as the server's `query_batch` elements; blank lines and
 `#` comments skipped), each answered byte-identically to running it
 alone. `serve --coalesce-ms N` groups single queries arriving within the
-window into one batched execution (`--max-batch` caps the width).";
+window into one batch (`--max-batch` caps the width).";
 
 /// Simple `--flag value` argument map.
 pub struct Args<'a> {
@@ -180,8 +180,8 @@ pub fn cmd_ingest(args: &Args) -> CmdResult {
     ))
 }
 
-/// `strgdb query` with `--batch-file`: many queries, one index traversal
-/// ([`Database::query_batch`]). The file holds one query-spec object per
+/// `strgdb query` with `--batch-file`: many queries, one
+/// [`Database::query_batch`] call. The file holds one query-spec object per
 /// line — the same grammar as the server's `query_batch` elements, parsed
 /// by the same [`wire::parse_query_spec`] — so `--json` output is
 /// byte-identical to the server's `query_batch` result body.
@@ -446,7 +446,7 @@ pub fn cmd_send(args: &Args) -> CmdResult {
     Ok(line.trim_end().to_string())
 }
 
-/// Dispatches a full argument vector (without argv[0]).
+/// Dispatches a full argument vector (without `argv[0]`).
 pub fn run(argv: &[String]) -> CmdResult {
     let Some(cmd) = argv.first() else {
         return Err(CliError(USAGE.into()));

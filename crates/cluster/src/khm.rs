@@ -1,4 +1,4 @@
-//! K-Harmonic-Means over sequences (Hamerly & Elkan [12]), the second hard
+//! K-Harmonic-Means over sequences (Hamerly & Elkan \[12\]), the second hard
 //! baseline of Figures 5 and 6.
 //!
 //! KHM replaces K-Means' winner-takes-all assignment with soft memberships

@@ -1,5 +1,5 @@
 //! K-Means over sequences, one of the two hard-clustering baselines of
-//! Figure 5/6 (Hamerly & Elkan [12] describe the family).
+//! Figure 5/6 (Hamerly & Elkan \[12\] describe the family).
 //!
 //! Lloyd iterations with an arbitrary sequence distance for assignment and
 //! the resampled weighted mean ([`crate::centroid`]) for the centroid

@@ -5,7 +5,7 @@
 //! * [`EmClusterer`] — EM with the distance-based 1-D Gaussian mixture
 //!   (Equations 3–7); `O(KM)` distance evaluations per iteration;
 //! * [`KMeans`], [`KHarmonicMeans`] — the hard baselines of Figures 5/6;
-//! * [`bic`] — Bayesian Information Criterion model selection (Equation 8,
+//! * [`mod@bic`] — Bayesian Information Criterion model selection (Equation 8,
 //!   §4.2) and the BIC sweep behind Figure 8;
 //! * [`metrics`] — clustering error rate (Equation 11) and distortion.
 //!

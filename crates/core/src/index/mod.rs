@@ -16,8 +16,7 @@
 mod batch;
 mod search;
 
-pub(crate) use batch::query_batch_into;
-pub use batch::{with_batch_scratch, BatchItem, BatchKind, BatchScratch};
+pub use batch::BatchScratch;
 pub(crate) use search::reserve_counted;
 pub use search::{with_query_scratch, Hit, QueryScratch};
 
@@ -620,43 +619,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
         );
         cost.elapsed = start.elapsed();
         (scratch.hits(), cost)
-    }
-
-    /// Executes a batch of k-NN/range queries in **one** tree descent (see
-    /// `crate::index::batch`): the root/cluster structural pass is shared
-    /// across the batch and leaf visits run in round lockstep, while each
-    /// query's hits and logical [`QueryCost`] stay byte-identical to its
-    /// sequential one-at-a-time replay. Results land in `scratch` by item
-    /// position ([`BatchScratch::hits`] / [`BatchScratch::cost`]); every
-    /// item's `elapsed` is the whole-batch wall clock. With a warmed-up
-    /// arena this performs zero heap allocations (`tests/query_alloc.rs`).
-    pub fn query_batch_with_cost_into(
-        &self,
-        items: &[BatchItem<'_, V>],
-        scratch: &mut BatchScratch<V>,
-    ) {
-        let start = std::time::Instant::now();
-        query_batch_into(&self.roots, &self.metric, items, scratch);
-        scratch.stamp_elapsed(start.elapsed());
-    }
-
-    /// [`StrgIndex::query_batch_with_cost_into`] for a uniform k-NN batch:
-    /// one descent answers every query in `queries` with the same `k`.
-    pub fn knn_batch_with_cost_into(
-        &self,
-        queries: &[&[V]],
-        k: usize,
-        scratch: &mut BatchScratch<V>,
-    ) {
-        let items: Vec<BatchItem<'_, V>> = queries
-            .iter()
-            .map(|q| BatchItem {
-                kind: BatchKind::Knn(k),
-                query: q,
-                root_filter: None,
-            })
-            .collect();
-        self.query_batch_with_cost_into(&items, scratch);
     }
 
     /// Range query restricted to one root record.

@@ -75,15 +75,15 @@ const PAR_BAND_MIN: usize = 16;
 /// into the roots slice (not references), so the candidate list can live in
 /// a [`QueryScratch`] that outlives any one query.
 #[derive(Copy, Clone, Debug)]
-pub(super) struct Cand {
+struct Cand {
     /// Position of the root in the roots slice.
-    pub(super) root_idx: u32,
+    root_idx: u32,
     /// Position of the cluster within its root.
-    pub(super) cluster_idx: u32,
-    pub(super) root_id: u32,
-    pub(super) cluster_id: u32,
-    pub(super) centroid_dist: f64,
-    pub(super) lower: f64,
+    cluster_idx: u32,
+    root_id: u32,
+    cluster_id: u32,
+    centroid_dist: f64,
+    lower: f64,
 }
 
 /// Reusable per-thread search arena: every buffer the k-NN/range hot path
@@ -94,17 +94,17 @@ pub struct QueryScratch {
     /// `(root_idx, cluster_idx)` staging for the parallel centroid fan-out.
     refs: Vec<(u32, u32)>,
     /// Gathered cluster candidates (pass 1).
-    pub(super) cands: Vec<Cand>,
+    cands: Vec<Cand>,
     /// In-band survivor indices of the lower-bound filter.
-    pub(super) survivors: Vec<u32>,
+    survivors: Vec<u32>,
     /// Sort permutation for the final range ordering.
     order: Vec<u32>,
     /// Double buffer applying that permutation.
     hits_tmp: Vec<Hit>,
     /// The result list (`best` for knn, `out` for range).
-    pub(super) hits: Vec<Hit>,
+    hits: Vec<Hit>,
     /// Number of times a buffer had to grow (0 in steady state).
-    pub(super) grows: u64,
+    grows: u64,
 }
 
 impl QueryScratch {
@@ -169,7 +169,7 @@ pub(crate) fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
     }
 }
 
-pub(super) fn leaf_len<V>(roots: &[RootRecord<V>], cand: &Cand) -> u64 {
+fn leaf_len<V>(roots: &[RootRecord<V>], cand: &Cand) -> u64 {
     roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
         .leaf
         .records
@@ -182,7 +182,7 @@ pub(super) fn leaf_len<V>(roots: &[RootRecord<V>], cand: &Cand) -> u64 {
 /// candidate buffer; in parallel the centroid distances fan out over the
 /// workers via the arena's `(root, cluster)` staging, coming back in
 /// root/cluster order exactly as the sequential loop gathers them.
-pub(super) fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
+fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
     roots: &[RootRecord<V>],
     metric: &D,
     query: &[V],
@@ -354,7 +354,7 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
 /// total positional tie-break: the gather pushes candidates in strictly
 /// increasing (root_idx, cluster_idx) order, so this reproduces the stable
 /// sort-by-lower-bound order without the stable sort's temporary buffer.
-pub(super) fn sort_cands(cands: &mut [Cand]) {
+fn sort_cands(cands: &mut [Cand]) {
     cands.sort_unstable_by(|a, b| {
         a.lower
             .total_cmp(&b.lower)
@@ -368,14 +368,9 @@ pub(super) fn sort_cands(cands: &mut [Cand]) {
 /// sequential candidate loop of [`knn_into`] does. Returns `false` —
 /// charging nothing — when `cand.lower` exceeds the cutoff: candidates are
 /// visited in lower-bound order, so the caller then bulk-prunes this and
-/// every remaining leaf and stops the query. Shared verbatim between the
-/// single-query path and the batched round-lockstep descent, which is what
-/// makes their per-query results structurally identical.
+/// every remaining leaf and stops the query.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn knn_visit_cand<
-    V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
->(
+fn knn_visit_cand<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
     roots: &[RootRecord<V>],
     metric: &D,
     query: &[V],
@@ -545,11 +540,10 @@ pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lower
 
 /// One range step: scans `cand`'s radius key band, appending qualifying
 /// hits in record order and charging exactly as the candidate loop of
-/// [`range_into`] does. The fixed radius makes candidates independent, so
-/// the batched descent calls this in any interleaving. The caller applies
-/// [`sort_hits_stable`] once after the last candidate.
+/// [`range_into`] does. The caller applies [`sort_hits_stable`] once after
+/// the last candidate.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn range_visit_cand<
+fn range_visit_cand<
     V: SeqValue,
     D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
 >(
@@ -625,7 +619,7 @@ pub(super) fn range_visit_cand<
 /// Final range ordering: stable-order sort without a stable sort's
 /// allocation — an unstable index sort keyed (dist, original position) is
 /// the same order, applied through the arena's permutation + double buffer.
-pub(super) fn sort_hits_stable(scratch: &mut QueryScratch) {
+fn sort_hits_stable(scratch: &mut QueryScratch) {
     let QueryScratch {
         hits,
         order,

@@ -27,17 +27,16 @@ pub mod query;
 pub mod shard;
 
 pub use index::{
-    with_batch_scratch, with_query_scratch, BatchItem, BatchKind, BatchScratch, ClusterRecord, Hit,
-    LeafNode, LeafRecord, QueryScratch, RootRecord, StrgIndex, StrgIndexConfig,
+    with_query_scratch, BatchScratch, ClusterRecord, Hit, LeafNode, LeafRecord, QueryScratch,
+    RootRecord, StrgIndex, StrgIndexConfig,
 };
 pub use options::{open, Database, DbOptions, Metric};
 pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};
 pub use pipeline::{ClipMeta, DbStats, IngestReport, QueryHit, StoredOg, VideoDatabase};
-pub use query::{Query, QueryBatch, QueryResult};
+pub use query::{Query, QueryKind, QueryResult};
 pub use shard::{
-    route, sharded_knn, sharded_knn_into, sharded_query_batch_into, sharded_range,
-    sharded_range_into, with_shard_batch_scratch, with_shard_scratch, ShardBatchScratch,
-    ShardOutcome, ShardScratch, ShardedDatabase,
+    route, sharded_query, sharded_query_into, with_shard_scratch, ShardOutcome, ShardScratch,
+    ShardedDatabase,
 };
 pub use strg_obs::{QueryCost, Recorder, Snapshot};
 pub use strg_parallel::Threads;

@@ -16,7 +16,7 @@
 //! options value, so they cannot disagree about `index.threads`.
 //!
 //! [`Database`] abstracts over [`VideoDatabase`] (one STRG-Index tree) and
-//! [`ShardedDatabase`](crate::ShardedDatabase) (N independent trees behind
+//! [`ShardedDatabase`] (N independent trees behind
 //! deterministic hash-of-name routing), so `strg-serve` and the CLI run
 //! unchanged against either. [`open`] picks the flavor from what is on
 //! disk (STRGDB file → single tree, shard directory → sharded) or, for
@@ -121,7 +121,7 @@ impl DbOptions {
 }
 
 /// The operations `strg-serve` and the CLI need, implemented by both
-/// [`VideoDatabase`] and [`ShardedDatabase`](crate::ShardedDatabase).
+/// [`VideoDatabase`] and [`ShardedDatabase`].
 ///
 /// Object-safe on purpose: front ends hold a `Box<dyn Database>` (or
 /// `Arc<dyn Database>`) and never know which flavor they drive. Both
@@ -141,12 +141,44 @@ pub trait Database: Send + Sync {
     fn query(&self, q: Query<'_>) -> QueryResult;
 
     /// Executes a batch of queries, returning one result per query in
-    /// order. Each query's hits and cost are byte-identical to
-    /// [`Database::query`] run alone — both database flavors override this
-    /// to share one index traversal across the batch; the default executes
-    /// them one at a time.
+    /// order. A batch is N queries answered one after another, each
+    /// against the index as it stands at its turn — not a snapshot: an
+    /// ingest or removal racing the batch may be visible to a later member
+    /// and not to an earlier one.
+    ///
+    /// Identical members (same kind, same trajectory content, same clip,
+    /// no background) are answered once, by [`Database::query`] on their
+    /// first occurrence. Each duplicate gets a copy of that representative's
+    /// hits and cost with `batch_shared_accesses` set to `node_accesses`
+    /// (every node it is charged for was fetched by the representative),
+    /// and is recorded under `query.knn.*` / `query.range.*` like the
+    /// single it stands for, so the `query.*` counters equal those of N
+    /// separate queries. A distinct member's result is exactly what
+    /// [`Database::query`] returns, with `batch_shared_accesses` 0.
     fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        queries.iter().map(|q| self.query(q.clone())).collect()
+        let mut results: Vec<QueryResult> = Vec::with_capacity(queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            // The first match is the first occurrence, which kept its cost.
+            let result = match queries[..i].iter().position(|p| p.same_search(q)) {
+                None => self.query(q.clone().with_cost()),
+                Some(rep) => {
+                    let mut cost = results[rep].cost.expect("representatives ran with_cost");
+                    cost.batch_shared_accesses = cost.node_accesses;
+                    self.recorder().record_cost(q.kind.metric_prefix(), &cost);
+                    QueryResult {
+                        hits: results[rep].hits.clone(),
+                        cost: Some(cost),
+                    }
+                }
+            };
+            results.push(result);
+        }
+        for (r, q) in results.iter_mut().zip(queries) {
+            if !q.want_cost {
+                r.cost = None;
+            }
+        }
+        results
     }
 
     /// Aggregate statistics over every shard.

@@ -25,7 +25,7 @@ use strg_graph::{build_strg, decompose, ObjectGraph, Point2};
 use strg_obs::{QueryCost, Recorder, Snapshot};
 use strg_video::{frames_to_rags, frames_to_rags_with_stats, Frame, VideoClip};
 
-use crate::index::{with_batch_scratch, BatchItem, BatchKind, Hit, StrgIndex};
+use crate::index::{Hit, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::PersistInfo;
 use crate::query::{Query, QueryKind, QueryResult};
@@ -48,7 +48,7 @@ pub struct ClipMeta {
 pub struct StoredOg {
     /// Database-wide OG id.
     pub id: u64,
-    /// Index of the owning clip in [`VideoDatabase::clips`].
+    /// Index of the owning clip in the database's clip list.
     pub clip: usize,
     /// The full Object Graph (the leaf `ptr` target).
     pub og: ObjectGraph,
@@ -321,135 +321,18 @@ impl VideoDatabase {
         drop(index);
         let hits = self.resolve(hits);
         cost.elapsed = start.elapsed();
-        let prefix = match q.kind {
-            QueryKind::Knn(_) => "query.knn",
-            QueryKind::Range(_) => "query.range",
-        };
-        self.recorder.record_cost(prefix, &cost);
+        self.recorder.record_cost(q.kind.metric_prefix(), &cost);
         QueryResult {
             hits,
             cost: q.want_cost.then_some(cost),
         }
     }
 
-    /// Executes a batch of queries in **one** index traversal, returning
-    /// one result per query in order.
-    ///
-    /// Each query's hits and cost are byte-identical to
-    /// [`VideoDatabase::query`] run alone (`tests/batch_equivalence.rs`);
-    /// the batch only amortizes the physical descent, reported per query in
-    /// `QueryCost::batch_shared_accesses`. Clip-scoped queries batch with a
-    /// root filter (an unknown clip still yields empty hits);
-    /// background-matched queries fall back to the single-query path, which
-    /// their extraction pipeline dominates anyway.
-    pub fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        if queries.len() <= 1 {
-            return queries.iter().map(|q| self.query(q.clone())).collect();
-        }
-        enum Plan {
-            /// Position in the batch items.
-            Batch(u32),
-            /// Unknown clip: empty hits, default cost.
-            Miss,
-            /// Background-matched: full single-query path.
-            Single,
-        }
-        let start = std::time::Instant::now();
-        let mut plans = Vec::with_capacity(queries.len());
-        let mut items: Vec<BatchItem<'_, Point2>> = Vec::with_capacity(queries.len());
-        {
-            // Resolve every scope up front (lock order: clips before index);
-            // the explicit clip wins over background matching, as in
-            // `query`.
-            let clips = self.clips.read();
-            for q in queries {
-                if q.background.is_some() && q.clip.is_none() {
-                    plans.push(Plan::Single);
-                    continue;
-                }
-                let root_filter = match &q.clip {
-                    Some(name) => match clips.iter().find(|c| c.name == *name) {
-                        Some(c) => Some(c.root_id),
-                        None => {
-                            plans.push(Plan::Miss);
-                            continue;
-                        }
-                    },
-                    None => None,
-                };
-                plans.push(Plan::Batch(items.len() as u32));
-                items.push(BatchItem {
-                    kind: match q.kind {
-                        QueryKind::Knn(k) => BatchKind::Knn(k),
-                        QueryKind::Range(r) => BatchKind::Range(r),
-                    },
-                    query: q.trajectory,
-                    root_filter,
-                });
-            }
-        }
-        let mut batched: Vec<(Vec<Hit>, QueryCost)> = Vec::with_capacity(items.len());
-        if !items.is_empty() {
-            let index = self.index.read();
-            with_batch_scratch(|scratch| {
-                index.query_batch_with_cost_into(&items, scratch);
-                for i in 0..items.len() {
-                    batched.push((scratch.hits(i).to_vec(), scratch.cost(i)));
-                }
-            });
-        }
-        let elapsed = start.elapsed();
-        queries
-            .iter()
-            .zip(plans)
-            .map(|(q, plan)| {
-                let prefix = match q.kind {
-                    QueryKind::Knn(_) => "query.knn",
-                    QueryKind::Range(_) => "query.range",
-                };
-                match plan {
-                    Plan::Single => self.query(q.clone()),
-                    Plan::Miss => {
-                        let cost = QueryCost {
-                            elapsed,
-                            ..QueryCost::default()
-                        };
-                        self.recorder.record_cost(prefix, &cost);
-                        QueryResult {
-                            hits: Vec::new(),
-                            cost: q.want_cost.then_some(cost),
-                        }
-                    }
-                    Plan::Batch(i) => {
-                        let (hits, mut cost) = std::mem::take(&mut batched[i as usize]);
-                        let hits = self.resolve(hits);
-                        cost.elapsed = elapsed;
-                        self.recorder.record_cost(prefix, &cost);
-                        QueryResult {
-                            hits,
-                            cost: q.want_cost.then_some(cost),
-                        }
-                    }
-                }
-            })
-            .collect()
-    }
-
     pub(crate) fn resolve(&self, hits: Vec<Hit>) -> Vec<QueryHit> {
         let ogs = self.ogs.read();
         let clips = self.clips.read();
-        hits.into_iter()
-            .filter_map(|h| {
-                // OG ids are assigned monotonically, so the store is sorted
-                // by id even after clip removals.
-                let idx = ogs.binary_search_by_key(&h.og_id, |s| s.id).ok()?;
-                let og = &ogs[idx];
-                Some(QueryHit {
-                    clip: clips[og.clip].name.clone(),
-                    og_id: h.og_id,
-                    dist: h.dist,
-                })
-            })
+        hits.iter()
+            .filter_map(|h| resolve_hit(&ogs, &clips, h))
             .collect()
     }
 
@@ -504,15 +387,25 @@ impl VideoDatabase {
     }
 }
 
+/// One hit's clip provenance, looked up in a shard's stores; `None` if the
+/// OG was removed since the search.
+pub(crate) fn resolve_hit(ogs: &[StoredOg], clips: &[ClipMeta], h: &Hit) -> Option<QueryHit> {
+    // OG ids are assigned monotonically, so the store is sorted by id even
+    // after clip removals.
+    let idx = ogs.binary_search_by_key(&h.og_id, |s| s.id).ok()?;
+    Some(QueryHit {
+        clip: clips[ogs[idx].clip].name.clone(),
+        og_id: h.og_id,
+        dist: h.dist,
+    })
+}
+
 impl Database for VideoDatabase {
     fn ingest_frames(&self, name: &str, frames: &[Frame]) -> IngestReport {
         VideoDatabase::ingest_frames(self, name, frames)
     }
     fn query(&self, q: Query<'_>) -> QueryResult {
         VideoDatabase::query(self, q)
-    }
-    fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        VideoDatabase::query_batch(self, queries)
     }
     fn stats(&self) -> DbStats {
         VideoDatabase::stats(self)

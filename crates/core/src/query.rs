@@ -28,13 +28,23 @@ use strg_video::Frame;
 
 use crate::pipeline::QueryHit;
 
-/// What the query asks for: the `k` nearest, or everything within a radius.
+/// What a search asks for: the `k` nearest, or everything within a radius.
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub(crate) enum QueryKind {
+pub enum QueryKind {
     /// k-nearest-neighbor search.
     Knn(usize),
     /// Range search with a fixed radius.
     Range(f64),
+}
+
+impl QueryKind {
+    /// The metric prefix this kind's [`QueryCost`] is recorded under.
+    pub(crate) fn metric_prefix(self) -> &'static str {
+        match self {
+            QueryKind::Knn(_) => "query.knn",
+            QueryKind::Range(_) => "query.range",
+        }
+    }
 }
 
 /// A database query, built fluently and executed by
@@ -98,66 +108,16 @@ impl<'a> Query<'a> {
         self.want_cost = true;
         self
     }
-}
 
-/// A batch of queries executed in **one** index traversal by
-/// [`crate::options::Database::query_batch`].
-///
-/// ```
-/// use strg_core::{DbOptions, Database, Query, QueryBatch, VideoDatabase};
-/// use strg_graph::Point2;
-///
-/// let db = VideoDatabase::new(DbOptions::new());
-/// let t = [Point2::new(1.0, 2.0), Point2::new(3.0, 4.0)];
-/// let batch = QueryBatch::new()
-///     .query(Query::knn(5).trajectory(&t).with_cost())
-///     .query(Query::range(10.0).trajectory(&t).with_cost());
-/// let results = db.query_batch(batch.queries());
-/// assert_eq!(results.len(), 2);
-/// ```
-///
-/// Each query's hits and cost are byte-identical to executing it alone;
-/// batching only amortizes the physical tree descent (reported per query in
-/// `QueryCost::batch_shared_accesses`).
-#[derive(Clone, Debug, Default)]
-pub struct QueryBatch<'a> {
-    queries: Vec<Query<'a>>,
-}
-
-impl<'a> QueryBatch<'a> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one query (builder style).
-    pub fn query(mut self, q: Query<'a>) -> Self {
-        self.queries.push(q);
-        self
-    }
-
-    /// The accumulated queries, in push order — pass to
-    /// [`crate::options::Database::query_batch`].
-    pub fn queries(&self) -> &[Query<'a>] {
-        &self.queries
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Whether the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-}
-
-impl<'a> FromIterator<Query<'a>> for QueryBatch<'a> {
-    fn from_iter<T: IntoIterator<Item = Query<'a>>>(iter: T) -> Self {
-        Self {
-            queries: iter.into_iter().collect(),
-        }
+    /// Whether `other` is the same search — kind, trajectory content and
+    /// clip scope — so one answer serves both. Background-matched queries
+    /// never compare equal: their scope is only known after extraction.
+    pub(crate) fn same_search(&self, other: &Query<'_>) -> bool {
+        self.background.is_none()
+            && other.background.is_none()
+            && self.kind == other.kind
+            && self.clip == other.clip
+            && self.trajectory == other.trajectory
     }
 }
 

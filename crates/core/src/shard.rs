@@ -35,13 +35,12 @@
 //! replay skips is intentionally uncharged, exactly like the speculative
 //! cluster evaluations inside a single tree.
 //!
-//! Every entry point — k-NN, range, and the batched fan-out — runs the
-//! one private replay (`Replay::run`), differing only in where an opened
-//! shard's hits come from: a lazy `*_into` search (sequential), the
-//! speculative prefetch (parallel), or a per-shard `BatchScratch` slot
-//! (batched). `tests/shard_equivalence.rs` pins the merged hits to a
-//! linear scan on queries that provably prune whole shards, so an
-//! inadmissible envelope surfaces as a hit-list difference.
+//! k-NN and range share one entry point ([`sharded_query_into`]) and one
+//! private replay (`Replay::run`), which differs only in where an opened
+//! shard's hits come from: a lazy `*_into` search (sequential) or the
+//! speculative prefetch (parallel). `tests/shard_equivalence.rs` pins the
+//! merged hits to a linear scan on queries that provably prune whole
+//! shards, so an inadmissible envelope surfaces as a hit-list difference.
 
 use std::cell::RefCell;
 use std::fs;
@@ -57,12 +56,10 @@ use strg_obs::{QueryCost, Recorder};
 use strg_parallel::{par_map, Threads};
 use strg_video::{frames_to_rags, Frame};
 
-use crate::index::{
-    reserve_counted, BatchItem, BatchKind, BatchScratch, Hit, QueryScratch, StrgIndex,
-};
+use crate::index::{reserve_counted, Hit, QueryScratch, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::{PersistInfo, ReopenMode};
-use crate::pipeline::{DbStats, IngestReport, QueryHit, VideoDatabase};
+use crate::pipeline::{resolve_hit, DbStats, IngestReport, QueryHit, VideoDatabase};
 use crate::query::{Query, QueryKind, QueryResult};
 
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
@@ -129,17 +126,17 @@ fn merge_hits(best: &mut Vec<(usize, Hit)>, shard: usize, hits: &[Hit], k: usize
 fn search_into<'t>(
     idx: &Idx,
     query: &[Point2],
-    kind: BatchKind,
+    kind: QueryKind,
     tree: &'t mut QueryScratch,
 ) -> (&'t [Hit], QueryCost) {
     match kind {
-        BatchKind::Knn(k) => idx.knn_with_cost_into(query, k, tree),
-        BatchKind::Range(radius) => idx.range_with_cost_into(query, radius, tree),
+        QueryKind::Knn(k) => idx.knn_with_cost_into(query, k, tree),
+        QueryKind::Range(radius) => idx.range_with_cost_into(query, radius, tree),
     }
 }
 
-/// The buffers of one fan-out replay — visit plan, merged result list and
-/// its sort permutation — shared by the single-query and batched arenas.
+/// The buffers of one fan-out replay: visit plan, merged result list and
+/// its sort permutation.
 #[derive(Default)]
 struct Replay {
     plans: Vec<ShardPlan>,
@@ -174,7 +171,7 @@ impl Replay {
         &mut self,
         idxs: &[&Idx],
         query: &[Point2],
-        kind: BatchKind,
+        kind: QueryKind,
         outcomes: &mut Vec<ShardOutcome>,
         mut fetch: impl FnMut(usize, &mut dyn FnMut(&[Hit])) -> QueryCost,
     ) -> QueryCost {
@@ -204,8 +201,8 @@ impl Replay {
         let total_len: usize = idxs.iter().map(|i| i.len()).sum();
         merged.clear();
         let room = match kind {
-            BatchKind::Knn(k) => k.min(total_len) + 1,
-            BatchKind::Range(_) => total_len,
+            QueryKind::Knn(k) => k.min(total_len) + 1,
+            QueryKind::Range(_) => total_len,
         };
         reserve_counted(merged, room, grows);
         let base = outcomes.len();
@@ -221,9 +218,9 @@ impl Replay {
         let mut total = QueryCost::default();
         for p in plans.iter() {
             let cutoff = match kind {
-                BatchKind::Knn(k) if k > 0 && merged.len() >= k => merged[k - 1].1.dist,
-                BatchKind::Knn(_) => f64::INFINITY,
-                BatchKind::Range(radius) => radius,
+                QueryKind::Knn(k) if k > 0 && merged.len() >= k => merged[k - 1].1.dist,
+                QueryKind::Knn(_) => f64::INFINITY,
+                QueryKind::Range(radius) => radius,
             };
             // A single shard is always opened: the fan-out adds nothing and
             // `shards(1)` stays bit-identical to the plain single tree.
@@ -232,8 +229,8 @@ impl Replay {
             let opened = p.bound <= cutoff || idxs.len() == 1;
             let cost = if opened {
                 fetch(p.shard, &mut |hits| match kind {
-                    BatchKind::Knn(k) => merge_hits(merged, p.shard, hits, k),
-                    BatchKind::Range(_) => merged.extend(hits.iter().map(|&h| (p.shard, h))),
+                    QueryKind::Knn(k) => merge_hits(merged, p.shard, hits, k),
+                    QueryKind::Range(_) => merged.extend(hits.iter().map(|&h| (p.shard, h))),
                 })
             } else {
                 prune_charge(idxs[p.shard])
@@ -245,7 +242,7 @@ impl Replay {
                 cost,
             };
         }
-        if let BatchKind::Range(_) = kind {
+        if let QueryKind::Range(_) = kind {
             // The single tree's contract is "stable by shard id, then
             // stable by distance". Entries were appended in bound order,
             // but any two entries of the same shard were appended
@@ -327,15 +324,37 @@ pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ShardScratch) -> R) -> R {
     })
 }
 
-/// One query's fan-out into `scratch`. Sequentially each opened shard is
-/// searched lazily, straight into the arena's tree scratch — skipped shards
-/// cost nothing and a warmed-up arena allocates nothing. With more than one
-/// worker every shard is searched speculatively in parallel (allocating)
-/// and the replay consumes the precomputed results.
-fn fan_out_into(
+/// Bound-ordered fan-out of one k-NN or range query over independent shard
+/// indexes (the protocol in the module docs). Public for experiments and
+/// benchmarks; [`ShardedDatabase::query`] is the production entry point.
+///
+/// Returns the merged hits (shard-tagged, ascending by distance: the best
+/// `k`, or everything within the radius), the total logical cost, and the
+/// per-shard outcomes in shard-id order.
+pub fn sharded_query(
     idxs: &[&Idx],
     query: &[Point2],
-    kind: BatchKind,
+    kind: QueryKind,
+    threads: Threads,
+) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
+    with_shard_scratch(|scratch| {
+        let cost = sharded_query_into(idxs, query, kind, threads, scratch);
+        (scratch.hits().to_vec(), cost, scratch.outcomes().to_vec())
+    })
+}
+
+/// [`sharded_query`] into a caller-owned arena: the merged hits land in
+/// [`ShardScratch::hits`], the per-shard outcomes in
+/// [`ShardScratch::outcomes`]; returns the total logical cost.
+/// Sequentially each opened shard is searched lazily, straight into the
+/// arena's tree scratch — skipped shards cost nothing and a warmed-up arena
+/// allocates nothing. With more than one worker every shard is searched
+/// speculatively in parallel (allocating) and the replay consumes the
+/// precomputed results.
+pub fn sharded_query_into(
+    idxs: &[&Idx],
+    query: &[Point2],
+    kind: QueryKind,
     threads: Threads,
     scratch: &mut ShardScratch,
 ) -> QueryCost {
@@ -362,234 +381,6 @@ fn fan_out_into(
             sink(hits);
             cost
         })
-    }
-}
-
-/// Bound-ordered k-NN fan-out over independent shard indexes (the
-/// protocol in the module docs). Public for experiments and benchmarks;
-/// [`ShardedDatabase::query`] is the production entry point.
-///
-/// Returns the merged best-k (shard-tagged, ascending by distance), the
-/// total logical cost, and the per-shard outcomes in shard-id order.
-pub fn sharded_knn(
-    idxs: &[&StrgIndex<Point2, EgedMetric<Point2>>],
-    query: &[Point2],
-    k: usize,
-    threads: Threads,
-) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
-    with_shard_scratch(|scratch| {
-        let cost = sharded_knn_into(idxs, query, k, threads, scratch);
-        (scratch.hits().to_vec(), cost, scratch.outcomes().to_vec())
-    })
-}
-
-/// [`sharded_knn`] into a caller-owned arena: the merged best-k lands in
-/// [`ShardScratch::hits`], the per-shard outcomes in
-/// [`ShardScratch::outcomes`]; returns the total logical cost. Sequential
-/// fan-outs run each opened shard through its `*_into` search, so a
-/// warmed-up arena performs zero heap allocations.
-pub fn sharded_knn_into(
-    idxs: &[&StrgIndex<Point2, EgedMetric<Point2>>],
-    query: &[Point2],
-    k: usize,
-    threads: Threads,
-    scratch: &mut ShardScratch,
-) -> QueryCost {
-    fan_out_into(idxs, query, BatchKind::Knn(k), threads, scratch)
-}
-
-/// Range fan-out: the radius is a static cutoff, so the decisions are
-/// order-independent — a shard is opened iff its bound is within the
-/// radius. Hits concatenate in shard order and stable-sort by distance,
-/// matching the single tree's final sort.
-pub fn sharded_range(
-    idxs: &[&StrgIndex<Point2, EgedMetric<Point2>>],
-    query: &[Point2],
-    radius: f64,
-    threads: Threads,
-) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
-    with_shard_scratch(|scratch| {
-        let cost = sharded_range_into(idxs, query, radius, threads, scratch);
-        (scratch.hits().to_vec(), cost, scratch.outcomes().to_vec())
-    })
-}
-
-/// [`sharded_range`] into a caller-owned arena (see [`sharded_knn_into`]).
-pub fn sharded_range_into(
-    idxs: &[&StrgIndex<Point2, EgedMetric<Point2>>],
-    query: &[Point2],
-    radius: f64,
-    threads: Threads,
-    scratch: &mut ShardScratch,
-) -> QueryCost {
-    fan_out_into(idxs, query, BatchKind::Range(radius), threads, scratch)
-}
-
-/// Reusable arena for [`sharded_query_batch_into`]: one per-tree
-/// [`BatchScratch`] per shard (holding that shard's batched prefetch) plus
-/// the shard-level replay buffers and the per-item results (final hit
-/// store, spans, costs, outcomes). A warmed-up arena makes a sequential
-/// batched fan-out allocation-free end to end (`tests/query_alloc.rs`).
-#[derive(Default)]
-pub struct ShardBatchScratch {
-    shards: Vec<BatchScratch<Point2>>,
-    replay: Replay,
-    /// Every item's final merged hits, concatenated in item order.
-    hits: Vec<(usize, Hit)>,
-    /// Per-item `(start, len)` into [`ShardBatchScratch::hits`].
-    spans: Vec<(u32, u32)>,
-    costs: Vec<QueryCost>,
-    /// Per-item outcomes, concatenated: `shard_count` entries per item in
-    /// shard-id order.
-    outcomes: Vec<ShardOutcome>,
-    shard_count: usize,
-    grows: u64,
-}
-
-impl ShardBatchScratch {
-    /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    const fn empty() -> Self {
-        Self {
-            shards: Vec::new(),
-            replay: Replay::empty(),
-            hits: Vec::new(),
-            spans: Vec::new(),
-            costs: Vec::new(),
-            outcomes: Vec::new(),
-            shard_count: 0,
-            grows: 0,
-        }
-    }
-
-    /// Number of items in the last batched fan-out.
-    pub fn len(&self) -> usize {
-        self.costs.len()
-    }
-
-    /// Whether the last batched fan-out held no items.
-    pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
-    }
-
-    /// Item `i`'s merged hits (shard-tagged, ascending by distance) —
-    /// byte-identical to the hits of [`sharded_knn_into`] /
-    /// [`sharded_range_into`] run alone.
-    pub fn hits(&self, i: usize) -> &[(usize, Hit)] {
-        let (start, len) = self.spans[i];
-        &self.hits[start as usize..(start + len) as usize]
-    }
-
-    /// Item `i`'s total logical cost across the fan-out.
-    pub fn cost(&self, i: usize) -> QueryCost {
-        self.costs[i]
-    }
-
-    /// Item `i`'s per-shard outcomes, in shard-id order.
-    pub fn outcomes(&self, i: usize) -> &[ShardOutcome] {
-        let s = i * self.shard_count;
-        &self.outcomes[s..s + self.shard_count]
-    }
-
-    /// Number of buffer growth events since construction — stops moving
-    /// once the arena reaches its high-water mark.
-    pub fn grow_events(&self) -> u64 {
-        self.grows + self.replay.grows + self.shards.iter().map(|s| s.grow_events()).sum::<u64>()
-    }
-}
-
-thread_local! {
-    static SHARD_BATCH_SCRATCH: RefCell<ShardBatchScratch> =
-        const { RefCell::new(ShardBatchScratch::empty()) };
-}
-
-/// Runs `f` with this thread's batched fan-out arena; reentrant calls fall
-/// back to a fresh local arena.
-pub fn with_shard_batch_scratch<R>(f: impl FnOnce(&mut ShardBatchScratch) -> R) -> R {
-    SHARD_BATCH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut ShardBatchScratch::empty()),
-    })
-}
-
-/// Batched fan-out: every shard runs **one** batched descent over the
-/// whole item list ([`StrgIndex::query_batch_with_cost_into`]), then the
-/// same open/skip replay as [`sharded_knn_into`] / [`sharded_range_into`]
-/// runs per item over the prefetched per-shard results. Each item's hits
-/// and cost are byte-identical to its own single-query fan-out
-/// (`batch_shared_accesses` excepted — that field reports the physical
-/// sharing and is exempt from the identity contract).
-///
-/// Items are global searches; a `root_filter` is honored inside each shard
-/// but the envelope bounds ignore it, so production callers route
-/// clip-scoped queries to the owning shard instead. Skipped shards charge
-/// [`prune_charge`] exactly as in the single-query replay — their
-/// speculative batch work is intentionally uncharged. With more than one
-/// worker the per-shard prefetches run in parallel; the replay is a pure
-/// function of thread-invariant inputs either way.
-pub fn sharded_query_batch_into(
-    idxs: &[&Idx],
-    items: &[BatchItem<'_, Point2>],
-    threads: Threads,
-    scratch: &mut ShardBatchScratch,
-) {
-    let n = items.len();
-    scratch.shard_count = idxs.len();
-    if scratch.shards.len() < idxs.len() {
-        scratch.grows += 1;
-        scratch.shards.resize_with(idxs.len(), BatchScratch::new);
-    }
-    // Phase 1: one batched descent per shard. The parallel path trades the
-    // warm arenas for fresh per-call scratches (like the single-query
-    // speculative prefetch, it allocates); the sequential path reuses the
-    // arena and stays allocation-free.
-    let threads = Threads::Fixed(threads.resolve());
-    if !threads.is_sequential() {
-        let fresh = par_map(idxs, threads, |idx| {
-            let mut bs = BatchScratch::new();
-            idx.query_batch_with_cost_into(items, &mut bs);
-            bs
-        });
-        for (slot, bs) in scratch.shards.iter_mut().zip(fresh) {
-            *slot = bs;
-        }
-    } else {
-        for (s, idx) in idxs.iter().enumerate() {
-            idx.query_batch_with_cost_into(items, &mut scratch.shards[s]);
-        }
-    }
-
-    // Phase 2: replay the fan-out decisions per item.
-    let ShardBatchScratch {
-        shards,
-        replay,
-        hits,
-        spans,
-        costs,
-        outcomes,
-        grows,
-        ..
-    } = scratch;
-    hits.clear();
-    spans.clear();
-    reserve_counted(spans, n, grows);
-    costs.clear();
-    reserve_counted(costs, n, grows);
-    outcomes.clear();
-    reserve_counted(outcomes, n * idxs.len(), grows);
-    for (i, it) in items.iter().enumerate() {
-        let total = replay.run(idxs, it.query, it.kind, outcomes, |s, sink| {
-            sink(shards[s].hits(i));
-            shards[s].cost(i)
-        });
-        let start = hits.len();
-        reserve_counted(hits, start + replay.merged.len(), grows);
-        hits.extend_from_slice(&replay.merged);
-        spans.push((start as u32, replay.merged.len() as u32));
-        costs.push(total);
     }
 }
 
@@ -764,10 +555,7 @@ impl ShardedDatabase {
         let threads = self.opts.index.threads;
 
         let (tagged, mut cost, outcomes) = match &bg {
-            None => match q.kind {
-                QueryKind::Knn(k) => sharded_knn(&idxs, q.trajectory, k, threads),
-                QueryKind::Range(radius) => sharded_range(&idxs, q.trajectory, radius, threads),
-            },
+            None => sharded_query(&idxs, q.trajectory, q.kind, threads),
             Some(bg) => {
                 // Algorithm 3's background match over every shard's
                 // roots, in global ingest order so similarity ties pick
@@ -802,12 +590,8 @@ impl ShardedDatabase {
                         (tagged, total, Vec::new())
                     }
                     _ => {
-                        let (tagged, inner, outcomes) = match q.kind {
-                            QueryKind::Knn(k) => sharded_knn(&idxs, q.trajectory, k, threads),
-                            QueryKind::Range(radius) => {
-                                sharded_range(&idxs, q.trajectory, radius, threads)
-                            }
-                        };
+                        let (tagged, inner, outcomes) =
+                            sharded_query(&idxs, q.trajectory, q.kind, threads);
                         total.merge(&inner);
                         (tagged, total, outcomes)
                     }
@@ -816,7 +600,7 @@ impl ShardedDatabase {
         };
         drop(guards);
 
-        let hits = self.resolve_tagged(tagged);
+        let hits = self.resolve_tagged(&tagged);
         cost.elapsed = start.elapsed();
         self.record_fan_out(q.kind, &cost, &outcomes);
         QueryResult {
@@ -825,131 +609,10 @@ impl ShardedDatabase {
         }
     }
 
-    /// Executes a batch of queries, returning one result per query in
-    /// order.
-    ///
-    /// Global queries share one batched fan-out
-    /// ([`sharded_query_batch_into`]): every shard is descended **once**
-    /// for the whole group. Clip-scoped queries group by owning shard and
-    /// delegate to that shard's [`VideoDatabase::query_batch`] (one
-    /// descent per shard per group); background-matched queries fall back
-    /// to the single-query path. Each query's hits and cost are
-    /// byte-identical to [`ShardedDatabase::query`] run alone, and the
-    /// same `query.*` / `shard.*` metrics are recorded.
-    pub fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        if queries.len() <= 1 {
-            return queries.iter().map(|q| self.query(q.clone())).collect();
-        }
-        /// One global query's share of the fan-out, copied out of the
-        /// scratch before the shard guards drop.
-        type Harvest = (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>);
-        enum Plan {
-            /// Clip-scoped: delegate to this shard's grouped batch.
-            Clip(usize),
-            /// Global: next item in the batched fan-out, in plan order.
-            Global,
-            /// Background-matched: full single-query path.
-            Single,
-        }
-        let start = std::time::Instant::now();
-        let mut plans = Vec::with_capacity(queries.len());
-        let mut items: Vec<BatchItem<'_, Point2>> = Vec::with_capacity(queries.len());
-        for q in queries {
-            if let Some(name) = &q.clip {
-                // The explicit clip wins over background matching, as in
-                // `query`.
-                plans.push(Plan::Clip(route(name, self.shards.len())));
-            } else if q.background.is_some() {
-                plans.push(Plan::Single);
-            } else {
-                plans.push(Plan::Global);
-                items.push(BatchItem {
-                    kind: match q.kind {
-                        QueryKind::Knn(k) => BatchKind::Knn(k),
-                        QueryKind::Range(r) => BatchKind::Range(r),
-                    },
-                    query: q.trajectory,
-                    root_filter: None,
-                });
-            }
-        }
-        let mut slots: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-
-        // Clip-scoped groups, one batched delegation per owning shard.
-        let mut groups: Vec<Vec<Query<'_>>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut group_pos: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (pos, (q, plan)) in queries.iter().zip(&plans).enumerate() {
-            if let Plan::Clip(s) = plan {
-                groups[*s].push(q.clone());
-                group_pos[*s].push(pos);
-            }
-        }
-        for (s, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let results = self.shards[s].query_batch(&group);
-            for (pos, r) in group_pos[s].iter().zip(results) {
-                slots[*pos] = Some(r);
-            }
-        }
-
-        // Globals share one batched fan-out.
-        if !items.is_empty() {
-            let guards: Vec<_> = self.shards.iter().map(|s| s.index.read()).collect();
-            let idxs: Vec<&Idx> = guards.iter().map(|g| &**g).collect();
-            let threads = self.opts.index.threads;
-            let harvested: Vec<Harvest> = with_shard_batch_scratch(|scratch| {
-                sharded_query_batch_into(&idxs, &items, threads, scratch);
-                (0..items.len())
-                    .map(|i| {
-                        (
-                            scratch.hits(i).to_vec(),
-                            scratch.cost(i),
-                            scratch.outcomes(i).to_vec(),
-                        )
-                    })
-                    .collect()
-            });
-            drop(guards);
-            let elapsed = start.elapsed();
-            let mut harvested = harvested.into_iter();
-            for (pos, plan) in plans.iter().enumerate() {
-                if !matches!(plan, Plan::Global) {
-                    continue;
-                }
-                let (tagged, mut cost, outcomes) =
-                    harvested.next().expect("one harvest per global item");
-                let hits = self.resolve_tagged(tagged);
-                cost.elapsed = elapsed;
-                self.record_fan_out(queries[pos].kind, &cost, &outcomes);
-                slots[pos] = Some(QueryResult {
-                    hits,
-                    cost: queries[pos].want_cost.then_some(cost),
-                });
-            }
-        }
-
-        // Background-matched stragglers run the full single-query path.
-        for (pos, plan) in plans.iter().enumerate() {
-            if matches!(plan, Plan::Single) {
-                slots[pos] = Some(self.query(queries[pos].clone()));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every query planned"))
-            .collect()
-    }
-
     /// Records one global query's `query.*` cost and per-shard
     /// `shard.*` open/skip rows.
     fn record_fan_out(&self, kind: QueryKind, cost: &QueryCost, outcomes: &[ShardOutcome]) {
-        let prefix = match kind {
-            QueryKind::Knn(_) => "query.knn",
-            QueryKind::Range(_) => "query.range",
-        };
-        self.recorder.record_cost(prefix, cost);
+        self.recorder.record_cost(kind.metric_prefix(), cost);
         for (s, o) in outcomes.iter().enumerate() {
             if o.opened {
                 self.recorder.add("shard.opened", 1);
@@ -962,11 +625,25 @@ impl ShardedDatabase {
         }
     }
 
-    fn resolve_tagged(&self, tagged: Vec<(usize, Hit)>) -> Vec<QueryHit> {
-        tagged
-            .into_iter()
-            .filter_map(|(s, h)| self.shards[s].resolve(vec![h]).pop())
-            .collect()
+    /// Resolves shard-tagged hits to clip provenance in their merged order,
+    /// taking each contributing shard's store guards once (lock order
+    /// `ogs → clips`). Shards with no hit in the answer are not locked, so
+    /// an ingest there cannot stall this query.
+    fn resolve_tagged(&self, tagged: &[(usize, Hit)]) -> Vec<QueryHit> {
+        let mut resolved: Vec<Option<QueryHit>> = vec![None; tagged.len()];
+        for (s, shard) in self.shards.iter().enumerate() {
+            if tagged.iter().all(|(t, _)| *t != s) {
+                continue;
+            }
+            let ogs = shard.ogs.read();
+            let clips = shard.clips.read();
+            for ((t, h), slot) in tagged.iter().zip(&mut resolved) {
+                if *t == s {
+                    *slot = resolve_hit(&ogs, &clips, h);
+                }
+            }
+        }
+        resolved.into_iter().flatten().collect()
     }
 
     /// Serializes the database to the directory `dir`: one `MANIFEST`
@@ -1050,9 +727,6 @@ impl Database for ShardedDatabase {
     }
     fn query(&self, q: Query<'_>) -> QueryResult {
         ShardedDatabase::query(self, q)
-    }
-    fn query_batch(&self, queries: &[Query<'_>]) -> Vec<QueryResult> {
-        ShardedDatabase::query_batch(self, queries)
     }
     fn stats(&self) -> DbStats {
         ShardedDatabase::stats(self)

@@ -11,7 +11,7 @@
 //! * [`mcs`] — most-common-subgraph and `SimGraph` (Definition 6, Eq. 1),
 //! * [`small::SmallGraph::neighborhood`] — neighborhood graphs (Definition 7),
 //! * [`tracking`] — graph-based tracking (Algorithm 1),
-//! * [`decompose`] — ORG/OG/BG decomposition (§2.3, Theorem 1),
+//! * [`mod@decompose`] — ORG/OG/BG decomposition (§2.3, Theorem 1),
 //! * [`og`] — the Object Graph / Background Graph value types.
 //!
 //! ```

@@ -1,7 +1,7 @@
 //! Most-common-subgraph computation (Definition 6) and the `SimGraph`
 //! similarity of Equation (1).
 //!
-//! Following Levi [16], the most common subgraph of two attributed graphs is
+//! Following Levi \[16\], the most common subgraph of two attributed graphs is
 //! found as a maximum clique of their *association graph*: the graph whose
 //! vertices are compatible node pairs `(i, j)` and whose edges connect pairs
 //! that can coexist in one common subgraph. The clique search is

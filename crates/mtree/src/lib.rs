@@ -1,12 +1,12 @@
 //! # strg-mtree
 //!
-//! An M-tree (Ciaccia, Patella & Zezula [5]): the metric access method the
+//! An M-tree (Ciaccia, Patella & Zezula \[5\]): the metric access method the
 //! STRG-Index is compared against in Figure 7 of the paper.
 //!
 //! The tree indexes sequences under any [`MetricDistance`], maintains
 //! covering radii and parent distances for triangle-inequality pruning, and
 //! supports the two promotion policies the paper benchmarks:
-//! [`PromotePolicy::Random`] (MT-RA, the fastest of [5]'s policies) and
+//! [`PromotePolicy::Random`] (MT-RA, the fastest of \[5\]'s policies) and
 //! [`PromotePolicy::Sampling`] (MT-SA, the most accurate). Combine with
 //! [`strg_distance::CountingDistance`] to reproduce the paper's
 //! distance-computation cost model.

@@ -39,15 +39,14 @@ pub struct QueryCost {
     /// clusters` still partitions the candidate set database-wide. Always
     /// zero for a single-tree database.
     pub shards_pruned: u64,
-    /// Node accesses (already charged in `node_accesses`) whose *physical*
-    /// fetch this query shared with another query of the same batch — the
-    /// amortization a batched descent buys. This is sharing telemetry, not
-    /// algorithmic work: the logical fields above stay byte-identical to
-    /// the query's sequential replay whatever the batch composition, so
-    /// `batch_shared_accesses` is exempt from [`QueryCost::same_work`]
-    /// exactly like `elapsed`. Always `<= node_accesses` (the extended
-    /// conservation invariant), and always zero outside a batched
-    /// execution.
+    /// Node accesses (already charged in `node_accesses`) this query did
+    /// not physically perform because an identical earlier member of the
+    /// same batch was answered once for both: `node_accesses` for such a
+    /// duplicate, zero for a member that ran and for any query outside a
+    /// batch. This is sharing telemetry, not algorithmic work: the logical
+    /// fields above stay byte-identical to the query run alone whatever
+    /// the batch composition, so `batch_shared_accesses` is exempt from
+    /// [`QueryCost::same_work`] exactly like `elapsed`.
     pub batch_shared_accesses: u64,
     /// Wall-clock duration of the query.
     pub elapsed: Duration,

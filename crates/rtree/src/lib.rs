@@ -1,6 +1,6 @@
 //! # strg-rtree
 //!
-//! A **3DR-tree** (Theodoridis, Vazirgiannis & Sellis [26]): an R-tree that
+//! A **3DR-tree** (Theodoridis, Vazirgiannis & Sellis \[26\]): an R-tree that
 //! treats time as a third dimension, indexing trajectory samples as
 //! `(x, y, t)` boxes. This is the prior spatio-temporal access method the
 //! STRG-Index paper argues against: it answers *window* queries ("which

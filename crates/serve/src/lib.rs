@@ -32,10 +32,10 @@
 //!
 //! ## Methods
 //!
-//! `ingest`, `query` (k-NN or range), `query_batch` (many queries, one
-//! index traversal — each element answered byte-identically to `query`
-//! run alone), `stats`, `metrics`, `ping` (optionally `{"delay_ms":N}` —
-//! a latency/queue probe), `shutdown`.
+//! `ingest`, `query` (k-NN or range), `query_batch` (many queries in one
+//! request, identical ones answered once — each element byte-identical to
+//! `query` run alone), `stats`, `metrics`, `ping` (optionally
+//! `{"delay_ms":N}` — a latency/queue probe), `shutdown`.
 //!
 //! ## Coalescing
 //!
@@ -43,10 +43,11 @@
 //! requests arriving within the window are grouped and executed through
 //! one [`Database::query_batch`] call: the first arrival schedules a
 //! flush job that sleeps the window, drains everything pending, and
-//! answers each request individually. Responses stay byte-identical to
+//! answers each request individually — what the window buys is that
+//! identical queries in it run once. Responses stay byte-identical to
 //! the unbatched path except the `batch_shared_accesses` cost field
-//! (physical-sharing telemetry, normalized by
-//! [`wire::zero_batch_shared`]). Batch sizes land in the
+//! (`node_accesses` for a query answered from an identical neighbor's
+//! result, 0 otherwise; normalized by [`wire::zero_batch_shared`]). Batch sizes land in the
 //! `serve.batch.width` histogram, pending depths in `serve.batch.depth`.
 
 #![warn(missing_docs)]

@@ -254,7 +254,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Clone, Debug)]
         pub struct VecStrategy<S> {
             element: S,

@@ -2,8 +2,8 @@
 //!
 //! Trajectories are drawn around the 48 moving patterns: uniform-speed
 //! sampling along the pattern polyline with per-instance time-length
-//! jitter, Gaussian position noise (`sigma = 5`, Pelleg-style [24]) and a
-//! configurable fraction of outlier points (Vlachos-style [28], 5%–30% in
+//! jitter, Gaussian position noise (`sigma = 5`, Pelleg-style \[24\]) and a
+//! configurable fraction of outlier points (Vlachos-style \[28\], 5%–30% in
 //! the paper's six data sets).
 
 use rand::rngs::StdRng;

@@ -34,7 +34,7 @@ pub fn gaussian_jitter<R: Rng + ?Sized>(rng: &mut R, points: &mut [Point2], sigm
 
 /// Replaces a `frac` fraction of the points with uniform outliers within
 /// `amp` pixels of their true position (the Vlachos data set's noise
-/// model [28]).
+/// model \[28\]).
 pub fn outlier_noise<R: Rng + ?Sized>(rng: &mut R, points: &mut [Point2], frac: f64, amp: f64) {
     for p in points {
         if rng.gen::<f64>() < frac {

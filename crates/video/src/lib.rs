@@ -7,7 +7,7 @@
 //! * [`scene`] — scripted backgrounds + multi-part moving sprites with
 //!   illumination/pixel/frame-drop noise,
 //! * [`scenario`] — the Lab1/Lab2/Traffic1/Traffic2 analogs of Table 1,
-//! * [`segment`] — homogeneous-color region segmentation,
+//! * [`mod@segment`] — homogeneous-color region segmentation,
 //! * [`rag_extract`] — frame → Region Adjacency Graph (Definition 1).
 
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, build, the whole test suite, every
+# Full CI gate: formatting, lints, docs, build, the whole test suite, every
 # equivalence / fault / allocation suite pinned to both extremes of the
 # STRG_THREADS knob, and the benchmark's own tests and smoke run.
 # Run from the repository root.
@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: a dangling intra-doc link fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 
@@ -20,9 +23,9 @@ cargo test --workspace -q
 
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn
-# one): `timeout` keeps a wedged worker or a lost response from turning CI
-# into an infinite hang — the suites' own per-read timeouts should fire
-# long before it does.
+# one) or race writers against readers: `timeout` keeps a wedged worker, a
+# lost response or a lock-order deadlock from turning CI into an infinite
+# hang — the suites' own per-read timeouts should fire long before it does.
 SUITES=(
     parallel_equivalence
     obs_equivalence
@@ -36,6 +39,7 @@ SUITES=(
 )
 GUARDED=(
     batch_equivalence
+    concurrency
     serve_protocol
     serve_concurrency
     serve_faults

@@ -59,8 +59,8 @@ pub mod prelude {
         KHarmonicMeans, KMeans,
     };
     pub use strg_core::{
-        open, Database, DbOptions, Hit, IngestReport, Metric, PersistInfo, Query, QueryBatch,
-        QueryCost, QueryHit, QueryResult, Recorder, ReopenMode, ShardedDatabase, Snapshot,
+        open, Database, DbOptions, Hit, IngestReport, Metric, PersistInfo, Query, QueryCost,
+        QueryHit, QueryKind, QueryResult, Recorder, ReopenMode, ShardedDatabase, Snapshot,
         StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{

@@ -1,20 +1,17 @@
-//! Batch equivalence suite: batched execution is a *physical* optimization
-//! only.
+//! Batch equivalence suite: a batch is a deduplicated loop of singles.
 //!
-//! A batch of queries answered through one shared index traversal must be
-//! indistinguishable from the same queries replayed one at a time in every
-//! observable except wall clock: identical hit lists (ids **and** distance
-//! bits) and identical logical [`QueryCost`] work fields, on a single
-//! STRG-Index tree, across a sharded fan-out, through both `Database`
-//! facades, and over the server socket. The reference is the single-query
-//! entry points themselves: every batch is replayed sequentially through
-//! them, so a divergence in the shared descent shows up here as a hit-list
-//! or cost diff.
+//! `Database::query_batch` answers N queries in order, collapsing identical
+//! members onto their first occurrence. Every member must be
+//! indistinguishable from the same query run alone in every observable
+//! except wall clock: identical hit lists (ids **and** distance bits) and
+//! identical logical [`QueryCost`] work fields, through both `Database`
+//! facades and over the server socket. The reference is `Database::query`
+//! itself.
 //!
-//! The one documented exception is `QueryCost::batch_shared_accesses`:
-//! it reports *physical* sharing (node accesses this query did not pay
-//! for because a batch neighbor already walked the node), is excluded
-//! from [`QueryCost::same_work`], and is zero outside a batch.
+//! The one documented exception is `QueryCost::batch_shared_accesses`: 0
+//! for a member that ran, `node_accesses` for a duplicate that was handed
+//! its representative's answer. It is excluded from
+//! [`QueryCost::same_work`] and is zero outside a batch.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`, so the equivalence is pinned against the frozen
@@ -25,10 +22,7 @@ mod serve_util;
 use std::time::Duration;
 
 use serve_util::*;
-use strg::core::{
-    sharded_knn_into, sharded_query_batch_into, sharded_range_into, BatchItem, BatchKind,
-    BatchScratch, ShardBatchScratch, ShardScratch,
-};
+use strg::core::BatchScratch;
 use strg::prelude::*;
 use strg::serve::protocol::result_slice;
 use strg::serve::{json_parse, wire, ServeConfig};
@@ -70,142 +64,30 @@ fn assert_hits_eq(a: &[Hit], b: &[Hit], ctx: &str) {
     }
 }
 
-/// The mixed workload every index-level test runs: alternating k-NN and
-/// range items, varying `k`, duplicate trajectories (the pool cycles) and
-/// — when `roots` is non-empty — root-scoped items.
-fn mixed_items<'a>(
-    pool: &'a [Vec<Point2>],
-    width: usize,
-    radius: f64,
-    roots: &[u32],
-) -> Vec<BatchItem<'a, Point2>> {
-    (0..width)
-        .map(|i| {
-            let kind = if i % 3 == 1 {
-                BatchKind::Range(radius * (1.0 + (i % 2) as f64))
-            } else {
-                BatchKind::Knn(1 + i % 5)
-            };
-            BatchItem {
-                kind,
-                query: &pool[i % pool.len()],
-                root_filter: (!roots.is_empty() && i % 4 == 3).then(|| roots[i % roots.len()]),
-            }
-        })
-        .collect()
-}
-
-/// One batched descent over a single tree reproduces the sequential
-/// replay bit for bit, at widths from a singleton batch to one dominated
-/// by duplicates, with mixed k-NN/range kinds and root-scoped items.
+/// The benchmark probe's index-level batch is a loop of singles: slot `i`
+/// holds exactly what `knn_with_cost` returns for query `i`, duplicates
+/// included, at widths from a singleton to one that reuses a wider arena.
 #[test]
 fn single_tree_batch_matches_sequential_replay() {
-    let mut idx = build_index(dataset(120, 11), 5);
-    let second_root = idx.add_segment(BackgroundGraph::default(), dataset(60, 47));
-    let first_root = idx.roots()[0].id;
+    let idx = build_index(dataset(120, 11), 5);
     let pool = queries(8, 999);
-    let radius = idx.knn(&pool[0], 5).last().expect("warm hits").dist * 1.5;
-
     let mut scratch = BatchScratch::new();
-    for width in [1usize, 2, 7, 64] {
-        let items = mixed_items(&pool, width, radius, &[first_root, second_root]);
-        idx.query_batch_with_cost_into(&items, &mut scratch);
+    for width in [1usize, 7, 64, 2] {
+        let batch: Vec<&[Point2]> = (0..width)
+            .map(|i| pool[i % pool.len()].as_slice())
+            .collect();
+        idx.knn_batch_with_cost_into(&batch, 5, &mut scratch);
         assert_eq!(scratch.len(), width);
-
-        let mut shared_total = 0u64;
-        for (i, it) in items.iter().enumerate() {
-            let ctx = format!("width={width} item={i} {:?}", it.kind);
-            let (seq_hits, seq_cost) = match (it.kind, it.root_filter) {
-                (BatchKind::Knn(k), None) => idx.knn_with_cost(it.query, k),
-                (BatchKind::Knn(k), Some(r)) => idx.knn_in_root_with_cost(r, it.query, k),
-                (BatchKind::Range(r), None) => idx.range_with_cost(it.query, r),
-                (BatchKind::Range(rad), Some(r)) => idx.range_in_root_with_cost(r, it.query, rad),
-            };
-            assert_hits_eq(&seq_hits, scratch.hits(i), &ctx);
-            let cost = scratch.cost(i);
-            assert!(seq_cost.same_work(&cost), "{ctx}: {seq_cost:?} vs {cost:?}");
-            assert!(
-                cost.batch_shared_accesses <= cost.node_accesses,
-                "{ctx}: shared {} exceeds accesses {}",
-                cost.batch_shared_accesses,
-                cost.node_accesses
-            );
+        for (i, q) in batch.iter().enumerate() {
+            let ctx = format!("width={width} item={i}");
+            let (hits, cost) = idx.knn_with_cost(q, 5);
+            assert_hits_eq(&hits, scratch.hits(i), &ctx);
+            let slot = scratch.cost(i);
+            assert!(cost.same_work(&slot), "{ctx}: {cost:?} vs {slot:?}");
             assert_eq!(
-                seq_cost.batch_shared_accesses, 0,
-                "{ctx}: sequential replay reported sharing"
+                slot.batch_shared_accesses, 0,
+                "{ctx}: the probe shares nothing"
             );
-            shared_total += cost.batch_shared_accesses;
-        }
-        // A wide batch cycling an 8-query pool is dominated by duplicates:
-        // the batched path must actually share work.
-        if width >= 16 {
-            assert!(
-                shared_total > 0,
-                "width={width}: duplicate-heavy batch shared no node accesses"
-            );
-        }
-    }
-}
-
-/// The batched sharded fan-out replays the per-query fan-out's decision
-/// sequence exactly: same hits, same total cost, same per-shard
-/// open/prune outcomes — at one thread and at eight.
-#[test]
-fn sharded_index_batch_matches_sequential_fanout() {
-    let shards: Vec<_> = (0..3)
-        .map(|s| build_index(dataset(80, 20 + s), 7 + s))
-        .collect();
-    let idxs: Vec<&StrgIndex<Point2, EgedMetric<Point2>>> = shards.iter().collect();
-    let pool = queries(5, 777);
-    let mut single = ShardScratch::new();
-    let radius = {
-        sharded_knn_into(&idxs, &pool[0], 5, Threads::Fixed(1), &mut single);
-        single.hits().last().expect("warm hits").1.dist * 1.5
-    };
-    let items = mixed_items(&pool, 12, radius, &[]);
-
-    for threads in [Threads::Fixed(1), Threads::Fixed(8)] {
-        let mut batch = ShardBatchScratch::new();
-        sharded_query_batch_into(&idxs, &items, threads, &mut batch);
-        assert_eq!(batch.len(), items.len());
-
-        for (i, it) in items.iter().enumerate() {
-            let ctx = format!("threads={threads:?} item={i} {:?}", it.kind);
-            let seq_cost = match it.kind {
-                BatchKind::Knn(k) => {
-                    sharded_knn_into(&idxs, it.query, k, Threads::Fixed(1), &mut single)
-                }
-                BatchKind::Range(r) => {
-                    sharded_range_into(&idxs, it.query, r, Threads::Fixed(1), &mut single)
-                }
-            };
-            assert_eq!(single.hits().len(), batch.hits(i).len(), "{ctx}: hit count");
-            for (x, y) in single.hits().iter().zip(batch.hits(i)) {
-                assert_eq!(x.0, y.0, "{ctx}: hit shard");
-                assert_eq!(x.1.og_id, y.1.og_id, "{ctx}: hit id");
-                assert_eq!(x.1.dist.to_bits(), y.1.dist.to_bits(), "{ctx}: distance");
-            }
-            let cost = batch.cost(i);
-            assert!(seq_cost.same_work(&cost), "{ctx}: {seq_cost:?} vs {cost:?}");
-            assert_eq!(
-                single.outcomes().len(),
-                batch.outcomes(i).len(),
-                "{ctx}: outcome count"
-            );
-            for (s, (a, b)) in single.outcomes().iter().zip(batch.outcomes(i)).enumerate() {
-                assert_eq!(a.opened, b.opened, "{ctx}: shard {s} open/prune");
-                assert_eq!(
-                    a.bound.to_bits(),
-                    b.bound.to_bits(),
-                    "{ctx}: shard {s} bound"
-                );
-                assert!(
-                    a.cost.same_work(&b.cost),
-                    "{ctx}: shard {s} charge {:?} vs {:?}",
-                    a.cost,
-                    b.cost
-                );
-            }
         }
     }
 }
@@ -227,24 +109,19 @@ fn demo_clip(seed: u64) -> VideoClip {
 /// clip-scoped k-NN, a range query, and an unknown-clip miss — all in one
 /// batch.
 fn facade_batch(traj: &[Vec<Point2>]) -> Vec<Query<'_>> {
-    QueryBatch::new()
-        .query(Query::knn(5).trajectory(&traj[0]).with_cost())
-        .query(Query::knn(5).trajectory(&traj[0]).with_cost())
-        .query(
-            Query::knn(3)
-                .trajectory(&traj[1])
-                .in_clip("demo3")
-                .with_cost(),
-        )
-        .query(Query::range(150.0).trajectory(&traj[1]).with_cost())
-        .query(
-            Query::knn(2)
-                .trajectory(&traj[0])
-                .in_clip("nope")
-                .with_cost(),
-        )
-        .queries()
-        .to_vec()
+    vec![
+        Query::knn(5).trajectory(&traj[0]).with_cost(),
+        Query::knn(5).trajectory(&traj[0]).with_cost(),
+        Query::knn(3)
+            .trajectory(&traj[1])
+            .in_clip("demo3")
+            .with_cost(),
+        Query::range(150.0).trajectory(&traj[1]).with_cost(),
+        Query::knn(2)
+            .trajectory(&traj[0])
+            .in_clip("nope")
+            .with_cost(),
+    ]
 }
 
 fn assert_results_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
@@ -296,6 +173,93 @@ fn database_batch_matches_per_query_loop() {
             assert_eq!(hx.clip, hy.clip, "facades item={i}");
             assert_eq!(hx.og_id, hy.og_id, "facades item={i}");
             assert_eq!(hx.dist.to_bits(), hy.dist.to_bits(), "facades item={i}");
+        }
+    }
+}
+
+/// The dedup rule and its cost attribution, on both flavours: a
+/// representative reports no sharing, a duplicate reports all of its node
+/// accesses as shared and carries its own `with_cost()` choice,
+/// background-matched members always run, and the `query.*` counters equal
+/// those of a twin database that answered the same members one at a time.
+#[test]
+fn batch_dedup_contract() {
+    let build = |shards: usize| -> Box<dyn Database> {
+        let db: Box<dyn Database> = if shards > 1 {
+            Box::new(ShardedDatabase::new(DbOptions::new().shards(shards)))
+        } else {
+            Box::new(VideoDatabase::new(DbOptions::new()))
+        };
+        for seed in [3, 7, 11] {
+            db.ingest_clip(&demo_clip(seed), seed);
+        }
+        db
+    };
+    let frames = demo_clip(3).render_all(3);
+    for shards in [1, 3] {
+        let (db, twin) = (build(shards), build(shards));
+        let traj = [
+            db.og(0).expect("og 0 stored").centroid_series(),
+            (0..25).map(|i| Point2::new(3.0 * i as f64, 70.0)).collect(),
+        ];
+        let knn = || Query::knn(5).trajectory(&traj[0]);
+        let range = || Query::range(150.0).trajectory(&traj[1]).with_cost();
+        // (member, index of the representative it collapses onto)
+        let members: Vec<(Query<'_>, Option<usize>)> = vec![
+            (knn().with_cost(), None),
+            (knn(), Some(0)),
+            (knn().with_cost(), Some(0)),
+            (range(), None),
+            (range(), Some(3)),
+            (knn().in_clip("demo3").with_cost(), None),
+            (knn().in_clip("demo3").with_cost(), Some(5)),
+            (knn().with_background(&frames).with_cost(), None),
+            (knn().with_background(&frames).with_cost(), None),
+            (Query::knn(2).trajectory(&traj[1]), None),
+            (Query::knn(2).trajectory(&traj[1]).with_cost(), Some(9)),
+        ];
+        let batch: Vec<Query<'_>> = members.iter().map(|(q, _)| q.clone()).collect();
+        let results = db.query_batch(&batch);
+        assert_eq!(results.len(), batch.len());
+
+        for (i, ((_, rep), r)) in members.iter().zip(&results).enumerate() {
+            let ctx = format!("shards={shards} member={i}");
+            // Members 1 and 9 are the two built without `with_cost()`.
+            let wanted = ![1, 9].contains(&i);
+            assert_eq!(r.cost.is_some(), wanted, "{ctx}: cost follows with_cost()");
+            let Some(cost) = r.cost else { continue };
+            match rep {
+                None => assert_eq!(cost.batch_shared_accesses, 0, "{ctx}: ran itself"),
+                Some(rep) => {
+                    assert!(cost.node_accesses > 0, "{ctx}: did real work");
+                    assert_eq!(cost.batch_shared_accesses, cost.node_accesses, "{ctx}");
+                    assert_eq!(r.hits.len(), results[*rep].hits.len(), "{ctx}: hit count");
+                    for (x, y) in r.hits.iter().zip(&results[*rep].hits) {
+                        assert_eq!((x.og_id, &x.clip), (y.og_id, &y.clip), "{ctx}: hit");
+                        assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{ctx}: distance");
+                    }
+                }
+            }
+        }
+
+        for q in &batch {
+            twin.query(q.clone());
+        }
+        let (got, want) = (db.metrics_snapshot(), twin.metrics_snapshot());
+        for name in [
+            "query.knn.count",
+            "query.range.count",
+            "query.knn.distance_calls",
+        ] {
+            assert!(
+                want.counter(name) > Some(0),
+                "shards={shards}: {name} moved"
+            );
+            assert_eq!(
+                got.counter(name),
+                want.counter(name),
+                "shards={shards}: {name}"
+            );
         }
     }
 }

@@ -220,3 +220,65 @@ fn concurrent_ingest_and_removal_stay_consistent() {
         assert!((50..54).contains(&seed), "only added clips survive: {name}");
     }
 }
+
+#[test]
+fn batches_racing_writers_finish_and_duplicates_match() {
+    // `query_batch` with repeated members while clips come and go, on both
+    // flavours: the threads must join (no lock-order deadlock between the
+    // batch's per-member queries and the writers), and since a duplicate
+    // is handed its representative's answer, the two are byte-identical
+    // whatever the writers did in between.
+    let flavours: [Arc<dyn Database>; 2] = [
+        Arc::new(VideoDatabase::new(DbOptions::new())),
+        Arc::new(ShardedDatabase::new(DbOptions::new().shards(3))),
+    ];
+    for db in flavours {
+        for seed in 0..3u64 {
+            db.ingest_clip(&clip(seed), seed);
+        }
+        let q: Vec<Point2> = (0..20).map(|i| Point2::new(4.0 * i as f64, 80.0)).collect();
+
+        let adder = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                for seed in 50..53u64 {
+                    db.ingest_clip(&clip(seed), seed);
+                }
+            })
+        };
+        let remover = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                for seed in 0..3u64 {
+                    db.remove_clip(&format!("cam{seed}"));
+                }
+            })
+        };
+        let reader = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let members = [
+                    Query::knn(5).trajectory(&q),
+                    Query::range(400.0).trajectory(&q),
+                    Query::knn(5).trajectory(&q).in_clip("cam1"),
+                ];
+                let batch: Vec<Query<'_>> = members.iter().chain(&members).cloned().collect();
+                for _ in 0..40 {
+                    let results = db.query_batch(&batch);
+                    let (reps, dups) = results.split_at(members.len());
+                    for (rep, dup) in reps.iter().zip(dups) {
+                        assert_eq!(rep.hits.len(), dup.hits.len());
+                        for (a, b) in rep.hits.iter().zip(&dup.hits) {
+                            assert_eq!((a.og_id, &a.clip), (b.og_id, &b.clip));
+                            assert_eq!(a.dist.to_bits(), b.dist.to_bits());
+                        }
+                    }
+                }
+            })
+        };
+        adder.join().expect("adder ok");
+        remover.join().expect("remover ok");
+        reader.join().expect("reader ok");
+        assert_eq!(db.stats().clips, 3, "3 removed, 3 added on top of 3");
+    }
+}

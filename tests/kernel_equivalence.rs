@@ -18,7 +18,6 @@
 mod oracle;
 
 use oracle::{assert_matches, radius_including, scan};
-use strg::core::index::BatchKind;
 use strg::prelude::*;
 
 /// The two thread modes every case runs in.
@@ -63,15 +62,15 @@ fn probe_index(
     idxs: &[StrgIndex<f64, EgedMetric<f64>>],
     truth: &[(u64, f64)],
     q: &[f64],
-    probe: BatchKind,
+    probe: QueryKind,
 ) -> QueryCost {
     let costs: Vec<QueryCost> = idxs
         .iter()
         .zip(THREAD_MODES)
         .map(|(idx, t)| {
             let (hits, cost) = match probe {
-                BatchKind::Knn(k) => idx.knn_with_cost(q, k),
-                BatchKind::Range(radius) => idx.range_with_cost(q, radius),
+                QueryKind::Knn(k) => idx.knn_with_cost(q, k),
+                QueryKind::Range(radius) => idx.range_with_cost(q, radius),
             };
             assert_matches(truth, &pairs(&hits), probe, &format!("threads {t}"));
             cost
@@ -94,7 +93,7 @@ fn strg_index_knn_identical_without_lb() {
     for q in queries() {
         let truth = scan(&data, &q);
         for k in [1, 5, 48] {
-            let cost = probe_index(&idxs, &truth, &q, BatchKind::Knn(k));
+            let cost = probe_index(&idxs, &truth, &q, QueryKind::Knn(k));
             kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
         }
     }
@@ -114,7 +113,7 @@ fn strg_index_range_identical_without_lb() {
         // Fixed radii plus ones a hair above the 1st and 5th neighbour.
         let near = [0, 4].map(|i| radius_including(truth[i].1));
         for radius in [0.0, 2.0, 5.0, 15.0, 1e6].into_iter().chain(near) {
-            let cost = probe_index(&idxs, &truth, &q, BatchKind::Range(radius));
+            let cost = probe_index(&idxs, &truth, &q, QueryKind::Range(radius));
             kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
         }
     }
@@ -131,13 +130,13 @@ fn mtree_identical_without_lb() {
             let truth = scan(&data, &q);
             let near = radius_including(truth[4].1);
             let probes = [1, 5, 10]
-                .map(BatchKind::Knn)
+                .map(QueryKind::Knn)
                 .into_iter()
-                .chain([0.0, 15.0, 120.0, near].map(BatchKind::Range));
+                .chain([0.0, 15.0, 120.0, near].map(QueryKind::Range));
             for probe in probes {
                 let (hits, cost) = match probe {
-                    BatchKind::Knn(k) => tree.knn_with_cost(&q, k),
-                    BatchKind::Range(radius) => tree.range_with_cost(&q, radius),
+                    QueryKind::Knn(k) => tree.knn_with_cost(&q, k),
+                    QueryKind::Range(radius) => tree.range_with_cost(&q, radius),
                 };
                 let hits: Vec<(u64, f64)> = hits.iter().map(|n| (n.id, n.dist)).collect();
                 assert_matches(&truth, &hits, probe, &format!("{cfg:?}"));
@@ -191,8 +190,8 @@ fn oracle_corners_single_tree() {
                 let truth = scan(&objects, &q);
                 for probe in oracle::corner_probes(&truth) {
                     let hits = match probe {
-                        BatchKind::Knn(k) => idx.knn(&q, k),
-                        BatchKind::Range(radius) => idx.range(&q, radius),
+                        QueryKind::Knn(k) => idx.knn(&q, k),
+                        QueryKind::Range(radius) => idx.range(&q, radius),
                     };
                     let ctx = format!("{name} threads {threads}");
                     assert_matches(&truth, &pairs(&hits), probe, &ctx);

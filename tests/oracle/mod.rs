@@ -9,7 +9,6 @@
 //! An inadmissible bound, an over-eager abandon or a wrongly pruned shard
 //! surfaces here as a hit diff against the truth.
 
-use strg::core::index::BatchKind;
 use strg::distance::SeqValue;
 use strg::prelude::*;
 
@@ -29,10 +28,10 @@ pub fn scan<V: SeqValue>(objects: &[(u64, Vec<V>)], query: &[V]) -> Vec<(u64, f6
 
 /// Asserts that `hits` (`(og_id, distance)`, in answer order) is a correct
 /// answer to `probe` against the scan `truth`.
-pub fn assert_matches(truth: &[(u64, f64)], hits: &[(u64, f64)], probe: BatchKind, ctx: &str) {
+pub fn assert_matches(truth: &[(u64, f64)], hits: &[(u64, f64)], probe: QueryKind, ctx: &str) {
     let want = match probe {
-        BatchKind::Knn(k) => k.min(truth.len()),
-        BatchKind::Range(radius) => truth.iter().filter(|t| t.1 <= radius).count(),
+        QueryKind::Knn(k) => k.min(truth.len()),
+        QueryKind::Range(radius) => truth.iter().filter(|t| t.1 <= radius).count(),
     };
     assert_eq!(hits.len(), want, "{ctx} {probe:?}: hit count");
     for (h, t) in hits.iter().zip(truth) {
@@ -72,13 +71,13 @@ pub fn corner_queries() -> Vec<Vec<Point2>> {
 
 /// The probes of a corner case: `k = 0`, `k = 1`, `k > n`, `radius = 0`,
 /// and a radius a hair above the farthest object.
-pub fn corner_probes(truth: &[(u64, f64)]) -> Vec<BatchKind> {
+pub fn corner_probes(truth: &[(u64, f64)]) -> Vec<QueryKind> {
     let far = truth.last().map_or(1.0, |t| t.1);
     vec![
-        BatchKind::Knn(0),
-        BatchKind::Knn(1),
-        BatchKind::Knn(truth.len() + 5),
-        BatchKind::Range(0.0),
-        BatchKind::Range(radius_including(far)),
+        QueryKind::Knn(0),
+        QueryKind::Knn(1),
+        QueryKind::Knn(truth.len() + 5),
+        QueryKind::Range(0.0),
+        QueryKind::Range(radius_including(far)),
     ]
 }

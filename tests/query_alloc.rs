@@ -4,8 +4,8 @@
 //! `tests/alloc_util` (shared with `ingest_alloc.rs`) and asserts that
 //! steady-state sequential k-NN and range queries through warm arenas
 //! perform **zero** heap allocations — on a single STRG-Index tree
-//! ([`QueryScratch`]), across a sharded fan-out ([`ShardScratch`]), through
-//! the batched descent ([`BatchScratch`], [`ShardBatchScratch`]), and on
+//! ([`QueryScratch`], and the benchmark probe's per-member slots in
+//! [`BatchScratch`]), across a sharded fan-out ([`ShardScratch`]), and on
 //! the M-tree baseline ([`MtreeScratch`]). Every DP row, candidate list,
 //! pending heap and hit buffer is owned by an arena and only recycled
 //! after warm-up (DESIGN.md §13).
@@ -13,10 +13,7 @@
 mod alloc_util;
 
 use alloc_util::alloc_events;
-use strg::core::{
-    sharded_knn_into, sharded_query_batch_into, sharded_range_into, BatchItem, BatchKind,
-    BatchScratch, QueryScratch, ShardBatchScratch, ShardScratch,
-};
+use strg::core::{sharded_query_into, BatchScratch, QueryScratch, ShardScratch};
 use strg::mtree::MtreeScratch;
 use strg::prelude::*;
 
@@ -111,15 +108,16 @@ fn steady_state_sharded_queries_allocate_nothing() {
     let idxs: Vec<&StrgIndex<Point2, EgedMetric<Point2>>> = shards.iter().collect();
     let qs = queries(5, 777);
     let mut scratch = ShardScratch::new();
+    let knn5 = QueryKind::Knn(5);
 
-    sharded_knn_into(&idxs, &qs[0], 5, Threads::Fixed(1), &mut scratch);
+    sharded_query_into(&idxs, &qs[0], knn5, Threads::Fixed(1), &mut scratch);
     assert!(!scratch.hits().is_empty(), "fan-out produced hits");
-    let radius = scratch.hits().last().unwrap().1.dist * 1.5;
+    let range = QueryKind::Range(scratch.hits().last().unwrap().1.dist * 1.5);
 
     for _ in 0..2 {
         for q in &qs {
-            sharded_knn_into(&idxs, q, 5, Threads::Fixed(1), &mut scratch);
-            sharded_range_into(&idxs, q, radius, Threads::Fixed(1), &mut scratch);
+            sharded_query_into(&idxs, q, knn5, Threads::Fixed(1), &mut scratch);
+            sharded_query_into(&idxs, q, range, Threads::Fixed(1), &mut scratch);
         }
     }
     let grows_warm = scratch.grow_events();
@@ -128,9 +126,9 @@ fn steady_state_sharded_queries_allocate_nothing() {
     let before = alloc_events();
     for _ in 0..3 {
         for q in &qs {
-            sharded_knn_into(&idxs, q, 5, Threads::Fixed(1), &mut scratch);
+            sharded_query_into(&idxs, q, knn5, Threads::Fixed(1), &mut scratch);
             last_hits = scratch.hits().len();
-            sharded_range_into(&idxs, q, radius, Threads::Fixed(1), &mut scratch);
+            sharded_query_into(&idxs, q, range, Threads::Fixed(1), &mut scratch);
         }
     }
     let delta = alloc_events() - before;
@@ -147,48 +145,26 @@ fn steady_state_sharded_queries_allocate_nothing() {
     );
 }
 
-/// Steady-state *batched* execution holds the same discipline: one
-/// shared descent over a warm [`BatchScratch`] answers a mixed
-/// k-NN/range batch (duplicates included) without touching the
-/// allocator, on a single tree and through the sequential sharded
-/// fan-out's [`ShardBatchScratch`].
+/// The benchmark probe's batch arena is one tree arena per member, so a
+/// warm [`BatchScratch`] holds the tree leg's discipline (duplicates
+/// included: the probe loop does not collapse them).
 #[test]
 fn steady_state_batched_queries_allocate_nothing() {
     let idx = build_index(dataset(240, 11), 5);
     let qs = queries(6, 999);
+    let batch: Vec<&[Point2]> = (0..16).map(|i| qs[i % qs.len()].as_slice()).collect();
     let mut scratch = BatchScratch::new();
 
-    let mut warm_scratch = QueryScratch::new();
-    let (warm_hits, _) = idx.knn_with_cost_into(&qs[0], 5, &mut warm_scratch);
-    assert!(!warm_hits.is_empty(), "workload produced hits");
-    let radius = warm_hits.last().unwrap().dist * 1.5;
-
-    // A mixed batch wider than the query pool, so duplicates share work.
-    let items: Vec<BatchItem<'_, Point2>> = (0..16)
-        .map(|i| BatchItem {
-            kind: if i % 3 == 1 {
-                BatchKind::Range(radius)
-            } else {
-                BatchKind::Knn(1 + i % 5)
-            },
-            query: &qs[i % qs.len()],
-            root_filter: None,
-        })
-        .collect();
-
     for _ in 0..2 {
-        idx.query_batch_with_cost_into(&items, &mut scratch);
+        idx.knn_batch_with_cost_into(&batch, 5, &mut scratch);
     }
     let grows_warm = scratch.grow_events();
+    assert_eq!(scratch.len(), batch.len());
     assert!(!scratch.hits(0).is_empty(), "batched queries produced hits");
-    assert!(
-        (0..items.len()).any(|i| scratch.cost(i).batch_shared_accesses > 0),
-        "duplicate-heavy batch shared no node accesses"
-    );
 
     let before = alloc_events();
     for _ in 0..3 {
-        idx.query_batch_with_cost_into(&items, &mut scratch);
+        idx.knn_batch_with_cost_into(&batch, 5, &mut scratch);
     }
     let delta = alloc_events() - before;
     assert_eq!(
@@ -199,35 +175,6 @@ fn steady_state_batched_queries_allocate_nothing() {
         scratch.grow_events(),
         grows_warm,
         "batch arena kept growing"
-    );
-
-    // The sequential sharded fan-out reuses the same discipline: the
-    // shard arena prefetches one batched descent per shard and replays
-    // the merge allocation-free.
-    let shards: Vec<_> = (0..3)
-        .map(|s| build_index(dataset(90, 20 + s), 7 + s))
-        .collect();
-    let idxs: Vec<&StrgIndex<Point2, EgedMetric<Point2>>> = shards.iter().collect();
-    let mut shard_scratch = ShardBatchScratch::new();
-    for _ in 0..2 {
-        sharded_query_batch_into(&idxs, &items, Threads::Fixed(1), &mut shard_scratch);
-    }
-    let grows_warm = shard_scratch.grow_events();
-    assert!(!shard_scratch.hits(0).is_empty(), "fan-out produced hits");
-
-    let before = alloc_events();
-    for _ in 0..3 {
-        sharded_query_batch_into(&idxs, &items, Threads::Fixed(1), &mut shard_scratch);
-    }
-    let delta = alloc_events() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state batched fan-outs performed {delta} heap allocations"
-    );
-    assert_eq!(
-        shard_scratch.grow_events(),
-        grows_warm,
-        "shard batch arena kept growing"
     );
 }
 

@@ -17,8 +17,7 @@
 mod oracle;
 
 use oracle::{assert_matches, radius_including, scan, Corpus};
-use strg::core::index::BatchKind;
-use strg::core::shard::{route, sharded_knn, sharded_range};
+use strg::core::shard::{route, sharded_query};
 use strg::prelude::*;
 
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
@@ -50,15 +49,12 @@ fn shard_indexes(items: &[(u64, Vec<Point2>)], shards: usize) -> Vec<Idx> {
 fn fan_out(
     shards: &[Idx],
     q: &[Point2],
-    probe: BatchKind,
+    probe: QueryKind,
     threads: usize,
 ) -> (Vec<(u64, f64)>, QueryCost) {
     let idxs: Vec<&Idx> = shards.iter().collect();
     let threads = Threads::Fixed(threads);
-    let (hits, cost, _) = match probe {
-        BatchKind::Knn(k) => sharded_knn(&idxs, q, k, threads),
-        BatchKind::Range(radius) => sharded_range(&idxs, q, radius, threads),
-    };
+    let (hits, cost, _) = sharded_query(&idxs, q, probe, threads);
     let hits = hits.iter().map(|(_, h)| (h.og_id, h.dist)).collect();
     (hits, cost)
 }
@@ -242,9 +238,9 @@ fn envelope_filter_matches_linear_scan() {
         for q in &queries {
             let truth = scan(&items, q);
             let probes = [1, 5]
-                .map(BatchKind::Knn)
+                .map(QueryKind::Knn)
                 .into_iter()
-                .chain([radius_including(truth[4].1), 1e6].map(BatchKind::Range));
+                .chain([radius_including(truth[4].1), 1e6].map(QueryKind::Range));
             for probe in probes {
                 let (seq, cost) = fan_out(&trees, q, probe, 1);
                 assert_matches(&truth, &seq, probe, &format!("{shards} shards"));
@@ -268,11 +264,11 @@ fn envelope_filter_matches_linear_scan() {
     for q in trajectories(&db) {
         let truth = scan(&stored, &q);
         let probes = [1, 5]
-            .map(|k| (BatchKind::Knn(k), Query::knn(k)))
+            .map(|k| (QueryKind::Knn(k), Query::knn(k)))
             .into_iter()
             .chain(
                 [radius_including(truth[2].1), 200.0]
-                    .map(|r| (BatchKind::Range(r), Query::range(r))),
+                    .map(|r| (QueryKind::Range(r), Query::range(r))),
             );
         for (probe, query) in probes {
             let hits: Vec<(u64, f64)> = run(&db, query.trajectory(&q))
@@ -293,7 +289,7 @@ fn fan_out_prunes_whole_shards_on_self_queries() {
     let items = synth_items();
     let trees = shard_indexes(&items, 4);
     let extreme = extreme_series(&items);
-    let (hits, cost) = fan_out(&trees, &extreme.1, BatchKind::Knn(1), 1);
+    let (hits, cost) = fan_out(&trees, &extreme.1, QueryKind::Knn(1), 1);
     assert!(
         cost.shards_pruned >= 1,
         "self-query should prune at least one whole shard: {cost:?}"
@@ -305,7 +301,7 @@ fn fan_out_prunes_whole_shards_on_self_queries() {
         cost.distance_calls + cost.pruned + cost.lb_pruned,
         (items.len() + clusters) as u64
     );
-    assert_matches(&scan(&items, &extreme.1), &hits, BatchKind::Knn(1), "self");
+    assert_matches(&scan(&items, &extreme.1), &hits, QueryKind::Knn(1), "self");
     assert_eq!(hits[0], (extreme.0, 0.0), "self-query returns itself first");
 }
 
