@@ -258,10 +258,8 @@ pub fn cmd_query(args: &Args) -> CmdResult {
     }
     let from = parse_point(args.require("--from")?)?;
     let to = parse_point(args.require("--to")?)?;
-    let steps: usize = args.parse_or("--steps", 30)?;
-    if steps < 2 {
-        return Err(CliError("--steps must be at least 2".into()));
-    }
+    let steps = wire::check_steps(args.parse_or("--steps", 30u64)?)
+        .map_err(|e| CliError(format!("--{e}")))?;
     let radius: Option<f64> = match args.get("--radius")? {
         None => None,
         Some(v) => Some(
@@ -541,6 +539,36 @@ mod tests {
         assert!(run(&v(&["serve", "--db", "x.db", "--max-queue", "0"])).is_err());
         assert!(run(&v(&["send", "--addr"])).is_err());
         assert!(run(&v(&["send", "--addr", "127.0.0.1:1", "--req", "a\nb"])).is_err());
+    }
+
+    /// Regression: `--from nan,0`, `--from inf,0` and an absurd `--steps`
+    /// used to reach the distance kernel (or a 1.6 TB allocation); each is
+    /// an argument error before the database is even opened.
+    #[test]
+    fn query_flag_validation() {
+        let query = |from: &str, steps: &str| {
+            run(&v(&[
+                "query",
+                "--db",
+                "no-such.db",
+                "--from",
+                from,
+                "--to",
+                "160,60",
+                "--steps",
+                steps,
+            ]))
+        };
+        for from in ["nan,0", "inf,0", "1e999,0"] {
+            let err = query(from, "30").unwrap_err();
+            assert!(err.0.contains("must be finite"), "{err}");
+        }
+        let err = query("0,60", "100000000000").unwrap_err();
+        assert!(err.0.contains("--steps must be <= 4096"), "{err}");
+        let err = query("0,60", "1").unwrap_err();
+        assert!(err.0.contains("--steps must be at least 2"), "{err}");
+        // In range: a missing database answers "no results", not an error.
+        assert_eq!(query("0,60", "4096").unwrap(), "no results");
     }
 
     #[test]

@@ -394,15 +394,20 @@ impl<V: SeqValue + Lerp> BoundedDistance<V> for LpNorm {
         // mid-chunk merely wastes the rest of the staged chunk, it never
         // changes a value or a decision relative to the one-at-a-time fold.
         const CHUNK: usize = 16;
-        let mut buf = [0.0f64; CHUNK];
+        // The hook takes whole chunks; a ragged tail is padded with the
+        // origin and only its real prefix is folded.
+        let staged = |ca: &[V], cb: &[V]| {
+            let (mut pa, mut pb) = ([V::origin(); CHUNK], [V::origin(); CHUNK]);
+            pa[..ca.len()].copy_from_slice(ca);
+            pb[..cb.len()].copy_from_slice(cb);
+            V::dist_pairs(&pa, &pb)
+        };
         if self.p.is_infinite() {
             // Chebyshev: the running max is exact, so abandoning the moment
             // it exceeds the cutoff loses nothing.
             let mut acc = 0.0f64;
             for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-                let d = &mut buf[..ca.len()];
-                V::dist_pairs(ca, cb, d);
-                for &x in d.iter() {
+                for &x in &staged(ca, cb)[..ca.len()] {
                     acc = acc.max(x);
                     if acc > cutoff {
                         return None;
@@ -425,9 +430,7 @@ impl<V: SeqValue + Lerp> BoundedDistance<V> for LpNorm {
         };
         let mut sum = 0.0f64;
         for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-            let d = &mut buf[..ca.len()];
-            V::dist_pairs(ca, cb, d);
-            for &x in d.iter() {
+            for &x in &staged(ca, cb)[..ca.len()] {
                 sum += x.powf(self.p);
                 if sum > cut_p {
                     return None;

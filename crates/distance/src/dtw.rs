@@ -75,7 +75,9 @@ fn dtw_upto_vector<V: SeqValue>(
 ) -> Option<f64> {
     let m = a.len();
     let n = b.len();
-    let (mut prev, mut cur, sub, _del, _add) = scratch.rows(n);
+    let mut prev = scratch.prev.sized(n + 1);
+    let mut cur = scratch.cur.sized(n + 1);
+    let sub = scratch.cost.sized(n);
     prev.fill(f64::INFINITY);
     prev[0] = 0.0;
     for i in 1..=m {

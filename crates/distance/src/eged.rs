@@ -13,6 +13,11 @@
 //! * `g_i = g` fixed makes EGED a **metric** (Theorem 2) — [`EgedMetric`],
 //!   used for index keys. With `g = 0` this coincides with Chen's ERP,
 //!   which is exactly the lineage the paper cites.
+//!
+//! One kernel evaluates all three, for either value type
+//! (`eged_dp_upto_wavefront`): safe Rust that fills the edit lattice four
+//! rows at a time along its anti-diagonals, bit-identical to the textbook
+//! double loop kept as the unit tests' reference (DESIGN.md §13).
 
 use crate::traits::{MetricDistance, SequenceDistance};
 use crate::value::SeqValue;
@@ -64,22 +69,19 @@ pub(crate) fn eged_dp<V: SeqValue>(a: &[V], b: &[V], policy: &GapPolicy<V>) -> f
 /// distance must too. Floating point preserves the argument — adding a
 /// non-negative `f64` never rounds below the addend, and `min` is exact.
 ///
-/// Each row's ground distances are staged with [`SeqValue::dist_many`],
-/// the two previous-row terms are combined in SIMD lanes, and the
-/// loop-carried `add` term is resolved in a scalar prefix pass — the same
-/// association as the textbook double loop (`eged_dp_upto_scalar`, kept as
-/// the unit tests' reference), so the value and every abandon decision are
-/// bit-identical to it (DESIGN.md §13).
+/// The lattice is filled by [`eged_dp_upto_wavefront`]: four rows at a
+/// time along anti-diagonals, every cell the textbook
+/// `(replace.min(delete)).min(add)` on the textbook operands, so the value
+/// and the `Some`/`None` decision are bit-identical to the double loop
+/// (`eged_dp_upto_scalar`, kept as the unit tests' reference; DESIGN.md
+/// §13).
 pub(crate) fn eged_dp_upto<V: SeqValue>(
     a: &[V],
     b: &[V],
     policy: &GapPolicy<V>,
     cutoff: f64,
 ) -> Option<f64> {
-    if a.is_empty() && b.is_empty() {
-        return if 0.0 <= cutoff { Some(0.0) } else { None };
-    }
-    crate::scratch::with_dp_scratch(|s| eged_dp_upto_vector(a, b, policy, cutoff, s))
+    crate::scratch::with_dp_scratch(|s| eged_dp_upto_wavefront(a, b, policy, cutoff, s))
 }
 
 /// Cost of deleting `v` when the other sequence is positioned at `opp`
@@ -99,8 +101,8 @@ fn edit_cost<V: SeqValue>(v: &V, opp: Option<&V>, policy: &GapPolicy<V>) -> f64 
     }
 }
 
-/// The textbook scalar DP: the reference `vector_path_matches_scalar_bitwise`
-/// pins the vectorized kernel to.
+/// The textbook scalar DP: the reference `wavefront_matches_scalar_bitwise`
+/// pins the kernel to.
 #[cfg(test)]
 fn eged_dp_upto_scalar<V: SeqValue>(
     a: &[V],
@@ -141,79 +143,203 @@ fn eged_dp_upto_scalar<V: SeqValue>(
     }
 }
 
-/// The vectorized DP over arena rows. Per row `i` it computes
-/// `t[j] = (prev[j-1] + dist(aᵢ, bⱼ)).min(prev[j] + delete_cost)` in SIMD
-/// lanes (both terms depend only on the previous row), then resolves
-/// `cur[j] = t[j].min(cur[j-1] + add_cost)` left to right — exactly the
-/// scalar `replace.min(delete).min(add)` chain, cell by cell. For the
-/// constant-gap policy the delete/add costs drop from three ground-distance
-/// evaluations per cell to one (`dist(aᵢ, g)` is hoisted per row,
-/// `dist(bⱼ, g)` per call), which is most of the speedup on 2-D values.
-fn eged_dp_upto_vector<V: SeqValue>(
+/// Rows per strip of the wavefront, and lanes per step.
+const LANES: usize = 4;
+
+/// The lattice `min`. Spelled as a compare-and-select so it lowers to one
+/// `minpd` per lane pair; `f64::min`'s NaN rule would cost a compare and a
+/// blend more, and cannot be observed: lattice cells are sums of
+/// non-negative ground distances, never NaN for finite elements
+/// ([`SeqValue`]) and never `-0.0`, and on everything else the two agree.
+#[inline(always)]
+fn lmin(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The four lanes of one strip of the wavefront, lane `k` walking strip
+/// row `3 - k` (lane 3 the top row, lane 0 the bottom).
+struct Strip<V> {
+    /// The strip's elements of `a`, bottom row first.
+    av: [V; LANES],
+    /// `dist(av[k], g)`: the lanes' deletion costs under the constant gap
+    /// (unused by the other policies).
+    del_const: [f64; LANES],
+    /// Each lane's latest cell: its row's column-0 cell before the lane
+    /// starts, its row's last cell once it has finished.
+    cur: [f64; LANES],
+    /// Last step's `delete` operands, which are this step's `replace`
+    /// operands.
+    diag: [f64; LANES],
+    /// Each row's running minimum, column 0 included.
+    mins: [f64; LANES],
+}
+
+impl<V: SeqValue> Strip<V> {
+    /// Step `s`: lane `k` computes the cell of column `s - 3 + k`. In `EDGE`
+    /// steps (the first and last three of a strip) some of those columns
+    /// are outside `0..n`: such a lane clamps its index into `b` and keeps
+    /// its state. A full step reads `b[s-3..=s]` as one slice.
+    #[inline(always)]
+    fn step<const EDGE: bool>(
+        &mut self,
+        s: usize,
+        b: &[V],
+        ins: &[f64],
+        row: &mut [f64],
+        policy: &GapPolicy<V>,
+    ) {
+        let n = b.len();
+        let av = &self.av;
+        let bv: [V; LANES] = if EDGE {
+            std::array::from_fn(|k| b[(s + k).saturating_sub(LANES - 1).min(n - 1)])
+        } else {
+            *<&[V; LANES]>::try_from(&b[s + 1 - LANES..=s]).expect("four columns")
+        };
+        let sub = V::dist_pairs(av, &bv);
+        let (del, add) = match policy {
+            GapPolicy::Constant(_) => (
+                self.del_const,
+                *<&[f64; LANES]>::try_from(&ins[s..s + LANES]).expect("four costs"),
+            ),
+            GapPolicy::Opposite => (sub, sub),
+            GapPolicy::Midpoint => {
+                let mid: [V; LANES] = std::array::from_fn(|k| av[k].midpoint(&bv[k]));
+                (V::dist_pairs(av, &mid), V::dist_pairs(&bv, &mid))
+            }
+        };
+        // The row above lane 3 is the row above the strip.
+        let up = [self.cur[1], self.cur[2], self.cur[3], row[(s + 1).min(n)]];
+        for k in 0..LANES {
+            let cell = lmin(
+                lmin(self.diag[k] + sub[k], up[k] + del[k]),
+                self.cur[k] + add[k],
+            );
+            if !EDGE || (s + k >= LANES - 1 && s + k < n + LANES - 1) {
+                self.cur[k] = cell;
+                self.mins[k] = lmin(self.mins[k], cell);
+            }
+        }
+        self.diag = up;
+        // The bottom lane's cell, three columns behind the read above.
+        if s >= LANES - 1 {
+            row[s + 2 - LANES] = self.cur[0];
+        }
+    }
+}
+
+/// The EGED lattice as an anti-diagonal wavefront over strips of
+/// [`LANES`] rows, one body for every gap policy and value type.
+///
+/// `row` holds lattice row `i0` on entry to a strip and row `i0 + 4` on
+/// exit. Inside the strip, lane `k` walks row `i0 + 4 - k`, and at step `s`
+/// it sits at column `s - 3 + k` (0-based into `b`): each row trails the
+/// row above by one column, so the four cells of a step lie on one
+/// anti-diagonal and the four columns they touch are the forward slice
+/// `b[s-3..=s]`. A cell's three inputs are then all in registers:
+///
+/// * `add`     — `D[i][j-1]`: the lane's own value one step ago (`cur[k]`);
+/// * `delete`  — `D[i-1][j]`: the lane above one step ago (`cur[k + 1]`,
+///   and for lane 3 the row above the strip, `row[s + 1]`);
+/// * `replace` — `D[i-1][j-1]`: the lane above two steps ago, which is last
+///   step's `delete` operand (`diag`).
+///
+/// A lane that has not started holds its row's column-0 cell (the running
+/// `Σ edit(aᵢ)` in row order), which is exactly the operand its own first
+/// `add` and the next lane's first `replace` need. The bottom lane writes
+/// its cells back into `row` three columns behind where the top lane
+/// reads, so one row of storage is both the strip's input and its output.
+///
+/// Rows left over after the last full strip, and every row when `b` is
+/// shorter than a step is wide, take the textbook recurrence on the same
+/// `row`. Each lane (and each leftover row) keeps its row's running
+/// minimum; a strip abandons at its end if any of its four minima exceeds
+/// `cutoff` — the scalar kernel's decision, at most three rows later.
+fn eged_dp_upto_wavefront<V: SeqValue>(
     a: &[V],
     b: &[V],
     policy: &GapPolicy<V>,
     cutoff: f64,
     scratch: &mut crate::scratch::DpScratch,
 ) -> Option<f64> {
-    let m = a.len();
     let n = b.len();
-    let (mut prev, mut cur, sub, del, add) = scratch.rows(n);
-    prev[0] = 0.0;
-    match policy {
-        GapPolicy::Constant(g) => {
-            // Per-call: add[j] = dist(bⱼ, g) — also row 0's edit costs.
-            V::dist_many(g, b, add);
-            for j in 1..=n {
-                prev[j] = prev[j - 1] + add[j - 1];
-            }
-            for i in 1..=m {
-                let ai = &a[i - 1];
-                let ag = ai.dist(g);
-                V::dist_many(ai, b, sub);
-                crate::simd::combine_const(prev, sub, ag, &mut cur[1..]);
-                cur[0] = prev[0] + ag;
-                let mut row_min = cur[0];
-                for j in 1..=n {
-                    let c = cur[j].min(cur[j - 1] + add[j - 1]);
-                    cur[j] = c;
-                    row_min = row_min.min(c);
-                }
-                if row_min > cutoff {
-                    return None;
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
+    let row = scratch.prev.sized(n + 1);
+    // Constant gap only: `ins[c + 3] = dist(b[c], g)`, staged once per call
+    // with three cells of padding on either side, so that every step — edge
+    // steps included — reads its four insertion costs as the one slice
+    // `ins[s..s + 4]`. The padding is never initialised: only idle lanes
+    // read it, and their results are discarded.
+    const PAD: usize = LANES - 1;
+    let ins = scratch.cost.sized(n + 2 * PAD);
+
+    // Row 0: pure insertions.
+    if let GapPolicy::Constant(g) = policy {
+        V::dist_many(g, b, &mut ins[PAD..PAD + n]);
+    }
+    row[0] = 0.0;
+    for j in 1..=n {
+        row[j] = row[j - 1] + edit_cost(&b[j - 1], a.first(), policy);
+    }
+
+    let strips = if n < LANES { 0 } else { a.len() / LANES };
+    let (full, rest) = a.split_at(strips * LANES);
+    for rows in full.chunks_exact(LANES) {
+        let av: [V; LANES] = std::array::from_fn(|k| rows[LANES - 1 - k]);
+        let del_const = match policy {
+            GapPolicy::Constant(g) => V::dist_pairs(&av, &[*g; LANES]),
+            _ => [0.0; LANES],
+        };
+        // Column 0 of the strip's rows, top to bottom; `row[0]` moves on to
+        // the bottom row's once the top lane's first `replace` has it.
+        let diag = [row[0]; LANES];
+        let mut cur = [0.0; LANES];
+        for k in (0..LANES).rev() {
+            row[0] += edit_cost(&av[k], b.first(), policy);
+            cur[k] = row[0];
         }
-        _ => {
-            // Alignment-dependent gaps: delete/add costs vary per cell and
-            // per row, staged scalar; the combine still vectorizes.
-            for j in 1..=n {
-                prev[j] = prev[j - 1] + edit_cost(&b[j - 1], a.first(), policy);
-            }
-            for i in 1..=m {
-                let ai = &a[i - 1];
-                V::dist_many(ai, b, sub);
-                for j in 0..n {
-                    del[j] = edit_cost(ai, Some(&b[j]), policy);
-                    add[j] = edit_cost(&b[j], Some(ai), policy);
-                }
-                crate::simd::combine_rows(prev, sub, del, &mut cur[1..]);
-                cur[0] = prev[0] + edit_cost(ai, b.first(), policy);
-                let mut row_min = cur[0];
-                for j in 1..=n {
-                    let c = cur[j].min(cur[j - 1] + add[j - 1]);
-                    cur[j] = c;
-                    row_min = row_min.min(c);
-                }
-                if row_min > cutoff {
-                    return None;
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
+        let mut strip = Strip {
+            av,
+            del_const,
+            cur,
+            diag,
+            mins: cur,
+        };
+        for s in 0..PAD {
+            strip.step::<true>(s, b, ins, row, policy);
+        }
+        for s in PAD..n {
+            strip.step::<false>(s, b, ins, row, policy);
+        }
+        for s in n..n + PAD {
+            strip.step::<true>(s, b, ins, row, policy);
+        }
+        if strip.mins.iter().any(|&m| m > cutoff) {
+            return None;
         }
     }
-    let d = prev[n];
+
+    for ai in rest {
+        let mut diag = row[0];
+        row[0] += edit_cost(ai, b.first(), policy);
+        let mut row_min = row[0];
+        for j in 1..=n {
+            let bj = &b[j - 1];
+            let replace = diag + ai.dist(bj);
+            let delete = row[j] + edit_cost(ai, Some(bj), policy);
+            let add = row[j - 1] + edit_cost(bj, Some(ai), policy);
+            diag = row[j];
+            row[j] = lmin(lmin(replace, delete), add);
+            row_min = lmin(row_min, row[j]);
+        }
+        if row_min > cutoff {
+            return None;
+        }
+    }
+
+    let d = row[n];
     if d <= cutoff {
         Some(d)
     } else {
@@ -393,46 +519,150 @@ mod tests {
         assert!((d.distance(&a, &b) - 2.0f64.sqrt()).abs() < 1e-12);
     }
 
-    #[test]
-    fn vector_path_matches_scalar_bitwise() {
-        use strg_graph::Point2;
-        for (m, n) in [(0, 5), (5, 0), (1, 1), (7, 3), (23, 17), (16, 16)] {
-            let a: Vec<f64> = (0..m).map(|i| (i as f64 * 0.7).sin() * 5.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() * 4.0).collect();
+    /// The largest float below a positive `d`.
+    fn just_below(d: f64) -> f64 {
+        f64::from_bits(d.to_bits() - 1)
+    }
+
+    fn wavefront<V: SeqValue>(a: &[V], b: &[V], p: &GapPolicy<V>, cutoff: f64) -> Option<f64> {
+        crate::scratch::with_dp_scratch(|sc| eged_dp_upto_wavefront(a, b, p, cutoff, sc))
+    }
+
+    /// Every shape on both sides of the strip height (rows) and the step
+    /// width (columns), every policy, and the cutoffs around the value.
+    fn check_table<V: SeqValue>(lift_a: impl Fn(f64) -> V, lift_b: impl Fn(f64) -> V, gap: V) {
+        let mut shapes: Vec<(usize, usize)> =
+            (0..=9).flat_map(|m| (0..=9).map(move |n| (m, n))).collect();
+        shapes.extend([(23, 17), (64, 20), (20, 64)]);
+        for (m, n) in shapes {
+            let a: Vec<V> = (0..m)
+                .map(|i| lift_a((i as f64 * 0.7).sin() * 5.0))
+                .collect();
+            let b: Vec<V> = (0..n)
+                .map(|i| lift_b((i as f64 * 0.3).cos() * 4.0))
+                .collect();
             for policy in [
                 GapPolicy::Midpoint,
                 GapPolicy::Opposite,
-                GapPolicy::Constant(0.5),
+                GapPolicy::Constant(gap),
             ] {
-                for cutoff in [f64::INFINITY, 50.0, 10.0, 1.0, 0.0] {
-                    let s = eged_dp_upto_scalar(&a, &b, &policy, cutoff);
-                    let v = crate::scratch::with_dp_scratch(|sc| {
-                        eged_dp_upto_vector(&a, &b, &policy, cutoff, sc)
-                    });
+                let d = eged_dp_upto_scalar(&a, &b, &policy, f64::INFINITY).unwrap();
+                let mut cutoffs = vec![f64::INFINITY, d, d / 2.0, 0.0];
+                if d > 0.0 {
+                    cutoffs.push(just_below(d));
+                }
+                for cutoff in cutoffs {
                     assert_eq!(
-                        s.map(f64::to_bits),
-                        v.map(f64::to_bits),
-                        "{policy:?} m={m} n={n} cutoff={cutoff}"
+                        wavefront(&a, &b, &policy, cutoff).map(f64::to_bits),
+                        eged_dp_upto_scalar(&a, &b, &policy, cutoff).map(f64::to_bits),
+                        "{policy:?} m={m} n={n} cutoff={cutoff} d={d}"
                     );
                 }
             }
-            // Point2 stages rows through the default (scalar, hypot)
-            // dist_many but still runs the vectorized combine.
-            let pa: Vec<Point2> = a.iter().map(|&x| Point2::new(x, 1.5 - 0.25 * x)).collect();
-            let pb: Vec<Point2> = b.iter().map(|&x| Point2::new(0.5 * x, x)).collect();
-            for cutoff in [f64::INFINITY, 12.0, 2.0] {
-                let policy = GapPolicy::Constant(Point2::new(0.0, 0.0));
-                let s = eged_dp_upto_scalar(&pa, &pb, &policy, cutoff);
-                let v = crate::scratch::with_dp_scratch(|sc| {
-                    eged_dp_upto_vector(&pa, &pb, &policy, cutoff, sc)
-                });
-                assert_eq!(
-                    s.map(f64::to_bits),
-                    v.map(f64::to_bits),
-                    "Point2 m={m} n={n} cutoff={cutoff}"
-                );
+        }
+    }
+
+    #[test]
+    fn wavefront_matches_scalar_bitwise() {
+        use strg_graph::Point2;
+        check_table(|x| x, |x| x, 0.5);
+        check_table(
+            |x| Point2::new(x, 1.5 - 0.25 * x),
+            |x| Point2::new(0.5 * x, x),
+            Point2::new(0.25, -0.5),
+        );
+    }
+
+    #[test]
+    fn upto_is_some_iff_within_cutoff() {
+        use crate::BoundedDistance;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use strg_graph::Point2;
+        let mut rng = StdRng::seed_from_u64(20050614);
+        let walk = |rng: &mut StdRng| -> Vec<Point2> {
+            let len = rng.gen_range(0..40usize);
+            let mut p = Point2::new(rng.gen_range(0.0..160.0), rng.gen_range(0.0..120.0));
+            (0..len)
+                .map(|_| {
+                    p = p + Point2::new(rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
+                    p
+                })
+                .collect()
+        };
+        let (metric, non_metric) = (EgedMetric::<Point2>::new(), Eged);
+        let (mut within, mut beyond) = (0, 0);
+        for _ in 0..1000 {
+            let (a, b) = (walk(&mut rng), walk(&mut rng));
+            let d = metric.distance(&a, &b);
+            let e = SequenceDistance::distance(&non_metric, &a, &b);
+            // Cutoffs from well below to well above the value, and the value.
+            let f = [0.0, 0.5, 0.9, 1.0, 1.1, 2.0][rng.gen_range(0..6usize)];
+            for (got, full, c) in [
+                (metric.distance_upto(&a, &b, d * f), d, d * f),
+                (non_metric.distance_upto(&a, &b, e * f), e, e * f),
+            ] {
+                if full <= c {
+                    assert_eq!(got.map(f64::to_bits), Some(full.to_bits()));
+                    within += 1;
+                } else {
+                    assert_eq!(got, None, "distance {full} cutoff {c}");
+                    beyond += 1;
+                }
             }
         }
+        assert!(
+            within > 400 && beyond > 400,
+            "{within} within, {beyond} beyond"
+        );
+    }
+
+    #[test]
+    fn finite_inputs_never_produce_nan() {
+        use crate::BoundedDistance;
+        use strg_graph::Point2;
+        // Huge, tiny and mixed magnitudes: squares overflow to +inf or
+        // underflow to 0, and neither may turn into NaN on the way out.
+        let mags = [1e200, -1e200, 1e-200, -1e-200, 0.0, 3.5, f64::MAX, f64::MIN];
+        let seq = |start: usize, len: usize| -> Vec<Point2> {
+            (0..len)
+                .map(|i| Point2::new(mags[(start + i) % 8], mags[(start + 3 * i + 1) % 8]))
+                .collect()
+        };
+        for (m, n) in [(0, 3), (1, 1), (3, 9), (4, 4), (9, 5), (13, 11)] {
+            for start in 0..8 {
+                let (a, b) = (seq(start, m), seq(start + 5, n));
+                let fa: Vec<f64> = a.iter().map(|p| p.x).collect();
+                let fb: Vec<f64> = b.iter().map(|p| p.y).collect();
+                for policy in [
+                    GapPolicy::Midpoint,
+                    GapPolicy::Opposite,
+                    GapPolicy::Constant(Point2::ZERO),
+                ] {
+                    let d = eged_dp(&a, &b, &policy);
+                    assert!(!d.is_nan(), "{policy:?} m={m} n={n} start={start}");
+                    assert_eq!(
+                        eged_dp_upto(&a, &b, &policy, f64::INFINITY).map(f64::to_bits),
+                        Some(d.to_bits())
+                    );
+                }
+                for policy in [
+                    GapPolicy::Midpoint,
+                    GapPolicy::Opposite,
+                    GapPolicy::Constant(0.0),
+                ] {
+                    assert!(!eged_dp(&fa, &fb, &policy).is_nan(), "f64 {policy:?}");
+                }
+            }
+        }
+        let far = [Point2::new(1e200, -1e200); 5];
+        let near = [Point2::new(1.0, 2.0); 6];
+        let m = EgedMetric::<Point2>::new();
+        assert_eq!(m.distance(&far, &near), f64::INFINITY);
+        assert_eq!(
+            m.distance_upto(&far, &near, f64::INFINITY),
+            Some(f64::INFINITY)
+        );
+        assert_eq!(m.distance_upto(&far, &near, 1e300), None);
     }
 
     #[test]

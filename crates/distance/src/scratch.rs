@@ -16,48 +16,36 @@
 
 use std::cell::RefCell;
 
-/// Grow-only row buffers for one in-flight DP evaluation.
+/// One grow-only row: `sized(len)` borrows its first `len` cells, growing
+/// (never shrinking) the backing storage. Contents are unspecified on
+/// entry — every DP writes each cell before reading it.
+pub(crate) struct Row(Vec<f64>);
+
+impl Row {
+    pub(crate) fn sized(&mut self, len: usize) -> &mut [f64] {
+        if self.0.len() < len {
+            self.0.resize(len, 0.0);
+        }
+        &mut self.0[..len]
+    }
+}
+
+/// Grow-only row buffers for one in-flight DP evaluation: two lattice rows
+/// (EGED's wavefront updates one in place and needs only `prev`; DTW swaps
+/// both) and one row of staged per-column costs.
 pub(crate) struct DpScratch {
-    prev: Vec<f64>,
-    cur: Vec<f64>,
-    sub: Vec<f64>,
-    del: Vec<f64>,
-    add: Vec<f64>,
+    pub(crate) prev: Row,
+    pub(crate) cur: Row,
+    pub(crate) cost: Row,
 }
 
 impl DpScratch {
     const fn empty() -> Self {
         Self {
-            prev: Vec::new(),
-            cur: Vec::new(),
-            sub: Vec::new(),
-            del: Vec::new(),
-            add: Vec::new(),
+            prev: Row(Vec::new()),
+            cur: Row(Vec::new()),
+            cost: Row(Vec::new()),
         }
-    }
-
-    /// Borrows the five row buffers sized for an inner dimension of `n`:
-    /// `prev`/`cur` hold the `n + 1` lattice cells, `sub`/`del`/`add` one
-    /// per-column cost each. Contents are unspecified on entry — every DP
-    /// writes each cell before reading it.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn rows(
-        &mut self,
-        n: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-        fn take(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
-            &mut v[..len]
-        }
-        (
-            take(&mut self.prev, n + 1),
-            take(&mut self.cur, n + 1),
-            take(&mut self.sub, n),
-            take(&mut self.del, n),
-            take(&mut self.add, n),
-        )
     }
 }
 

@@ -15,6 +15,14 @@ use strg_graph::Point2;
 /// symmetric, zero iff equal, triangle inequality); the metric property of
 /// [`crate::EgedMetric`] (Theorem 2) is inherited from it.
 ///
+/// Non-finite elements (NaN, `±inf`) are outside the metric contract: the
+/// DP kernels order lattice cells with a plain `<`, which is only a total
+/// order without NaN. Finite elements never produce one — a ground
+/// distance that overflows is `+inf`, and sums and minima of non-negative
+/// values keep it there — and every entry point that takes coordinates from
+/// outside the program (`strg-serve`'s wire parser, the CLI) refuses
+/// non-finite ones.
+///
 /// `Send + Sync` lets the clustering and search layers fan sequences out
 /// across scoped worker threads; element values are plain `Copy` data, so
 /// every sensible implementor satisfies both already.
@@ -37,31 +45,38 @@ pub trait SeqValue: Copy + std::fmt::Debug + PartialEq + Send + Sync {
     fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64;
     /// Batch ground distances: writes `q.dist(&xs[i])` into `out[i]`.
     ///
-    /// This is the DP kernels' row-staging hook: overrides must produce
-    /// values bit-identical to elementwise [`SeqValue::dist`] calls (the
-    /// metric is symmetric, so callers pass the operands in either role).
-    /// The default is the scalar loop; `f64` vectorizes it. `Point2`
-    /// deliberately keeps the default — its ground distance goes through
-    /// libm's `hypot`, which has no bit-exact SIMD equivalent.
+    /// The row-staging hook (DTW's rows, EGED's per-call gap costs):
+    /// overrides must produce values bit-identical to elementwise
+    /// [`SeqValue::dist`] calls (the metric is symmetric, so callers pass
+    /// the operands in either role). The default is the scalar loop; `f64`
+    /// routes it through the explicit lanes of `simd.rs`.
     fn dist_many(q: &Self, xs: &[Self], out: &mut [f64]) {
         for (x, d) in xs.iter().zip(out.iter_mut()) {
             *d = q.dist(x);
         }
     }
-    /// Elementwise paired distances: writes `a[i].dist(&b[i])` into
-    /// `out[i]` (the Lp kernels' staging hook). Same bit-identity contract
-    /// as [`SeqValue::dist_many`].
-    fn dist_pairs(a: &[Self], b: &[Self], out: &mut [f64]) {
-        for ((x, y), d) in a.iter().zip(b).zip(out.iter_mut()) {
-            *d = x.dist(y);
-        }
+    /// Lane-wise paired distances: `out[i] = a[i].dist(&b[i])` over fixed
+    /// arrays — the EGED wavefront's four cells of a step (`N = 4`) and the
+    /// Lp fold's chunks. Same bit-identity contract as
+    /// [`SeqValue::dist_many`].
+    ///
+    /// Neither implementor overrides it: once `dist` inlines, `|a - b|` and
+    /// `sqrt(dx² + dy²)` are straight-line IEEE operations (subtract,
+    /// multiply, add, square root, each correctly rounded), which the
+    /// compiler packs into whatever lanes the target has without being able
+    /// to change a bit.
+    #[inline]
+    fn dist_pairs<const N: usize>(a: &[Self; N], b: &[Self; N]) -> [f64; N] {
+        std::array::from_fn(|i| a[i].dist(&b[i]))
     }
 }
 
 impl SeqValue for f64 {
+    #[inline]
     fn dist(&self, other: &Self) -> f64 {
         (self - other).abs()
     }
+    #[inline]
     fn midpoint(&self, other: &Self) -> Self {
         (self + other) / 2.0
     }
@@ -86,15 +101,14 @@ impl SeqValue for f64 {
     fn dist_many(q: &Self, xs: &[Self], out: &mut [f64]) {
         crate::simd::dist_abs_many(*q, xs, out);
     }
-    fn dist_pairs(a: &[Self], b: &[Self], out: &mut [f64]) {
-        crate::simd::dist_abs_pairs(a, b, out);
-    }
 }
 
 impl SeqValue for Point2 {
+    #[inline]
     fn dist(&self, other: &Self) -> f64 {
         Point2::dist(*self, *other)
     }
+    #[inline]
     fn midpoint(&self, other: &Self) -> Self {
         Point2::midpoint(*self, *other)
     }

@@ -73,6 +73,10 @@ use protocol::{render_err, render_ok, ErrorCode, Request, WireError};
 /// Upper bound accepted for `ping`'s `delay_ms` parameter.
 pub const MAX_PING_DELAY_MS: u64 = 10_000;
 
+/// Upper bound accepted for a query's `steps` (the length of the
+/// interpolated query trajectory), on the wire and in `strgdb query`.
+pub const MAX_QUERY_STEPS: u64 = 4096;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {

@@ -15,8 +15,13 @@ use strg_obs::Json;
 use strg_video::{lab_scene, traffic_scene, ScenarioConfig, VideoClip};
 
 use crate::protocol::{Params, WireError};
+use crate::MAX_QUERY_STEPS;
 
 /// Parses `"x,y"` into a [`Point2`] (the CLI `--from`/`--to` format).
+/// Coordinates must be finite: `f64::from_str` also accepts `nan`, `inf`
+/// and literals that overflow to infinity (`1e999`), none of which is a
+/// position, and non-finite elements are outside the distance kernels'
+/// contract (`strg_distance::SeqValue`).
 pub fn parse_point(s: &str) -> Result<Point2, String> {
     let (x, y) = s
         .split_once(',')
@@ -29,12 +34,28 @@ pub fn parse_point(s: &str) -> Result<Point2, String> {
         .trim()
         .parse()
         .map_err(|_| format!("bad y coordinate {y:?}"))?;
+    if !(x.is_finite() && y.is_finite()) {
+        return Err(format!("coordinates must be finite — got {s:?}"));
+    }
     Ok(Point2::new(x, y))
 }
 
+/// Validates an interpolation step count: `2..=`[`MAX_QUERY_STEPS`]. The
+/// trajectory is allocated from it and every candidate's lattice has that
+/// many rows, so it is bounded before either happens.
+pub fn check_steps(steps: u64) -> Result<usize, String> {
+    if steps < 2 {
+        Err("steps must be at least 2".into())
+    } else if steps > MAX_QUERY_STEPS {
+        Err(format!("steps must be <= {MAX_QUERY_STEPS}"))
+    } else {
+        Ok(steps as usize)
+    }
+}
+
 /// The query trajectory both front ends build from `--from`/`--to`:
-/// `steps` points linearly interpolated between the endpoints (`steps`
-/// must be at least 2; callers validate).
+/// `steps` points linearly interpolated between the endpoints (callers
+/// validate `steps` with [`check_steps`]).
 pub fn lerp_trajectory(from: Point2, to: Point2, steps: usize) -> Vec<Point2> {
     (0..steps)
         .map(|i| from.lerp(to, i as f64 / (steps - 1) as f64))
@@ -52,7 +73,8 @@ pub struct QuerySpec {
     pub from: Point2,
     /// Trajectory end.
     pub to: Point2,
-    /// Interpolation steps between the endpoints (≥ 2, default 30).
+    /// Interpolation steps between the endpoints (`2..=MAX_QUERY_STEPS`,
+    /// default 30).
     pub steps: usize,
     /// `Some(radius)` selects a range query; `None` selects k-NN.
     pub radius: Option<f64>,
@@ -66,10 +88,7 @@ pub struct QuerySpec {
 pub fn parse_query_spec(p: &Params<'_>) -> Result<QuerySpec, WireError> {
     let from = parse_point(p.str_req("from")?).map_err(WireError::invalid)?;
     let to = parse_point(p.str_req("to")?).map_err(WireError::invalid)?;
-    let steps = p.u64_or("steps", 30)? as usize;
-    if steps < 2 {
-        return Err(WireError::invalid("steps must be at least 2"));
-    }
+    let steps = check_steps(p.u64_or("steps", 30)?).map_err(WireError::invalid)?;
     let radius = p.f64_opt("radius")?;
     if radius.is_some() && p.get("k").is_some() {
         return Err(WireError::invalid(
@@ -265,6 +284,20 @@ mod tests {
         assert_eq!(parse_point(" 3.5 , -4 ").unwrap(), Point2::new(3.5, -4.0));
         assert!(parse_point("35").is_err());
         assert!(parse_point("a,b").is_err());
+        for bad in ["nan,0", "0,NaN", "inf,0", "0,-inf", "1e999,0", "0,-1e999"] {
+            assert!(parse_point(bad).is_err(), "{bad}");
+        }
+        assert!(parse_point("1e300,-1e300").is_ok());
+    }
+
+    #[test]
+    fn step_counts_are_bounded_on_both_sides() {
+        assert!(check_steps(0).is_err());
+        assert!(check_steps(1).is_err());
+        assert_eq!(check_steps(2), Ok(2));
+        assert_eq!(check_steps(MAX_QUERY_STEPS), Ok(MAX_QUERY_STEPS as usize));
+        assert!(check_steps(MAX_QUERY_STEPS + 1).is_err());
+        assert!(check_steps(100_000_000_000).is_err());
     }
 
     #[test]

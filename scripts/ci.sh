@@ -21,6 +21,13 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The distance kernels once more as they ship: debug builds neither
+# vectorise the lane loops nor elide the bounds checks they rely on, so
+# arithmetic that only goes wrong optimised would pass the run above.
+echo "==> cargo test --release (distance kernels)"
+cargo test -q --release -p strg-distance -p strg-graph
+cargo test -q --release --test kernel_equivalence
+
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn
 # one) or race writers against readers: `timeout` keeps a wedged worker, a

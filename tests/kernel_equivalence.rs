@@ -200,3 +200,45 @@ fn oracle_corners_single_tree() {
         }
     }
 }
+
+/// Stored lengths 1…9 against query lengths 1…9 and 13: every remainder of
+/// the EGED wavefront's four-row strips, and stored sequences on both sides
+/// of its four-column step (shorter ones take the row recurrence), at the
+/// index level — scan ≡ index with the bounded kernels firing.
+#[test]
+fn short_sequences_cross_every_strip_remainder() {
+    let walk = |id: u64, len: usize| -> Vec<Point2> {
+        let (x0, y0) = (37.0 * (id % 5) as f64, 23.0 * (id % 3) as f64);
+        (0..len)
+            .map(|i| Point2::new(x0 + 3.0 * i as f64, y0 + ((id + i as u64) % 4) as f64))
+            .collect()
+    };
+    let objects: oracle::Corpus = (0..54)
+        .map(|id| (id, walk(id, 1 + id as usize % 9)))
+        .collect();
+    let mut kernels_fired = false;
+    for threads in THREAD_MODES {
+        let cfg = StrgIndexConfig::with_k(5).with_threads(Threads::Fixed(threads));
+        let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), cfg);
+        idx.add_segment(Default::default(), objects.clone());
+        for len in (1..=9).chain([13]) {
+            let q = walk(100 + len as u64, len);
+            let truth = scan(&objects, &q);
+            let near = radius_including(truth[4].1);
+            let probes = [1, 5, 54]
+                .map(QueryKind::Knn)
+                .into_iter()
+                .chain([0.0, near, 1e6].map(QueryKind::Range));
+            for probe in probes {
+                let (hits, cost) = match probe {
+                    QueryKind::Knn(k) => idx.knn_with_cost(&q, k),
+                    QueryKind::Range(radius) => idx.range_with_cost(&q, radius),
+                };
+                let ctx = format!("query length {len} threads {threads}");
+                assert_matches(&truth, &pairs(&hits), probe, &ctx);
+                kernels_fired |= cost.early_abandoned > 0;
+            }
+        }
+    }
+    assert!(kernels_fired, "no short-sequence query abandoned a DP");
+}

@@ -9,6 +9,9 @@
 //! An inadmissible bound, an over-eager abandon or a wrongly pruned shard
 //! surfaces here as a hit diff against the truth.
 
+// `robustness.rs` uses the scan and the matcher but none of the corners.
+#![allow(dead_code)]
+
 use strg::distance::SeqValue;
 use strg::prelude::*;
 

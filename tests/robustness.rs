@@ -3,6 +3,8 @@
 //! dropped frames — the nuisances the paper's EDISON choice and tracking
 //! design are motivated by.
 
+mod oracle;
+
 use strg::prelude::*;
 use strg::video::SceneNoise;
 
@@ -143,4 +145,56 @@ fn empty_and_static_videos_are_harmless() {
         0,
         "empty index does no work"
     );
+}
+
+/// Query coordinates far outside anything stored — `±1e200`, whose squares
+/// overflow (every distance is `+inf`), and `±1e150`, whose squares do not
+/// (huge but finite) — through both facades: no panic, no NaN, exactly the
+/// linear scan's answer, and the per-record accounting still partitions the
+/// database. (`strg-serve` and the CLI refuse NaN and infinite coordinates
+/// at the door; these are the finite extremes they let through.)
+#[test]
+fn extreme_query_coordinates_are_exact_and_nan_free() {
+    let plain = VideoDatabase::new(DbOptions::new());
+    let sharded = ShardedDatabase::new(DbOptions::new().shards(3));
+    let dbs: [(&str, &dyn Database); 2] = [("plain", &plain), ("3 shards", &sharded)];
+    for (name, db) in dbs {
+        for seed in [3, 7, 11, 19] {
+            db.ingest_clip(&clip_with_noise(SceneNoise::default(), seed), seed);
+        }
+        let stats = db.stats();
+        assert!(stats.objects >= 4, "{name}: {stats:?}");
+        let stored: oracle::Corpus = (0..stats.objects as u64)
+            .map(|id| (id, db.og(id).expect("dense og ids").centroid_series()))
+            .collect();
+        for big in [1e200, 1e150] {
+            let q: Vec<Point2> = (0..30)
+                .map(|i| Point2::new(-big, big).lerp(Point2::new(big, -big), i as f64 / 29.0))
+                .collect();
+            let truth = oracle::scan(&stored, &q);
+            assert!(truth.iter().all(|t| !t.1.is_nan()), "{name}: scan NaN");
+            assert_eq!(truth[0].1.is_infinite(), big == 1e200, "{name} {big}");
+            let probes = [
+                (QueryKind::Knn(3), Query::knn(3)),
+                (
+                    QueryKind::Knn(stats.objects + 1),
+                    Query::knn(stats.objects + 1),
+                ),
+                (QueryKind::Range(1e300), Query::range(1e300)),
+                (QueryKind::Range(f64::INFINITY), Query::range(f64::INFINITY)),
+            ];
+            for (probe, query) in probes {
+                let r = db.query(query.trajectory(&q).with_cost());
+                let hits: Vec<(u64, f64)> = r.hits.iter().map(|h| (h.og_id, h.dist)).collect();
+                assert!(hits.iter().all(|h| !h.1.is_nan()), "{name} {probe:?}: NaN");
+                oracle::assert_matches(&truth, &hits, probe, &format!("{name} {big}"));
+                let cost = r.cost.expect("with_cost() requested it");
+                assert_eq!(
+                    cost.distance_calls + cost.pruned + cost.lb_pruned,
+                    (stats.objects + stats.clusters) as u64,
+                    "{name} {big} {probe:?}: conservation {cost:?}"
+                );
+            }
+        }
+    }
 }

@@ -90,6 +90,48 @@ fn ingest_query_stats_over_real_sockets() {
     join.join().unwrap().unwrap();
 }
 
+/// Regression: `parse_point` took whatever `f64::from_str` does and `steps`
+/// had no upper bound, so `nan`/`inf`/`1e999` coordinates reached the
+/// distance kernel and `"steps":100000000000` asked for a 1.6 TB trajectory
+/// (aborting the server). Each is refused with `invalid` — alone and as one
+/// member of a `query_batch` — and the connection keeps answering.
+#[test]
+fn non_finite_and_unbounded_query_input_is_refused() {
+    let (handle, join) = boot(two_clip_db(), ServeConfig::default());
+    let mut c = Client::connect(handle.addr());
+    let good = r#"{"from":"0,80","to":"160,80","k":3}"#;
+    let bad = [
+        r#"{"from":"nan,0","to":"160,80","k":3}"#,
+        r#"{"from":"inf,0","to":"160,80","k":3}"#,
+        r#"{"from":"0,80","to":"1e999,0","k":3}"#,
+        r#"{"from":"0,80","to":"160,80","steps":100000000000,"k":3}"#,
+        r#"{"from":"0,80","to":"160,80","steps":4097,"k":3}"#,
+    ];
+    for (i, params) in bad.iter().enumerate() {
+        let r = c.send(&format!(
+            r#"{{"id":{i},"method":"query","params":{params}}}"#
+        ));
+        assert!(r.starts_with(r#"{"ok":false,"#), "{params}: {r}");
+        assert!(r.contains(r#""code":"invalid""#), "{params}: {r}");
+        let r = c.send(&format!(
+            r#"{{"id":{i},"method":"query_batch","params":{{"queries":[{good},{params}]}}}}"#
+        ));
+        assert!(r.starts_with(r#"{"ok":false,"#), "batch {params}: {r}");
+        assert!(r.contains(r#""code":"invalid""#), "batch {params}: {r}");
+        // The same connection still answers a valid query.
+        let r = c.send(&format!(r#"{{"id":99,"method":"query","params":{good}}}"#));
+        let body = result_slice(&r).expect("query result after a refusal");
+        assert!(body.starts_with(r#"{"hits":[{"#), "{body}");
+    }
+    // The bound itself is accepted.
+    let r = c.send(
+        r#"{"id":7,"method":"query","params":{"from":"0,80","to":"160,80","steps":4096,"k":1}}"#,
+    );
+    assert!(result_slice(&r).is_some(), "{r}");
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// The determinism-over-the-wire contract, byte for byte:
 /// * an ingest body from the server equals the CLI `--json` output for
 ///   the same parameters (metrics stripped — it is process-local);
