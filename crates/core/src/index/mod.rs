@@ -10,15 +10,17 @@
 //!   `EGED_M(OG_mem, OG_clus)` — a *metric* key (Theorem 2), so the
 //!   triangle inequality prunes leaf scans during k-NN search.
 //!
-//! Construction is Algorithm 2; search is Algorithm 3 (plus an exact
-//! best-first variant); leaf splits are BIC-gated per §5.3.
+//! Construction is Algorithm 2; search is Algorithm 3 — one descent whose
+//! [`QueryKind`] (k-NN or range) and [`Scope`] (every cluster, one root's,
+//! or the literal algorithm's single nearest cluster) are arguments of
+//! [`StrgIndex::search_into`]; leaf splits are BIC-gated per §5.3.
 
 mod batch;
 mod search;
 
 pub use batch::BatchScratch;
 pub(crate) use search::reserve_counted;
-pub use search::{with_query_scratch, Hit, QueryScratch};
+pub use search::{with_query_scratch, Hit, QueryScratch, Scope};
 
 use strg_cluster::{bic, bic_sweep_threads, ClusterValue, Clusterer, EmClusterer, EmConfig};
 use strg_distance::{
@@ -28,6 +30,8 @@ use strg_distance::{
 use strg_graph::BackgroundGraph;
 use strg_obs::{QueryCost, Recorder};
 use strg_parallel::{par_map_indexed, Threads};
+
+use crate::query::QueryKind;
 
 /// Configuration of the STRG-Index.
 #[derive(Copy, Clone, Debug)]
@@ -47,9 +51,9 @@ pub struct StrgIndexConfig {
     /// RNG seed for clustering.
     pub seed: u64,
     /// Worker count for segment builds (EM distance matrix, leaf keying)
-    /// and searches (centroid scans, candidate evaluation). The parallel
-    /// paths return exactly what the sequential ones
-    /// (`Threads::Fixed(1)`) do at any thread count.
+    /// and for a search's centroid pass. The parallel paths return exactly
+    /// what the sequential ones (`Threads::Fixed(1)`) do at any thread
+    /// count.
     pub threads: Threads,
 }
 
@@ -484,6 +488,44 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
         self.roots.iter().map(|r| r.clusters.len()).sum()
     }
 
+    /// The one search (`crate::index::search`): answers `kind` over `scope`
+    /// out of a caller-owned [`QueryScratch`] arena and returns the hits —
+    /// ascending by distance — as a slice into it, with the query's
+    /// [`QueryCost`]. With a warmed-up arena and `Threads::Fixed(1)` this
+    /// performs zero heap allocations (`tests/query_alloc.rs`). Hits and
+    /// the work fields of the cost are bit-identical at any thread count.
+    pub fn search_into<'s>(
+        &self,
+        query: &[V],
+        kind: QueryKind,
+        scope: Scope,
+        scratch: &'s mut QueryScratch,
+    ) -> (&'s [Hit], QueryCost) {
+        let start = std::time::Instant::now();
+        let mut cost = QueryCost::default();
+        search::search_into(
+            &self.roots,
+            &self.metric,
+            query,
+            kind,
+            scope,
+            self.cfg.threads,
+            &mut cost,
+            scratch,
+        );
+        cost.elapsed = start.elapsed();
+        (scratch.hits(), cost)
+    }
+
+    /// [`StrgIndex::search_into`] out of this thread's arena
+    /// ([`with_query_scratch`]), with the hits copied out.
+    pub fn search(&self, query: &[V], kind: QueryKind, scope: Scope) -> (Vec<Hit>, QueryCost) {
+        with_query_scratch(|scratch| {
+            let (hits, cost) = self.search_into(query, kind, scope, scratch);
+            (hits.to_vec(), cost)
+        })
+    }
+
     /// Exact k-NN over every segment (best-first over clusters, triangle
     /// pruning on leaf keys). Results ascending by distance.
     pub fn knn(&self, query: &[V], k: usize) -> Vec<Hit> {
@@ -491,46 +533,18 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     }
 
     /// Like [`StrgIndex::knn`], but also reports the query's [`QueryCost`].
-    /// The work fields (`distance_calls`, `node_accesses`, `pruned`) are
-    /// bit-identical at any thread count; see `crate::index::search`.
     pub fn knn_with_cost(&self, query: &[V], k: usize) -> (Vec<Hit>, QueryCost) {
-        self.timed(|cost| {
-            search::knn(
-                &self.roots,
-                &self.metric,
-                query,
-                k,
-                None,
-                self.cfg.threads,
-                cost,
-            )
-        })
+        self.search(query, QueryKind::Knn(k), Scope::All)
     }
 
-    /// Exact k-NN restricted to one root record (used after background
-    /// matching, Algorithm 3 step 2).
-    pub fn knn_in_root(&self, root_id: u32, query: &[V], k: usize) -> Vec<Hit> {
-        self.knn_in_root_with_cost(root_id, query, k).0
-    }
-
-    /// Like [`StrgIndex::knn_in_root`], but also reports the [`QueryCost`].
-    pub fn knn_in_root_with_cost(
+    /// [`StrgIndex::knn_with_cost`] out of a caller-owned arena.
+    pub fn knn_with_cost_into<'s>(
         &self,
-        root_id: u32,
         query: &[V],
         k: usize,
-    ) -> (Vec<Hit>, QueryCost) {
-        self.timed(|cost| {
-            search::knn(
-                &self.roots,
-                &self.metric,
-                query,
-                k,
-                Some(root_id),
-                self.cfg.threads,
-                cost,
-            )
-        })
+        scratch: &'s mut QueryScratch,
+    ) -> (&'s [Hit], QueryCost) {
+        self.search_into(query, QueryKind::Knn(k), Scope::All, scratch)
     }
 
     /// The paper's Algorithm 3 as written: descend into the *single* most
@@ -543,9 +557,7 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// Like [`StrgIndex::knn_single_cluster`], but also reports the
     /// [`QueryCost`].
     pub fn knn_single_cluster_with_cost(&self, query: &[V], k: usize) -> (Vec<Hit>, QueryCost) {
-        self.timed(|cost| {
-            search::knn_single_cluster(&self.roots, &self.metric, query, k, self.cfg.threads, cost)
-        })
+        self.search(query, QueryKind::Knn(k), Scope::NearestCluster)
     }
 
     /// Range query: every OG within `radius` of `query`, ascending by
@@ -556,105 +568,17 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
 
     /// Like [`StrgIndex::range`], but also reports the [`QueryCost`].
     pub fn range_with_cost(&self, query: &[V], radius: f64) -> (Vec<Hit>, QueryCost) {
-        self.timed(|cost| {
-            search::range(
-                &self.roots,
-                &self.metric,
-                query,
-                radius,
-                None,
-                self.cfg.threads,
-                cost,
-            )
-        })
+        self.search(query, QueryKind::Range(radius), Scope::All)
     }
 
-    /// Like [`StrgIndex::knn_with_cost`], but runs out of a caller-owned
-    /// [`QueryScratch`] arena and returns the hits as a slice into it. With
-    /// a warmed-up arena and `Threads::Fixed(1)` this performs zero heap
-    /// allocations (`tests/query_alloc.rs`); hits and cost are identical to
-    /// the `Vec`-returning variant.
-    pub fn knn_with_cost_into<'s>(
-        &self,
-        query: &[V],
-        k: usize,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Hit], QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        search::knn_into(
-            &self.roots,
-            &self.metric,
-            query,
-            k,
-            None,
-            self.cfg.threads,
-            &mut cost,
-            scratch,
-        );
-        cost.elapsed = start.elapsed();
-        (scratch.hits(), cost)
-    }
-
-    /// Like [`StrgIndex::range_with_cost`], but runs out of a caller-owned
-    /// [`QueryScratch`] arena and returns the hits as a slice into it (see
-    /// [`StrgIndex::knn_with_cost_into`]).
+    /// [`StrgIndex::range_with_cost`] out of a caller-owned arena.
     pub fn range_with_cost_into<'s>(
         &self,
         query: &[V],
         radius: f64,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Hit], QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        search::range_into(
-            &self.roots,
-            &self.metric,
-            query,
-            radius,
-            None,
-            self.cfg.threads,
-            &mut cost,
-            scratch,
-        );
-        cost.elapsed = start.elapsed();
-        (scratch.hits(), cost)
-    }
-
-    /// Range query restricted to one root record.
-    pub fn range_in_root(&self, root_id: u32, query: &[V], radius: f64) -> Vec<Hit> {
-        self.range_in_root_with_cost(root_id, query, radius).0
-    }
-
-    /// Like [`StrgIndex::range_in_root`], but also reports the
-    /// [`QueryCost`].
-    pub fn range_in_root_with_cost(
-        &self,
-        root_id: u32,
-        query: &[V],
-        radius: f64,
-    ) -> (Vec<Hit>, QueryCost) {
-        self.timed(|cost| {
-            search::range(
-                &self.roots,
-                &self.metric,
-                query,
-                radius,
-                Some(root_id),
-                self.cfg.threads,
-                cost,
-            )
-        })
-    }
-
-    /// Runs `f` with a fresh [`QueryCost`], stamping the wall-clock elapsed
-    /// time afterwards.
-    fn timed<T>(&self, f: impl FnOnce(&mut QueryCost) -> T) -> (T, QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        let out = f(&mut cost);
-        cost.elapsed = start.elapsed();
-        (out, cost)
+        self.search_into(query, QueryKind::Range(radius), Scope::All, scratch)
     }
 
     /// Algorithm 3 step 2: matches a query Background Graph against the
@@ -672,46 +596,29 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Full Algorithm 3: background matching followed by k-NN restricted
-    /// to the matched root record. Falls back to the global search when no
-    /// root matches above `min_similarity`.
-    pub fn knn_with_background(
+    /// Full Algorithm 3: background matching, then `kind` restricted to the
+    /// matched root record ([`Scope::Root`]) — or over every segment when
+    /// no root matches at `min_similarity` or above. The root-record scan
+    /// of the match is charged as one node access per root.
+    pub fn search_with_background(
         &self,
         bg: &strg_graph::BackgroundGraph,
         compat: &strg_graph::CompatParams,
         min_similarity: f64,
         query: &[V],
-        k: usize,
-    ) -> Vec<Hit> {
-        self.knn_with_background_with_cost(bg, compat, min_similarity, query, k)
-            .0
-    }
-
-    /// Like [`StrgIndex::knn_with_background`], but also reports the
-    /// [`QueryCost`]. The root-record scan of the background match is
-    /// charged as one node access per root.
-    pub fn knn_with_background_with_cost(
-        &self,
-        bg: &strg_graph::BackgroundGraph,
-        compat: &strg_graph::CompatParams,
-        min_similarity: f64,
-        query: &[V],
-        k: usize,
+        kind: QueryKind,
     ) -> (Vec<Hit>, QueryCost) {
         let start = std::time::Instant::now();
-        let matched = self.match_root(bg, compat);
-        let (hits, mut cost) = match matched {
-            Some((root, sim)) if sim >= min_similarity => {
-                self.knn_in_root_with_cost(root, query, k)
-            }
-            _ => self.knn_with_cost(query, k),
+        let scope = match self.match_root(bg, compat) {
+            Some((root, sim)) if sim >= min_similarity => Scope::Root(root),
+            _ => Scope::All,
         };
-        let mut total = QueryCost {
-            node_accesses: self.roots.len() as u64, // background matching scan
+        let (hits, inner) = self.search(query, kind, scope);
+        let mut cost = QueryCost {
+            node_accesses: self.roots.len() as u64,
             ..QueryCost::default()
         };
-        total.merge(&cost);
-        cost = total;
+        cost.merge(&inner);
         cost.elapsed = start.elapsed();
         (hits, cost)
     }
@@ -968,8 +875,9 @@ mod tests {
         assert_ne!(r0, r1);
         // Root-restricted search only sees its own OGs.
         let q = vec![0.0, 1.0, 2.0];
-        let hits = idx.knn_in_root(r1, &q, 40);
+        let (hits, _) = idx.search(&q, QueryKind::Knn(40), Scope::Root(r1));
         assert_eq!(hits.len(), 36);
+        assert!(hits.iter().all(|h| h.root_id == r1));
     }
 
     #[test]

@@ -1,45 +1,46 @@
-//! STRG-Index k-NN search (Algorithm 3).
+//! STRG-Index search (§5, Algorithm 3): one descent, one leaf scan.
 //!
-//! Two flavors:
+//! Every query is the same walk — root records → cluster centroids →
+//! key-ordered leaves, pruned by `|key − EGED_M(q, centroid)|` — and
+//! [`search_into`] is its only entry. What varies is data, not code:
 //!
-//! * [`knn`] — exact best-first search over cluster records: clusters are
-//!   visited in order of a triangle-inequality lower bound derived from the
-//!   centroid distance and the leaf's key range, and within a leaf only the
-//!   key band `|key - d(q, centroid)| <= d_k` is evaluated. This is the
-//!   search Figure 7b's distance-computation counts are about.
-//! * [`knn_single_cluster`] — the literal Algorithm 3: pick the single most
-//!   similar centroid and scan only its leaf (approximate; Figure 7c).
+//! * the [`QueryKind`] is the cutoff and what accepting a record means:
+//!   `Knn(k)` prunes against `d_k` of the running best list, which shrinks
+//!   as the scan goes, and keeps the best `k`; `Range(r)` prunes against
+//!   the constant `r` and keeps everything it accepts;
+//! * the [`Scope`] is which leaves may be opened: every cluster (exact,
+//!   what Figure 7b counts), one root record's clusters (after Algorithm
+//!   3's background match), or only the nearest centroid's leaf — the
+//!   literal Algorithm 3, approximate, Figure 7c.
 //!
-//! Every search threads a [`QueryCost`]. The counts are *logical*: they
-//! charge the work of the sequential decision sequence (which the parallel
-//! path replays over precomputed values), so they are bit-identical at any
-//! thread count and — at `Threads::Fixed(1)` — equal to the physical call
-//! count a [`strg_distance::CountingDistance`] observes. Speculative
-//! evaluations the parallel k-NN band performs beyond what the adaptive
-//! sequential scan needs are intentionally *not* charged (see DESIGN.md §8).
+//! Every search threads a [`QueryCost`]. Inside a tree **logical cost is
+//! physical cost at every thread count**: the only fork is the centroid
+//! pass of [`gather_cands_into`], which evaluates exactly the centroids the
+//! sequential loop does, and the leaf scan runs on the calling thread, so a
+//! [`strg_distance::CountingDistance`] observes `distance_calls` exactly
+//! (DESIGN.md §7 "What forks inside a query" records why the leaf scan does
+//! not fork).
 //!
 //! Refinement is filtered and bounded (DESIGN.md §9): before evaluating a
-//! band record the search checks an admissible summary lower bound against
+//! band record the scan checks an admissible summary lower bound against
 //! the current cutoff (charging `lb_pruned` on exclusion), and the
 //! evaluation itself runs through `distance_upto` with the cutoff so the DP
 //! can abandon early (charging `early_abandoned`, still within
 //! `distance_calls`). Both shortcuts are exact; `tests/kernel_equivalence.rs`
 //! pins the hits to a linear `metric.distance` scan, so an inadmissible
-//! bound or an over-eager abandon surfaces as a hit-list difference.
+//! bound or an over-eager abandon surfaces as a hit-list difference. The
+//! key band itself is widened by a rounding slack ([`widened`]), because
+//! the triangle inequality it rests on holds for the reals, not for three
+//! separately rounded DP sums.
 //!
 //! Every search runs out of a reusable [`QueryScratch`] arena (candidate
 //! list, hit buffers, sort permutation), so sequential steady-state queries
-//! perform **zero heap allocations** — proven by `tests/query_alloc.rs`.
-//! The `Vec`-returning entry points borrow a thread-local arena and copy
-//! the hits out; the `*_into` variants expose the arena directly
-//! (DESIGN.md §13). The parallel paths still allocate inside
-//! `strg_parallel::par_map` (job boxes and result vectors), which is why
-//! the zero-alloc contract is stated for `Threads::Fixed(1)`.
-//!
-//! The public entry points resolve their [`Threads`] policy once and pass
-//! `Threads::Fixed(n)` down, so `Threads::Auto` costs one environment read
-//! per query rather than one per visited leaf; and a leaf's key band is
-//! fanned out only when it holds at least `PAR_BAND_MIN` records.
+//! perform **zero heap allocations** — proven by `tests/query_alloc.rs`
+//! (DESIGN.md §13). The parallel centroid pass still allocates inside
+//! `strg_parallel::par_map` (job boxes and the result vector), which is why
+//! the zero-alloc contract is stated for `Threads::Fixed(1)`. The
+//! [`Threads`] policy is resolved once per query, so `Threads::Auto` costs
+//! one environment read per query.
 
 use std::cell::RefCell;
 
@@ -47,7 +48,8 @@ use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, Seq
 use strg_obs::QueryCost;
 use strg_parallel::{par_map, Threads};
 
-use super::RootRecord;
+use super::{ClusterRecord, LeafRecord, RootRecord};
+use crate::query::QueryKind;
 
 /// One search result.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -62,18 +64,25 @@ pub struct Hit {
     pub dist: f64,
 }
 
-/// Shortest key band worth a hand-off to the pool. Waking a parked helper
-/// costs the forking thread about as much as a dozen bounded DP
-/// evaluations, so a shorter band is scanned by the adaptive sequential
-/// loop instead — which for k-NN also skips the speculative evaluations
-/// the frozen band would have paid for. Logical costs are path-independent,
-/// so the rule changes no count. Chosen by measurement (DESIGN.md §7 "The
-/// band rule"); depends on nothing but the band's length.
-const PAR_BAND_MIN: usize = 16;
+/// Which leaves a search may open.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Scope {
+    /// Every cluster of every root record: the exact search, as the paper
+    /// runs it for background-free queries.
+    All,
+    /// Only the clusters of the root record with this id (Algorithm 3 step
+    /// 2, after background matching, or an explicit clip). Exact within
+    /// that segment; an unknown id finds nothing and costs nothing.
+    Root(u32),
+    /// Only the leaf of the single most similar centroid — Algorithm 3 as
+    /// written. Cheaper but approximate: every other leaf is charged to
+    /// `pruned` unopened (Figure 7c quantifies the accuracy trade-off).
+    NearestCluster,
+}
 
-/// A cluster candidate gathered during pass 1. Plain positional indices
-/// into the roots slice (not references), so the candidate list can live in
-/// a [`QueryScratch`] that outlives any one query.
+/// A cluster candidate gathered during the centroid pass. Plain positional
+/// indices into the roots slice (not references), so the candidate list
+/// can live in a [`QueryScratch`] that outlives any one query.
 #[derive(Copy, Clone, Debug)]
 struct Cand {
     /// Position of the root in the roots slice.
@@ -86,22 +95,18 @@ struct Cand {
     lower: f64,
 }
 
-/// Reusable per-thread search arena: every buffer the k-NN/range hot path
-/// needs, grown to its high-water mark and reused across queries. After
-/// warm-up a sequential query allocates nothing (`tests/query_alloc.rs`).
+/// Reusable per-thread search arena: every buffer the hot path needs,
+/// grown to its high-water mark and reused across queries. After warm-up a
+/// sequential query allocates nothing (`tests/query_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// `(root_idx, cluster_idx)` staging for the parallel centroid fan-out.
-    refs: Vec<(u32, u32)>,
-    /// Gathered cluster candidates (pass 1).
+    /// Gathered cluster candidates (the centroid pass).
     cands: Vec<Cand>,
-    /// In-band survivor indices of the lower-bound filter.
-    survivors: Vec<u32>,
     /// Sort permutation for the final range ordering.
     order: Vec<u32>,
     /// Double buffer applying that permutation.
     hits_tmp: Vec<Hit>,
-    /// The result list (`best` for knn, `out` for range).
+    /// The result list (best-k for k-NN, every accepted hit for range).
     hits: Vec<Hit>,
     /// Number of times a buffer had to grow (0 in steady state).
     grows: u64,
@@ -115,9 +120,7 @@ impl QueryScratch {
 
     pub(crate) const fn empty() -> Self {
         Self {
-            refs: Vec::new(),
             cands: Vec::new(),
-            survivors: Vec::new(),
             order: Vec::new(),
             hits_tmp: Vec::new(),
             hits: Vec::new(),
@@ -125,7 +128,7 @@ impl QueryScratch {
         }
     }
 
-    /// The hits of the last `*_into` search, ascending by distance.
+    /// The hits of the last search, ascending by distance.
     pub fn hits(&self) -> &[Hit] {
         &self.hits
     }
@@ -138,9 +141,7 @@ impl QueryScratch {
 
     /// Bytes currently reserved across all buffers.
     pub fn alloc_bytes(&self) -> usize {
-        self.refs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.cands.capacity() * std::mem::size_of::<Cand>()
-            + self.survivors.capacity() * std::mem::size_of::<u32>()
+        self.cands.capacity() * std::mem::size_of::<Cand>()
             + self.order.capacity() * std::mem::size_of::<u32>()
             + (self.hits_tmp.capacity() + self.hits.capacity()) * std::mem::size_of::<Hit>()
     }
@@ -169,19 +170,22 @@ pub(crate) fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
     }
 }
 
-fn leaf_len<V>(roots: &[RootRecord<V>], cand: &Cand) -> u64 {
-    roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
-        .leaf
-        .records
-        .len() as u64
+fn cluster<'r, V>(roots: &'r [RootRecord<V>], cand: &Cand) -> &'r ClusterRecord<V> {
+    &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
 }
 
-/// Pass 1 of the exact searches: distance to every centroid (the
-/// cluster-node scan of Algorithm 3) plus a triangle lower bound per leaf.
-/// Sequentially this is one allocation-free double loop into the arena's
-/// candidate buffer; in parallel the centroid distances fan out over the
-/// workers via the arena's `(root, cluster)` staging, coming back in
-/// root/cluster order exactly as the sequential loop gathers them.
+fn total_records<V>(roots: &[RootRecord<V>], cands: &[Cand]) -> usize {
+    cands
+        .iter()
+        .map(|c| cluster(roots, c).leaf.records.len())
+        .sum()
+}
+
+/// The centroid pass (the cluster-node scan of Algorithm 3): distance to
+/// every centroid in scope plus a triangle lower bound per leaf, into the
+/// arena's candidate buffer in root/cluster order. Sequentially one
+/// allocation-free loop; in parallel the same evaluations fan out over the
+/// workers and come back in the same order — the one fork inside a tree.
 fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
     roots: &[RootRecord<V>],
     metric: &D,
@@ -191,14 +195,32 @@ fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
+    let QueryScratch { cands, grows, .. } = scratch;
     let included = |root: &&RootRecord<V>| root_filter.is_none_or(|r| r == root.id);
+    let n_cands: usize = roots
+        .iter()
+        .filter(included)
+        .map(|r| r.clusters.len())
+        .sum();
+    cands.clear();
+    reserve_counted(cands, n_cands, grows);
     let mut visited_roots = 0u64;
-    let mut n_cands = 0usize;
-    for root in roots.iter().filter(included) {
+    for (ri, root) in roots.iter().enumerate() {
+        if !included(&root) {
+            continue;
+        }
         visited_roots += 1;
-        n_cands += root.clusters.len();
+        cands.extend(root.clusters.iter().enumerate().map(|(ci, c)| Cand {
+            root_idx: ri as u32,
+            cluster_idx: ci as u32,
+            root_id: root.id,
+            cluster_id: c.id,
+            centroid_dist: 0.0,
+            lower: 0.0,
+        }));
     }
-    let eval = |c: &super::ClusterRecord<V>| {
+    let eval = |cand: &Cand| {
+        let c = cluster(roots, cand);
         let d = metric.distance(query, &c.centroid);
         // Any member m satisfies d(q, m) >= |d(q, centroid) - key(m)|;
         // keys span [min_key, max_key].
@@ -213,49 +235,14 @@ fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
         };
         (d, lower)
     };
-    scratch.cands.clear();
-    reserve_counted(&mut scratch.cands, n_cands, &mut scratch.grows);
     if threads.is_sequential() {
-        for (ri, root) in roots.iter().enumerate() {
-            if !included(&root) {
-                continue;
-            }
-            for (ci, c) in root.clusters.iter().enumerate() {
-                let (centroid_dist, lower) = eval(c);
-                scratch.cands.push(Cand {
-                    root_idx: ri as u32,
-                    cluster_idx: ci as u32,
-                    root_id: root.id,
-                    cluster_id: c.id,
-                    centroid_dist,
-                    lower,
-                });
-            }
+        for cand in cands.iter_mut() {
+            (cand.centroid_dist, cand.lower) = eval(cand);
         }
     } else {
-        scratch.refs.clear();
-        reserve_counted(&mut scratch.refs, n_cands, &mut scratch.grows);
-        for (ri, root) in roots.iter().enumerate() {
-            if !included(&root) {
-                continue;
-            }
-            for ci in 0..root.clusters.len() {
-                scratch.refs.push((ri as u32, ci as u32));
-            }
-        }
-        let computed = par_map(&scratch.refs, threads, |&(ri, ci)| {
-            eval(&roots[ri as usize].clusters[ci as usize])
-        });
-        for (&(ri, ci), (centroid_dist, lower)) in scratch.refs.iter().zip(computed) {
-            let root = &roots[ri as usize];
-            scratch.cands.push(Cand {
-                root_idx: ri,
-                cluster_idx: ci,
-                root_id: root.id,
-                cluster_id: root.clusters[ci as usize].id,
-                centroid_dist,
-                lower,
-            });
+        let computed = par_map(cands, threads, eval);
+        for (cand, computed) in cands.iter_mut().zip(computed) {
+            (cand.centroid_dist, cand.lower) = computed;
         }
     }
     // One root-node access per visited root record, one cluster-node access
@@ -264,90 +251,189 @@ fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
     cost.distance_calls += n_cands as u64;
 }
 
-/// Exact k-NN. `root_filter` restricts the search to one root record when
-/// the query carried a matching background (Algorithm 3 step 2); `None`
-/// searches every cluster node, as the paper does for background-free
-/// queries.
-///
-/// The result is identical at every thread count. With `threads <= 1` the
-/// leaf scan is the fully adaptive sequential one: the key band shrinks
-/// with every improvement of `d_k`, which minimizes distance evaluations
-/// (Figure 7b). The parallel path freezes the band at the `d_k` held on
-/// *entering* the cluster — a superset of the records the sequential scan
-/// evaluates — fans the evaluations out, then replays the adaptive
-/// predicates in record order over the precomputed distances, so the
-/// surviving hits (and all tie-breaks) match the sequential path exactly.
-pub fn knn<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    k: usize,
-    root_filter: Option<u32>,
-    threads: Threads,
-    cost: &mut QueryCost,
-) -> Vec<Hit> {
-    with_query_scratch(|scratch| {
-        knn_into(roots, metric, query, k, root_filter, threads, cost, scratch);
-        scratch.hits().to_vec()
-    })
+/// Relative rounding slack of the triangle tests. `EGED_M` is a sum of at
+/// most `m + n` ground distances along the cheapest alignment; each term
+/// carries a few units of rounding (`u = 2⁻⁵³`) and each addition one
+/// more, and because every term is non-negative the bound survives the
+/// DP's `min`: a computed distance is its real value times `1 ± γ` with
+/// `γ ≤ (m + n + 3)·u`. The key band compares three such values. For a
+/// record within the cutoff (`d ≤ c`) the real inequalities
+/// `|key − cd| ≤ d` and `key ≤ cd + d` give, to first order,
+/// `|key − cd| − c ≤ γ·(key + cd + d) ≤ 2γ·(cd + c)` on the computed ones.
+/// `1e-9` covers `2γ` up to `m + n` = 4.5 million elements — no O(m·n) DP
+/// that size is ever run — and is the relative margin DESIGN.md §9's
+/// deflation already gives away on the summary bound.
+const ROUNDING_SLACK: f64 = 1e-9;
+
+/// `cutoff` as a triangle test through a centroid at `centroid_dist` may
+/// apply it: widened by [`ROUNDING_SLACK`], so that a record the bounded
+/// kernel would accept is never excluded by its key. Infinite stays
+/// infinite.
+fn widened(centroid_dist: f64, cutoff: f64) -> f64 {
+    cutoff + ROUNDING_SLACK * (centroid_dist + cutoff)
 }
 
-/// [`knn`] into a caller-owned arena; the hits land in
-/// [`QueryScratch::hits`], ascending by distance.
+/// What a record must beat right now: `d_k` of the running best list
+/// (infinite until it holds `k`), or the radius.
+fn cutoff(kind: QueryKind, hits: &[Hit]) -> f64 {
+    match kind {
+        QueryKind::Knn(k) if hits.len() < k => f64::INFINITY,
+        QueryKind::Knn(k) => hits[k - 1].dist,
+        QueryKind::Range(radius) => radius,
+    }
+}
+
+/// The search: the centroid pass over `scope`, then [`visit_leaf`] over the
+/// leaves it leaves open. The hits land in [`QueryScratch::hits`],
+/// ascending by distance (ties in visit order); `cost` is charged so that
+/// `distance_calls + pruned + lb_pruned` covers every record and centroid
+/// in scope exactly once. `Knn(0)` asks for nothing and charges nothing.
+///
+/// A k-NN visits leaves best-first by lower bound and stops at the first
+/// one that cannot beat `d_k`; a range search opens every leaf in scope
+/// (in root/cluster order — its final order is `(dist, visit position)`);
+/// [`Scope::NearestCluster`] opens one. The result and the cost are
+/// identical at every thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
+pub fn search_into<
+    V: SeqValue,
+    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
+>(
     roots: &[RootRecord<V>],
     metric: &D,
     query: &[V],
-    k: usize,
-    root_filter: Option<u32>,
+    kind: QueryKind,
+    scope: Scope,
     threads: Threads,
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
     scratch.hits.clear();
-    if k == 0 {
+    if kind == QueryKind::Knn(0) {
         return;
     }
     let threads = Threads::Fixed(threads.resolve());
     let qsum = metric.summarize(query);
+    let root_filter = match scope {
+        Scope::Root(id) => Some(id),
+        Scope::All | Scope::NearestCluster => None,
+    };
     gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
-    sort_cands(&mut scratch.cands);
-
-    let total_records: usize = scratch
-        .cands
-        .iter()
-        .map(|c| leaf_len(roots, c) as usize)
-        .sum();
-    // `best` lives in scratch.hits: sorted ascending, len <= k, with one
-    // slot of headroom so the insert-then-truncate never reallocates.
-    reserve_counted(
-        &mut scratch.hits,
-        k.min(total_records) + 1,
-        &mut scratch.grows,
-    );
-    for ci in 0..scratch.cands.len() {
-        let cand = scratch.cands[ci];
-        if !knn_visit_cand(
-            roots,
-            metric,
-            query,
-            &qsum,
-            k,
-            threads,
-            cand,
-            &mut scratch.hits,
-            cost,
-        ) {
-            // Clusters are sorted by lower bound: this and every remaining
-            // candidate's leaf records are excluded without evaluation.
-            cost.pruned += scratch.cands[ci..]
-                .iter()
-                .map(|c| leaf_len(roots, c))
-                .sum::<u64>();
+    let QueryScratch {
+        cands, hits, grows, ..
+    } = scratch;
+    // Which leaves may be opened (a prefix of `cands`), and in what order.
+    let open = match (scope, kind) {
+        (Scope::NearestCluster, _) => {
+            // Strict `<`: ties keep the earlier cluster.
+            let nearest = (0..cands.len()).reduce(|best, i| {
+                if cands[i].centroid_dist < cands[best].centroid_dist {
+                    i
+                } else {
+                    best
+                }
+            });
+            nearest.map_or(0, |i| {
+                cands.swap(0, i);
+                1
+            })
+        }
+        (_, QueryKind::Knn(_)) => {
+            sort_cands(cands);
+            cands.len()
+        }
+        (_, QueryKind::Range(_)) => cands.len(),
+    };
+    // One slot of headroom, so a k-NN's insert-then-truncate never
+    // reallocates.
+    let records = total_records(roots, &cands[..open]);
+    let room = match kind {
+        QueryKind::Knn(k) => k.min(records) + 1,
+        QueryKind::Range(_) => records,
+    };
+    reserve_counted(hits, room, grows);
+    // Only a k-NN can stop early: its candidates ascend by lower bound and
+    // `d_k` never grows, so the first leaf out of reach ends the visit.
+    let best_first = matches!(kind, QueryKind::Knn(_));
+    let mut visited = 0;
+    for cand in &cands[..open] {
+        if best_first && cand.lower > widened(cand.centroid_dist, cutoff(kind, hits)) {
             break;
         }
+        let records = &cluster(roots, cand).leaf.records;
+        visit_leaf(records, metric, query, &qsum, kind, cand, hits, cost);
+        visited += 1;
     }
+    // Leaves never opened are excluded without evaluation.
+    cost.pruned += total_records(roots, &cands[visited..]) as u64;
+    if let QueryKind::Range(_) = kind {
+        sort_hits_stable(scratch);
+    }
+}
+
+/// The leaf scan — the one loop every kind and scope runs. Members satisfy
+/// `|key − d(q, centroid)| ≤ d(q, m)` (Theorem 2), so only the key band
+/// within the cutoff of `cand.centroid_dist` can hold an answer:
+/// binary-search its lower end, walk up while the key stays inside,
+/// summary lower bound, bounded DP, accept. The cutoff is re-read per
+/// record: a k-NN's band narrows as `d_k` improves, a range's never moves.
+/// Keys ascend and the cutoff only shrinks, so the first key above the
+/// band ends the scan and everything past it is pruned in bulk.
+#[allow(clippy::too_many_arguments)]
+fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
+    records: &[LeafRecord<V>],
+    metric: &D,
+    query: &[V],
+    qsum: &SeqSummary<V>,
+    kind: QueryKind,
+    cand: &Cand,
+    hits: &mut Vec<Hit>,
+    cost: &mut QueryCost,
+) {
+    cost.node_accesses += 1;
+    let centroid_dist = cand.centroid_dist;
+    let band = widened(centroid_dist, cutoff(kind, hits));
+    let lo = records.partition_point(|r| r.key < centroid_dist - band);
+    let mut reached = records.len();
+    for (i, r) in records.iter().enumerate().skip(lo) {
+        let cutoff_now = cutoff(kind, hits);
+        let band = widened(centroid_dist, cutoff_now);
+        if r.key > centroid_dist + band {
+            reached = i;
+            break;
+        }
+        // Below a band that narrowed since `lo` was taken.
+        if r.key < centroid_dist - band {
+            cost.pruned += 1;
+            continue;
+        }
+        // Summary lower bound: excluded without touching the sequence.
+        if metric.lower_bound(query, qsum, &r.summary) > cutoff_now {
+            cost.lb_pruned += 1;
+            continue;
+        }
+        cost.distance_calls += 1;
+        let Some(dist) = metric.distance_upto(query, &r.seq, cutoff_now) else {
+            cost.early_abandoned += 1;
+            continue;
+        };
+        let hit = Hit {
+            root_id: cand.root_id,
+            cluster_id: cand.cluster_id,
+            og_id: r.og_id,
+            dist,
+        };
+        match kind {
+            // After every equal distance, so ties keep discovery order; a
+            // tie with a full list's `d_k` lands past `k` and is dropped.
+            QueryKind::Knn(k) => {
+                hits.insert(hits.partition_point(|h| h.dist <= dist), hit);
+                hits.truncate(k);
+            }
+            QueryKind::Range(_) => hits.push(hit),
+        }
+    }
+    cost.pruned += (lo + records.len() - reached) as u64;
 }
 
 /// Orders gathered candidates by triangle lower bound. Unstable sort with a
@@ -361,259 +447,6 @@ fn sort_cands(cands: &mut [Cand]) {
             .then(a.root_idx.cmp(&b.root_idx))
             .then(a.cluster_idx.cmp(&b.cluster_idx))
     });
-}
-
-/// One best-first k-NN step: visits `cand`'s leaf with the cutoff implied
-/// by the current `hits`, updating `hits` and `cost` exactly as the
-/// sequential candidate loop of [`knn_into`] does. Returns `false` —
-/// charging nothing — when `cand.lower` exceeds the cutoff: candidates are
-/// visited in lower-bound order, so the caller then bulk-prunes this and
-/// every remaining leaf and stops the query.
-#[allow(clippy::too_many_arguments)]
-fn knn_visit_cand<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    qsum: &SeqSummary<V>,
-    k: usize,
-    threads: Threads,
-    cand: Cand,
-    hits: &mut Vec<Hit>,
-    cost: &mut QueryCost,
-) -> bool {
-    let dk = if hits.len() < k {
-        f64::INFINITY
-    } else {
-        hits[k - 1].dist
-    };
-    if cand.lower > dk {
-        return false;
-    }
-    cost.node_accesses += 1; // the candidate's leaf node
-
-    // Key-band scan: records outside |key - d_q| <= dk cannot qualify.
-    let records = &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
-        .leaf
-        .records;
-    let lo = records.partition_point(|r| r.key < cand.centroid_dist - dk);
-    cost.pruned += lo as u64;
-    // Parallel path: evaluate the dk-at-entry band up front. It covers
-    // every record the adaptive scan below can reach, because d_k only
-    // shrinks while scanning. The speculative evaluations are bounded by
-    // dk-at-entry: a `None` in the replay certifies d > dk-at-entry >=
-    // dk_now, exactly what the sequential `distance_upto(.., dk_now)`
-    // would have concluded. Bands too short to repay the hand-off take
-    // the adaptive scan like the sequential path.
-    let frozen = if threads.is_sequential() {
-        None
-    } else {
-        let hi = lo + records[lo..].partition_point(|r| r.key <= cand.centroid_dist + dk);
-        Some(&records[lo..hi]).filter(|band| band.len() >= PAR_BAND_MIN)
-    };
-    let (band, dists) = match frozen {
-        Some(band) => {
-            let d = par_map(band, threads, |r| metric.distance_upto(query, &r.seq, dk));
-            (band, Some(d))
-        }
-        None => (&records[lo..], None),
-    };
-    // `reached` is where the adaptive scan stops; records past it are
-    // pruned in bulk below. When the frozen parallel band is exhausted
-    // without a break, the sequential scan would break right at `hi`
-    // (every later key exceeds centroid_dist + dk-at-entry >= dk_now),
-    // so the bulk charge is identical on both paths.
-    let mut reached = band.len();
-    for (i, r) in band.iter().enumerate() {
-        let dk_now = if hits.len() < k {
-            f64::INFINITY
-        } else {
-            hits[k - 1].dist
-        };
-        if r.key > cand.centroid_dist + dk_now {
-            reached = i;
-            break;
-        }
-        if (r.key - cand.centroid_dist).abs() > dk_now {
-            cost.pruned += 1;
-            continue;
-        }
-        // Summary lower bound: excluded without touching the sequence.
-        if metric.lower_bound(query, qsum, &r.summary) > dk_now {
-            cost.lb_pruned += 1;
-            continue;
-        }
-        cost.distance_calls += 1;
-        let bounded = match &dists {
-            Some(ds) => ds[i],
-            None => metric.distance_upto(query, &r.seq, dk_now),
-        };
-        // `None` means d > dk-at-entry >= dk_now on the parallel path and
-        // d > dk_now on the sequential one; a precomputed distance in
-        // (dk_now, dk-at-entry] is what the sequential call abandons on.
-        let Some(d) = bounded else {
-            cost.early_abandoned += 1;
-            continue;
-        };
-        if d > dk_now {
-            cost.early_abandoned += 1;
-        }
-        if d < dk_now || hits.len() < k {
-            let hit = Hit {
-                root_id: cand.root_id,
-                cluster_id: cand.cluster_id,
-                og_id: r.og_id,
-                dist: d,
-            };
-            let pos = hits.partition_point(|h| h.dist <= d);
-            hits.insert(pos, hit);
-            hits.truncate(k);
-        }
-    }
-    cost.pruned += (records.len() - lo - reached) as u64;
-    true
-}
-
-/// Range query: every OG within `radius` of `query`, ascending by
-/// distance. Uses the same centroid-distance / key-band pruning as
-/// [`knn`], with the fixed radius instead of the adaptive `d_k`.
-pub fn range<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    radius: f64,
-    root_filter: Option<u32>,
-    threads: Threads,
-    cost: &mut QueryCost,
-) -> Vec<Hit> {
-    with_query_scratch(|scratch| {
-        range_into(
-            roots,
-            metric,
-            query,
-            radius,
-            root_filter,
-            threads,
-            cost,
-            scratch,
-        );
-        scratch.hits().to_vec()
-    })
-}
-
-/// [`range`] into a caller-owned arena; the hits land in
-/// [`QueryScratch::hits`], ascending by distance.
-#[allow(clippy::too_many_arguments)]
-pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    radius: f64,
-    root_filter: Option<u32>,
-    threads: Threads,
-    cost: &mut QueryCost,
-    scratch: &mut QueryScratch,
-) {
-    let threads = Threads::Fixed(threads.resolve());
-    let qsum = metric.summarize(query);
-    scratch.hits.clear();
-    gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
-    let total_records: usize = scratch
-        .cands
-        .iter()
-        .map(|c| leaf_len(roots, c) as usize)
-        .sum();
-    reserve_counted(&mut scratch.hits, total_records, &mut scratch.grows);
-    for ci in 0..scratch.cands.len() {
-        let cand = scratch.cands[ci];
-        let QueryScratch {
-            hits,
-            survivors,
-            grows,
-            ..
-        } = scratch;
-        range_visit_cand(
-            roots, metric, query, &qsum, radius, threads, cand, hits, survivors, grows, cost,
-        );
-    }
-    sort_hits_stable(scratch);
-}
-
-/// One range step: scans `cand`'s radius key band, appending qualifying
-/// hits in record order and charging exactly as the candidate loop of
-/// [`range_into`] does. The caller applies [`sort_hits_stable`] once after
-/// the last candidate.
-#[allow(clippy::too_many_arguments)]
-fn range_visit_cand<
-    V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
->(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    qsum: &SeqSummary<V>,
-    radius: f64,
-    threads: Threads,
-    cand: Cand,
-    hits: &mut Vec<Hit>,
-    survivors: &mut Vec<u32>,
-    grows: &mut u64,
-    cost: &mut QueryCost,
-) {
-    let d = cand.centroid_dist;
-    let records = &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize]
-        .leaf
-        .records;
-    // Members satisfy |key - d| <= d(q, m); the fixed radius bounds the
-    // key band up front, so the parallel scan evaluates exactly the
-    // records the sequential one does and appends them in record order.
-    let lo = records.partition_point(|r| r.key < d - radius);
-    let hi = lo + records[lo..].partition_point(|r| r.key <= d + radius);
-    let band = &records[lo..hi];
-    cost.node_accesses += 1;
-    cost.pruned += (records.len() - band.len()) as u64;
-    let hit = |r: &super::LeafRecord<V>, dist: f64| Hit {
-        root_id: cand.root_id,
-        cluster_id: cand.cluster_id,
-        og_id: r.og_id,
-        dist,
-    };
-    // The lb predicate depends only on the fixed radius, so it commutes
-    // with scan order: filter the band up front, refine only the
-    // survivors (fanned out over the workers in parallel mode when the
-    // band is long enough to repay it, straight out of the arena
-    // otherwise).
-    if threads.is_sequential() || band.len() < PAR_BAND_MIN {
-        for r in band {
-            if metric.lower_bound(query, qsum, &r.summary) <= radius {
-                cost.distance_calls += 1;
-                match metric.distance_upto(query, &r.seq, radius) {
-                    Some(dist) => hits.push(hit(r, dist)),
-                    None => cost.early_abandoned += 1,
-                }
-            } else {
-                cost.lb_pruned += 1;
-            }
-        }
-    } else {
-        survivors.clear();
-        reserve_counted(survivors, band.len(), grows);
-        for (i, r) in band.iter().enumerate() {
-            if metric.lower_bound(query, qsum, &r.summary) <= radius {
-                survivors.push(i as u32);
-            }
-        }
-        cost.lb_pruned += (band.len() - survivors.len()) as u64;
-        cost.distance_calls += survivors.len() as u64;
-        let dists = par_map(survivors, threads, |&si| {
-            metric.distance_upto(query, &band[si as usize].seq, radius)
-        });
-        for (&si, dist) in survivors.iter().zip(dists) {
-            match dist {
-                Some(dist) => hits.push(hit(&band[si as usize], dist)),
-                None => cost.early_abandoned += 1,
-            }
-        }
-    }
 }
 
 /// Final range ordering: stable-order sort without a stable sort's
@@ -642,135 +475,15 @@ fn sort_hits_stable(scratch: &mut QueryScratch) {
     std::mem::swap(hits, hits_tmp);
 }
 
-/// The literal Algorithm 3: find the most similar `OG_clus`, then k-NN only
-/// within that cluster's leaf.
-pub fn knn_single_cluster<
-    V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
->(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    k: usize,
-    threads: Threads,
-    cost: &mut QueryCost,
-) -> Vec<Hit> {
-    with_query_scratch(|scratch| {
-        knn_single_cluster_into(roots, metric, query, k, threads, cost, scratch);
-        scratch.hits().to_vec()
-    })
-}
-
-/// [`knn_single_cluster`] into a caller-owned arena.
-pub fn knn_single_cluster_into<
-    V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
->(
-    roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
-    k: usize,
-    threads: Threads,
-    cost: &mut QueryCost,
-    scratch: &mut QueryScratch,
-) {
-    scratch.hits.clear();
-    let threads = Threads::Fixed(threads.resolve());
-    let qsum = metric.summarize(query);
-    // Centroid scan in parallel; the winner is picked on this thread in
-    // cluster order (strict `<`, so ties keep the earlier cluster exactly
-    // as the sequential scan does).
-    gather_cands_into(roots, metric, query, None, threads, cost, scratch);
-    let mut best_i: Option<usize> = None;
-    for (i, cand) in scratch.cands.iter().enumerate() {
-        if best_i.is_none_or(|b| cand.centroid_dist < scratch.cands[b].centroid_dist) {
-            best_i = Some(i);
-        }
-    }
-    let Some(best_i) = best_i else {
-        return;
-    };
-    let cand = scratch.cands[best_i];
-    let (root_id, cluster_id, dq) = (cand.root_id, cand.cluster_id, cand.centroid_dist);
-    // Every non-winning cluster's leaf is skipped wholesale — that is the
-    // approximation Algorithm 3 trades accuracy for.
-    cost.pruned += scratch
-        .cands
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != best_i)
-        .map(|(_, c)| leaf_len(roots, c))
-        .sum::<u64>();
-    cost.node_accesses += 1; // the winning leaf
-    let leaf = &roots[cand.root_idx as usize].clusters[cand.cluster_idx as usize].leaf;
-    // Scan the leaf around Key_q = EGED_M(q, OG_clus) outwards. The
-    // parallel path evaluates the whole leaf up front (the adaptive key
-    // prune below only ever skips records, so the precomputed distances are
-    // a superset), then replays the sequential predicates in record order —
-    // unless the leaf is too short to repay the hand-off.
-    let dists = if threads.is_sequential() || leaf.records.len() < PAR_BAND_MIN {
-        None
-    } else {
-        Some(par_map(&leaf.records, threads, |r| {
-            metric.distance(query, &r.seq)
-        }))
-    };
-    reserve_counted(
-        &mut scratch.hits,
-        k.min(leaf.records.len()) + 1,
-        &mut scratch.grows,
-    );
-    for (i, r) in leaf.records.iter().enumerate() {
-        // Key pruning with the current k-th distance.
-        let dk = if scratch.hits.len() < k {
-            f64::INFINITY
-        } else {
-            scratch.hits[k - 1].dist
-        };
-        if (r.key - dq).abs() > dk {
-            cost.pruned += 1;
-            continue;
-        }
-        if metric.lower_bound(query, &qsum, &r.summary) > dk {
-            cost.lb_pruned += 1;
-            continue;
-        }
-        cost.distance_calls += 1;
-        let d = match &dists {
-            Some(d) => d[i],
-            None => match metric.distance_upto(query, &r.seq, dk) {
-                Some(d) => d,
-                None => {
-                    cost.early_abandoned += 1;
-                    continue;
-                }
-            },
-        };
-        if d > dk {
-            cost.early_abandoned += 1;
-        }
-        // Insertion past position k is truncated right away, so a record
-        // with d > dk (abandoned on the sequential bounded path) is a no-op
-        // here too — the replay stays exact.
-        let pos = scratch.hits.partition_point(|h| h.dist <= d);
-        scratch.hits.insert(
-            pos,
-            Hit {
-                root_id,
-                cluster_id,
-                og_id: r.og_id,
-                dist: d,
-            },
-        );
-        scratch.hits.truncate(k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{QueryScratch, Scope};
     use crate::index::{StrgIndex, StrgIndexConfig};
-    use strg_distance::{CountingDistance, EgedMetric};
+    use crate::query::QueryKind;
+    use strg_distance::{CountingDistance, EgedMetric, SequenceDistance};
     use strg_graph::BackgroundGraph;
+    use strg_obs::QueryCost;
+    use strg_parallel::Threads;
 
     fn dataset() -> Vec<(u64, Vec<f64>)> {
         let mut out = Vec::new();
@@ -784,6 +497,15 @@ mod tests {
         }
         out
     }
+
+    const KINDS: [QueryKind; 6] = [
+        QueryKind::Knn(1),
+        QueryKind::Knn(5),
+        QueryKind::Knn(60),
+        QueryKind::Range(0.0),
+        QueryKind::Range(20.0),
+        QueryKind::Range(1e6),
+    ];
 
     #[test]
     fn exact_knn_prunes_distance_calls() {
@@ -818,7 +540,6 @@ mod tests {
 
     #[test]
     fn range_matches_linear_scan() {
-        use strg_distance::SequenceDistance;
         let data = dataset();
         let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
         idx.add_segment(BackgroundGraph::default(), data.clone());
@@ -853,50 +574,97 @@ mod tests {
         assert!(cd.count() < 60, "pruned: {} calls", cd.count());
     }
 
+    /// Every (kind, scope) pair at 1, 2 and 8 workers: hits bit for bit,
+    /// the same logical work, and every record and centroid in scope
+    /// accounted exactly once — on two roots, so `Root` really narrows.
     #[test]
-    fn parallel_searches_match_sequential_exactly() {
-        use strg_parallel::Threads;
-        let mut idx_seq = StrgIndex::new(
-            EgedMetric::<f64>::new(),
-            StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(1)),
-        );
-        idx_seq.add_segment(BackgroundGraph::default(), dataset());
+    fn every_kind_and_scope_is_thread_invariant() {
+        let build = |threads| {
+            let cfg = StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(threads));
+            let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), cfg);
+            idx.add_segment(BackgroundGraph::default(), dataset());
+            let shifted = dataset()
+                .into_iter()
+                .map(|(id, s)| (id + 100, vec![s[0] + 7.0, s[1], s[2]]));
+            idx.add_segment(BackgroundGraph::default(), shifted.collect());
+            idx
+        };
+        let idxs = [1, 2, 8].map(build);
         let queries = [
             vec![82.0, 83.0, 84.0],
             vec![0.0, 0.0, 0.0],
             vec![161.0, 162.0, 163.0],
             vec![500.0, 1.0, 2.0],
         ];
-        for threads in [2, 8] {
-            let mut idx_par = StrgIndex::new(
-                EgedMetric::<f64>::new(),
-                StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(threads)),
-            );
-            idx_par.add_segment(BackgroundGraph::default(), dataset());
-            for q in &queries {
-                for k in [1, 5, 60] {
-                    let a = idx_seq.knn(q, k);
-                    let b = idx_par.knn(q, k);
-                    assert_eq!(a.len(), b.len(), "knn k={k}");
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.og_id, y.og_id);
-                        assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                    }
-                    let a = idx_seq.knn_single_cluster(q, k);
-                    let b = idx_par.knn_single_cluster(q, k);
+        for q in &queries {
+            for kind in KINDS {
+                for scope in [Scope::All, Scope::Root(1), Scope::NearestCluster] {
+                    let ctx = format!("{q:?} {kind:?} {scope:?}");
+                    let (hits, cost) = idxs[0].search(q, kind, scope);
+                    let in_scope = match scope {
+                        Scope::Root(r) => &idxs[0].roots()[r as usize..=r as usize],
+                        _ => idxs[0].roots(),
+                    };
+                    let clusters: usize = in_scope.iter().map(|r| r.clusters.len()).sum();
                     assert_eq!(
-                        a.iter().map(|h| h.og_id).collect::<Vec<_>>(),
-                        b.iter().map(|h| h.og_id).collect::<Vec<_>>(),
-                        "single-cluster k={k}"
+                        cost.distance_calls + cost.pruned + cost.lb_pruned,
+                        (60 * in_scope.len() + clusters) as u64,
+                        "{ctx}: conservation"
                     );
+                    assert!(cost.early_abandoned <= cost.distance_calls, "{ctx}");
+                    if let (QueryKind::Knn(k), Scope::All | Scope::Root(_)) = (kind, scope) {
+                        assert_eq!(hits.len(), k.min(60 * in_scope.len()), "{ctx}");
+                        // Pruning survives at any worker count: far below
+                        // a scan of the records in scope.
+                        if k == 5 {
+                            assert!(cost.distance_calls < 60, "{ctx}: {cost:?}");
+                        }
+                    }
+                    for par in &idxs[1..] {
+                        let (other, other_cost) = par.search(q, kind, scope);
+                        assert_eq!(hits, other, "{ctx}: hits");
+                        assert!(hits
+                            .iter()
+                            .zip(&other)
+                            .all(|(a, b)| a.dist.to_bits() == b.dist.to_bits()));
+                        assert!(
+                            cost.same_work(&other_cost),
+                            "{ctx}: {cost:?} vs {other_cost:?}"
+                        );
+                    }
                 }
-                for radius in [0.0, 20.0, 1e6] {
-                    let a = idx_seq.range(q, radius);
-                    let b = idx_par.range(q, radius);
-                    assert_eq!(a.len(), b.len(), "range r={radius}");
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.og_id, y.og_id);
-                        assert_eq!(x.dist.to_bits(), y.dist.to_bits());
+            }
+        }
+    }
+
+    /// Nothing in a tree speculates: what `QueryCost` charges is what a
+    /// counting metric physically observes, at any worker count — with a
+    /// leaf long enough (≥ 64 records) that a forking scan would show.
+    #[test]
+    fn logical_cost_is_physical_cost_at_any_thread_count() {
+        let data: Vec<(u64, Vec<f64>)> = (0..96)
+            .map(|i| (i, vec![1.5 * i as f64, 2.0, 3.0 + (i % 7) as f64]))
+            .collect();
+        for threads in [1, 2, 8] {
+            let cd = CountingDistance::new(EgedMetric::<f64>::new());
+            let cfg = StrgIndexConfig::with_k(1).with_threads(Threads::Fixed(threads));
+            let mut idx = StrgIndex::new(cd.clone(), cfg);
+            idx.add_segment(BackgroundGraph::default(), data.clone());
+            assert!(idx.roots()[0].clusters[0].leaf.records.len() >= 64);
+            for q in [
+                vec![40.0, 2.5, 6.0],
+                vec![0.0, 0.0, 0.0],
+                vec![500.0, 1.0, 2.0],
+            ] {
+                for kind in KINDS {
+                    for scope in [Scope::All, Scope::NearestCluster] {
+                        cd.reset();
+                        let (_, cost) = idx.search(&q, kind, scope);
+                        assert_eq!(
+                            cost.distance_calls,
+                            cd.count(),
+                            "{kind:?} {scope:?} at {threads} threads"
+                        );
                     }
                 }
             }
@@ -904,46 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_range_keeps_exact_call_counts() {
-        use strg_parallel::Threads;
-        // The range band is fixed by the radius, so the parallel path must
-        // evaluate exactly as many distances as the sequential one.
-        let mut counts = Vec::new();
-        for threads in [1, 8] {
-            let cd = CountingDistance::new(EgedMetric::<f64>::new());
-            let mut idx = StrgIndex::new(
-                cd.clone(),
-                StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(threads)),
-            );
-            idx.add_segment(BackgroundGraph::default(), dataset());
-            cd.reset();
-            idx.range(&[81.0, 82.0, 83.0], 20.0);
-            counts.push(cd.count());
-        }
-        assert_eq!(counts[0], counts[1]);
-    }
-
-    #[test]
-    fn parallel_knn_still_prunes() {
-        use strg_parallel::Threads;
-        // The dk-at-entry band is a superset of the adaptive scan, but it
-        // must still be far below a linear scan of all 60 OGs.
-        let cd = CountingDistance::new(EgedMetric::<f64>::new());
-        let mut idx = StrgIndex::new(
-            cd.clone(),
-            StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(8)),
-        );
-        idx.add_segment(BackgroundGraph::default(), dataset());
-        cd.reset();
-        let hits = idx.knn(&[82.0, 83.0, 84.0], 5);
-        assert_eq!(hits.len(), 5);
-        let calls = cd.count();
-        assert!(calls < 60, "pruning expected: {calls} calls for 60 OGs");
-    }
-
-    #[test]
     fn query_cost_matches_counting_distance_sequential() {
-        use strg_parallel::Threads;
         let cd = CountingDistance::new(EgedMetric::<f64>::new());
         let mut idx = StrgIndex::new(
             cd.clone(),
@@ -973,7 +702,6 @@ mod tests {
 
     #[test]
     fn query_cost_identical_across_thread_counts() {
-        use strg_parallel::Threads;
         let build = |threads| {
             let mut idx = StrgIndex::new(
                 EgedMetric::<f64>::new(),
@@ -1003,49 +731,6 @@ mod tests {
                     let (_, b) = par.range_with_cost(&q, radius);
                     assert!(a.same_work(&b), "range r={radius}: {a:?} vs {b:?}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn band_rule_changes_no_hit_and_no_cost() {
-        use super::PAR_BAND_MIN;
-        use strg_parallel::Threads;
-        // One cluster, so the leaf — and with `k` = everything or a huge
-        // radius, the key band — holds exactly `n` records: every length on
-        // both sides of the rule, against the sequential answer.
-        for n in 0..=2 * PAR_BAND_MIN {
-            let data: Vec<(u64, Vec<f64>)> = (0..n as u64)
-                .map(|i| (i, vec![1.5 * i as f64, 2.0, 3.0 + i as f64]))
-                .collect();
-            let build = |threads| {
-                let mut idx = StrgIndex::new(
-                    EgedMetric::<f64>::new(),
-                    StrgIndexConfig::with_k(1).with_threads(threads),
-                );
-                idx.add_segment(BackgroundGraph::default(), data.clone());
-                idx
-            };
-            let (seq, par) = (build(Threads::Fixed(1)), build(Threads::Fixed(8)));
-            let q = vec![4.0, 2.5, 6.0];
-            for k in [1, 3, n.max(1)] {
-                let (a, ca) = seq.knn_with_cost(&q, k);
-                let (b, cb) = par.knn_with_cost(&q, k);
-                assert_eq!(a, b, "knn n={n} k={k}");
-                assert!(ca.same_work(&cb), "knn n={n} k={k}: {ca:?} vs {cb:?}");
-                let (a, ca) = seq.knn_single_cluster_with_cost(&q, k);
-                let (b, cb) = par.knn_single_cluster_with_cost(&q, k);
-                assert_eq!(a, b, "single n={n} k={k}");
-                assert!(ca.same_work(&cb), "single n={n} k={k}: {ca:?} vs {cb:?}");
-            }
-            for radius in [5.0, 1e6] {
-                let (a, ca) = seq.range_with_cost(&q, radius);
-                let (b, cb) = par.range_with_cost(&q, radius);
-                assert_eq!(a, b, "range n={n} r={radius}");
-                assert!(
-                    ca.same_work(&cb),
-                    "range n={n} r={radius}: {ca:?} vs {cb:?}"
-                );
             }
         }
     }
@@ -1092,10 +777,48 @@ mod tests {
 
     #[test]
     fn k_zero_and_empty() {
-        let idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::default());
-        assert!(idx.knn(&[1.0], 0).is_empty());
-        assert!(idx.knn(&[1.0], 5).is_empty());
-        assert!(idx.knn_single_cluster(&[1.0], 5).is_empty());
+        let empty = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::default());
+        assert!(empty.knn(&[1.0], 5).is_empty());
+        assert!(empty.knn_single_cluster(&[1.0], 5).is_empty());
+        // `k = 0` asks for nothing and costs nothing, on every scope.
+        let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
+        idx.add_segment(BackgroundGraph::default(), dataset());
+        for scope in [Scope::All, Scope::Root(0), Scope::NearestCluster] {
+            let (hits, cost) = idx.search(&[1.0], QueryKind::Knn(0), scope);
+            assert!(hits.is_empty());
+            assert!(cost.same_work(&QueryCost::default()), "{scope:?}: {cost:?}");
+        }
+    }
+
+    /// `search_with_background` is the scoped search plus one node access
+    /// per root record for the match — for a range exactly as for a k-NN.
+    #[test]
+    fn background_search_charges_the_root_scan_once() {
+        let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
+        idx.add_segment(BackgroundGraph::default(), dataset());
+        idx.add_segment(BackgroundGraph::default(), dataset());
+        let (bg, compat) = (
+            BackgroundGraph::default(),
+            strg_graph::CompatParams::default(),
+        );
+        let (matched, sim) = idx.match_root(&bg, &compat).expect("two roots");
+        let q = [82.0, 83.0, 84.0];
+        for kind in [QueryKind::Range(20.0), QueryKind::Knn(5)] {
+            // At or below the best similarity the search is scoped to the
+            // matched root; above it, it falls back to every segment.
+            for (min_similarity, scope) in [(sim, Scope::Root(matched)), (sim + 1.0, Scope::All)] {
+                let (hits, cost) =
+                    idx.search_with_background(&bg, &compat, min_similarity, &q, kind);
+                let (want, inner) = idx.search(&q, kind, scope);
+                assert_eq!(hits, want, "{kind:?} {scope:?}");
+                let mut want_cost = QueryCost {
+                    node_accesses: 2,
+                    ..QueryCost::default()
+                };
+                want_cost.merge(&inner);
+                assert!(cost.same_work(&want_cost), "{kind:?} {scope:?}: {cost:?}");
+            }
+        }
     }
 
     #[test]
@@ -1111,9 +834,6 @@ mod tests {
 
     #[test]
     fn scratch_reuse_stops_growing() {
-        use super::QueryScratch;
-        use strg_obs::QueryCost;
-        use strg_parallel::Threads;
         let mut idx = StrgIndex::new(
             EgedMetric::<f64>::new(),
             StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(1)),
@@ -1128,33 +848,11 @@ mod tests {
         let warm = |s: &mut QueryScratch| {
             let mut total = 0usize;
             for q in &queries {
-                let mut cost = QueryCost::default();
-                let (hits, with_cost) = (idx.knn(q, 5), {
-                    super::knn_into(
-                        idx.roots(),
-                        idx.metric(),
-                        q,
-                        5,
-                        None,
-                        Threads::Fixed(1),
-                        &mut cost,
-                        s,
-                    );
-                    s.hits().to_vec()
-                });
-                assert_eq!(hits, with_cost, "arena results match Vec results");
+                let hits = idx.knn(q, 5);
+                let (into, _) = idx.knn_with_cost_into(q, 5, s);
+                assert_eq!(hits, into, "arena results match Vec results");
                 total += hits.len();
-                super::range_into(
-                    idx.roots(),
-                    idx.metric(),
-                    q,
-                    40.0,
-                    None,
-                    Threads::Fixed(1),
-                    &mut cost,
-                    s,
-                );
-                total += s.hits().len();
+                total += idx.range_with_cost_into(q, 40.0, s).0.len();
             }
             total
         };

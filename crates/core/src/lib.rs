@@ -28,7 +28,7 @@ pub mod shard;
 
 pub use index::{
     with_query_scratch, BatchScratch, ClusterRecord, Hit, LeafNode, LeafRecord, QueryScratch,
-    RootRecord, StrgIndex, StrgIndexConfig,
+    RootRecord, Scope, StrgIndex, StrgIndexConfig,
 };
 pub use options::{open, Database, DbOptions, Metric};
 pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};

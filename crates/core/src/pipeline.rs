@@ -25,10 +25,10 @@ use strg_graph::{build_strg, decompose, ObjectGraph, Point2};
 use strg_obs::{QueryCost, Recorder, Snapshot};
 use strg_video::{frames_to_rags, frames_to_rags_with_stats, Frame, VideoClip};
 
-use crate::index::{Hit, StrgIndex};
+use crate::index::{Hit, Scope, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::PersistInfo;
-use crate::query::{Query, QueryKind, QueryResult};
+use crate::query::{Query, QueryResult};
 
 /// Metadata of one ingested clip.
 #[derive(Clone, Debug)]
@@ -261,62 +261,41 @@ impl VideoDatabase {
     /// [`QueryResult::cost`] iff the query asked via [`Query::with_cost`].
     /// The work fields of the cost are bit-identical at any thread count.
     pub fn query(&self, q: Query<'_>) -> QueryResult {
-        enum Scope {
-            All,
-            Root(u32),
+        /// Where the search goes, once the query's modifiers are resolved.
+        enum Target {
+            In(Scope),
             Miss,
-            Background(strg_graph::BackgroundGraph),
+            Matching(strg_graph::BackgroundGraph),
         }
         let start = std::time::Instant::now();
-        // Resolve the scope first (lock order: clips before index). The
+        // Resolve the target first (lock order: clips before index). The
         // explicit clip wins over background matching.
-        let scope = if let Some(name) = &q.clip {
+        let target = if let Some(name) = &q.clip {
             let clips = self.clips.read();
             match clips.iter().find(|c| c.name == *name) {
-                Some(c) => Scope::Root(c.root_id),
-                None => Scope::Miss,
+                Some(c) => Target::In(Scope::Root(c.root_id)),
+                None => Target::Miss,
             }
         } else if let Some(frames) = q.background {
             let rags = frames_to_rags(frames, &self.cfg.segment, self.cfg.threads);
             let strg = build_strg(rags, &self.cfg.tracker);
             let d = decompose(&strg, &self.cfg.decompose);
-            Scope::Background(d.background)
+            Target::Matching(d.background)
         } else {
-            Scope::All
+            Target::In(Scope::All)
         };
 
         let index = self.index.read();
-        let (hits, mut cost) = match (q.kind, &scope) {
-            (_, Scope::Miss) => (Vec::new(), QueryCost::default()),
-            (QueryKind::Knn(k), Scope::All) => index.knn_with_cost(q.trajectory, k),
-            (QueryKind::Knn(k), Scope::Root(r)) => index.knn_in_root_with_cost(*r, q.trajectory, k),
-            (QueryKind::Knn(k), Scope::Background(bg)) => index.knn_with_background_with_cost(
+        let (hits, mut cost) = match &target {
+            Target::In(scope) => index.search(q.trajectory, q.kind, *scope),
+            Target::Miss => (Vec::new(), QueryCost::default()),
+            Target::Matching(bg) => index.search_with_background(
                 bg,
                 &self.cfg.tracker.compat,
                 0.5,
                 q.trajectory,
-                k,
+                q.kind,
             ),
-            (QueryKind::Range(radius), Scope::All) => index.range_with_cost(q.trajectory, radius),
-            (QueryKind::Range(radius), Scope::Root(r)) => {
-                index.range_in_root_with_cost(*r, q.trajectory, radius)
-            }
-            (QueryKind::Range(radius), Scope::Background(bg)) => {
-                // The root-record scan of the background match is charged as
-                // one node access per root, as in the k-NN path.
-                let mut total = QueryCost {
-                    node_accesses: index.roots().len() as u64,
-                    ..QueryCost::default()
-                };
-                let (hits, inner) = match index.match_root(bg, &self.cfg.tracker.compat) {
-                    Some((root, sim)) if sim >= 0.5 => {
-                        index.range_in_root_with_cost(root, q.trajectory, radius)
-                    }
-                    _ => index.range_with_cost(q.trajectory, radius),
-                };
-                total.merge(&inner);
-                (hits, total)
-            }
         };
         drop(index);
         let hits = self.resolve(hits);

@@ -1,7 +1,7 @@
 //! The unified query builder.
 //!
-//! One entry point replaces the historical `query_knn` /
-//! `query_knn_with_background` / `query_knn_in_clip` trio:
+//! One entry point for every search a database answers — plain,
+//! clip-scoped or background-matched, k-NN or range:
 //!
 //! ```
 //! use strg_core::{DbOptions, Query, VideoDatabase};
@@ -19,8 +19,7 @@
 //! ingested clip, [`Query::with_background`] runs Algorithm 3's background
 //! matching over the query's own frames. When both are given, the explicit
 //! clip wins (it is the stronger statement of intent). An unknown clip name
-//! yields empty hits rather than an error, matching the old
-//! `query_knn_in_clip` contract.
+//! yields empty hits rather than an error.
 
 use strg_graph::Point2;
 use strg_obs::QueryCost;

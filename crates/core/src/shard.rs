@@ -18,8 +18,8 @@
 //! 2. walk shards in that order. A shard is **opened** iff `L_s <= d_k`,
 //!    where `d_k` is the kth-best distance merged from previously opened
 //!    shards (`∞` while fewer than k hits are known). An opened shard runs
-//!    its ordinary [`StrgIndex::knn_with_cost`] and its hits merge into
-//!    the shared best list;
+//!    its ordinary [`StrgIndex::search_into`] over [`Scope::All`] and its
+//!    hits merge into the shared best list;
 //! 3. a shard that cannot beat the cutoff is never opened: it charges all
 //!    its records and clusters to `pruned`, bumps
 //!    [`strg_obs::QueryCost::shards_pruned`], and performs zero node
@@ -32,13 +32,14 @@
 //! `STRG_THREADS`. With more than one worker the fan-out *speculatively*
 //! searches every shard in parallel and then replays the open/skip
 //! decisions over the precomputed results; speculative work on shards the
-//! replay skips is intentionally uncharged, exactly like the speculative
-//! cluster evaluations inside a single tree.
+//! replay skips is intentionally uncharged. This fan-out is the only place
+//! a query speculates — inside a tree the charge is the physical count
+//! (`crate::index`, DESIGN.md §7 "What forks inside a query").
 //!
 //! k-NN and range share one entry point ([`sharded_query_into`]) and one
 //! private replay (`Replay::run`), which differs only in where an opened
-//! shard's hits come from: a lazy `*_into` search (sequential) or the
-//! speculative prefetch (parallel). `tests/shard_equivalence.rs` pins the
+//! shard's hits come from: a lazy search into the arena (sequential) or
+//! the speculative prefetch (parallel). `tests/shard_equivalence.rs` pins the
 //! merged hits to a linear scan on queries that provably prune whole
 //! shards, so an inadmissible envelope surfaces as a hit-list difference.
 
@@ -56,7 +57,7 @@ use strg_obs::{QueryCost, Recorder};
 use strg_parallel::{par_map, Threads};
 use strg_video::{frames_to_rags, Frame};
 
-use crate::index::{reserve_counted, Hit, QueryScratch, StrgIndex};
+use crate::index::{reserve_counted, Hit, QueryScratch, Scope, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::{PersistInfo, ReopenMode};
 use crate::pipeline::{resolve_hit, DbStats, IngestReport, QueryHit, VideoDatabase};
@@ -119,19 +120,6 @@ fn merge_hits(best: &mut Vec<(usize, Hit)>, shard: usize, hits: &[Hit], k: usize
         let pos = best.partition_point(|(_, e)| e.dist <= h.dist);
         best.insert(pos, (shard, h));
         best.truncate(k);
-    }
-}
-
-/// One query's search against one shard tree, into `tree`.
-fn search_into<'t>(
-    idx: &Idx,
-    query: &[Point2],
-    kind: QueryKind,
-    tree: &'t mut QueryScratch,
-) -> (&'t [Hit], QueryCost) {
-    match kind {
-        QueryKind::Knn(k) => idx.knn_with_cost_into(query, k, tree),
-        QueryKind::Range(radius) => idx.range_with_cost_into(query, radius, tree),
     }
 }
 
@@ -368,7 +356,7 @@ pub fn sharded_query_into(
     if !threads.is_sequential() {
         let prefetched = par_map(idxs, threads, |idx| {
             let mut tree = QueryScratch::new();
-            let (hits, cost) = search_into(idx, query, kind, &mut tree);
+            let (hits, cost) = idx.search_into(query, kind, Scope::All, &mut tree);
             (hits.to_vec(), cost)
         });
         replay.run(idxs, query, kind, outcomes, |s, sink| {
@@ -377,7 +365,7 @@ pub fn sharded_query_into(
         })
     } else {
         replay.run(idxs, query, kind, outcomes, |s, sink| {
-            let (hits, cost) = search_into(idxs[s], query, kind, tree);
+            let (hits, cost) = idxs[s].search_into(query, kind, Scope::All, tree);
             sink(hits);
             cost
         })
@@ -577,14 +565,7 @@ impl ShardedDatabase {
                 };
                 match best {
                     Some((s, root, sim)) if sim >= 0.5 => {
-                        let (hits, inner) = match q.kind {
-                            QueryKind::Knn(k) => {
-                                idxs[s].knn_in_root_with_cost(root, q.trajectory, k)
-                            }
-                            QueryKind::Range(radius) => {
-                                idxs[s].range_in_root_with_cost(root, q.trajectory, radius)
-                            }
-                        };
+                        let (hits, inner) = idxs[s].search(q.trajectory, q.kind, Scope::Root(root));
                         total.merge(&inner);
                         let tagged = hits.into_iter().map(|h| (s, h)).collect();
                         (tagged, total, Vec::new())

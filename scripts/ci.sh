@@ -23,10 +23,13 @@ cargo test --workspace -q
 
 # The distance kernels once more as they ship: debug builds neither
 # vectorise the lane loops nor elide the bounds checks they rely on, so
-# arithmetic that only goes wrong optimised would pass the run above.
-echo "==> cargo test --release (distance kernels)"
+# arithmetic that only goes wrong optimised would pass the run above. The
+# thread-invariance suite rides along, so the pool's hand-off and the leaf
+# scan are compared across worker counts in the build that ships.
+echo "==> cargo test --release (distance kernels, thread invariance)"
 cargo test -q --release -p strg-distance -p strg-graph
 cargo test -q --release --test kernel_equivalence
+cargo test -q --release --test parallel_equivalence
 
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn
@@ -43,6 +46,9 @@ SUITES=(
     persist_faults
     query_alloc
     ingest_alloc
+    index_equivalence
+    index_edge_cases
+    robustness
 )
 GUARDED=(
     batch_equivalence

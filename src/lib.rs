@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use strg_core::{
         open, Database, DbOptions, Hit, IngestReport, Metric, PersistInfo, Query, QueryCost,
-        QueryHit, QueryKind, QueryResult, Recorder, ReopenMode, ShardedDatabase, Snapshot,
+        QueryHit, QueryKind, QueryResult, Recorder, ReopenMode, Scope, ShardedDatabase, Snapshot,
         StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{

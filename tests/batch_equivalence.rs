@@ -14,8 +14,8 @@
 //! [`QueryCost::same_work`] and is zero outside a batch.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
-//! `STRG_THREADS=8`, so the equivalence is pinned against the frozen
-//! parallel band.
+//! `STRG_THREADS=8`, so the equivalence is pinned at both ends of the
+//! thread knob.
 
 mod serve_util;
 

@@ -11,7 +11,7 @@
 //! one-at-a-time insertion by `strg-core`'s.)
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and `8`, so the
-//! equivalence is also pinned against the frozen parallel band.
+//! equivalence is also pinned at both ends of the thread knob.
 
 use strg::prelude::*;
 
@@ -141,7 +141,7 @@ fn rag_extraction_identical_in_both_modes_at_any_thread_count() {
             .map(rag_fingerprint)
             .collect();
         assert_eq!(pooled, plain, "{threads:?}: per-worker vs per-frame arenas");
-        // ... and the frozen parallel band: identical across thread counts.
+        // ... and identical across thread counts.
         match &reference {
             None => reference = Some(pooled),
             Some(r) => assert_eq!(r, &pooled, "{threads:?}: thread-count band"),

@@ -10,14 +10,15 @@
 //! eagerly shows up here as a hit diff against ground truth — while the
 //! `kernels_fired` asserts prove the filters actually ran.
 //!
-//! Every case runs at `Threads::Fixed(1)` and `Fixed(8)` (the adaptive
-//! sequential scan and the frozen parallel band) and requires identical
-//! work fields in [`QueryCost`] across the two; `scripts/ci.sh`
-//! additionally runs this binary under `STRG_THREADS=1` and `8`.
+//! Every case runs at `Threads::Fixed(1)` and `Fixed(8)` (the centroid pass
+//! on the calling thread and fanned out; the leaf scan is the same loop in
+//! both) and requires identical work fields in [`QueryCost`] across the
+//! two; `scripts/ci.sh` additionally runs this binary under
+//! `STRG_THREADS=1` and `8`.
 
 mod oracle;
 
-use oracle::{assert_matches, radius_including, scan};
+use oracle::{assert_matches, scan};
 use strg::prelude::*;
 
 /// The two thread modes every case runs in.
@@ -110,8 +111,8 @@ fn strg_index_range_identical_without_lb() {
     let mut kernels_fired = false;
     for q in queries() {
         let truth = scan(&data, &q);
-        // Fixed radii plus ones a hair above the 1st and 5th neighbour.
-        let near = [0, 4].map(|i| radius_including(truth[i].1));
+        // Fixed radii plus the 1st and 5th neighbour's own distance.
+        let near = [0, 4].map(|i| truth[i].1);
         for radius in [0.0, 2.0, 5.0, 15.0, 1e6].into_iter().chain(near) {
             let cost = probe_index(&idxs, &truth, &q, QueryKind::Range(radius));
             kernels_fired |= cost.lb_pruned + cost.early_abandoned > 0;
@@ -128,7 +129,7 @@ fn mtree_identical_without_lb() {
         let mut kernels_fired = false;
         for q in queries() {
             let truth = scan(&data, &q);
-            let near = radius_including(truth[4].1);
+            let near = truth[4].1;
             let probes = [1, 5, 10]
                 .map(QueryKind::Knn)
                 .into_iter()
@@ -224,7 +225,7 @@ fn short_sequences_cross_every_strip_remainder() {
         for len in (1..=9).chain([13]) {
             let q = walk(100 + len as u64, len);
             let truth = scan(&objects, &q);
-            let near = radius_including(truth[4].1);
+            let near = truth[4].1;
             let probes = [1, 5, 54]
                 .map(QueryKind::Knn)
                 .into_iter()

@@ -4,7 +4,9 @@
 //! carry the scan's `k` smallest distances bit for bit, each attached to an
 //! object that really is at that distance (the indexes break exact ties by
 //! discovery order, so ids are checked through their distances — a
-//! multiset comparison); a range answer must be exactly the in-radius set.
+//! multiset comparison); a range answer must be exactly the in-radius set —
+//! the suites take their "near" radii bit-equal to a scan distance, so the
+//! object *on* the boundary is part of every such answer.
 //!
 //! An inadmissible bound, an over-eager abandon or a wrongly pruned shard
 //! surfaces here as a hit diff against the truth.
@@ -46,12 +48,6 @@ pub fn assert_matches(truth: &[(u64, f64)], hits: &[(u64, f64)], probe: QueryKin
     }
 }
 
-/// The range radius that takes in a neighbour at distance `d`: a hair
-/// above `d`, not `d` itself (ROADMAP's correctness item records why).
-pub fn radius_including(d: f64) -> f64 {
-    d * (1.0 + 1e-9)
-}
-
 /// Corpora no two-implementation diff could ever pin, because both twins
 /// shared the corner: an empty index and all-identical objects (every
 /// distance ties).
@@ -73,7 +69,7 @@ pub fn corner_queries() -> Vec<Vec<Point2>> {
 }
 
 /// The probes of a corner case: `k = 0`, `k = 1`, `k > n`, `radius = 0`,
-/// and a radius a hair above the farthest object.
+/// and a radius bit-equal to the farthest object's distance.
 pub fn corner_probes(truth: &[(u64, f64)]) -> Vec<QueryKind> {
     let far = truth.last().map_or(1.0, |t| t.1);
     vec![
@@ -81,6 +77,6 @@ pub fn corner_probes(truth: &[(u64, f64)]) -> Vec<QueryKind> {
         QueryKind::Knn(1),
         QueryKind::Knn(truth.len() + 5),
         QueryKind::Range(0.0),
-        QueryKind::Range(radius_including(far)),
+        QueryKind::Range(far),
     ]
 }

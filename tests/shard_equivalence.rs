@@ -11,12 +11,12 @@
 //! diff against ground truth.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
-//! `STRG_THREADS=8`, so the equivalence is also pinned against the frozen
-//! parallel band.
+//! `STRG_THREADS=8`, so the equivalence is also pinned with the centroid
+//! pass and the shard fan-out forked.
 
 mod oracle;
 
-use oracle::{assert_matches, radius_including, scan, Corpus};
+use oracle::{assert_matches, scan, Corpus};
 use strg::core::shard::{route, sharded_query};
 use strg::prelude::*;
 
@@ -240,7 +240,7 @@ fn envelope_filter_matches_linear_scan() {
             let probes = [1, 5]
                 .map(QueryKind::Knn)
                 .into_iter()
-                .chain([radius_including(truth[4].1), 1e6].map(QueryKind::Range));
+                .chain([truth[4].1, 1e6].map(QueryKind::Range));
             for probe in probes {
                 let (seq, cost) = fan_out(&trees, q, probe, 1);
                 assert_matches(&truth, &seq, probe, &format!("{shards} shards"));
@@ -266,10 +266,7 @@ fn envelope_filter_matches_linear_scan() {
         let probes = [1, 5]
             .map(|k| (QueryKind::Knn(k), Query::knn(k)))
             .into_iter()
-            .chain(
-                [radius_including(truth[2].1), 200.0]
-                    .map(|r| (QueryKind::Range(r), Query::range(r))),
-            );
+            .chain([truth[2].1, 200.0].map(|r| (QueryKind::Range(r), Query::range(r))));
         for (probe, query) in probes {
             let hits: Vec<(u64, f64)> = run(&db, query.trajectory(&q))
                 .0
@@ -277,6 +274,53 @@ fn envelope_filter_matches_linear_scan() {
                 .map(|h| (h.og_id, h.dist))
                 .collect();
             assert_matches(&truth, &hits, probe, "facade, 4 shards");
+        }
+    }
+}
+
+/// A radius bit-equal to a stored object's distance keeps that object, on
+/// a single tree and across 3 shards. One-object segments are where it
+/// used to be dropped: a singleton leaf's key is ~1e-14 (a one-member
+/// centroid is not bit-equal to its member) and `EGED_M(q, centroid)`
+/// rounds an ulp or two above `EGED_M(q, member)`, so an unwidened key band
+/// excluded the very record that defines the radius (DESIGN.md §9, "The
+/// rounding slack").
+#[test]
+fn bit_equal_radius_keeps_the_boundary_object() {
+    let items = synth_items();
+    let segment_per_object = |chunk: &[(u64, Vec<Point2>)]| {
+        let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), StrgIndexConfig::default());
+        for object in chunk {
+            idx.add_segment(BackgroundGraph::default(), vec![object.clone()]);
+        }
+        idx
+    };
+    let single = segment_per_object(&items);
+    let mut chunks: Vec<Corpus> = vec![Vec::new(); 3];
+    for object in &items {
+        chunks[route(&format!("series-{}", object.0), 3)].push(object.clone());
+    }
+    let shards: Vec<Idx> = chunks.iter().map(|c| segment_per_object(c)).collect();
+    for q in generate_total(24, &SynthConfig::with_noise(0.10), 23).series() {
+        let truth = scan(&items, &q);
+        for nth in [1, 5, 10, 30] {
+            let probe = QueryKind::Range(truth[nth - 1].1);
+            let hits: Vec<(u64, f64)> = single
+                .search(&q, probe, Scope::All)
+                .0
+                .iter()
+                .map(|h| (h.og_id, h.dist))
+                .collect();
+            assert_matches(&truth, &hits, probe, "single tree");
+            for threads in [1, 8] {
+                let (hits, _) = fan_out(&shards, &q, probe, threads);
+                assert_matches(
+                    &truth,
+                    &hits,
+                    probe,
+                    &format!("3 shards, {threads} threads"),
+                );
+            }
         }
     }
 }
