@@ -181,7 +181,7 @@ pub fn run(scale: &Scale) -> Fig7 {
 }
 
 /// Judges a result set by cluster (pattern) membership, the paper's
-/// relevance criterion for Figure 7c.
+/// definition of relevance for Figure 7c.
 fn precision_recall(ids: &[u64], query_label: u32, db: &Dataset, k: usize) -> (f64, f64) {
     let relevant_total = db
         .items

@@ -9,6 +9,7 @@
 //! *shape*: who wins, by roughly what factor, where the curves cross. See
 //! EXPERIMENTS.md for paper-vs-measured.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fig5;

@@ -10,6 +10,7 @@
 //! long-lived server; `send` is the matching one-shot client for
 //! scripting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;

@@ -29,6 +29,7 @@
 //! assert_eq!(clustering_error_rate(&clustering.assignments, &labels, 2), 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bic;

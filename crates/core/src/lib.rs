@@ -17,6 +17,7 @@
 //! implement the [`options::Database`] trait; [`options::open`] picks the
 //! flavor from what is on disk.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod index;

@@ -630,14 +630,26 @@ impl ShardedDatabase {
     /// Serializes the database to the directory `dir`: one `MANIFEST`
     /// (shard count, next OG id, global clip order) plus one ordinary
     /// STRGDB v2 segment file per shard.
+    ///
+    /// The manifest holds one clip name per line, so a name containing a
+    /// line break fails with [`io::ErrorKind::InvalidInput`] before anything
+    /// is written: `dir` keeps whatever loadable state it had.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
         let mut manifest = String::from("STRG-SHARDS v2\n");
         manifest.push_str(&format!("shards {}\n", self.shards.len()));
         manifest.push_str(&format!("next_og {}\n", self.alloc.load(Ordering::SeqCst)));
         for name in self.order.read().iter() {
+            if name.contains(['\n', '\r']) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "clip name {name:?} contains a line break: the manifest cannot hold it"
+                    ),
+                ));
+            }
             manifest.push_str(&format!("clip {name}\n"));
         }
+        fs::create_dir_all(dir)?;
         fs::write(dir.join("MANIFEST"), manifest)?;
         for (i, shard) in self.shards.iter().enumerate() {
             shard.save(dir.join(format!("shard-{i:03}.strgdb")))?;

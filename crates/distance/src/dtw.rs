@@ -27,80 +27,33 @@ pub(crate) fn dtw_upto<V: SeqValue>(a: &[V], b: &[V], cutoff: f64) -> Option<f64
         let d: f64 = rest.iter().map(|v| v.dist(&V::origin())).sum();
         return if d <= cutoff { Some(d) } else { None };
     }
-    crate::scratch::with_dp_scratch(|s| dtw_upto_vector(a, b, cutoff, s))
-}
-
-/// The textbook scalar DP: the reference `vector_path_matches_scalar_bitwise`
-/// pins the vectorized kernel to.
-#[cfg(test)]
-fn dtw_upto_scalar<V: SeqValue>(a: &[V], b: &[V], cutoff: f64) -> Option<f64> {
-    let m = a.len();
-    let n = b.len();
-    let mut prev = vec![f64::INFINITY; n + 1];
-    let mut cur = vec![f64::INFINITY; n + 1];
-    prev[0] = 0.0;
-    for i in 1..=m {
-        cur[0] = f64::INFINITY;
-        let mut row_min = f64::INFINITY;
-        for j in 1..=n {
-            let cost = a[i - 1].dist(&b[j - 1]);
-            let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
-            cur[j] = cost + best;
-            row_min = row_min.min(cur[j]);
+    // The textbook recurrence, one row at a time over this thread's arena
+    // rows (no allocation after warm-up — `tests/query_alloc.rs`).
+    crate::scratch::with_dp_scratch(|s| {
+        let mut prev = s.prev.sized(n + 1);
+        let mut cur = s.cur.sized(n + 1);
+        prev.fill(f64::INFINITY);
+        prev[0] = 0.0;
+        for ai in a {
+            cur[0] = f64::INFINITY;
+            let mut row_min = f64::INFINITY;
+            for j in 1..=n {
+                let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
+                cur[j] = ai.dist(&b[j - 1]) + best;
+                row_min = row_min.min(cur[j]);
+            }
+            if row_min > cutoff {
+                return None;
+            }
+            std::mem::swap(&mut prev, &mut cur);
         }
-        if row_min > cutoff {
-            return None;
+        let d = prev[n];
+        if d <= cutoff {
+            Some(d)
+        } else {
+            None
         }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[n];
-    if d <= cutoff {
-        Some(d)
-    } else {
-        None
-    }
-}
-
-/// Vectorized DTW over arena rows: the ground-distance row fans out through
-/// [`SeqValue::dist_many`], `prev[j-1].min(prev[j])` computes in SIMD
-/// lanes, and the loop-carried `.min(cur[j-1])` plus the cost addition run
-/// in a scalar prefix pass — the same `(prev[j-1].min(prev[j])).min(cur[j-1])`
-/// association as the scalar kernel, so values and abandon decisions are
-/// bit-identical (DESIGN.md §13).
-fn dtw_upto_vector<V: SeqValue>(
-    a: &[V],
-    b: &[V],
-    cutoff: f64,
-    scratch: &mut crate::scratch::DpScratch,
-) -> Option<f64> {
-    let m = a.len();
-    let n = b.len();
-    let mut prev = scratch.prev.sized(n + 1);
-    let mut cur = scratch.cur.sized(n + 1);
-    let sub = scratch.cost.sized(n);
-    prev.fill(f64::INFINITY);
-    prev[0] = 0.0;
-    for i in 1..=m {
-        V::dist_many(&a[i - 1], b, sub);
-        crate::simd::min_shift(prev, &mut cur[1..]);
-        cur[0] = f64::INFINITY;
-        let mut row_min = f64::INFINITY;
-        for j in 1..=n {
-            let c = sub[j - 1] + cur[j].min(cur[j - 1]);
-            cur[j] = c;
-            row_min = row_min.min(c);
-        }
-        if row_min > cutoff {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[n];
-    if d <= cutoff {
-        Some(d)
-    } else {
-        None
-    }
+    })
 }
 
 impl<V: SeqValue> SequenceDistance<V> for Dtw {
@@ -116,6 +69,8 @@ impl<V: SeqValue> SequenceDistance<V> for Dtw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BoundedDistance;
+    use strg_graph::Point2;
 
     fn dtw(a: &[f64], b: &[f64]) -> f64 {
         SequenceDistance::distance(&Dtw, a, b)
@@ -166,20 +121,56 @@ mod tests {
         assert_eq!(dtw(&[3.0], &[]), 3.0);
     }
 
+    /// Sequences from exact integer arithmetic (no libm), so the table
+    /// below reads the same on every target.
+    fn ramp(len: usize, mul: usize, add: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i * mul + add) % 23) as f64 * 0.37 - 4.0)
+            .collect()
+    }
+
+    fn points(len: usize, mul: usize, add: usize) -> Vec<Point2> {
+        ramp(len, mul, add)
+            .into_iter()
+            .zip(ramp(len, mul + 4, add + 9))
+            .map(|(x, y)| Point2::new(x, y))
+            .collect()
+    }
+
+    fn assert_golden<V: SeqValue>(a: &[V], b: &[V], bits: u64) {
+        let label = format!("m={} n={}", a.len(), b.len());
+        let d = SequenceDistance::distance(&Dtw, a, b);
+        assert_eq!(d.to_bits(), bits, "{label}: {d}");
+        for (cutoff, want) in [
+            (f64::INFINITY, Some(bits)),
+            (f64::from_bits(bits + 1), Some(bits)),
+            (d, Some(bits)),
+            (f64::from_bits(bits - 1), None),
+        ] {
+            let got = BoundedDistance::distance_upto(&Dtw, a, b, cutoff);
+            assert_eq!(got.map(f64::to_bits), want, "{label} cutoff={cutoff}");
+        }
+    }
+
+    /// `f64::to_bits` of `Dtw.distance` as the staged, explicit-lane kernel
+    /// of commit c21b775 computed it, before the textbook recurrence
+    /// replaced it: `(m, n, f64 bits, Point2 bits)`. Cutoffs one ulp either
+    /// side of each value pin the abandon decision as well. (The 0×0 pair
+    /// is left to `empty_sequences`: the sign of an empty sum's zero is the
+    /// standard library's choice, not the kernel's.)
+    const GOLDEN: [(usize, usize, u64, u64); 5] = [
+        (0, 3, 0x40170a3d70a3d70a, 0x402430af3ef1505c),
+        (1, 1, 0x4007ae147ae147af, 0x4010be89b23f6ed1),
+        (4, 9, 0x402fd1eb851eb852, 0x4041f9c655505014),
+        (21, 13, 0x403e570a3d70a3d6, 0x404fef9d7df210b2),
+        (16, 16, 0x40339c28f5c28f5d, 0x4045fd1f932498b1),
+    ];
+
     #[test]
-    fn vector_path_matches_scalar_bitwise() {
-        for (m, n) in [(1, 1), (4, 9), (21, 13), (16, 16)] {
-            let a: Vec<f64> = (0..m).map(|i| (i as f64 * 1.3).sin() * 6.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos() * 5.0).collect();
-            for cutoff in [f64::INFINITY, 40.0, 5.0, 0.5, 0.0] {
-                let s = dtw_upto_scalar(&a, &b, cutoff);
-                let v = crate::scratch::with_dp_scratch(|sc| dtw_upto_vector(&a, &b, cutoff, sc));
-                assert_eq!(
-                    s.map(f64::to_bits),
-                    v.map(f64::to_bits),
-                    "m={m} n={n} cutoff={cutoff}"
-                );
-            }
+    fn dtw_golden_bits() {
+        for (m, n, scalar_bits, point_bits) in GOLDEN {
+            assert_golden(&ramp(m, 7, 3), &ramp(n, 5, 11), scalar_bits);
+            assert_golden(&points(m, 7, 3), &points(n, 5, 11), point_bits);
         }
     }
 }

@@ -277,7 +277,9 @@ fn eged_dp_upto_wavefront<V: SeqValue>(
 
     // Row 0: pure insertions.
     if let GapPolicy::Constant(g) = policy {
-        V::dist_many(g, b, &mut ins[PAD..PAD + n]);
+        for (bj, cost) in b.iter().zip(&mut ins[PAD..PAD + n]) {
+            *cost = g.dist(bj);
+        }
     }
     row[0] = 0.0;
     for j in 1..=n {

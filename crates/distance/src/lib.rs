@@ -33,6 +33,7 @@
 //! assert_eq!(Eged.distance(&a, &b), 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounded;
@@ -44,7 +45,6 @@ mod lcs;
 mod lp;
 mod observed;
 mod scratch;
-mod simd;
 mod traits;
 mod value;
 

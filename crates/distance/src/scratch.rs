@@ -2,7 +2,7 @@
 //!
 //! Every `distance_upto` call used to allocate its two lattice rows; under
 //! a query that refines hundreds of candidates that is the hot allocation
-//! of the whole search path. The vectorized kernels instead borrow a
+//! of the whole search path. The DP kernels instead borrow a
 //! per-thread [`DpScratch`] whose rows grow monotonically and are reused
 //! across calls — after warm-up, steady-state distance evaluations perform
 //! zero heap allocations (proven by `tests/query_alloc.rs`).

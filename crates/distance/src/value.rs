@@ -43,22 +43,10 @@ pub trait SeqValue: Copy + std::fmt::Debug + PartialEq + Send + Sync {
     /// for every `u` with `lo <= u <= hi` componentwise, so that envelope
     /// lower bounds built on it stay admissible.
     fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64;
-    /// Batch ground distances: writes `q.dist(&xs[i])` into `out[i]`.
-    ///
-    /// The row-staging hook (DTW's rows, EGED's per-call gap costs):
-    /// overrides must produce values bit-identical to elementwise
-    /// [`SeqValue::dist`] calls (the metric is symmetric, so callers pass
-    /// the operands in either role). The default is the scalar loop; `f64`
-    /// routes it through the explicit lanes of `simd.rs`.
-    fn dist_many(q: &Self, xs: &[Self], out: &mut [f64]) {
-        for (x, d) in xs.iter().zip(out.iter_mut()) {
-            *d = q.dist(x);
-        }
-    }
     /// Lane-wise paired distances: `out[i] = a[i].dist(&b[i])` over fixed
     /// arrays — the EGED wavefront's four cells of a step (`N = 4`) and the
-    /// Lp fold's chunks. Same bit-identity contract as
-    /// [`SeqValue::dist_many`].
+    /// Lp fold's chunks. An override must produce values bit-identical to
+    /// elementwise [`SeqValue::dist`] calls.
     ///
     /// Neither implementor overrides it: once `dist` inlines, `|a - b|` and
     /// `sqrt(dx² + dy²)` are straight-line IEEE operations (subtract,
@@ -97,9 +85,6 @@ impl SeqValue for f64 {
         } else {
             0.0
         }
-    }
-    fn dist_many(q: &Self, xs: &[Self], out: &mut [f64]) {
-        crate::simd::dist_abs_many(*q, xs, out);
     }
 }
 

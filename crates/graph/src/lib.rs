@@ -41,6 +41,7 @@
 //! assert_eq!(d.background.rag.node_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attr;

@@ -30,6 +30,7 @@
 //! deterministic snapshots of the same workload compare byte-for-byte —
 //! this is what `tests/obs_equivalence.rs` pins down.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;

@@ -24,6 +24,7 @@
 //! assert_eq!(hits, vec![1]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aabb;

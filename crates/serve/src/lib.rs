@@ -50,6 +50,7 @@
 //! result, 0 otherwise; normalized by [`wire::zero_batch_shared`]). Batch sizes land in the
 //! `serve.batch.width` histogram, pending depths in `serve.batch.depth`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json_parse;
@@ -76,6 +77,14 @@ pub const MAX_PING_DELAY_MS: u64 = 10_000;
 /// Upper bound accepted for a query's `steps` (the length of the
 /// interpolated query trajectory), on the wire and in `strgdb query`.
 pub const MAX_QUERY_STEPS: u64 = 4096;
+
+/// Upper bound accepted for an ingest's `frames` (every frame is rendered,
+/// segmented and tracked), on the wire and in `strgdb ingest`.
+pub const MAX_INGEST_FRAMES: usize = 4096;
+
+/// Upper bound accepted for an ingest's `actors` (the scene scripts one
+/// sprite path per actor), on the wire and in `strgdb ingest`.
+pub const MAX_INGEST_ACTORS: usize = 64;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -606,8 +615,10 @@ fn dispatch(ctx: &Ctx, req: &Request) -> Result<Json, WireError> {
         "ingest" => {
             let name = p.str_req("name")?;
             let scene = p.str_req("scene")?;
-            let actors = p.u64_or("actors", 4)? as usize;
-            let frames = p.u64_or("frames", 120)? as usize;
+            // A count too large for `usize` saturates and is refused by
+            // `make_clip`'s bounds like any other oversized one.
+            let actors = usize::try_from(p.u64_or("actors", 4)?).unwrap_or(usize::MAX);
+            let frames = usize::try_from(p.u64_or("frames", 120)?).unwrap_or(usize::MAX);
             let seed = p.u64_or("seed", 0)?;
             let clip =
                 wire::make_clip(scene, name, actors, frames, seed).map_err(WireError::invalid)?;

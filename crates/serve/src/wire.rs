@@ -15,7 +15,7 @@ use strg_obs::Json;
 use strg_video::{lab_scene, traffic_scene, ScenarioConfig, VideoClip};
 
 use crate::protocol::{Params, WireError};
-use crate::MAX_QUERY_STEPS;
+use crate::{MAX_INGEST_ACTORS, MAX_INGEST_FRAMES, MAX_QUERY_STEPS};
 
 /// Parses `"x,y"` into a [`Point2`] (the CLI `--from`/`--to` format).
 /// Coordinates must be finite: `f64::from_str` also accepts `nan`, `inf`
@@ -131,7 +131,12 @@ impl QuerySpec {
     }
 }
 
-/// Builds a named synthetic scenario clip from the CLI ingest parameters.
+/// Builds a named synthetic scenario clip from the ingest parameters of
+/// either front end, which arrive from outside the program and are checked
+/// here before anything is sized from them: `frames` in
+/// `1..=`[`MAX_INGEST_FRAMES`], `actors` in `0..=`[`MAX_INGEST_ACTORS`], and
+/// a `name` of 1 to 255 bytes without control characters (the shard
+/// manifest stores one clip name per line).
 pub fn make_clip(
     scene_kind: &str,
     name: &str,
@@ -139,6 +144,23 @@ pub fn make_clip(
     frames: usize,
     seed: u64,
 ) -> Result<VideoClip, String> {
+    if name.is_empty() || name.len() > 255 {
+        return Err(format!(
+            "clip name must be 1 to 255 bytes — got {}",
+            name.len()
+        ));
+    }
+    if name.chars().any(char::is_control) {
+        return Err(format!(
+            "clip name must not contain control characters — got {name:?}"
+        ));
+    }
+    if !(1..=MAX_INGEST_FRAMES).contains(&frames) {
+        return Err(format!("frames must be in 1..={MAX_INGEST_FRAMES}"));
+    }
+    if actors > MAX_INGEST_ACTORS {
+        return Err(format!("actors must be <= {MAX_INGEST_ACTORS}"));
+    }
     let cfg = ScenarioConfig {
         n_actors: actors,
         frames,
@@ -312,6 +334,32 @@ mod tests {
     fn unknown_scene_rejected() {
         assert!(make_clip("mars", "x", 1, 10, 0).is_err());
         assert!(make_clip("lab", "x", 1, 10, 0).is_ok());
+    }
+
+    #[test]
+    fn ingest_parameters_are_bounded() {
+        assert!(make_clip("lab", "x", 0, 1, 0).is_ok());
+        assert!(make_clip("lab", "x", MAX_INGEST_ACTORS, MAX_INGEST_FRAMES, 0).is_ok());
+        for (actors, frames) in [
+            (1, 0),
+            (1, MAX_INGEST_FRAMES + 1),
+            (1, usize::MAX),
+            (MAX_INGEST_ACTORS + 1, 10),
+            (usize::MAX, 10),
+        ] {
+            let err = make_clip("lab", "x", actors, frames, 0).unwrap_err();
+            assert!(err.contains("must be"), "{actors} {frames}: {err}");
+        }
+    }
+
+    #[test]
+    fn clip_names_must_fit_one_manifest_line() {
+        assert!(make_clip("lab", &"n".repeat(255), 1, 10, 0).is_ok());
+        assert!(make_clip("lab", "caméra 1", 1, 10, 0).is_ok());
+        let long = "n".repeat(256);
+        for bad in ["", "a\nb", "a\rb", "a\0b", "tab\there", long.as_str()] {
+            assert!(make_clip("lab", bad, 1, 10, 0).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! locks never poison. The shim matches that behavior by unwrapping
 //! poison errors into the inner guard.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reader–writer lock with `parking_lot`'s panic-free API.

@@ -13,6 +13,8 @@
 //! random streams differ from upstream proptest. Every run of a given test
 //! binary explores the same deterministic sequence of cases.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     //! Runner configuration and failure plumbing.
 

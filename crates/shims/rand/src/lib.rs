@@ -13,6 +13,8 @@
 //! consumer in this repo seeds explicitly and only relies on *determinism*,
 //! not on a particular stream.
 
+#![forbid(unsafe_code)]
+
 /// Low-level source of randomness: the object-safe core trait.
 pub trait RngCore {
     /// Next 64 uniformly distributed bits.

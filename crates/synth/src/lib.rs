@@ -8,6 +8,7 @@
 //! The generator is fully deterministic given a seed, so every figure of
 //! the benchmark harness is reproducible run-to-run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generate;

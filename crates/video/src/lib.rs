@@ -10,6 +10,7 @@
 //! * [`mod@segment`] — homogeneous-color region segmentation,
 //! * [`rag_extract`] — frame → Region Adjacency Graph (Definition 1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod rag_extract;
@@ -17,7 +18,6 @@ pub mod raster;
 pub mod scenario;
 pub mod scene;
 pub mod segment;
-mod simd;
 
 pub use rag_extract::{
     frame_to_rag, frame_to_rag_with, frames_to_rags, frames_to_rags_with_stats,
@@ -29,7 +29,5 @@ pub use scenario::{
     SCENE_H, SCENE_W,
 };
 pub use scene::{line_path, Actor, BgPatch, Scene, SceneNoise, Sprite, SpritePart};
-pub use segment::{
-    box_blur, segment, segment_into, Region, SegScratch, SegmentConfig, Segmentation,
-};
+pub use segment::{segment, segment_into, Region, SegScratch, SegmentConfig, Segmentation};
 pub use strg_parallel::Threads;

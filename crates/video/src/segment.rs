@@ -15,16 +15,14 @@
 //! The output is exactly what Definition 1 consumes: labeled regions with
 //! size / mean color / centroid plus their adjacency.
 //!
-//! ## Hot-path kernels (DESIGN.md §10)
+//! ## Hot-path kernel (DESIGN.md §10)
 //!
-//! The mode filter and [`box_blur`] are the per-pixel hot path of ingest.
-//! The mode filter is a Huang-style incremental sliding histogram
-//! (add/remove one clipped column per step instead of rescanning the
-//! `(2r+1)^2` window); the box blur is a two-pass separable running-sum
-//! filter with exact `u32` integer accumulators — per-pixel cost `O(r)`
-//! resp. `O(1)` instead of `O(r^2)`. The `O(r^2)` window rescans they
-//! replaced (`mode_filter_naive`, `box_blur_naive`) are compiled only for
-//! this module's unit tests, which pin the kernels to them byte for byte.
+//! The mode filter is the per-pixel hot path of ingest: a Huang-style
+//! incremental sliding histogram (add/remove one clipped column per step
+//! instead of rescanning the `(2r+1)^2` window) — per-pixel cost `O(r)`
+//! instead of `O(r^2)`. The window rescan it replaced
+//! (`mode_filter_naive`) is compiled only for this module's unit tests,
+//! which pin the kernel to it byte for byte.
 //!
 //! Per-frame buffers live in a reusable [`SegScratch`] arena so that
 //! steady-state segmentation performs **zero heap allocations** (pinned by
@@ -33,7 +31,7 @@
 
 use strg_graph::{Point2, Rgb};
 
-use crate::raster::{Frame, Pixel};
+use crate::raster::Frame;
 
 /// Configuration of the segmenter.
 #[derive(Copy, Clone, Debug)]
@@ -731,11 +729,9 @@ fn mode_filter_fast(
     fill_to(freq, window_cap + 1, 0, grows);
 
     let r = radius;
-    // Column-major mirror of the id plane for the vectorized interior
-    // step: the outgoing/incoming window columns become contiguous
-    // slices, so the (usually all-equal) compare runs four lanes at a
-    // time (`simd::for_each_diff_u32`). Built once per frame, only when
-    // interior steps exist.
+    // Column-major mirror of the id plane for the interior step: the
+    // outgoing/incoming window columns become contiguous slices. Built
+    // once per frame, only when interior steps exist.
     let ids_t: &[u32] = if w > 2 * r + 1 {
         fill_to(transposed, ids.len(), 0, grows);
         for (yy, row) in ids.chunks_exact(w).enumerate() {
@@ -820,11 +816,12 @@ fn mode_filter_fast(
                     // per diff, exactly as a strided walk over `ids` would.
                     let col_r = &ids_t[xr * h + y0..xr * h + y1 + 1];
                     let col_a = &ids_t[xa * h + y0..xa * h + y1 + 1];
-                    crate::simd::for_each_diff_u32(col_r, col_a, |i| {
-                        let (cr, ca) = (col_r[i], col_a[i]);
-                        remove_one(cr as usize, hist, freq, &mut max_n, present, present_pos);
-                        add_one(ca as usize, hist, freq, &mut max_n, present, present_pos);
-                    });
+                    for (&cr, &ca) in col_r.iter().zip(col_a) {
+                        if cr != ca {
+                            remove_one(cr as usize, hist, freq, &mut max_n, present, present_pos);
+                            add_one(ca as usize, hist, freq, &mut max_n, present, present_pos);
+                        }
+                    }
                 }
             }
             let center_id = ids[y * w + x] as usize;
@@ -855,144 +852,10 @@ fn mode_filter_fast(
     }
 }
 
-/// Box blur with the given radius (mean over the `(2r+1)^2` window,
-/// clipped at the frame border and normalized by the *clipped* pixel
-/// count, so border pixels average only real pixels — no darkening bias).
-///
-/// Runs as a two-pass separable running-sum filter in `O(1)` per pixel;
-/// sums are exact `u32` integers over the `u8` channels and the final
-/// `sum / count` integer division is the same expression the naïve
-/// `O(r^2)` rescan (`box_blur_naive`, the unit tests' reference)
-/// evaluates, so the two are byte-identical for any radius below 2048.
-///
-/// The vertical pass keeps the per-pixel `[r, g, b]` sums in one flat
-/// interleaved `u32` buffer, so its add/subtract sweeps run whole rows
-/// through the SIMD kernels of `crate::simd` (exact integer lanes).
-/// Only the final `sum / n` division stays per-element scalar: a
-/// reciprocal-multiply trick would have to reproduce the exact truncated
-/// quotient for every `(sum, n)` pair and buys little next to the sweeps.
-pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
-    let w = frame.width();
-    let h = frame.height();
-    let mut out = Frame::new(w, h, Pixel::default());
-    if w == 0 || h == 0 {
-        return out;
-    }
-    debug_assert!(radius <= 2047, "u32 channel sums overflow past radius 2047");
-    let r = radius;
-    let px = frame.pixels();
-    let row_len = w * 3;
-
-    // Pass 1: horizontal clipped running sums, interleaved r, g, b per
-    // pixel. The clipped 2-D window sum is the sum of its clipped row
-    // sums, so the two passes reproduce the naïve window total exactly.
-    // The running sum is loop-carried, so this pass stays scalar.
-    let mut rows: Vec<u32> = vec![0; row_len * h];
-    for y in 0..h {
-        let base = y * w;
-        let mut sum = [0u32; 3];
-        for x in 0..=r.min(w - 1) {
-            let p = px[base + x];
-            sum[0] += p.r as u32;
-            sum[1] += p.g as u32;
-            sum[2] += p.b as u32;
-        }
-        for x in 0..w {
-            if x > 0 {
-                if x + r < w {
-                    let p = px[base + x + r];
-                    sum[0] += p.r as u32;
-                    sum[1] += p.g as u32;
-                    sum[2] += p.b as u32;
-                }
-                if x > r {
-                    let p = px[base + x - r - 1];
-                    sum[0] -= p.r as u32;
-                    sum[1] -= p.g as u32;
-                    sum[2] -= p.b as u32;
-                }
-            }
-            rows[y * row_len + x * 3..y * row_len + x * 3 + 3].copy_from_slice(&sum);
-        }
-    }
-
-    // Pass 2: vertical running sums of the row sums, all columns at once
-    // (row-major sweeps keep the access pattern cache-friendly and make
-    // each sweep one contiguous element-wise add/subtract).
-    let add = |colsum: &mut [u32], yy: usize| {
-        let row = &rows[yy * row_len..(yy + 1) * row_len];
-        crate::simd::add_assign_u32(colsum, row);
-    };
-    let sub = |colsum: &mut [u32], yy: usize| {
-        let row = &rows[yy * row_len..(yy + 1) * row_len];
-        crate::simd::sub_assign_u32(colsum, row);
-    };
-    let nx_of = |x: usize| ((x + r).min(w - 1) - x.saturating_sub(r) + 1) as u32;
-    let nx: Vec<u32> = (0..w).map(nx_of).collect();
-    let mut colsum: Vec<u32> = vec![0; row_len];
-    for yy in 0..=r.min(h - 1) {
-        add(&mut colsum, yy);
-    }
-    for y in 0..h {
-        if y > 0 {
-            if y + r < h {
-                add(&mut colsum, y + r);
-            }
-            if y > r {
-                sub(&mut colsum, y - r - 1);
-            }
-        }
-        let ny = ((y + r).min(h - 1) - y.saturating_sub(r) + 1) as u32;
-        for x in 0..w {
-            let n = nx[x] * ny;
-            out.set(
-                x as isize,
-                y as isize,
-                Pixel::new(
-                    (colsum[x * 3] / n) as u8,
-                    (colsum[x * 3 + 1] / n) as u8,
-                    (colsum[x * 3 + 2] / n) as u8,
-                ),
-            );
-        }
-    }
-    out
-}
-
-/// The original per-pixel window rescan (the unit tests' reference for
-/// [`box_blur`]).
-#[cfg(test)]
-fn box_blur_naive(frame: &Frame, radius: usize) -> Frame {
-    let w = frame.width();
-    let h = frame.height();
-    let r = radius as isize;
-    let mut out = Frame::new(w, h, Pixel::default());
-    for y in 0..h as isize {
-        for x in 0..w as isize {
-            let mut sum = (0u32, 0u32, 0u32);
-            let mut n = 0u32;
-            for yy in (y - r).max(0)..=(y + r).min(h as isize - 1) {
-                for xx in (x - r).max(0)..=(x + r).min(w as isize - 1) {
-                    let p = frame.get(xx as usize, yy as usize);
-                    sum.0 += p.r as u32;
-                    sum.1 += p.g as u32;
-                    sum.2 += p.b as u32;
-                    n += 1;
-                }
-            }
-            out.set(
-                x,
-                y,
-                Pixel::new((sum.0 / n) as u8, (sum.1 / n) as u8, (sum.2 / n) as u8),
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raster::Pixel;
 
     /// A frame split into a dark left half and a bright right half.
     fn two_region_frame() -> Frame {
@@ -1127,75 +990,11 @@ mod tests {
         assert!(seg.regions.len() <= 6);
     }
 
-    #[test]
-    fn box_blur_averages() {
-        let mut f = Frame::new(3, 3, Pixel::new(0, 0, 0));
-        f.set(1, 1, Pixel::new(90, 90, 90));
-        let b = box_blur(&f, 1);
-        assert_eq!(b.get(1, 1), Pixel::new(10, 10, 10));
-    }
-
     // ---- edge-handling pins (satellite: boundary-window audit) ----
 
-    /// Border windows are *clipped*, and normalization divides by the
-    /// clipped count — a corner pixel with radius 1 averages exactly its
-    /// 2x2 neighborhood, not a zero-padded 3x3 one.
-    #[test]
-    fn box_blur_corner_uses_clamped_normalization() {
-        let mut f = Frame::new(4, 4, Pixel::new(0, 0, 0));
-        f.set(0, 0, Pixel::new(100, 100, 100));
-        f.set(1, 0, Pixel::new(50, 50, 50));
-        for b in [box_blur_naive(&f, 1), box_blur(&f, 1)] {
-            // Corner window = {(0,0),(1,0),(0,1),(1,1)}: (100+50+0+0)/4.
-            assert_eq!(b.get(0, 0), Pixel::new(37, 37, 37));
-            // Top edge window is 3x2 = 6 pixels: 150/6 = 25.
-            assert_eq!(b.get(1, 0), Pixel::new(25, 25, 25));
-        }
-    }
-
-    /// Radius larger than the frame degenerates to the global mean with
-    /// the true pixel count as denominator.
-    #[test]
-    fn box_blur_radius_larger_than_frame() {
-        let mut f = Frame::new(3, 2, Pixel::new(10, 10, 10));
-        f.set(0, 0, Pixel::new(70, 70, 70));
-        for b in [box_blur_naive(&f, 50), box_blur(&f, 50)] {
-            // (70 + 5*10) / 6 = 20.
-            for y in 0..2 {
-                for x in 0..3 {
-                    assert_eq!(b.get(x, y), Pixel::new(20, 20, 20));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn box_blur_zero_radius_is_identity() {
-        let f = busy_frame(17, 9, 3);
-        for b in [box_blur_naive(&f, 0), box_blur(&f, 0)] {
-            assert_eq!(b.pixels(), f.pixels());
-        }
-    }
-
-    #[test]
-    fn box_blur_fast_matches_naive_exactly() {
-        for (w, h, seed) in [(1, 1, 1), (7, 1, 2), (1, 9, 3), (31, 17, 4), (40, 30, 5)] {
-            let f = busy_frame(w, h, seed);
-            for radius in [0, 1, 2, 3, 5, 8, 40] {
-                let naive = box_blur_naive(&f, radius);
-                let fast = box_blur(&f, radius);
-                assert_eq!(
-                    naive.pixels(),
-                    fast.pixels(),
-                    "{w}x{h} seed {seed} radius {radius}"
-                );
-            }
-        }
-    }
-
-    /// The mode filter's border windows are clipped the same way: a corner
-    /// pixel with radius 1 sees a 2x2 window, and the center class wins
-    /// non-strict majorities in it.
+    /// The mode filter's border windows are *clipped*: a corner pixel with
+    /// radius 1 sees a 2x2 window, and the center class wins non-strict
+    /// majorities in it.
     #[test]
     fn mode_filter_corner_center_wins_2x2_tie() {
         // 2x2 window at (0,0) holds classes [5, 9, 9, 5]: tie 2-2, center
@@ -1258,11 +1057,15 @@ mod tests {
             (6, 6, Box::new(|x, y| ((x * 7 + y * 13) % 5) as u32)),
             (1, 12, Box::new(|_, y| (y % 2) as u32)),
             (12, 1, Box::new(|x, _| (x % 3) as u32)),
+            // Tall and wide enough that radii 4-6 slide unclipped window
+            // columns of 9-13 cells through interior steps.
+            (31, 17, Box::new(|x, y| ((x * 7 + y * 13) % 5) as u32)),
+            (29, 19, Box::new(|x, y| ((x / 5 + y / 4) % 3) as u32)),
         ];
         let mut s = SegScratch::new();
         for (w, h, f) in patterns {
             let classes: Vec<u32> = (0..w * h).map(|i| f(i % w, i / w)).collect();
-            for radius in [1, 2, 3, 4] {
+            for radius in [1, 2, 3, 4, 5, 6] {
                 let naive = mode_filter_naive(&classes, w, h, radius);
                 let SegScratch {
                     smoothed,

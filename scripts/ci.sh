@@ -21,13 +21,14 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The distance kernels once more as they ship: debug builds neither
-# vectorise the lane loops nor elide the bounds checks they rely on, so
-# arithmetic that only goes wrong optimised would pass the run above. The
-# thread-invariance suite rides along, so the pool's hand-off and the leaf
-# scan are compared across worker counts in the build that ships.
-echo "==> cargo test --release (distance kernels, thread invariance)"
-cargo test -q --release -p strg-distance -p strg-graph
+# The distance kernels and the segmenter's mode filter once more as they
+# ship: debug builds neither vectorise the lane loops nor elide the bounds
+# checks they rely on (and they trap the `u32` overflow a release build
+# wraps), so arithmetic that only goes wrong optimised would pass the run
+# above. The thread-invariance suite rides along, so the pool's hand-off and
+# the leaf scan are compared across worker counts in the build that ships.
+echo "==> cargo test --release (distance + segmentation kernels, thread invariance)"
+cargo test -q --release -p strg-distance -p strg-graph -p strg-video
 cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence
 

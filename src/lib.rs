@@ -40,6 +40,8 @@
 //! assert!(result.cost.unwrap().distance_calls >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use strg_cluster as cluster;
 pub use strg_core as core;
 pub use strg_distance as distance;
@@ -76,8 +78,8 @@ pub mod prelude {
     pub use strg_rtree::{Aabb3, RTree3};
     pub use strg_synth::{generate, generate_total, SynthConfig};
     pub use strg_video::{
-        box_blur, frames_to_rags, frames_to_rags_with_stats, lab_scene, segment, segment_into,
-        table1_clips, traffic_scene, ExtractStats, Frame, Pixel, ScenarioConfig, SegScratch,
-        SegmentConfig, Segmentation, VideoClip,
+        frames_to_rags, frames_to_rags_with_stats, lab_scene, segment, segment_into, table1_clips,
+        traffic_scene, ExtractStats, Frame, Pixel, ScenarioConfig, SegScratch, SegmentConfig,
+        Segmentation, VideoClip,
     };
 }

@@ -279,3 +279,38 @@ fn corrupt_shard_file_fails_the_whole_load() {
     };
     assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}");
 }
+
+/// A clip name with a line break, ingested through the library (no front
+/// end to refuse it), cannot go into the one-name-per-line manifest: `save`
+/// fails with `InvalidInput` before touching the directory, so the state
+/// saved before it still loads.
+#[test]
+fn sharded_save_refuses_a_name_the_manifest_cannot_hold() {
+    let db = ShardedDatabase::new(DbOptions::new().shards(2));
+    let scene = lab_scene(&ScenarioConfig {
+        n_actors: 1,
+        frames: 30,
+        seed: 4,
+        ..Default::default()
+    });
+    let frames = VideoClip {
+        name: "good".into(),
+        scene,
+        fps: 30.0,
+    }
+    .render_all(4);
+    db.ingest_frames("good", &frames);
+    let dir = temp_path("shard_newline_name");
+    db.save(&dir).unwrap();
+    let manifest = std::fs::read(dir.join("MANIFEST")).unwrap();
+
+    db.ingest_frames("a\nb", &frames);
+    let e = db
+        .save(&dir)
+        .expect_err("a manifest with a split line was written");
+    assert_eq!(e.kind(), ErrorKind::InvalidInput, "{e}");
+    assert_eq!(std::fs::read(dir.join("MANIFEST")).unwrap(), manifest);
+    let reloaded = ShardedDatabase::load(&dir, DbOptions::new()).expect("previous state loads");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(reloaded.clip_names(), ["good"]);
+}

@@ -198,3 +198,44 @@ fn extreme_query_coordinates_are_exact_and_nan_free() {
         }
     }
 }
+
+/// The CLI takes `--frames`, `--actors` and `--name` from outside the
+/// program: unbounded counts (which aborted the process on a multi-terabyte
+/// allocation) and names the shard manifest cannot hold on one line (which
+/// left the database unloadable) end in a `CliError` naming the limit, and
+/// the sharded database ingested before them still opens.
+#[test]
+fn cli_refuses_unbounded_and_unnameable_ingests() {
+    let dir = std::env::temp_dir().join(format!("strg_robust_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = dir.to_string_lossy().into_owned();
+    let ingest = |name: &str, extra: &[&str]| {
+        let mut argv = vec![
+            "ingest", "--db", &db, "--shards", "2", "--scene", "lab", "--name", name,
+        ];
+        argv.extend_from_slice(extra);
+        strg_cli::run(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    };
+    ingest("cam0", &["--actors", "1", "--frames", "30"]).expect("a bounded ingest");
+
+    for (extra, bound) in [
+        (["--frames", "100000000000"], "4096"),
+        (["--frames", "4097"], "4096"),
+        (["--frames", "0"], "4096"),
+        (["--actors", "100000000000"], "64"),
+        (["--actors", "65"], "64"),
+    ] {
+        let e = ingest("x", &extra).expect_err("unbounded ingest accepted");
+        assert!(e.0.contains(bound), "{extra:?}: {e}");
+    }
+    let long_name = "n".repeat(256);
+    for name in ["cam\nshards 0", "cam\r", "cam\0", "", long_name.as_str()] {
+        let e = ingest(name, &["--frames", "30"]).expect_err("unnameable clip accepted");
+        assert!(e.0.contains("clip name"), "{name:?}: {e}");
+    }
+
+    let stats = strg_cli::run(&["stats".to_string(), "--db".to_string(), db.clone()])
+        .expect("the database still opens");
+    assert!(stats.contains("clips 1"), "{stats}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -132,6 +132,56 @@ fn non_finite_and_unbounded_query_input_is_refused() {
     join.join().unwrap().unwrap();
 }
 
+/// `"frames":100000000000` asked the allocator for 3.5 TB of scene and
+/// `"actors":100000000000` for one sprite path each (both aborted the
+/// server); a clip name with a line break wrote a shard manifest no later
+/// start could read. Each is refused with `invalid` before anything is
+/// built or saved, and the same connection still answers `ping`.
+#[test]
+fn unbounded_and_unnameable_ingests_are_refused() {
+    let srv_db = temp_path("refused_ingest");
+    let _ = std::fs::remove_file(&srv_db);
+    let (handle, join) = boot(
+        VideoDatabase::new(DbOptions::new()),
+        ServeConfig {
+            db_path: Some(srv_db.clone()),
+            ..ServeConfig::default()
+        },
+    );
+    let mut c = Client::connect(handle.addr());
+    let long_name = format!(r#""name":"{}","frames":24"#, "n".repeat(256));
+    let bad = [
+        r#""name":"x","frames":100000000000"#,
+        r#""name":"x","frames":4097"#,
+        r#""name":"x","frames":0"#,
+        r#""name":"x","frames":24,"actors":100000000000"#,
+        r#""name":"x","frames":24,"actors":65"#,
+        r#""name":"cam\nshards 0","frames":24"#,
+        r#""name":"cam\r","frames":24"#,
+        r#""name":"cam\u0000","frames":24"#,
+        r#""name":"","frames":24"#,
+        long_name.as_str(),
+    ];
+    for (i, params) in bad.iter().enumerate() {
+        let r = c.send(&format!(
+            r#"{{"id":{i},"method":"ingest","params":{{"scene":"lab",{params}}}}}"#
+        ));
+        assert!(r.starts_with(r#"{"ok":false,"#), "{params}: {r}");
+        assert!(r.contains(r#""code":"invalid""#), "{params}: {r}");
+        let r = c.send(r#"{"id":99,"method":"ping"}"#);
+        assert_eq!(result_slice(&r), Some(r#""pong""#), "after {params}: {r}");
+    }
+    let r = c.send(r#"{"id":100,"method":"stats"}"#);
+    let body = result_slice(&r).expect("stats result");
+    assert!(body.starts_with(r#"{"clips":0,"#), "{body}");
+    assert!(
+        !std::path::Path::new(&srv_db).exists(),
+        "a refused ingest saved"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// The determinism-over-the-wire contract, byte for byte:
 /// * an ingest body from the server equals the CLI `--json` output for
 ///   the same parameters (metrics stripped — it is process-local);
