@@ -252,7 +252,9 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// centroid, and fill leaves keyed by `EGED_M`. Returns the new root
     /// record id.
     pub fn add_segment(&mut self, bg: BackgroundGraph, ogs: Vec<(u64, Vec<V>)>) -> u32 {
-        let root_id = self.roots.len() as u32;
+        // Continue from the last id, not the root count: after a
+        // `remove_segment` the count would hand out an id still in use.
+        let root_id = self.roots.last().map_or(0, |r| r.id + 1);
         // The sequences are moved (not cloned) out of the input: clustering
         // and keying borrow them, then the bulk load below moves each one
         // into its leaf record.

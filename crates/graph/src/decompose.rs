@@ -246,11 +246,14 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
         }
     }
     // Wire representatives whose underlying regions are adjacent somewhere.
+    // Each edge is added as `(min, max)`, the orientation the stored form
+    // (`Rag::edges`, `u < v`) replays on load, so a built and a loaded
+    // Background Graph measure every edge's angle from the same end.
     for (m, frame_rag) in strg.rags().iter().enumerate() {
         for (u, v, _) in frame_rag.edges() {
             if let (Some(&ru), Some(&rv)) = (rep_of.get(&(m, u)), rep_of.get(&(m, v))) {
                 if ru != rv && !rag.has_edge(ru, rv) {
-                    rag.add_edge(ru, rv);
+                    rag.add_edge(ru.min(rv), ru.max(rv));
                 }
             }
         }

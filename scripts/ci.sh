@@ -18,19 +18,28 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+# `benchmark/` is a package of its own that `cargo test` never builds: a
+# library change that breaks its API fails here in seconds, not after the
+# test matrix (`tests/benchmark_surface.rs` names what it uses).
+echo "==> benchmark: build against this checkout"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The distance kernels and the segmenter's mode filter once more as they
-# ship: debug builds neither vectorise the lane loops nor elide the bounds
-# checks they rely on (and they trap the `u32` overflow a release build
-# wraps), so arithmetic that only goes wrong optimised would pass the run
-# above. The thread-invariance suite rides along, so the pool's hand-off and
-# the leaf scan are compared across worker counts in the build that ships.
-echo "==> cargo test --release (distance + segmentation kernels, thread invariance)"
+# The distance kernels, the segmenter's mode filter, the sliced CRC-32 and
+# the persistence run decoders once more as they ship: debug builds neither
+# vectorise the lane loops nor elide the bounds checks they rely on (and
+# they trap the `u32` overflow a release build wraps), so arithmetic that
+# only goes wrong optimised would pass the run above. The thread-invariance
+# suite rides along, so the pool's hand-off and the leaf scan are compared
+# across worker counts in the build that ships.
+echo "==> cargo test --release (distance, segmentation and persistence kernels, thread invariance)"
 cargo test -q --release -p strg-distance -p strg-graph -p strg-video
+cargo test -q --release -p strg-core persist
 cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence
+cargo test -q --release --test persist_faults --test persist_equivalence
 
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn

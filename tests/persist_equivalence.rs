@@ -101,6 +101,38 @@ fn assert_dbs_equivalent(a: &dyn Database, b: &dyn Database, ctx: &str) {
     }
 }
 
+/// Every root's Background Graph agrees bit for bit: node attributes and
+/// edge attributes (`distance` and `orientation`). Nothing queries a BG
+/// edge attribute today, so only this assertion sees a drifted one.
+fn assert_bgs_identical(a: &VideoDatabase, b: &VideoDatabase, ctx: &str) {
+    let bits = |db: &VideoDatabase| -> Vec<Vec<u64>> {
+        db.with_index(|idx| {
+            idx.roots()
+                .iter()
+                .map(|r| {
+                    let rag = &r.bg.rag;
+                    let mut out = vec![r.bg.frames_covered as u64];
+                    for n in rag.node_attrs() {
+                        out.push(n.size as u64);
+                        let (c, p) = (n.color, n.centroid);
+                        out.extend([c.r, c.g, c.b, p.x, p.y].map(f64::to_bits));
+                    }
+                    for (u, v, e) in rag.edges() {
+                        out.extend([u.0 as u64, v.0 as u64]);
+                        out.extend([e.distance.to_bits(), e.orientation.to_bits()]);
+                    }
+                    out
+                })
+                .collect()
+        })
+    };
+    let (x, y) = (bits(a), bits(b));
+    assert_eq!(x.len(), y.len(), "{ctx}: root count");
+    for (i, (rx, ry)) in x.iter().zip(&y).enumerate() {
+        assert_eq!(rx, ry, "{ctx}: root {i} Background Graph attributes");
+    }
+}
+
 /// v2 fast load ≡ the database it was saved from ≡ a rebuild from the same
 /// clips, in every observable — and the loaded database re-saves the exact
 /// original bytes.
@@ -120,6 +152,7 @@ fn v2_fast_load_matches_rebuild_single_tree() {
 
     assert_dbs_equivalent(&fast, &built, "fast vs built");
     assert_dbs_equivalent(&fast, &rebuilt, "fast vs rebuild");
+    assert_bgs_identical(&fast, &built, "fast vs built");
 
     let out = temp_path("single_resave");
     fast.save(&out).unwrap();
@@ -176,28 +209,46 @@ fn v2_fast_load_matches_rebuild_sharded() {
     }
 }
 
-/// Clip removal leaves non-contiguous root ids in memory; the canonical
-/// remap on save must still make `save → load → save` a byte identity and
-/// keep the fast loader equivalent to the database it was saved from.
+/// Clip removal leaves non-contiguous root ids and OG id blocks in memory;
+/// the canonical remap on save must still make `save → load → save` a byte
+/// identity and keep the fast loader equivalent to the database it was
+/// saved from — also when clips are ingested after a removal in the middle.
 #[test]
 fn removal_then_save_stays_canonical() {
     let built = VideoDatabase::new(DbOptions::new());
     ingest_all(&built);
     built.ingest_clip(&demo_clip(23), 23);
     assert!(built.remove_clip("clip-9").is_some());
-    let path = temp_path("removal");
-    built.save(&path).unwrap();
-    let original = std::fs::read(&path).unwrap();
+    for stage in ["removal", "ingest after removal"] {
+        if stage == "ingest after removal" {
+            built.ingest_clip(&demo_clip(31), 31);
+            assert!(built.remove_clip("clip-14").is_some());
+            built.ingest_clip(&demo_clip(36), 36);
+        }
+        let path = temp_path("removal");
+        built.save(&path).unwrap();
+        let original = std::fs::read(&path).unwrap();
 
-    let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
-    assert_dbs_equivalent(&fast, &built, "removal: fast vs built");
+        let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
+        assert_dbs_equivalent(&fast, &built, &format!("{stage}: fast vs built"));
+        assert_bgs_identical(&fast, &built, &format!("{stage}: fast vs built"));
+        for name in built.clip_names() {
+            let q = trajectories(&built).remove(1);
+            let query = || Query::knn(5).trajectory(&q).in_clip(name.clone());
+            assert_hits_eq(
+                &fast.query(query()).hits,
+                &built.query(query()).hits,
+                &format!("{stage}: in_clip {name}"),
+            );
+        }
 
-    let out = temp_path("removal_resave");
-    fast.save(&out).unwrap();
-    let resaved = std::fs::read(&out).unwrap();
-    let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(original, resaved, "re-saved bytes differ after removal");
+        let out = temp_path("removal_resave");
+        fast.save(&out).unwrap();
+        let resaved = std::fs::read(&out).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(original, resaved, "{stage}: re-saved bytes differ");
+    }
 }
 
 /// `open()` on a v2 file and on a shard directory reports the fast reopen

@@ -199,6 +199,136 @@ fn oversized_internal_counts_are_rejected_without_allocating() {
     assert_structured(&e, "META clips=2^60");
 }
 
+/// One record of a v2 file: `(tag, a, b, payload)`, `a`/`b` from its TOC row.
+type Record = (u32, u32, u32, Vec<u8>);
+
+fn tag(name: &[u8; 4]) -> u32 {
+    u32::from_le_bytes(*name)
+}
+
+/// Splits a well-formed v2 file into its records (the TOC excluded).
+fn split_records(bytes: &[u8]) -> Vec<Record> {
+    let offsets = record_offsets(bytes);
+    let (&(toc_off, _), body) = offsets.split_last().expect("a TOC record");
+    let rows = &bytes[toc_off + 16 + 8..];
+    body.iter()
+        .enumerate()
+        .map(|(i, &(off, len))| {
+            let row = &rows[i * 28..];
+            (
+                u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()),
+                u32::from_le_bytes(row[4..8].try_into().unwrap()),
+                u32::from_le_bytes(row[8..12].try_into().unwrap()),
+                bytes[off + 16..off + 16 + len as usize].to_vec(),
+            )
+        })
+        .collect()
+}
+
+/// Writes `records` back as a complete v2 file — header, CRC-sealed
+/// records, a TOC that agrees with them, trailer — so a tampered payload
+/// passes every framing check and reaches its record decoder.
+fn assemble(records: &[Record]) -> Vec<u8> {
+    let mut out = b"STRGDB2\0".to_vec();
+    out.extend(2u32.to_le_bytes());
+    out.extend(0u32.to_le_bytes());
+    let push = |out: &mut Vec<u8>, tag: u32, payload: &[u8]| {
+        out.extend(tag.to_le_bytes());
+        out.extend((payload.len() as u64).to_le_bytes());
+        out.extend(crc32_of(payload).to_le_bytes());
+        out.extend(payload);
+    };
+    let mut toc = (records.len() as u64).to_le_bytes().to_vec();
+    for (tag, a, b, payload) in records {
+        toc.extend(tag.to_le_bytes());
+        toc.extend(a.to_le_bytes());
+        toc.extend(b.to_le_bytes());
+        toc.extend((out.len() as u64).to_le_bytes());
+        toc.extend((16 + payload.len() as u64).to_le_bytes());
+        push(&mut out, *tag, payload);
+    }
+    let toc_offset = out.len() as u64;
+    push(&mut out, tag(b"TOC\0"), &toc);
+    out.extend(toc_offset.to_le_bytes());
+    out.extend(b"STRG2END");
+    out
+}
+
+/// A record of every kind cut short inside its payload (and re-framed, so
+/// the cut reaches the run decoders): every cut is a structured error.
+#[test]
+fn truncated_payloads_are_rejected_by_their_decoders() {
+    let bytes = sample_bytes();
+    let records = split_records(&bytes);
+    assert_eq!(
+        assemble(&records),
+        bytes,
+        "the test's writer must round-trip"
+    );
+    for name in [b"ROOT", b"CLUS", b"LEAF", b"SUMS", b"OGS\0"] {
+        let pos = records
+            .iter()
+            .position(|r| r.0 == tag(name))
+            .expect("sample holds every record kind");
+        let name = String::from_utf8_lossy(name);
+        let len = records[pos].3.len();
+        assert!(len > 16, "{name} payload too short to cut");
+        for cut in [0, 7, 8, 9, len / 2, len - 8, len - 1] {
+            let mut evil = records.clone();
+            evil[pos].3.truncate(cut);
+            let ctx = format!("{name} cut to {cut} of {len}");
+            let e = must_reject(&assemble(&evil), &ctx);
+            assert_structured(&e, &ctx);
+        }
+    }
+}
+
+/// Oversized point, sample, node and edge counts, each re-sealed with a
+/// valid CRC so the count check itself must refuse it before allocating;
+/// and a ROOT edge naming a node the record does not hold.
+#[test]
+fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
+    let bytes = sample_bytes();
+    let records = split_records(&bytes);
+    let first = |name: &[u8; 4]| records.iter().position(|r| r.0 == tag(name)).unwrap();
+    let root = first(b"ROOT");
+    let n_nodes = u64::from_le_bytes(records[root].3[4..12].try_into().unwrap()) as usize;
+    let n_edges = u64::from_le_bytes(records[root].3[12..20].try_into().unwrap());
+    assert!(
+        n_nodes > 1 && n_edges > 0,
+        "sample BG needs nodes and edges"
+    );
+    // (record, byte offset of the u64 count in its payload, what it counts)
+    let fields = [
+        (first(b"CLUS"), 0, "centroid points"),
+        (first(b"LEAF"), 24, "first leaf sequence's points"),
+        (first(b"SUMS"), 0, "summaries"),
+        (first(b"OGS\0"), 28, "first OG's samples"),
+        (root, 4, "BG nodes"),
+        (root, 12, "BG edges"),
+    ];
+    for (pos, at, what) in fields {
+        let len = records[pos].3.len();
+        assert!(len >= at + 8, "{what}: payload holds no such count");
+        // Every item is at least 8 bytes, so `len / 8 + 1` never fits.
+        for n in [u64::MAX, 1 << 60, len as u64 / 8 + 1] {
+            let mut evil = records.clone();
+            evil[pos].3[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            let ctx = format!("{what} = {n}");
+            let e = must_reject(&assemble(&evil), &ctx);
+            assert_structured(&e, &ctx);
+        }
+    }
+    let first_edge = 28 + 44 * n_nodes;
+    for u in [n_nodes as u32, u32::MAX] {
+        let mut evil = records.clone();
+        evil[root].3[first_edge..first_edge + 4].copy_from_slice(&u.to_le_bytes());
+        let e = must_reject(&assemble(&evil), "edge to unknown node");
+        assert_structured(&e, "edge to unknown node");
+        assert!(e.to_string().contains("unknown node"), "{e}");
+    }
+}
+
 /// Local CRC-32 (IEEE) mirror so the test can re-seal a record after
 /// tampering with its payload.
 fn crc32_of(data: &[u8]) -> u32 {
