@@ -1,7 +1,7 @@
 //! Command implementations of the `strgdb` CLI.
 //!
 //! The binary is a thin wrapper over these functions so that every command
-//! is unit-testable. The database file format is `strg-core`'s STRGDB v1
+//! is unit-testable. The database file format is `strg-core`'s STRGDB v2
 //! (see `strg_core::persist`).
 //!
 //! JSON output goes through `strg_serve::wire` — the same renderers the
@@ -133,7 +133,7 @@ impl<'a> Args<'a> {
 }
 
 /// Opens (or creates) the database at `path` via [`strg_core::open`]: a
-/// STRGDB v1 file loads as a single tree, a shard directory as a
+/// STRGDB v2 file loads as a single tree, a shard directory as a
 /// [`strg_core::ShardedDatabase`] (its manifest's shard count wins), and a
 /// fresh path creates whatever `--shards` asks for.
 fn open_db(path: &str, args: &Args) -> Result<Box<dyn Database>, CliError> {

@@ -1,21 +1,14 @@
-//! Database persistence: the STRGDB v2 segment-file format (write path)
-//! plus the legacy STRGDB v1 text format (read path).
+//! Database persistence: the STRGDB v2 segment-file format.
 //!
-//! # Why two formats
-//!
-//! STRGDB v1 (the original format, still fully readable) stores only the
-//! *data* — clips, Background Graphs, and Object Graphs — as a versioned
-//! line-oriented text file. Loading a v1 file re-runs EM/K-Means
-//! clustering over every clip, so reopening a big database repays the
-//! whole build cost before the first query.
-//!
-//! STRGDB v2 serializes the **built index** as well: cluster centroids,
-//! leaf records with their metric keys, and the precomputed [`SeqSummary`]
-//! sidecars, in fixed-width checksummed binary records. Loading a v2 file
-//! reassembles the tree with [`StrgIndex::from_parts`] — no clustering, no
-//! distance evaluations — so a reopened database serves its first k-NN in
+//! A v2 file serializes the data — clips, Background Graphs, and Object
+//! Graphs — together with the **built index**: cluster centroids, leaf
+//! records with their metric keys, and the precomputed [`SeqSummary`]
+//! sidecars, in fixed-width checksummed binary records. Loading reassembles
+//! the tree with [`StrgIndex::from_parts`] — no clustering, no distance
+//! evaluations — so a reopened database serves its first k-NN in
 //! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*` rows
-//! measure it).
+//! measure it). A file that does not begin with the `STRGDB2\0` magic is
+//! refused with one [`io::ErrorKind::InvalidData`] error.
 //!
 //! # The v2 record grammar (DESIGN.md §14)
 //!
@@ -57,17 +50,10 @@
 //!   the run is taken once and every item decoded from its slice. Every
 //!   magic, version, CRC, length, count, arity and TOC check stands.
 //!
-//! # Compatibility
+//! # Equivalence
 //!
-//! v1 files load transparently (the loader sniffs the first bytes) and are
-//! rebuilt by re-clustering ([`ReopenMode::Rebuild`]), exactly as before.
-//! Saving always writes v2, so a v1 database upgrades on its first save;
-//! the v1 *writer* survives only as a `#[cfg(test)]` fixture for this
-//! module's compatibility tests. Because production ingest only ever
-//! builds segments wholesale (`StrgIndex::add_segment`), a rebuilt tree is
-//! bit-identical to a deserialized one — `tests/persist_equivalence.rs`
-//! pins the fast load to the originally built database in hits, costs,
-//! stats, and re-saved bytes.
+//! `tests/persist_equivalence.rs` pins the fast load to the originally
+//! built database in hits, costs, stats, and re-saved bytes.
 //!
 //! A sharded database persists as a *directory* of these files plus a
 //! manifest — see [`crate::ShardedDatabase::save`].
@@ -86,9 +72,6 @@ use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord, StrgIndex};
 use crate::options::DbOptions;
 use crate::pipeline::{ClipMeta, StoredOg, VideoDatabase};
 
-/// v1 format magic / version line.
-const V1_HEADER: &str = "STRGDB v1";
-
 /// v2 leading magic.
 const V2_MAGIC: &[u8; 8] = b"STRGDB2\0";
 /// v2 trailing magic (the last 8 bytes of every well-formed v2 file).
@@ -102,19 +85,15 @@ pub const FORMAT_VERSION: u32 = 2;
 pub enum ReopenMode {
     /// Created empty — nothing was loaded.
     Fresh,
-    /// Loaded from a v1 file and re-clustered.
-    Rebuild,
     /// Deserialized from v2 index extents — no clustering on load.
     Fast,
 }
 
 impl ReopenMode {
-    /// Stable lowercase name (`fresh` / `rebuild` / `fast`) for wire and
-    /// CLI output.
+    /// Stable lowercase name (`fresh` / `fast`) for wire and CLI output.
     pub fn as_str(&self) -> &'static str {
         match self {
             ReopenMode::Fresh => "fresh",
-            ReopenMode::Rebuild => "rebuild",
             ReopenMode::Fast => "fast",
         }
     }
@@ -316,8 +295,8 @@ impl VideoDatabase {
     /// Serializes the database to `path` in the STRGDB v2 segment-file
     /// format (see the module docs for the record grammar). Root ids are
     /// canonicalized to clip order on the way out, which is exactly the
-    /// numbering a fresh rebuild assigns, so `save → load → save` is a
-    /// byte-identity and v2 loads match v1 rebuilds bit for bit.
+    /// numbering a fresh build assigns, so `save → load → save` is a
+    /// byte-identity.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let clips = self.clips.read();
         let ogs = self.ogs.read();
@@ -340,7 +319,7 @@ impl VideoDatabase {
         push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
 
         // CLIP records, in ingest order. The stored root id is the clip's
-        // position — the canonical numbering a rebuild assigns.
+        // position — the canonical numbering a fresh build assigns.
         for (ci, c) in clips.iter().enumerate() {
             payload.clear();
             put_u64(&mut payload, c.frames as u64);
@@ -451,10 +430,9 @@ impl VideoDatabase {
         fs::write(path, out)
     }
 
-    /// Loads a database from `path`. v2 files deserialize the built index
-    /// directly ([`ReopenMode::Fast`]); v1 files rebuild it by
-    /// re-clustering with `opts` ([`ReopenMode::Rebuild`]). Both paths
-    /// produce bit-identical databases for anything a save produced.
+    /// Loads a database from `path`, deserializing the built index directly
+    /// ([`ReopenMode::Fast`]). Anything but a well-formed STRGDB v2 file is
+    /// an [`io::ErrorKind::InvalidData`] error.
     pub fn load(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<Self> {
         Self::load_into(VideoDatabase::new(opts), path.as_ref())
     }
@@ -464,13 +442,10 @@ impl VideoDatabase {
     /// pass shards built with a shared recorder and id allocator.
     pub(crate) fn load_into(db: VideoDatabase, path: &Path) -> io::Result<Self> {
         let bytes = fs::read(path)?;
-        if bytes.starts_with(V2_MAGIC) {
-            load_v2_into(db, &bytes)
-        } else {
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| bad("neither a STRGDB2 file nor UTF-8 text"))?;
-            load_v1_into(db, text)
+        if !bytes.starts_with(V2_MAGIC) {
+            return Err(bad("not a STRGDB v2 file (missing the STRGDB2 magic)"));
         }
+        load_v2_into(db, &bytes)
     }
 }
 
@@ -955,305 +930,10 @@ fn load_v2_into(db: VideoDatabase, bytes: &[u8]) -> io::Result<VideoDatabase> {
     Ok(db)
 }
 
-/// Rebuilds the index clip by clip with the configured (deterministic,
-/// seeded) clustering — the v1 reopen path. `clip_meta` carries the names
-/// and frame counts; `og_ids` and `root_id` are reassigned by the rebuild
-/// (bit-identical to the stored ones for any database a save produced).
-fn rebuild_index(
-    db: &VideoDatabase,
-    clip_meta: Vec<ClipMeta>,
-    bgs: Vec<BackgroundGraph>,
-    stored: Vec<StoredOg>,
-    strg_bytes: usize,
-) {
-    let mut index = db.index.write();
-    let mut clips = db.clips.write();
-    for (ci, (meta, bg)) in clip_meta.into_iter().zip(bgs).enumerate() {
-        let items: Vec<(u64, Vec<Point2>)> = stored
-            .iter()
-            .filter(|s| s.clip == ci)
-            .map(|s| (s.id, s.og.centroid_series()))
-            .collect();
-        let og_ids = items.iter().map(|(id, _)| *id).collect();
-        let root_id = index.add_segment(bg, items);
-        clips.push(ClipMeta {
-            name: meta.name,
-            root_id,
-            frames: meta.frames,
-            og_ids,
-        });
-    }
-    *db.ogs.write() = stored;
-    *db.strg_bytes.write() = strg_bytes;
-}
-
-// ---------------------------------------------------------------------------
-// v1 decoding (legacy text format).
-// ---------------------------------------------------------------------------
-
-fn parse_hex(s: &str) -> io::Result<f64> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| bad(format!("bad f64 bits {s:?}: {e}")))
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> io::Result<T> {
-    s.parse().map_err(|_| bad(format!("bad {what}: {s:?}")))
-}
-
-fn load_v1_into(db: VideoDatabase, text: &str) -> io::Result<VideoDatabase> {
-    let mut lines = text.lines();
-    if lines.next() != Some(V1_HEADER) {
-        return Err(bad("missing STRGDB v1 header"));
-    }
-
-    // clips
-    let l = lines.next().ok_or_else(|| bad("missing clips line"))?;
-    let n_clips: usize = parse(
-        l.strip_prefix("clips ")
-            .ok_or_else(|| bad("expected 'clips'"))?,
-        "clip count",
-    )?;
-    let mut clip_meta: Vec<(usize, String)> = Vec::with_capacity(n_clips);
-    for _ in 0..n_clips {
-        let l = lines.next().ok_or_else(|| bad("missing clip line"))?;
-        let rest = l
-            .strip_prefix("clip ")
-            .ok_or_else(|| bad("expected 'clip'"))?;
-        let mut it = rest.splitn(3, ' ');
-        let frames: usize = parse(it.next().unwrap_or(""), "clip frames")?;
-        let _legacy: u64 = parse(it.next().unwrap_or(""), "clip reserved")?;
-        let name = it
-            .next()
-            .ok_or_else(|| bad("missing clip name"))?
-            .to_string();
-        clip_meta.push((frames, name));
-    }
-
-    // backgrounds
-    let mut bgs: Vec<BackgroundGraph> = Vec::with_capacity(n_clips);
-    for ci in 0..n_clips {
-        let l = lines.next().ok_or_else(|| bad("missing bg line"))?;
-        let rest = l.strip_prefix("bg ").ok_or_else(|| bad("expected 'bg'"))?;
-        let parts: Vec<&str> = rest.split(' ').collect();
-        if parts.len() != 4 {
-            return Err(bad("bg line arity"));
-        }
-        let idx: usize = parse(parts[0], "bg clip idx")?;
-        if idx != ci {
-            return Err(bad("bg records out of order"));
-        }
-        let frames_covered: u32 = parse(parts[1], "bg frames")?;
-        let n_nodes: usize = parse(parts[2], "bg nodes")?;
-        let n_edges: usize = parse(parts[3], "bg edges")?;
-        let mut rag = Rag::new(FrameId(0));
-        for _ in 0..n_nodes {
-            let l = lines.next().ok_or_else(|| bad("missing bgnode"))?;
-            let p: Vec<&str> = l
-                .strip_prefix("bgnode ")
-                .ok_or_else(|| bad("expected 'bgnode'"))?
-                .split(' ')
-                .collect();
-            if p.len() != 6 {
-                return Err(bad("bgnode arity"));
-            }
-            rag.add_node(NodeAttr::new(
-                parse(p[0], "bgnode size")?,
-                Rgb::new(parse_hex(p[1])?, parse_hex(p[2])?, parse_hex(p[3])?),
-                Point2::new(parse_hex(p[4])?, parse_hex(p[5])?),
-            ));
-        }
-        for _ in 0..n_edges {
-            let l = lines.next().ok_or_else(|| bad("missing bgedge"))?;
-            let p: Vec<&str> = l
-                .strip_prefix("bgedge ")
-                .ok_or_else(|| bad("expected 'bgedge'"))?
-                .split(' ')
-                .collect();
-            if p.len() != 2 {
-                return Err(bad("bgedge arity"));
-            }
-            rag.add_edge(
-                NodeId(parse(p[0], "edge u")?),
-                NodeId(parse(p[1], "edge v")?),
-            );
-        }
-        bgs.push(BackgroundGraph {
-            rag,
-            frames_covered,
-        });
-    }
-
-    // ogs
-    let l = lines.next().ok_or_else(|| bad("missing ogs line"))?;
-    let n_ogs: usize = parse(
-        l.strip_prefix("ogs ")
-            .ok_or_else(|| bad("expected 'ogs'"))?,
-        "og count",
-    )?;
-    let mut stored: Vec<StoredOg> = Vec::with_capacity(n_ogs);
-    for _ in 0..n_ogs {
-        let l = lines.next().ok_or_else(|| bad("missing og line"))?;
-        let p: Vec<&str> = l
-            .strip_prefix("og ")
-            .ok_or_else(|| bad("expected 'og'"))?
-            .split(' ')
-            .collect();
-        if p.len() != 4 {
-            return Err(bad("og arity"));
-        }
-        let id: u64 = parse(p[0], "og id")?;
-        let clip: usize = parse(p[1], "og clip")?;
-        let start_frame: usize = parse(p[2], "og start")?;
-        let n_samples: usize = parse(p[3], "og samples")?;
-        if clip >= n_clips {
-            return Err(bad("og references unknown clip"));
-        }
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let l = lines.next().ok_or_else(|| bad("missing sample"))?;
-            let p: Vec<&str> = l
-                .strip_prefix("s ")
-                .ok_or_else(|| bad("expected 's'"))?
-                .split(' ')
-                .collect();
-            if p.len() != 8 {
-                return Err(bad("sample arity"));
-            }
-            samples.push(OgSample {
-                size: parse(p[0], "sample size")?,
-                color: Rgb::new(parse_hex(p[1])?, parse_hex(p[2])?, parse_hex(p[3])?),
-                centroid: Point2::new(parse_hex(p[4])?, parse_hex(p[5])?),
-                velocity: parse_hex(p[6])?,
-                direction: parse_hex(p[7])?,
-            });
-        }
-        stored.push(StoredOg {
-            id,
-            clip,
-            og: ObjectGraph {
-                id: id as u32,
-                start_frame,
-                samples,
-            },
-        });
-    }
-    let strg_bytes: usize = match lines.next() {
-        Some(l) => parse(
-            l.strip_prefix("strg_bytes ")
-                .ok_or_else(|| bad("expected 'strg_bytes'"))?,
-            "strg bytes",
-        )?,
-        None => 0,
-    };
-
-    let mut db = db;
-    let clip_meta = clip_meta
-        .into_iter()
-        .map(|(frames, name)| ClipMeta {
-            name,
-            root_id: 0,
-            frames,
-            og_ids: Vec::new(),
-        })
-        .collect();
-    rebuild_index(&db, clip_meta, bgs, stored, strg_bytes);
-    db.persist = PersistInfo {
-        loaded_format: Some(1),
-        reopen: ReopenMode::Rebuild,
-    };
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
     use strg_video::{lab_scene, ScenarioConfig, VideoClip};
-
-    impl VideoDatabase {
-        /// Serializes the database in the legacy STRGDB v1 text format (data
-        /// only — a v1 load re-clusters). Fixture support for the v1
-        /// compatibility tests below; [`VideoDatabase::save`] always writes v2.
-        fn save_v1(&self, path: impl AsRef<Path>) -> io::Result<()> {
-            let clips = self.clips.read();
-            let ogs = self.ogs.read();
-            let index = self.index.read();
-
-            fn hex(v: f64) -> String {
-                format!("{:016x}", v.to_bits())
-            }
-
-            let mut out = String::new();
-            out.push_str(V1_HEADER);
-            out.push('\n');
-            let _ = writeln!(out, "clips {}", clips.len());
-            for c in clips.iter() {
-                let _ = writeln!(out, "clip {} 0 {}", c.frames, c.name);
-            }
-            // Background graphs, one per root record (same order as clips).
-            for (ci, c) in clips.iter().enumerate() {
-                let root = index
-                    .roots()
-                    .iter()
-                    .find(|r| r.id == c.root_id)
-                    .ok_or_else(|| bad("clip without root record"))?;
-                let rag = &root.bg.rag;
-                let _ = writeln!(
-                    out,
-                    "bg {} {} {} {}",
-                    ci,
-                    root.bg.frames_covered,
-                    rag.node_count(),
-                    rag.edge_count()
-                );
-                for v in rag.node_ids() {
-                    let a = rag.attr(v);
-                    let _ = writeln!(
-                        out,
-                        "bgnode {} {} {} {} {} {}",
-                        a.size,
-                        hex(a.color.r),
-                        hex(a.color.g),
-                        hex(a.color.b),
-                        hex(a.centroid.x),
-                        hex(a.centroid.y)
-                    );
-                }
-                for (u, v, _) in rag.edges() {
-                    let _ = writeln!(out, "bgedge {} {}", u.0, v.0);
-                }
-            }
-            let _ = writeln!(out, "ogs {}", ogs.len());
-            for s in ogs.iter() {
-                let _ = writeln!(
-                    out,
-                    "og {} {} {} {}",
-                    s.id,
-                    s.clip,
-                    s.og.start_frame,
-                    s.og.samples.len()
-                );
-                for smp in &s.og.samples {
-                    let _ = writeln!(
-                        out,
-                        "s {} {} {} {} {} {} {} {}",
-                        smp.size,
-                        hex(smp.color.r),
-                        hex(smp.color.g),
-                        hex(smp.color.b),
-                        hex(smp.centroid.x),
-                        hex(smp.centroid.y),
-                        hex(smp.velocity),
-                        hex(smp.direction)
-                    );
-                }
-            }
-            // Append the raw-STRG accounting so stats() round-trips.
-            let _ = writeln!(out, "strg_bytes {}", *self.strg_bytes.read());
-            fs::write(path, out)
-        }
-    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("strgdb_test_{name}_{}", std::process::id()))
@@ -1327,87 +1007,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
         assert_eq!(first, second, "save → load → save changed bytes");
-    }
-
-    #[test]
-    fn v1_files_still_load() {
-        let db = sample_db();
-        let path = temp_path("v1compat");
-        db.save_v1(&path).expect("save v1");
-        let loaded = VideoDatabase::load(&path, DbOptions::new()).expect("load v1");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            loaded.persist_info(),
-            PersistInfo {
-                loaded_format: Some(1),
-                reopen: ReopenMode::Rebuild
-            }
-        );
-        let a = db.stats();
-        let b = loaded.stats();
-        assert_eq!(a.clips, b.clips);
-        assert_eq!(a.objects, b.objects);
-        assert_eq!(a.clusters, b.clusters);
-        assert_eq!(db.clip_names(), loaded.clip_names());
-        // The rebuilt index answers identically.
-        let q = db.og(0).unwrap().centroid_series();
-        let ha = db.query(crate::Query::knn(3).trajectory(&q)).hits;
-        let hb = loaded.query(crate::Query::knn(3).trajectory(&q)).hits;
-        for (x, y) in ha.iter().zip(&hb) {
-            assert_eq!(x.og_id, y.og_id);
-            assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-        }
-    }
-
-    /// The v1 → v2 upgrade is *stable*: a v1-loaded database answers like
-    /// the v2 fast load of the same data, and once saved as v2 every
-    /// further `load → save` round-trip is a byte identity. (The upgrade is
-    /// not compared against the original v2 save because v1 never stored
-    /// the OG-internal ids — the one documented lossy field of the legacy
-    /// format, renumbered on load.)
-    #[test]
-    fn v1_upgrade_is_a_fixed_point() {
-        let db = sample_db();
-        let (v1_path, upgraded, roundtrip) = (
-            temp_path("upgrade_v1"),
-            temp_path("upgrade_out"),
-            temp_path("upgrade_roundtrip"),
-        );
-        db.save_v1(&v1_path).unwrap();
-        let from_v1 = VideoDatabase::load(&v1_path, DbOptions::new()).unwrap();
-        assert_eq!(from_v1.persist_info().reopen, ReopenMode::Rebuild);
-
-        from_v1.save(&upgraded).unwrap();
-        let reloaded = VideoDatabase::load(&upgraded, DbOptions::new()).unwrap();
-        assert_eq!(reloaded.persist_info().reopen, ReopenMode::Fast);
-        assert_eq!(reloaded.persist_info().loaded_format, Some(2));
-        let q = db.og(0).unwrap().centroid_series();
-        for k in [1, 5] {
-            let query = || crate::Query::knn(k).trajectory(&q).with_cost();
-            let (a, b, c) = (
-                db.query(query()),
-                from_v1.query(query()),
-                reloaded.query(query()),
-            );
-            for other in [&b, &c] {
-                assert_eq!(a.hits.len(), other.hits.len());
-                for (x, y) in a.hits.iter().zip(&other.hits) {
-                    assert_eq!((x.og_id, x.dist.to_bits()), (y.og_id, y.dist.to_bits()));
-                }
-                assert!(a.cost.unwrap().same_work(&other.cost.unwrap()));
-            }
-        }
-
-        reloaded.save(&roundtrip).unwrap();
-        let first = std::fs::read(&upgraded).unwrap();
-        let second = std::fs::read(&roundtrip).unwrap();
-        for p in [&v1_path, &upgraded, &roundtrip] {
-            let _ = std::fs::remove_file(p);
-        }
-        assert_eq!(
-            first, second,
-            "upgraded v2 file is not a save → load → save fixed point"
-        );
     }
 
     #[test]

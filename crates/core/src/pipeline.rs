@@ -105,7 +105,7 @@ pub struct VideoDatabase {
     /// shared counter instead of the local store, so ids are assigned in
     /// global ingest order and stay identical at any shard count.
     pub(crate) og_alloc: Option<Arc<AtomicU64>>,
-    /// How this database was opened (fresh / rebuilt / fast-reopened);
+    /// How this database was opened (fresh / fast-reopened);
     /// set once by `persist::load_into` before the database is shared.
     pub(crate) persist: PersistInfo,
 }

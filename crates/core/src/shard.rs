@@ -423,8 +423,7 @@ impl ShardedDatabase {
     }
 
     /// Aggregate persistence provenance: the *oldest* shard-file format
-    /// and the *slowest* reopen mode across shards, so a mixed directory
-    /// (one shard rebuilt, the rest fast-reopened) reports honestly.
+    /// across shards, and [`ReopenMode::Fast`] if any shard was loaded.
     pub fn persist_info(&self) -> PersistInfo {
         let mut info = PersistInfo::fresh();
         for s in &self.shards {
@@ -433,11 +432,9 @@ impl ShardedDatabase {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            info.reopen = match (info.reopen, p.reopen) {
-                (ReopenMode::Rebuild, _) | (_, ReopenMode::Rebuild) => ReopenMode::Rebuild,
-                (ReopenMode::Fast, _) | (_, ReopenMode::Fast) => ReopenMode::Fast,
-                _ => ReopenMode::Fresh,
-            };
+            if p.reopen == ReopenMode::Fast {
+                info.reopen = ReopenMode::Fast;
+            }
         }
         info
     }
@@ -663,11 +660,8 @@ impl ShardedDatabase {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let manifest = fs::read_to_string(dir.join("MANIFEST"))?;
         let mut lines = manifest.lines();
-        // v1 and v2 manifests differ only in the version stamp (the shard
-        // files themselves carry the format); accept both, write v2.
-        let header = lines.next();
-        if header != Some("STRG-SHARDS v2") && header != Some("STRG-SHARDS v1") {
-            return Err(bad("not a STRG-SHARDS manifest"));
+        if lines.next() != Some("STRG-SHARDS v2") {
+            return Err(bad("not a STRG-SHARDS v2 manifest"));
         }
         let mut shards_n = 0usize;
         let mut next_og = 0u64;

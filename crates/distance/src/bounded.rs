@@ -23,10 +23,8 @@
 //! admissible at a cost of ~1e-9 of pruning power.
 
 use crate::dtw::{dtw_upto, Dtw};
-use crate::edr::Edr;
 use crate::eged::{eged_dp_upto, Eged, EgedMetric, EgedRepeatGap, GapPolicy};
 use crate::lcs::Lcs;
-use crate::lp::{resample, Lerp, LpNorm};
 use crate::traits::SequenceDistance;
 use crate::value::SeqValue;
 
@@ -373,86 +371,8 @@ impl<V: SeqValue> LowerBound<V> for Dtw {
     }
 }
 
-impl<V: SeqValue + Lerp> BoundedDistance<V> for LpNorm {
-    fn distance_upto(&self, a: &[V], b: &[V], cutoff: f64) -> Option<f64> {
-        let len = a.len().max(b.len());
-        if len == 0 {
-            return if 0.0 <= cutoff { Some(0.0) } else { None };
-        }
-        let ra;
-        let rb;
-        let (a, b): (&[V], &[V]) = if a.len() == b.len() {
-            (a, b)
-        } else {
-            ra = resample(a, len);
-            rb = resample(b, len);
-            (&ra, &rb)
-        };
-        // Ground distances are staged in fixed chunks via
-        // `SeqValue::dist_pairs` and folded in element order (max or
-        // p-power sum) with a per-element abandon check — an abandon
-        // mid-chunk merely wastes the rest of the staged chunk, it never
-        // changes a value or a decision relative to the one-at-a-time fold.
-        const CHUNK: usize = 16;
-        // The hook takes whole chunks; a ragged tail is padded with the
-        // origin and only its real prefix is folded.
-        let staged = |ca: &[V], cb: &[V]| {
-            let (mut pa, mut pb) = ([V::origin(); CHUNK], [V::origin(); CHUNK]);
-            pa[..ca.len()].copy_from_slice(ca);
-            pb[..cb.len()].copy_from_slice(cb);
-            V::dist_pairs(&pa, &pb)
-        };
-        if self.p.is_infinite() {
-            // Chebyshev: the running max is exact, so abandoning the moment
-            // it exceeds the cutoff loses nothing.
-            let mut acc = 0.0f64;
-            for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-                for &x in &staged(ca, cb)[..ca.len()] {
-                    acc = acc.max(x);
-                    if acc > cutoff {
-                        return None;
-                    }
-                }
-            }
-            return Some(acc);
-        }
-        // Abandon on the p-th-power partial sum, against a cutoff inflated
-        // by a relative margin: partial sums only grow, and the margin
-        // (1e-9, ~1e7x the rounding error of the comparison) guarantees
-        // that an abandoned evaluation really was above the cutoff. The
-        // Some/None decision for completed sums stays the exact `d <= cutoff`.
-        let cut_p = if cutoff.is_finite() && cutoff >= 0.0 {
-            cutoff.powf(self.p) * (1.0 + 1e-9) + 1e-300
-        } else if cutoff < 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        let mut sum = 0.0f64;
-        for (ca, cb) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
-            for &x in &staged(ca, cb)[..ca.len()] {
-                sum += x.powf(self.p);
-                if sum > cut_p {
-                    return None;
-                }
-            }
-        }
-        let d = sum.powf(1.0 / self.p);
-        if d <= cutoff {
-            Some(d)
-        } else {
-            None
-        }
-    }
-}
-
-impl<V: SeqValue + Lerp> LowerBound<V> for LpNorm {}
-
 impl<V: SeqValue> BoundedDistance<V> for Lcs {}
 impl<V: SeqValue> LowerBound<V> for Lcs {}
-
-impl<V: SeqValue> BoundedDistance<V> for Edr {}
-impl<V: SeqValue> LowerBound<V> for Edr {}
 
 #[cfg(test)]
 mod tests {
@@ -535,67 +455,6 @@ mod tests {
         let d = SequenceDistance::<Point2>::distance(&Dtw, &a, &b);
         assert!(lb <= d, "{lb} vs {d}");
         assert!(lb > 0.0, "well-separated envelopes must produce a bound");
-    }
-
-    #[test]
-    fn lp_cutoff_contract() {
-        for lp in [LpNorm::L1, LpNorm::L2, LpNorm::LINF] {
-            let a = [0.0, 0.0, 0.0];
-            let b = [3.0, 4.0, 5.0];
-            let d = SequenceDistance::<f64>::distance(&lp, &a, &b);
-            assert_eq!(lp.distance_upto(&a, &b, d), Some(d));
-            assert_eq!(lp.distance_upto(&a, &b, d * 0.5), None);
-        }
-    }
-
-    /// The one-pair-at-a-time Lp fold the chunked kernel must reproduce.
-    fn lp_upto_scalar(p: f64, a: &[f64], b: &[f64], cutoff: f64) -> Option<f64> {
-        if p.is_infinite() {
-            let mut acc = 0.0f64;
-            for (x, y) in a.iter().zip(b) {
-                acc = acc.max(x.dist(y));
-                if acc > cutoff {
-                    return None;
-                }
-            }
-            return Some(acc);
-        }
-        let cut_p = if cutoff.is_finite() && cutoff >= 0.0 {
-            cutoff.powf(p) * (1.0 + 1e-9) + 1e-300
-        } else if cutoff < 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        let mut sum = 0.0f64;
-        for (x, y) in a.iter().zip(b) {
-            sum += x.dist(y).powf(p);
-            if sum > cut_p {
-                return None;
-            }
-        }
-        let d = sum.powf(1.0 / p);
-        (d <= cutoff).then_some(d)
-    }
-
-    #[test]
-    fn lp_chunked_fold_matches_scalar_bitwise() {
-        // Lengths straddle the 16-element chunk and the SIMD lane widths.
-        for n in [1, 2, 3, 15, 16, 17, 31, 32, 33, 50] {
-            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 5.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() * 4.0).collect();
-            for lp in [LpNorm::L1, LpNorm::L2, LpNorm::LINF, LpNorm { p: 3.0 }] {
-                let d = SequenceDistance::<f64>::distance(&lp, &a, &b);
-                for cutoff in [f64::INFINITY, d, d * 0.999, d * 0.5, 0.0, -1.0] {
-                    assert_eq!(
-                        lp.distance_upto(&a, &b, cutoff).map(f64::to_bits),
-                        lp_upto_scalar(lp.p, &a, &b, cutoff).map(f64::to_bits),
-                        "p={} n={n} cutoff={cutoff}",
-                        lp.p
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -415,10 +415,6 @@ impl<V: SeqValue> SequenceDistance<V> for EgedMetric<V> {
 
 impl<V: SeqValue> MetricDistance<V> for EgedMetric<V> {}
 
-/// Edit distance with Real Penalty (Chen & Ng, VLDB 2004). ERP is exactly
-/// the metric EGED with gap constant `0`; the alias documents the lineage.
-pub type Erp<V> = EgedMetric<V>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

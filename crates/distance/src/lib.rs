@@ -6,11 +6,11 @@
 //!   midpoint gap, used for clustering Object Graphs;
 //! * [`EgedMetric`] — the metric EGED (fixed constant gap, Theorem 2), the
 //!   key function of the STRG-Index and of the M-tree baseline;
-//! * [`Dtw`], [`Lcs`], [`LpNorm`] — the baselines of the paper's
-//!   evaluation (Figure 5 and the introduction's discussion);
-//! * [`CountingDistance`] / [`ObservedDistance`] — instrumentation for the
-//!   paper's cost model (number of distance evaluations, §6.3); the latter
-//!   records into a shared [`strg_obs::Recorder`].
+//! * [`Dtw`], [`Lcs`] — the baselines of the paper's clustering
+//!   evaluation (Figure 5);
+//! * [`CountingDistance`] — instrumentation for the paper's cost model
+//!   (number of distance evaluations, §6.3);
+//! * [`resample`] — the linear resampling the cluster centroids use.
 //!
 //! Everything is generic over [`SeqValue`] so the same code measures 1-D
 //! scalarized Object Graphs and 2-D centroid trajectories.
@@ -39,11 +39,9 @@
 mod bounded;
 mod counting;
 mod dtw;
-mod edr;
 mod eged;
 mod lcs;
-mod lp;
-mod observed;
+mod resample;
 mod scratch;
 mod traits;
 mod value;
@@ -51,10 +49,8 @@ mod value;
 pub use bounded::{BoundedDistance, LowerBound, SeqSummary, SummaryEnvelope};
 pub use counting::CountingDistance;
 pub use dtw::Dtw;
-pub use edr::Edr;
-pub use eged::{Eged, EgedMetric, EgedRepeatGap, Erp, GapPolicy};
+pub use eged::{Eged, EgedMetric, EgedRepeatGap, GapPolicy};
 pub use lcs::Lcs;
-pub use lp::{resample, Lerp, LpNorm};
-pub use observed::ObservedDistance;
+pub use resample::{resample, Lerp};
 pub use traits::{MetricDistance, SequenceDistance};
 pub use value::SeqValue;

@@ -44,8 +44,8 @@ pub trait SeqValue: Copy + std::fmt::Debug + PartialEq + Send + Sync {
     /// lower bounds built on it stay admissible.
     fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64;
     /// Lane-wise paired distances: `out[i] = a[i].dist(&b[i])` over fixed
-    /// arrays — the EGED wavefront's four cells of a step (`N = 4`) and the
-    /// Lp fold's chunks. An override must produce values bit-identical to
+    /// arrays — the EGED wavefront's four cells of a step (`N = 4`). An
+    /// override must produce values bit-identical to
     /// elementwise [`SeqValue::dist`] calls.
     ///
     /// Neither implementor overrides it: once `dist` inlines, `|a - b|` and

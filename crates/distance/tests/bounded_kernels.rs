@@ -15,7 +15,7 @@
 //!   underlying distances.
 
 use proptest::prelude::*;
-use strg_distance::{BoundedDistance, Dtw, Eged, EgedMetric, LowerBound, LpNorm, SequenceDistance};
+use strg_distance::{BoundedDistance, Dtw, Eged, EgedMetric, LowerBound, SequenceDistance};
 use strg_graph::Point2;
 
 fn seq() -> impl Strategy<Value = Vec<f64>> {
@@ -116,19 +116,11 @@ proptest! {
         assert_cutoff_contract::<f64, _>(&Dtw, &a, &b);
     }
 
-    #[test]
-    fn lp_cutoff_equivalence(a in seq(), b in seq()) {
-        assert_cutoff_contract::<f64, _>(&LpNorm::L1, &a, &b);
-        assert_cutoff_contract::<f64, _>(&LpNorm::L2, &a, &b);
-        assert_cutoff_contract::<f64, _>(&LpNorm::LINF, &a, &b);
-    }
-
     /// Cutoff equivalence over 2-D trajectories.
     #[test]
     fn cutoff_equivalence_points(a in point_seq(), b in point_seq()) {
         assert_cutoff_contract(&EgedMetric::<Point2>::new(), &a, &b);
         assert_cutoff_contract::<Point2, _>(&Dtw, &a, &b);
-        assert_cutoff_contract::<Point2, _>(&LpNorm::L2, &a, &b);
     }
 
     /// The bounded kernel stays symmetric: abandoning depends only on row

@@ -1,6 +1,6 @@
 //! Node and edge attributes of Region Adjacency Graphs and Spatio-Temporal
 //! Region Graphs (Definitions 1 and 2), plus the compatibility predicates
-//! used by (sub)graph isomorphism and tracking.
+//! used by graph isomorphism and tracking.
 
 use crate::geom::{angle_diff, Point2, Rgb};
 
@@ -83,7 +83,7 @@ impl TemporalEdgeAttr {
 }
 
 /// Tolerances deciding when two attributed nodes or edges are considered
-/// equal for the purposes of (sub)graph isomorphism (Definition 4) and of
+/// equal for the purposes of graph isomorphism (Definition 4) and of
 /// the most-common-subgraph computation (Definition 6).
 ///
 /// The paper matches attributed graphs exactly; on real (and synthetic)

@@ -1,10 +1,10 @@
-//! Attributed graph and subgraph isomorphism (Definitions 4 and 5).
+//! Attributed graph isomorphism (Definition 4), the tracker's first test
+//! for corresponding regions (Algorithm 1).
 //!
-//! Both tests are exact backtracking searches in the spirit of VF2,
+//! The test is an exact backtracking search in the spirit of VF2,
 //! specialized to the small graphs ([`SmallGraph`]) that the STRG pipeline
-//! matches: neighborhood stars and object fragments. Node and edge
-//! attributes are compared through [`CompatParams`], so "equal label" means
-//! "within tolerance".
+//! matches: neighborhood stars. Node and edge attributes are compared
+//! through [`CompatParams`], so "equal label" means "within tolerance".
 
 use crate::attr::CompatParams;
 use crate::small::SmallGraph;
@@ -26,7 +26,7 @@ pub fn isomorphism(g1: &SmallGraph, g2: &SmallGraph, p: &CompatParams) -> Option
     if d1 != d2 {
         return None;
     }
-    let mut state = Matcher::new(g1, g2, p, true);
+    let mut state = Matcher::new(g1, g2, p);
     if state.search(0) {
         Some(state.mapping)
     } else {
@@ -34,44 +34,23 @@ pub fn isomorphism(g1: &SmallGraph, g2: &SmallGraph, p: &CompatParams) -> Option
     }
 }
 
-/// Whether `g1` is *subgraph isomorphic* to `g2` (Definition 5): an
-/// injection `f : V_1 -> V_2` such that `g1` is isomorphic to the induced
-/// subgraph of `g2` on `f(V_1)` (Definition 3 makes subgraphs induced).
-///
-/// Returns the witness mapping if one exists.
-pub fn subgraph_isomorphism(g1: &SmallGraph, g2: &SmallGraph, p: &CompatParams) -> Option<Vec<u8>> {
-    if g1.node_count() > g2.node_count() || g1.edge_count() > g2.edge_count() {
-        return None;
-    }
-    let mut state = Matcher::new(g1, g2, p, true);
-    if state.search(0) {
-        Some(state.mapping)
-    } else {
-        None
-    }
-}
-
-/// Backtracking matcher mapping nodes of the (smaller) pattern `g1` into the
-/// target `g2` in index order.
+/// Backtracking matcher mapping the nodes of `g1` into `g2` in index
+/// order. Non-edges must map to non-edges (induced matching, as the
+/// paper's Definition 3 subgraphs are).
 struct Matcher<'a> {
     g1: &'a SmallGraph,
     g2: &'a SmallGraph,
     p: &'a CompatParams,
-    /// When true, non-edges of the pattern must map to non-edges of the
-    /// target (induced matching). The paper's Definition 3 subgraphs are
-    /// induced, so both public entry points use `true`.
-    induced: bool,
     mapping: Vec<u8>,
     used: u64,
 }
 
 impl<'a> Matcher<'a> {
-    fn new(g1: &'a SmallGraph, g2: &'a SmallGraph, p: &'a CompatParams, induced: bool) -> Self {
+    fn new(g1: &'a SmallGraph, g2: &'a SmallGraph, p: &'a CompatParams) -> Self {
         Self {
             g1,
             g2,
             p,
-            induced,
             mapping: vec![0; g1.node_count()],
             used: 0,
         }
@@ -104,7 +83,7 @@ impl<'a> Matcher<'a> {
                 if !self.p.edges_compatible(a1, a2) {
                     return false;
                 }
-            } else if self.induced && e2 {
+            } else if e2 {
                 return false;
             }
         }
@@ -204,43 +183,6 @@ mod tests {
         let mut g2 = path3([0.0, 0.0, 0.0]);
         g2.add_node(attr(0.0));
         assert!(isomorphism(&g1, &g2, &loose()).is_none());
-    }
-
-    #[test]
-    fn path_is_subgraph_of_longer_path() {
-        let mut small = SmallGraph::new();
-        let a = small.add_node(attr(0.0));
-        let b = small.add_node(attr(50.0));
-        small.add_edge(a, b, e(1.0));
-
-        let big = path3([0.0, 50.0, 100.0]);
-        let f = subgraph_isomorphism(&small, &big, &loose()).expect("embeds");
-        assert_eq!(f, vec![0, 1]);
-    }
-
-    #[test]
-    fn induced_matching_rejects_extra_edges() {
-        // Pattern: two disconnected nodes; target: an edge between the only
-        // two compatible nodes. Induced matching must fail.
-        let mut small = SmallGraph::new();
-        small.add_node(attr(0.0));
-        small.add_node(attr(50.0));
-
-        let mut big = SmallGraph::new();
-        let a = big.add_node(attr(0.0));
-        let b = big.add_node(attr(50.0));
-        big.add_edge(a, b, e(1.0));
-
-        assert!(subgraph_isomorphism(&small, &big, &loose()).is_none());
-    }
-
-    #[test]
-    fn larger_pattern_cannot_embed() {
-        let small = path3([0.0, 0.0, 0.0]);
-        let mut big = SmallGraph::new();
-        big.add_node(attr(0.0));
-        big.add_node(attr(0.0));
-        assert!(subgraph_isomorphism(&small, &big, &loose()).is_none());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! * [`rag::Rag`] — Region Adjacency Graphs (Definition 1),
 //! * [`strg::Strg`] — Spatio-Temporal Region Graphs (Definition 2),
-//! * [`iso`] — attributed (sub)graph isomorphism (Definitions 3–5),
-//! * [`mcs`] — most-common-subgraph and `SimGraph` (Definition 6, Eq. 1),
+//! * [`iso`] — attributed graph isomorphism (Definition 4),
+//! * [`mcs`] — `SimGraph` over neighborhood stars (Definition 6, Eq. 1) and
+//!   Background Graph matching,
 //! * [`small::SmallGraph::neighborhood`] — neighborhood graphs (Definition 7),
 //! * [`tracking`] — graph-based tracking (Algorithm 1),
 //! * [`mod@decompose`] — ORG/OG/BG decomposition (§2.3, Theorem 1),
@@ -59,8 +60,7 @@ pub use attr::{CompatParams, NodeAttr, SpatialEdgeAttr, TemporalEdgeAttr};
 pub use decompose::{decompose, DecomposeConfig, Decomposition};
 pub use geom::{Point2, Rgb};
 pub use mcs::{
-    background_similarity, greedy_attr_match, greedy_common_nodes, most_common_subgraph_size,
-    sim_graph, sim_graph_stars, star_common_subgraph_size,
+    background_similarity, greedy_attr_match, sim_graph_stars, star_common_subgraph_size,
 };
 pub use og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample, Scalarization};
 pub use rag::{FrameId, NodeId, Rag};

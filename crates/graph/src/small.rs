@@ -1,11 +1,10 @@
 //! Small attributed graphs with bitset adjacency.
 //!
-//! The matching machinery of the paper — (sub)graph isomorphism
-//! (Definitions 4 and 5), most-common-subgraph (Definition 6) and
-//! neighborhood graphs (Definition 7) — always operates on *small* graphs:
-//! a neighborhood graph is a star around one region and rarely exceeds a
-//! dozen nodes. [`SmallGraph`] stores such graphs with `u64` bitset
-//! adjacency rows, which makes the backtracking matchers cheap.
+//! The tracker's matching — isomorphism (Definition 4) and the
+//! most-common-subgraph `SimGraph` (Definition 6) — operates on
+//! neighborhood graphs (Definition 7): a star around one region that
+//! rarely exceeds a dozen nodes. [`SmallGraph`] stores such graphs with
+//! `u64` bitset adjacency rows, which makes the backtracking matcher cheap.
 
 use std::collections::BTreeMap;
 
@@ -94,27 +93,6 @@ impl SmallGraph {
         self.adj[v as usize]
     }
 
-    /// Builds the induced subgraph of `rag` on `nodes` (Definition 3: the
-    /// edge set is the restriction of `E_S` to `V' x V'`). Node `i` of the
-    /// result corresponds to `nodes[i]`.
-    ///
-    /// # Panics
-    /// Panics if more than [`SmallGraph::MAX_NODES`] nodes are requested.
-    pub fn induced_from_rag(rag: &Rag, nodes: &[NodeId]) -> Self {
-        let mut g = SmallGraph::new();
-        for &n in nodes {
-            g.add_node(*rag.attr(n));
-        }
-        for (i, &u) in nodes.iter().enumerate() {
-            for (j, &v) in nodes.iter().enumerate().skip(i + 1) {
-                if let Some(attr) = rag.edge_attr(u, v) {
-                    g.add_edge(i as u8, j as u8, *attr);
-                }
-            }
-        }
-        g
-    }
-
     /// Builds the neighborhood graph `G_N(v)` of Definition 7: node `v`
     /// plus every adjacent node `u`, each connected to `v` by the single
     /// edge `(v, u)`. Node 0 of the result is the center `v`; node `i + 1`
@@ -180,19 +158,6 @@ mod tests {
         let a = g.add_node(attr(0.0));
         g.add_edge(a, a, edge());
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_inner_edges_only() {
-        let mut rag = Rag::new(FrameId(0));
-        let n: Vec<_> = (0..4).map(|i| rag.add_node(attr(i as f64))).collect();
-        rag.add_edge(n[0], n[1]);
-        rag.add_edge(n[1], n[2]);
-        rag.add_edge(n[2], n[3]);
-        let g = SmallGraph::induced_from_rag(&rag, &[n[0], n[1], n[2]]);
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.has_edge(0, 1) && g.has_edge(1, 2) && !g.has_edge(0, 2));
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn stats_fields(s: &DbStats) -> Vec<(&'static str, Json)> {
 }
 
 /// The persistence provenance body:
-/// `{"format":N,"reopen":"fresh"|"rebuild"|"fast"}`
+/// `{"format":N,"reopen":"fresh"|"fast"}`
 /// ([`strg_core::Database::persist_info`]).
 pub fn persist_json(p: &PersistInfo) -> Json {
     Json::obj(vec![

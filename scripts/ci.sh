@@ -15,14 +15,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (deny warnings: a dangling intra-doc link fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> cargo build --release"
-cargo build --workspace --release
+# Both builds pass `--locked`: `benchmark/Cargo.lock` records every
+# workspace dependency edge, so a manifest edit (adding or dropping a
+# dependency) rewrites it, and that changes the benchmark package, which
+# only a change to the benchmark itself may do. The drift fails here in
+# seconds instead of silently rewriting either lockfile.
+echo "==> cargo build --release --locked"
+cargo build --workspace --release --locked
 
 # `benchmark/` is a package of its own that `cargo test` never builds: a
 # library change that breaks its API fails here in seconds, not after the
 # test matrix (`tests/benchmark_surface.rs` names what it uses).
-echo "==> benchmark: build against this checkout"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+echo "==> benchmark: build against this checkout (--locked)"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test"
 cargo test --workspace -q

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`graph`] | §2 | RAG, STRG, isomorphism, `SimGraph`, tracking, ORG/OG/BG decomposition |
 //! | [`video`] | §2.1 / §6.4 | synthetic camera + EDISON-stand-in segmentation |
-//! | [`distance`] | §3 | EGED (non-metric + metric), DTW, LCS, Lp, call counting |
+//! | [`distance`] | §3 | EGED (non-metric + metric), DTW, LCS, call counting |
 //! | [`cluster`] | §4 | EM / K-Means / K-Harmonic-Means, BIC model selection |
 //! | [`mtree`] | §6.3 | the M-tree baseline (MT-RA / MT-SA) |
 //! | [`obs`] | §6.3 cost model | lock-free metrics: counters, histograms, spans, `QueryCost` |
@@ -66,8 +66,8 @@ pub mod prelude {
         StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{
-        BoundedDistance, CountingDistance, Dtw, Edr, Eged, EgedMetric, Lcs, LowerBound, LpNorm,
-        MetricDistance, SeqSummary, SequenceDistance, SummaryEnvelope,
+        BoundedDistance, CountingDistance, Dtw, Eged, EgedMetric, Lcs, LowerBound, MetricDistance,
+        SeqSummary, SequenceDistance, SummaryEnvelope,
     };
     pub use strg_graph::{
         decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Scalarization,

@@ -7,8 +7,7 @@
 //! database must be indistinguishable from both in every observable: hits,
 //! logical [`QueryCost`]s, stats, clip names, and the bytes a re-save
 //! produces. A serialization bug (missed field, drifted order, stale
-//! summary) shows up here as a bit diff. (Legacy v1 text files, which do
-//! re-cluster on load, are pinned by `strg-core`'s `persist` unit tests.)
+//! summary) shows up here as a bit diff.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`, so byte-stability of the format across thread counts

@@ -123,13 +123,16 @@ fn garbage_and_bad_headers_are_rejected() {
             "binary garbage",
             (0..4096u32).flat_map(|i| i.to_le_bytes()).collect(),
         ),
+        // Non-UTF-8 that is also not v2 magic.
+        ("non-utf8", vec![0xFF, 0xFE, 0x00, 0x01, 0x80]),
     ] {
         let e = must_reject(&bytes, name);
         assert_structured(&e, name);
+        assert!(
+            e.to_string().contains("STRGDB2"),
+            "{name}: error should name the STRGDB2 magic: {e}"
+        );
     }
-    // Non-UTF-8 that is also not v2 magic.
-    let e = must_reject(&[0xFF, 0xFE, 0x00, 0x01, 0x80], "non-utf8");
-    assert_structured(&e, "non-utf8");
 }
 
 #[test]
@@ -364,12 +367,14 @@ fn sharded_manifest_faults_are_rejected() {
     let r = ShardedDatabase::load(&dir, DbOptions::new());
     assert!(r.is_err(), "missing shard files accepted");
 
-    // Garbage manifest.
-    std::fs::write(dir.join("MANIFEST"), "STRG-SHARDS v9\nshards 1\n").unwrap();
-    let Err(e) = ShardedDatabase::load(&dir, DbOptions::new()) else {
-        panic!("garbage manifest accepted");
-    };
-    assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}");
+    // Garbage manifests: an unknown version, and the retired v1 stamp.
+    for header in ["STRG-SHARDS v9", "STRG-SHARDS v1"] {
+        std::fs::write(dir.join("MANIFEST"), format!("{header}\nshards 1\n")).unwrap();
+        let Err(e) = ShardedDatabase::load(&dir, DbOptions::new()) else {
+            panic!("{header} manifest accepted");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidData, "{header}: {e}");
+    }
 
     // Zero shards.
     std::fs::write(dir.join("MANIFEST"), "STRG-SHARDS v2\nshards 0\n").unwrap();
