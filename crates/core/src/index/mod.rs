@@ -50,10 +50,10 @@ pub struct StrgIndexConfig {
     pub em_n_init: usize,
     /// RNG seed for clustering.
     pub seed: u64,
-    /// Worker count for segment builds (EM distance matrix, leaf keying)
-    /// and for a search's centroid pass. The parallel paths return exactly
-    /// what the sequential ones (`Threads::Fixed(1)`) do at any thread
-    /// count.
+    /// Worker count for segment builds (EM distance matrix, leaf keying);
+    /// a search runs on the calling thread. The parallel paths return
+    /// exactly what the sequential ones (`Threads::Fixed(1)`) do at any
+    /// thread count.
     pub threads: Threads,
 }
 
@@ -146,12 +146,6 @@ impl<V> LeafNode<V> {
                 .partial_cmp(&b.key)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-    }
-
-    /// Largest key in the leaf (the cluster's covering radius around its
-    /// centroid), 0 when empty.
-    pub fn max_key(&self) -> f64 {
-        self.records.last().map_or(0.0, |r| r.key)
     }
 }
 
@@ -493,9 +487,10 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// The one search (`crate::index::search`): answers `kind` over `scope`
     /// out of a caller-owned [`QueryScratch`] arena and returns the hits —
     /// ascending by distance — as a slice into it, with the query's
-    /// [`QueryCost`]. With a warmed-up arena and `Threads::Fixed(1)` this
-    /// performs zero heap allocations (`tests/query_alloc.rs`). Hits and
-    /// the work fields of the cost are bit-identical at any thread count.
+    /// [`QueryCost`]. With a warmed-up arena this performs zero heap
+    /// allocations (`tests/query_alloc.rs`). It runs on the calling thread,
+    /// so hits and the work fields of the cost are bit-identical at any
+    /// thread count.
     pub fn search_into<'s>(
         &self,
         query: &[V],
@@ -511,7 +506,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             query,
             kind,
             scope,
-            self.cfg.threads,
             &mut cost,
             scratch,
         );

@@ -1,6 +1,6 @@
 //! STRG-Index search (§5, Algorithm 3): one descent, one leaf scan.
 //!
-//! Every query is the same walk — root records → cluster centroids →
+//! Every query is the same walk — root records → cluster records →
 //! key-ordered leaves, pruned by `|key − EGED_M(q, centroid)|` — and
 //! [`search_into`] is its only entry. What varies is data, not code:
 //!
@@ -13,13 +13,24 @@
 //!   3's background match), or only the nearest centroid's leaf — the
 //!   literal Algorithm 3, approximate, Figure 7c.
 //!
-//! Every search threads a [`QueryCost`]. Inside a tree **logical cost is
-//! physical cost at every thread count**: the only fork is the centroid
-//! pass of [`gather_cands_into`], which evaluates exactly the centroids the
-//! sequential loop does, and the leaf scan runs on the calling thread, so a
-//! [`strg_distance::CountingDistance`] observes `distance_calls` exactly
-//! (DESIGN.md §7 "What forks inside a query" records why the leaf scan does
-//! not fork).
+//! **The exact scopes evaluate centroids lazily** (DESIGN.md §9 "Lazy
+//! centroid pass"). The cluster scan ([`gather_cands_into`]) computes no
+//! distance: each cluster's bound is the smallest admissible summary lower
+//! bound over its members, read from the summaries the leaf records
+//! already store. A k-NN visits clusters best-first by that bound and
+//! stops at the first one above `d_k`; a range search skips each cluster
+//! whose bound exceeds the radius. A one-record leaf is then evaluated
+//! directly — its centroid could prune nothing the member's own bounded
+//! evaluation does not — and only a longer leaf pays one `EGED_M(q,
+//! centroid)` for its triangle test and key band; a k-NN defers such a
+//! leaf while its triangle bound exceeds the next cluster's key.
+//! [`Scope::NearestCluster`] needs the argmin, so it still evaluates every
+//! centroid in scope.
+//!
+//! Every search threads a [`QueryCost`] and runs on the calling thread:
+//! nothing inside a tree forks, so **logical cost is physical cost at every
+//! thread count** and a [`strg_distance::CountingDistance`] observes
+//! `distance_calls` exactly (DESIGN.md §7 "What forks inside a query").
 //!
 //! Refinement is filtered and bounded (DESIGN.md §9): before evaluating a
 //! band record the scan checks an admissible summary lower bound against
@@ -34,19 +45,14 @@
 //! separately rounded DP sums.
 //!
 //! Every search runs out of a reusable [`QueryScratch`] arena (candidate
-//! list, hit buffers, sort permutation), so sequential steady-state queries
-//! perform **zero heap allocations** — proven by `tests/query_alloc.rs`
-//! (DESIGN.md §13). The parallel centroid pass still allocates inside
-//! `strg_parallel::par_map` (job boxes and the result vector), which is why
-//! the zero-alloc contract is stated for `Threads::Fixed(1)`. The
-//! [`Threads`] policy is resolved once per query, so `Threads::Auto` costs
-//! one environment read per query.
+//! list, hit buffers, sort permutation), so steady-state queries perform
+//! **zero heap allocations** at any thread count — proven by
+//! `tests/query_alloc.rs` (DESIGN.md §13).
 
 use std::cell::RefCell;
 
 use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
-use strg_parallel::{par_map, Threads};
 
 use super::{ClusterRecord, LeafRecord, RootRecord};
 use crate::query::QueryKind;
@@ -80,7 +86,7 @@ pub enum Scope {
     NearestCluster,
 }
 
-/// A cluster candidate gathered during the centroid pass. Plain positional
+/// A cluster candidate gathered during the cluster scan. Plain positional
 /// indices into the roots slice (not references), so the candidate list
 /// can live in a [`QueryScratch`] that outlives any one query.
 #[derive(Copy, Clone, Debug)]
@@ -91,16 +97,22 @@ struct Cand {
     cluster_idx: u32,
     root_id: u32,
     cluster_id: u32,
-    centroid_dist: f64,
-    lower: f64,
+    /// Smallest summary lower bound over the leaf's records: no member is
+    /// nearer the query than this (infinite for an empty leaf).
+    bound: f64,
+    /// A k-NN's visit order: `bound`, raised to the key-range triangle
+    /// bound once the centroid distance is known.
+    key: f64,
+    /// `EGED_M(q, centroid)`, once evaluated.
+    centroid_dist: Option<f64>,
 }
 
 /// Reusable per-thread search arena: every buffer the hot path needs,
 /// grown to its high-water mark and reused across queries. After warm-up a
-/// sequential query allocates nothing (`tests/query_alloc.rs`).
+/// query allocates nothing (`tests/query_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Gathered cluster candidates (the centroid pass).
+    /// Gathered cluster candidates (the cluster scan).
     cands: Vec<Cand>,
     /// Sort permutation for the final range ordering.
     order: Vec<u32>,
@@ -181,17 +193,12 @@ fn total_records<V>(roots: &[RootRecord<V>], cands: &[Cand]) -> usize {
         .sum()
 }
 
-/// The centroid pass (the cluster-node scan of Algorithm 3): distance to
-/// every centroid in scope plus a triangle lower bound per leaf, into the
-/// arena's candidate buffer in root/cluster order. Sequentially one
-/// allocation-free loop; in parallel the same evaluations fan out over the
-/// workers and come back in the same order — the one fork inside a tree.
-fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
+/// The cluster scan (the cluster-node level of Algorithm 3): one candidate
+/// per cluster record in scope, in root/cluster order, into the arena's
+/// candidate buffer. It reads structure only and computes no distance.
+fn gather_cands_into<V>(
     roots: &[RootRecord<V>],
-    metric: &D,
-    query: &[V],
     root_filter: Option<u32>,
-    threads: Threads,
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
@@ -215,40 +222,14 @@ fn gather_cands_into<V: SeqValue, D: MetricDistance<V> + Sync>(
             cluster_idx: ci as u32,
             root_id: root.id,
             cluster_id: c.id,
-            centroid_dist: 0.0,
-            lower: 0.0,
+            bound: 0.0,
+            key: 0.0,
+            centroid_dist: None,
         }));
     }
-    let eval = |cand: &Cand| {
-        let c = cluster(roots, cand);
-        let d = metric.distance(query, &c.centroid);
-        // Any member m satisfies d(q, m) >= |d(q, centroid) - key(m)|;
-        // keys span [min_key, max_key].
-        let min_key = c.leaf.records.first().map_or(0.0, |r| r.key);
-        let max_key = c.leaf.max_key();
-        let lower = if d < min_key {
-            min_key - d
-        } else if d > max_key {
-            d - max_key
-        } else {
-            0.0
-        };
-        (d, lower)
-    };
-    if threads.is_sequential() {
-        for cand in cands.iter_mut() {
-            (cand.centroid_dist, cand.lower) = eval(cand);
-        }
-    } else {
-        let computed = par_map(cands, threads, eval);
-        for (cand, computed) in cands.iter_mut().zip(computed) {
-            (cand.centroid_dist, cand.lower) = computed;
-        }
-    }
     // One root-node access per visited root record, one cluster-node access
-    // and one centroid distance per cluster record scanned.
+    // per cluster record scanned.
     cost.node_accesses += visited_roots + n_cands as u64;
-    cost.distance_calls += n_cands as u64;
 }
 
 /// Relative rounding slack of the triangle tests. `EGED_M` is a sum of at
@@ -283,28 +264,23 @@ fn cutoff(kind: QueryKind, hits: &[Hit]) -> f64 {
     }
 }
 
-/// The search: the centroid pass over `scope`, then [`visit_leaf`] over the
-/// leaves it leaves open. The hits land in [`QueryScratch::hits`],
-/// ascending by distance (ties in visit order); `cost` is charged so that
-/// `distance_calls + pruned + lb_pruned` covers every record and centroid
-/// in scope exactly once. `Knn(0)` asks for nothing and charges nothing.
+/// The search: the cluster scan over `scope`, then the leaves it may open.
+/// The hits land in [`QueryScratch::hits`], ascending by distance (ties in
+/// visit order); `cost` is charged so that `distance_calls + pruned +
+/// lb_pruned` covers every record and centroid in scope exactly once.
+/// `Knn(0)` asks for nothing and charges nothing.
 ///
-/// A k-NN visits leaves best-first by lower bound and stops at the first
-/// one that cannot beat `d_k`; a range search opens every leaf in scope
-/// (in root/cluster order — its final order is `(dist, visit position)`);
-/// [`Scope::NearestCluster`] opens one. The result and the cost are
-/// identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn search_into<
-    V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync,
->(
+/// The exact scopes run [`visit_lazily`]; [`Scope::NearestCluster`] runs
+/// [`visit_nearest`]. A range search's final order is `(dist, visit
+/// position)`, and it visits in root/cluster order. Everything runs on the
+/// calling thread, so the result and the cost are the same at every
+/// thread count.
+pub fn search_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
     roots: &[RootRecord<V>],
     metric: &D,
     query: &[V],
     kind: QueryKind,
     scope: Scope,
-    threads: Threads,
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
@@ -312,86 +288,231 @@ pub fn search_into<
     if kind == QueryKind::Knn(0) {
         return;
     }
-    let threads = Threads::Fixed(threads.resolve());
     let qsum = metric.summarize(query);
     let root_filter = match scope {
         Scope::Root(id) => Some(id),
         Scope::All | Scope::NearestCluster => None,
     };
-    gather_cands_into(roots, metric, query, root_filter, threads, cost, scratch);
+    gather_cands_into(roots, root_filter, cost, scratch);
     let QueryScratch {
         cands, hits, grows, ..
     } = scratch;
-    // Which leaves may be opened (a prefix of `cands`), and in what order.
-    let open = match (scope, kind) {
-        (Scope::NearestCluster, _) => {
-            // Strict `<`: ties keep the earlier cluster.
-            let nearest = (0..cands.len()).reduce(|best, i| {
-                if cands[i].centroid_dist < cands[best].centroid_dist {
-                    i
-                } else {
-                    best
-                }
-            });
-            nearest.map_or(0, |i| {
-                cands.swap(0, i);
-                1
-            })
-        }
-        (_, QueryKind::Knn(_)) => {
-            sort_cands(cands);
-            cands.len()
-        }
-        (_, QueryKind::Range(_)) => cands.len(),
-    };
     // One slot of headroom, so a k-NN's insert-then-truncate never
     // reallocates.
-    let records = total_records(roots, &cands[..open]);
+    let records = total_records(roots, cands);
     let room = match kind {
         QueryKind::Knn(k) => k.min(records) + 1,
         QueryKind::Range(_) => records,
     };
     reserve_counted(hits, room, grows);
-    // Only a k-NN can stop early: its candidates ascend by lower bound and
-    // `d_k` never grows, so the first leaf out of reach ends the visit.
-    let best_first = matches!(kind, QueryKind::Knn(_));
-    let mut visited = 0;
-    for cand in &cands[..open] {
-        if best_first && cand.lower > widened(cand.centroid_dist, cutoff(kind, hits)) {
-            break;
-        }
-        let records = &cluster(roots, cand).leaf.records;
-        visit_leaf(records, metric, query, &qsum, kind, cand, hits, cost);
-        visited += 1;
+    let probe = Probe {
+        metric,
+        query,
+        qsum: &qsum,
+        kind,
+    };
+    match scope {
+        Scope::All | Scope::Root(_) => visit_lazily(roots, &probe, cands, hits, cost),
+        Scope::NearestCluster => visit_nearest(roots, &probe, cands, hits, cost),
     }
-    // Leaves never opened are excluded without evaluation.
-    cost.pruned += total_records(roots, &cands[visited..]) as u64;
     if let QueryKind::Range(_) = kind {
         sort_hits_stable(scratch);
     }
 }
 
-/// The leaf scan — the one loop every kind and scope runs. Members satisfy
-/// `|key − d(q, centroid)| ≤ d(q, m)` (Theorem 2), so only the key band
-/// within the cutoff of `cand.centroid_dist` can hold an answer:
-/// binary-search its lower end, walk up while the key stays inside,
-/// summary lower bound, bounded DP, accept. The cutoff is re-read per
-/// record: a k-NN's band narrows as `d_k` improves, a range's never moves.
-/// Keys ascend and the cutoff only shrinks, so the first key above the
-/// band ends the scan and everything past it is pruned in bulk.
-#[allow(clippy::too_many_arguments)]
-fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
-    records: &[LeafRecord<V>],
-    metric: &D,
-    query: &[V],
-    qsum: &SeqSummary<V>,
+/// What every step of one search reads: the metric, the query with its
+/// summary, and the kind.
+struct Probe<'a, V: SeqValue, D> {
+    metric: &'a D,
+    query: &'a [V],
+    qsum: &'a SeqSummary<V>,
     kind: QueryKind,
+}
+
+impl<V: SeqValue, D: LowerBound<V>> Probe<'_, V, D> {
+    /// The admissible summary lower bound on `d(query, record)`.
+    fn lower_bound(&self, record: &LeafRecord<V>) -> f64 {
+        self.metric
+            .lower_bound(self.query, self.qsum, &record.summary)
+    }
+}
+
+/// The exact scopes' visit. Each cluster is first bounded by its members'
+/// stored summaries (no distance). A k-NN then opens clusters best-first
+/// by that bound and stops at the first one above `d_k`: the bounds ascend
+/// and `d_k` never grows. A range search keeps root/cluster order and
+/// skips each cluster whose bound exceeds the radius.
+///
+/// An opened cluster costs at most one centroid evaluation. A one-record
+/// leaf needs none: the member is refined directly. A longer leaf pays
+/// `EGED_M(q, centroid)` for the widened triangle test over its key range
+/// and, if that passes, the key band of [`visit_leaf`]. A k-NN whose
+/// triangle bound turns out above the next cluster's key defers the leaf
+/// instead: it moves back in the visit order under that bound, and by the
+/// time its turn comes `d_k` may exclude it. An unevaluated centroid is
+/// charged to `pruned`; so are the records of clusters a k-NN never
+/// reaches, while a range cluster cut by its bound charges its records to
+/// `lb_pruned`.
+fn visit_lazily<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
+    roots: &[RootRecord<V>],
+    probe: &Probe<'_, V, D>,
+    cands: &mut [Cand],
+    hits: &mut Vec<Hit>,
+    cost: &mut QueryCost,
+) {
+    for cand in cands.iter_mut() {
+        cand.bound = cluster(roots, cand)
+            .leaf
+            .records
+            .iter()
+            .map(|r| probe.lower_bound(r))
+            .fold(f64::INFINITY, f64::min);
+        cand.key = cand.bound;
+    }
+    let best_first = matches!(probe.kind, QueryKind::Knn(_));
+    if best_first {
+        sort_cands(cands);
+    }
+    let mut i = 0;
+    while i < cands.len() {
+        let cand = cands[i];
+        let c = cluster(roots, &cand);
+        let records = &c.leaf.records;
+        let cutoff_now = cutoff(probe.kind, hits);
+        if let Some(centroid_dist) = cand.centroid_dist {
+            open_leaf(records, probe, centroid_dist, &cand, hits, cost);
+        } else if cand.bound > cutoff_now && best_first {
+            // Every unevaluated cluster left is bounded at least as far
+            // away. A deferred one is keyed by its triangle bound, which
+            // excludes only through the widened test.
+            for rest in &cands[i..] {
+                let records = &cluster(roots, rest).leaf.records;
+                match rest.centroid_dist {
+                    Some(cd) => open_leaf(records, probe, cd, rest, hits, cost),
+                    None => cost.pruned += 1 + records.len() as u64,
+                }
+            }
+            return;
+        } else if cand.bound > cutoff_now {
+            cost.pruned += 1;
+            cost.lb_pruned += records.len() as u64;
+        } else {
+            match records.as_slice() {
+                // Nothing to find, so no centroid worth evaluating.
+                [] => cost.pruned += 1,
+                // Its centroid could prune nothing the member's own bounded
+                // evaluation does not.
+                [only] => {
+                    cost.pruned += 1;
+                    cost.node_accesses += 1;
+                    refine(only, probe, cutoff_now, &cand, hits, cost);
+                }
+                _ => {
+                    cost.distance_calls += 1;
+                    let centroid_dist = probe.metric.distance(probe.query, &c.centroid);
+                    let lower = key_range_bound(records, centroid_dist);
+                    if best_first && cands.get(i + 1).is_some_and(|next| next.key < lower) {
+                        // Back into the order under the tighter key; ties
+                        // go after the keys already there.
+                        let key = lower.max(cand.bound);
+                        cands[i].key = key;
+                        cands[i].centroid_dist = Some(centroid_dist);
+                        let end = i + 1 + cands[i + 1..].partition_point(|x| x.key <= key);
+                        cands[i..end].rotate_left(1);
+                        continue;
+                    }
+                    open_leaf(records, probe, centroid_dist, &cand, hits, cost);
+                }
+            }
+        }
+        i += 1;
+    }
+}
+
+/// A leaf of two or more records whose centroid distance is known: either
+/// bound may exclude it at the current cutoff (for a deferred leaf, `d_k`
+/// has moved since); otherwise its key band is scanned.
+fn open_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
+    records: &[LeafRecord<V>],
+    probe: &Probe<'_, V, D>,
+    centroid_dist: f64,
     cand: &Cand,
     hits: &mut Vec<Hit>,
     cost: &mut QueryCost,
 ) {
+    let cutoff_now = cutoff(probe.kind, hits);
+    if cand.bound > cutoff_now
+        || key_range_bound(records, centroid_dist) > widened(centroid_dist, cutoff_now)
+    {
+        cost.pruned += records.len() as u64;
+    } else {
+        visit_leaf(records, probe, centroid_dist, cand, hits, cost);
+    }
+}
+
+/// Any member m satisfies `d(q, m) ≥ |d(q, centroid) − key(m)|`, and the
+/// keys of a non-empty leaf span `[first.key, last.key]`: the distance of
+/// `centroid_dist` to that range bounds every member (before the rounding
+/// slack [`widened`] gives back).
+fn key_range_bound<V>(records: &[LeafRecord<V>], centroid_dist: f64) -> f64 {
+    let (min_key, max_key) = (records[0].key, records[records.len() - 1].key);
+    if centroid_dist < min_key {
+        min_key - centroid_dist
+    } else if centroid_dist > max_key {
+        centroid_dist - max_key
+    } else {
+        0.0
+    }
+}
+
+/// [`Scope::NearestCluster`], the literal Algorithm 3: every centroid in
+/// scope is evaluated in root/cluster order, and only the first nearest
+/// one's leaf is visited. Every other leaf is charged to `pruned`
+/// unopened.
+fn visit_nearest<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
+    roots: &[RootRecord<V>],
+    probe: &Probe<'_, V, D>,
+    cands: &[Cand],
+    hits: &mut Vec<Hit>,
+    cost: &mut QueryCost,
+) {
+    cost.distance_calls += cands.len() as u64;
+    let mut nearest: Option<(&Cand, f64)> = None;
+    for cand in cands {
+        let d = probe
+            .metric
+            .distance(probe.query, &cluster(roots, cand).centroid);
+        // Strict `<`: ties keep the earlier cluster.
+        if nearest.is_none_or(|(_, best)| d < best) {
+            nearest = Some((cand, d));
+        }
+    }
+    let Some((cand, centroid_dist)) = nearest else {
+        return;
+    };
+    let records = &cluster(roots, cand).leaf.records;
+    visit_leaf(records, probe, centroid_dist, cand, hits, cost);
+    cost.pruned += (total_records(roots, cands) - records.len()) as u64;
+}
+
+/// The leaf scan behind a centroid at `centroid_dist`. Members satisfy
+/// `|key − d(q, centroid)| ≤ d(q, m)` (Theorem 2), so only the key band
+/// within the cutoff of `centroid_dist` can hold an answer:
+/// binary-search its lower end, walk up while the key stays inside,
+/// summary lower bound, then [`refine`]. The cutoff is re-read per
+/// record: a k-NN's band narrows as `d_k` improves, a range's never moves.
+/// Keys ascend and the cutoff only shrinks, so the first key above the
+/// band ends the scan and everything past it is pruned in bulk.
+fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
+    records: &[LeafRecord<V>],
+    probe: &Probe<'_, V, D>,
+    centroid_dist: f64,
+    cand: &Cand,
+    hits: &mut Vec<Hit>,
+    cost: &mut QueryCost,
+) {
+    let kind = probe.kind;
     cost.node_accesses += 1;
-    let centroid_dist = cand.centroid_dist;
     let band = widened(centroid_dist, cutoff(kind, hits));
     let lo = records.partition_point(|r| r.key < centroid_dist - band);
     let mut reached = records.len();
@@ -408,42 +529,59 @@ fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
             continue;
         }
         // Summary lower bound: excluded without touching the sequence.
-        if metric.lower_bound(query, qsum, &r.summary) > cutoff_now {
+        if probe.lower_bound(r) > cutoff_now {
             cost.lb_pruned += 1;
             continue;
         }
-        cost.distance_calls += 1;
-        let Some(dist) = metric.distance_upto(query, &r.seq, cutoff_now) else {
-            cost.early_abandoned += 1;
-            continue;
-        };
-        let hit = Hit {
-            root_id: cand.root_id,
-            cluster_id: cand.cluster_id,
-            og_id: r.og_id,
-            dist,
-        };
-        match kind {
-            // After every equal distance, so ties keep discovery order; a
-            // tie with a full list's `d_k` lands past `k` and is dropped.
-            QueryKind::Knn(k) => {
-                hits.insert(hits.partition_point(|h| h.dist <= dist), hit);
-                hits.truncate(k);
-            }
-            QueryKind::Range(_) => hits.push(hit),
-        }
+        refine(r, probe, cutoff_now, cand, hits, cost);
     }
     cost.pruned += (lo + records.len() - reached) as u64;
 }
 
-/// Orders gathered candidates by triangle lower bound. Unstable sort with a
-/// total positional tie-break: the gather pushes candidates in strictly
-/// increasing (root_idx, cluster_idx) order, so this reproduces the stable
-/// sort-by-lower-bound order without the stable sort's temporary buffer.
+/// The step every admitted record ends in: one bounded evaluation at
+/// `cutoff_now`, then acceptance — a sorted insert into the best `k`, or a
+/// push for a range.
+fn refine<V: SeqValue, D: BoundedDistance<V>>(
+    record: &LeafRecord<V>,
+    probe: &Probe<'_, V, D>,
+    cutoff_now: f64,
+    cand: &Cand,
+    hits: &mut Vec<Hit>,
+    cost: &mut QueryCost,
+) {
+    cost.distance_calls += 1;
+    let Some(dist) = probe
+        .metric
+        .distance_upto(probe.query, &record.seq, cutoff_now)
+    else {
+        cost.early_abandoned += 1;
+        return;
+    };
+    let hit = Hit {
+        root_id: cand.root_id,
+        cluster_id: cand.cluster_id,
+        og_id: record.og_id,
+        dist,
+    };
+    match probe.kind {
+        // After every equal distance, so ties keep discovery order; a tie
+        // with a full list's `d_k` lands past `k` and is dropped.
+        QueryKind::Knn(k) => {
+            hits.insert(hits.partition_point(|h| h.dist <= dist), hit);
+            hits.truncate(k);
+        }
+        QueryKind::Range(_) => hits.push(hit),
+    }
+}
+
+/// Orders gathered candidates by key (their summary bound). Unstable sort
+/// with a total positional tie-break: the gather pushes candidates in
+/// strictly increasing (root_idx, cluster_idx) order, so this reproduces
+/// the stable sort-by-key order without the stable sort's temporary buffer.
 fn sort_cands(cands: &mut [Cand]) {
     cands.sort_unstable_by(|a, b| {
-        a.lower
-            .total_cmp(&b.lower)
+        a.key
+            .total_cmp(&b.key)
             .then(a.root_idx.cmp(&b.root_idx))
             .then(a.cluster_idx.cmp(&b.cluster_idx))
     });

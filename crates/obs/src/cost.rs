@@ -10,18 +10,21 @@ use crate::json::Json;
 ///
 /// **Determinism.** `distance_calls`, `node_accesses` and `pruned` count
 /// the *algorithmic* work of the sequential search and are bit-identical
-/// at any `STRG_THREADS` setting (the parallel search replays the
-/// sequential decision sequence over pre-computed values). `elapsed` is
-/// wall-clock and exempt — compare costs with [`QueryCost::same_work`].
+/// at any `STRG_THREADS` setting: a tree search runs on its calling
+/// thread, and a sharded fan-out that searches shards in parallel replays
+/// the sequential decision sequence over the pre-computed results.
+/// `elapsed` is wall-clock and exempt — compare costs with
+/// [`QueryCost::same_work`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Number of sequence-distance evaluations the search charged.
     pub distance_calls: u64,
     /// Root, cluster and leaf node records accessed.
     pub node_accesses: u64,
-    /// Leaf records excluded without a distance evaluation (triangle /
-    /// key-band pruning), plus cluster candidates cut by the best-first
-    /// lower bound.
+    /// Leaf records and centroids excluded without a distance evaluation:
+    /// records outside the triangle key band, every record of a cluster
+    /// the best-first scan never reached, and every centroid the search
+    /// did not need to evaluate.
     pub pruned: u64,
     /// Candidates excluded by an admissible summary lower bound before any
     /// distance evaluation. Together with `distance_calls` and `pruned`

@@ -30,8 +30,8 @@
 //! the largest `chunks - 1` any fork has posted so far, never exit, and
 //! block on a condvar while the queue is empty (no spinning: an idle pool
 //! costs nothing). Because every thread that posts also drains, a fork
-//! nested inside a chunk (shard fan-out → per-shard centroid pass) and
-//! forks from concurrent callers cannot starve or deadlock: a waiter only
+//! nested inside a chunk and forks from concurrent callers (two serve
+//! workers ingesting at once) cannot starve or deadlock: a waiter only
 //! sleeps when the queue is empty, i.e. when each of its chunks is running
 //! on some thread. The process's compute threads are bounded by `callers +
 //! helpers` rather than growing by `workers` thread births per fork, and

@@ -58,11 +58,12 @@ pub mod pool;
 pub mod protocol;
 pub mod wire;
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use strg_core::{Database, Query};
 use strg_obs::{Json, Recorder};
@@ -327,6 +328,32 @@ fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
     w.flush()
 }
 
+/// Most bytes [`drain_unread`] discards before it gives up and closes.
+const DRAIN_MAX_BYTES: usize = 1 << 20;
+/// Longest [`drain_unread`] waits for the next input.
+const DRAIN_IDLE: Duration = Duration::from_millis(50);
+/// Longest [`drain_unread`] keeps draining in all.
+const DRAIN_TOTAL: Duration = Duration::from_millis(500);
+
+/// Reads and discards input until the peer closes, goes quiet for
+/// [`DRAIN_IDLE`], or [`DRAIN_MAX_BYTES`] / [`DRAIN_TOTAL`] run out —
+/// so a close after an early reply leaves nothing unread to trigger an
+/// RST, and a client that keeps sending cannot hold the thread.
+fn drain_unread(reader: &mut BufReader<TcpStream>) {
+    let start = Instant::now();
+    if reader.get_ref().set_read_timeout(Some(DRAIN_IDLE)).is_err() {
+        return;
+    }
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < DRAIN_MAX_BYTES && start.elapsed() < DRAIN_TOTAL {
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 fn handle_conn(stream: TcpStream, ctx: &Arc<Ctx>) {
     ctx.recorder.add("serve.connections", 1);
     let Ok(read_half) = stream.try_clone() else {
@@ -348,6 +375,11 @@ fn handle_conn(stream: TcpStream, ctx: &Arc<Ctx>) {
                     ),
                 );
                 let _ = write_line(&mut writer, &render_err(None, &err));
+                // Closing with input still unread makes the kernel send an
+                // RST, which can overtake the error line. Send FIN first,
+                // then read off what the client already sent.
+                let _ = writer.shutdown(Shutdown::Write);
+                drain_unread(&mut reader);
                 return;
             }
             Err(_) => return,

@@ -95,6 +95,15 @@ RUST_TEST_THREADS=8 timeout 600 cargo test -q -p strg-parallel
 RUST_TEST_THREADS=8 timeout 600 cargo test -q --test parallel_equivalence \
     concurrent_queries_on_the_shared_pool_match_sequential
 
+# After `too_large` the server replies, half-closes and drains before it
+# drops the socket; closing with input unread instead sends an RST that can
+# eat the error line, a "Connection reset by peer" about one run in forty.
+# Fifty runs make such a regression all but certain to show.
+echo "==> serve_faults oversized_request_errors_once_and_closes x50 (timeout 60 each)"
+for _ in $(seq 50); do
+    timeout 60 cargo test -q --test serve_faults -- --exact oversized_request_errors_once_and_closes
+done
+
 echo "==> benchmark: unit tests"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 

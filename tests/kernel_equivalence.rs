@@ -10,11 +10,11 @@
 //! eagerly shows up here as a hit diff against ground truth — while the
 //! `kernels_fired` asserts prove the filters actually ran.
 //!
-//! Every case runs at `Threads::Fixed(1)` and `Fixed(8)` (the centroid pass
-//! on the calling thread and fanned out; the leaf scan is the same loop in
-//! both) and requires identical work fields in [`QueryCost`] across the
-//! two; `scripts/ci.sh` additionally runs this binary under
-//! `STRG_THREADS=1` and `8`.
+//! Every case runs at `Threads::Fixed(1)` and `Fixed(8)` (built through one
+//! worker and through eight; a search runs on the calling thread in both)
+//! and requires identical work fields in [`QueryCost`] across the two;
+//! `scripts/ci.sh` additionally runs this binary under `STRG_THREADS=1`
+//! and `8`.
 
 mod oracle;
 
@@ -242,4 +242,99 @@ fn short_sequences_cross_every_strip_remainder() {
         }
     }
     assert!(kernels_fired, "no short-sequence query abandoned a DP");
+}
+
+/// A short walk per id, spread over a grid of starts, headings and lengths.
+fn singleton_walk(id: u64) -> Vec<Point2> {
+    let (x0, y0) = (13.0 * (id % 11) as f64, 17.0 * (id % 7) as f64);
+    let (dx, dy) = (1.0 + (id % 3) as f64, 0.5 * (id % 5) as f64 - 1.0);
+    (0..6 + id as usize % 5)
+        .map(|i| Point2::new(x0 + dx * i as f64, y0 + dy * i as f64))
+        .collect()
+}
+
+/// The served corpus's shape: one root per segment and one or two records
+/// per leaf (a segment of at most two objects is one cluster). Here the
+/// cluster scan decides nearly everything: a one-record leaf is refined
+/// without its centroid, a two-record leaf pays for one.
+#[test]
+fn singleton_leaves_match_the_scan_with_fewer_calls_than_clusters() {
+    // Segments of one and two objects, alternately, over ids 0..225.
+    let segments: Vec<oracle::Corpus> = (0..150)
+        .map(|s| {
+            let first = 3 * (s / 2) + s % 2;
+            (first..first + 1 + s % 2)
+                .map(|id| (id, singleton_walk(id)))
+                .collect()
+        })
+        .collect();
+    let objects: oracle::Corpus = segments.concat();
+    let idxs = THREAD_MODES.map(|threads| {
+        let cfg = StrgIndexConfig::default().with_threads(Threads::Fixed(threads));
+        let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), cfg);
+        for seg in &segments {
+            idx.add_segment(Default::default(), seg.clone());
+        }
+        idx
+    });
+    let roots = idxs[0].roots();
+    assert_eq!(roots.len(), segments.len());
+    let leaf_lens: Vec<usize> = roots
+        .iter()
+        .flat_map(|r| &r.clusters)
+        .map(|c| c.leaf.records.len())
+        .collect();
+    assert!(leaf_lens.iter().all(|n| (1..=2).contains(n)));
+    assert!(leaf_lens.contains(&1) && leaf_lens.contains(&2));
+
+    let mut queries: Vec<Vec<Point2>> = (0..6).map(|j| singleton_walk(1000 + 7 * j)).collect();
+    queries.push(vec![Point2::new(900.0, 900.0), Point2::new(905.0, 899.0)]);
+    for (qi, q) in queries.iter().enumerate() {
+        // Every segment at once, then three single roots.
+        let scopes = [Scope::All, Scope::Root(0), Scope::Root(1), Scope::Root(41)];
+        for scope in scopes {
+            let in_scope: &[(u64, Vec<Point2>)] = match scope {
+                Scope::Root(r) => &segments[r as usize],
+                _ => &objects,
+            };
+            let clusters = match scope {
+                Scope::Root(r) => roots[r as usize].clusters.len(),
+                _ => idxs[0].cluster_count(),
+            } as u64;
+            let truth = scan(in_scope, q);
+            let n = truth.len();
+            let knn = [1, 5, 20, n + 3].map(QueryKind::Knn);
+            // Radius 0, bit-equal to the 1st, 2nd and 10th neighbour's
+            // distance (the boundary object must come back), and all.
+            let near = [0, 1, 9].map(|i| truth[i.min(n - 1)].1);
+            let range = [0.0, near[0], near[1], near[2], 1e6].map(QueryKind::Range);
+            for probe in knn.into_iter().chain(range) {
+                let ctx = format!("query {qi} {scope:?}");
+                let costs = idxs.each_ref().map(|idx| {
+                    let (hits, cost) = idx.search(q, probe, scope);
+                    assert_matches(&truth, &pairs(&hits), probe, &ctx);
+                    cost
+                });
+                let cost = costs[0];
+                assert!(cost.same_work(&costs[1]), "{ctx} {probe:?}: {costs:?}");
+                assert_eq!(
+                    cost.distance_calls + cost.pruned + cost.lb_pruned,
+                    n as u64 + clusters,
+                    "{ctx} {probe:?}: conservation"
+                );
+                assert!(cost.early_abandoned <= cost.distance_calls, "{ctx}");
+                // Below the floor of a pass that evaluated every centroid
+                // first — for a query among the data. Far from all of it
+                // every summary bound is equally loose and the scan may
+                // open most leaves.
+                let among_data = qi < 6;
+                if among_data && scope == Scope::All && matches!(probe, QueryKind::Knn(1 | 5)) {
+                    assert!(
+                        cost.distance_calls < clusters,
+                        "{ctx} {probe:?}: {cost:?} against {clusters} clusters"
+                    );
+                }
+            }
+        }
+    }
 }

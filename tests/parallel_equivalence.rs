@@ -187,8 +187,8 @@ fn default_config_matches_pinned_sequential() {
     );
 }
 
-/// Four threads querying one `Fixed(8)` database at once share the fork/join
-/// pool (every query forks for its centroid pass and its longer key bands):
+/// Four threads querying one `Fixed(8)` database at once (built through the
+/// shared fork/join pool; a tree query itself runs on its calling thread):
 /// each must still get exactly the `Fixed(1)` answer and logical cost.
 #[test]
 fn concurrent_queries_on_the_shared_pool_match_sequential() {

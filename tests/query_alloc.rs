@@ -2,9 +2,9 @@
 //!
 //! Runs under the per-thread counting `#[global_allocator]` of
 //! `tests/alloc_util` (shared with `ingest_alloc.rs`) and asserts that
-//! steady-state sequential k-NN and range queries through warm arenas
-//! perform **zero** heap allocations — on a single STRG-Index tree
-//! ([`QueryScratch`], and the benchmark probe's per-member slots in
+//! steady-state k-NN and range queries through warm arenas perform
+//! **zero** heap allocations — on a single STRG-Index tree at one and two
+//! workers ([`QueryScratch`], and the benchmark probe's per-member slots in
 //! [`BatchScratch`]), across a sharded fan-out ([`ShardScratch`]), and on
 //! the M-tree baseline ([`MtreeScratch`]). Every DP row, candidate list,
 //! pending heap and hit buffer is owned by an arena and only recycled
@@ -36,22 +36,33 @@ fn queries(n: usize, seed: u64) -> Vec<Vec<Point2>> {
         .collect()
 }
 
-fn build_index(items: Vec<(u64, Vec<Point2>)>, seed: u64) -> StrgIndex<Point2, EgedMetric<Point2>> {
+fn build_index(
+    items: Vec<(u64, Vec<Point2>)>,
+    seed: u64,
+    threads: Threads,
+) -> StrgIndex<Point2, EgedMetric<Point2>> {
     let mut cfg = StrgIndexConfig::with_k(16.min(items.len().max(1)));
     cfg.seed = seed;
     cfg.em_max_iters = 8;
     cfg.em_n_init = 1;
-    cfg.threads = Threads::Fixed(1);
+    cfg.threads = threads;
     let mut idx = StrgIndex::new(EgedMetric::<Point2>::new(), cfg);
     idx.add_segment(BackgroundGraph::default(), items);
     idx
 }
 
 /// Steady-state single-tree k-NN and range queries must not touch the
-/// allocator once the arena has seen the workload.
+/// allocator once the arena has seen the workload — at any thread count,
+/// since a tree query never forks.
 #[test]
 fn steady_state_tree_queries_allocate_nothing() {
-    let idx = build_index(dataset(240, 11), 5);
+    for threads in [1, 2] {
+        tree_queries_allocate_nothing_at(Threads::Fixed(threads));
+    }
+}
+
+fn tree_queries_allocate_nothing_at(threads: Threads) {
+    let idx = build_index(dataset(240, 11), 5, threads);
     let qs = queries(6, 999);
     let mut scratch = QueryScratch::new();
 
@@ -92,7 +103,7 @@ fn steady_state_tree_queries_allocate_nothing() {
     assert!(last_hits > 0, "steady-state queries produced real hits");
     assert_eq!(
         delta, 0,
-        "steady-state tree queries performed {delta} heap allocations"
+        "steady-state tree queries at {threads:?} performed {delta} heap allocations"
     );
     assert_eq!(scratch.grow_events(), grows_warm, "arena kept growing");
 }
@@ -103,7 +114,7 @@ fn steady_state_tree_queries_allocate_nothing() {
 #[test]
 fn steady_state_sharded_queries_allocate_nothing() {
     let shards: Vec<_> = (0..3)
-        .map(|s| build_index(dataset(90, 20 + s), 7 + s))
+        .map(|s| build_index(dataset(90, 20 + s), 7 + s, Threads::Fixed(1)))
         .collect();
     let idxs: Vec<&StrgIndex<Point2, EgedMetric<Point2>>> = shards.iter().collect();
     let qs = queries(5, 777);
@@ -150,7 +161,7 @@ fn steady_state_sharded_queries_allocate_nothing() {
 /// included: the probe loop does not collapse them).
 #[test]
 fn steady_state_batched_queries_allocate_nothing() {
-    let idx = build_index(dataset(240, 11), 5);
+    let idx = build_index(dataset(240, 11), 5, Threads::Fixed(1));
     let qs = queries(6, 999);
     let batch: Vec<&[Point2]> = (0..16).map(|i| qs[i % qs.len()].as_slice()).collect();
     let mut scratch = BatchScratch::new();
