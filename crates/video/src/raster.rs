@@ -77,10 +77,16 @@ impl Frame {
     /// Fills the axis-aligned rectangle with corner `(x, y)` and the given
     /// size, clipping to the frame.
     pub fn fill_rect(&mut self, x: isize, y: isize, w: usize, h: usize, p: Pixel) {
-        for yy in y..y + h as isize {
-            for xx in x..x + w as isize {
-                self.set(xx, yy, p);
-            }
+        // Clamping both ends is monotone, so `lo <= hi` and an off-frame
+        // rectangle clips to an empty range.
+        let clip = |start: isize, len: usize, max: usize| {
+            let clamp = |v: isize| v.clamp(0, max as isize) as usize;
+            (clamp(start), clamp(start.saturating_add_unsigned(len)))
+        };
+        let (x0, x1) = clip(x, w, self.width);
+        let (y0, y1) = clip(y, h, self.height);
+        for row in y0..y1 {
+            self.pixels[row * self.width + x0..row * self.width + x1].fill(p);
         }
     }
 
@@ -138,6 +144,30 @@ mod tests {
         f.fill_rect(2, 2, 10, 10, Pixel::new(5, 5, 5));
         assert_eq!(f.get(3, 3), Pixel::new(5, 5, 5));
         assert_eq!(f.get(1, 1), Pixel::default());
+        // Row slices ≡ a clipped `set` per pixel, across every edge.
+        let rects = [
+            (-3, -2, 5, 4),
+            (-10, 1, 4, 2),
+            (1, -9, 2, 3),
+            (5, 5, 0, 3),
+            (3, 0, 1, 9),
+        ];
+        for (i, &(x, y, w, h)) in rects.iter().enumerate() {
+            let p = Pixel::new(i as u8 + 1, 0, 0);
+            let mut want = Frame::new(6, 5, Pixel::default());
+            for yy in y..y + h as isize {
+                for xx in x..x + w as isize {
+                    want.set(xx, yy, p);
+                }
+            }
+            let mut got = Frame::new(6, 5, Pixel::default());
+            got.fill_rect(x, y, w, h, p);
+            assert_eq!(got.pixels(), want.pixels(), "rect {i}");
+        }
+        // Extents past `isize::MAX` saturate instead of wrapping.
+        let mut f = Frame::new(3, 2, Pixel::default());
+        f.fill_rect(-1, -1, usize::MAX, usize::MAX, Pixel::new(1, 1, 1));
+        assert!(f.pixels().iter().all(|&p| p == Pixel::new(1, 1, 1)));
     }
 
     #[test]

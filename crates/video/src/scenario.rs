@@ -275,9 +275,58 @@ pub fn table1_clips_scaled(scale: f64) -> Vec<VideoClip> {
     ]
 }
 
+/// Clip `i` of the benchmark's `clips150` corpus (alternating lab /
+/// traffic, 4 actors, a 24-frame budget, seed `20050614 + i`) and its
+/// render seed — the frames the segmenter's oracle tests replay.
+#[cfg(test)]
+pub(crate) fn clips150_clip(i: usize) -> (VideoClip, u64) {
+    let seed = 20050614 + i as u64;
+    let cfg = ScenarioConfig {
+        n_actors: 4,
+        frames: 24,
+        seed,
+        ..ScenarioConfig::default()
+    };
+    let scene = [lab_scene, traffic_scene][i % 2];
+    let clip = VideoClip {
+        name: format!("clip-{i:04}"),
+        scene: scene(&cfg),
+        fps: 30.0,
+    };
+    (clip, seed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over every channel byte of every frame.
+    fn pixel_hash(frames: &[Frame]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in frames.iter().flat_map(Frame::pixels) {
+            for byte in [p.r, p.g, p.b] {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Rendering is pinned bit for bit: the illumination table and the
+    /// row-slice `fill_rect` reproduce the per-pixel expressions they
+    /// replaced, and the RNG stream is untouched.
+    #[test]
+    fn corpus_renders_are_pinned() {
+        let mut got = Vec::new();
+        for i in 0..2 {
+            let (clip, seed) = clips150_clip(i);
+            let frames = clip.render_all(seed);
+            got.push((frames.len(), pixel_hash(&frames)));
+        }
+        assert_eq!(
+            got,
+            vec![(59, 4816198138863386248), (36, 4450703003020171100)]
+        );
+    }
 
     #[test]
     fn lab_scene_has_actors_and_background() {

@@ -193,10 +193,16 @@ impl Scene {
         // Illumination jitter: one offset per frame.
         if self.noise.illumination > 0.0 {
             let off = rng.gen_range(-self.noise.illumination..=self.noise.illumination);
+            // Channels are u8, so the shifted value has 256 possible
+            // inputs: tabulate the expression once per frame.
+            let mut shifted = [0u8; 256];
+            for (v, s) in shifted.iter_mut().enumerate() {
+                *s = (v as f64 + off).clamp(0.0, 255.0) as u8;
+            }
             for p in f.pixels_mut() {
-                p.r = (p.r as f64 + off).clamp(0.0, 255.0) as u8;
-                p.g = (p.g as f64 + off).clamp(0.0, 255.0) as u8;
-                p.b = (p.b as f64 + off).clamp(0.0, 255.0) as u8;
+                p.r = shifted[p.r as usize];
+                p.g = shifted[p.g as usize];
+                p.b = shifted[p.b as usize];
             }
         }
         // Salt noise.

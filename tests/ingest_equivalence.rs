@@ -1,14 +1,14 @@
 //! Ingest equivalence suite: arenas and worker threads are *physical*
 //! choices only.
 //!
-//! The ingest pipeline runs the sliding-histogram / separable running-sum
-//! kernels through reusable [`SegScratch`] arenas and bulk sort-once leaf
-//! loading (DESIGN.md §10). Whichever way it is driven — a fresh arena per
-//! frame or one recycled arena, one worker or eight — it must produce
-//! **byte-identical** segmentations, RAGs, index layouts, metrics, and
-//! query hits. (The kernels themselves are pinned to their naïve `O(r^2)`
-//! references by `strg-video`'s unit tests, the bulk leaf load to
-//! one-at-a-time insertion by `strg-core`'s.)
+//! The ingest pipeline runs the run-based segmenter through reusable
+//! [`SegScratch`] arenas and bulk sort-once leaf loading (DESIGN.md §10).
+//! Whichever way it is driven — a fresh arena per frame or one recycled
+//! arena, one worker or eight — it must produce **byte-identical**
+//! segmentations, RAGs, index layouts, metrics, and query hits. (The
+//! segmenter itself is pinned to its pixel-by-pixel reference by
+//! `strg-video`'s unit tests, the bulk leaf load to one-at-a-time
+//! insertion by `strg-core`'s.)
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and `8`, so the
 //! equivalence is also pinned at both ends of the thread knob.
