@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
 
-use strg_core::{Database, DbOptions, Query};
+use strg_core::{Database, DbOptions, Query, VideoDatabase};
 use strg_graph::Point2;
 use strg_serve::{wire, ServeConfig, Server};
 
@@ -60,10 +60,10 @@ USAGE:
   strgdb send   --addr <host:port> --req '<json request line>'
 
 Creates <path> on first ingest; later commands load and (for mutations)
-rewrite it. `--shards N` (first ingest/serve on a fresh path) creates a
-sharded database — a directory of N independent STRG-Index trees behind
-deterministic hash-of-name clip routing; an existing database keeps its
-on-disk shard count. `--json` switches ingest/query/stats to
+rewrite it. `--shards N` (first ingest/serve on a fresh path, N > 1)
+creates a sharded database — a directory of N independent STRG-Index
+trees behind deterministic hash-of-name clip routing; an existing
+database keeps its on-disk layout and shard count. `--json` switches ingest/query/stats to
 machine-readable output, including the per-query cost record and the
 database's metrics snapshot (same serialization as
 `VideoDatabase::metrics_snapshot`). `serve` answers the same shapes over
@@ -133,10 +133,10 @@ impl<'a> Args<'a> {
 }
 
 /// Opens (or creates) the database at `path` via [`strg_core::open`]: a
-/// STRGDB v2 file loads as a single tree, a shard directory as a
-/// [`strg_core::ShardedDatabase`] (its manifest's shard count wins), and a
-/// fresh path creates whatever `--shards` asks for.
-fn open_db(path: &str, args: &Args) -> Result<Box<dyn Database>, CliError> {
+/// STRGDB v2 file loads as one shard, a shard directory through its
+/// manifest (whose shard count wins), and a fresh path creates `--shards`
+/// shards.
+fn open_db(path: &str, args: &Args) -> Result<VideoDatabase, CliError> {
     let shards: usize = args.parse_or("--shards", 1)?;
     strg_core::open(path, DbOptions::new().shards(shards))
         .map_err(|e| CliError(format!("cannot open {path}: {e}")))
@@ -409,7 +409,7 @@ pub fn cmd_serve(args: &Args) -> CmdResult {
         coalesce_window: (coalesce_ms > 0).then(|| std::time::Duration::from_millis(coalesce_ms)),
         ..Default::default()
     };
-    let server = Server::bind_shared(("127.0.0.1", port), std::sync::Arc::from(db), cfg)
+    let server = Server::bind(("127.0.0.1", port), db, cfg)
         .map_err(|e| CliError(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
     let addr = server.local_addr();
     if let Some(path) = args.get("--port-file")? {

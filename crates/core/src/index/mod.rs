@@ -577,48 +577,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
         self.search_into(query, QueryKind::Range(radius), Scope::All, scratch)
     }
 
-    /// Algorithm 3 step 2: matches a query Background Graph against the
-    /// root records (via the `SimGraph`-flavored background similarity)
-    /// and returns the best root id with its similarity, or `None` on an
-    /// empty index.
-    pub fn match_root(
-        &self,
-        bg: &strg_graph::BackgroundGraph,
-        compat: &strg_graph::CompatParams,
-    ) -> Option<(u32, f64)> {
-        self.roots
-            .iter()
-            .map(|r| (r.id, strg_graph::background_similarity(bg, &r.bg, compat)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Full Algorithm 3: background matching, then `kind` restricted to the
-    /// matched root record ([`Scope::Root`]) — or over every segment when
-    /// no root matches at `min_similarity` or above. The root-record scan
-    /// of the match is charged as one node access per root.
-    pub fn search_with_background(
-        &self,
-        bg: &strg_graph::BackgroundGraph,
-        compat: &strg_graph::CompatParams,
-        min_similarity: f64,
-        query: &[V],
-        kind: QueryKind,
-    ) -> (Vec<Hit>, QueryCost) {
-        let start = std::time::Instant::now();
-        let scope = match self.match_root(bg, compat) {
-            Some((root, sim)) if sim >= min_similarity => Scope::Root(root),
-            _ => Scope::All,
-        };
-        let (hits, inner) = self.search(query, kind, scope);
-        let mut cost = QueryCost {
-            node_accesses: self.roots.len() as u64,
-            ..QueryCost::default()
-        };
-        cost.merge(&inner);
-        cost.elapsed = start.elapsed();
-        (hits, cost)
-    }
-
     /// Size of the index per Equation (10): member OGs + centroid OGs + one
     /// BG per segment.
     pub fn size_bytes(&self) -> usize {

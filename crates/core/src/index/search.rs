@@ -928,37 +928,6 @@ mod tests {
         }
     }
 
-    /// `search_with_background` is the scoped search plus one node access
-    /// per root record for the match — for a range exactly as for a k-NN.
-    #[test]
-    fn background_search_charges_the_root_scan_once() {
-        let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));
-        idx.add_segment(BackgroundGraph::default(), dataset());
-        idx.add_segment(BackgroundGraph::default(), dataset());
-        let (bg, compat) = (
-            BackgroundGraph::default(),
-            strg_graph::CompatParams::default(),
-        );
-        let (matched, sim) = idx.match_root(&bg, &compat).expect("two roots");
-        let q = [82.0, 83.0, 84.0];
-        for kind in [QueryKind::Range(20.0), QueryKind::Knn(5)] {
-            // At or below the best similarity the search is scoped to the
-            // matched root; above it, it falls back to every segment.
-            for (min_similarity, scope) in [(sim, Scope::Root(matched)), (sim + 1.0, Scope::All)] {
-                let (hits, cost) =
-                    idx.search_with_background(&bg, &compat, min_similarity, &q, kind);
-                let (want, inner) = idx.search(&q, kind, scope);
-                assert_eq!(hits, want, "{kind:?} {scope:?}");
-                let mut want_cost = QueryCost {
-                    node_accesses: 2,
-                    ..QueryCost::default()
-                };
-                want_cost.merge(&inner);
-                assert!(cost.same_work(&want_cost), "{kind:?} {scope:?}: {cost:?}");
-            }
-        }
-    }
-
     #[test]
     fn hits_report_cluster_and_root() {
         let mut idx = StrgIndex::new(EgedMetric::<f64>::new(), StrgIndexConfig::with_k(4));

@@ -8,14 +8,15 @@
 //!   member OGs keyed by metric EGED), with Algorithm 2 construction,
 //!   BIC-gated node splits (§5.3) and Algorithm 3 k-NN search;
 //! * [`pipeline::VideoDatabase`] — frames → segmentation → RAG → STRG →
-//!   decomposition → clustering → index → queries, in one facade;
-//! * [`shard::ShardedDatabase`] — N independent index shards behind
-//!   deterministic hash-of-name routing, queried with a bound-ordered
-//!   parallel fan-out sharing one best-k cutoff.
+//!   decomposition → clustering → index → queries, in one struct over
+//!   N ≥ 1 index shards (one by default: the paper's single tree);
+//! * [`shard`] — the deterministic hash-of-name routing of clips to
+//!   shards and the bound-ordered fan-out, sharing one best-k cutoff,
+//!   that answers every global query.
 //!
-//! Both database flavors take the same [`options::DbOptions`] builder and
-//! implement the [`options::Database`] trait; [`options::open`] picks the
-//! flavor from what is on disk.
+//! The database takes the [`options::DbOptions`] builder and implements
+//! the object-safe [`options::Database`] trait; [`options::open`] loads
+//! whatever is on disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

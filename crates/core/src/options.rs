@@ -1,6 +1,6 @@
-//! The database configuration surface and the common [`Database`] trait.
+//! The database configuration surface and the [`Database`] trait.
 //!
-//! [`DbOptions`] is the single builder both database flavors accept:
+//! [`DbOptions`] is the single builder the database accepts:
 //!
 //! ```
 //! use strg_core::{DbOptions, Threads, VideoDatabase};
@@ -12,15 +12,14 @@
 //!
 //! `DbOptions::new().threads(..)` sets one worker-count policy for *every*
 //! stage (frame extraction, clustering, and search), and both
-//! constructors (`VideoDatabase::new`, `persist::load`) take the same
-//! options value, so they cannot disagree about `index.threads`.
+//! constructors (`VideoDatabase::new`, `VideoDatabase::load`) take the
+//! same options value, so they cannot disagree about `index.threads`.
 //!
-//! [`Database`] abstracts over [`VideoDatabase`] (one STRG-Index tree) and
-//! [`ShardedDatabase`] (N independent trees behind
-//! deterministic hash-of-name routing), so `strg-serve` and the CLI run
-//! unchanged against either. [`open`] picks the flavor from what is on
-//! disk (STRGDB file → single tree, shard directory → sharded) or, for
-//! a fresh path, from [`DbOptions::shards`].
+//! [`Database`] is the object-safe face of [`VideoDatabase`], for front
+//! ends that hold the database type-erased (`strg-serve`'s
+//! `Arc<dyn Database>`). [`open`] loads whatever is on disk (a STRGDB file
+//! or a shard directory) or, for a fresh path, creates an empty database
+//! with [`DbOptions::shards`] shards.
 
 use std::io;
 use std::path::Path;
@@ -35,7 +34,6 @@ use crate::index::StrgIndexConfig;
 use crate::persist::PersistInfo;
 use crate::pipeline::{DbStats, IngestReport, VideoDatabase};
 use crate::query::{Query, QueryResult};
-use crate::shard::ShardedDatabase;
 
 /// The sequence metric the index keys and search distances use.
 ///
@@ -60,7 +58,7 @@ impl Metric {
     }
 }
 
-/// Configuration of a video database, single-tree or sharded.
+/// Configuration of a video database.
 ///
 /// Construct with [`DbOptions::new`] and chain the builder methods; the
 /// fields stay public for spot adjustments (`opts.index.seed = 7`).
@@ -81,7 +79,8 @@ pub struct DbOptions {
     /// so this knob only affects throughput.
     pub threads: Threads,
     /// Number of independent STRG-Index shards. `0` and `1` both mean a
-    /// single tree; [`open`] only builds a [`ShardedDatabase`] above 1.
+    /// single tree, which saves as one file; more shards save as a
+    /// directory.
     pub shards: usize,
     /// The index key / search metric.
     pub metric: Metric,
@@ -115,18 +114,16 @@ impl DbOptions {
 
     /// Opens (or creates) a database at `path` with these options — see
     /// [`open`].
-    pub fn open(self, path: impl AsRef<Path>) -> io::Result<Box<dyn Database>> {
+    pub fn open(self, path: impl AsRef<Path>) -> io::Result<VideoDatabase> {
         open(path, self)
     }
 }
 
-/// The operations `strg-serve` and the CLI need, implemented by both
-/// [`VideoDatabase`] and [`ShardedDatabase`].
+/// The operations `strg-serve` needs, implemented by [`VideoDatabase`].
 ///
-/// Object-safe on purpose: front ends hold a `Box<dyn Database>` (or
-/// `Arc<dyn Database>`) and never know which flavor they drive. Both
-/// implementations record the same `ingest.*` / `query.*` metrics and
-/// return thread-invariant [`strg_obs::QueryCost`]s.
+/// Object-safe on purpose: the server holds an `Arc<dyn Database>`, so a
+/// test or benchmark can hand it the database it built without naming a
+/// type.
 pub trait Database: Send + Sync {
     /// Ingests a sequence of frames as one clip.
     fn ingest_frames(&self, name: &str, frames: &[Frame]) -> IngestReport;
@@ -184,18 +181,13 @@ pub trait Database: Send + Sync {
     /// Aggregate statistics over every shard.
     fn stats(&self) -> DbStats;
 
-    /// Number of shards (1 for a single-tree database).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    /// Number of shards.
+    fn shard_count(&self) -> usize;
 
-    /// Per-shard statistics, in shard order. A single-tree database is its
-    /// own one shard.
-    fn shard_stats(&self) -> Vec<DbStats> {
-        vec![self.stats()]
-    }
+    /// Per-shard statistics, in shard order.
+    fn shard_stats(&self) -> Vec<DbStats>;
 
-    /// Names of all ingested clips (ingest order within each shard).
+    /// Names of all ingested clips, in global ingest order.
     fn clip_names(&self) -> Vec<String>;
 
     /// The stored Object Graph with id `id`.
@@ -209,42 +201,33 @@ pub trait Database: Send + Sync {
     fn recorder(&self) -> &Recorder;
 
     /// Where this database's contents came from: the on-disk format it was
-    /// loaded from (if any) and whether the index was deserialized or
-    /// re-clustered on load. The default covers freshly created databases;
-    /// both flavors override it after a load.
-    fn persist_info(&self) -> PersistInfo {
-        PersistInfo::fresh()
-    }
+    /// loaded from (if any) and whether the index was deserialized.
+    fn persist_info(&self) -> PersistInfo;
 
     /// A point-in-time snapshot of every recorded metric.
     fn metrics_snapshot(&self) -> Snapshot {
         self.recorder().snapshot()
     }
 
-    /// Serializes the database to `path` (a file for a single tree, a
-    /// directory for a sharded database).
+    /// Serializes the database to `path` (see [`VideoDatabase::save`] for
+    /// the file and directory layouts).
     fn save(&self, path: &Path) -> io::Result<()>;
 }
 
 /// Opens the database at `path`, or creates an empty one if nothing is
 /// there yet.
 ///
-/// * an existing **directory** loads as a [`ShardedDatabase`] (the
-///   manifest's shard count wins over [`DbOptions::shards`]);
-/// * an existing **file** loads as a single-tree [`VideoDatabase`];
-/// * a missing path creates whichever flavor [`DbOptions::shards`] asks
-///   for — `shards(1)` yields a [`VideoDatabase`] whose hits, costs, and
-///   persisted bytes are byte-identical to the pre-sharding database.
-pub fn open(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<Box<dyn Database>> {
+/// * an existing **directory** loads through its manifest (whose shard
+///   count wins over [`DbOptions::shards`]);
+/// * an existing **file** loads as a one-shard database;
+/// * a missing path creates an empty database with
+///   [`DbOptions::shards`] shards.
+pub fn open(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<VideoDatabase> {
     let path = path.as_ref();
-    if path.is_dir() {
-        Ok(Box::new(ShardedDatabase::load(path, opts)?))
-    } else if path.exists() {
-        Ok(Box::new(VideoDatabase::load(path, opts)?))
-    } else if opts.shards > 1 {
-        Ok(Box::new(ShardedDatabase::new(opts)))
+    if path.exists() {
+        VideoDatabase::load(path, opts)
     } else {
-        Ok(Box::new(VideoDatabase::new(opts)))
+        Ok(VideoDatabase::new(opts))
     }
 }
 

@@ -1,10 +1,29 @@
-//! Database persistence: the STRGDB v2 segment-file format.
+//! Database persistence: the STRGDB v2 segment-file format and the shard
+//! directory layout.
+//!
+//! # Layouts
+//!
+//! [`VideoDatabase::save`] picks one of two layouts, and
+//! [`VideoDatabase::load`] reads both:
+//!
+//! - **a single file** — one STRGDB v2 segment file, for a one-shard
+//!   database saved to a path that is not an existing directory (the
+//!   default configuration). The file stores no "next OG id": a load
+//!   starts the allocator past the largest stored id.
+//! - **a directory** — a `MANIFEST` plus one STRGDB v2 file per shard
+//!   (`shard-000.strgdb`, `shard-001.strgdb`, …), for every other case.
+//!   The manifest is text: the line `STRG-SHARDS v2`, then
+//!   `shards <N>`, `next_og <id>`, and one `clip <name>` line per clip in
+//!   global ingest order. Its shard count wins over
+//!   [`DbOptions::shards`] on load.
+//!
+//! # The segment file
 //!
 //! A v2 file serializes the data — clips, Background Graphs, and Object
 //! Graphs — together with the **built index**: cluster centroids, leaf
 //! records with their metric keys, and the precomputed [`SeqSummary`]
 //! sidecars, in fixed-width checksummed binary records. Loading reassembles
-//! the tree with [`StrgIndex::from_parts`] — no clustering, no distance
+//! the tree with [`crate::StrgIndex::from_parts`] — no clustering, no distance
 //! evaluations — so a reopened database serves its first k-NN in
 //! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*` rows
 //! measure it). A file that does not begin with the `STRGDB2\0` magic is
@@ -53,24 +72,24 @@
 //! # Equivalence
 //!
 //! `tests/persist_equivalence.rs` pins the fast load to the originally
-//! built database in hits, costs, stats, and re-saved bytes.
-//!
-//! A sharded database persists as a *directory* of these files plus a
-//! manifest — see [`crate::ShardedDatabase::save`].
+//! built database in hits, costs, stats, and re-saved bytes, in both
+//! layouts.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 
 use strg_distance::SeqSummary;
 use strg_graph::{
     BackgroundGraph, FrameId, NodeAttr, NodeId, ObjectGraph, OgSample, Point2, Rag, Rgb,
 };
+use strg_obs::Recorder;
 
-use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord, StrgIndex};
+use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
-use crate::pipeline::{ClipMeta, StoredOg, VideoDatabase};
+use crate::pipeline::{ClipMeta, Shard, StoredOg, VideoDatabase};
 
 /// v2 leading magic.
 const V2_MAGIC: &[u8; 8] = b"STRGDB2\0";
@@ -104,8 +123,7 @@ impl ReopenMode {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PersistInfo {
     /// Format version of the file(s) the database was loaded from; `None`
-    /// for a freshly created database. A sharded database reports the
-    /// *oldest* shard file version.
+    /// for a freshly created database.
     pub loaded_format: Option<u32>,
     /// How the in-memory index came to be.
     pub reopen: ReopenMode,
@@ -291,162 +309,259 @@ fn encode_bg(payload: &mut Vec<u8>, bg: &BackgroundGraph, n_clusters: usize) {
     }
 }
 
+/// The file name of shard `i` inside a database directory.
+fn shard_file(i: usize) -> String {
+    format!("shard-{i:03}.strgdb")
+}
+
 impl VideoDatabase {
-    /// Serializes the database to `path` in the STRGDB v2 segment-file
-    /// format (see the module docs for the record grammar). Root ids are
-    /// canonicalized to clip order on the way out, which is exactly the
-    /// numbering a fresh build assigns, so `save → load → save` is a
-    /// byte-identity.
+    /// Serializes the database to `path`: one file for a one-shard
+    /// database whose `path` is not an existing directory, else a shard
+    /// directory (module docs, "Layouts"). Root ids are canonicalized to
+    /// clip order, the numbering a fresh build assigns, so
+    /// `save → load → save` is a byte-identity in either layout. A clip
+    /// name with a line break cannot go into a manifest: the directory
+    /// layout then fails with [`io::ErrorKind::InvalidInput`] before
+    /// anything is written.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let clips = self.clips.read();
-        let ogs = self.ogs.read();
-        let index = self.index.read();
-
-        let mut out = Vec::with_capacity(64 * 1024);
-        out.extend_from_slice(V2_MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u32(&mut out, 0); // flags (reserved)
-        let mut toc: Vec<TocEntry> = Vec::new();
-
-        // META.
-        let index_len: usize = index.len();
-        let mut payload = Vec::new();
-        put_u64(&mut payload, clips.len() as u64);
-        put_u64(&mut payload, ogs.len() as u64);
-        put_u64(&mut payload, clips.len() as u64); // roots (1:1 with clips)
-        put_u64(&mut payload, *self.strg_bytes.read() as u64);
-        put_u64(&mut payload, index_len as u64);
-        push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
-
-        // CLIP records, in ingest order. The stored root id is the clip's
-        // position — the canonical numbering a fresh build assigns.
-        for (ci, c) in clips.iter().enumerate() {
-            payload.clear();
-            put_u64(&mut payload, c.frames as u64);
-            put_u32(&mut payload, ci as u32);
-            put_u32(&mut payload, c.name.len() as u32);
-            payload.extend_from_slice(c.name.as_bytes());
-            put_u64(&mut payload, c.og_ids.len() as u64);
-            for &id in &c.og_ids {
-                put_u64(&mut payload, id);
+        let path = path.as_ref();
+        // Holding `order` (first in the lock order) keeps ingests and
+        // removals out, so the manifest and every shard file agree.
+        let order = self.order.read();
+        if self.shards.len() == 1 && !path.is_dir() {
+            return fs::write(path, encode_shard(&self.shards[0])?);
+        }
+        let mut manifest = String::from("STRG-SHARDS v2\n");
+        manifest.push_str(&format!("shards {}\n", self.shards.len()));
+        manifest.push_str(&format!("next_og {}\n", self.alloc.load(Ordering::SeqCst)));
+        for name in order.iter() {
+            if name.contains(['\n', '\r']) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "clip name {name:?} contains a line break: the manifest cannot hold it"
+                    ),
+                ));
             }
-            push_record(&mut out, &mut toc, TAG_CLIP, ci as u32, 0, &payload);
+            manifest.push_str(&format!("clip {name}\n"));
         }
-
-        // Each clip's root record and its OGs (in store, i.e. id, order),
-        // bucketed in one pass each so a save stays linear in clips.
-        let root_by_id: HashMap<u32, &RootRecord<Point2>> =
-            index.roots().iter().map(|r| (r.id, r)).collect();
-        let mut clip_ogs: Vec<Vec<&StoredOg>> = vec![Vec::new(); clips.len()];
-        for s in ogs.iter() {
-            clip_ogs
-                .get_mut(s.clip)
-                .ok_or_else(|| bad("stored OG without clip"))?
-                .push(s);
+        fs::create_dir_all(path)?;
+        fs::write(path.join("MANIFEST"), manifest)?;
+        for (i, shard) in self.shards.iter().enumerate() {
+            fs::write(path.join(shard_file(i)), encode_shard(shard)?)?;
         }
+        Ok(())
+    }
 
-        // Per segment: ROOT, then (CLUS, LEAF, SUMS) per cluster.
-        for (ci, c) in clips.iter().enumerate() {
-            let root = *root_by_id
-                .get(&c.root_id)
-                .ok_or_else(|| bad("clip without root record"))?;
+    /// Loads a database from a file or a shard directory (whose shard
+    /// count wins over `opts.shards`), deserializing every built index
+    /// ([`ReopenMode::Fast`]). Anything malformed is an
+    /// [`io::ErrorKind::InvalidData`] error.
+    pub fn load(path: impl AsRef<Path>, mut opts: DbOptions) -> io::Result<Self> {
+        let path = path.as_ref();
+        let recorder = Recorder::new();
+        let (shards, order, next_og) = if path.is_dir() {
+            let (count, next_og, order) = read_manifest(path)?;
+            opts.shards = count;
+            let shards = (0..count)
+                .map(|i| read_shard(&path.join(shard_file(i)), &opts, &recorder))
+                .collect::<io::Result<Vec<_>>>()?;
+            (shards, order, next_og)
+        } else {
+            let shard = read_shard(path, &opts, &recorder)?;
+            let order = shard.clips.read().iter().map(|c| c.name.clone()).collect();
+            // The file stores no "next id": `assemble` starts past the
+            // largest stored one.
+            (vec![shard], order, 0)
+        };
+        let persist = PersistInfo {
+            loaded_format: Some(FORMAT_VERSION),
+            reopen: ReopenMode::Fast,
+        };
+        Ok(Self::assemble(
+            opts, shards, order, next_og, recorder, persist,
+        ))
+    }
+}
+
+/// Parses a database directory's `MANIFEST`: shard count, next OG id and
+/// the global clip order.
+fn read_manifest(dir: &Path) -> io::Result<(usize, u64, Vec<String>)> {
+    let manifest = fs::read_to_string(dir.join("MANIFEST"))?;
+    let mut lines = manifest.lines();
+    if lines.next() != Some("STRG-SHARDS v2") {
+        return Err(bad("not a STRG-SHARDS v2 manifest"));
+    }
+    let mut count = 0usize;
+    let mut next_og = 0u64;
+    let mut order = Vec::new();
+    for line in lines {
+        if let Some(rest) = line.strip_prefix("shards ") {
+            count = rest.parse().map_err(|_| bad("bad shard count"))?;
+        } else if let Some(rest) = line.strip_prefix("next_og ") {
+            next_og = rest.parse().map_err(|_| bad("bad next_og"))?;
+        } else if let Some(name) = line.strip_prefix("clip ") {
+            order.push(name.to_string());
+        } else if !line.trim().is_empty() {
+            return Err(bad("unrecognized manifest line"));
+        }
+    }
+    if count == 0 {
+        return Err(bad("manifest declares zero shards"));
+    }
+    Ok((count, next_og, order))
+}
+
+/// One shard as a STRGDB v2 file image, its locks taken in the database's
+/// lock order (`ogs → clips → index → strg_bytes`).
+fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
+    let ogs = shard.ogs.read();
+    let clips = shard.clips.read();
+    let index = shard.index.read();
+    let strg_bytes = *shard.strg_bytes.read();
+    let mut out = Vec::with_capacity(64 * 1024);
+    out.extend_from_slice(V2_MAGIC);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u32(&mut out, 0); // flags (reserved)
+    let mut toc: Vec<TocEntry> = Vec::new();
+
+    // META.
+    let index_len: usize = index.len();
+    let mut payload = Vec::new();
+    put_u64(&mut payload, clips.len() as u64);
+    put_u64(&mut payload, ogs.len() as u64);
+    put_u64(&mut payload, clips.len() as u64); // roots (1:1 with clips)
+    put_u64(&mut payload, strg_bytes as u64);
+    put_u64(&mut payload, index_len as u64);
+    push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
+
+    // CLIP records, in ingest order. The stored root id is the clip's
+    // position — the canonical numbering a fresh build assigns.
+    for (ci, c) in clips.iter().enumerate() {
+        payload.clear();
+        put_u64(&mut payload, c.frames as u64);
+        put_u32(&mut payload, ci as u32);
+        put_u32(&mut payload, c.name.len() as u32);
+        payload.extend_from_slice(c.name.as_bytes());
+        put_u64(&mut payload, c.og_ids.len() as u64);
+        for &id in &c.og_ids {
+            put_u64(&mut payload, id);
+        }
+        push_record(&mut out, &mut toc, TAG_CLIP, ci as u32, 0, &payload);
+    }
+
+    // Each clip's root record and its OGs (in store, i.e. id, order),
+    // bucketed in one pass each so a save stays linear in clips.
+    let root_by_id: HashMap<u32, &RootRecord<Point2>> =
+        index.roots().iter().map(|r| (r.id, r)).collect();
+    let mut clip_ogs: Vec<Vec<&StoredOg>> = vec![Vec::new(); clips.len()];
+    for s in ogs.iter() {
+        clip_ogs
+            .get_mut(s.clip)
+            .ok_or_else(|| bad("stored OG without clip"))?
+            .push(s);
+    }
+
+    // Per segment: ROOT, then (CLUS, LEAF, SUMS) per cluster.
+    for (ci, c) in clips.iter().enumerate() {
+        let root = *root_by_id
+            .get(&c.root_id)
+            .ok_or_else(|| bad("clip without root record"))?;
+        payload.clear();
+        encode_bg(&mut payload, &root.bg, root.clusters.len());
+        push_record(&mut out, &mut toc, TAG_ROOT, ci as u32, 0, &payload);
+
+        for cl in &root.clusters {
             payload.clear();
-            encode_bg(&mut payload, &root.bg, root.clusters.len());
-            push_record(&mut out, &mut toc, TAG_ROOT, ci as u32, 0, &payload);
+            put_u64(&mut payload, cl.centroid.len() as u64);
+            for &p in &cl.centroid {
+                put_point(&mut payload, p);
+            }
+            push_record(&mut out, &mut toc, TAG_CLUS, ci as u32, cl.id, &payload);
 
-            for cl in &root.clusters {
-                payload.clear();
-                put_u64(&mut payload, cl.centroid.len() as u64);
-                for &p in &cl.centroid {
+            payload.clear();
+            put_u64(&mut payload, cl.leaf.records.len() as u64);
+            for rec in &cl.leaf.records {
+                put_f64(&mut payload, rec.key);
+                put_u64(&mut payload, rec.og_id);
+                put_u64(&mut payload, rec.seq.len() as u64);
+                for &p in &rec.seq {
                     put_point(&mut payload, p);
                 }
-                push_record(&mut out, &mut toc, TAG_CLUS, ci as u32, cl.id, &payload);
-
-                payload.clear();
-                put_u64(&mut payload, cl.leaf.records.len() as u64);
-                for rec in &cl.leaf.records {
-                    put_f64(&mut payload, rec.key);
-                    put_u64(&mut payload, rec.og_id);
-                    put_u64(&mut payload, rec.seq.len() as u64);
-                    for &p in &rec.seq {
-                        put_point(&mut payload, p);
-                    }
-                }
-                push_record(&mut out, &mut toc, TAG_LEAF, ci as u32, cl.id, &payload);
-
-                payload.clear();
-                put_u64(&mut payload, cl.leaf.records.len() as u64);
-                for rec in &cl.leaf.records {
-                    put_u64(&mut payload, rec.summary.len as u64);
-                    put_f64(&mut payload, rec.summary.gap_mass);
-                    put_f64(&mut payload, rec.summary.min_gap);
-                    put_point(&mut payload, rec.summary.lo);
-                    put_point(&mut payload, rec.summary.hi);
-                }
-                push_record(&mut out, &mut toc, TAG_SUMS, ci as u32, cl.id, &payload);
             }
-        }
+            push_record(&mut out, &mut toc, TAG_LEAF, ci as u32, cl.id, &payload);
 
-        // One OGS extent per clip, in clip order. Each clip's OGs claimed
-        // one contiguous id block at ingest, so the concatenation is the
-        // id-sorted store order.
-        for (ci, clip_ogs) in clip_ogs.iter().enumerate() {
             payload.clear();
-            put_u64(&mut payload, clip_ogs.len() as u64);
-            for s in clip_ogs {
-                put_u64(&mut payload, s.id);
-                put_u32(&mut payload, s.og.id);
-                put_u64(&mut payload, s.og.start_frame as u64);
-                put_u64(&mut payload, s.og.samples.len() as u64);
-                for smp in &s.og.samples {
-                    put_u32(&mut payload, smp.size);
-                    put_f64(&mut payload, smp.color.r);
-                    put_f64(&mut payload, smp.color.g);
-                    put_f64(&mut payload, smp.color.b);
-                    put_point(&mut payload, smp.centroid);
-                    put_f64(&mut payload, smp.velocity);
-                    put_f64(&mut payload, smp.direction);
-                }
+            put_u64(&mut payload, cl.leaf.records.len() as u64);
+            for rec in &cl.leaf.records {
+                put_u64(&mut payload, rec.summary.len as u64);
+                put_f64(&mut payload, rec.summary.gap_mass);
+                put_f64(&mut payload, rec.summary.min_gap);
+                put_point(&mut payload, rec.summary.lo);
+                put_point(&mut payload, rec.summary.hi);
             }
-            push_record(&mut out, &mut toc, TAG_OGS, ci as u32, 0, &payload);
+            push_record(&mut out, &mut toc, TAG_SUMS, ci as u32, cl.id, &payload);
         }
+    }
 
-        // TOC footer (lists every record above, not itself) + trailer.
+    // One OGS extent per clip, in clip order. Each clip's OGs claimed
+    // one contiguous id block at ingest, so the concatenation is the
+    // id-sorted store order.
+    for (ci, clip_ogs) in clip_ogs.iter().enumerate() {
         payload.clear();
-        put_u64(&mut payload, toc.len() as u64);
-        for e in &toc {
-            put_u32(&mut payload, e.tag);
-            put_u32(&mut payload, e.a);
-            put_u32(&mut payload, e.b);
-            put_u64(&mut payload, e.offset);
-            put_u64(&mut payload, e.len);
+        put_u64(&mut payload, clip_ogs.len() as u64);
+        for s in clip_ogs {
+            put_u64(&mut payload, s.id);
+            put_u32(&mut payload, s.og.id);
+            put_u64(&mut payload, s.og.start_frame as u64);
+            put_u64(&mut payload, s.og.samples.len() as u64);
+            for smp in &s.og.samples {
+                put_u32(&mut payload, smp.size);
+                put_f64(&mut payload, smp.color.r);
+                put_f64(&mut payload, smp.color.g);
+                put_f64(&mut payload, smp.color.b);
+                put_point(&mut payload, smp.centroid);
+                put_f64(&mut payload, smp.velocity);
+                put_f64(&mut payload, smp.direction);
+            }
         }
-        let toc_offset = out.len() as u64;
-        let mut toc_sink = Vec::new();
-        push_record(&mut out, &mut toc_sink, TAG_TOC, 0, 0, &payload);
-        put_u64(&mut out, toc_offset);
-        out.extend_from_slice(V2_END_MAGIC);
-
-        fs::write(path, out)
+        push_record(&mut out, &mut toc, TAG_OGS, ci as u32, 0, &payload);
     }
 
-    /// Loads a database from `path`, deserializing the built index directly
-    /// ([`ReopenMode::Fast`]). Anything but a well-formed STRGDB v2 file is
-    /// an [`io::ErrorKind::InvalidData`] error.
-    pub fn load(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<Self> {
-        Self::load_into(VideoDatabase::new(opts), path.as_ref())
+    // TOC footer (lists every record above, not itself) + trailer.
+    payload.clear();
+    put_u64(&mut payload, toc.len() as u64);
+    for e in &toc {
+        put_u32(&mut payload, e.tag);
+        put_u32(&mut payload, e.a);
+        put_u32(&mut payload, e.b);
+        put_u64(&mut payload, e.offset);
+        put_u64(&mut payload, e.len);
     }
+    let toc_offset = out.len() as u64;
+    let mut toc_sink = Vec::new();
+    push_record(&mut out, &mut toc_sink, TAG_TOC, 0, 0, &payload);
+    put_u64(&mut out, toc_offset);
+    out.extend_from_slice(V2_END_MAGIC);
+    Ok(out)
+}
 
-    /// Fills an empty, freshly-constructed database from the file at
-    /// `path`. Split from [`VideoDatabase::load`] so a sharded load can
-    /// pass shards built with a shared recorder and id allocator.
-    pub(crate) fn load_into(db: VideoDatabase, path: &Path) -> io::Result<Self> {
-        let bytes = fs::read(path)?;
-        if !bytes.starts_with(V2_MAGIC) {
-            return Err(bad("not a STRGDB v2 file (missing the STRGDB2 magic)"));
-        }
-        load_v2_into(db, &bytes)
+/// Reads one STRGDB v2 file as a shard, deserializing its index with
+/// [`StrgIndex::from_parts`] — no clustering, no distance evaluations.
+fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<Shard> {
+    let bytes = fs::read(path)?;
+    if !bytes.starts_with(V2_MAGIC) {
+        return Err(bad("not a STRGDB v2 file (missing the STRGDB2 magic)"));
     }
+    let parsed = parse_v2(&bytes)?;
+    Ok(Shard::new(
+        opts,
+        recorder,
+        parsed.roots,
+        parsed.clips,
+        parsed.ogs,
+        parsed.strg_bytes,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -691,7 +806,6 @@ struct ParsedV2 {
     roots: Vec<RootRecord<Point2>>,
     ogs: Vec<StoredOg>,
     strg_bytes: usize,
-    index_len: usize,
 }
 
 fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
@@ -907,27 +1021,7 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
         roots,
         ogs,
         strg_bytes,
-        index_len,
     })
-}
-
-/// Assembles a database from a parsed v2 file, deserializing the index
-/// with [`StrgIndex::from_parts`] — no clustering, no distance evaluations.
-fn load_v2_into(db: VideoDatabase, bytes: &[u8]) -> io::Result<VideoDatabase> {
-    let parsed = parse_v2(bytes)?;
-    let mut db = db;
-    let _ = parsed.index_len; // verified against the leaves in parse_v2
-    let mut index = StrgIndex::from_parts(db.cfg.metric.build(), db.cfg.index, parsed.roots);
-    index.set_recorder(db.recorder.clone());
-    *db.index.write() = index;
-    *db.clips.write() = parsed.clips;
-    *db.ogs.write() = parsed.ogs;
-    *db.strg_bytes.write() = parsed.strg_bytes;
-    db.persist = PersistInfo {
-        loaded_format: Some(FORMAT_VERSION),
-        reopen: ReopenMode::Fast,
-    };
-    Ok(db)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The end-to-end video database facade.
+//! The video database: one struct over N ≥ 1 STRG-Index shards.
 //!
 //! [`VideoDatabase`] wires the whole paper together: frames are segmented
 //! into regions (§2.1), RAGs become an STRG via graph-based tracking
@@ -7,35 +7,43 @@
 //! STRG-Index (§5), which then answers k-NN trajectory queries
 //! (Algorithm 3).
 //!
-//! The index is guarded by a `parking_lot::RwLock`, so concurrent readers
-//! can query while ingest takes the write lock.
+//! A database holds [`DbOptions::shards`] shards (one by default, the
+//! paper's single tree), each an STRG-Index tree with the clips
+//! [`crate::route`] sends to it, behind `parking_lot::RwLock`s so readers
+//! query while an ingest writes (DESIGN.md §12).
 //!
-//! **Lock order.** Every method that holds more than one of the four locks
-//! acquires them in the fixed order `ogs → clips → index → strg_bytes`
-//! (and the query paths drop the index guard before resolving hits against
-//! the OG store). Violating this order can deadlock against a concurrent
-//! ingest or removal, which takes all write locks in that order.
+//! **Lock order.** Every method that holds more than one lock acquires
+//! them in the fixed order `order → ogs → clips → index → strg_bytes`,
+//! where `order` is the database-wide clip order and the rest belong to
+//! one shard (shards in ascending id when a reader holds several). Ingest
+//! and removal take `order` first and keep it until the shard is updated,
+//! so the global clip order always agrees with every shard's root order.
+//! The query paths drop the index guards before resolving hits against the
+//! OG stores. Violating this order can deadlock against a concurrent
+//! ingest or removal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 use strg_distance::EgedMetric;
-use strg_graph::{build_strg, decompose, ObjectGraph, Point2};
+use strg_graph::{background_similarity, build_strg, decompose, ObjectGraph, Point2};
 use strg_obs::{QueryCost, Recorder, Snapshot};
 use strg_video::{frames_to_rags, frames_to_rags_with_stats, Frame, VideoClip};
 
-use crate::index::{Hit, Scope, StrgIndex};
+use crate::index::{Hit, RootRecord, Scope, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::PersistInfo;
-use crate::query::{Query, QueryResult};
+use crate::query::{Query, QueryKind, QueryResult};
+use crate::shard::{route, sharded_query, ShardOutcome};
+
+type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
 
 /// Metadata of one ingested clip.
 #[derive(Clone, Debug)]
 pub struct ClipMeta {
     /// Clip name.
     pub name: String,
-    /// Root record id of the clip's segment in the index.
+    /// Root record id of the clip's segment in its shard's index.
     pub root_id: u32,
     /// Number of frames ingested.
     pub frames: usize,
@@ -48,7 +56,7 @@ pub struct ClipMeta {
 pub struct StoredOg {
     /// Database-wide OG id.
     pub id: u64,
-    /// Index of the owning clip in the database's clip list.
+    /// Index of the owning clip in its shard's clip list.
     pub clip: usize,
     /// The full Object Graph (the leaf `ptr` target).
     pub og: ObjectGraph,
@@ -93,56 +101,120 @@ pub struct DbStats {
     pub index_bytes: usize,
 }
 
-/// The end-to-end video database (one STRG-Index tree).
-pub struct VideoDatabase {
-    pub(crate) cfg: DbOptions,
-    pub(crate) index: RwLock<StrgIndex<Point2, EgedMetric<Point2>>>,
+/// One shard: an STRG-Index tree, the clips routed to it (in ingest
+/// order, which is also its root order) and their stored OGs (sorted by
+/// id).
+pub(crate) struct Shard {
+    pub(crate) index: RwLock<Idx>,
     pub(crate) clips: RwLock<Vec<ClipMeta>>,
     pub(crate) ogs: RwLock<Vec<StoredOg>>,
     pub(crate) strg_bytes: RwLock<usize>,
-    pub(crate) recorder: Recorder,
-    /// When set (by [`crate::ShardedDatabase`]), OG ids come from this
-    /// shared counter instead of the local store, so ids are assigned in
-    /// global ingest order and stay identical at any shard count.
-    pub(crate) og_alloc: Option<Arc<AtomicU64>>,
-    /// How this database was opened (fresh / fast-reopened);
-    /// set once by `persist::load_into` before the database is shared.
-    pub(crate) persist: PersistInfo,
 }
 
-impl VideoDatabase {
-    /// Creates an empty database.
-    pub fn new(opts: DbOptions) -> Self {
-        Self::new_internal(opts, Recorder::new(), None)
-    }
-
-    pub(crate) fn new_internal(
-        opts: DbOptions,
-        recorder: Recorder,
-        og_alloc: Option<Arc<AtomicU64>>,
+impl Shard {
+    /// A shard over already-built parts (empty for a fresh database).
+    pub(crate) fn new(
+        opts: &DbOptions,
+        recorder: &Recorder,
+        roots: Vec<RootRecord<Point2>>,
+        clips: Vec<ClipMeta>,
+        ogs: Vec<StoredOg>,
+        strg_bytes: usize,
     ) -> Self {
-        let mut index = StrgIndex::new(opts.metric.build(), opts.index);
+        let mut index = StrgIndex::from_parts(opts.metric.build(), opts.index, roots);
         index.set_recorder(recorder.clone());
         Self {
-            cfg: opts,
             index: RwLock::new(index),
-            clips: RwLock::new(Vec::new()),
-            ogs: RwLock::new(Vec::new()),
-            strg_bytes: RwLock::new(0),
-            recorder,
-            og_alloc,
-            persist: PersistInfo::fresh(),
+            clips: RwLock::new(clips),
+            ogs: RwLock::new(ogs),
+            strg_bytes: RwLock::new(strg_bytes),
         }
     }
 
-    /// The options the database was built with.
+    fn stats(&self) -> DbStats {
+        let clips = self.clips.read();
+        let index = self.index.read();
+        DbStats {
+            clips: clips.len(),
+            objects: index.len(),
+            clusters: index.cluster_count(),
+            strg_bytes: *self.strg_bytes.read(),
+            index_bytes: index.size_bytes(),
+        }
+    }
+}
+
+/// The end-to-end video database: N ≥ 1 STRG-Index shards answering
+/// global queries with the bound-ordered fan-out of [`crate::shard`].
+/// OG ids come from one allocator, in global ingest order, and are never
+/// handed out twice — not even after the newest clip is removed.
+pub struct VideoDatabase {
+    cfg: DbOptions,
+    pub(crate) shards: Vec<Shard>,
+    /// The next OG id to hand out.
+    pub(crate) alloc: AtomicU64,
+    /// Clip names in global ingest order (each clip's shard is `route` of
+    /// its name). Background matching scans roots in this order.
+    pub(crate) order: RwLock<Vec<String>>,
+    recorder: Recorder,
+    /// How this database was opened (fresh / fast-reopened).
+    persist: PersistInfo,
+}
+
+impl VideoDatabase {
+    /// Creates an empty database with `opts.shards` shards (clamped to
+    /// ≥ 1).
+    pub fn new(mut opts: DbOptions) -> Self {
+        opts.shards = opts.shards.max(1);
+        let recorder = Recorder::new();
+        let shards = (0..opts.shards)
+            .map(|_| Shard::new(&opts, &recorder, Vec::new(), Vec::new(), Vec::new(), 0))
+            .collect();
+        Self::assemble(opts, shards, Vec::new(), 0, recorder, PersistInfo::fresh())
+    }
+
+    /// The one constructor behind [`VideoDatabase::new`] and the loaders.
+    /// The allocator starts at `next_og` or past the largest stored id,
+    /// whichever is higher, so no stored id is ever handed out again.
+    pub(crate) fn assemble(
+        mut opts: DbOptions,
+        shards: Vec<Shard>,
+        order: Vec<String>,
+        next_og: u64,
+        recorder: Recorder,
+        persist: PersistInfo,
+    ) -> Self {
+        opts.shards = shards.len();
+        let past_stored = shards
+            .iter()
+            .filter_map(|s| s.ogs.read().last().map(|o| o.id + 1))
+            .max()
+            .unwrap_or(0);
+        recorder.add("shard.count", shards.len() as u64);
+        Self {
+            cfg: opts,
+            shards,
+            alloc: AtomicU64::new(next_og.max(past_stored)),
+            order: RwLock::new(order),
+            recorder,
+            persist,
+        }
+    }
+
+    /// The options the database was built with (`shards` is the actual
+    /// shard count).
     pub fn options(&self) -> &DbOptions {
         &self.cfg
     }
 
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Where this database's contents came from: the on-disk format it was
     /// loaded from (if any) and whether the index was deserialized
-    /// ([`crate::persist::ReopenMode::Fast`]) or re-clustered on load.
+    /// ([`crate::persist::ReopenMode::Fast`]) or the database is fresh.
     pub fn persist_info(&self) -> PersistInfo {
         self.persist
     }
@@ -161,13 +233,13 @@ impl VideoDatabase {
         self.recorder.snapshot()
     }
 
-    /// Ingests a sequence of frames as one video segment. Stage timings
-    /// land in the `ingest.segment_ns` / `ingest.track_ns` /
+    /// Ingests a sequence of frames as one clip, routed to its shard.
+    /// Stage timings land in the `ingest.segment_ns` / `ingest.track_ns` /
     /// `ingest.decompose_ns` / `ingest.index_ns` histograms; deterministic
     /// volume counters in `ingest.clips` / `ingest.frames` /
-    /// `ingest.objects`. Per-worker scratch-arena telemetry lands in the
-    /// *volatile* counters `ingest.scratch_workers` /
-    /// `ingest.scratch_bytes` / `ingest.scratch_grows` (volatile because
+    /// `ingest.objects` and `shard.<i>.clips`. Per-worker scratch-arena
+    /// telemetry lands in the *volatile* counters `ingest.scratch_workers`
+    /// / `ingest.scratch_bytes` / `ingest.scratch_grows` (volatile because
     /// the arena count follows the worker count).
     pub fn ingest_frames(&self, name: &str, frames: &[Frame]) -> IngestReport {
         let _total = self.recorder.span("ingest.total");
@@ -198,18 +270,17 @@ impl VideoDatabase {
         let strg_bytes = strg_graph::decompose::strg_size_bytes(&d);
         let background_nodes = d.background.rag.node_count();
 
-        // 4/5. Cluster + index (Algorithm 2).
-        let mut ogs_store = self.ogs.write();
-        // Ids must stay unique across clip removals, so continue from the
-        // largest id ever assigned rather than the store length. A sharded
-        // database supplies a shared allocator instead; the block is
-        // claimed under this shard's store write lock, so each shard's
-        // store stays sorted by id.
-        let base_id = match &self.og_alloc {
-            Some(alloc) => alloc.fetch_add(d.objects.len() as u64, Ordering::SeqCst),
-            None => ogs_store.last().map_or(0, |s| s.id + 1),
-        };
-        let mut clips = self.clips.write();
+        // 4/5. Cluster + index (Algorithm 2), under the lock order.
+        let mut order = self.order.write();
+        let s = route(name, self.shards.len());
+        let shard = &self.shards[s];
+        let mut ogs_store = shard.ogs.write();
+        // The id block is claimed under the shard's store write lock, so
+        // each shard's store stays sorted by id.
+        let base_id = self
+            .alloc
+            .fetch_add(d.objects.len() as u64, Ordering::SeqCst);
+        let mut clips = shard.clips.write();
         let clip_idx = clips.len();
         let mut items = Vec::with_capacity(d.objects.len());
         let mut og_ids = Vec::with_capacity(d.objects.len());
@@ -224,7 +295,7 @@ impl VideoDatabase {
             });
         }
         let objects = items.len();
-        let mut index = self.index.write();
+        let mut index = shard.index.write();
         let root_id = {
             let _s = self.recorder.span("ingest.index");
             index.add_segment(d.background, items)
@@ -235,10 +306,12 @@ impl VideoDatabase {
             frames: frames.len(),
             og_ids,
         });
-        *self.strg_bytes.write() += strg_bytes;
+        *shard.strg_bytes.write() += strg_bytes;
+        order.push(name.to_string());
         self.recorder.add("ingest.clips", 1);
         self.recorder.add("ingest.frames", frames.len() as u64);
         self.recorder.add("ingest.objects", objects as u64);
+        self.recorder.add(&format!("shard.{s}.clips"), 1);
 
         IngestReport {
             root_id,
@@ -256,82 +329,182 @@ impl VideoDatabase {
 
     /// Executes a [`Query`] built with [`Query::knn`] or [`Query::range`].
     ///
+    /// A clip-scoped query searches that clip's root in its shard. A
+    /// background-matched query runs Algorithm 3 step 2 over every root, in
+    /// global ingest order (the last maximum wins), and searches the
+    /// matched root if its similarity reaches 0.5; otherwise — and for
+    /// every plain query — the bound-ordered fan-out searches all shards.
+    ///
     /// The query's [`QueryCost`] is always recorded into the database's
-    /// metrics (under `query.knn.*` / `query.range.*`); it is returned in
+    /// metrics (under `query.knn.*` / `query.range.*`, with per-shard
+    /// `shard.*` rows for a fan-out); it is returned in
     /// [`QueryResult::cost`] iff the query asked via [`Query::with_cost`].
     /// The work fields of the cost are bit-identical at any thread count.
     pub fn query(&self, q: Query<'_>) -> QueryResult {
-        /// Where the search goes, once the query's modifiers are resolved.
-        enum Target {
-            In(Scope),
-            Miss,
-            Matching(strg_graph::BackgroundGraph),
-        }
         let start = std::time::Instant::now();
-        // Resolve the target first (lock order: clips before index). The
-        // explicit clip wins over background matching.
-        let target = if let Some(name) = &q.clip {
-            let clips = self.clips.read();
-            match clips.iter().find(|c| c.name == *name) {
-                Some(c) => Target::In(Scope::Root(c.root_id)),
-                None => Target::Miss,
+        let (tagged, mut cost, outcomes) = if let Some(name) = &q.clip {
+            // The explicit clip wins over background matching. An unknown
+            // name routes to *some* shard and misses there.
+            let s = route(name, self.shards.len());
+            let root = self.shards[s]
+                .clips
+                .read()
+                .iter()
+                .find(|c| c.name == *name)
+                .map(|c| c.root_id);
+            match root {
+                Some(root) => {
+                    let index = self.shards[s].index.read();
+                    let (hits, cost) = index.search(q.trajectory, q.kind, Scope::Root(root));
+                    (tag(s, hits), cost, Vec::new())
+                }
+                None => (Vec::new(), QueryCost::default(), Vec::new()),
             }
-        } else if let Some(frames) = q.background {
-            let rags = frames_to_rags(frames, &self.cfg.segment, self.cfg.threads);
-            let strg = build_strg(rags, &self.cfg.tracker);
-            let d = decompose(&strg, &self.cfg.decompose);
-            Target::Matching(d.background)
         } else {
-            Target::In(Scope::All)
+            self.global_query(&q)
         };
-
-        let index = self.index.read();
-        let (hits, mut cost) = match &target {
-            Target::In(scope) => index.search(q.trajectory, q.kind, *scope),
-            Target::Miss => (Vec::new(), QueryCost::default()),
-            Target::Matching(bg) => index.search_with_background(
-                bg,
-                &self.cfg.tracker.compat,
-                0.5,
-                q.trajectory,
-                q.kind,
-            ),
-        };
-        drop(index);
-        let hits = self.resolve(hits);
+        let hits = self.resolve_tagged(&tagged);
         cost.elapsed = start.elapsed();
-        self.recorder.record_cost(q.kind.metric_prefix(), &cost);
+        self.record_fan_out(q.kind, &cost, &outcomes);
         QueryResult {
             hits,
             cost: q.want_cost.then_some(cost),
         }
     }
 
-    pub(crate) fn resolve(&self, hits: Vec<Hit>) -> Vec<QueryHit> {
-        let ogs = self.ogs.read();
-        let clips = self.clips.read();
-        hits.iter()
-            .filter_map(|h| resolve_hit(&ogs, &clips, h))
-            .collect()
+    /// A plain or background-matched query over every shard: shard-tagged
+    /// hits, the logical cost, and the fan-out's per-shard outcomes (none
+    /// when a matched root was searched directly).
+    fn global_query(&self, q: &Query<'_>) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
+        // Background extraction happens before any lock.
+        let bg = q.background.map(|frames| {
+            let rags = frames_to_rags(frames, &self.cfg.segment, self.cfg.threads);
+            let strg = build_strg(rags, &self.cfg.tracker);
+            decompose(&strg, &self.cfg.decompose).background
+        });
+        // Root ids in global ingest order, gathered before the index locks
+        // (lock order: order, then clips).
+        let scan_roots: Vec<(usize, u32)> = if bg.is_some() {
+            let order = self.order.read();
+            order
+                .iter()
+                .filter_map(|name| {
+                    let s = route(name, self.shards.len());
+                    let clips = self.shards[s].clips.read();
+                    clips
+                        .iter()
+                        .find(|c| c.name == *name)
+                        .map(|c| (s, c.root_id))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        // Index read locks are taken in shard order; every writer touches
+        // a single shard, so the cross-shard read set cannot deadlock.
+        let guards: Vec<_> = self.shards.iter().map(|s| s.index.read()).collect();
+        let idxs: Vec<&Idx> = guards.iter().map(|g| &**g).collect();
+        let threads = self.cfg.index.threads;
+        let Some(bg) = bg else {
+            return sharded_query(&idxs, q.trajectory, q.kind, threads);
+        };
+        // Algorithm 3 step 2: match the query's Background Graph against
+        // every root record, charged as one node access per root.
+        let mut best: Option<(usize, u32, f64)> = None;
+        for &(s, root_id) in &scan_roots {
+            if let Some(r) = idxs[s].roots().iter().find(|r| r.id == root_id) {
+                let sim = background_similarity(&bg, &r.bg, &self.cfg.tracker.compat);
+                if best.is_none_or(|(_, _, b)| sim >= b) {
+                    best = Some((s, root_id, sim));
+                }
+            }
+        }
+        let mut total = QueryCost {
+            node_accesses: idxs.iter().map(|i| i.roots().len() as u64).sum(),
+            ..QueryCost::default()
+        };
+        match best {
+            Some((s, root, sim)) if sim >= 0.5 => {
+                let (hits, inner) = idxs[s].search(q.trajectory, q.kind, Scope::Root(root));
+                total.merge(&inner);
+                (tag(s, hits), total, Vec::new())
+            }
+            _ => {
+                let (tagged, inner, outcomes) = sharded_query(&idxs, q.trajectory, q.kind, threads);
+                total.merge(&inner);
+                (tagged, total, outcomes)
+            }
+        }
     }
 
-    /// The stored Object Graph with id `id`.
+    /// Records one query's `query.*` cost and per-shard `shard.*`
+    /// open/skip rows.
+    fn record_fan_out(&self, kind: QueryKind, cost: &QueryCost, outcomes: &[ShardOutcome]) {
+        self.recorder.record_cost(kind.metric_prefix(), cost);
+        for (s, o) in outcomes.iter().enumerate() {
+            if o.opened {
+                self.recorder.add("shard.opened", 1);
+                self.recorder
+                    .record_cost(&format!("shard.{s}.query"), &o.cost);
+            } else {
+                self.recorder.add("shard.pruned_whole", 1);
+                self.recorder.add(&format!("shard.{s}.pruned_whole"), 1);
+            }
+        }
+    }
+
+    /// Resolves shard-tagged hits to clip provenance in their merged order,
+    /// taking each contributing shard's store guards once (lock order
+    /// `ogs → clips`). Shards with no hit in the answer are not locked, so
+    /// an ingest there cannot stall this query. A hit whose OG was removed
+    /// since the search is dropped.
+    fn resolve_tagged(&self, tagged: &[(usize, Hit)]) -> Vec<QueryHit> {
+        let mut resolved: Vec<Option<QueryHit>> = vec![None; tagged.len()];
+        for (s, shard) in self.shards.iter().enumerate() {
+            if tagged.iter().all(|(t, _)| *t != s) {
+                continue;
+            }
+            let ogs = shard.ogs.read();
+            let clips = shard.clips.read();
+            for ((t, h), slot) in tagged.iter().zip(&mut resolved) {
+                if *t == s {
+                    // Each store is sorted by id, even after removals.
+                    *slot = ogs
+                        .binary_search_by_key(&h.og_id, |o| o.id)
+                        .ok()
+                        .map(|i| QueryHit {
+                            clip: clips[ogs[i].clip].name.clone(),
+                            og_id: h.og_id,
+                            dist: h.dist,
+                        });
+                }
+            }
+        }
+        resolved.into_iter().flatten().collect()
+    }
+
+    /// The stored Object Graph with id `id`, wherever it lives.
     pub fn og(&self, id: u64) -> Option<ObjectGraph> {
-        let ogs = self.ogs.read();
-        let idx = ogs.binary_search_by_key(&id, |s| s.id).ok()?;
-        Some(ogs[idx].og.clone())
+        self.shards.iter().find_map(|s| {
+            let ogs = s.ogs.read();
+            let idx = ogs.binary_search_by_key(&id, |o| o.id).ok()?;
+            Some(ogs[idx].og.clone())
+        })
     }
 
     /// Removes a clip and everything extracted from it (its root record,
     /// clusters, leaf records and stored OGs). Returns the number of OGs
-    /// removed, or `None` if the clip is unknown.
+    /// removed, or `None` if the clip is unknown. The removed ids are never
+    /// handed out again.
     pub fn remove_clip(&self, name: &str) -> Option<usize> {
-        let mut ogs = self.ogs.write();
-        let mut clips = self.clips.write();
-        let mut index = self.index.write();
+        let mut order = self.order.write();
+        let shard = &self.shards[route(name, self.shards.len())];
+        let mut ogs = shard.ogs.write();
+        let mut clips = shard.clips.write();
+        let mut index = shard.index.write();
         let pos = clips.iter().position(|c| c.name == name)?;
-        let root = clips[pos].root_id;
-        let removed = index.remove_segment(root).unwrap_or(0);
+        let removed = index.remove_segment(clips[pos].root_id).unwrap_or(0);
         clips.remove(pos);
         ogs.retain(|s| s.clip != pos);
         for s in ogs.iter_mut() {
@@ -339,44 +512,45 @@ impl VideoDatabase {
                 s.clip -= 1;
             }
         }
+        if let Some(at) = order.iter().position(|c| c == name) {
+            order.remove(at);
+        }
         Some(removed)
     }
 
-    /// Names of all ingested clips.
+    /// Names of all ingested clips, in global ingest order.
     pub fn clip_names(&self) -> Vec<String> {
-        self.clips.read().iter().map(|c| c.name.clone()).collect()
+        self.order.read().clone()
     }
 
-    /// Aggregate statistics (Equations 9 and 10).
+    /// Aggregate statistics over every shard (Equations 9 and 10).
     pub fn stats(&self) -> DbStats {
-        let clips = self.clips.read();
-        let index = self.index.read();
-        DbStats {
-            clips: clips.len(),
-            objects: index.len(),
-            clusters: index.cluster_count(),
-            strg_bytes: *self.strg_bytes.read(),
-            index_bytes: index.size_bytes(),
+        let mut total = DbStats::default();
+        for s in self.shard_stats() {
+            total.clips += s.clips;
+            total.objects += s.objects;
+            total.clusters += s.clusters;
+            total.strg_bytes += s.strg_bytes;
+            total.index_bytes += s.index_bytes;
         }
+        total
     }
 
-    /// Read access to the underlying index (for experiments).
-    pub fn with_index<R>(&self, f: impl FnOnce(&StrgIndex<Point2, EgedMetric<Point2>>) -> R) -> R {
-        f(&self.index.read())
+    /// Per-shard statistics, in shard order.
+    pub fn shard_stats(&self) -> Vec<DbStats> {
+        self.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Read access to shard 0's index — the whole index of a one-shard
+    /// database (for experiments).
+    pub fn with_index<R>(&self, f: impl FnOnce(&Idx) -> R) -> R {
+        f(&self.shards[0].index.read())
     }
 }
 
-/// One hit's clip provenance, looked up in a shard's stores; `None` if the
-/// OG was removed since the search.
-pub(crate) fn resolve_hit(ogs: &[StoredOg], clips: &[ClipMeta], h: &Hit) -> Option<QueryHit> {
-    // OG ids are assigned monotonically, so the store is sorted by id even
-    // after clip removals.
-    let idx = ogs.binary_search_by_key(&h.og_id, |s| s.id).ok()?;
-    Some(QueryHit {
-        clip: clips[ogs[idx].clip].name.clone(),
-        og_id: h.og_id,
-        dist: h.dist,
-    })
+/// Tags one shard's hits with its id.
+fn tag(shard: usize, hits: Vec<Hit>) -> Vec<(usize, Hit)> {
+    hits.into_iter().map(|h| (shard, h)).collect()
 }
 
 impl Database for VideoDatabase {
@@ -388,6 +562,12 @@ impl Database for VideoDatabase {
     }
     fn stats(&self) -> DbStats {
         VideoDatabase::stats(self)
+    }
+    fn shard_count(&self) -> usize {
+        VideoDatabase::shard_count(self)
+    }
+    fn shard_stats(&self) -> Vec<DbStats> {
+        VideoDatabase::shard_stats(self)
     }
     fn clip_names(&self) -> Vec<String> {
         VideoDatabase::clip_names(self)

@@ -191,8 +191,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the server (port 0 picks an ephemeral port) over `db` — any
-    /// [`Database`] flavor (single-tree or sharded).
+    /// Binds the server (port 0 picks an ephemeral port) over `db`.
     pub fn bind<D: Database + 'static>(
         addr: impl ToSocketAddrs,
         db: impl Into<Arc<D>>,
@@ -202,8 +201,7 @@ impl Server {
         Self::bind_shared(addr, db, cfg)
     }
 
-    /// [`Server::bind`] over an already-shared, possibly type-erased
-    /// database — what `strgdb serve` uses after [`strg_core::open`].
+    /// [`Server::bind`] over an already-shared, type-erased database.
     pub fn bind_shared(
         addr: impl ToSocketAddrs,
         db: Arc<dyn Database>,

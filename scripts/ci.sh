@@ -46,7 +46,7 @@ cargo test -q --release -p strg-distance -p strg-graph -p strg-video
 cargo test -q --release -p strg-video -- --ignored
 cargo test -q --release -p strg-core persist
 cargo test -q --release --test kernel_equivalence
-cargo test -q --release --test parallel_equivalence
+cargo test -q --release --test parallel_equivalence --test shard_equivalence
 cargo test -q --release --test persist_faults --test persist_equivalence
 
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
@@ -55,6 +55,7 @@ cargo test -q --release --test persist_faults --test persist_equivalence
 # lost response or a lock-order deadlock from turning CI into an infinite
 # hang — the suites' own per-read timeouts should fire long before it does.
 SUITES=(
+    end_to_end
     parallel_equivalence
     obs_equivalence
     kernel_equivalence

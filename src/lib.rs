@@ -15,7 +15,7 @@
 //! | [`parallel`] | — | deterministic fork/join helpers (`par_map`, the `STRG_THREADS` knob) |
 //! | [`rtree`] | §1 | the 3DR-tree baseline (time as a third R-tree dimension) |
 //! | [`synth`] | §6.1 | the 48-pattern synthetic trajectory workload |
-//! | [`core`] | §5 | the STRG-Index tree and the [`prelude::VideoDatabase`] facade |
+//! | [`core`] | §5 | the STRG-Index tree and [`prelude::VideoDatabase`], one struct over N ≥ 1 tree shards |
 //! | [`serve`] | — | the concurrent k-NN query server (newline-delimited JSON over TCP) |
 //!
 //! ## Quickstart

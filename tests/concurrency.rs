@@ -221,6 +221,84 @@ fn concurrent_ingest_and_removal_stay_consistent() {
     }
 }
 
+/// OG ids come from one database-wide allocator at every shard count:
+/// removing the newest clip must not hand its ids to the next ingest, or
+/// `og(id)` would silently name a different object.
+#[test]
+fn removing_the_last_clip_never_reissues_its_ids() {
+    for shards in [1, 3] {
+        let db = VideoDatabase::new(DbOptions::new().shards(shards));
+        db.ingest_clip(&clip(1), 1);
+        let first = db.stats().objects as u64;
+        db.ingest_clip(&clip(2), 2);
+        let removed: Vec<u64> = (first..db.stats().objects as u64).collect();
+        assert!(!removed.is_empty(), "{shards} shards: cam2 holds objects");
+        db.remove_clip("cam2").expect("known clip");
+        db.ingest_clip(&clip(3), 3);
+        assert!(
+            db.stats().objects as u64 > first,
+            "{shards} shards: cam3 holds objects"
+        );
+        for &id in &removed {
+            assert!(
+                db.og(id).is_none(),
+                "{shards} shards: id {id} of the removed clip was handed out again"
+            );
+        }
+    }
+}
+
+/// Racing ingests into one shard: each takes the clip order before the
+/// shard's locks, so `clip_names()` is the shard's root order — exactly
+/// the order a save writes and a load reads back.
+#[test]
+fn racing_ingests_keep_the_saved_clip_order() {
+    let db = Arc::new(VideoDatabase::new(DbOptions::new()));
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let writers: Vec<_> = (0..4u64)
+        .map(|w| {
+            let db = Arc::clone(&db);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let clips: Vec<(VideoClip, u64)> = (0..8u64)
+                    .map(|i| {
+                        let seed = 1000 + 8 * w + i;
+                        let cfg = ScenarioConfig {
+                            n_actors: 1,
+                            frames: 12,
+                            seed,
+                            ..Default::default()
+                        };
+                        let name = format!("race{seed}");
+                        (
+                            VideoClip {
+                                name,
+                                scene: lab_scene(&cfg),
+                                fps: 30.0,
+                            },
+                            seed,
+                        )
+                    })
+                    .collect();
+                start.wait();
+                for (clip, seed) in &clips {
+                    db.ingest_clip(clip, *seed);
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().expect("writer ok");
+    }
+    let names = db.clip_names();
+    assert_eq!(names.len(), 32);
+    let path = std::env::temp_dir().join(format!("strg_racing_order_{}", std::process::id()));
+    db.save(&path).expect("save");
+    let loaded = VideoDatabase::load(&path, DbOptions::new()).expect("load");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(names, loaded.clip_names(), "ingest order vs saved order");
+}
+
 #[test]
 fn batches_racing_writers_finish_and_duplicates_match() {
     // `query_batch` with repeated members while clips come and go, on both

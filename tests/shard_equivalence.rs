@@ -1,9 +1,10 @@
 //! Shard equivalence suite: sharding is a *physical* layout choice only.
 //!
-//! A [`ShardedDatabase`] must be indistinguishable from the single-tree
-//! [`VideoDatabase`] in every observable except wall-clock: `shards(1)`
-//! reproduces the plain database bit-for-bit (hits **and** costs), raising
-//! the shard count never changes a hit list, the logical cost counting is
+//! A [`VideoDatabase`] with N shards must be indistinguishable from one
+//! with a single shard in every observable except wall-clock: a one-shard
+//! database answers exactly what its tree answers (hits **and** costs),
+//! raising the shard count never changes a hit list, background matching
+//! picks the same root at every shard count, the logical cost counting is
 //! identical at any `STRG_THREADS` setting, and the shard-envelope filter
 //! (DESIGN.md §12) never changes a result — sharded hits are pinned to a
 //! linear scan (`tests/oracle`) on queries that provably prune whole
@@ -23,7 +24,7 @@ use strg::prelude::*;
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
 
 /// Hash-routes `items` across `shards` raw index trees, exactly as
-/// [`ShardedDatabase`] routes clips.
+/// [`VideoDatabase`] routes clips.
 fn shard_indexes(items: &[(u64, Vec<Point2>)], shards: usize) -> Vec<Idx> {
     let mut chunks: Vec<Corpus> = vec![Vec::new(); shards];
     for (id, series) in items {
@@ -137,33 +138,195 @@ fn assert_hits_eq(a: &[QueryHit], b: &[QueryHit], ctx: &str) {
     }
 }
 
-/// `shards(1)` is byte-identical to the plain single-tree database: same
-/// hits, same logical costs, for k-NN, range and clip-scoped queries.
+/// `(og_id, distance)` pairs of resolved hits.
+fn pairs(hits: &[QueryHit]) -> Vec<(u64, f64)> {
+    hits.iter().map(|h| (h.og_id, h.dist)).collect()
+}
+
+/// `(og_id, distance)` pairs of a tree's raw hits.
+fn tree_pairs(hits: &[Hit]) -> Vec<(u64, f64)> {
+    hits.iter().map(|h| (h.og_id, h.dist)).collect()
+}
+
+/// A one-shard database is its tree: `db.query` returns exactly what
+/// `with_index(|i| i.search(..))` returns — hits and logical cost — over
+/// `Scope::All` and over a clip's `Scope::Root`, for k-NN and range, and
+/// both equal the linear scan over the objects in scope.
 #[test]
 fn one_shard_matches_plain_database() {
-    let plain = VideoDatabase::new(DbOptions::new());
-    let sharded = ShardedDatabase::new(DbOptions::new().shards(1));
-    ingest_all(&plain);
-    ingest_all(&sharded);
-    assert_eq!(sharded.shard_count(), 1);
+    let db = VideoDatabase::new(DbOptions::new());
+    ingest_all(&db);
+    assert_eq!(db.shard_count(), 1);
+    let stored: Corpus = (0..db.stats().objects as u64)
+        .map(|id| (id, db.og(id).expect("dense og ids").centroid_series()))
+        .collect();
+    // `demo3` is the first clip: the first root, holding these objects.
+    let (root, in_clip) = db.with_index(|i| {
+        let r = &i.roots()[0];
+        let ids: Vec<u64> = r
+            .clusters
+            .iter()
+            .flat_map(|c| c.leaf.records.iter().map(|rec| rec.og_id))
+            .collect();
+        (r.id, ids)
+    });
+    let clip_objects: Corpus = stored
+        .iter()
+        .filter(|(id, _)| in_clip.contains(id))
+        .cloned()
+        .collect();
 
-    for q in trajectories(&plain) {
-        for k in [1, 5] {
-            let (ha, ca) = run(&plain, Query::knn(k).trajectory(&q));
-            let (hb, cb) = run(&sharded, Query::knn(k).trajectory(&q));
-            assert_hits_eq(&ha, &hb, &format!("knn k={k}"));
-            assert!(ca.same_work(&cb), "knn k={k}: {ca:?} vs {cb:?}");
+    for q in trajectories(&db) {
+        let probes = [1, 5]
+            .map(|k| (QueryKind::Knn(k), Query::knn(k)))
+            .into_iter()
+            .chain([20.0, 200.0].map(|r| (QueryKind::Range(r), Query::range(r))));
+        for (kind, query) in probes {
+            for (scope, objects) in [(Scope::All, &stored), (Scope::Root(root), &clip_objects)] {
+                let ctx = format!("{kind:?} {scope:?}");
+                let query = query.clone().trajectory(&q);
+                let query = match scope {
+                    Scope::Root(_) => query.in_clip("demo3"),
+                    _ => query,
+                };
+                let (hits, cost) = run(&db, query);
+                let (want, want_cost) = db.with_index(|i| i.search(&q, kind, scope));
+                assert_eq!(pairs(&hits), tree_pairs(&want), "{ctx}: hits");
+                assert!(
+                    cost.same_work(&want_cost),
+                    "{ctx}: {cost:?} vs {want_cost:?}"
+                );
+                assert_matches(&scan(objects, &q), &pairs(&hits), kind, &ctx);
+            }
         }
-        for radius in [20.0, 200.0] {
-            let (ha, ca) = run(&plain, Query::range(radius).trajectory(&q));
-            let (hb, cb) = run(&sharded, Query::range(radius).trajectory(&q));
-            assert_hits_eq(&ha, &hb, &format!("range r={radius}"));
-            assert!(ca.same_work(&cb), "range r={radius}: {ca:?} vs {cb:?}");
+    }
+}
+
+fn scene_clip(name: &str, traffic: bool, seed: u64) -> VideoClip {
+    let cfg = ScenarioConfig {
+        n_actors: 2,
+        frames: 60,
+        seed,
+        ..Default::default()
+    };
+    VideoClip {
+        name: name.into(),
+        scene: if traffic {
+            traffic_scene(&cfg)
+        } else {
+            lab_scene(&cfg)
+        },
+        fps: 30.0,
+    }
+}
+
+/// Algorithm 3 at the database level, on a lab + traffic corpus: a
+/// background-matched query charges one node access per root and then
+/// searches the best-matching root (the last maximum in ingest order) when
+/// its similarity reaches 0.5, or every root when it does not. On one
+/// shard that is exactly the tree's scoped search; at 3 shards the hits
+/// are bit-identical, k-NN and range alike.
+#[test]
+fn background_matching_is_the_scoped_tree_search() {
+    let corpus = [
+        scene_clip("lab", false, 41),
+        scene_clip("traffic", true, 42),
+        scene_clip("lab-2", false, 43),
+        scene_clip("traffic-2", true, 44),
+    ];
+    let one = VideoDatabase::new(DbOptions::new());
+    let three = VideoDatabase::new(DbOptions::new().shards(3));
+    for db in [&one, &three] {
+        for clip in &corpus {
+            db.ingest_clip(clip, 1);
         }
-        let (ha, ca) = run(&plain, Query::knn(3).trajectory(&q).in_clip("demo3"));
-        let (hb, cb) = run(&sharded, Query::knn(3).trajectory(&q).in_clip("demo3"));
-        assert_hits_eq(&ha, &hb, "clip-scoped knn");
-        assert!(ca.same_work(&cb), "clip-scoped knn: {ca:?} vs {cb:?}");
+    }
+    let opts = *one.options();
+    let query_clip = VideoClip {
+        name: "traffic-query".into(),
+        scene: traffic_scene(&ScenarioConfig {
+            n_actors: 1,
+            frames: 40,
+            seed: 77,
+            ..Default::default()
+        }),
+        fps: 30.0,
+    };
+    let matching = query_clip.render_all(5);
+    // One flat colour no scene paints: nothing in it resembles a root.
+    let (w, h) = (matching[0].width(), matching[0].height());
+    let blank: Vec<Frame> = (0..4)
+        .map(|_| {
+            Frame::new(
+                w,
+                h,
+                Pixel {
+                    r: 255,
+                    g: 0,
+                    b: 255,
+                },
+            )
+        })
+        .collect();
+    let q: Vec<Point2> = (0..30).map(|i| Point2::new(6.0 * i as f64, 50.0)).collect();
+
+    for (name, frames, matched) in [("matched", &matching, true), ("fallback", &blank, false)] {
+        let bg = {
+            let rags = frames_to_rags(frames, &opts.segment, opts.threads);
+            let strg = strg::graph::build_strg(rags, &opts.tracker);
+            decompose(&strg, &opts.decompose).background
+        };
+        let (roots, best, sim) = one.with_index(|i| {
+            let mut best: Option<(u32, f64)> = None;
+            for r in i.roots() {
+                let sim = strg::graph::background_similarity(&bg, &r.bg, &opts.tracker.compat);
+                if best.is_none_or(|(_, b)| sim >= b) {
+                    best = Some((r.id, sim));
+                }
+            }
+            let (best, sim) = best.expect("four roots");
+            (i.roots().len() as u64, best, sim)
+        });
+        assert_eq!(sim >= 0.5, matched, "{name}: best similarity {sim}");
+        let scope = if matched {
+            Scope::Root(best)
+        } else {
+            Scope::All
+        };
+        // A radius that takes in the k-NN's answer.
+        let radius = run(&one, Query::knn(3).trajectory(&q).with_background(frames))
+            .0
+            .last()
+            .expect("k-NN hits")
+            .dist;
+        for (kind, query) in [
+            (QueryKind::Knn(3), Query::knn(3)),
+            (QueryKind::Range(radius), Query::range(radius)),
+        ] {
+            let ctx = format!("{name} {kind:?}");
+            let query = query.trajectory(&q).with_background(frames);
+            let (hits, cost) = run(&one, query.clone());
+            assert!(!hits.is_empty(), "{ctx}: no hits");
+            let (want, inner) = one.with_index(|i| i.search(&q, kind, scope));
+            let mut want_cost = QueryCost {
+                node_accesses: roots,
+                ..QueryCost::default()
+            };
+            want_cost.merge(&inner);
+            assert_eq!(pairs(&hits), tree_pairs(&want), "{ctx}: hits");
+            assert!(
+                cost.same_work(&want_cost),
+                "{ctx}: {cost:?} vs {want_cost:?}"
+            );
+            if matched {
+                assert!(
+                    hits.iter().all(|h| h.clip.starts_with("traffic")),
+                    "{ctx}: routed off the traffic roots: {hits:?}"
+                );
+            }
+            let (hits3, _) = run(&three, query);
+            assert_hits_eq(&hits, &hits3, &format!("{ctx}: 1 vs 3 shards"));
+        }
     }
 }
 
@@ -225,7 +388,7 @@ fn fan_out_costs_identical_across_thread_counts() {
 /// The shard envelope filter is a physical optimization only: at 1, 2 and
 /// 4 shards, sequentially and in parallel, the fan-out returns exactly the
 /// linear scan's answer — on the raw shard trees with queries that
-/// provably prune whole shards, and through the [`ShardedDatabase`] facade
+/// provably prune whole shards, and through a 4-shard [`VideoDatabase`]
 /// on real clips. An inadmissible envelope bound fails here.
 #[test]
 fn envelope_filter_matches_linear_scan() {
@@ -400,14 +563,18 @@ fn sharded_save_load_roundtrip() {
 
 /// `shards(1)` through the `open()` factory persists the plain single-file
 /// format, byte-identical to `VideoDatabase::save` — no format fork for
-/// the default configuration.
+/// the default configuration. A one-shard *directory* (a manifest naming
+/// one shard file) loads too, and saving back into it keeps the directory
+/// layout, byte for byte.
 #[test]
 fn one_shard_persists_plain_bytes() {
     let base = std::env::temp_dir().join(format!("strg_shard_bytes_{}", std::process::id()));
     let plain_path = base.with_extension("plain.strgdb");
     let one_path = base.with_extension("one.strgdb");
+    let dir = base.with_extension("dir");
     let _ = std::fs::remove_file(&plain_path);
     let _ = std::fs::remove_file(&one_path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let plain = VideoDatabase::new(DbOptions::new());
     ingest_all(&plain);
@@ -415,13 +582,47 @@ fn one_shard_persists_plain_bytes() {
 
     let one = open(&one_path, DbOptions::new().shards(1)).expect("open shards(1)");
     assert_eq!(one.shard_count(), 1);
-    ingest_all(one.as_ref());
+    ingest_all(&one);
     one.save(&one_path).expect("save shards(1)");
 
     let a = std::fs::read(&plain_path).expect("read plain bytes");
     let b = std::fs::read(&one_path).expect("read shards(1) bytes");
     assert_eq!(a, b, "shards(1) persisted bytes diverge from single-tree");
 
+    // The same database as a hand-built one-shard directory.
+    let mut manifest = format!(
+        "STRG-SHARDS v2\nshards 1\nnext_og {}\n",
+        plain.stats().objects
+    );
+    for name in plain.clip_names() {
+        manifest.push_str(&format!("clip {name}\n"));
+    }
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
+    std::fs::write(dir.join("shard-000.strgdb"), &a).unwrap();
+    let loaded = VideoDatabase::load(&dir, DbOptions::new()).expect("load a one-shard directory");
+    assert_eq!(loaded.shard_count(), 1);
+    assert_eq!(loaded.clip_names(), plain.clip_names());
+    for q in trajectories(&plain) {
+        let (ha, ca) = run(&plain, Query::knn(5).trajectory(&q));
+        let (hb, cb) = run(&loaded, Query::knn(5).trajectory(&q));
+        assert_hits_eq(&ha, &hb, "one-shard directory knn");
+        assert!(ca.same_work(&cb), "one-shard directory: {ca:?} vs {cb:?}");
+    }
+    loaded.save(&dir).expect("save back into the directory");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("MANIFEST")).unwrap(),
+        manifest,
+        "the directory keeps its manifest"
+    );
+    assert_eq!(
+        std::fs::read(dir.join("shard-000.strgdb")).unwrap(),
+        a,
+        "the directory keeps its shard file"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+
     let _ = std::fs::remove_file(&plain_path);
     let _ = std::fs::remove_file(&one_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
