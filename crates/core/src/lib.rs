@@ -32,7 +32,7 @@ pub use index::{
     with_query_scratch, BatchScratch, ClusterRecord, Hit, LeafNode, LeafRecord, QueryScratch,
     RootRecord, Scope, StrgIndex, StrgIndexConfig,
 };
-pub use options::{open, Database, DbOptions, Metric};
+pub use options::{open, Database, DbOptions};
 pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};
 pub use pipeline::{ClipMeta, DbStats, IngestReport, QueryHit, StoredOg, VideoDatabase};
 pub use query::{Query, QueryKind, QueryResult};

@@ -24,8 +24,7 @@
 use std::io;
 use std::path::Path;
 
-use strg_distance::EgedMetric;
-use strg_graph::{DecomposeConfig, ObjectGraph, Point2, TrackerConfig};
+use strg_graph::{DecomposeConfig, ObjectGraph, TrackerConfig};
 use strg_obs::{Recorder, Snapshot};
 use strg_parallel::Threads;
 use strg_video::{Frame, SegmentConfig, VideoClip};
@@ -34,29 +33,6 @@ use crate::index::StrgIndexConfig;
 use crate::persist::PersistInfo;
 use crate::pipeline::{DbStats, IngestReport, VideoDatabase};
 use crate::query::{Query, QueryResult};
-
-/// The sequence metric the index keys and search distances use.
-///
-/// `EGED_M` (the paper's Theorem 2 metric) is the only family today; the
-/// gap constant is its one tunable. The enum keeps the builder surface
-/// (`DbOptions::new().metric(..)`) stable when other metric families land.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub enum Metric {
-    /// `EGED_M` with the origin gap constant (the paper's configuration).
-    #[default]
-    EgedM,
-    /// `EGED_M` with an explicit gap constant.
-    EgedMWithGap(Point2),
-}
-
-impl Metric {
-    pub(crate) fn build(self) -> EgedMetric<Point2> {
-        match self {
-            Metric::EgedM => EgedMetric::new(),
-            Metric::EgedMWithGap(g) => EgedMetric::with_gap(g),
-        }
-    }
-}
 
 /// Configuration of a video database.
 ///
@@ -82,12 +58,10 @@ pub struct DbOptions {
     /// single tree, which saves as one file; more shards save as a
     /// directory.
     pub shards: usize,
-    /// The index key / search metric.
-    pub metric: Metric,
 }
 
 impl DbOptions {
-    /// Default options: single shard, `EGED_M` metric, automatic threads.
+    /// Default options: single shard, automatic threads.
     pub fn new() -> Self {
         Self::default()
     }
@@ -103,12 +77,6 @@ impl DbOptions {
     /// Number of shards clips are hash-routed across (clamped to ≥ 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// The index key / search metric.
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -246,12 +214,5 @@ mod tests {
     fn shards_clamped_to_one() {
         assert_eq!(DbOptions::new().shards(0).shards, 1);
         assert_eq!(DbOptions::new().shards(4).shards, 4);
-    }
-
-    #[test]
-    fn metric_builds() {
-        let m = Metric::EgedMWithGap(Point2::new(1.0, 2.0)).build();
-        assert_eq!(m.gap, Point2::new(1.0, 2.0));
-        assert_eq!(Metric::default().build().gap, Point2::new(0.0, 0.0));
     }
 }

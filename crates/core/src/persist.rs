@@ -9,13 +9,18 @@
 //! - **a single file** — one STRGDB v2 segment file, for a one-shard
 //!   database saved to a path that is not an existing directory (the
 //!   default configuration). The file stores no "next OG id": a load
-//!   starts the allocator past the largest stored id.
+//!   starts the OG-id counter past the largest stored id.
 //! - **a directory** — a `MANIFEST` plus one STRGDB v2 file per shard
 //!   (`shard-000.strgdb`, `shard-001.strgdb`, …), for every other case.
 //!   The manifest is text: the line `STRG-SHARDS v2`, then
 //!   `shards <N>`, `next_og <id>`, and one `clip <name>` line per clip in
 //!   global ingest order. Its shard count wins over
-//!   [`DbOptions::shards`] on load.
+//!   [`DbOptions::shards`] on load. A load refuses a manifest that
+//!   disagrees with its shard files: its clip lines must name exactly the
+//!   shards' clips, each stored in the shard its name routes to.
+//!
+//! A save encodes the manifest and every shard file under one read guard
+//! of the database's state, so they describe one state.
 //!
 //! # The segment file
 //!
@@ -79,7 +84,6 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 
 use strg_distance::SeqSummary;
 use strg_graph::{
@@ -90,6 +94,7 @@ use strg_obs::Recorder;
 use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
 use crate::pipeline::{ClipMeta, Shard, StoredOg, VideoDatabase};
+use crate::shard::route;
 
 /// v2 leading magic.
 const V2_MAGIC: &[u8; 8] = b"STRGDB2\0";
@@ -325,16 +330,16 @@ impl VideoDatabase {
     /// anything is written.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        // Holding `order` (first in the lock order) keeps ingests and
-        // removals out, so the manifest and every shard file agree.
-        let order = self.order.read();
-        if self.shards.len() == 1 && !path.is_dir() {
-            return fs::write(path, encode_shard(&self.shards[0])?);
+        // One read guard keeps ingests and removals out, so the manifest
+        // and every shard file agree.
+        let state = self.state.read();
+        if state.shards.len() == 1 && !path.is_dir() {
+            return fs::write(path, encode_shard(&state.shards[0])?);
         }
         let mut manifest = String::from("STRG-SHARDS v2\n");
-        manifest.push_str(&format!("shards {}\n", self.shards.len()));
-        manifest.push_str(&format!("next_og {}\n", self.alloc.load(Ordering::SeqCst)));
-        for name in order.iter() {
+        manifest.push_str(&format!("shards {}\n", state.shards.len()));
+        manifest.push_str(&format!("next_og {}\n", state.next_og));
+        for name in &state.order {
             if name.contains(['\n', '\r']) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -347,7 +352,7 @@ impl VideoDatabase {
         }
         fs::create_dir_all(path)?;
         fs::write(path.join("MANIFEST"), manifest)?;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, shard) in state.shards.iter().enumerate() {
             fs::write(path.join(shard_file(i)), encode_shard(shard)?)?;
         }
         Ok(())
@@ -366,10 +371,11 @@ impl VideoDatabase {
             let shards = (0..count)
                 .map(|i| read_shard(&path.join(shard_file(i)), &opts, &recorder))
                 .collect::<io::Result<Vec<_>>>()?;
+            check_manifest(&order, &shards)?;
             (shards, order, next_og)
         } else {
             let shard = read_shard(path, &opts, &recorder)?;
-            let order = shard.clips.read().iter().map(|c| c.name.clone()).collect();
+            let order = shard.clips.iter().map(|c| c.name.clone()).collect();
             // The file stores no "next id": `assemble` starts past the
             // largest stored one.
             (vec![shard], order, 0)
@@ -412,13 +418,44 @@ fn read_manifest(dir: &Path) -> io::Result<(usize, u64, Vec<String>)> {
     Ok((count, next_og, order))
 }
 
-/// One shard as a STRGDB v2 file image, its locks taken in the database's
-/// lock order (`ogs → clips → index → strg_bytes`).
+/// Refuses a directory whose `MANIFEST` disagrees with its shard files:
+/// every clip of shard `s` must route to `s`, and the manifest must list
+/// exactly the shards' clips (as a multiset, so a name the library let two
+/// clips share still round-trips). A crash between writing the manifest
+/// and the shard files leaves such a directory.
+fn check_manifest(order: &[String], shards: &[Shard]) -> io::Result<()> {
+    let mut stored: Vec<&str> = Vec::new();
+    for (s, shard) in shards.iter().enumerate() {
+        for c in &shard.clips {
+            let r = route(&c.name, shards.len());
+            if r != s {
+                return Err(bad(format!(
+                    "clip {:?} is stored in shard {s} but routes to shard {r}",
+                    c.name
+                )));
+            }
+            stored.push(&c.name);
+        }
+    }
+    let mut listed: Vec<&str> = order.iter().map(String::as_str).collect();
+    listed.sort_unstable();
+    stored.sort_unstable();
+    if listed != stored {
+        return Err(bad(
+            "MANIFEST clip list disagrees with the shard files (missing, extra or duplicated clip)",
+        ));
+    }
+    Ok(())
+}
+
+/// One shard as a STRGDB v2 file image.
 fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
-    let ogs = shard.ogs.read();
-    let clips = shard.clips.read();
-    let index = shard.index.read();
-    let strg_bytes = *shard.strg_bytes.read();
+    let Shard {
+        index,
+        clips,
+        ogs,
+        strg_bytes,
+    } = shard;
     let mut out = Vec::with_capacity(64 * 1024);
     out.extend_from_slice(V2_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
@@ -431,7 +468,7 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
     put_u64(&mut payload, clips.len() as u64);
     put_u64(&mut payload, ogs.len() as u64);
     put_u64(&mut payload, clips.len() as u64); // roots (1:1 with clips)
-    put_u64(&mut payload, strg_bytes as u64);
+    put_u64(&mut payload, *strg_bytes as u64);
     put_u64(&mut payload, index_len as u64);
     push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
 

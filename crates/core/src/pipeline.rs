@@ -9,24 +9,23 @@
 //!
 //! A database holds [`DbOptions::shards`] shards (one by default, the
 //! paper's single tree), each an STRG-Index tree with the clips
-//! [`crate::route`] sends to it, behind `parking_lot::RwLock`s so readers
-//! query while an ingest writes (DESIGN.md §12).
+//! [`crate::route`] sends to it (DESIGN.md §12).
 //!
-//! **Lock order.** Every method that holds more than one lock acquires
-//! them in the fixed order `order → ogs → clips → index → strg_bytes`,
-//! where `order` is the database-wide clip order and the rest belong to
-//! one shard (shards in ascending id when a reader holds several). Ingest
-//! and removal take `order` first and keep it until the shard is updated,
-//! so the global clip order always agrees with every shard's root order.
-//! The query paths drop the index guards before resolving hits against the
-//! OG stores. Violating this order can deadlock against a concurrent
-//! ingest or removal.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! **One lock.** Everything mutable — every shard, the global clip order
+//! and the next OG id — is one `State` behind one `parking_lot::RwLock`.
+//! An ingest segments, tracks and decomposes before it takes the write
+//! lock, then clusters and indexes under it; a removal holds it
+//! throughout. A query holds one read guard for its search *and* the
+//! resolution of its hits, so it answers from one consistent state: no
+//! hit is dropped by a concurrent removal, and a clip-scoped or
+//! background-matched query cannot land on a root id reused by a later
+//! ingest.
 
 use parking_lot::RwLock;
 use strg_distance::EgedMetric;
-use strg_graph::{background_similarity, build_strg, decompose, ObjectGraph, Point2};
+use strg_graph::{
+    background_similarity, build_strg, decompose, BackgroundGraph, ObjectGraph, Point2,
+};
 use strg_obs::{QueryCost, Recorder, Snapshot};
 use strg_video::{frames_to_rags, frames_to_rags_with_stats, Frame, VideoClip};
 
@@ -105,10 +104,10 @@ pub struct DbStats {
 /// order, which is also its root order) and their stored OGs (sorted by
 /// id).
 pub(crate) struct Shard {
-    pub(crate) index: RwLock<Idx>,
-    pub(crate) clips: RwLock<Vec<ClipMeta>>,
-    pub(crate) ogs: RwLock<Vec<StoredOg>>,
-    pub(crate) strg_bytes: RwLock<usize>,
+    pub(crate) index: Idx,
+    pub(crate) clips: Vec<ClipMeta>,
+    pub(crate) ogs: Vec<StoredOg>,
+    pub(crate) strg_bytes: usize,
 }
 
 impl Shard {
@@ -121,41 +120,76 @@ impl Shard {
         ogs: Vec<StoredOg>,
         strg_bytes: usize,
     ) -> Self {
-        let mut index = StrgIndex::from_parts(opts.metric.build(), opts.index, roots);
+        let mut index = StrgIndex::from_parts(EgedMetric::new(), opts.index, roots);
         index.set_recorder(recorder.clone());
         Self {
-            index: RwLock::new(index),
-            clips: RwLock::new(clips),
-            ogs: RwLock::new(ogs),
-            strg_bytes: RwLock::new(strg_bytes),
+            index,
+            clips,
+            ogs,
+            strg_bytes,
         }
     }
 
     fn stats(&self) -> DbStats {
-        let clips = self.clips.read();
-        let index = self.index.read();
         DbStats {
-            clips: clips.len(),
-            objects: index.len(),
-            clusters: index.cluster_count(),
-            strg_bytes: *self.strg_bytes.read(),
-            index_bytes: index.size_bytes(),
+            clips: self.clips.len(),
+            objects: self.index.len(),
+            clusters: self.index.cluster_count(),
+            strg_bytes: self.strg_bytes,
+            index_bytes: self.index.size_bytes(),
         }
+    }
+
+    /// The root id of the clip named `name`, if this shard holds it.
+    fn root_of(&self, name: &str) -> Option<u32> {
+        self.clips
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.root_id)
+    }
+}
+
+/// Everything a database mutates, behind its one lock.
+pub(crate) struct State {
+    pub(crate) shards: Vec<Shard>,
+    /// Clip names in global ingest order (each clip's shard is `route` of
+    /// its name). Background matching scans roots in this order.
+    pub(crate) order: Vec<String>,
+    /// The next OG id to hand out.
+    pub(crate) next_og: u64,
+}
+
+impl State {
+    /// Resolves shard-tagged hits to clip provenance, in their merged
+    /// order. Every indexed OG is stored, and the search ran under the same
+    /// guard, so every hit resolves.
+    fn resolve(&self, tagged: &[(usize, Hit)]) -> Vec<QueryHit> {
+        tagged
+            .iter()
+            .map(|&(s, h)| {
+                let shard = &self.shards[s];
+                // Each store is sorted by id, even after removals.
+                let i = shard
+                    .ogs
+                    .binary_search_by_key(&h.og_id, |o| o.id)
+                    .expect("every indexed OG is stored");
+                QueryHit {
+                    clip: shard.clips[shard.ogs[i].clip].name.clone(),
+                    og_id: h.og_id,
+                    dist: h.dist,
+                }
+            })
+            .collect()
     }
 }
 
 /// The end-to-end video database: N ≥ 1 STRG-Index shards answering
 /// global queries with the bound-ordered fan-out of [`crate::shard`].
-/// OG ids come from one allocator, in global ingest order, and are never
+/// OG ids come from one counter, in global ingest order, and are never
 /// handed out twice — not even after the newest clip is removed.
 pub struct VideoDatabase {
     cfg: DbOptions,
-    pub(crate) shards: Vec<Shard>,
-    /// The next OG id to hand out.
-    pub(crate) alloc: AtomicU64,
-    /// Clip names in global ingest order (each clip's shard is `route` of
-    /// its name). Background matching scans roots in this order.
-    pub(crate) order: RwLock<Vec<String>>,
+    pub(crate) state: RwLock<State>,
     recorder: Recorder,
     /// How this database was opened (fresh / fast-reopened).
     persist: PersistInfo,
@@ -174,7 +208,7 @@ impl VideoDatabase {
     }
 
     /// The one constructor behind [`VideoDatabase::new`] and the loaders.
-    /// The allocator starts at `next_og` or past the largest stored id,
+    /// The id counter starts at `next_og` or past the largest stored id,
     /// whichever is higher, so no stored id is ever handed out again.
     pub(crate) fn assemble(
         mut opts: DbOptions,
@@ -187,15 +221,17 @@ impl VideoDatabase {
         opts.shards = shards.len();
         let past_stored = shards
             .iter()
-            .filter_map(|s| s.ogs.read().last().map(|o| o.id + 1))
+            .filter_map(|s| s.ogs.last().map(|o| o.id + 1))
             .max()
             .unwrap_or(0);
         recorder.add("shard.count", shards.len() as u64);
         Self {
             cfg: opts,
-            shards,
-            alloc: AtomicU64::new(next_og.max(past_stored)),
-            order: RwLock::new(order),
+            state: RwLock::new(State {
+                shards,
+                order,
+                next_og: next_og.max(past_stored),
+            }),
             recorder,
             persist,
         }
@@ -209,7 +245,7 @@ impl VideoDatabase {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.cfg.shards
     }
 
     /// Where this database's contents came from: the on-disk format it was
@@ -270,44 +306,41 @@ impl VideoDatabase {
         let strg_bytes = strg_graph::decompose::strg_size_bytes(&d);
         let background_nodes = d.background.rag.node_count();
 
-        // 4/5. Cluster + index (Algorithm 2), under the lock order.
-        let mut order = self.order.write();
-        let s = route(name, self.shards.len());
-        let shard = &self.shards[s];
-        let mut ogs_store = shard.ogs.write();
-        // The id block is claimed under the shard's store write lock, so
-        // each shard's store stays sorted by id.
-        let base_id = self
-            .alloc
-            .fetch_add(d.objects.len() as u64, Ordering::SeqCst);
-        let mut clips = shard.clips.write();
-        let clip_idx = clips.len();
+        // 4/5. Cluster + index (Algorithm 2), under the write lock.
+        let mut state = self.state.write();
+        let s = route(name, state.shards.len());
+        // One contiguous id block per clip, so each shard's store stays
+        // sorted by id.
+        let base_id = state.next_og;
+        state.next_og += d.objects.len() as u64;
+        let shard = &mut state.shards[s];
+        let clip_idx = shard.clips.len();
         let mut items = Vec::with_capacity(d.objects.len());
         let mut og_ids = Vec::with_capacity(d.objects.len());
         for (i, og) in d.objects.iter().enumerate() {
             let id = base_id + i as u64;
             items.push((id, og.centroid_series()));
             og_ids.push(id);
-            ogs_store.push(StoredOg {
+            shard.ogs.push(StoredOg {
                 id,
                 clip: clip_idx,
                 og: og.clone(),
             });
         }
         let objects = items.len();
-        let mut index = shard.index.write();
         let root_id = {
             let _s = self.recorder.span("ingest.index");
-            index.add_segment(d.background, items)
+            shard.index.add_segment(d.background, items)
         };
-        clips.push(ClipMeta {
+        shard.clips.push(ClipMeta {
             name: name.to_string(),
             root_id,
             frames: frames.len(),
             og_ids,
         });
-        *shard.strg_bytes.write() += strg_bytes;
-        order.push(name.to_string());
+        shard.strg_bytes += strg_bytes;
+        state.order.push(name.to_string());
+        drop(state);
         self.recorder.add("ingest.clips", 1);
         self.recorder.add("ingest.frames", frames.len() as u64);
         self.recorder.add("ingest.objects", objects as u64);
@@ -334,6 +367,7 @@ impl VideoDatabase {
     /// global ingest order (the last maximum wins), and searches the
     /// matched root if its similarity reaches 0.5; otherwise — and for
     /// every plain query — the bound-ordered fan-out searches all shards.
+    /// The search and the resolution of its hits run under one read guard.
     ///
     /// The query's [`QueryCost`] is always recorded into the database's
     /// metrics (under `query.knn.*` / `query.range.*`, with per-shard
@@ -342,28 +376,35 @@ impl VideoDatabase {
     /// The work fields of the cost are bit-identical at any thread count.
     pub fn query(&self, q: Query<'_>) -> QueryResult {
         let start = std::time::Instant::now();
-        let (tagged, mut cost, outcomes) = if let Some(name) = &q.clip {
-            // The explicit clip wins over background matching. An unknown
-            // name routes to *some* shard and misses there.
-            let s = route(name, self.shards.len());
-            let root = self.shards[s]
-                .clips
-                .read()
-                .iter()
-                .find(|c| c.name == *name)
-                .map(|c| c.root_id);
-            match root {
-                Some(root) => {
-                    let index = self.shards[s].index.read();
-                    let (hits, cost) = index.search(q.trajectory, q.kind, Scope::Root(root));
-                    (tag(s, hits), cost, Vec::new())
-                }
-                None => (Vec::new(), QueryCost::default(), Vec::new()),
+        // Background extraction happens before the lock, and only when no
+        // clip is named: the explicit clip wins over background matching.
+        let bg = match (&q.clip, q.background) {
+            (None, Some(frames)) => {
+                let rags = frames_to_rags(frames, &self.cfg.segment, self.cfg.threads);
+                let strg = build_strg(rags, &self.cfg.tracker);
+                Some(decompose(&strg, &self.cfg.decompose).background)
             }
-        } else {
-            self.global_query(&q)
+            _ => None,
         };
-        let hits = self.resolve_tagged(&tagged);
+        let state = self.state.read();
+        let (tagged, mut cost, outcomes) = match &q.clip {
+            // An unknown name routes to *some* shard and misses there.
+            Some(name) => {
+                let s = route(name, state.shards.len());
+                let shard = &state.shards[s];
+                match shard.root_of(name) {
+                    Some(root) => {
+                        let (hits, cost) =
+                            shard.index.search(q.trajectory, q.kind, Scope::Root(root));
+                        (tag(s, hits), cost, Vec::new())
+                    }
+                    None => (Vec::new(), QueryCost::default(), Vec::new()),
+                }
+            }
+            None => self.global_query(&state, &q, bg),
+        };
+        let hits = state.resolve(&tagged);
+        drop(state);
         cost.elapsed = start.elapsed();
         self.record_fan_out(q.kind, &cost, &outcomes);
         QueryResult {
@@ -375,49 +416,30 @@ impl VideoDatabase {
     /// A plain or background-matched query over every shard: shard-tagged
     /// hits, the logical cost, and the fan-out's per-shard outcomes (none
     /// when a matched root was searched directly).
-    fn global_query(&self, q: &Query<'_>) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
-        // Background extraction happens before any lock.
-        let bg = q.background.map(|frames| {
-            let rags = frames_to_rags(frames, &self.cfg.segment, self.cfg.threads);
-            let strg = build_strg(rags, &self.cfg.tracker);
-            decompose(&strg, &self.cfg.decompose).background
-        });
-        // Root ids in global ingest order, gathered before the index locks
-        // (lock order: order, then clips).
-        let scan_roots: Vec<(usize, u32)> = if bg.is_some() {
-            let order = self.order.read();
-            order
-                .iter()
-                .filter_map(|name| {
-                    let s = route(name, self.shards.len());
-                    let clips = self.shards[s].clips.read();
-                    clips
-                        .iter()
-                        .find(|c| c.name == *name)
-                        .map(|c| (s, c.root_id))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Index read locks are taken in shard order; every writer touches
-        // a single shard, so the cross-shard read set cannot deadlock.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.index.read()).collect();
-        let idxs: Vec<&Idx> = guards.iter().map(|g| &**g).collect();
+    fn global_query(
+        &self,
+        state: &State,
+        q: &Query<'_>,
+        bg: Option<BackgroundGraph>,
+    ) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
+        let idxs: Vec<&Idx> = state.shards.iter().map(|s| &s.index).collect();
         let threads = self.cfg.index.threads;
         let Some(bg) = bg else {
             return sharded_query(&idxs, q.trajectory, q.kind, threads);
         };
         // Algorithm 3 step 2: match the query's Background Graph against
-        // every root record, charged as one node access per root.
+        // every root record in global ingest order, charged as one node
+        // access per root.
         let mut best: Option<(usize, u32, f64)> = None;
-        for &(s, root_id) in &scan_roots {
-            if let Some(r) = idxs[s].roots().iter().find(|r| r.id == root_id) {
-                let sim = background_similarity(&bg, &r.bg, &self.cfg.tracker.compat);
-                if best.is_none_or(|(_, _, b)| sim >= b) {
-                    best = Some((s, root_id, sim));
-                }
+        for name in &state.order {
+            let s = route(name, idxs.len());
+            let root = state.shards[s]
+                .root_of(name)
+                .and_then(|id| idxs[s].roots().iter().find(|r| r.id == id))
+                .expect("every ordered clip has a root in its shard");
+            let sim = background_similarity(&bg, &root.bg, &self.cfg.tracker.compat);
+            if best.is_none_or(|(_, _, b)| sim >= b) {
+                best = Some((s, root.id, sim));
             }
         }
         let mut total = QueryCost {
@@ -454,42 +476,11 @@ impl VideoDatabase {
         }
     }
 
-    /// Resolves shard-tagged hits to clip provenance in their merged order,
-    /// taking each contributing shard's store guards once (lock order
-    /// `ogs → clips`). Shards with no hit in the answer are not locked, so
-    /// an ingest there cannot stall this query. A hit whose OG was removed
-    /// since the search is dropped.
-    fn resolve_tagged(&self, tagged: &[(usize, Hit)]) -> Vec<QueryHit> {
-        let mut resolved: Vec<Option<QueryHit>> = vec![None; tagged.len()];
-        for (s, shard) in self.shards.iter().enumerate() {
-            if tagged.iter().all(|(t, _)| *t != s) {
-                continue;
-            }
-            let ogs = shard.ogs.read();
-            let clips = shard.clips.read();
-            for ((t, h), slot) in tagged.iter().zip(&mut resolved) {
-                if *t == s {
-                    // Each store is sorted by id, even after removals.
-                    *slot = ogs
-                        .binary_search_by_key(&h.og_id, |o| o.id)
-                        .ok()
-                        .map(|i| QueryHit {
-                            clip: clips[ogs[i].clip].name.clone(),
-                            og_id: h.og_id,
-                            dist: h.dist,
-                        });
-                }
-            }
-        }
-        resolved.into_iter().flatten().collect()
-    }
-
     /// The stored Object Graph with id `id`, wherever it lives.
     pub fn og(&self, id: u64) -> Option<ObjectGraph> {
-        self.shards.iter().find_map(|s| {
-            let ogs = s.ogs.read();
-            let idx = ogs.binary_search_by_key(&id, |o| o.id).ok()?;
-            Some(ogs[idx].og.clone())
+        self.state.read().shards.iter().find_map(|s| {
+            let idx = s.ogs.binary_search_by_key(&id, |o| o.id).ok()?;
+            Some(s.ogs[idx].og.clone())
         })
     }
 
@@ -498,29 +489,30 @@ impl VideoDatabase {
     /// removed, or `None` if the clip is unknown. The removed ids are never
     /// handed out again.
     pub fn remove_clip(&self, name: &str) -> Option<usize> {
-        let mut order = self.order.write();
-        let shard = &self.shards[route(name, self.shards.len())];
-        let mut ogs = shard.ogs.write();
-        let mut clips = shard.clips.write();
-        let mut index = shard.index.write();
-        let pos = clips.iter().position(|c| c.name == name)?;
-        let removed = index.remove_segment(clips[pos].root_id).unwrap_or(0);
-        clips.remove(pos);
-        ogs.retain(|s| s.clip != pos);
-        for s in ogs.iter_mut() {
-            if s.clip > pos {
-                s.clip -= 1;
+        let mut state = self.state.write();
+        let s = route(name, state.shards.len());
+        let shard = &mut state.shards[s];
+        let pos = shard.clips.iter().position(|c| c.name == name)?;
+        let removed = shard
+            .index
+            .remove_segment(shard.clips[pos].root_id)
+            .unwrap_or(0);
+        shard.clips.remove(pos);
+        shard.ogs.retain(|o| o.clip != pos);
+        for o in shard.ogs.iter_mut() {
+            if o.clip > pos {
+                o.clip -= 1;
             }
         }
-        if let Some(at) = order.iter().position(|c| c == name) {
-            order.remove(at);
+        if let Some(at) = state.order.iter().position(|c| c == name) {
+            state.order.remove(at);
         }
         Some(removed)
     }
 
     /// Names of all ingested clips, in global ingest order.
     pub fn clip_names(&self) -> Vec<String> {
-        self.order.read().clone()
+        self.state.read().order.clone()
     }
 
     /// Aggregate statistics over every shard (Equations 9 and 10).
@@ -538,13 +530,13 @@ impl VideoDatabase {
 
     /// Per-shard statistics, in shard order.
     pub fn shard_stats(&self) -> Vec<DbStats> {
-        self.shards.iter().map(Shard::stats).collect()
+        self.state.read().shards.iter().map(Shard::stats).collect()
     }
 
     /// Read access to shard 0's index — the whole index of a one-shard
     /// database (for experiments).
     pub fn with_index<R>(&self, f: impl FnOnce(&Idx) -> R) -> R {
-        f(&self.shards[0].index.read())
+        f(&self.state.read().shards[0].index)
     }
 }
 

@@ -62,7 +62,7 @@ pub use geom::{Point2, Rgb};
 pub use mcs::{
     background_similarity, greedy_attr_match, sim_graph_stars, star_common_subgraph_size,
 };
-pub use og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample, Scalarization};
+pub use og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample};
 pub use rag::{FrameId, NodeId, Rag};
 pub use small::SmallGraph;
 pub use strg::{Strg, TemporalEdge};

@@ -176,20 +176,6 @@ impl ObjectGraph {
         self.samples.iter().map(|s| s.centroid).collect()
     }
 
-    /// A scalar time series extracted from the object, for 1-D distance
-    /// functions (the paper's EGED treats node values as scalars).
-    pub fn value_series(&self, how: Scalarization) -> Vec<f64> {
-        self.samples
-            .iter()
-            .map(|s| match how {
-                Scalarization::CentroidX => s.centroid.x,
-                Scalarization::CentroidY => s.centroid.y,
-                Scalarization::CentroidNorm => s.centroid.norm(),
-                Scalarization::Velocity => s.velocity,
-            })
-            .collect()
-    }
-
     /// Mean velocity over the lifetime.
     pub fn mean_velocity(&self) -> f64 {
         if self.samples.len() < 2 {
@@ -207,21 +193,6 @@ impl ObjectGraph {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.samples.len() * std::mem::size_of::<OgSample>()
     }
-}
-
-/// Ways to scalarize an OG into the 1-D node-value sequence consumed by
-/// EGED (Definition 9 treats `v` as a value `nu(v)`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Scalarization {
-    /// Horizontal centroid coordinate.
-    CentroidX,
-    /// Vertical centroid coordinate.
-    CentroidY,
-    /// Distance of the centroid from the image origin (default).
-    #[default]
-    CentroidNorm,
-    /// Per-frame speed.
-    Velocity,
 }
 
 /// Recomputes `velocity`/`direction` of each sample from consecutive
@@ -320,21 +291,6 @@ mod tests {
         assert!((og.samples[1].velocity - 5.0).abs() < 1e-12);
         assert_eq!(og.samples[2].velocity, 0.0);
         assert_eq!(og.centroid_series(), pts);
-    }
-
-    #[test]
-    fn scalarizations() {
-        let pts = vec![Point2::new(3.0, 4.0), Point2::new(6.0, 8.0)];
-        let og = ObjectGraph::from_centroids(0, 0, &pts, 1, Rgb::BLACK);
-        assert_eq!(og.value_series(Scalarization::CentroidX), vec![3.0, 6.0]);
-        assert_eq!(og.value_series(Scalarization::CentroidY), vec![4.0, 8.0]);
-        assert_eq!(
-            og.value_series(Scalarization::CentroidNorm),
-            vec![5.0, 10.0]
-        );
-        let v = og.value_series(Scalarization::Velocity);
-        assert!((v[0] - 5.0).abs() < 1e-12);
-        assert_eq!(v[1], 0.0);
     }
 
     #[test]

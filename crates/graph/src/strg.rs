@@ -153,20 +153,6 @@ impl Strg {
         Strg::from_parts(frames, temporal)
     }
 
-    /// The sub-STRG covering only the frame index range `lo..hi`
-    /// (clamped), with all nodes kept — a time-window slice.
-    pub fn time_window(&self, lo: usize, hi: usize) -> Strg {
-        let hi = hi.min(self.frames.len());
-        let lo = lo.min(hi);
-        let frames: Vec<Rag> = self.frames[lo..hi].to_vec();
-        let temporal: Vec<Vec<TemporalEdge>> = if hi > lo + 1 {
-            self.temporal[lo..hi - 1].to_vec()
-        } else {
-            Vec::new()
-        };
-        Strg::from_parts(frames, temporal)
-    }
-
     /// Approximate in-memory footprint in bytes (Equation 9's `size(STRG)`
     /// is computed at a higher level from OGs and BGs; this is the raw graph
     /// footprint).
@@ -268,22 +254,6 @@ mod tests {
         assert_eq!(sub.rag(0).node_count(), 2);
         assert_eq!(sub.rag(1).node_count(), 0);
         assert_eq!(sub.temporal_edge_count(), 0);
-    }
-
-    #[test]
-    fn time_window_slices() {
-        let frames: Vec<Rag> = (0..5).map(|m| rag(m, 2)).collect();
-        let temporal: Vec<Vec<TemporalEdge>> =
-            (0..4).map(|_| vec![edge(0, 0), edge(1, 1)]).collect();
-        let g = Strg::from_parts(frames, temporal);
-        let w = g.time_window(1, 4);
-        assert_eq!(w.frame_count(), 3);
-        assert_eq!(w.temporal_edge_count(), 4);
-        assert_eq!(w.frame_id(0), FrameId(1));
-        // Degenerate windows.
-        assert_eq!(g.time_window(3, 3).frame_count(), 0);
-        assert_eq!(g.time_window(4, 99).frame_count(), 1);
-        assert_eq!(g.time_window(99, 99).frame_count(), 0);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl Threads {
             },
         }
     }
-
-    /// Convenience: does this policy resolve to the sequential path?
-    pub fn is_sequential(self) -> bool {
-        self.resolve() <= 1
-    }
 }
 
 /// The machine's available parallelism, asked once per process (on Linux
@@ -685,8 +680,6 @@ mod tests {
         assert_eq!(Threads::Fixed(0).resolve(), 1);
         assert_eq!(Threads::Fixed(1).resolve(), 1);
         assert_eq!(Threads::Fixed(9).resolve(), 9);
-        assert!(Threads::Fixed(1).is_sequential());
-        assert!(!Threads::Fixed(2).is_sequential());
     }
 
     // Env-var tests mutate process state; keep them in one test so they

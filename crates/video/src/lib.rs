@@ -20,8 +20,7 @@ pub mod scene;
 pub mod segment;
 
 pub use rag_extract::{
-    frame_to_rag, frame_to_rag_with, frames_to_rags, frames_to_rags_with_stats,
-    rag_from_segmentation, ExtractStats,
+    frames_to_rags, frames_to_rags_with_stats, rag_from_segmentation, ExtractStats,
 };
 pub use raster::{Frame, Pixel};
 pub use scenario::{

@@ -41,30 +41,14 @@ pub fn rag_from_segmentation(seg: &Segmentation, frame: FrameId) -> Rag {
     rag
 }
 
-/// Segments a frame and builds its RAG in one step.
-pub fn frame_to_rag(frame: &Frame, frame_id: FrameId, cfg: &SegmentConfig) -> Rag {
-    rag_from_segmentation(&segment(frame, cfg), frame_id)
-}
-
-/// [`frame_to_rag`] through a reusable scratch arena: identical output,
-/// no per-frame segmentation allocations once the arena is warm.
-pub fn frame_to_rag_with(
-    frame: &Frame,
-    frame_id: FrameId,
-    cfg: &SegmentConfig,
-    scratch: &mut SegScratch,
-) -> Rag {
-    rag_from_segmentation(segment_into(frame, cfg, scratch), frame_id)
-}
-
 /// Extracts the RAG of every frame, numbering frames by slice index.
 ///
 /// Frames are independent, so extraction fans out across `threads` workers;
 /// the returned vector is in frame order and identical to a sequential
-/// `frame_to_rag` loop regardless of the thread count.
+/// loop regardless of the thread count.
 pub fn frames_to_rags(frames: &[Frame], cfg: &SegmentConfig, threads: Threads) -> Vec<Rag> {
     par_map_indexed(frames, threads, |i, f| {
-        frame_to_rag(f, FrameId(i as u32), cfg)
+        rag_from_segmentation(&segment(f, cfg), FrameId(i as u32))
     })
 }
 
@@ -78,7 +62,7 @@ pub fn frames_to_rags_with_stats(
     threads: Threads,
 ) -> (Vec<Rag>, ExtractStats) {
     let (rags, scratches) = par_map_with(frames, threads, SegScratch::new, |scratch, i, f| {
-        frame_to_rag_with(f, FrameId(i as u32), cfg, scratch)
+        rag_from_segmentation(segment_into(f, cfg, scratch), FrameId(i as u32))
     });
     let stats = ExtractStats {
         workers: scratches.len(),
@@ -174,7 +158,7 @@ mod tests {
     fn edge_attrs_are_centroid_geometry() {
         let mut f = Frame::new(40, 30, Pixel::new(20, 20, 20));
         f.fill_rect(20, 0, 20, 30, Pixel::new(230, 230, 230));
-        let rag = frame_to_rag(&f, FrameId(0), &SegmentConfig::default());
+        let rag = rag_from_segmentation(&segment(&f, &SegmentConfig::default()), FrameId(0));
         assert_eq!(rag.node_count(), 2);
         let e = rag.edge_attr(NodeId(0), NodeId(1)).expect("adjacent");
         let want = rag

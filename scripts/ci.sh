@@ -52,7 +52,7 @@ cargo test -q --release --test persist_faults --test persist_equivalence
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn
 # one) or race writers against readers: `timeout` keeps a wedged worker, a
-# lost response or a lock-order deadlock from turning CI into an infinite
+# lost response or a deadlock from turning CI into an infinite
 # hang — the suites' own per-read timeouts should fire long before it does.
 SUITES=(
     end_to_end
@@ -93,11 +93,13 @@ done
 
 # Once more with eight libtest threads, so that on a two-core runner the
 # stress cases' concurrent callers (and the tests beside them, which share
-# the process-wide pool) really overlap.
-echo "==> pool stress with RUST_TEST_THREADS=8 (timeout 600)"
+# the process-wide pool) really overlap — the database's racing writers and
+# readers included.
+echo "==> pool and database stress with RUST_TEST_THREADS=8 (timeout 600)"
 RUST_TEST_THREADS=8 timeout 600 cargo test -q -p strg-parallel
 RUST_TEST_THREADS=8 timeout 600 cargo test -q --test parallel_equivalence \
     concurrent_queries_on_the_shared_pool_match_sequential
+RUST_TEST_THREADS=8 timeout 600 cargo test -q --test concurrency
 
 # After `too_large` the server replies, half-closes and drains before it
 # drops the socket; closing with input unread instead sends an RST that can

@@ -61,17 +61,17 @@ pub mod prelude {
         KHarmonicMeans, KMeans,
     };
     pub use strg_core::{
-        open, Database, DbOptions, Hit, IngestReport, Metric, PersistInfo, Query, QueryCost,
-        QueryHit, QueryKind, QueryResult, Recorder, ReopenMode, Scope, ShardedDatabase, Snapshot,
-        StrgIndex, StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
+        open, Database, DbOptions, Hit, IngestReport, PersistInfo, Query, QueryCost, QueryHit,
+        QueryKind, QueryResult, Recorder, ReopenMode, Scope, ShardedDatabase, Snapshot, StrgIndex,
+        StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{
         BoundedDistance, CountingDistance, Dtw, Eged, EgedMetric, Lcs, LowerBound, MetricDistance,
         SeqSummary, SequenceDistance, SummaryEnvelope,
     };
     pub use strg_graph::{
-        decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Scalarization,
-        Strg, TrackerConfig,
+        decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Strg,
+        TrackerConfig,
     };
     pub use strg_mtree::{MTree, MTreeConfig, PromotePolicy};
     pub use strg_parallel::{par_map, par_map_with, Threads};

@@ -1,9 +1,12 @@
 //! Concurrency: the database must serve queries from many threads, also
-//! while another thread ingests — the `parking_lot::RwLock` discipline the
-//! pipeline documents.
+//! while another thread ingests or removes clips. All of its state sits
+//! behind one `parking_lot::RwLock`, so every query answers from one
+//! consistent state.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use strg::core::route;
 use strg::prelude::*;
 
 fn clip(seed: u64) -> VideoClip {
@@ -95,7 +98,7 @@ fn concurrent_writers_produce_consistent_database() {
     // picks, OG ids must stay unique, every clip must land exactly once,
     // and the final statistics must add up.
     let db = Arc::new(VideoDatabase::new(DbOptions::new()));
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
     let q: Vec<Point2> = (0..20).map(|i| Point2::new(4.0 * i as f64, 80.0)).collect();
 
     let writers: Vec<_> = (0..3u64)
@@ -117,7 +120,7 @@ fn concurrent_writers_produce_consistent_database() {
             let q = q.clone();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     let stats = db.stats();
                     // A snapshot can never report more clips than exist.
                     assert!(stats.clips <= 9);
@@ -134,7 +137,7 @@ fn concurrent_writers_produce_consistent_database() {
     for w in writers {
         total_objects += w.join().expect("writer ok").iter().sum::<usize>();
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
     for r in readers {
         r.join().expect("reader ok");
     }
@@ -248,9 +251,9 @@ fn removing_the_last_clip_never_reissues_its_ids() {
     }
 }
 
-/// Racing ingests into one shard: each takes the clip order before the
-/// shard's locks, so `clip_names()` is the shard's root order — exactly
-/// the order a save writes and a load reads back.
+/// Racing ingests into one shard: each updates the shard and the clip
+/// order under one write lock, so `clip_names()` is the shard's root order
+/// — exactly the order a save writes and a load reads back.
 #[test]
 fn racing_ingests_keep_the_saved_clip_order() {
     let db = Arc::new(VideoDatabase::new(DbOptions::new()));
@@ -301,8 +304,8 @@ fn racing_ingests_keep_the_saved_clip_order() {
 
 #[test]
 fn batches_racing_writers_finish_and_duplicates_match() {
-    // `query_batch` with repeated members while clips come and go, on both
-    // flavours: the threads must join (no lock-order deadlock between the
+    // `query_batch` with repeated members while clips come and go, at one
+    // and three shards: the threads must join (no deadlock between the
     // batch's per-member queries and the writers), and since a duplicate
     // is handed its representative's answer, the two are byte-identical
     // whatever the writers did in between.
@@ -358,5 +361,94 @@ fn batches_racing_writers_finish_and_duplicates_match() {
         remover.join().expect("remover ok");
         reader.join().expect("reader ok");
         assert_eq!(db.stats().clips, 3, "3 removed, 3 added on top of 3");
+    }
+}
+
+/// One state per query. Base clips that are never removed hold `k`
+/// objects, so every `knn(k)` returns exactly `k` hits, ascending, while
+/// one thread ingests and removes two other clips, each the newest when it
+/// goes: both route to one shard, so each removal frees the root id the
+/// next ingest takes. A clip-scoped query's hits carry only the scoped
+/// clip's name — never the name of a clip that reused its root id.
+#[test]
+fn every_query_reads_one_state() {
+    for shards in [1, 3] {
+        let db = Arc::new(VideoDatabase::new(DbOptions::new().shards(shards)));
+        for seed in 1..=3u64 {
+            db.ingest_clip(&clip(seed), seed);
+        }
+        let k = db.stats().objects;
+        assert!(k >= 2, "{shards} shards: base clips hold {k} objects");
+        let home = route("churn0", shards);
+        let churn: Arc<Vec<String>> = Arc::new(
+            (0..)
+                .map(|i| format!("churn{i}"))
+                .filter(|n| route(n, shards) == home)
+                .take(2)
+                .collect(),
+        );
+        // Rendered once, so the writer's loop is pipeline and index work.
+        let frames: Arc<Vec<Vec<Frame>>> =
+            Arc::new((0..2u64).map(|i| clip(20 + i).render_all(i)).collect());
+        // A churn object sits at distance 0, so it ranks inside the k-NN.
+        db.ingest_frames(&churn[0], &frames[0]);
+        let q = db.og(k as u64).expect("churn object").centroid_series();
+        db.remove_clip(&churn[0]).expect("churn clip");
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (db, churn, frames, stop) = (
+                Arc::clone(&db),
+                Arc::clone(&churn),
+                Arc::clone(&frames),
+                Arc::clone(&stop),
+            );
+            std::thread::spawn(move || {
+                for round in 0..12 {
+                    let i = round % 2;
+                    db.ingest_frames(&churn[i], &frames[i]);
+                    db.remove_clip(&churn[i]).expect("just ingested");
+                }
+                stop.store(true, Ordering::Relaxed);
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, churn, stop, q) = (
+                    Arc::clone(&db),
+                    Arc::clone(&churn),
+                    Arc::clone(&stop),
+                    q.clone(),
+                );
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let hits = db.query(Query::knn(k).trajectory(&q)).hits;
+                        assert_eq!(hits.len(), k, "{shards} shards: a k-NN lost hits");
+                        assert!(
+                            hits.windows(2).all(|w| w[0].dist <= w[1].dist),
+                            "{shards} shards: hits out of order"
+                        );
+                        for name in churn.iter() {
+                            let scoped = Query::knn(k).trajectory(&q).in_clip(name);
+                            for hit in db.query(scoped).hits {
+                                assert_eq!(
+                                    &hit.clip, name,
+                                    "{shards} shards: scoped query left its clip"
+                                );
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        writer.join().expect("writer ok");
+        for r in readers {
+            r.join().expect("reader ok");
+        }
+        assert_eq!(
+            db.stats().objects,
+            k,
+            "{shards} shards: churn fully removed"
+        );
     }
 }

@@ -449,3 +449,73 @@ fn sharded_save_refuses_a_name_the_manifest_cannot_hold() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(reloaded.clip_names(), ["good"]);
 }
+
+/// A `MANIFEST` that disagrees with its shard files is refused, not loaded
+/// as a different database: a clip missing from it, an extra or a
+/// duplicated clip line, or a clip stored in a shard its name does not
+/// route to. `save` writes the manifest before the shard files, so a crash
+/// between the two leaves such a directory.
+#[test]
+fn manifest_disagreeing_with_its_shard_files_is_rejected() {
+    let db = VideoDatabase::new(DbOptions::new().shards(3));
+    let frames = VideoClip {
+        name: "cam".into(),
+        scene: lab_scene(&ScenarioConfig {
+            n_actors: 1,
+            frames: 30,
+            seed: 4,
+            ..Default::default()
+        }),
+        fps: 30.0,
+    }
+    .render_all(4);
+    for name in ["cam1", "cam2"] {
+        db.ingest_frames(name, &frames);
+    }
+    let dir = temp_path("manifest_mismatch");
+    db.save(&dir).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    VideoDatabase::load(&dir, DbOptions::new()).expect("the saved directory loads");
+
+    for (what, text) in [
+        ("missing clip", manifest.replace("clip cam1\n", "")),
+        ("extra clip", format!("{manifest}clip ghost\n")),
+        ("duplicated clip", format!("{manifest}clip cam2\n")),
+    ] {
+        std::fs::write(dir.join("MANIFEST"), text).unwrap();
+        let Err(e) = VideoDatabase::load(&dir, DbOptions::new()) else {
+            panic!("{what}: an inconsistent manifest loaded");
+        };
+        assert_structured(&e, what);
+    }
+
+    // Wrong shard: cam1's shard file and the next one trade places.
+    std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
+    let s = strg::core::route("cam1", 3);
+    let a = dir.join(format!("shard-{s:03}.strgdb"));
+    let b = dir.join(format!("shard-{:03}.strgdb", (s + 1) % 3));
+    let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    std::fs::write(&a, bytes_b).unwrap();
+    std::fs::write(&b, bytes_a).unwrap();
+    let r = VideoDatabase::load(&dir, DbOptions::new());
+    let _ = std::fs::remove_dir_all(&dir);
+    let Err(e) = r else {
+        panic!("a clip in the wrong shard loaded");
+    };
+    assert_structured(&e, "wrong shard");
+
+    // The library does not refuse a repeated name (the CLI and the server
+    // do), so a manifest listing a name twice is consistent when its shard
+    // holds two clips of that name, and it loads.
+    let twins = VideoDatabase::new(DbOptions::new().shards(3));
+    twins.ingest_frames("twin", &frames);
+    twins.ingest_frames("twin", &frames);
+    let dir = temp_path("manifest_twins");
+    twins.save(&dir).unwrap();
+    let r = VideoDatabase::load(&dir, DbOptions::new());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        r.expect("repeated name loads").clip_names(),
+        ["twin", "twin"]
+    );
+}
