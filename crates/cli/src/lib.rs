@@ -261,12 +261,14 @@ pub fn cmd_query(args: &Args) -> CmdResult {
     let to = parse_point(args.require("--to")?)?;
     let steps = wire::check_steps(args.parse_or("--steps", 30u64)?)
         .map_err(|e| CliError(format!("--{e}")))?;
-    let radius: Option<f64> = match args.get("--radius")? {
+    let radius = match args.get("--radius")? {
         None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| CliError(format!("bad value for --radius: {v:?}")))?,
-        ),
+        Some(v) => {
+            let r: f64 = v
+                .parse()
+                .map_err(|_| CliError(format!("bad value for --radius: {v:?}")))?;
+            Some(wire::check_radius(r).map_err(|e| CliError(format!("--{e}")))?)
+        }
     };
     if radius.is_some() && args.get("-k")?.is_some() {
         return Err(CliError(
@@ -568,6 +570,21 @@ mod tests {
         assert!(err.0.contains("--steps must be <= 4096"), "{err}");
         let err = query("0,60", "1").unwrap_err();
         assert!(err.0.contains("--steps must be at least 2"), "{err}");
+        for radius in ["nan", "inf", "1e999"] {
+            let err = run(&v(&[
+                "query",
+                "--db",
+                "no-such.db",
+                "--from",
+                "0,60",
+                "--to",
+                "160,60",
+                "--radius",
+                radius,
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("--radius must be finite"), "{radius}: {err}");
+        }
         // In range: a missing database answers "no results", not an error.
         assert_eq!(query("0,60", "4096").unwrap(), "no results");
     }

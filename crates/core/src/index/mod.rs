@@ -25,7 +25,6 @@ pub use search::{with_query_scratch, Hit, QueryScratch, Scope};
 use strg_cluster::{bic, bic_sweep_threads, ClusterValue, Clusterer, EmClusterer, EmConfig};
 use strg_distance::{
     BoundedDistance, Eged, LowerBound, MetricDistance, SeqSummary, SequenceDistance,
-    SummaryEnvelope,
 };
 use strg_graph::BackgroundGraph;
 use strg_obs::{QueryCost, Recorder};
@@ -183,7 +182,6 @@ pub struct StrgIndex<V, D> {
     metric: D,
     roots: Vec<RootRecord<V>>,
     len: usize,
-    env: SummaryEnvelope<V>,
     recorder: Option<Recorder>,
 }
 
@@ -197,7 +195,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             metric,
             roots: Vec::new(),
             len: 0,
-            env: SummaryEnvelope::empty(),
             recorder: None,
         }
     }
@@ -205,30 +202,19 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// Reassembles an index from fully-built root records without any
     /// clustering — the STRGDB v2 fast-reopen path (`crate::persist`).
     ///
-    /// The derived state is recomputed from the records themselves:
-    /// `len` is the total leaf-record count and the aggregate
-    /// [`SummaryEnvelope`] is folded over every record's stored summary.
-    /// Envelope folds are componentwise mins/maxes, so the fold order does
-    /// not matter and the result is bit-identical to the envelope the
-    /// incremental build maintained — `from_parts(roots(build))` rebuilds
-    /// `build` exactly.
+    /// The one derived field, `len`, is recounted from the records, so
+    /// `from_parts(roots(build))` rebuilds `build` exactly.
     pub fn from_parts(metric: D, cfg: StrgIndexConfig, roots: Vec<RootRecord<V>>) -> Self {
-        let mut len = 0;
-        let mut env = SummaryEnvelope::empty();
-        for root in &roots {
-            for c in &root.clusters {
-                for rec in &c.leaf.records {
-                    env.add(&rec.summary);
-                    len += 1;
-                }
-            }
-        }
+        let len = roots
+            .iter()
+            .flat_map(|r| &r.clusters)
+            .map(|c| c.leaf.records.len())
+            .sum();
         Self {
             cfg,
             metric,
             roots,
             len,
-            env,
             recorder: None,
         }
     }
@@ -307,7 +293,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
                 ids.into_iter().zip(data).zip(prepared).enumerate()
             {
                 let c = clustering.assignments[j];
-                self.env.add(&summary);
                 let rec = LeafRecord {
                     key,
                     og_id,
@@ -368,7 +353,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             .expect("at least one cluster");
         let key = self.metric.distance(&seq, &root.clusters[best].centroid);
         let summary = self.metric.summarize(&seq);
-        self.env.add(&summary);
         root.clusters[best].leaf.insert_sorted(LeafRecord {
             key,
             og_id,
@@ -412,7 +396,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
                 c.id = i as u32;
             }
             self.len -= 1;
-            self.recompute_envelope();
         }
         removed
     }
@@ -429,29 +412,7 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             .sum();
         self.roots.remove(pos);
         self.len -= removed;
-        self.recompute_envelope();
         Some(removed)
-    }
-
-    /// The shard-granularity aggregate envelope over every indexed OG's
-    /// [`SeqSummary`] — maintained incrementally on insertion (mins/maxes
-    /// only widen) and rebuilt by a summary scan on removal. Feeds
-    /// [`LowerBound::envelope_bound`] so a sharded database can skip this
-    /// whole index with one comparison.
-    pub fn envelope(&self) -> &SummaryEnvelope<V> {
-        &self.env
-    }
-
-    fn recompute_envelope(&mut self) {
-        let mut env = SummaryEnvelope::empty();
-        for root in &self.roots {
-            for c in &root.clusters {
-                for rec in &c.leaf.records {
-                    env.add(&rec.summary);
-                }
-            }
-        }
-        self.env = env;
     }
 
     /// Number of indexed OGs.
@@ -467,11 +428,6 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// The root records.
     pub fn roots(&self) -> &[RootRecord<V>] {
         &self.roots
-    }
-
-    /// The metric key distance.
-    pub fn metric(&self) -> &D {
-        &self.metric
     }
 
     /// Configuration.

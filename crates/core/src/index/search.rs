@@ -775,9 +775,9 @@ mod tests {
         }
     }
 
-    /// Nothing in a tree speculates: what `QueryCost` charges is what a
-    /// counting metric physically observes, at any worker count — with a
-    /// leaf long enough (≥ 64 records) that a forking scan would show.
+    /// What `QueryCost` charges is what a counting metric physically
+    /// observes, at any worker count — with a leaf long enough (≥ 64
+    /// records) that a forking scan would show.
     #[test]
     fn logical_cost_is_physical_cost_at_any_thread_count() {
         let data: Vec<(u64, Vec<f64>)> = (0..96)

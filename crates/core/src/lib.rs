@@ -11,8 +11,8 @@
 //!   decomposition → clustering → index → queries, in one struct over
 //!   N ≥ 1 index shards (one by default: the paper's single tree);
 //! * [`shard`] — the deterministic hash-of-name routing of clips to
-//!   shards and the bound-ordered fan-out, sharing one best-k cutoff,
-//!   that answers every global query.
+//!   shards and the fan-out that answers every global query: search every
+//!   shard, merge the hits.
 //!
 //! The database takes the [`options::DbOptions`] builder and implements
 //! the object-safe [`options::Database`] trait; [`options::open`] loads
@@ -37,8 +37,7 @@ pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};
 pub use pipeline::{ClipMeta, DbStats, IngestReport, QueryHit, StoredOg, VideoDatabase};
 pub use query::{Query, QueryKind, QueryResult};
 pub use shard::{
-    route, sharded_query, sharded_query_into, with_shard_scratch, ShardOutcome, ShardScratch,
-    ShardedDatabase,
+    route, sharded_query, sharded_query_into, with_shard_scratch, ShardScratch, ShardedDatabase,
 };
 pub use strg_obs::{QueryCost, Recorder, Snapshot};
 pub use strg_parallel::Threads;

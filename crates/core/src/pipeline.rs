@@ -33,7 +33,7 @@ use crate::index::{Hit, RootRecord, Scope, StrgIndex};
 use crate::options::{Database, DbOptions};
 use crate::persist::PersistInfo;
 use crate::query::{Query, QueryKind, QueryResult};
-use crate::shard::{route, sharded_query, ShardOutcome};
+use crate::shard::{route, sharded_query};
 
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
 
@@ -387,7 +387,7 @@ impl VideoDatabase {
             _ => None,
         };
         let state = self.state.read();
-        let (tagged, mut cost, outcomes) = match &q.clip {
+        let (tagged, mut cost, shard_costs) = match &q.clip {
             // An unknown name routes to *some* shard and misses there.
             Some(name) => {
                 let s = route(name, state.shards.len());
@@ -406,7 +406,7 @@ impl VideoDatabase {
         let hits = state.resolve(&tagged);
         drop(state);
         cost.elapsed = start.elapsed();
-        self.record_fan_out(q.kind, &cost, &outcomes);
+        self.record_fan_out(q.kind, &cost, &shard_costs);
         QueryResult {
             hits,
             cost: q.want_cost.then_some(cost),
@@ -414,14 +414,14 @@ impl VideoDatabase {
     }
 
     /// A plain or background-matched query over every shard: shard-tagged
-    /// hits, the logical cost, and the fan-out's per-shard outcomes (none
-    /// when a matched root was searched directly).
+    /// hits, the cost, and the fan-out's per-shard costs (none when a
+    /// matched root was searched directly).
     fn global_query(
         &self,
         state: &State,
         q: &Query<'_>,
         bg: Option<BackgroundGraph>,
-    ) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
+    ) -> (Vec<(usize, Hit)>, QueryCost, Vec<QueryCost>) {
         let idxs: Vec<&Idx> = state.shards.iter().map(|s| &s.index).collect();
         let threads = self.cfg.index.threads;
         let Some(bg) = bg else {
@@ -453,26 +453,20 @@ impl VideoDatabase {
                 (tag(s, hits), total, Vec::new())
             }
             _ => {
-                let (tagged, inner, outcomes) = sharded_query(&idxs, q.trajectory, q.kind, threads);
+                let (tagged, inner, shard_costs) =
+                    sharded_query(&idxs, q.trajectory, q.kind, threads);
                 total.merge(&inner);
-                (tagged, total, outcomes)
+                (tagged, total, shard_costs)
             }
         }
     }
 
-    /// Records one query's `query.*` cost and per-shard `shard.*`
-    /// open/skip rows.
-    fn record_fan_out(&self, kind: QueryKind, cost: &QueryCost, outcomes: &[ShardOutcome]) {
+    /// Records one query's `query.*` cost and its per-shard
+    /// `shard.<s>.query.*` rows.
+    fn record_fan_out(&self, kind: QueryKind, cost: &QueryCost, shard_costs: &[QueryCost]) {
         self.recorder.record_cost(kind.metric_prefix(), cost);
-        for (s, o) in outcomes.iter().enumerate() {
-            if o.opened {
-                self.recorder.add("shard.opened", 1);
-                self.recorder
-                    .record_cost(&format!("shard.{s}.query"), &o.cost);
-            } else {
-                self.recorder.add("shard.pruned_whole", 1);
-                self.recorder.add(&format!("shard.{s}.pruned_whole"), 1);
-            }
+        for (s, c) in shard_costs.iter().enumerate() {
+            self.recorder.record_cost(&format!("shard.{s}.query"), c);
         }
     }
 

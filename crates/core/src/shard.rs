@@ -1,55 +1,33 @@
-//! Hash-of-name routing and the bound-ordered fan-out over shards.
+//! Hash-of-name routing and the fan-out over shards.
 //!
 //! A [`VideoDatabase`] holds N ≥ 1 shards and routes every clip to one of
 //! them by a deterministic hash of the clip name ([`route`]), so the
 //! placement is reproducible at any thread count and any ingest
 //! interleaving of *distinct* clips. Each shard is an STRG-Index tree with
-//! its own OG store and summary sidecars, plus one shard-granularity
-//! aggregate envelope ([`strg_distance::SummaryEnvelope`]) maintained by
-//! the index itself.
+//! its own OG store and summary sidecars.
 //!
-//! # The fan-out protocol
+//! # The fan-out
 //!
-//! A global k-NN visits shards in ascending envelope-lower-bound order,
-//! sharing one best-k cutoff:
+//! A global query searches every shard with its ordinary
+//! [`StrgIndex::search_into`] over [`Scope::All`] and merges the per-shard
+//! hits: ascending by distance, ties in shard-id order and then in each
+//! shard's own order, cut to the best `k` for a k-NN. The cost is the sum
+//! of the shards' search costs. There is no shard-level filter: routing by
+//! name spreads every shard over the whole feature space, so no bound on a
+//! shard as a whole could skip one (DESIGN.md §12).
 //!
-//! 1. compute `L_s = envelope_bound(query, shard s)` for every shard and
-//!    stable-sort shards by `(L_s, s)`;
-//! 2. walk shards in that order. A shard is **opened** iff `L_s <= d_k`,
-//!    where `d_k` is the kth-best distance merged from previously opened
-//!    shards (`∞` while fewer than k hits are known). An opened shard runs
-//!    its ordinary [`StrgIndex::search_into`] over [`Scope::All`] and its
-//!    hits merge into the shared best list;
-//! 3. a shard that cannot beat the cutoff is never opened: it charges all
-//!    its records and clusters to `pruned`, bumps
-//!    [`strg_obs::QueryCost::shards_pruned`], and performs zero node
-//!    accesses. Because the bounds ascend and `d_k` never increases, the
-//!    first skip implies every later shard skips too.
-//!
-//! A lone shard is always opened, so a one-shard database does exactly its
-//! tree's work and returns exactly its tree's hits.
-//!
-//! The decision sequence is a pure function of the per-shard bounds and
-//! the per-shard search results, both of which are thread-invariant, so
-//! the logical [`strg_obs::QueryCost`] is bit-identical at any
-//! `STRG_THREADS`. With at least two shards and at least two workers the
-//! fan-out *speculatively* searches every shard in parallel and then
-//! replays the open/skip decisions over the precomputed results;
-//! speculative work on shards the replay skips is intentionally uncharged.
-//! This fan-out is the only place a query speculates — inside a tree the
-//! charge is the physical count (`crate::index`, DESIGN.md §7 "What forks
-//! inside a query").
-//!
-//! k-NN and range share one entry point ([`sharded_query_into`]) and one
-//! private replay (`Replay::run`), which differs only in where an opened
-//! shard's hits come from: a lazy search into the arena (sequential) or
-//! the speculative prefetch (parallel). `tests/shard_equivalence.rs` pins the
-//! merged hits to a linear scan on queries that provably prune whole
-//! shards, so an inadmissible envelope surfaces as a hit-list difference.
+//! With at least two shards and at least two workers the shards are
+//! searched in parallel; otherwise one after another into the caller's
+//! arena. Both paths do the same per-shard searches and share one merge,
+//! so the hits and the [`strg_obs::QueryCost`] are bit-identical at any
+//! `STRG_THREADS`, and what the cost charges is the work that ran. A lone
+//! shard does exactly its tree's work and returns exactly its tree's hits.
+//! `tests/shard_equivalence.rs` pins the merged hits to a linear scan and
+//! the cost to the sum of the shards' own searches.
 
 use std::cell::RefCell;
 
-use strg_distance::{EgedMetric, LowerBound};
+use strg_distance::EgedMetric;
 use strg_graph::Point2;
 use strg_obs::QueryCost;
 use strg_parallel::{par_map, Threads};
@@ -78,193 +56,20 @@ pub fn route(name: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// What the fan-out decided for one shard (indexed by shard id).
-#[derive(Clone, Debug)]
-pub struct ShardOutcome {
-    /// Was the shard opened (searched) or pruned whole?
-    pub opened: bool,
-    /// The shard's envelope lower bound for this query.
-    pub bound: f64,
-    /// This shard's logical charge: its search cost if opened, its full
-    /// `pruned` + `shards_pruned` charge if skipped.
-    pub cost: QueryCost,
-}
-
-/// A shard with its envelope bound, in visit (ascending-bound) order.
-#[derive(Copy, Clone)]
-struct ShardPlan {
-    shard: usize,
-    bound: f64,
-}
-
-/// Full charge for skipping a shard whole: every record and cluster is
-/// pruned (keeping the conservation law), zero node accesses.
-fn prune_charge(idx: &Idx) -> QueryCost {
-    QueryCost {
-        pruned: (idx.len() + idx.cluster_count()) as u64,
-        shards_pruned: 1,
-        ..QueryCost::default()
-    }
-}
-
-/// Inserts `hits` (sorted ascending) into the merged best list, keeping it
-/// sorted by distance with earlier-merged equal-distance hits first,
-/// truncated to `k`. Inserting a shard's own sorted list into an empty
-/// best list reproduces it exactly, so a one-shard database returns
-/// byte-identical hits to its single tree. Truncating after every
-/// insert (instead of once at the end) keeps the list within its reserved
-/// `k + 1` capacity, so a warmed-up arena never reallocates here; the
-/// surviving set is the same because each shard's hits arrive ascending.
-fn merge_hits(best: &mut Vec<(usize, Hit)>, shard: usize, hits: &[Hit], k: usize) {
-    for &h in hits {
-        let pos = best.partition_point(|(_, e)| e.dist <= h.dist);
-        best.insert(pos, (shard, h));
-        best.truncate(k);
-    }
-}
-
-/// The buffers of one fan-out replay: visit plan, merged result list and
-/// its sort permutation.
+/// Reusable fan-out arena: the per-tree [`QueryScratch`] plus the merged
+/// result list, its sort permutation and the per-shard costs. A warmed-up
+/// arena makes a sequential fan-out allocation-free end to end
+/// (`tests/query_alloc.rs`); the long-lived workers of the serve pool each
+/// converge on their own via [`with_shard_scratch`].
 #[derive(Default)]
-struct Replay {
-    plans: Vec<ShardPlan>,
+pub struct ShardScratch {
+    tree: QueryScratch,
     /// Merged result list (best-k for knn, every in-radius hit for range).
     merged: Vec<(usize, Hit)>,
     merged_tmp: Vec<(usize, Hit)>,
     order: Vec<u32>,
+    costs: Vec<QueryCost>,
     grows: u64,
-}
-
-impl Replay {
-    const fn empty() -> Self {
-        Self {
-            plans: Vec::new(),
-            merged: Vec::new(),
-            merged_tmp: Vec::new(),
-            order: Vec::new(),
-            grows: 0,
-        }
-    }
-
-    /// The fan-out protocol of the module docs, for every caller: walk the
-    /// shards in ascending `(bound, shard)` order and open one iff its
-    /// bound is within the cutoff — the merged `d_k` for k-NN, the radius
-    /// for range. `fetch(shard, sink)` supplies an opened shard's search —
-    /// it hands the shard's ascending hits to `sink` and returns the
-    /// search's cost — and is never called for a skipped shard, so a lazy
-    /// `fetch` does no physical work there. Leaves the merged hits in
-    /// `self.merged`, appends one [`ShardOutcome`] per shard (shard-id
-    /// order) to `outcomes`, and returns the total logical cost.
-    fn run(
-        &mut self,
-        idxs: &[&Idx],
-        query: &[Point2],
-        kind: QueryKind,
-        outcomes: &mut Vec<ShardOutcome>,
-        mut fetch: impl FnMut(usize, &mut dyn FnMut(&[Hit])) -> QueryCost,
-    ) -> QueryCost {
-        let Self {
-            plans,
-            merged,
-            merged_tmp,
-            order,
-            grows,
-        } = self;
-        plans.clear();
-        reserve_counted(plans, idxs.len(), grows);
-        for (shard, idx) in idxs.iter().enumerate() {
-            let m = idx.metric();
-            let qs = m.summarize(query);
-            plans.push(ShardPlan {
-                shard,
-                bound: m.envelope_bound(query, &qs, idx.envelope()),
-            });
-        }
-        // Unstable sort with the shard id as a total tie-break: pushes are
-        // in ascending shard order, so this is the stable by-bound order
-        // (equal bounds visit in shard order) without the stable sort's
-        // buffer.
-        plans.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.shard.cmp(&b.shard)));
-
-        let total_len: usize = idxs.iter().map(|i| i.len()).sum();
-        merged.clear();
-        let room = match kind {
-            QueryKind::Knn(k) => k.min(total_len) + 1,
-            QueryKind::Range(_) => total_len,
-        };
-        reserve_counted(merged, room, grows);
-        let base = outcomes.len();
-        reserve_counted(outcomes, base + idxs.len(), grows);
-        outcomes.resize(
-            base + idxs.len(),
-            ShardOutcome {
-                opened: false,
-                bound: f64::NAN,
-                cost: QueryCost::default(),
-            },
-        );
-        let mut total = QueryCost::default();
-        for p in plans.iter() {
-            let cutoff = match kind {
-                QueryKind::Knn(k) if k > 0 && merged.len() >= k => merged[k - 1].1.dist,
-                QueryKind::Knn(_) => f64::INFINITY,
-                QueryKind::Range(radius) => radius,
-            };
-            // A single shard is always opened: the fan-out adds nothing and
-            // a one-shard database does exactly its tree's work.
-            // Bounds ascend and `d_k` never increases, so after the first
-            // k-NN skip every later shard skips too.
-            let opened = p.bound <= cutoff || idxs.len() == 1;
-            let cost = if opened {
-                fetch(p.shard, &mut |hits| match kind {
-                    QueryKind::Knn(k) => merge_hits(merged, p.shard, hits, k),
-                    QueryKind::Range(_) => merged.extend(hits.iter().map(|&h| (p.shard, h))),
-                })
-            } else {
-                prune_charge(idxs[p.shard])
-            };
-            total.merge(&cost);
-            outcomes[base + p.shard] = ShardOutcome {
-                opened,
-                bound: p.bound,
-                cost,
-            };
-        }
-        if let QueryKind::Range(_) = kind {
-            // The single tree's contract is "stable by shard id, then
-            // stable by distance". Entries were appended in bound order,
-            // but any two entries of the same shard were appended
-            // contiguously in the shard's own hit order, so an unstable
-            // index sort keyed (distance, shard id, append position)
-            // reproduces that double stable sort without its buffers.
-            order.clear();
-            reserve_counted(order, merged.len(), grows);
-            order.extend(0..merged.len() as u32);
-            order.sort_unstable_by(|&i, &j| {
-                let (sa, ha) = &merged[i as usize];
-                let (sb, hb) = &merged[j as usize];
-                ha.dist.total_cmp(&hb.dist).then(sa.cmp(sb)).then(i.cmp(&j))
-            });
-            merged_tmp.clear();
-            reserve_counted(merged_tmp, merged.len(), grows);
-            merged_tmp.extend(order.iter().map(|&i| merged[i as usize]));
-            std::mem::swap(merged, merged_tmp);
-        }
-        total
-    }
-}
-
-/// Reusable fan-out arena: the per-tree [`QueryScratch`] plus every buffer
-/// the shard-level protocol needs (visit plan, merged result list, sort
-/// permutation, outcomes). A warmed-up arena makes a sequential fan-out
-/// allocation-free end to end (`tests/query_alloc.rs`); the long-lived
-/// workers of the serve pool each converge on their own via
-/// [`with_shard_scratch`].
-#[derive(Default)]
-pub struct ShardScratch {
-    tree: QueryScratch,
-    replay: Replay,
-    outcomes: Vec<ShardOutcome>,
 }
 
 impl ShardScratch {
@@ -276,26 +81,59 @@ impl ShardScratch {
     const fn empty() -> Self {
         Self {
             tree: QueryScratch::empty(),
-            replay: Replay::empty(),
-            outcomes: Vec::new(),
+            merged: Vec::new(),
+            merged_tmp: Vec::new(),
+            order: Vec::new(),
+            costs: Vec::new(),
+            grows: 0,
         }
     }
 
     /// The shard-tagged hits of the last `*_into` fan-out, ascending by
     /// distance.
     pub fn hits(&self) -> &[(usize, Hit)] {
-        &self.replay.merged
+        &self.merged
     }
 
-    /// Per-shard outcomes of the last `*_into` fan-out, in shard-id order.
-    pub fn outcomes(&self) -> &[ShardOutcome] {
-        &self.outcomes
+    /// Per-shard search costs of the last `*_into` fan-out, in shard-id
+    /// order.
+    pub fn costs(&self) -> &[QueryCost] {
+        &self.costs
     }
 
     /// Number of buffer growth events since construction — stops moving
     /// once the arena reaches its high-water mark.
     pub fn grow_events(&self) -> u64 {
-        self.replay.grows + self.tree.grow_events()
+        self.grows + self.tree.grow_events()
+    }
+
+    /// Sorts the appended hits by distance and cuts a k-NN to its best
+    /// `k`. Hits were appended in shard-id order, each shard's ascending,
+    /// so an unstable sort of positions keyed (distance, position) is the
+    /// stable by-distance order — ties in shard-id order, then in each
+    /// shard's own — without a stable sort's buffer.
+    fn merge(&mut self, kind: QueryKind) {
+        let Self {
+            merged,
+            merged_tmp,
+            order,
+            grows,
+            ..
+        } = self;
+        order.clear();
+        reserve_counted(order, merged.len(), grows);
+        order.extend(0..merged.len() as u32);
+        order.sort_unstable_by(|&i, &j| {
+            let (a, b) = (&merged[i as usize].1, &merged[j as usize].1);
+            a.dist.total_cmp(&b.dist).then(i.cmp(&j))
+        });
+        if let QueryKind::Knn(k) = kind {
+            order.truncate(k);
+        }
+        merged_tmp.clear();
+        reserve_counted(merged_tmp, order.len(), grows);
+        merged_tmp.extend(order.iter().map(|&i| merged[i as usize]));
+        std::mem::swap(merged, merged_tmp);
     }
 }
 
@@ -312,34 +150,31 @@ pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ShardScratch) -> R) -> R {
     })
 }
 
-/// Bound-ordered fan-out of one k-NN or range query over independent shard
-/// indexes (the protocol in the module docs). Public for experiments and
-/// benchmarks; [`VideoDatabase::query`] is the production entry point.
+/// Fan-out of one k-NN or range query over independent shard indexes (the
+/// module docs). Public for experiments and benchmarks;
+/// [`VideoDatabase::query`] is the production entry point.
 ///
 /// Returns the merged hits (shard-tagged, ascending by distance: the best
-/// `k`, or everything within the radius), the total logical cost, and the
-/// per-shard outcomes in shard-id order.
+/// `k`, or everything within the radius), the total cost, and the
+/// per-shard costs in shard-id order.
 pub fn sharded_query(
     idxs: &[&Idx],
     query: &[Point2],
     kind: QueryKind,
     threads: Threads,
-) -> (Vec<(usize, Hit)>, QueryCost, Vec<ShardOutcome>) {
+) -> (Vec<(usize, Hit)>, QueryCost, Vec<QueryCost>) {
     with_shard_scratch(|scratch| {
         let cost = sharded_query_into(idxs, query, kind, threads, scratch);
-        (scratch.hits().to_vec(), cost, scratch.outcomes().to_vec())
+        (scratch.hits().to_vec(), cost, scratch.costs().to_vec())
     })
 }
 
 /// [`sharded_query`] into a caller-owned arena: the merged hits land in
-/// [`ShardScratch::hits`], the per-shard outcomes in
-/// [`ShardScratch::outcomes`]; returns the total logical cost.
-/// Sequentially each opened shard is searched lazily, straight into the
-/// arena's tree scratch — skipped shards cost nothing and a warmed-up arena
-/// allocates nothing. With at least two shards and at least two workers
-/// every shard is searched speculatively in parallel (allocating) and the
-/// replay consumes the precomputed results; a lone shard has nothing to
-/// speculate on, so it is always searched lazily.
+/// [`ShardScratch::hits`], the per-shard costs in [`ShardScratch::costs`];
+/// returns the total cost. Sequentially each shard is searched straight
+/// into the arena's tree scratch, so a warmed-up arena allocates nothing.
+/// With at least two shards and at least two workers the shards are
+/// searched in parallel, each into a buffer of its own (allocating).
 pub fn sharded_query_into(
     idxs: &[&Idx],
     query: &[Point2],
@@ -349,30 +184,43 @@ pub fn sharded_query_into(
 ) -> QueryCost {
     let ShardScratch {
         tree,
-        replay,
-        outcomes,
-    } = scratch;
-    outcomes.clear();
+        merged,
+        costs,
+        grows,
+        ..
+    } = &mut *scratch;
+    merged.clear();
+    costs.clear();
+    reserve_counted(costs, idxs.len(), grows);
+    let mut append = |shard: usize, hits: &[Hit], cost: QueryCost| {
+        reserve_counted(merged, merged.len() + hits.len(), grows);
+        merged.extend(hits.iter().map(|&h| (shard, h)));
+        costs.push(cost);
+    };
     // Resolved only when there is something to fork over, so a one-shard
     // query never reads `STRG_THREADS`.
     let workers = if idxs.len() > 1 { threads.resolve() } else { 1 };
     if workers > 1 {
-        let prefetched = par_map(idxs, Threads::Fixed(workers), |idx| {
+        let searched = par_map(idxs, Threads::Fixed(workers), |idx| {
             let mut tree = QueryScratch::new();
             let (hits, cost) = idx.search_into(query, kind, Scope::All, &mut tree);
             (hits.to_vec(), cost)
         });
-        replay.run(idxs, query, kind, outcomes, |s, sink| {
-            sink(&prefetched[s].0);
-            prefetched[s].1
-        })
+        for (s, (hits, cost)) in searched.iter().enumerate() {
+            append(s, hits, *cost);
+        }
     } else {
-        replay.run(idxs, query, kind, outcomes, |s, sink| {
-            let (hits, cost) = idxs[s].search_into(query, kind, Scope::All, tree);
-            sink(hits);
-            cost
-        })
+        for (s, idx) in idxs.iter().enumerate() {
+            let (hits, cost) = idx.search_into(query, kind, Scope::All, tree);
+            append(s, hits, cost);
+        }
     }
+    scratch.merge(kind);
+    let mut total = QueryCost::default();
+    for c in &scratch.costs {
+        total.merge(c);
+    }
+    total
 }
 
 #[cfg(test)]
@@ -413,9 +261,7 @@ mod tests {
         let r = db.query(Query::knn(5).trajectory(&t).with_cost());
         assert!(r.hits.is_empty());
         let cost = r.cost.unwrap();
-        // Empty shards have empty (infinite-bound) envelopes; with no
-        // hits the cutoff stays infinite, so every shard is opened and
-        // does zero work. Conservation holds trivially.
+        // Every empty shard is searched and does zero work.
         assert_eq!(cost.distance_calls + cost.pruned + cost.lb_pruned, 0);
         assert_eq!(db.stats().objects, 0);
     }

@@ -79,88 +79,6 @@ impl<V: SeqValue> SeqSummary<V> {
     }
 }
 
-/// O(1)-size aggregate of many [`SeqSummary`]s — the shard-granularity
-/// envelope. Where a `SeqSummary` lets a metric bound the distance to *one*
-/// stored sequence, a `SummaryEnvelope` bounds the distance to *every*
-/// sequence it aggregates, so a whole shard can be skipped with a single
-/// comparison. Built incrementally at ingest; order-independent (all fields
-/// are mins/maxes), so the envelope is identical for any ingest
-/// interleaving of the same records.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct SummaryEnvelope<V> {
-    /// Number of summaries aggregated.
-    pub count: usize,
-    /// Range of member lengths.
-    pub min_len: usize,
-    /// See [`SummaryEnvelope::min_len`].
-    pub max_len: usize,
-    /// Range of member gap masses.
-    pub min_gap_mass: f64,
-    /// See [`SummaryEnvelope::min_gap_mass`].
-    pub max_gap_mass: f64,
-    /// Minimum over members of their minimum single-element gap cost.
-    pub min_min_gap: f64,
-    /// Componentwise minimum over every member's `lo`.
-    pub lo: V,
-    /// Componentwise maximum over every member's `hi`.
-    pub hi: V,
-}
-
-impl<V: SeqValue> Default for SummaryEnvelope<V> {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-impl<V: SeqValue> SummaryEnvelope<V> {
-    /// The empty envelope (aggregates nothing; bounds are `+inf`).
-    pub fn empty() -> Self {
-        Self {
-            count: 0,
-            min_len: usize::MAX,
-            max_len: 0,
-            min_gap_mass: f64::INFINITY,
-            max_gap_mass: f64::NEG_INFINITY,
-            min_min_gap: f64::INFINITY,
-            lo: V::origin(),
-            hi: V::origin(),
-        }
-    }
-
-    /// Whether the envelope aggregates no summaries.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Folds one member summary into the envelope.
-    pub fn add(&mut self, s: &SeqSummary<V>) {
-        if self.count == 0 {
-            self.lo = s.lo;
-            self.hi = s.hi;
-        } else {
-            self.lo = self.lo.component_min(&s.lo);
-            self.hi = self.hi.component_max(&s.hi);
-        }
-        self.count += 1;
-        self.min_len = self.min_len.min(s.len);
-        self.max_len = self.max_len.max(s.len);
-        self.min_gap_mass = self.min_gap_mass.min(s.gap_mass);
-        self.max_gap_mass = self.max_gap_mass.max(s.gap_mass);
-        self.min_min_gap = self.min_min_gap.min(s.min_gap);
-    }
-}
-
-/// Distance of `x` to the closed interval `[lo, hi]` (zero inside).
-fn dist_to_range(x: f64, lo: f64, hi: f64) -> f64 {
-    if x < lo {
-        lo - x
-    } else if x > hi {
-        x - hi
-    } else {
-        0.0
-    }
-}
-
 /// A distance that supports exact cutoff-bounded evaluation.
 pub trait BoundedDistance<V: SeqValue>: SequenceDistance<V> {
     /// Evaluates the distance with early abandoning at `cutoff`.
@@ -201,25 +119,6 @@ pub trait LowerBound<V: SeqValue>: SequenceDistance<V> {
         let _ = (query, query_summary, candidate);
         0.0
     }
-
-    /// Admissible lower bound on `min over members m of distance(query, m)`
-    /// for every sequence aggregated into `envelope` — i.e. a bound no
-    /// member of the shard can beat. The default is `0.0` (never prunes a
-    /// shard) except for the empty envelope, which no query can hit at any
-    /// distance and is therefore always prunable.
-    fn envelope_bound(
-        &self,
-        query: &[V],
-        query_summary: &SeqSummary<V>,
-        envelope: &SummaryEnvelope<V>,
-    ) -> f64 {
-        let _ = (query, query_summary);
-        if envelope.is_empty() {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    }
 }
 
 impl<V: SeqValue, D: BoundedDistance<V> + ?Sized> BoundedDistance<V> for &D {
@@ -239,14 +138,6 @@ impl<V: SeqValue, D: LowerBound<V> + ?Sized> LowerBound<V> for &D {
         candidate: &SeqSummary<V>,
     ) -> f64 {
         (**self).lower_bound(query, query_summary, candidate)
-    }
-    fn envelope_bound(
-        &self,
-        query: &[V],
-        query_summary: &SeqSummary<V>,
-        envelope: &SummaryEnvelope<V>,
-    ) -> f64 {
-        (**self).envelope_bound(query, query_summary, envelope)
     }
 }
 
@@ -276,31 +167,6 @@ impl<V: SeqValue> LowerBound<V> for EgedMetric<V> {
             (a.len - b.len) as f64 * a.min_gap
         } else {
             (b.len - a.len) as f64 * b.min_gap
-        };
-        deflate(mass.max(surplus))
-    }
-
-    /// Both per-record bounds relaxed over the envelope's ranges, so the
-    /// result lower-bounds the distance to *every* member:
-    ///
-    /// * **Gap mass** — `|gm(q) - gm(m)| >= dist(gm(q), [min_gm, max_gm])`
-    ///   for every member `m`.
-    /// * **Length surplus** — if `len(q) >= max_len`, every member forces
-    ///   at least `len(q) - max_len` deletions at cost `min_gap(q)` each;
-    ///   if `len(q) <= min_len`, at least `min_len - len(q)` deletions at
-    ///   cost `min over members of min_gap`. Overlapping lengths bound
-    ///   nothing.
-    fn envelope_bound(&self, _query: &[V], qs: &SeqSummary<V>, env: &SummaryEnvelope<V>) -> f64 {
-        if env.is_empty() {
-            return f64::INFINITY;
-        }
-        let mass = dist_to_range(qs.gap_mass, env.min_gap_mass, env.max_gap_mass);
-        let surplus = if qs.len >= env.max_len {
-            (qs.len - env.max_len) as f64 * qs.min_gap
-        } else if qs.len <= env.min_len {
-            (env.min_len - qs.len) as f64 * env.min_min_gap
-        } else {
-            0.0
         };
         deflate(mass.max(surplus))
     }
@@ -341,33 +207,6 @@ impl<V: SeqValue> LowerBound<V> for Dtw {
         }
         let env: f64 = query.iter().map(|v| v.dist_to_box(&c.lo, &c.hi)).sum();
         deflate(env)
-    }
-
-    /// The per-record box bound against the union box of every member (a
-    /// superset box only shrinks `dist_to_box`, so the bound stays
-    /// admissible for each member). Members that may be empty force the
-    /// union box to include the origin (their summaries carry the origin
-    /// box), which the aggregation already guarantees.
-    fn envelope_bound(&self, query: &[V], qs: &SeqSummary<V>, env: &SummaryEnvelope<V>) -> f64 {
-        if env.is_empty() {
-            return f64::INFINITY;
-        }
-        if qs.len == 0 {
-            return deflate(dist_to_range(
-                qs.gap_mass,
-                env.min_gap_mass,
-                env.max_gap_mass,
-            ));
-        }
-        let b: f64 = query.iter().map(|v| v.dist_to_box(&env.lo, &env.hi)).sum();
-        // An empty member is at distance gm(q), which the box sum may
-        // exceed only if no member can be empty (min_len > 0 keeps b).
-        let b = if env.min_len == 0 {
-            b.min(qs.gap_mass)
-        } else {
-            b
-        };
-        deflate(b)
     }
 }
 
@@ -440,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn dtw_envelope_bound_admissible() {
+    fn dtw_box_lower_bound_admissible() {
         let a = [
             Point2::new(0.0, 0.0),
             Point2::new(1.0, 1.0),
@@ -455,87 +294,6 @@ mod tests {
         let d = SequenceDistance::<Point2>::distance(&Dtw, &a, &b);
         assert!(lb <= d, "{lb} vs {d}");
         assert!(lb > 0.0, "well-separated envelopes must produce a bound");
-    }
-
-    #[test]
-    fn envelope_bound_admissible_for_every_member() {
-        let m = EgedMetric::<f64>::new();
-        let members: [&[f64]; 4] = [&[1.0, 2.0], &[10.0, 10.0, 10.0], &[5.0], &[3.0, 3.0, 3.0]];
-        let mut env = SummaryEnvelope::empty();
-        for s in members {
-            env.add(&m.summarize(s));
-        }
-        for q in [
-            &[0.5_f64][..],
-            &[100.0, 100.0, 100.0, 100.0],
-            &[1.0, 2.0],
-            &[][..],
-        ] {
-            let qs = m.summarize(q);
-            let eb = m.envelope_bound(q, &qs, &env);
-            for s in members {
-                let d = m.distance(q, s);
-                assert!(eb <= d, "envelope {eb} vs member distance {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_bound_separates_far_query() {
-        let m = EgedMetric::<f64>::new();
-        let mut env = SummaryEnvelope::empty();
-        env.add(&m.summarize(&[1.0, 2.0]));
-        env.add(&m.summarize(&[2.0, 1.0]));
-        let q = [100.0, 100.0];
-        let qs = m.summarize(&q);
-        assert!(m.envelope_bound(&q, &qs, &env) > 100.0);
-    }
-
-    #[test]
-    fn empty_envelope_always_prunable() {
-        let m = EgedMetric::<f64>::new();
-        let env = SummaryEnvelope::<f64>::empty();
-        assert!(env.is_empty());
-        let q = [1.0];
-        let qs = m.summarize(&q);
-        assert_eq!(m.envelope_bound(&q, &qs, &env), f64::INFINITY);
-    }
-
-    #[test]
-    fn envelope_is_order_independent() {
-        let m = EgedMetric::<f64>::new();
-        let a = m.summarize(&[1.0, 2.0][..]);
-        let b = m.summarize(&[7.0][..]);
-        let c = m.summarize(&[][..]);
-        let mut e1 = SummaryEnvelope::empty();
-        let mut e2 = SummaryEnvelope::empty();
-        for s in [&a, &b, &c] {
-            e1.add(s);
-        }
-        for s in [&c, &b, &a] {
-            e2.add(s);
-        }
-        assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn dtw_aggregate_envelope_bound_admissible() {
-        let members: [&[Point2]; 2] = [
-            &[Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)],
-            &[Point2::new(2.0, 0.0)],
-        ];
-        let mut env = SummaryEnvelope::empty();
-        for s in members {
-            env.add(&LowerBound::<Point2>::summarize(&Dtw, s));
-        }
-        let q = [Point2::new(10.0, 10.0), Point2::new(11.0, 10.0)];
-        let qs = LowerBound::<Point2>::summarize(&Dtw, &q);
-        let eb = Dtw.envelope_bound(&q, &qs, &env);
-        assert!(eb > 0.0);
-        for s in members {
-            let d = SequenceDistance::<Point2>::distance(&Dtw, &q, s);
-            assert!(eb <= d, "{eb} vs {d}");
-        }
     }
 
     #[test]

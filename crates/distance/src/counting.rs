@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::bounded::{BoundedDistance, LowerBound, SeqSummary, SummaryEnvelope};
+use crate::bounded::{BoundedDistance, LowerBound, SeqSummary};
 use crate::traits::{MetricDistance, SequenceDistance};
 use crate::value::SeqValue;
 
@@ -84,14 +84,6 @@ impl<V: SeqValue, D: LowerBound<V>> LowerBound<V> for CountingDistance<D> {
         candidate: &SeqSummary<V>,
     ) -> f64 {
         self.inner.lower_bound(query, query_summary, candidate)
-    }
-    fn envelope_bound(
-        &self,
-        query: &[V],
-        query_summary: &SeqSummary<V>,
-        envelope: &SummaryEnvelope<V>,
-    ) -> f64 {
-        self.inner.envelope_bound(query, query_summary, envelope)
     }
 }
 

@@ -46,7 +46,7 @@ mod scratch;
 mod traits;
 mod value;
 
-pub use bounded::{BoundedDistance, LowerBound, SeqSummary, SummaryEnvelope};
+pub use bounded::{BoundedDistance, LowerBound, SeqSummary};
 pub use counting::CountingDistance;
 pub use dtw::Dtw;
 pub use eged::{Eged, EgedMetric, EgedRepeatGap, GapPolicy};

@@ -35,12 +35,11 @@ pub struct QueryCost {
     /// bounded kernel cut short once no alignment could beat the cutoff.
     /// Always `<= distance_calls`.
     pub early_abandoned: u64,
-    /// Whole shards excluded by the shard-granularity aggregate envelope
-    /// before any of their nodes were opened. Every record and cluster of
-    /// a pruned shard is charged to `pruned`, so the conservation
-    /// invariant `distance_calls + pruned + lb_pruned == records +
-    /// clusters` still partitions the candidate set database-wide. Always
-    /// zero for a single-tree database.
+    /// Always zero: a fan-out searches every shard, and no code path sets
+    /// it. Kept, with its `"shards_pruned"` JSON key, only because the
+    /// benchmark reads it (`benchmark/src/workloads/lib_shards.rs`,
+    /// `benchmark/src/layers.rs`, `tests/benchmark_surface.rs`); it goes
+    /// with the next change to the benchmark.
     pub shards_pruned: u64,
     /// Node accesses (already charged in `node_accesses`) this query did
     /// not physically perform because an identical earlier member of the

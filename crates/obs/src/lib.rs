@@ -75,8 +75,9 @@ impl Recorder {
     }
 
     /// Like [`Recorder::counter`], but the counter is marked *volatile*:
-    /// its value may legitimately differ across thread counts (e.g.
-    /// speculative work) and [`Snapshot::deterministic`] drops it.
+    /// its value may legitimately differ across thread counts (e.g. a
+    /// per-worker scratch-arena footprint) and [`Snapshot::deterministic`]
+    /// drops it.
     pub fn volatile_counter(&self, name: &str) -> Counter {
         self.counter_impl(name, true)
     }

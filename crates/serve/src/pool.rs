@@ -18,8 +18,10 @@
 //! `with_shard_scratch` are thread-local, so each worker's first query
 //! warms a private [`QueryScratch`](strg_core::QueryScratch) /
 //! [`ShardScratch`](strg_core::ShardScratch) that every subsequent query
-//! on that worker reuses — the steady-state query path performs no heap
-//! allocations (see DESIGN.md §13).
+//! on that worker reuses — a steady-state tree search or sequential
+//! fan-out performs no heap allocations; a fan-out that searches two or
+//! more shards in parallel allocates one hit buffer per shard (see
+//! DESIGN.md §13).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

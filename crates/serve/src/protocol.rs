@@ -166,12 +166,14 @@ impl<'a> Params<'a> {
         }
     }
 
-    /// Optional finite number (integers widen); wrong type is an error.
+    /// Optional number (integers widen); wrong type is an error. A
+    /// literal that overflows (`1e999`) arrives as an infinity; callers
+    /// bound the value themselves.
     pub fn f64_opt(&self, key: &str) -> Result<Option<f64>, WireError> {
         match self.get(key) {
             None => Ok(None),
             Some(Json::U64(n)) => Ok(Some(*n as f64)),
-            Some(Json::F64(f)) if f.is_finite() => Ok(Some(*f)),
+            Some(Json::F64(f)) => Ok(Some(*f)),
             Some(_) => Err(WireError::invalid(format!("{key} must be a number"))),
         }
     }

@@ -53,6 +53,18 @@ pub fn check_steps(steps: u64) -> Result<usize, String> {
     }
 }
 
+/// Validates a range radius: it must be finite. `f64::from_str` accepts
+/// `nan`, `inf` and literals that overflow to infinity (`1e999`); a NaN
+/// radius admits nothing and an infinite one everything, so both are
+/// refused before a search.
+pub fn check_radius(radius: f64) -> Result<f64, String> {
+    if radius.is_finite() {
+        Ok(radius)
+    } else {
+        Err(format!("radius must be finite — got {radius}"))
+    }
+}
+
 /// The query trajectory both front ends build from `--from`/`--to`:
 /// `steps` points linearly interpolated between the endpoints (callers
 /// validate `steps` with [`check_steps`]).
@@ -89,7 +101,11 @@ pub fn parse_query_spec(p: &Params<'_>) -> Result<QuerySpec, WireError> {
     let from = parse_point(p.str_req("from")?).map_err(WireError::invalid)?;
     let to = parse_point(p.str_req("to")?).map_err(WireError::invalid)?;
     let steps = check_steps(p.u64_or("steps", 30)?).map_err(WireError::invalid)?;
-    let radius = p.f64_opt("radius")?;
+    let radius = p
+        .f64_opt("radius")?
+        .map(check_radius)
+        .transpose()
+        .map_err(WireError::invalid)?;
     if radius.is_some() && p.get("k").is_some() {
         return Err(WireError::invalid(
             "give k (knn) or radius (range), not both",
@@ -320,6 +336,16 @@ mod tests {
         assert_eq!(check_steps(MAX_QUERY_STEPS), Ok(MAX_QUERY_STEPS as usize));
         assert!(check_steps(MAX_QUERY_STEPS + 1).is_err());
         assert!(check_steps(100_000_000_000).is_err());
+    }
+
+    #[test]
+    fn radii_must_be_finite() {
+        assert_eq!(check_radius(0.0), Ok(0.0));
+        assert_eq!(check_radius(1e300), Ok(1e300));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = check_radius(bad).unwrap_err();
+            assert!(err.starts_with("radius must be finite"), "{err}");
+        }
     }
 
     #[test]

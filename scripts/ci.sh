@@ -32,6 +32,10 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> cargo test"
 cargo test --workspace -q
 
+# Informational, not a gate: the size a simplification PR quotes.
+echo "==> non-test lines per crate (scripts/loc.sh)"
+scripts/loc.sh
+
 # The distance kernels, the segmenter, the sliced CRC-32 and the
 # persistence run decoders once more as they ship: debug builds neither
 # vectorise the lane loops nor elide the bounds checks they rely on (and

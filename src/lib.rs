@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use strg_distance::{
         BoundedDistance, CountingDistance, Dtw, Eged, EgedMetric, Lcs, LowerBound, MetricDistance,
-        SeqSummary, SequenceDistance, SummaryEnvelope,
+        SeqSummary, SequenceDistance,
     };
     pub use strg_graph::{
         decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Strg,

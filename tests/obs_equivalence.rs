@@ -7,10 +7,10 @@
 //!    recorder is bookkeeping, not estimation.
 //! 2. **Thread invariance** — the work fields of every query cost, and the
 //!    database's deterministic metrics snapshot, are bit-identical whatever
-//!    the thread count. Inside a tree nothing speculates, so the charge is
-//!    the physical count at any worker count; the parallel shard fan-out
-//!    may *search* shards the replay then skips, but it *charges* only the
-//!    logical decisions the sequential walk would make (see DESIGN.md §8).
+//!    the thread count. A tree search runs on the calling thread and the
+//!    parallel shard fan-out runs the same per-shard searches as the
+//!    sequential one, so the charge is the physical count at any worker
+//!    count (see DESIGN.md §8).
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`; the `default_config_…` test below picks the pin up

@@ -108,9 +108,9 @@ fn tree_queries_allocate_nothing_at(threads: Threads) {
     assert_eq!(scratch.grow_events(), grows_warm, "arena kept growing");
 }
 
-/// Steady-state sharded fan-outs (bound-ordered, sequential) must not
-/// touch the allocator: the shard arena threads one tree arena through
-/// every opened shard.
+/// Steady-state sequential sharded fan-outs must not touch the
+/// allocator: the shard arena threads one tree arena through every
+/// shard.
 #[test]
 fn steady_state_sharded_queries_allocate_nothing() {
     let shards: Vec<_> = (0..3)

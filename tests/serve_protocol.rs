@@ -94,7 +94,8 @@ fn ingest_query_stats_over_real_sockets() {
 /// had no upper bound, so `nan`/`inf`/`1e999` coordinates reached the
 /// distance kernel and `"steps":100000000000` asked for a 1.6 TB trajectory
 /// (aborting the server). Each is refused with `invalid` — alone and as one
-/// member of a `query_batch` — and the connection keeps answering.
+/// member of a `query_batch` — and the connection keeps answering; so is a
+/// radius that overflows to infinity.
 #[test]
 fn non_finite_and_unbounded_query_input_is_refused() {
     let (handle, join) = boot(two_clip_db(), ServeConfig::default());
@@ -106,6 +107,8 @@ fn non_finite_and_unbounded_query_input_is_refused() {
         r#"{"from":"0,80","to":"1e999,0","k":3}"#,
         r#"{"from":"0,80","to":"160,80","steps":100000000000,"k":3}"#,
         r#"{"from":"0,80","to":"160,80","steps":4097,"k":3}"#,
+        r#"{"from":"0,80","to":"160,80","radius":1e999}"#,
+        r#"{"from":"0,80","to":"160,80","radius":-1e999}"#,
     ];
     for (i, params) in bad.iter().enumerate() {
         let r = c.send(&format!(

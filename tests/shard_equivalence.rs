@@ -4,12 +4,10 @@
 //! with a single shard in every observable except wall-clock: a one-shard
 //! database answers exactly what its tree answers (hits **and** costs),
 //! raising the shard count never changes a hit list, background matching
-//! picks the same root at every shard count, the logical cost counting is
-//! identical at any `STRG_THREADS` setting, and the shard-envelope filter
-//! (DESIGN.md §12) never changes a result — sharded hits are pinned to a
-//! linear scan (`tests/oracle`) on queries that provably prune whole
-//! shards, so an inadmissible aggregate envelope shows up here as a hit
-//! diff against ground truth.
+//! picks the same root at every shard count, the cost counting is
+//! identical at any `STRG_THREADS` setting, and the fan-out (DESIGN.md
+//! §12) returns the linear scan's answer (`tests/oracle`) at a cost that is
+//! exactly the sum of its shards' own searches.
 //!
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and
 //! `STRG_THREADS=8`, so the equivalence is also pinned with the centroid
@@ -60,7 +58,7 @@ fn fan_out(
     (hits, cost)
 }
 
-/// The synthetic trajectory workload of the pruning tests.
+/// The synthetic trajectory workload of the fan-out tests.
 fn synth_items() -> Corpus {
     generate_total(48, &SynthConfig::with_noise(0.10), 17)
         .series()
@@ -70,9 +68,9 @@ fn synth_items() -> Corpus {
         .collect()
 }
 
-/// The stored series with the globally extreme summary: querying it at
-/// `k = 1` drives the shared cutoff to ~0 after the owning shard, so every
-/// shard with a positive envelope bound is pruned.
+/// The stored series with the largest gap mass: its `k = 1` answer is
+/// itself at distance 0, in one shard, and every other shard's summaries
+/// lie far from it.
 fn extreme_series(items: &[(u64, Vec<Point2>)]) -> &(u64, Vec<Point2>) {
     let dist = EgedMetric::<Point2>::new();
     items
@@ -359,9 +357,8 @@ fn shard_count_never_changes_hits() {
     }
 }
 
-/// The fan-out's logical cost counting is bit-identical at any thread
-/// count: the speculative parallel path replays the sequential decision
-/// sequence over prefetched results and never charges speculation.
+/// The fan-out's cost counting is bit-identical at any thread count: the
+/// parallel path runs the same per-shard searches as the sequential one.
 #[test]
 fn fan_out_costs_identical_across_thread_counts() {
     let seq = ShardedDatabase::new(DbOptions::new().shards(4).threads(Threads::Fixed(1)));
@@ -385,19 +382,49 @@ fn fan_out_costs_identical_across_thread_counts() {
     }
 }
 
-/// The shard envelope filter is a physical optimization only: at 1, 2 and
-/// 4 shards, sequentially and in parallel, the fan-out returns exactly the
-/// linear scan's answer — on the raw shard trees with queries that
-/// provably prune whole shards, and through a 4-shard [`VideoDatabase`]
-/// on real clips. An inadmissible envelope bound fails here.
+/// At 1–4 shards, sequentially and in parallel, the fan-out over the raw
+/// shard trees returns exactly the linear scan's answer, and its cost is
+/// exactly the sum of every shard's own [`StrgIndex::search`] over
+/// [`Scope::All`]: each shard is searched, and nothing more is charged.
 #[test]
-fn envelope_filter_matches_linear_scan() {
+fn fan_out_cost_is_the_sum_of_its_shards_searches() {
+    let items = synth_items();
+    let mut queries = vec![extreme_series(&items).1.clone(), items[0].1.clone()];
+    queries.extend(trajectories_far_and_line());
+    for shards in 1..=4 {
+        let trees = shard_indexes(&items, shards);
+        for q in &queries {
+            let truth = scan(&items, q);
+            let probes = [1, 5]
+                .map(QueryKind::Knn)
+                .into_iter()
+                .chain([truth[4].1, 1e6].map(QueryKind::Range));
+            for probe in probes {
+                let mut want = QueryCost::default();
+                for t in &trees {
+                    want.merge(&t.search(q, probe, Scope::All).1);
+                }
+                for threads in [1, 8] {
+                    let ctx = format!("{shards} shards, {threads} threads, {probe:?}");
+                    let (hits, cost) = fan_out(&trees, q, probe, threads);
+                    assert_matches(&truth, &hits, probe, &ctx);
+                    assert!(cost.same_work(&want), "{ctx}: {cost:?} vs {want:?}");
+                }
+            }
+        }
+    }
+}
+
+/// At 1, 2 and 4 shards, sequentially and in parallel, the fan-out
+/// returns exactly the linear scan's answer — on the raw shard trees and
+/// through a 4-shard [`VideoDatabase`] on real clips.
+#[test]
+fn fan_out_matches_linear_scan() {
     let items = synth_items();
     let mut queries = vec![extreme_series(&items).1.clone(), items[0].1.clone()];
     queries.extend(trajectories_far_and_line());
     for shards in [1, 2, 4] {
         let trees = shard_indexes(&items, shards);
-        let mut shards_pruned = 0;
         for q in &queries {
             let truth = scan(&items, q);
             let probes = [1, 5]
@@ -410,13 +437,8 @@ fn envelope_filter_matches_linear_scan() {
                 let (par, par_cost) = fan_out(&trees, q, probe, 8);
                 assert_eq!(seq, par, "{shards} shards {probe:?}: parallel hits");
                 assert!(cost.same_work(&par_cost), "{shards} shards {probe:?}");
-                shards_pruned += cost.shards_pruned;
             }
         }
-        assert!(
-            shards == 1 || shards_pruned > 0,
-            "{shards} shards: no query pruned a whole shard — the check is vacuous"
-        );
     }
 
     let db = ShardedDatabase::new(DbOptions::new().shards(4));
@@ -486,30 +508,6 @@ fn bit_equal_radius_keeps_the_boundary_object() {
             }
         }
     }
-}
-
-/// On a self-query workload the bound-ordered fan-out actually skips whole
-/// shards — sequentially without searching them — and the hits still match
-/// the linear scan exactly.
-#[test]
-fn fan_out_prunes_whole_shards_on_self_queries() {
-    let items = synth_items();
-    let trees = shard_indexes(&items, 4);
-    let extreme = extreme_series(&items);
-    let (hits, cost) = fan_out(&trees, &extreme.1, QueryKind::Knn(1), 1);
-    assert!(
-        cost.shards_pruned >= 1,
-        "self-query should prune at least one whole shard: {cost:?}"
-    );
-    // A skipped shard charges all its records to `pruned` and nothing else:
-    // conservation holds database-wide with zero work inside it.
-    let clusters: usize = trees.iter().map(|t| t.cluster_count()).sum();
-    assert_eq!(
-        cost.distance_calls + cost.pruned + cost.lb_pruned,
-        (items.len() + clusters) as u64
-    );
-    assert_matches(&scan(&items, &extreme.1), &hits, QueryKind::Knn(1), "self");
-    assert_eq!(hits[0], (extreme.0, 0.0), "self-query returns itself first");
 }
 
 /// The corners of `kernel_equivalence.rs`'s `oracle_corners_single_tree`
