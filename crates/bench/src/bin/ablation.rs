@@ -12,6 +12,8 @@
 //! cargo run --release -p strg-bench --bin ablation [-- --quick]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use strg_bench::report::write_csv;
 use strg_bench::Scale;
 use strg_cluster::{clustering_error_rate, Clusterer, EmClusterer, EmConfig};

@@ -9,6 +9,8 @@
 //! smoke-test scale and `--reduced` the reduced paper scale (same sweeps,
 //! ~1/3 compute). CSVs are written under `results/`.
 
+#![forbid(unsafe_code)]
+
 use strg_bench::{fig5, fig6, fig7, fig8, report::write_csv, Scale};
 
 fn main() {

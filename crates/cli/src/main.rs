@@ -1,5 +1,7 @@
 //! `strgdb` — command-line front end for the STRG-Index video database.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 fn main() {

@@ -184,9 +184,10 @@ impl State {
 }
 
 /// The end-to-end video database: N ≥ 1 STRG-Index shards answering
-/// global queries with the bound-ordered fan-out of [`crate::shard`].
-/// OG ids come from one counter, in global ingest order, and are never
-/// handed out twice — not even after the newest clip is removed.
+/// global queries by searching every shard and merging the hits
+/// ([`crate::shard`]). OG ids come from one counter, in global ingest
+/// order, and are never handed out twice — not even after the newest clip
+/// is removed.
 pub struct VideoDatabase {
     cfg: DbOptions,
     pub(crate) state: RwLock<State>,
@@ -366,7 +367,7 @@ impl VideoDatabase {
     /// background-matched query runs Algorithm 3 step 2 over every root, in
     /// global ingest order (the last maximum wins), and searches the
     /// matched root if its similarity reaches 0.5; otherwise — and for
-    /// every plain query — the bound-ordered fan-out searches all shards.
+    /// every plain query — the fan-out searches every shard and merges.
     /// The search and the resolution of its hits run under one read guard.
     ///
     /// The query's [`QueryCost`] is always recorded into the database's

@@ -24,17 +24,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-pub mod node;
+mod node;
 mod query;
 mod split;
+
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqValue};
 use strg_obs::QueryCost;
 
-use node::{LeafEntry, Node, RoutingEntry};
+use node::{Entry, LeafEntry, Node, RoutingEntry};
 pub use query::{with_mtree_scratch, MtreeScratch, Neighbor};
 pub use split::PromotePolicy;
 
@@ -83,7 +86,9 @@ impl MTreeConfig {
 pub struct MTree<V, D> {
     dist: D,
     cfg: MTreeConfig,
-    root: Node<V>,
+    /// Every node of the tree; a routing entry's `child` indexes it.
+    nodes: Vec<Node<V>>,
+    root: u32,
     rng: StdRng,
     len: usize,
 }
@@ -94,7 +99,8 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
         Self {
             dist,
             cfg,
-            root: Node::Leaf(Vec::new()),
+            nodes: vec![Node::Leaf(Vec::new())],
+            root: 0,
             rng: StdRng::seed_from_u64(cfg.seed),
             len: 0,
         }
@@ -121,12 +127,25 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
 
     /// Number of tree nodes.
     pub fn node_count(&self) -> usize {
-        self.root.node_count()
+        self.nodes.len()
     }
 
     /// Height of the tree (1 for a single leaf).
     pub fn height(&self) -> usize {
-        self.root.height()
+        self.height_below(self.root)
+    }
+
+    fn height_below(&self, n: u32) -> usize {
+        match &self.nodes[n as usize] {
+            Node::Leaf(_) => 1,
+            Node::Internal(es) => {
+                1 + es
+                    .iter()
+                    .map(|r| self.height_below(r.child))
+                    .max()
+                    .unwrap_or(0)
+            }
+        }
     }
 
     /// The distance the tree was built with.
@@ -134,34 +153,89 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
         &self.dist
     }
 
-    /// Inserts an object.
+    /// Inserts an object. The descent takes one routing entry per level
+    /// and records the path; the ascent then splits every over-full node
+    /// on it, bottom up, growing a new root when the root splits.
     pub fn insert(&mut self, id: u64, seq: Vec<V>) {
         let summary = self.dist.summarize(&seq);
-        let entry = LeafEntry {
+        let mut entry = LeafEntry {
             id,
             seq,
             parent_dist: 0.0,
             summary,
         };
-        let capacity = self.cfg.node_capacity;
-        let policy = self.cfg.policy;
-        // Take the root out to appease the borrow checker.
-        let mut root = std::mem::replace(&mut self.root, Node::Leaf(Vec::new()));
-        if let Some((e1, e2)) = insert_rec(
-            &mut root,
-            entry,
-            &self.dist,
-            capacity,
-            policy,
-            &mut self.rng,
-        ) {
-            // Root split: grow a new root.
-            drop(root);
-            self.root = Node::Internal(vec![e1, e2]);
-        } else {
-            self.root = root;
+        // `(node, slot)` of every routing entry taken, root first.
+        let mut path: Vec<(u32, usize)> = Vec::new();
+        let mut node = self.root;
+        while let Node::Internal(entries) = &mut self.nodes[node as usize] {
+            // Prefer a covering pivot at minimal distance, else minimal
+            // radius enlargement; the first such entry on a tie.
+            let (slot, d) = entries
+                .iter()
+                .map(|r| {
+                    let d = self.dist.distance(&r.pivot, &entry.seq);
+                    (d, d > r.radius, if d > r.radius { d - r.radius } else { d })
+                })
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.1.cmp(&b.1).then(a.2.total_cmp(&b.2)))
+                .map(|(slot, (d, ..))| (slot, d))
+                .expect("internal node is never empty");
+            let r = &mut entries[slot];
+            r.radius = r.radius.max(d);
+            entry.parent_dist = d;
+            path.push((node, slot));
+            node = r.child;
         }
+        let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
+            unreachable!("the descent ends at a leaf")
+        };
+        entries.push(entry);
         self.len += 1;
+
+        while self.nodes[node as usize].len() > self.cfg.node_capacity {
+            let mut promoted = self.split(node);
+            let Some((parent, slot)) = path.pop() else {
+                self.root = self.next_index();
+                self.nodes.push(Node::Internal(promoted.into()));
+                return;
+            };
+            // The promoted entries' parent distances are to the pivot
+            // pointing at `parent`; the root's entries have none.
+            if let Some(&(above, above_slot)) = path.last() {
+                let Node::Internal(es) = &self.nodes[above as usize] else {
+                    unreachable!("a path node is internal")
+                };
+                for e in &mut promoted {
+                    e.parent_dist = self.dist.distance(&es[above_slot].pivot, &e.pivot);
+                }
+            }
+            let Node::Internal(entries) = &mut self.nodes[parent as usize] else {
+                unreachable!("a path node is internal")
+            };
+            entries.swap_remove(slot);
+            entries.extend(promoted);
+            node = parent;
+        }
+    }
+
+    /// Splits node `n` in two: the first half stays at `n`, the second
+    /// becomes a new node. Returns the routing entries for both, which
+    /// replace the one pointing at `n`.
+    fn split(&mut self, n: u32) -> [RoutingEntry<V>; 2] {
+        let children = [n, self.next_index()];
+        let full = std::mem::replace(&mut self.nodes[n as usize], Node::Leaf(Vec::new()));
+        let (dist, policy, rng) = (&self.dist, self.cfg.policy, &mut self.rng);
+        let [(r1, n1), (r2, n2)] = match full {
+            Node::Leaf(es) => split::split(es, children, dist, policy, rng),
+            Node::Internal(es) => split::split(es, children, dist, policy, rng),
+        };
+        self.nodes[n as usize] = n1;
+        self.nodes.push(n2);
+        [r1, r2]
+    }
+
+    fn next_index(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("M-tree node count fits in u32")
     }
 
     /// k-nearest-neighbor query; results sorted by ascending distance.
@@ -172,11 +246,7 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
     /// Like [`MTree::knn`], but also reports the query's [`QueryCost`]
     /// (distance calls, node accesses, pruned entries, wall-clock).
     pub fn knn_with_cost(&self, query: &[V], k: usize) -> (Vec<Neighbor>, QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        let out = query::knn(&self.root, &self.dist, query, k, &mut cost);
-        cost.elapsed = start.elapsed();
-        (out, cost)
+        self.search(query, k, f64::INFINITY)
     }
 
     /// Like [`MTree::knn_with_cost`], but runs out of a caller-owned
@@ -188,16 +258,17 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
         k: usize,
         scratch: &'s mut MtreeScratch,
     ) -> (&'s [Neighbor], QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        query::knn_into(&self.root, &self.dist, query, k, &mut cost, scratch);
-        cost.elapsed = start.elapsed();
-        (scratch.neighbors(), cost)
+        self.search_into(query, k, f64::INFINITY, scratch)
     }
 
     /// Range query: every object within `radius` of `query`.
     pub fn range(&self, query: &[V], radius: f64) -> Vec<Neighbor> {
         self.range_with_cost(query, radius).0
+    }
+
+    /// Like [`MTree::range`], but also reports the query's [`QueryCost`].
+    pub fn range_with_cost(&self, query: &[V], radius: f64) -> (Vec<Neighbor>, QueryCost) {
+        self.search(query, usize::MAX, radius)
     }
 
     /// Like [`MTree::range_with_cost`], but runs out of a caller-owned
@@ -208,118 +279,82 @@ impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTr
         radius: f64,
         scratch: &'s mut MtreeScratch,
     ) -> (&'s [Neighbor], QueryCost) {
-        let start = std::time::Instant::now();
+        self.search_into(query, usize::MAX, radius, scratch)
+    }
+
+    /// [`MTree::search_into`] in this thread's arena, the answer copied out.
+    fn search(&self, query: &[V], k: usize, radius: f64) -> (Vec<Neighbor>, QueryCost) {
+        with_mtree_scratch(|scratch| {
+            let (hits, cost) = self.search_into(query, k, radius, scratch);
+            (hits.to_vec(), cost)
+        })
+    }
+
+    /// The one timed search behind every query: the best `k` objects
+    /// within `radius` (a k-NN passes `radius = ∞`, a range search `k =
+    /// usize::MAX`), ascending by (distance, id).
+    fn search_into<'s>(
+        &self,
+        query: &[V],
+        k: usize,
+        radius: f64,
+        scratch: &'s mut MtreeScratch,
+    ) -> (&'s [Neighbor], QueryCost) {
+        let start = Instant::now();
         let mut cost = QueryCost::default();
-        query::range_into(&self.root, &self.dist, query, radius, &mut cost, scratch);
+        query::search_into(self, query, k, radius, &mut cost, scratch);
         cost.elapsed = start.elapsed();
         (scratch.neighbors(), cost)
     }
 
-    /// Like [`MTree::range`], but also reports the query's [`QueryCost`].
-    pub fn range_with_cost(&self, query: &[V], radius: f64) -> (Vec<Neighbor>, QueryCost) {
-        let start = std::time::Instant::now();
-        let mut cost = QueryCost::default();
-        let out = query::range(&self.root, &self.dist, query, radius, &mut cost);
-        cost.elapsed = start.elapsed();
-        (out, cost)
-    }
-
-    /// Verifies the covering-radius invariant of every routing entry;
-    /// returns the number of routing entries checked. Test/debug helper.
+    /// Verifies every routing entry: its covering radius bounds the
+    /// distance from its pivot to every object below it, and each entry
+    /// of its child stores its exact distance to the pivot (relative
+    /// 1e-9) as its parent distance. Returns the number of routing entries
+    /// checked. Test/debug helper; panics on a violation.
     pub fn check_invariants(&self) -> usize {
-        fn walk<V: SeqValue, D: MetricDistance<V>>(node: &Node<V>, dist: &D) -> usize {
-            match node {
-                Node::Leaf(_) => 0,
-                Node::Internal(entries) => {
-                    let mut checked = 0;
-                    for r in entries {
-                        let max_d = max_dist_to(&r.pivot, &r.child, dist);
-                        assert!(
-                            max_d <= r.radius + 1e-9,
-                            "covering radius violated: {max_d} > {}",
-                            r.radius
-                        );
-                        checked += 1 + walk(&r.child, dist);
-                    }
-                    checked
+        let mut checked = 0;
+        for node in &self.nodes {
+            let Node::Internal(entries) = node else {
+                continue;
+            };
+            for r in entries {
+                match &self.nodes[r.child as usize] {
+                    Node::Leaf(es) => self.check_parent_dists(&r.pivot, es),
+                    Node::Internal(es) => self.check_parent_dists(&r.pivot, es),
                 }
+                let max_d = self.max_dist_below(&r.pivot, r.child);
+                assert!(
+                    max_d <= r.radius + 1e-9,
+                    "covering radius violated: {max_d} > {}",
+                    r.radius
+                );
+                checked += 1;
             }
         }
-        fn max_dist_to<V: SeqValue, D: MetricDistance<V>>(
-            pivot: &[V],
-            node: &Node<V>,
-            dist: &D,
-        ) -> f64 {
-            match node {
-                Node::Leaf(entries) => entries
-                    .iter()
-                    .map(|e| dist.distance(pivot, &e.seq))
-                    .fold(0.0, f64::max),
-                Node::Internal(entries) => entries
-                    .iter()
-                    .map(|r| max_dist_to(pivot, &r.child, dist))
-                    .fold(0.0, f64::max),
-            }
-        }
-        walk(&self.root, &self.dist)
+        checked
     }
-}
 
-/// Recursive insert. Returns `Some((e1, e2))` when the child split and the
-/// caller must replace its routing entry with two.
-fn insert_rec<V: SeqValue, D: MetricDistance<V>>(
-    node: &mut Node<V>,
-    mut entry: LeafEntry<V>,
-    dist: &D,
-    capacity: usize,
-    policy: PromotePolicy,
-    rng: &mut StdRng,
-) -> Option<(RoutingEntry<V>, RoutingEntry<V>)> {
-    match node {
-        Node::Leaf(entries) => {
-            entries.push(entry);
-            if entries.len() > capacity {
-                let full = std::mem::take(entries);
-                Some(split::split_leaf(full, dist, policy, rng))
-            } else {
-                None
-            }
+    fn check_parent_dists(&self, pivot: &[V], entries: &[impl Entry<V>]) {
+        for e in entries {
+            let (stored, real) = (e.parent_dist(), self.dist.distance(pivot, e.object()));
+            assert!(
+                (stored - real).abs() <= 1e-9 * real,
+                "stale parent distance: {stored} stored, {real} real"
+            );
         }
-        Node::Internal(entries) => {
-            // Subtree choice: prefer a covering pivot at minimal distance,
-            // else minimal radius enlargement.
-            let mut best: Option<(usize, f64, bool, f64)> = None; // (idx, key, covering, d)
-            for (i, r) in entries.iter().enumerate() {
-                let d = dist.distance(&r.pivot, &entry.seq);
-                let covering = d <= r.radius;
-                let key = if covering { d } else { d - r.radius };
-                let better = match best {
-                    None => true,
-                    Some((_, bk, bc, _)) => (covering && !bc) || (covering == bc && key < bk),
-                };
-                if better {
-                    best = Some((i, key, covering, d));
-                }
-            }
-            let (idx, _, covering, d) = best.expect("internal node is never empty");
-            if !covering {
-                entries[idx].radius = d;
-            }
-            entry.parent_dist = d;
-            let split = insert_rec(&mut entries[idx].child, entry, dist, capacity, policy, rng);
-            if let Some((mut e1, mut e2)) = split {
-                // Replace entry idx with the two promoted entries.
-                entries.swap_remove(idx);
-                e1.parent_dist = 0.0;
-                e2.parent_dist = 0.0;
-                entries.push(e1);
-                entries.push(e2);
-                if entries.len() > capacity {
-                    let full = std::mem::take(entries);
-                    return Some(split::split_internal(full, dist, policy, rng));
-                }
-            }
-            None
+    }
+
+    fn max_dist_below(&self, pivot: &[V], n: u32) -> f64 {
+        match &self.nodes[n as usize] {
+            Node::Leaf(es) => es
+                .iter()
+                .map(|e| self.dist.distance(pivot, &e.seq))
+                .fold(0.0, f64::max),
+            Node::Internal(es) => es
+                .iter()
+                .map(|r| self.max_dist_below(pivot, r.child))
+                .fold(0.0, f64::max),
         }
     }
 }
@@ -345,6 +380,73 @@ mod tests {
 
     fn tree(n: usize, cfg: MTreeConfig) -> MTree<f64, EgedMetric<f64>> {
         MTree::bulk_insert(EgedMetric::new(), cfg, items(n))
+    }
+
+    fn scalars(vals: &[f64], cfg: MTreeConfig) -> MTree<f64, EgedMetric<f64>> {
+        let items = vals.iter().enumerate().map(|(i, &v)| (i as u64, vec![v]));
+        MTree::bulk_insert(EgedMetric::new(), cfg, items.collect())
+    }
+
+    fn capacity(node_capacity: usize, cfg: MTreeConfig) -> MTreeConfig {
+        MTreeConfig {
+            node_capacity,
+            ..cfg
+        }
+    }
+
+    /// The root's routing entries; panics on a leaf root.
+    fn root_entries<D>(t: &MTree<f64, D>) -> &[RoutingEntry<f64>] {
+        match &t.nodes[t.root as usize] {
+            Node::Internal(es) => es,
+            Node::Leaf(_) => panic!("expected an internal root"),
+        }
+    }
+
+    #[test]
+    fn single_leaf_counts() {
+        let t = tree(3, MTreeConfig::default());
+        assert_eq!((t.len(), t.node_count(), t.height()), (3, 1, 1));
+        assert_eq!(t.nodes[t.root as usize].len(), 3);
+    }
+
+    #[test]
+    fn first_split_grows_a_root_over_two_leaves() {
+        let t = tree(17, MTreeConfig::default());
+        assert_eq!((t.len(), t.node_count(), t.height()), (17, 3, 2));
+        // The split leaf keeps index 0; its second half and the new root
+        // are appended.
+        assert_eq!(t.root, 2);
+        let children: Vec<u32> = root_entries(&t).iter().map(|r| r.child).collect();
+        assert_eq!(children, [0, 1]);
+        assert_eq!(t.nodes[0].len() + t.nodes[1].len(), 17);
+    }
+
+    #[test]
+    fn sampled_split_separates_the_two_groups() {
+        let vals = [0.0, 1.0, 2.0, 100.0, 101.0, 102.0];
+        let cfg = capacity(5, MTreeConfig::default());
+        let t = scalars(
+            &vals,
+            MTreeConfig {
+                policy: PromotePolicy::Sampling { samples: 6 },
+                ..cfg
+            },
+        );
+        let root = root_entries(&t);
+        let members: usize = root.iter().map(|r| t.nodes[r.child as usize].len()).sum();
+        assert_eq!((root.len(), members), (2, 6));
+        let radii: Vec<f64> = root.iter().map(|r| r.radius).collect();
+        assert!(radii.iter().all(|&r| r <= 2.0), "radii {radii:?}");
+        assert_eq!(t.check_invariants(), 2);
+    }
+
+    #[test]
+    fn random_split_still_covers() {
+        let t = scalars(
+            &[0.0, 5.0, 10.0, 50.0, 55.0],
+            capacity(4, MTreeConfig::random(7)),
+        );
+        assert_eq!(t.check_invariants(), 2);
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! M-tree node structures (Ciaccia, Patella & Zezula, VLDB 1997).
+//! M-tree node structures (Ciaccia, Patella & Zezula, VLDB 1997), stored
+//! in one arena: the tree owns a `Vec<Node<V>>` and a routing entry names
+//! its child by index into it.
 //!
 //! Internal nodes hold routing entries: a pivot object, a covering radius
 //! bounding every object in the subtree, and the distance to the parent
 //! pivot (which enables triangle-inequality pruning without extra distance
 //! computations). Leaves hold the indexed objects with their distance to
-//! the leaf's pivot.
+//! the leaf's pivot. A parent distance is always exact: the distance from
+//! the pivot of the routing entry pointing at the entry's node to the
+//! entry's object (the root's entries have no such pivot and store 0).
+//! [`crate::MTree::check_invariants`] recomputes every one.
 //!
 //! Every entry additionally carries a [`SeqSummary`] of its sequence (or
 //! pivot), computed once at insert time, so searches can evaluate a cheap
@@ -14,7 +19,7 @@ use strg_distance::SeqSummary;
 
 /// An object stored in a leaf.
 #[derive(Clone, Debug)]
-pub struct LeafEntry<V> {
+pub(crate) struct LeafEntry<V> {
     /// Caller-supplied identifier returned by queries.
     pub id: u64,
     /// The indexed sequence.
@@ -28,7 +33,7 @@ pub struct LeafEntry<V> {
 
 /// A routing entry of an internal node.
 #[derive(Clone, Debug)]
-pub struct RoutingEntry<V> {
+pub(crate) struct RoutingEntry<V> {
     /// Routing pivot object.
     pub pivot: Vec<V>,
     /// Covering radius: upper bound of the distance from `pivot` to any
@@ -38,13 +43,13 @@ pub struct RoutingEntry<V> {
     pub parent_dist: f64,
     /// O(1) summary of `pivot` for lower-bound filtering.
     pub summary: SeqSummary<V>,
-    /// The subtree.
-    pub child: Box<Node<V>>,
+    /// The subtree: an index into the tree's node arena.
+    pub child: u32,
 }
 
 /// An M-tree node.
 #[derive(Clone, Debug)]
-pub enum Node<V> {
+pub(crate) enum Node<V> {
     /// A leaf of indexed objects.
     Leaf(Vec<LeafEntry<V>>),
     /// An internal node of routing entries.
@@ -59,88 +64,65 @@ impl<V> Node<V> {
             Node::Internal(e) => e.len(),
         }
     }
+}
 
-    /// Whether the node holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// What the split and the search read and write of an entry of either
+/// kind. An entry stands for the ball of radius [`Entry::radius`] around
+/// its object: a leaf entry's ball is the object itself (radius 0), a
+/// routing entry's covers its subtree.
+pub(crate) trait Entry<V>: Sized {
+    /// The indexed sequence, or the routing pivot.
+    fn object(&self) -> &[V];
+    /// The summary of [`Entry::object`].
+    fn summary(&self) -> &SeqSummary<V>;
+    /// 0 for an indexed object, the covering radius for a routing entry.
+    fn radius(&self) -> f64;
+    /// Distance from the object to the parent routing pivot.
+    fn parent_dist(&self) -> f64;
+    /// Records the distance to a new parent routing pivot.
+    fn set_parent_dist(&mut self, d: f64);
+    /// The node holding `entries`.
+    fn node(entries: Vec<Self>) -> Node<V>;
+}
+
+impl<V> Entry<V> for LeafEntry<V> {
+    fn object(&self) -> &[V] {
+        &self.seq
     }
-
-    /// Total number of indexed objects below this node.
-    pub fn object_count(&self) -> usize {
-        match self {
-            Node::Leaf(e) => e.len(),
-            Node::Internal(e) => e.iter().map(|r| r.child.object_count()).sum(),
-        }
+    fn summary(&self) -> &SeqSummary<V> {
+        &self.summary
     }
-
-    /// Number of nodes (this one included) in the subtree.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::Internal(e) => 1 + e.iter().map(|r| r.child.node_count()).sum::<usize>(),
-        }
+    fn radius(&self) -> f64 {
+        0.0
     }
-
-    /// Height of the subtree (a leaf has height 1).
-    pub fn height(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::Internal(e) => 1 + e.iter().map(|r| r.child.height()).max().unwrap_or(0),
-        }
+    fn parent_dist(&self) -> f64 {
+        self.parent_dist
+    }
+    fn set_parent_dist(&mut self, d: f64) {
+        self.parent_dist = d;
+    }
+    fn node(entries: Vec<Self>) -> Node<V> {
+        Node::Leaf(entries)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn leaf(ids: &[u64]) -> Node<f64> {
-        Node::Leaf(
-            ids.iter()
-                .map(|&id| {
-                    let seq = vec![id as f64];
-                    LeafEntry {
-                        id,
-                        summary: SeqSummary::of(&seq, &0.0),
-                        seq,
-                        parent_dist: 0.0,
-                    }
-                })
-                .collect(),
-        )
+impl<V> Entry<V> for RoutingEntry<V> {
+    fn object(&self) -> &[V] {
+        &self.pivot
     }
-
-    #[test]
-    fn leaf_counts() {
-        let n = leaf(&[1, 2, 3]);
-        assert_eq!(n.len(), 3);
-        assert_eq!(n.object_count(), 3);
-        assert_eq!(n.node_count(), 1);
-        assert_eq!(n.height(), 1);
-        assert!(!n.is_empty());
+    fn summary(&self) -> &SeqSummary<V> {
+        &self.summary
     }
-
-    #[test]
-    fn internal_counts() {
-        let n: Node<f64> = Node::Internal(vec![
-            RoutingEntry {
-                pivot: vec![0.0],
-                radius: 1.0,
-                parent_dist: 0.0,
-                summary: SeqSummary::of(&[0.0], &0.0),
-                child: Box::new(leaf(&[1, 2])),
-            },
-            RoutingEntry {
-                pivot: vec![10.0],
-                radius: 1.0,
-                parent_dist: 0.0,
-                summary: SeqSummary::of(&[10.0], &0.0),
-                child: Box::new(leaf(&[3])),
-            },
-        ]);
-        assert_eq!(n.len(), 2);
-        assert_eq!(n.object_count(), 3);
-        assert_eq!(n.node_count(), 3);
-        assert_eq!(n.height(), 2);
+    fn radius(&self) -> f64 {
+        self.radius
+    }
+    fn parent_dist(&self) -> f64 {
+        self.parent_dist
+    }
+    fn set_parent_dist(&mut self, d: f64) {
+        self.parent_dist = d;
+    }
+    fn node(entries: Vec<Self>) -> Node<V> {
+        Node::Internal(entries)
     }
 }

@@ -1,10 +1,10 @@
-//! M-tree search: k-NN with a priority queue over lower-bound distances and
-//! range search, both using parent-distance pre-filtering so that pruned
-//! entries cost *zero* distance evaluations — the quantity Figure 7b
-//! measures. Every search threads a [`QueryCost`] so the baseline reports
-//! the same cost model as the STRG-Index.
+//! M-tree search: k-NN and range search are one best-first loop over the
+//! node arena, using parent-distance pre-filtering so that pruned entries
+//! cost *zero* distance evaluations — the quantity Figure 7b measures.
+//! Every search threads a [`QueryCost`] so the baseline reports the same
+//! cost model as the STRG-Index.
 //!
-//! On top of parent-distance pruning, both searches apply the same
+//! On top of parent-distance pruning, the search applies the same
 //! filter-and-refine discipline as the STRG-Index leaf scan: an admissible
 //! summary lower bound (charged as `lb_pruned`) cuts candidates before any
 //! distance evaluation, and surviving candidates are refined with
@@ -14,13 +14,14 @@
 //! to a linear scan.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqValue};
+use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
 
-use crate::node::Node;
+use crate::node::{Entry, Node};
+use crate::MTree;
 
 /// One query result.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -31,65 +32,63 @@ pub struct Neighbor {
     pub dist: f64,
 }
 
-/// Pending-subtree heap slot: `(dmin, dq_pivot, node)`. The node pointer is
-/// type-erased so the arena can be non-generic; it is only ever produced
-/// from and consumed by the same `knn_into` call (see the SAFETY note
-/// there). `dmin` is the lower bound `max(0, d(q, pivot) - radius)`;
-/// `dq_pivot` is `d(q, pivot)` of the routing entry that led here (for
-/// parent-distance pruning inside the node, NaN at the root).
-type PendingSlot = (f64, f64, *const ());
+/// A distance ordered by [`f64::total_cmp`], so that it can key a heap.
+#[derive(Copy, Clone)]
+struct Dist(f64);
 
-/// Max-heap entry for the current k best.
-#[derive(PartialEq)]
-struct Best {
-    dist: f64,
-    id: u64,
+impl Ord for Dist {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
 }
-impl Eq for Best {}
-impl PartialOrd for Best {
+impl PartialOrd for Dist {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Best {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist.total_cmp(&other.dist)
+impl PartialEq for Dist {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
+impl Eq for Dist {}
 
-/// Reusable per-thread M-tree search arena: the pending-subtree heap, the
-/// best-k heap storage, and the result buffers, all grown to their
+/// A pending subtree `(dmin, node, dq_pivot)`: the lower bound `dmin =
+/// max(0, d(q, pivot) − radius)` on every object below arena node `node`,
+/// and `dq_pivot = d(q, pivot)` for parent-distance pruning inside it. The
+/// root has no pivot and carries NaN, which every comparison rejects, so
+/// nothing in the root is parent-pruned. Pops in ascending (`dmin`,
+/// `node`) order; a node is pending at most once, so `dq_pivot` never
+/// breaks a tie.
+type Pending = Reverse<(Dist, u32, Dist)>;
+
+/// A hit `(distance, id)`: the best-k max-heap evicts the largest, and the
+/// answer ascends in this order.
+type Best = (Dist, u64);
+
+/// Reusable per-thread M-tree search arena: the pending-node heap and the
+/// best-k heap storage, and the result buffer, all grown to their
 /// high-water mark and reused, so steady-state queries allocate nothing.
-/// Holds raw node pointers transiently (cleared on entry and exit of every
-/// search), which keeps it thread-local by construction (`!Send`).
 #[derive(Default)]
 pub struct MtreeScratch {
-    pending: Vec<PendingSlot>,
+    pending: Vec<Pending>,
     best: Vec<Best>,
     out: Vec<Neighbor>,
-    out_tmp: Vec<Neighbor>,
-    order: Vec<u32>,
     grows: u64,
 }
 
 impl MtreeScratch {
     /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    const fn empty() -> Self {
+    pub const fn new() -> Self {
         Self {
             pending: Vec::new(),
             best: Vec::new(),
             out: Vec::new(),
-            out_tmp: Vec::new(),
-            order: Vec::new(),
             grows: 0,
         }
     }
 
-    /// The neighbors of the last `*_into` search, ascending by distance.
+    /// The neighbors of the last search, ascending by (distance, id).
     pub fn neighbors(&self) -> &[Neighbor] {
         &self.out
     }
@@ -99,19 +98,17 @@ impl MtreeScratch {
         self.grows
     }
 
-    fn capacities(&self) -> (usize, usize, usize, usize, usize) {
-        (
+    fn capacities(&self) -> [usize; 3] {
+        [
             self.pending.capacity(),
             self.best.capacity(),
             self.out.capacity(),
-            self.out_tmp.capacity(),
-            self.order.capacity(),
-        )
+        ]
     }
 }
 
 thread_local! {
-    static MTREE_SCRATCH: RefCell<MtreeScratch> = const { RefCell::new(MtreeScratch::empty()) };
+    static MTREE_SCRATCH: RefCell<MtreeScratch> = const { RefCell::new(MtreeScratch::new()) };
 }
 
 /// Runs `f` with this thread's M-tree arena; reentrant calls fall back to
@@ -119,183 +116,82 @@ thread_local! {
 pub fn with_mtree_scratch<R>(f: impl FnOnce(&mut MtreeScratch) -> R) -> R {
     MTREE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut MtreeScratch::empty()),
+        Err(_) => f(&mut MtreeScratch::new()),
     })
 }
 
-/// Sift-up push for the min-heap on `dmin` (`slot.0`). Total order via
-/// `total_cmp`, so NaNs cannot poison the heap shape.
-fn heap_push(heap: &mut Vec<PendingSlot>, slot: PendingSlot) {
-    heap.push(slot);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent].0.total_cmp(&heap[i].0) == Ordering::Greater {
-            heap.swap(parent, i);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Pop-min with sift-down, the dual of [`heap_push`].
-fn heap_pop(heap: &mut Vec<PendingSlot>) -> Option<PendingSlot> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= heap.len() {
-            break;
-        }
-        let r = l + 1;
-        let c = if r < heap.len() && heap[r].0.total_cmp(&heap[l].0) == Ordering::Less {
-            r
-        } else {
-            l
-        };
-        if heap[c].0.total_cmp(&heap[i].0) == Ordering::Less {
-            heap.swap(i, c);
-            i = c;
-        } else {
-            break;
-        }
-    }
-    top
-}
-
-/// k-nearest neighbors of `query`, sorted by ascending distance.
+/// The search. A k-NN passes `radius = ∞`, a range search `k =
+/// usize::MAX`; an entry survives against the cutoff `min(d_k, radius)`,
+/// where `d_k` is the k-th best distance so far (∞ until `k` hits are
+/// held, so always ∞ for a range search). Pending nodes pop nearest first;
+/// once one's `dmin` exceeds `d_k`, so does every other's, and a full k-NN
+/// stops there, charging the unvisited subtrees to `pruned`. The answer
+/// lands in [`MtreeScratch::neighbors`], ascending by (distance, id).
 /// `cost` accumulates distance calls, node accesses (every node popped and
-/// examined) and pruned entries (skipped without a distance evaluation).
-pub fn knn<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
-    root: &Node<V>,
-    dist: &D,
+/// examined) and excluded entries.
+pub(crate) fn search_into<V, D>(
+    tree: &MTree<V, D>,
     query: &[V],
     k: usize,
-    cost: &mut QueryCost,
-) -> Vec<Neighbor> {
-    with_mtree_scratch(|scratch| {
-        knn_into(root, dist, query, k, cost, scratch);
-        scratch.neighbors().to_vec()
-    })
-}
-
-/// [`knn`] into a caller-owned arena; results land in
-/// [`MtreeScratch::neighbors`].
-pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
-    root: &Node<V>,
-    dist: &D,
-    query: &[V],
-    k: usize,
+    radius: f64,
     cost: &mut QueryCost,
     scratch: &mut MtreeScratch,
-) {
+) where
+    V: SeqValue,
+    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>,
+{
     scratch.out.clear();
-    scratch.pending.clear();
-    if k == 0 || root.object_count() == 0 {
+    if k == 0 {
         return;
     }
     let caps = scratch.capacities();
-    let qsum = dist.summarize(query);
-    // The best-k max-heap borrows the arena's storage but runs through the
-    // real `BinaryHeap`, so push/pop tie behavior is exactly the standard
-    // library's; `from` on the emptied vector is O(1) and keeps capacity.
-    let mut best: BinaryHeap<Best> = BinaryHeap::from(std::mem::take(&mut scratch.best));
-    let pending = &mut scratch.pending;
-    heap_push(
-        pending,
-        (0.0, f64::NAN, root as *const Node<V> as *const ()),
-    );
-
-    while let Some((dmin, dq_pivot, node)) = heap_pop(pending) {
-        // SAFETY: every pointer in `pending` was pushed by this very call
-        // (the heap is cleared on entry) from a `&Node<V>` reachable from
-        // `root`, which outlives the loop; the erased type is therefore
-        // exactly `Node<V>`.
-        let node = unsafe { &*(node as *const Node<V>) };
-        let dk = current_bound(&best, k);
-        if dmin > dk {
-            // Everything left is further away: charge the abandoned
-            // subtrees (including this one) as pruned.
+    let probe = Probe {
+        dist: &tree.dist,
+        query,
+        qsum: tree.dist.summarize(query),
+    };
+    // Both heaps run in the arena's storage; `from` on an emptied vector is
+    // O(1) and keeps its capacity.
+    let mut pending = BinaryHeap::from(std::mem::take(&mut scratch.pending));
+    let mut best = BinaryHeap::from(std::mem::take(&mut scratch.best));
+    pending.push(Reverse((Dist(0.0), tree.root, Dist(f64::NAN))));
+    while let Some(Reverse((Dist(dmin), node, Dist(dq_pivot)))) = pending.pop() {
+        if dmin > kth(&best, k) {
             cost.pruned += 1 + pending.len() as u64;
             break;
         }
         cost.node_accesses += 1;
-        match node {
+        match &tree.nodes[node as usize] {
             Node::Leaf(entries) => {
                 for e in entries {
-                    let dk_now = current_bound(&best, k);
-                    // Parent-distance pruning: |d(q, pivot) - d(o, pivot)|
-                    // lower-bounds d(q, o).
-                    if !dq_pivot.is_nan() && (dq_pivot - e.parent_dist).abs() > dk_now {
-                        cost.pruned += 1;
-                        continue;
-                    }
-                    // Summary lower bound: cut without any distance work.
-                    if dist.lower_bound(query, &qsum, &e.summary) > dk_now {
-                        cost.lb_pruned += 1;
-                        continue;
-                    }
-                    cost.distance_calls += 1;
-                    // `Some(d)` iff `d <= dk_now`, so a survivor always
-                    // enters the best-k heap.
-                    let Some(d) = dist.distance_upto(query, &e.seq, dk_now) else {
-                        cost.early_abandoned += 1;
-                        continue;
-                    };
-                    best.push(Best { dist: d, id: e.id });
-                    if best.len() > k {
-                        best.pop();
+                    let cutoff = kth(&best, k).min(radius);
+                    if let Some(d) = probe.admit(e, dq_pivot, cutoff, cost) {
+                        best.push((Dist(d), e.id));
+                        if best.len() > k {
+                            best.pop();
+                        }
                     }
                 }
             }
             Node::Internal(entries) => {
                 for r in entries {
-                    let dk_now = current_bound(&best, k);
-                    // A subtree survives iff d(q, pivot) <= dk + radius.
-                    let cutoff = dk_now + r.radius;
-                    if !dq_pivot.is_nan() && (dq_pivot - r.parent_dist).abs() > cutoff {
-                        cost.pruned += 1;
-                        continue;
-                    }
-                    if dist.lower_bound(query, &qsum, &r.summary) > cutoff {
-                        cost.lb_pruned += 1;
-                        continue;
-                    }
-                    cost.distance_calls += 1;
-                    match dist.distance_upto(query, &r.pivot, cutoff) {
-                        Some(d) => heap_push(
-                            pending,
-                            (
-                                (d - r.radius).max(0.0),
-                                d,
-                                &*r.child as *const Node<V> as *const (),
-                            ),
-                        ),
-                        None => {
-                            cost.early_abandoned += 1;
-                            cost.pruned += 1;
-                        }
+                    let cutoff = kth(&best, k).min(radius);
+                    if let Some(d) = probe.admit(r, dq_pivot, cutoff, cost) {
+                        let dmin = (d - r.radius).max(0.0);
+                        pending.push(Reverse((Dist(dmin), r.child, Dist(d))));
                     }
                 }
             }
         }
     }
-    pending.clear();
-
-    // Hand the heap's storage back to the arena, copying the (ascending)
-    // results out first.
+    // Hand both heaps' storage back to the arena, copying the (ascending)
+    // answer out first.
+    scratch.pending = pending.into_vec();
+    scratch.pending.clear();
     let mut sorted = best.into_sorted_vec();
-    sorted.truncate(k);
-    scratch.out.extend(sorted.iter().map(|b| Neighbor {
-        id: b.id,
-        dist: b.dist,
-    }));
+    scratch
+        .out
+        .extend(sorted.iter().map(|&(Dist(dist), id)| Neighbor { id, dist }));
     sorted.clear();
     scratch.best = sorted;
     if scratch.capacities() != caps {
@@ -303,129 +199,50 @@ pub fn knn_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
     }
 }
 
-fn current_bound(best: &BinaryHeap<Best>, k: usize) -> f64 {
-    if best.len() < k {
-        f64::INFINITY
-    } else {
-        best.peek().map_or(f64::INFINITY, |b| b.dist)
+/// `d_k`: the k-th best distance so far, ∞ until `k` hits are held.
+fn kth(best: &BinaryHeap<Best>, k: usize) -> f64 {
+    match best.peek() {
+        Some(&(Dist(d), _)) if best.len() >= k => d,
+        _ => f64::INFINITY,
     }
 }
 
-/// Range query: all objects within `radius` of `query`, ascending by
-/// distance. `cost` accumulates as in [`knn`].
-pub fn range<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
-    root: &Node<V>,
-    dist: &D,
-    query: &[V],
-    radius: f64,
-    cost: &mut QueryCost,
-) -> Vec<Neighbor> {
-    with_mtree_scratch(|scratch| {
-        range_into(root, dist, query, radius, cost, scratch);
-        scratch.neighbors().to_vec()
-    })
+/// What every entry test of one search reads: the metric and the query
+/// with its summary.
+struct Probe<'a, V, D> {
+    dist: &'a D,
+    query: &'a [V],
+    qsum: SeqSummary<V>,
 }
 
-/// [`range`] into a caller-owned arena; results land in
-/// [`MtreeScratch::neighbors`].
-pub fn range_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
-    root: &Node<V>,
-    dist: &D,
-    query: &[V],
-    radius: f64,
-    cost: &mut QueryCost,
-    scratch: &mut MtreeScratch,
-) {
-    let caps = scratch.capacities();
-    let qsum = dist.summarize(query);
-    scratch.out.clear();
-    walk(
-        root,
-        dist,
-        query,
-        &qsum,
-        radius,
-        f64::NAN,
-        &mut scratch.out,
-        cost,
-    );
-    // Stable sort by distance without the stable sort's buffer: unstable
-    // index sort keyed (dist, discovery order), applied through the
-    // arena's permutation + double buffer.
-    let MtreeScratch {
-        out,
-        out_tmp,
-        order,
-        ..
-    } = scratch;
-    order.clear();
-    order.reserve(out.len());
-    order.extend(0..out.len() as u32);
-    order.sort_unstable_by(|&i, &j| {
-        out[i as usize]
-            .dist
-            .total_cmp(&out[j as usize].dist)
-            .then(i.cmp(&j))
-    });
-    out_tmp.clear();
-    out_tmp.reserve(out.len());
-    out_tmp.extend(order.iter().map(|&i| out[i as usize]));
-    std::mem::swap(out, out_tmp);
-    if scratch.capacities() != caps {
-        scratch.grows += 1;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
-    node: &Node<V>,
-    dist: &D,
-    query: &[V],
-    qsum: &strg_distance::SeqSummary<V>,
-    radius: f64,
-    dq_pivot: f64,
-    out: &mut Vec<Neighbor>,
-    cost: &mut QueryCost,
-) {
-    cost.node_accesses += 1;
-    match node {
-        Node::Leaf(entries) => {
-            for e in entries {
-                if !dq_pivot.is_nan() && (dq_pivot - e.parent_dist).abs() > radius {
-                    cost.pruned += 1;
-                    continue;
-                }
-                if dist.lower_bound(query, qsum, &e.summary) > radius {
-                    cost.lb_pruned += 1;
-                    continue;
-                }
-                cost.distance_calls += 1;
-                match dist.distance_upto(query, &e.seq, radius) {
-                    Some(d) => out.push(Neighbor { id: e.id, dist: d }),
-                    None => cost.early_abandoned += 1,
-                }
-            }
+impl<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>> Probe<'_, V, D> {
+    /// Filter and refine one entry of either kind: it survives iff its
+    /// object lies within `cutoff + radius` of the query. The cheap tests
+    /// run first — the parent distance (`|d(q, pivot) − d(o, pivot)|`
+    /// lower-bounds `d(q, o)`), then the summary lower bound — and a
+    /// survivor's distance is evaluated bounded by that reach. Returns
+    /// `d(q, object)` for a survivor.
+    fn admit(
+        &self,
+        e: &impl Entry<V>,
+        dq_pivot: f64,
+        cutoff: f64,
+        cost: &mut QueryCost,
+    ) -> Option<f64> {
+        let reach = cutoff + e.radius();
+        if (dq_pivot - e.parent_dist()).abs() > reach {
+            cost.pruned += 1;
+            return None;
         }
-        Node::Internal(entries) => {
-            for r in entries {
-                let cutoff = radius + r.radius;
-                if !dq_pivot.is_nan() && (dq_pivot - r.parent_dist).abs() > cutoff {
-                    cost.pruned += 1;
-                    continue;
-                }
-                if dist.lower_bound(query, qsum, &r.summary) > cutoff {
-                    cost.lb_pruned += 1;
-                    continue;
-                }
-                cost.distance_calls += 1;
-                match dist.distance_upto(query, &r.pivot, cutoff) {
-                    Some(d) => walk(&r.child, dist, query, qsum, radius, d, out, cost),
-                    None => {
-                        cost.early_abandoned += 1;
-                        cost.pruned += 1;
-                    }
-                }
-            }
+        if self.dist.lower_bound(self.query, &self.qsum, e.summary()) > reach {
+            cost.lb_pruned += 1;
+            return None;
         }
+        cost.distance_calls += 1;
+        let d = self.dist.distance_upto(self.query, e.object(), reach);
+        if d.is_none() {
+            cost.early_abandoned += 1;
+        }
+        d
     }
 }

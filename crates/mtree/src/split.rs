@@ -5,13 +5,18 @@
 //! cheapest to build) and SAMPLING (MT-SA, better clustering of entries —
 //! a bounded search over sampled candidate pairs minimizing the larger of
 //! the two covering radii).
+//!
+//! Leaves and internal nodes split the same way: an entry is a ball around
+//! its object ([`Entry`]), so a half's covering radius is the largest
+//! `d + radius` over its members — `d` for an indexed object, `d + r` for
+//! a routing entry.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use strg_distance::{MetricDistance, SeqValue};
 
-use crate::node::{LeafEntry, Node, RoutingEntry};
+use crate::node::{Entry, Node, RoutingEntry};
 
 /// How the two new routing pivots are chosen on node split.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -26,112 +31,48 @@ pub enum PromotePolicy {
     },
 }
 
-/// Splits an over-full leaf into two routing entries.
-pub fn split_leaf<V: SeqValue, D: MetricDistance<V>>(
-    entries: Vec<LeafEntry<V>>,
+/// Splits an over-full node's entries in two. Two entries are promoted
+/// by `policy`; every entry joins the nearer promoted object (the first
+/// on a tie) and stores its distance to it as its parent distance. Returns
+/// each half as its routing entry — pointing at `children[i]`, parent
+/// distance 0 until the caller knows the enclosing pivot — and its node.
+pub(crate) fn split<V: SeqValue, D: MetricDistance<V>, E: Entry<V>>(
+    entries: Vec<E>,
+    children: [u32; 2],
     dist: &D,
     policy: PromotePolicy,
     rng: &mut StdRng,
-) -> (RoutingEntry<V>, RoutingEntry<V>) {
-    let seqs: Vec<&[V]> = entries.iter().map(|e| e.seq.as_slice()).collect();
-    let (p1, p2) = promote(&seqs, dist, policy, rng);
-    let pivot1 = entries[p1].seq.clone();
-    let pivot2 = entries[p2].seq.clone();
-    let sum1 = entries[p1].summary;
-    let sum2 = entries[p2].summary;
-
-    let mut g1 = Vec::new();
-    let mut g2 = Vec::new();
-    let mut r1 = 0.0f64;
-    let mut r2 = 0.0f64;
+) -> [(RoutingEntry<V>, Node<V>); 2] {
+    let promoted = promote(&entries, dist, policy, rng);
+    let mut routing = [0, 1].map(|i| RoutingEntry {
+        pivot: entries[promoted[i]].object().to_vec(),
+        radius: 0.0,
+        parent_dist: 0.0,
+        summary: *entries[promoted[i]].summary(),
+        child: children[i],
+    });
+    let mut halves = [Vec::new(), Vec::new()];
     for mut e in entries {
-        let d1 = dist.distance(&pivot1, &e.seq);
-        let d2 = dist.distance(&pivot2, &e.seq);
-        if d1 <= d2 {
-            e.parent_dist = d1;
-            r1 = r1.max(d1);
-            g1.push(e);
-        } else {
-            e.parent_dist = d2;
-            r2 = r2.max(d2);
-            g2.push(e);
-        }
+        let d1 = dist.distance(&routing[0].pivot, e.object());
+        let d2 = dist.distance(&routing[1].pivot, e.object());
+        let (i, d) = if d1 <= d2 { (0, d1) } else { (1, d2) };
+        routing[i].radius = routing[i].radius.max(d + e.radius());
+        e.set_parent_dist(d);
+        halves[i].push(e);
     }
-    (
-        RoutingEntry {
-            pivot: pivot1,
-            radius: r1,
-            parent_dist: 0.0,
-            summary: sum1,
-            child: Box::new(Node::Leaf(g1)),
-        },
-        RoutingEntry {
-            pivot: pivot2,
-            radius: r2,
-            parent_dist: 0.0,
-            summary: sum2,
-            child: Box::new(Node::Leaf(g2)),
-        },
-    )
-}
-
-/// Splits an over-full internal node into two routing entries.
-pub fn split_internal<V: SeqValue, D: MetricDistance<V>>(
-    entries: Vec<RoutingEntry<V>>,
-    dist: &D,
-    policy: PromotePolicy,
-    rng: &mut StdRng,
-) -> (RoutingEntry<V>, RoutingEntry<V>) {
-    let seqs: Vec<&[V]> = entries.iter().map(|e| e.pivot.as_slice()).collect();
-    let (p1, p2) = promote(&seqs, dist, policy, rng);
-    let pivot1 = entries[p1].pivot.clone();
-    let pivot2 = entries[p2].pivot.clone();
-    let sum1 = entries[p1].summary;
-    let sum2 = entries[p2].summary;
-
-    let mut g1 = Vec::new();
-    let mut g2 = Vec::new();
-    let mut r1 = 0.0f64;
-    let mut r2 = 0.0f64;
-    for mut e in entries {
-        let d1 = dist.distance(&pivot1, &e.pivot);
-        let d2 = dist.distance(&pivot2, &e.pivot);
-        if d1 <= d2 {
-            e.parent_dist = d1;
-            r1 = r1.max(d1 + e.radius);
-            g1.push(e);
-        } else {
-            e.parent_dist = d2;
-            r2 = r2.max(d2 + e.radius);
-            g2.push(e);
-        }
-    }
-    (
-        RoutingEntry {
-            pivot: pivot1,
-            radius: r1,
-            parent_dist: 0.0,
-            summary: sum1,
-            child: Box::new(Node::Internal(g1)),
-        },
-        RoutingEntry {
-            pivot: pivot2,
-            radius: r2,
-            parent_dist: 0.0,
-            summary: sum2,
-            child: Box::new(Node::Internal(g2)),
-        },
-    )
+    let [r1, r2] = routing;
+    let [h1, h2] = halves;
+    [(r1, E::node(h1)), (r2, E::node(h2))]
 }
 
 /// Chooses the two promoted indices.
-fn promote<V: SeqValue, D: MetricDistance<V>>(
-    seqs: &[&[V]],
+fn promote<V: SeqValue, D: MetricDistance<V>, E: Entry<V>>(
+    entries: &[E],
     dist: &D,
     policy: PromotePolicy,
     rng: &mut StdRng,
-) -> (usize, usize) {
-    let n = seqs.len();
+) -> [usize; 2] {
+    let n = entries.len();
     assert!(n >= 2, "cannot split fewer than two entries");
     match policy {
         PromotePolicy::Random => {
@@ -140,24 +81,24 @@ fn promote<V: SeqValue, D: MetricDistance<V>>(
             if b >= a {
                 b += 1;
             }
-            (a, b)
+            [a, b]
         }
         PromotePolicy::Sampling { samples } => {
             let mut idx: Vec<usize> = (0..n).collect();
             idx.shuffle(rng);
             idx.truncate(samples.max(2).min(n));
-            let mut best = (idx[0], idx[1]);
+            let mut best = [idx[0], idx[1]];
             let mut best_cost = f64::INFINITY;
             for i in 0..idx.len() {
                 for j in (i + 1)..idx.len() {
-                    let (a, b) = (idx[i], idx[j]);
+                    let (a, b) = (entries[idx[i]].object(), entries[idx[j]].object());
                     // Cost: the larger covering radius of the induced
                     // generalized-hyperplane partition.
                     let mut r1 = 0.0f64;
                     let mut r2 = 0.0f64;
-                    for s in seqs {
-                        let d1 = dist.distance(seqs[a], s);
-                        let d2 = dist.distance(seqs[b], s);
+                    for e in entries {
+                        let d1 = dist.distance(a, e.object());
+                        let d2 = dist.distance(b, e.object());
                         if d1 <= d2 {
                             r1 = r1.max(d1);
                         } else {
@@ -167,7 +108,7 @@ fn promote<V: SeqValue, D: MetricDistance<V>>(
                     let cost = r1.max(r2);
                     if cost < best_cost {
                         best_cost = cost;
-                        best = (a, b);
+                        best = [idx[i], idx[j]];
                     }
                 }
             }
@@ -179,84 +120,38 @@ fn promote<V: SeqValue, D: MetricDistance<V>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::LeafEntry;
     use rand::SeedableRng;
     use strg_distance::{EgedMetric, SeqSummary};
 
-    fn leaf_entries(vals: &[f64]) -> Vec<LeafEntry<f64>> {
-        vals.iter()
-            .enumerate()
-            .map(|(i, &v)| LeafEntry {
-                id: i as u64,
-                seq: vec![v],
-                parent_dist: 0.0,
-                summary: SeqSummary::of(&[v], &0.0),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn leaf_split_partitions_all_entries() {
-        let entries = leaf_entries(&[0.0, 1.0, 2.0, 100.0, 101.0, 102.0]);
-        let mut rng = StdRng::seed_from_u64(0);
-        let d = EgedMetric::<f64>::new();
-        let (e1, e2) = split_leaf(
-            entries,
-            &d,
-            PromotePolicy::Sampling { samples: 6 },
-            &mut rng,
-        );
-        assert_eq!(e1.child.object_count() + e2.child.object_count(), 6);
-        // Sampled promotion on this data must separate the two groups.
-        let radii = [e1.radius, e2.radius];
-        assert!(radii.iter().all(|&r| r <= 2.0), "radii {radii:?}");
-    }
-
-    #[test]
-    fn random_split_still_covers() {
-        let entries = leaf_entries(&[0.0, 5.0, 10.0, 50.0, 55.0]);
-        let mut rng = StdRng::seed_from_u64(7);
-        let d = EgedMetric::<f64>::new();
-        let (e1, e2) = split_leaf(entries, &d, PromotePolicy::Random, &mut rng);
-        use strg_distance::SequenceDistance;
-        for e in [&e1, &e2] {
-            if let Node::Leaf(members) = e.child.as_ref() {
-                for m in members {
-                    assert!(d.distance(&e.pivot, &m.seq) <= e.radius + 1e-9);
-                }
-            } else {
-                panic!("expected leaf child");
-            }
-        }
-    }
-
     #[test]
     fn internal_split_inflates_radius_by_child_radius() {
-        let mk = |v: f64, r: f64| RoutingEntry {
+        let mk = |v: f64, r: f64, child| RoutingEntry {
             pivot: vec![v],
             radius: r,
             parent_dist: 0.0,
             summary: SeqSummary::of(&[v], &0.0),
-            child: Box::new(Node::Leaf(leaf_entries(&[v]))),
+            child,
         };
-        let entries = vec![mk(0.0, 3.0), mk(1.0, 1.0), mk(100.0, 5.0)];
+        let entries = vec![mk(0.0, 3.0, 5), mk(1.0, 1.0, 6), mk(100.0, 5.0, 7)];
         let mut rng = StdRng::seed_from_u64(1);
         let d = EgedMetric::<f64>::new();
-        let (e1, e2) = split_internal(
-            entries,
-            &d,
-            PromotePolicy::Sampling { samples: 3 },
-            &mut rng,
-        );
-        // Every group radius must be >= the max child radius in the group.
-        for e in [&e1, &e2] {
-            if let Node::Internal(children) = e.child.as_ref() {
-                for c in children {
-                    assert!(e.radius + 1e-9 >= c.parent_dist + c.radius);
-                }
-            } else {
-                panic!("expected internal child");
+        let policy = PromotePolicy::Sampling { samples: 3 };
+        let halves = split(entries, [2, 9], &d, policy, &mut rng);
+        let mut children = Vec::new();
+        for (i, (e, node)) in halves.iter().enumerate() {
+            assert_eq!(e.child, [2, 9][i]);
+            let Node::Internal(members) = node else {
+                panic!("expected an internal node");
+            };
+            // Each half's radius covers every member's ball.
+            for c in members {
+                assert!(e.radius + 1e-9 >= c.parent_dist + c.radius);
+                children.push(c.child);
             }
         }
+        children.sort_unstable();
+        assert_eq!(children, [5, 6, 7]);
     }
 
     #[test]
@@ -264,7 +159,12 @@ mod tests {
     fn promote_needs_two() {
         let d = EgedMetric::<f64>::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let s: Vec<&[f64]> = vec![&[1.0]];
-        promote(&s, &d, PromotePolicy::Random, &mut rng);
+        let one = [LeafEntry {
+            id: 0,
+            seq: vec![1.0],
+            parent_dist: 0.0,
+            summary: SeqSummary::of(&[1.0], &0.0),
+        }];
+        promote(&one, &d, PromotePolicy::Random, &mut rng);
     }
 }

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example index_vs_mtree`
 
+#![forbid(unsafe_code)]
+
 use strg::core::StrgIndex;
 use strg::graph::BackgroundGraph;
 use strg::prelude::*;

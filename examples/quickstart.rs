@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![forbid(unsafe_code)]
+
 use strg::prelude::*;
 
 fn main() {

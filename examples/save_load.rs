@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release --example save_load`
 
+#![forbid(unsafe_code)]
+
 use strg::prelude::*;
 
 fn main() {

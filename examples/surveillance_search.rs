@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example surveillance_search`
 
+#![forbid(unsafe_code)]
+
 use strg::prelude::*;
 
 fn main() {

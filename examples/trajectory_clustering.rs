@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example trajectory_clustering`
 
+#![forbid(unsafe_code)]
+
 use strg::cluster::Clusterer;
 use strg::prelude::*;
 use strg::synth::all_patterns;

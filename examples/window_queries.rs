@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example window_queries`
 
+#![forbid(unsafe_code)]
+
 use strg::core::StrgIndex;
 use strg::graph::BackgroundGraph;
 use strg::prelude::*;

@@ -9,6 +9,23 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# `strg-parallel`'s job-lifetime transmute is the workspace's one `unsafe`
+# block. Every other crate root — libraries, binaries, shims, examples —
+# forbids `unsafe_code`, so the compiler rejects a new block anywhere else.
+echo "==> #![forbid(unsafe_code)] in every crate root but strg-parallel's"
+shopt -s nullglob
+missing=0
+for root in crates/*/src/lib.rs crates/*/src/main.rs crates/*/src/bin/*.rs \
+    crates/shims/*/src/lib.rs src/lib.rs examples/*.rs; do
+    if [ "$root" != crates/parallel/src/lib.rs ] &&
+        ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "missing #![forbid(unsafe_code)]: $root"
+        missing=1
+    fi
+done
+shopt -u nullglob
+[ "$missing" = 0 ]
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -124,7 +124,14 @@ fn strg_index_range_identical_without_lb() {
 #[test]
 fn mtree_identical_without_lb() {
     let data = dataset();
-    for cfg in [MTreeConfig::random(1), MTreeConfig::sampling(1)] {
+    // Capacity 4 splits below the root, where a stale parent distance
+    // would prune live subtrees.
+    let small = |cfg| MTreeConfig {
+        node_capacity: 4,
+        ..cfg
+    };
+    let (ra, sa) = (MTreeConfig::random(1), MTreeConfig::sampling(1));
+    for cfg in [ra, sa, small(ra), small(sa)] {
         let tree = MTree::bulk_insert(EgedMetric::<f64>::new(), cfg, data.clone());
         let mut kernels_fired = false;
         for q in queries() {

@@ -85,7 +85,8 @@ proptest! {
         }
     }
 
-    /// M-tree invariants survive arbitrary workloads (covering radii).
+    /// M-tree invariants survive arbitrary workloads (covering radii and
+    /// exact parent distances).
     #[test]
     fn mtree_invariants(seqs in prop::collection::vec(trajectory(), 2..60)) {
         let items: Vec<(u64, Vec<Point2>)> =
