@@ -1,6 +1,6 @@
 //! Node and edge attributes of Region Adjacency Graphs and Spatio-Temporal
 //! Region Graphs (Definitions 1 and 2), plus the compatibility predicates
-//! used by graph isomorphism and tracking.
+//! the tracker's star matching applies to them.
 
 use crate::geom::{angle_diff, Point2, Rgb};
 

@@ -7,10 +7,10 @@
 //!
 //! * [`rag::Rag`] — Region Adjacency Graphs (Definition 1),
 //! * [`strg::Strg`] — Spatio-Temporal Region Graphs (Definition 2),
-//! * [`iso`] — attributed graph isomorphism (Definition 4),
-//! * [`mcs`] — `SimGraph` over neighborhood stars (Definition 6, Eq. 1) and
-//!   Background Graph matching,
-//! * [`small::SmallGraph::neighborhood`] — neighborhood graphs (Definition 7),
+//! * [`mcs::Star`] — neighborhood graphs (Definition 7) and their most
+//!   common subgraph (Definition 6), which decides both isomorphism
+//!   (Definition 4) and `SimGraph` (Eq. 1); [`mcs`] also holds Background
+//!   Graph matching,
 //! * [`tracking`] — graph-based tracking (Algorithm 1),
 //! * [`mod@decompose`] — ORG/OG/BG decomposition (§2.3, Theorem 1),
 //! * [`og`] — the Object Graph / Background Graph value types.
@@ -48,22 +48,17 @@
 pub mod attr;
 pub mod decompose;
 pub mod geom;
-pub mod iso;
 pub mod mcs;
 pub mod og;
 pub mod rag;
-pub mod small;
 pub mod strg;
 pub mod tracking;
 
 pub use attr::{CompatParams, NodeAttr, SpatialEdgeAttr, TemporalEdgeAttr};
 pub use decompose::{decompose, DecomposeConfig, Decomposition};
 pub use geom::{Point2, Rgb};
-pub use mcs::{
-    background_similarity, greedy_attr_match, sim_graph_stars, star_common_subgraph_size,
-};
+pub use mcs::{background_similarity, greedy_attr_match, Star};
 pub use og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample};
 pub use rag::{FrameId, NodeId, Rag};
-pub use small::SmallGraph;
 pub use strg::{Strg, TemporalEdge};
 pub use tracking::{build_strg, track_pair, TrackerConfig};

@@ -1,158 +1,136 @@
-//! The `SimGraph` similarity of Equation (1) as the tracker computes it,
-//! over neighborhood stars (Definition 7), and the node matching that
-//! compares Background Graphs in Algorithm 3.
+//! Neighborhood graphs (Definition 7) and their most common subgraph
+//! (Definition 6), which answer both of Algorithm 1's questions, plus the
+//! node matching that compares Background Graphs in Algorithm 3.
 //!
-//! The most common subgraph (Definition 6) of two stars has a closed form
-//! ([`star_common_subgraph_size`]), so no clique search is needed. The
-//! generic maximum-clique construction it replaces is kept as the oracle
-//! of `tests/mcs_equivalence.rs`.
+//! A neighborhood graph is a star, and the most common subgraph of two
+//! stars has a closed form ([`Star::common_size`]), so no clique search is
+//! needed. Two stars are isomorphic (Definition 4) exactly when they have
+//! the same size and their most common subgraph covers every node. The
+//! generic searches this replaces — VF2 for isomorphism, a maximum clique
+//! of the association graph for the most common subgraph — are kept as
+//! the oracles of `tests/mcs_equivalence.rs`.
 
-use crate::attr::CompatParams;
-use crate::small::SmallGraph;
+use crate::attr::{CompatParams, NodeAttr, SpatialEdgeAttr};
+use crate::og::BackgroundGraph;
+use crate::rag::{NodeId, Rag};
 
-/// Exact most-common-subgraph size for two *star* graphs (node 0 the
-/// center, as produced by [`SmallGraph::neighborhood`]).
-///
-/// A common induced subgraph of two stars either contains both centers —
-/// contributing `1 +` a maximum matching of leaves whose node *and* edge
-/// attributes are compatible — or no center at all — a maximum matching of
-/// attribute-compatible leaves with no edge constraint (leaf sets are
-/// independent on both sides). This runs in `O(n * m)`-ish time via Kuhn's
-/// augmenting paths, replacing the exponential clique search in the
-/// tracking hot path (high-degree background regions made the generic
-/// search pathological).
-pub fn star_common_subgraph_size(g1: &SmallGraph, g2: &SmallGraph, p: &CompatParams) -> usize {
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    if n1 == 0 || n2 == 0 {
-        return 0;
-    }
-    if n1 == 1 || n2 == 1 {
-        // One side is a bare node: the MCS is one compatible node.
-        for i in 0..n1 as u8 {
-            for j in 0..n2 as u8 {
-                if p.nodes_compatible(g1.label(i), g2.label(j)) {
-                    return 1;
-                }
-            }
-        }
-        return 0;
-    }
-    let leaves1 = (1..n1 as u8).collect::<Vec<_>>();
-    let leaves2 = (1..n2 as u8).collect::<Vec<_>>();
-
-    let centers_ok = p.nodes_compatible(g1.label(0), g2.label(0));
-    // Matching with edge compatibility (for the with-centers case).
-    let with_edges = max_bipartite(&leaves1, &leaves2, |a, b| {
-        p.nodes_compatible(g1.label(a), g2.label(b))
-            && match (g1.edge_attr(0, a), g2.edge_attr(0, b)) {
-                (Some(e1), Some(e2)) => p.edges_compatible(e1, e2),
-                _ => false,
-            }
-    });
-    // Matching on node labels only (for the centerless case).
-    let free = max_bipartite(&leaves1, &leaves2, |a, b| {
-        p.nodes_compatible(g1.label(a), g2.label(b))
-    });
-    let with_centers = if centers_ok { 1 + with_edges } else { 0 };
-
-    // Cross mapping: center1 -> leaf2_j and leaf1_i -> center2 (size 2);
-    // no further node can join (every other leaf1 is adjacent to center1
-    // but its image would not be adjacent to leaf2_j).
-    let mut cross = 0;
-    'outer: for &a in &leaves1 {
-        for &b in &leaves2 {
-            if p.nodes_compatible(g1.label(0), g2.label(b))
-                && p.nodes_compatible(g1.label(a), g2.label(0))
-            {
-                if let (Some(e1), Some(e2)) = (g1.edge_attr(0, a), g2.edge_attr(0, b)) {
-                    if p.edges_compatible(e1, e2) {
-                        cross = 2;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-    }
-
-    // Any single compatible node pair gives at least 1.
-    let mut single = 0;
-    'single: for i in 0..n1 as u8 {
-        for j in 0..n2 as u8 {
-            if p.nodes_compatible(g1.label(i), g2.label(j)) {
-                single = 1;
-                break 'single;
-            }
-        }
-    }
-
-    with_centers.max(free).max(cross).max(single)
+/// The neighborhood graph `G_N(v)` of Definition 7: the region `v` plus
+/// every adjacent region `u`, each joined to `v` by the single edge
+/// `(v, u)`. Edges between the neighbors themselves are not part of it.
+#[derive(Clone, Debug)]
+pub struct Star {
+    /// The centre region `v`.
+    pub centre: NodeAttr,
+    /// Each neighbor `u` of `v` with the attribute the RAG stores for the
+    /// edge `{v, u}` (oriented from the lower to the higher region id), in
+    /// the RAG's neighbor order.
+    pub leaves: Vec<(NodeAttr, SpatialEdgeAttr)>,
 }
 
-/// Kuhn's maximum bipartite matching over explicit candidate predicates.
-fn max_bipartite(left: &[u8], right: &[u8], compat: impl Fn(u8, u8) -> bool) -> usize {
-    let mut match_r: Vec<Option<usize>> = vec![None; right.len()];
-    let mut matched = 0;
-    for (li, &l) in left.iter().enumerate() {
-        let mut visited = vec![false; right.len()];
-        if augment(li, l, left, right, &compat, &mut match_r, &mut visited) {
-            matched += 1;
+impl Star {
+    /// Builds `G_N(v)` from the RAG holding `v`.
+    pub fn neighborhood(rag: &Rag, v: NodeId) -> Self {
+        let leaves = rag
+            .neighbors(v)
+            .iter()
+            .map(|&u| {
+                let edge = rag.edge_attr(v, u).expect("neighbor implies an edge");
+                (*rag.attr(u), *edge)
+            })
+            .collect();
+        Self {
+            centre: *rag.attr(v),
+            leaves,
         }
     }
-    matched
+
+    /// Number of nodes, `|G_N(v)|` in the paper's notation.
+    pub fn node_count(&self) -> usize {
+        1 + self.leaves.len()
+    }
+
+    /// Exact size of the most common subgraph of `self` and `other`.
+    ///
+    /// A common induced subgraph of two stars is one of four shapes, and
+    /// the size is the largest of them:
+    /// * both centres, plus a maximum matching of leaves whose node *and*
+    ///   edge attributes are compatible;
+    /// * no centre, and a maximum matching of attribute-compatible leaves
+    ///   with no edge constraint (the leaves of a star are independent);
+    /// * the cross pair, each centre mapped to a leaf of the other star
+    ///   (size 2: no further node can join, since every other leaf of one
+    ///   centre would map to a node not adjacent to the other's leaf);
+    /// * a single compatible node pair.
+    ///
+    /// The matchings use Kuhn's augmenting paths, `O(n · m)`-ish time.
+    pub fn common_size(&self, other: &Star, p: &CompatParams) -> usize {
+        let (a, b) = (&self.leaves, &other.leaves);
+        let with_centres = if p.nodes_compatible(&self.centre, &other.centre) {
+            1 + max_matching(a.len(), b.len(), |i, j| {
+                p.nodes_compatible(&a[i].0, &b[j].0) && p.edges_compatible(&a[i].1, &b[j].1)
+            })
+        } else {
+            0
+        };
+        let centreless = max_matching(a.len(), b.len(), |i, j| {
+            p.nodes_compatible(&a[i].0, &b[j].0)
+        });
+        let cross = a.iter().any(|(x, e)| {
+            b.iter().any(|(y, f)| {
+                p.nodes_compatible(&self.centre, y)
+                    && p.nodes_compatible(x, &other.centre)
+                    && p.edges_compatible(e, f)
+            })
+        });
+        let single = usize::from(
+            self.nodes()
+                .any(|x| other.nodes().any(|y| p.nodes_compatible(x, y))),
+        );
+        with_centres
+            .max(centreless)
+            .max(2 * usize::from(cross))
+            .max(single)
+    }
+
+    /// The centre, then the leaves.
+    fn nodes(&self) -> impl Iterator<Item = &NodeAttr> {
+        std::iter::once(&self.centre).chain(self.leaves.iter().map(|(u, _)| u))
+    }
 }
 
+/// Kuhn's maximum bipartite matching: the most pairs `(i, j)` with
+/// `compat(i, j)`, each `i < left` and each `j < right` used at most once.
+fn max_matching(left: usize, right: usize, compat: impl Fn(usize, usize) -> bool) -> usize {
+    let mut owner = vec![None; right];
+    (0..left)
+        .filter(|&i| augment(i, &compat, &mut owner, &mut vec![false; right]))
+        .count()
+}
+
+/// Finds an augmenting path from left node `i`, re-matching the right
+/// nodes' current owners as needed.
 fn augment(
-    li: usize,
-    l: u8,
-    left: &[u8],
-    right: &[u8],
-    compat: &impl Fn(u8, u8) -> bool,
-    match_r: &mut Vec<Option<usize>>,
-    visited: &mut Vec<bool>,
+    i: usize,
+    compat: &impl Fn(usize, usize) -> bool,
+    owner: &mut [Option<usize>],
+    seen: &mut [bool],
 ) -> bool {
-    for (ri, &r) in right.iter().enumerate() {
-        if visited[ri] || !compat(l, r) {
+    for j in 0..owner.len() {
+        if seen[j] || !compat(i, j) {
             continue;
         }
-        visited[ri] = true;
-        let free = match match_r[ri] {
-            None => true,
-            Some(prev_li) => augment(
-                prev_li,
-                left[prev_li],
-                left,
-                right,
-                compat,
-                match_r,
-                visited,
-            ),
-        };
-        if free {
-            match_r[ri] = Some(li);
+        seen[j] = true;
+        if owner[j].is_none_or(|k| augment(k, compat, owner, seen)) {
+            owner[j] = Some(i);
             return true;
         }
     }
     false
 }
 
-/// `SimGraph` (Equation 1) specialized to neighborhood stars, used by the
-/// tracker: exact and fast via [`star_common_subgraph_size`].
-pub fn sim_graph_stars(g1: &SmallGraph, g2: &SmallGraph, p: &CompatParams) -> f64 {
-    let denom = g1.node_count().min(g2.node_count());
-    if denom == 0 {
-        return 0.0;
-    }
-    star_common_subgraph_size(g1, g2, p) as f64 / denom as f64
-}
-
 /// Greedy mutually-best matching over bare node attribute sets, for graphs
-/// beyond [`SmallGraph`]'s 64-node cap (i.e. Background Graphs).
-pub fn greedy_attr_match(
-    a: &[crate::attr::NodeAttr],
-    b: &[crate::attr::NodeAttr],
-    p: &CompatParams,
-) -> usize {
+/// too large for an exact matching (i.e. Background Graphs).
+pub fn greedy_attr_match(a: &[NodeAttr], b: &[NodeAttr], p: &CompatParams) -> usize {
     let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
     for (i, na) in a.iter().enumerate() {
         for (j, nb) in b.iter().enumerate() {
@@ -178,11 +156,7 @@ pub fn greedy_attr_match(
 /// `SimGraph`-flavored similarity between two Background Graphs (Algorithm
 /// 3 step 2 compares the query BG against each root record): matched node
 /// fraction in `[0, 1]` via [`greedy_attr_match`].
-pub fn background_similarity(
-    a: &crate::og::BackgroundGraph,
-    b: &crate::og::BackgroundGraph,
-    p: &CompatParams,
-) -> f64 {
+pub fn background_similarity(a: &BackgroundGraph, b: &BackgroundGraph, p: &CompatParams) -> f64 {
     let na = a.rag.node_count();
     let nb = b.rag.node_count();
     let denom = na.min(nb);
@@ -195,18 +169,11 @@ pub fn background_similarity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::{NodeAttr, SpatialEdgeAttr};
     use crate::geom::{Point2, Rgb};
+    use crate::rag::FrameId;
 
     fn attr(color: f64) -> NodeAttr {
         NodeAttr::new(10, Rgb::new(color, 0.0, 0.0), Point2::ZERO)
-    }
-
-    fn e() -> SpatialEdgeAttr {
-        SpatialEdgeAttr {
-            distance: 1.0,
-            orientation: 0.0,
-        }
     }
 
     fn loose() -> CompatParams {
@@ -218,20 +185,44 @@ mod tests {
         }
     }
 
-    fn star(center: f64, leaves: &[f64]) -> SmallGraph {
-        let mut g = SmallGraph::new();
-        let c = g.add_node(attr(center));
-        for &l in leaves {
-            let n = g.add_node(attr(l));
-            g.add_edge(c, n, e());
+    fn star(centre: f64, leaves: &[f64]) -> Star {
+        let edge = SpatialEdgeAttr {
+            distance: 1.0,
+            orientation: 0.0,
+        };
+        Star {
+            centre: attr(centre),
+            leaves: leaves.iter().map(|&l| (attr(l), edge)).collect(),
         }
-        g
+    }
+
+    /// Definition 4 for stars, as the tracker decides it.
+    fn isomorphic(a: &Star, b: &Star, p: &CompatParams) -> bool {
+        a.node_count() == b.node_count() && a.common_size(b, p) == a.node_count()
+    }
+
+    #[test]
+    fn neighborhood_is_a_star() {
+        let mut rag = Rag::new(FrameId(0));
+        let c = rag.add_node(attr(0.0));
+        let a = rag.add_node(attr(1.0));
+        let b = rag.add_node(attr(2.0));
+        let d = rag.add_node(attr(3.0));
+        rag.add_edge(c, a);
+        rag.add_edge(c, b);
+        rag.add_edge(a, b); // neighbor-neighbor edge must NOT appear
+        rag.add_edge(b, d); // d is not adjacent to c
+
+        let g = Star::neighborhood(&rag, c);
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.centre, *rag.attr(c));
+        let leaves: Vec<_> = g.leaves.iter().map(|(u, _)| *u).collect();
+        assert_eq!(leaves, vec![*rag.attr(a), *rag.attr(b)]);
+        assert_eq!(g.leaves[1].1, *rag.edge_attr(c, b).unwrap());
     }
 
     #[test]
     fn background_similarity_discriminates() {
-        use crate::og::BackgroundGraph;
-        use crate::rag::{FrameId, Rag};
         let mk = |colors: &[f64]| {
             let mut rag = Rag::new(FrameId(0));
             for &c in colors {
@@ -258,12 +249,25 @@ mod tests {
         let single = star(10.0, &[]);
         let big = star(10.0, &[0.0, 50.0]);
         let p = loose();
-        assert_eq!(star_common_subgraph_size(&single, &big, &p), 1);
-        assert_eq!(star_common_subgraph_size(&big, &single, &p), 1);
+        assert_eq!(single.common_size(&big, &p), 1);
+        assert_eq!(big.common_size(&single, &p), 1);
         let incompatible = star(200.0, &[]);
-        assert_eq!(star_common_subgraph_size(&incompatible, &single, &p), 0);
-        let empty = SmallGraph::new();
-        assert_eq!(star_common_subgraph_size(&empty, &big, &p), 0);
+        assert_eq!(incompatible.common_size(&single, &p), 0);
+        assert!(isomorphic(&single, &single, &p));
+        assert!(!isomorphic(&incompatible, &single, &p));
+    }
+
+    #[test]
+    fn star_isomorphism_matches_permuted_leaves() {
+        // Stars with the same multiset of leaf colors but different insertion
+        // order must match.
+        let g1 = star(10.0, &[0.0, 50.0, 100.0, 150.0]);
+        let g2 = star(10.0, &[150.0, 0.0, 100.0, 50.0]);
+        assert!(isomorphic(&g1, &g2, &loose()));
+
+        let g3 = star(10.0, &[150.0, 0.0, 100.0, 200.0]);
+        assert!(!isomorphic(&g1, &g3, &loose()));
+        assert_eq!(g1.common_size(&g3, &loose()), 4);
     }
 
     #[test]

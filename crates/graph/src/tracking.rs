@@ -7,10 +7,8 @@
 //! set `E_T` of the STRG.
 
 use crate::attr::{CompatParams, TemporalEdgeAttr};
-use crate::iso::isomorphism;
-use crate::mcs::sim_graph_stars;
+use crate::mcs::Star;
 use crate::rag::{NodeId, Rag};
-use crate::small::SmallGraph;
 use crate::strg::{Strg, TemporalEdge};
 
 /// Configuration of the graph-based tracker.
@@ -21,11 +19,6 @@ pub struct TrackerConfig {
     /// Similarity threshold `T_sim` of Algorithm 1: a non-isomorphic best
     /// match is accepted only when its `SimGraph` exceeds this value.
     pub t_sim: f64,
-    /// Candidate gate: nodes of frame `m + 1` whose centroid is further than
-    /// this many pixels from `v` are not considered. The paper scans every
-    /// node; the gate is a pure optimization — set it to `f64::INFINITY` to
-    /// recover the exact Algorithm 1 scan.
-    pub max_displacement: f64,
 }
 
 impl Default for TrackerConfig {
@@ -33,18 +26,6 @@ impl Default for TrackerConfig {
         Self {
             compat: CompatParams::default(),
             t_sim: 0.5,
-            max_displacement: f64::INFINITY,
-        }
-    }
-}
-
-impl TrackerConfig {
-    /// The exact Algorithm 1 configuration (no candidate gating).
-    pub fn exact(compat: CompatParams, t_sim: f64) -> Self {
-        Self {
-            compat,
-            t_sim,
-            max_displacement: f64::INFINITY,
         }
     }
 }
@@ -55,59 +36,53 @@ impl TrackerConfig {
 /// For each node `v` of `prev`, the tracker first looks for a node of
 /// `next` whose neighborhood graph is *isomorphic* to `G_N(v)` (accepted
 /// immediately); otherwise it keeps the candidate with the highest
-/// `SimGraph` and accepts it if the similarity exceeds `T_sim`. Each node of
-/// `prev` contributes at most one outgoing edge.
+/// `SimGraph` and accepts it if the similarity exceeds `T_sim`. Both tests
+/// come from one most-common-subgraph size `c` per candidate: two stars of
+/// `n` nodes each are isomorphic exactly when `c == n`, and
+/// `SimGraph = c / min(|G_1|, |G_2|)`. Each node of `prev` contributes at
+/// most one outgoing edge.
 pub fn track_pair(prev: &Rag, next: &Rag, cfg: &TrackerConfig) -> Vec<TemporalEdge> {
     let mut edges = Vec::new();
     // Pre-extract the neighborhood graphs of the next frame once.
-    let next_neigh: Vec<SmallGraph> = next
+    let next_stars: Vec<Star> = next
         .node_ids()
-        .map(|v| SmallGraph::neighborhood(next, v).0)
+        .map(|v| Star::neighborhood(next, v))
         .collect();
 
     for v in prev.node_ids() {
-        let (g, _) = SmallGraph::neighborhood(prev, v);
-        let v_attr = prev.attr(v);
+        let g = Star::neighborhood(prev, v);
+        let n = g.node_count();
+        let mut isomorphic = None;
         let mut max_sim = 0.0_f64;
         let mut max_node: Option<NodeId> = None;
-        let mut matched_iso = false;
 
-        for v2 in next.node_ids() {
-            let v2_attr = next.attr(v2);
-            if v_attr.centroid.dist(v2_attr.centroid) > cfg.max_displacement {
-                continue;
-            }
+        for (v2, g2) in next.node_ids().zip(&next_stars) {
             // Center gate: the tracked regions themselves must be
             // attribute-compatible. Without it the SimGraph fallback can
             // latch a dying track onto an unrelated region that merely
             // shares neighbors (e.g. two different regions both adjacent
             // to wall and floor), producing teleporting trajectories.
-            if !cfg.compat.nodes_compatible(v_attr, v2_attr) {
+            if !cfg.compat.nodes_compatible(&g.centre, &g2.centre) {
                 continue;
             }
-            let g2 = &next_neigh[v2.idx()];
-            if isomorphism(&g, g2, &cfg.compat).is_some() {
-                edges.push(TemporalEdge {
-                    from: v,
-                    to: v2,
-                    attr: TemporalEdgeAttr::between(v_attr, v2_attr),
-                });
-                matched_iso = true;
+            let n2 = g2.node_count();
+            let c = g.common_size(g2, &cfg.compat);
+            if n == n2 && c == n {
+                isomorphic = Some(v2);
                 break;
             }
-            let sim = sim_graph_stars(&g, g2, &cfg.compat);
+            let sim = c as f64 / n.min(n2) as f64;
             if sim > max_sim {
                 max_sim = sim;
                 max_node = Some(v2);
             }
         }
 
-        if !matched_iso && max_sim > cfg.t_sim {
-            let v2 = max_node.expect("max_sim > 0 implies a candidate");
+        if let Some(v2) = isomorphic.or(max_node.filter(|_| max_sim > cfg.t_sim)) {
             edges.push(TemporalEdge {
                 from: v,
                 to: v2,
-                attr: TemporalEdgeAttr::between(v_attr, next.attr(v2)),
+                attr: TemporalEdgeAttr::between(&g.centre, next.attr(v2)),
             });
         }
     }
@@ -196,6 +171,27 @@ mod tests {
     }
 
     #[test]
+    fn negative_threshold_skips_nodes_without_candidates() {
+        // Only the corner survives into frame 1, so the object's regions
+        // have no candidate past the centre gate; a threshold below zero
+        // must not turn "no candidate" into an edge.
+        let f0 = frame(0, 50.0, 50.0);
+        let mut f1 = Rag::new(FrameId(1));
+        f1.add_node(NodeAttr::new(
+            500,
+            Rgb::new(120.0, 120.0, 0.0),
+            Point2::new(300.0, 300.0),
+        ));
+        let cfg = TrackerConfig {
+            t_sim: -1.0,
+            ..TrackerConfig::default()
+        };
+        let edges = track_pair(&f0, &f1, &cfg);
+        assert_eq!(edges.len(), 1);
+        assert_eq!((edges[0].from, edges[0].to), (NodeId(3), NodeId(0)));
+    }
+
+    #[test]
     fn at_most_one_out_edge_per_node() {
         let f0 = frame(0, 50.0, 50.0);
         let f1 = frame(1, 52.0, 50.0);
@@ -204,20 +200,6 @@ mod tests {
         froms.sort();
         froms.dedup();
         assert_eq!(froms.len(), edges.len());
-    }
-
-    #[test]
-    fn displacement_gate_prunes_far_candidates() {
-        let f0 = frame(0, 50.0, 50.0);
-        let f1 = frame(1, 200.0, 200.0); // object jumps far away
-        let cfg = TrackerConfig {
-            max_displacement: 30.0,
-            ..TrackerConfig::default()
-        };
-        let edges = track_pair(&f0, &f1, &cfg);
-        // Only the static corner stays within the gate.
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].from, NodeId(3));
     }
 
     #[test]

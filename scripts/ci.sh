@@ -59,12 +59,15 @@ scripts/loc.sh
 # they trap the `u32` overflow a release build wraps), so arithmetic that
 # only goes wrong optimised would pass the run above. The segmenter's
 # ignored test compares it with its pixel-by-pixel reference on every
-# frame of the benchmark's 150-clip corpus, too slow unoptimised. The
-# thread-invariance suite rides along, so the pool's hand-off and the leaf
-# scan are compared across worker counts in the build that ships.
-echo "==> cargo test --release (distance, segmentation and persistence kernels, thread invariance)"
+# frame of the benchmark's 150-clip corpus, too slow unoptimised, and
+# `ingest_equivalence`'s pins Algorithm 1's temporal edges on the same
+# clips (about 2 s optimised). The thread-invariance suite rides along, so
+# the pool's hand-off and the leaf scan are compared across worker counts
+# in the build that ships.
+echo "==> cargo test --release (distance, segmentation, tracking and persistence kernels, thread invariance)"
 cargo test -q --release -p strg-distance -p strg-graph -p strg-video
 cargo test -q --release -p strg-video -- --ignored
+cargo test -q --release --test ingest_equivalence -- --ignored
 cargo test -q --release -p strg-core persist
 cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence --test shard_equivalence

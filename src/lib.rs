@@ -6,7 +6,7 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`graph`] | §2 | RAG, STRG, isomorphism, `SimGraph`, tracking, ORG/OG/BG decomposition |
+//! | [`graph`] | §2 | RAG, STRG, neighborhood stars (one matcher for isomorphism and `SimGraph`), tracking, ORG/OG/BG decomposition |
 //! | [`video`] | §2.1 / §6.4 | synthetic camera + EDISON-stand-in segmentation |
 //! | [`distance`] | §3 | EGED (non-metric + metric), DTW, LCS, call counting |
 //! | [`cluster`] | §4 | EM / K-Means / K-Harmonic-Means, BIC model selection |

@@ -265,3 +265,42 @@ fn bulk_leaf_load_matches_incremental_with_duplicate_keys() {
     // adjacent keys, otherwise stability was never exercised.
     assert!(has_dup, "no duplicate keys in any leaf — test is vacuous");
 }
+
+/// Algorithm 1's output on the benchmark's `clips150` corpus, pinned: the
+/// 150 clips built as `benchmark/src/corpus.rs` builds them (alternating
+/// lab / traffic, 4 actors, 24 frames, seed `20050614 + i`, rendered with
+/// that seed), segmented with the default [`SegmentConfig`] and tracked
+/// with the default [`TrackerConfig`]. The digest is FNV-1a 64 over every
+/// temporal edge's `(clip, frame pair, from, to)`, each a little-endian
+/// `u32`, in clip, frame and edge order. Too slow unoptimised:
+/// `scripts/ci.sh` runs it under `--release`.
+#[test]
+#[ignore]
+fn tracking_is_pinned_on_the_benchmark_corpus() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let (mut pairs, mut edges) = (0usize, 0usize);
+    for i in 0..150u32 {
+        let seed = 20050614 + i as u64;
+        let scene = if i % 2 == 0 { "lab" } else { "traffic" };
+        let clip = strg::serve::wire::make_clip(scene, &format!("clip-{i:04}"), 4, 24, seed)
+            .expect("lab and traffic are known scenes");
+        let rags = frames_to_rags(
+            &clip.render_all(seed),
+            &SegmentConfig::default(),
+            Threads::Auto,
+        );
+        let strg = strg::graph::build_strg(rags, &TrackerConfig::default());
+        for m in 0..strg.frame_count().saturating_sub(1) {
+            pairs += 1;
+            for e in strg.temporal_edges(m) {
+                edges += 1;
+                for word in [i, m as u32, e.from.0, e.to.0] {
+                    for byte in word.to_le_bytes() {
+                        digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((pairs, edges, digest), (6636, 80335, 15113619104161036681));
+}
