@@ -11,10 +11,18 @@
 //! ```
 //!
 //! E-step: responsibilities per Equation (5); M-step: weights, centroids
-//! and sigmas per Equation (6); assignment per Equation (7). One iteration
+//! and sigma per Equation (6); assignment per Equation (7). One iteration
 //! costs `O(K M)` distance evaluations, the complexity the paper claims.
 //! Responsibilities are computed in the log domain so long sequences (large
 //! distances) do not underflow.
+//!
+//! All components share one sigma (a homoscedastic mixture), capped at
+//! its starting value. Equation (3) carries a per-component `sigma_k`, but
+//! with free variances the distance-kernel mixture is degenerate: one
+//! component inflates its variance until its flat density swallows the
+//! whole data set (observed as every item collapsing into one cluster).
+//! A shared, bounded variance keeps the component competition about
+//! centroid proximity, which is what clustering OGs needs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,25 +49,6 @@ pub struct EmConfig {
     /// Number of k-means++-seeded restarts; the run with the best final
     /// log-likelihood wins.
     pub n_init: usize,
-    /// Upper bound on each component's sigma, as a multiple of the initial
-    /// within-cluster scale. The 1-D distance-kernel mixture (Equation 3)
-    /// is degenerate without it: one component can inflate its variance
-    /// until its flat density swallows the whole data set (observed as all
-    /// items collapsing into one cluster). Bounded variances are the
-    /// standard remedy.
-    pub sigma_cap_factor: f64,
-    /// Multiplier applied to the initial within-cluster scale when seeding
-    /// the sigmas. Values below 1 sharpen the component competition, which
-    /// helps when within-cluster and between-cluster distances are of the
-    /// same order (long noisy trajectories concentrate distances).
-    pub sigma_scale: f64,
-    /// When true (default), all components share one sigma
-    /// (homoscedastic mixture). The paper's Equation (3) carries a
-    /// per-component `sigma_k`, but with free per-component variances the
-    /// distance-kernel mixture degenerates (see `sigma_cap_factor`);
-    /// sharing the variance keeps the component competition about centroid
-    /// proximity, which is what clustering OGs needs.
-    pub shared_sigma: bool,
     /// Worker count for the distance matrix and E-step. The parallel path
     /// is bit-identical to the sequential one (`Threads::Fixed(1)`): rows
     /// are merged in item order and the log-likelihood is reduced
@@ -76,9 +65,6 @@ impl EmConfig {
             tol: 1e-4,
             seed: 0,
             n_init: 3,
-            sigma_cap_factor: 0.5,
-            sigma_scale: 0.5,
-            shared_sigma: true,
             threads: Threads::Auto,
         }
     }
@@ -128,6 +114,13 @@ impl<D> EmClusterer<D> {
 
 /// Floor for sigma to keep densities proper.
 const SIGMA_FLOOR: f64 = 1e-3;
+
+/// The shared sigma starts at this multiple of the initial within-cluster
+/// scale and never rises above its start. Below 1 it sharpens the
+/// component competition, which helps when within-cluster and
+/// between-cluster distances are of the same order (long noisy
+/// trajectories concentrate distances).
+const SIGMA_SCALE: f64 = 0.5;
 
 impl<D> EmClusterer<D> {
     /// Runs EM and additionally returns the per-item responsibilities
@@ -183,9 +176,10 @@ impl<D> EmClusterer<D> {
         let mut centroids: Vec<Vec<V>> = idx.iter().map(|&i| data[i].clone()).collect();
         let mut weights = vec![1.0 / k as f64; k];
 
-        // Initial sigmas from mean distance to the initial centroids.
+        // The shared sigma, set from the mean distance to the initial
+        // centroids in the first iteration.
         let mut dists: Vec<Vec<f64>>;
-        let mut sigmas = vec![0.0f64; k];
+        let mut sigma = 0.0f64;
         let mut sigma_cap = f64::INFINITY;
         let mut iterations = 0;
         let mut reseeds = 0u64;
@@ -198,8 +192,8 @@ impl<D> EmClusterer<D> {
             // across the workers and merged back in item order.
             dists = distance_matrix(data, &centroids, &self.dist, threads);
             if iter == 0 {
-                // Initialize every sigma at the *within-cluster* scale: the
-                // mean distance from each item to its nearest centroid. A
+                // Initialize sigma at the *within-cluster* scale: the mean
+                // distance from each item to its nearest centroid. A
                 // global-scale sigma flattens the responsibilities and
                 // collapses the mixture onto the grand mean.
                 let mean_min = dists
@@ -207,12 +201,8 @@ impl<D> EmClusterer<D> {
                     .map(|row| row.iter().cloned().fold(f64::INFINITY, f64::min))
                     .sum::<f64>()
                     / m as f64;
-                let s = (mean_min * self.cfg.sigma_scale.max(1e-6)).max(SIGMA_FLOOR);
-                sigma_cap = (mean_min * self.cfg.sigma_cap_factor.max(self.cfg.sigma_scale))
-                    .max(SIGMA_FLOOR);
-                for sigma in sigmas.iter_mut() {
-                    *sigma = s;
-                }
+                sigma_cap = (mean_min * SIGMA_SCALE).max(SIGMA_FLOOR);
+                sigma = sigma_cap;
             }
 
             // E-step (log domain). Rows are independent, so they run on the
@@ -220,10 +210,10 @@ impl<D> EmClusterer<D> {
             // log-likelihood term. The terms are then summed on this thread
             // in item order — the same accumulation order as the sequential
             // loop, so the total cannot drift with the thread count.
+            let s = sigma.max(SIGMA_FLOOR);
             let rows = par_map_range(m, threads, |j| {
                 let mut logs = vec![0.0f64; k];
                 for c in 0..k {
-                    let s = sigmas[c].max(SIGMA_FLOOR);
                     let d = dists[j][c];
                     logs[c] = weights[c].max(1e-300).ln()
                         - s.ln()
@@ -243,7 +233,7 @@ impl<D> EmClusterer<D> {
 
             // M-step.
             let mut max_dw = 0.0f64;
-            let mut var_num = 0.0f64; // for the shared-sigma update
+            let mut var_num = 0.0f64;
             for c in 0..k {
                 let nk: f64 = resp.iter().map(|r| r[c]).sum();
                 let new_w = nk / m as f64;
@@ -254,7 +244,6 @@ impl<D> EmClusterer<D> {
                     reseeds += 1;
                     let j = (iter * 31 + c * 7) % m;
                     centroids[c] = data[j].clone();
-                    sigmas[c] = sigmas.iter().cloned().fold(0.0, f64::max).max(1.0);
                     continue;
                 }
                 let w_col: Vec<f64> = resp.iter().map(|r| r[c]).collect();
@@ -262,20 +251,13 @@ impl<D> EmClusterer<D> {
                 if !mu.is_empty() {
                     centroids[c] = mu;
                 }
-                let num: f64 = resp
+                var_num += resp
                     .iter()
                     .enumerate()
                     .map(|(j, r)| r[c] * dists[j][c] * dists[j][c])
                     .sum::<f64>();
-                var_num += num;
-                sigmas[c] = (num / nk).sqrt().clamp(SIGMA_FLOOR, sigma_cap);
             }
-            if self.cfg.shared_sigma {
-                let shared = (var_num / m as f64).sqrt().clamp(SIGMA_FLOOR, sigma_cap);
-                for s in sigmas.iter_mut() {
-                    *s = shared;
-                }
-            }
+            sigma = (var_num / m as f64).sqrt().clamp(SIGMA_FLOOR, sigma_cap);
 
             if max_dw < self.cfg.tol {
                 break;
@@ -305,7 +287,7 @@ impl<D> EmClusterer<D> {
                 assignments,
                 centroids,
                 weights,
-                sigmas,
+                sigmas: vec![sigma; k],
                 log_likelihood,
                 iterations,
             },

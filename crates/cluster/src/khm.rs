@@ -30,19 +30,15 @@ pub struct KHarmonicMeans<D> {
     pub dist: D,
     /// Fitting parameters.
     pub cfg: HardConfig,
-    /// The harmonic exponent `p` (>= 2; the literature default is 3.5, we
-    /// default to 3.0 which behaved robustly on trajectory data).
-    pub p: f64,
     recorder: Option<Recorder>,
 }
 
 impl<D> KHarmonicMeans<D> {
-    /// Creates a KHM clusterer with the default exponent.
+    /// Creates a KHM clusterer.
     pub fn new(dist: D, cfg: HardConfig) -> Self {
         Self {
             dist,
             cfg,
-            p: 3.0,
             recorder: None,
         }
     }
@@ -58,6 +54,10 @@ impl<D> KHarmonicMeans<D> {
 
 /// Avoids division by zero for exact centroid hits.
 const D_FLOOR: f64 = 1e-6;
+
+/// The harmonic exponent `p` (>= 2; the literature default is 3.5, 3.0
+/// behaved robustly on trajectory data).
+const P: f64 = 3.0;
 
 impl<V: ClusterValue, D: SequenceDistance<V> + Sync> Clusterer<V> for KHarmonicMeans<D> {
     fn fit(&self, data: &[Vec<V>]) -> Clustering<V> {
@@ -87,18 +87,15 @@ impl<V: ClusterValue, D: SequenceDistance<V> + Sync> Clusterer<V> for KHarmonicM
             for j in 0..m {
                 let dmin = dists[j].iter().cloned().fold(f64::INFINITY, f64::min);
                 // Normalize by dmin to avoid overflow of d^(-p-2).
-                let inv_p2: Vec<f64> = dists[j]
-                    .iter()
-                    .map(|&d| (dmin / d).powf(self.p + 2.0))
-                    .collect();
-                let inv_p: Vec<f64> = dists[j].iter().map(|&d| (dmin / d).powf(self.p)).collect();
+                let inv_p2: Vec<f64> = dists[j].iter().map(|&d| (dmin / d).powf(P + 2.0)).collect();
+                let inv_p: Vec<f64> = dists[j].iter().map(|&d| (dmin / d).powf(P)).collect();
                 let s_p2: f64 = inv_p2.iter().sum();
                 let s_p: f64 = inv_p.iter().sum();
                 // m_jk = inv_p2[c] / s_p2; w_j = (s_p2 / s_p^2) * dmin^(p-2)
                 // — the dmin factors cancel inside the centroid ratio, so we
                 // only need relative coefficients per item... but weights
                 // compare *across* items, so keep the dmin scaling:
-                let w_j = s_p2 / (s_p * s_p) * dmin.powf(self.p - 2.0);
+                let w_j = s_p2 / (s_p * s_p) * dmin.powf(P - 2.0);
                 for c in 0..k {
                     coeffs[j][c] = inv_p2[c] / s_p2 * w_j;
                 }

@@ -32,14 +32,15 @@ use strg_parallel::{par_map_indexed, Threads};
 
 use crate::query::QueryKind;
 
+/// Upper bound of the BIC sweep that picks a segment's cluster count.
+const K_MAX: usize = 12;
+
 /// Configuration of the STRG-Index.
 #[derive(Copy, Clone, Debug)]
 pub struct StrgIndexConfig {
     /// Number of clusters per segment; `None` selects it with a BIC sweep
-    /// over `1..=k_max` (§4.2).
+    /// over `1..=K_MAX` (§4.2).
     pub k: Option<usize>,
-    /// Upper bound of the BIC sweep.
-    pub k_max: usize,
     /// A leaf with more members than this is considered for a BIC-gated
     /// split on insert (§5.3).
     pub leaf_split_threshold: usize,
@@ -60,7 +61,6 @@ impl Default for StrgIndexConfig {
     fn default() -> Self {
         Self {
             k: None,
-            k_max: 12,
             leaf_split_threshold: 48,
             em_max_iters: 40,
             em_n_init: 2,
@@ -148,22 +148,20 @@ impl<V> LeafNode<V> {
     }
 }
 
-/// A record of a cluster node: `(iD_clus, OG_clus, ptr)`.
+/// A record of a cluster node: `(iD_clus, OG_clus, ptr)`. Its `iD_clus`
+/// is its position in its root record's cluster list.
 #[derive(Clone, Debug)]
 pub struct ClusterRecord<V> {
-    /// Cluster identifier within its root record.
-    pub id: u32,
     /// The centroid OG representing the cluster.
     pub centroid: Vec<V>,
     /// The leaf node holding the member OGs.
     pub leaf: LeafNode<V>,
 }
 
-/// A record of the root node: `(iD_root, BG, ptr)`.
+/// A record of the root node: `(iD_root, BG, ptr)`, one per video
+/// segment. Its `iD_root` is its position in [`StrgIndex::roots`].
 #[derive(Clone, Debug)]
 pub struct RootRecord<V> {
-    /// Root record identifier (one per video segment / background).
-    pub id: u32,
     /// The segment's deduplicated Background Graph.
     pub bg: BackgroundGraph,
     /// The cluster node this record points to.
@@ -230,11 +228,8 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// Builds the index for one video segment (Algorithm 2): cluster the
     /// OGs with EM-EGED, create one cluster record per cluster with its
     /// centroid, and fill leaves keyed by `EGED_M`. Returns the new root
-    /// record id.
+    /// record's position.
     pub fn add_segment(&mut self, bg: BackgroundGraph, ogs: Vec<(u64, Vec<V>)>) -> u32 {
-        // Continue from the last id, not the root count: after a
-        // `remove_segment` the count would hand out an id still in use.
-        let root_id = self.roots.last().map_or(0, |r| r.id + 1);
         // The sequences are moved (not cloned) out of the input: clustering
         // and keying borrow them, then the bulk load below moves each one
         // into its leaf record.
@@ -251,7 +246,7 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
                     bic_sweep_threads(
                         &data,
                         &Eged,
-                        1..=self.cfg.k_max.min(data.len()),
+                        1..=K_MAX.min(data.len()),
                         self.cfg.seed,
                         self.cfg.threads,
                     )
@@ -270,9 +265,7 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             let mut clusters: Vec<ClusterRecord<V>> = clustering
                 .centroids
                 .iter()
-                .enumerate()
-                .map(|(i, c)| ClusterRecord {
-                    id: i as u32,
+                .map(|c| ClusterRecord {
                     centroid: c.clone(),
                     leaf: LeafNode::default(),
                 })
@@ -305,23 +298,15 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
             for c in clusters.iter_mut() {
                 c.leaf.sort_records();
             }
-            // Drop empty clusters, renumber.
             clusters.retain(|c| !c.leaf.records.is_empty());
-            for (i, c) in clusters.iter_mut().enumerate() {
-                c.id = i as u32;
-            }
             clusters
         };
         if let Some(r) = &self.recorder {
             r.add("index.build.segments", 1);
             r.add("index.build.clusters", clusters.len() as u64);
         }
-        self.roots.push(RootRecord {
-            id: root_id,
-            bg,
-            clusters,
-        });
-        root_id
+        self.roots.push(RootRecord { bg, clusters });
+        (self.roots.len() - 1) as u32
     }
 
     /// Inserts one OG into an existing segment: route to the closest
@@ -329,16 +314,14 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
     /// if it grew past the threshold and BIC favors two clusters (§5.3).
     ///
     /// # Panics
-    /// Panics if `root_id` does not exist.
-    pub fn insert(&mut self, root_id: u32, og_id: u64, seq: Vec<V>) {
+    /// Panics if there is no root record at position `root`.
+    pub fn insert(&mut self, root: u32, og_id: u64, seq: Vec<V>) {
         let root = self
             .roots
-            .iter_mut()
-            .find(|r| r.id == root_id)
+            .get_mut(root as usize)
             .expect("unknown root record");
         if root.clusters.is_empty() {
             root.clusters.push(ClusterRecord {
-                id: 0,
                 centroid: seq.clone(),
                 leaf: LeafNode::default(),
             });
@@ -375,11 +358,12 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
         }
     }
 
-    /// Removes the OG with the given id from a segment. Returns `true` if
-    /// it was present. Empty leaves drop their cluster record; an empty
-    /// segment keeps its root record (backgrounds outlive their objects).
-    pub fn remove(&mut self, root_id: u32, og_id: u64) -> bool {
-        let Some(root) = self.roots.iter_mut().find(|r| r.id == root_id) else {
+    /// Removes the OG with the given id from the segment at position
+    /// `root`. Returns `true` if it was present. Empty leaves drop their
+    /// cluster record; an empty segment keeps its root record (backgrounds
+    /// outlive their objects).
+    pub fn remove(&mut self, root: u32, og_id: u64) -> bool {
+        let Some(root) = self.roots.get_mut(root as usize) else {
             return false;
         };
         let mut removed = false;
@@ -392,25 +376,27 @@ impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> 
         }
         if removed {
             root.clusters.retain(|c| !c.leaf.records.is_empty());
-            for (i, c) in root.clusters.iter_mut().enumerate() {
-                c.id = i as u32;
-            }
             self.len -= 1;
         }
         removed
     }
 
-    /// Removes a whole segment (root record and everything below it).
-    /// Returns the number of OGs removed, or `None` if the root id is
-    /// unknown.
-    pub fn remove_segment(&mut self, root_id: u32) -> Option<usize> {
-        let pos = self.roots.iter().position(|r| r.id == root_id)?;
-        let removed: usize = self.roots[pos]
+    /// Removes the segment at position `root` (its root record and
+    /// everything below it); the roots after it move up one position.
+    /// Returns the number of OGs removed, or `None` if there is no such
+    /// root.
+    pub fn remove_segment(&mut self, root: u32) -> Option<usize> {
+        let root = root as usize;
+        if root >= self.roots.len() {
+            return None;
+        }
+        let removed: usize = self
+            .roots
+            .remove(root)
             .clusters
             .iter()
             .map(|c| c.leaf.records.len())
             .sum();
-        self.roots.remove(pos);
         self.len -= removed;
         Some(removed)
     }
@@ -586,12 +572,10 @@ fn split_leaf_if_bic_favors<V: ClusterValue, D: MetricDistance<V>>(
     // Perform the split: replace the cluster record with two.
     root.clusters.remove(cluster_idx);
     let mut new_a = ClusterRecord {
-        id: 0,
         centroid: c2.centroids[0].clone(),
         leaf: LeafNode::default(),
     };
     let mut new_b = ClusterRecord {
-        id: 0,
         centroid: c2.centroids[1].clone(),
         leaf: LeafNode::default(),
     };
@@ -611,9 +595,6 @@ fn split_leaf_if_bic_favors<V: ClusterValue, D: MetricDistance<V>>(
     }
     root.clusters.push(new_a);
     root.clusters.push(new_b);
-    for (i, c) in root.clusters.iter_mut().enumerate() {
-        c.id = i as u32;
-    }
 }
 
 #[cfg(test)]
@@ -846,7 +827,7 @@ mod tests {
         assert_eq!(idx.remove_segment(r0), Some(36));
         assert_eq!(idx.len(), 36);
         assert_eq!(idx.roots().len(), 1);
-        assert_eq!(idx.roots()[0].id, r1);
+        assert_eq!(idx.remove_segment(r1), None, "r1 moved up to position 0");
         assert_eq!(idx.remove_segment(99), None);
     }
 

@@ -9,9 +9,10 @@
 //!   as the scan goes, and keeps the best `k`; `Range(r)` prunes against
 //!   the constant `r` and keeps everything it accepts;
 //! * the [`Scope`] is which leaves may be opened: every cluster (exact,
-//!   what Figure 7b counts), one root record's clusters (after Algorithm
-//!   3's background match), or only the nearest centroid's leaf — the
-//!   literal Algorithm 3, approximate, Figure 7c.
+//!   what Figure 7b counts), the clusters of the root record at one
+//!   position (after Algorithm 3's background match, or for a named clip:
+//!   a shard's clip `i` owns its root `i`), or only the nearest centroid's
+//!   leaf — the literal Algorithm 3, approximate, Figure 7c.
 //!
 //! **The exact scopes evaluate centroids lazily** (DESIGN.md §9 "Lazy
 //! centroid pass"). The cluster scan ([`gather_cands_into`]) computes no
@@ -60,9 +61,9 @@ use crate::query::QueryKind;
 /// One search result.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Hit {
-    /// Root record (segment) the OG belongs to.
+    /// Position of the root record (segment) the OG belongs to.
     pub root_id: u32,
-    /// Cluster record within the root.
+    /// Position of the cluster record within its root.
     pub cluster_id: u32,
     /// The member OG identifier.
     pub og_id: u64,
@@ -76,9 +77,10 @@ pub enum Scope {
     /// Every cluster of every root record: the exact search, as the paper
     /// runs it for background-free queries.
     All,
-    /// Only the clusters of the root record with this id (Algorithm 3 step
-    /// 2, after background matching, or an explicit clip). Exact within
-    /// that segment; an unknown id finds nothing and costs nothing.
+    /// Only the clusters of the root record at this position (Algorithm 3
+    /// step 2, after background matching, or an explicit clip). Exact
+    /// within that segment; a position past the last root finds nothing and
+    /// costs nothing.
     Root(u32),
     /// Only the leaf of the single most similar centroid — Algorithm 3 as
     /// written. Cheaper but approximate: every other leaf is charged to
@@ -95,8 +97,6 @@ struct Cand {
     root_idx: u32,
     /// Position of the cluster within its root.
     cluster_idx: u32,
-    root_id: u32,
-    cluster_id: u32,
     /// Smallest summary lower bound over the leaf's records: no member is
     /// nearer the query than this (infinite for an empty leaf).
     bound: f64,
@@ -194,34 +194,23 @@ fn total_records<V>(roots: &[RootRecord<V>], cands: &[Cand]) -> usize {
 }
 
 /// The cluster scan (the cluster-node level of Algorithm 3): one candidate
-/// per cluster record in scope, in root/cluster order, into the arena's
-/// candidate buffer. It reads structure only and computes no distance.
+/// per cluster record of the roots in scope, which start at position
+/// `first`, in root/cluster order, into the arena's candidate buffer. It
+/// reads structure only and computes no distance.
 fn gather_cands_into<V>(
-    roots: &[RootRecord<V>],
-    root_filter: Option<u32>,
+    first: usize,
+    in_scope: &[RootRecord<V>],
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
     let QueryScratch { cands, grows, .. } = scratch;
-    let included = |root: &&RootRecord<V>| root_filter.is_none_or(|r| r == root.id);
-    let n_cands: usize = roots
-        .iter()
-        .filter(included)
-        .map(|r| r.clusters.len())
-        .sum();
+    let n_cands: usize = in_scope.iter().map(|r| r.clusters.len()).sum();
     cands.clear();
     reserve_counted(cands, n_cands, grows);
-    let mut visited_roots = 0u64;
-    for (ri, root) in roots.iter().enumerate() {
-        if !included(&root) {
-            continue;
-        }
-        visited_roots += 1;
-        cands.extend(root.clusters.iter().enumerate().map(|(ci, c)| Cand {
-            root_idx: ri as u32,
+    for (ri, root) in in_scope.iter().enumerate() {
+        cands.extend((0..root.clusters.len()).map(|ci| Cand {
+            root_idx: (first + ri) as u32,
             cluster_idx: ci as u32,
-            root_id: root.id,
-            cluster_id: c.id,
             bound: 0.0,
             key: 0.0,
             centroid_dist: None,
@@ -229,7 +218,7 @@ fn gather_cands_into<V>(
     }
     // One root-node access per visited root record, one cluster-node access
     // per cluster record scanned.
-    cost.node_accesses += visited_roots + n_cands as u64;
+    cost.node_accesses += (in_scope.len() + n_cands) as u64;
 }
 
 /// Relative rounding slack of the triangle tests. `EGED_M` is a sum of at
@@ -289,11 +278,14 @@ pub fn search_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lowe
         return;
     }
     let qsum = metric.summarize(query);
-    let root_filter = match scope {
-        Scope::Root(id) => Some(id),
-        Scope::All | Scope::NearestCluster => None,
+    let (first, in_scope) = match scope {
+        Scope::Root(p) => {
+            let p = p as usize;
+            (p, roots.get(p..=p).unwrap_or(&[]))
+        }
+        Scope::All | Scope::NearestCluster => (0, roots),
     };
-    gather_cands_into(roots, root_filter, cost, scratch);
+    gather_cands_into(first, in_scope, cost, scratch);
     let QueryScratch {
         cands, hits, grows, ..
     } = scratch;
@@ -558,8 +550,8 @@ fn refine<V: SeqValue, D: BoundedDistance<V>>(
         return;
     };
     let hit = Hit {
-        root_id: cand.root_id,
-        cluster_id: cand.cluster_id,
+        root_id: cand.root_idx,
+        cluster_id: cand.cluster_idx,
         og_id: record.og_id,
         dist,
     };
@@ -935,7 +927,8 @@ mod tests {
         let hits = idx.knn(&[0.5, 1.5, 2.5], 3);
         for h in &hits {
             assert_eq!(h.root_id, 0);
-            assert!(idx.roots()[0].clusters.iter().any(|c| c.id == h.cluster_id));
+            let leaf = &idx.roots()[0].clusters[h.cluster_id as usize].leaf;
+            assert!(leaf.records.iter().any(|r| r.og_id == h.og_id));
         }
     }
 

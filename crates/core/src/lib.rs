@@ -34,7 +34,7 @@ pub use index::{
 };
 pub use options::{open, Database, DbOptions};
 pub use persist::{PersistInfo, ReopenMode, FORMAT_VERSION};
-pub use pipeline::{ClipMeta, DbStats, IngestReport, QueryHit, StoredOg, VideoDatabase};
+pub use pipeline::{DbStats, IngestReport, QueryHit, VideoDatabase};
 pub use query::{Query, QueryKind, QueryResult};
 pub use shard::{
     route, sharded_query, sharded_query_into, with_shard_scratch, ShardScratch, ShardedDatabase,

@@ -16,8 +16,9 @@
 //!   `shards <N>`, `next_og <id>`, and one `clip <name>` line per clip in
 //!   global ingest order. Its shard count wins over
 //!   [`DbOptions::shards`] on load. A load refuses a manifest that
-//!   disagrees with its shard files: its clip lines must name exactly the
-//!   shards' clips, each stored in the shard its name routes to.
+//!   disagrees with its shard files: for every shard `s`, the clip lines
+//!   whose names route to `s`, in manifest order, must name exactly shard
+//!   `s`'s clips, in their order.
 //!
 //! A save encodes the manifest and every shard file under one read guard
 //! of the database's state, so they describe one state.
@@ -47,10 +48,12 @@
 //! pattern (`f64::to_bits`), so round-trips are lossless. Records appear
 //! in one canonical order (META, one CLIP per clip, then per segment one
 //! ROOT followed by its CLUS/LEAF/SUMS extents per cluster, one OGS extent
-//! per clip, TOC): the deterministic band makes the in-memory index
-//! byte-identical at any `STRG_THREADS`, so the serialized bytes are too,
-//! and `save → load → save` is a byte-identity (pinned by tests here and
-//! in `tests/persist_equivalence.rs`).
+//! per clip, TOC). A shard's clips, roots and OG extents are one list in
+//! memory and in the file — clip `i` owns root `i` and OGS extent `i` —
+//! so the writer renumbers nothing. The deterministic band makes the
+//! in-memory index byte-identical at any `STRG_THREADS`, so the serialized
+//! bytes are too, and `save → load → save` is a byte-identity (pinned by
+//! tests here and in `tests/persist_equivalence.rs`).
 //!
 //! The TOC footer lists every record's `(tag, root, cluster, offset,
 //! len)`. Leaf sequences are self-contained inside their offset-addressed
@@ -80,7 +83,6 @@
 //! built database in hits, costs, stats, and re-saved bytes, in both
 //! layouts.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -93,8 +95,7 @@ use strg_obs::Recorder;
 
 use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
-use crate::pipeline::{ClipMeta, Shard, StoredOg, VideoDatabase};
-use crate::shard::route;
+use crate::pipeline::{clip_positions, ClipMeta, Shard, VideoDatabase};
 
 /// v2 leading magic.
 const V2_MAGIC: &[u8; 8] = b"STRGDB2\0";
@@ -219,7 +220,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Database-wide counts: `clips, ogs, roots, strg_bytes, index_len`.
 const TAG_META: u32 = u32::from_le_bytes(*b"META");
-/// One clip's metadata: frames, root id, name, OG ids.
+/// One clip's metadata: frames, root position, name, OG ids.
 const TAG_CLIP: u32 = u32::from_le_bytes(*b"CLIP");
 /// One segment root: Background Graph nodes/edges + cluster count.
 const TAG_ROOT: u32 = u32::from_le_bytes(*b"ROOT");
@@ -322,19 +323,17 @@ fn shard_file(i: usize) -> String {
 impl VideoDatabase {
     /// Serializes the database to `path`: one file for a one-shard
     /// database whose `path` is not an existing directory, else a shard
-    /// directory (module docs, "Layouts"). Root ids are canonicalized to
-    /// clip order, the numbering a fresh build assigns, so
-    /// `save → load → save` is a byte-identity in either layout. A clip
-    /// name with a line break cannot go into a manifest: the directory
-    /// layout then fails with [`io::ErrorKind::InvalidInput`] before
-    /// anything is written.
+    /// directory (module docs, "Layouts"). `save → load → save` is a
+    /// byte-identity in either layout. A clip name with a line break cannot
+    /// go into a manifest: the directory layout then fails with
+    /// [`io::ErrorKind::InvalidInput`] before anything is written.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         // One read guard keeps ingests and removals out, so the manifest
         // and every shard file agree.
         let state = self.state.read();
         if state.shards.len() == 1 && !path.is_dir() {
-            return fs::write(path, encode_shard(&state.shards[0])?);
+            return fs::write(path, encode_shard(&state.shards[0]));
         }
         let mut manifest = String::from("STRG-SHARDS v2\n");
         manifest.push_str(&format!("shards {}\n", state.shards.len()));
@@ -353,7 +352,7 @@ impl VideoDatabase {
         fs::create_dir_all(path)?;
         fs::write(path.join("MANIFEST"), manifest)?;
         for (i, shard) in state.shards.iter().enumerate() {
-            fs::write(path.join(shard_file(i)), encode_shard(shard)?)?;
+            fs::write(path.join(shard_file(i)), encode_shard(shard))?;
         }
         Ok(())
     }
@@ -419,41 +418,32 @@ fn read_manifest(dir: &Path) -> io::Result<(usize, u64, Vec<String>)> {
 }
 
 /// Refuses a directory whose `MANIFEST` disagrees with its shard files:
-/// every clip of shard `s` must route to `s`, and the manifest must list
-/// exactly the shards' clips (as a multiset, so a name the library let two
-/// clips share still round-trips). A crash between writing the manifest
-/// and the shard files leaves such a directory.
+/// the clip lines that route to shard `s`, in manifest order, must be
+/// shard `s`'s clips in order — the walk background matching makes (a
+/// name the library let two clips share still round-trips). A crash
+/// between writing the manifest and the shard files leaves such a
+/// directory.
 fn check_manifest(order: &[String], shards: &[Shard]) -> io::Result<()> {
-    let mut stored: Vec<&str> = Vec::new();
-    for (s, shard) in shards.iter().enumerate() {
-        for c in &shard.clips {
-            let r = route(&c.name, shards.len());
-            if r != s {
-                return Err(bad(format!(
-                    "clip {:?} is stored in shard {s} but routes to shard {r}",
-                    c.name
-                )));
-            }
-            stored.push(&c.name);
+    for (name, (s, p)) in order.iter().zip(clip_positions(order, shards.len())) {
+        if shards[s].clips.get(p).map(|c| &c.name) != Some(name) {
+            return Err(bad(format!(
+                "MANIFEST clip {name:?} is not clip {p} of shard {s} (missing, extra, duplicated or reordered clip)"
+            )));
         }
     }
-    let mut listed: Vec<&str> = order.iter().map(String::as_str).collect();
-    listed.sort_unstable();
-    stored.sort_unstable();
-    if listed != stored {
-        return Err(bad(
-            "MANIFEST clip list disagrees with the shard files (missing, extra or duplicated clip)",
-        ));
+    // Every line matched a distinct stored clip, so equal totals leave none
+    // unlisted.
+    if order.len() != shards.iter().map(|s| s.clips.len()).sum::<usize>() {
+        return Err(bad("MANIFEST lists fewer clips than the shard files hold"));
     }
     Ok(())
 }
 
 /// One shard as a STRGDB v2 file image.
-fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
+fn encode_shard(shard: &Shard) -> Vec<u8> {
     let Shard {
         index,
         clips,
-        ogs,
         strg_bytes,
     } = shard;
     let mut out = Vec::with_capacity(64 * 1024);
@@ -465,15 +455,15 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
     // META.
     let index_len: usize = index.len();
     let mut payload = Vec::new();
+    let n_ogs: usize = clips.iter().map(|c| c.ogs.len()).sum();
     put_u64(&mut payload, clips.len() as u64);
-    put_u64(&mut payload, ogs.len() as u64);
+    put_u64(&mut payload, n_ogs as u64);
     put_u64(&mut payload, clips.len() as u64); // roots (1:1 with clips)
     put_u64(&mut payload, *strg_bytes as u64);
     put_u64(&mut payload, index_len as u64);
     push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
 
-    // CLIP records, in ingest order. The stored root id is the clip's
-    // position — the canonical numbering a fresh build assigns.
+    // CLIP records, in ingest order, each with its root's position.
     for (ci, c) in clips.iter().enumerate() {
         payload.clear();
         put_u64(&mut payload, c.frames as u64);
@@ -487,34 +477,19 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
         push_record(&mut out, &mut toc, TAG_CLIP, ci as u32, 0, &payload);
     }
 
-    // Each clip's root record and its OGs (in store, i.e. id, order),
-    // bucketed in one pass each so a save stays linear in clips.
-    let root_by_id: HashMap<u32, &RootRecord<Point2>> =
-        index.roots().iter().map(|r| (r.id, r)).collect();
-    let mut clip_ogs: Vec<Vec<&StoredOg>> = vec![Vec::new(); clips.len()];
-    for s in ogs.iter() {
-        clip_ogs
-            .get_mut(s.clip)
-            .ok_or_else(|| bad("stored OG without clip"))?
-            .push(s);
-    }
-
     // Per segment: ROOT, then (CLUS, LEAF, SUMS) per cluster.
-    for (ci, c) in clips.iter().enumerate() {
-        let root = *root_by_id
-            .get(&c.root_id)
-            .ok_or_else(|| bad("clip without root record"))?;
+    for (ri, root) in (0u32..).zip(index.roots()) {
         payload.clear();
         encode_bg(&mut payload, &root.bg, root.clusters.len());
-        push_record(&mut out, &mut toc, TAG_ROOT, ci as u32, 0, &payload);
+        push_record(&mut out, &mut toc, TAG_ROOT, ri, 0, &payload);
 
-        for cl in &root.clusters {
+        for (cl_i, cl) in (0u32..).zip(&root.clusters) {
             payload.clear();
             put_u64(&mut payload, cl.centroid.len() as u64);
             for &p in &cl.centroid {
                 put_point(&mut payload, p);
             }
-            push_record(&mut out, &mut toc, TAG_CLUS, ci as u32, cl.id, &payload);
+            push_record(&mut out, &mut toc, TAG_CLUS, ri, cl_i, &payload);
 
             payload.clear();
             put_u64(&mut payload, cl.leaf.records.len() as u64);
@@ -526,7 +501,7 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
                     put_point(&mut payload, p);
                 }
             }
-            push_record(&mut out, &mut toc, TAG_LEAF, ci as u32, cl.id, &payload);
+            push_record(&mut out, &mut toc, TAG_LEAF, ri, cl_i, &payload);
 
             payload.clear();
             put_u64(&mut payload, cl.leaf.records.len() as u64);
@@ -537,22 +512,20 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
                 put_point(&mut payload, rec.summary.lo);
                 put_point(&mut payload, rec.summary.hi);
             }
-            push_record(&mut out, &mut toc, TAG_SUMS, ci as u32, cl.id, &payload);
+            push_record(&mut out, &mut toc, TAG_SUMS, ri, cl_i, &payload);
         }
     }
 
-    // One OGS extent per clip, in clip order. Each clip's OGs claimed
-    // one contiguous id block at ingest, so the concatenation is the
-    // id-sorted store order.
-    for (ci, clip_ogs) in clip_ogs.iter().enumerate() {
+    // One OGS extent per clip, in clip order.
+    for (ci, c) in clips.iter().enumerate() {
         payload.clear();
-        put_u64(&mut payload, clip_ogs.len() as u64);
-        for s in clip_ogs {
-            put_u64(&mut payload, s.id);
-            put_u32(&mut payload, s.og.id);
-            put_u64(&mut payload, s.og.start_frame as u64);
-            put_u64(&mut payload, s.og.samples.len() as u64);
-            for smp in &s.og.samples {
+        put_u64(&mut payload, c.ogs.len() as u64);
+        for (&id, og) in c.og_ids.iter().zip(&c.ogs) {
+            put_u64(&mut payload, id);
+            put_u32(&mut payload, og.id);
+            put_u64(&mut payload, og.start_frame as u64);
+            put_u64(&mut payload, og.samples.len() as u64);
+            for smp in &og.samples {
                 put_u32(&mut payload, smp.size);
                 put_f64(&mut payload, smp.color.r);
                 put_f64(&mut payload, smp.color.g);
@@ -580,7 +553,7 @@ fn encode_shard(shard: &Shard) -> io::Result<Vec<u8>> {
     push_record(&mut out, &mut toc_sink, TAG_TOC, 0, 0, &payload);
     put_u64(&mut out, toc_offset);
     out.extend_from_slice(V2_END_MAGIC);
-    Ok(out)
+    out
 }
 
 /// Reads one STRGDB v2 file as a shard, deserializing its index with
@@ -596,7 +569,6 @@ fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<
         recorder,
         parsed.roots,
         parsed.clips,
-        parsed.ogs,
         parsed.strg_bytes,
     ))
 }
@@ -841,7 +813,6 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<(BackgroundGraph, usize)> {
 struct ParsedV2 {
     clips: Vec<ClipMeta>,
     roots: Vec<RootRecord<Point2>>,
-    ogs: Vec<StoredOg>,
     strg_bytes: usize,
 }
 
@@ -864,11 +835,15 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
         return Err(bad("META root/clip count mismatch"));
     }
 
-    let mut clips: Vec<ClipMeta> = Vec::with_capacity(n_clips.min(bytes.len()));
-    let mut roots: Vec<RootRecord<Point2>> = Vec::with_capacity(n_clips.min(bytes.len()));
-    let mut ogs: Vec<StoredOg> = Vec::new();
+    // Every clip, root and cluster has a record of its own, so no count
+    // read from the file reserves more than the records it holds.
+    let cap = records.len();
+    let mut clips: Vec<ClipMeta> = Vec::with_capacity(n_clips.min(cap));
+    let mut roots: Vec<RootRecord<Point2>> = Vec::with_capacity(n_clips.min(cap));
     // Cluster count declared by each ROOT, checked off by CLUS records.
     let mut declared_clusters: Vec<usize> = Vec::new();
+    // OGS extents seen: extent `i` holds clip `i`'s Object Graphs.
+    let mut og_extents = 0usize;
 
     for rec in it {
         let mut cur = Cursor::new(rec.payload, "record payload");
@@ -887,19 +862,17 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                 let og_ids = cur.run::<8>(n)?.map(|id| u64_at(id, 0)).collect();
                 clips.push(ClipMeta {
                     name,
-                    root_id,
                     frames,
                     og_ids,
+                    ogs: Vec::new(),
                 });
             }
             TAG_ROOT => {
                 let (bg, n_clusters) = decode_bg(&mut cur)?;
-                let id = roots.len() as u32;
                 declared_clusters.push(n_clusters);
                 roots.push(RootRecord {
-                    id,
                     bg,
-                    clusters: Vec::with_capacity(n_clusters.min(bytes.len())),
+                    clusters: Vec::with_capacity(n_clusters.min(cap)),
                 });
             }
             TAG_CLUS => {
@@ -907,7 +880,6 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                 let n = cur.count(16)?;
                 let centroid = cur.run::<16>(n)?.map(|p| point_at(p, 0)).collect();
                 root.clusters.push(ClusterRecord {
-                    id: root.clusters.len() as u32,
                     centroid,
                     leaf: LeafNode::default(),
                 });
@@ -965,12 +937,20 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                 }
             }
             TAG_OGS => {
-                // The extent's clip index comes from its position: OGS
-                // extents are written one per clip, in clip order; the
-                // owning clip is patched from the CLIP og-id lists below.
+                // Extent `i` belongs to clip `i` and must carry exactly the
+                // ids its CLIP record lists, in that order.
+                let clip = clips
+                    .get_mut(og_extents)
+                    .ok_or_else(|| bad("OGS extent without a clip"))?;
+                og_extents += 1;
                 let n = cur.count(28)?;
-                for _ in 0..n {
-                    let id = cur.u64()?;
+                if n != clip.og_ids.len() {
+                    return Err(bad("OGS extent disagrees with its clip's OG ids"));
+                }
+                for &id in &clip.og_ids {
+                    if cur.u64()? != id {
+                        return Err(bad("OGS extent disagrees with its clip's OG ids"));
+                    }
                     let og_id = cur.u32()?;
                     let start_frame = cur.u64()? as usize;
                     let n_samples = cur.count(60)?;
@@ -987,14 +967,10 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                             }
                         })
                         .collect();
-                    ogs.push(StoredOg {
-                        id,
-                        clip: usize::MAX, // patched below
-                        og: ObjectGraph {
-                            id: og_id,
-                            start_frame,
-                            samples,
-                        },
+                    clip.ogs.push(ObjectGraph {
+                        id: og_id,
+                        start_frame,
+                        samples,
                     });
                 }
             }
@@ -1026,25 +1002,20 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
             }
         }
     }
-    if ogs.len() != n_ogs {
+    if og_extents != n_clips {
+        return Err(bad("OGS extent count disagrees with META"));
+    }
+    if clips.iter().map(|c| c.ogs.len()).sum::<usize>() != n_ogs {
         return Err(bad("stored OG count disagrees with META"));
     }
-    // Patch clip ownership from the CLIP og_id lists and verify ids line
-    // up; the store must end up sorted by id for binary-search resolution.
-    let mut by_id: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-    for (ci, c) in clips.iter().enumerate() {
-        for &id in &c.og_ids {
-            if by_id.insert(id, ci).is_some() {
-                return Err(bad("duplicate OG id across clips"));
-            }
-        }
+    let mut ids: Vec<u64> = clips
+        .iter()
+        .flat_map(|c| c.og_ids.iter().copied())
+        .collect();
+    ids.sort_unstable();
+    if ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(bad("duplicate OG id across clips"));
     }
-    for s in &mut ogs {
-        s.clip = *by_id
-            .get(&s.id)
-            .ok_or_else(|| bad("stored OG not referenced by any clip"))?;
-    }
-    ogs.sort_by_key(|s| s.id);
     let leaf_total: usize = roots
         .iter()
         .flat_map(|r| &r.clusters)
@@ -1056,7 +1027,6 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
     Ok(ParsedV2 {
         clips,
         roots,
-        ogs,
         strg_bytes,
     })
 }

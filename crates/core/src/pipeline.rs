@@ -11,6 +11,12 @@
 //! paper's single tree), each an STRG-Index tree with the clips
 //! [`crate::route`] sends to it (DESIGN.md §12).
 //!
+//! **One numbering per shard.** A shard is one list of clips in ingest
+//! order: clip `i` owns root record `i` of the shard's tree (the paper's
+//! `(iD_root, BG, ptr)`, one per segment) and its own Object Graphs. A hit
+//! names its clip through the root position it carries; a removal takes
+//! the clip and its root out of both lists at the same position.
+//!
 //! **One lock.** Everything mutable — every shard, the global clip order
 //! and the next OG id — is one `State` behind one `parking_lot::RwLock`.
 //! An ingest segments, tracks and decomposes before it takes the write
@@ -18,8 +24,8 @@
 //! throughout. A query holds one read guard for its search *and* the
 //! resolution of its hits, so it answers from one consistent state: no
 //! hit is dropped by a concurrent removal, and a clip-scoped or
-//! background-matched query cannot land on a root id reused by a later
-//! ingest.
+//! background-matched query cannot land on a root a concurrent removal
+//! has moved.
 
 use parking_lot::RwLock;
 use strg_distance::EgedMetric;
@@ -37,34 +43,23 @@ use crate::shard::{route, sharded_query};
 
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
 
-/// Metadata of one ingested clip.
-#[derive(Clone, Debug)]
-pub struct ClipMeta {
-    /// Clip name.
-    pub name: String,
-    /// Root record id of the clip's segment in its shard's index.
-    pub root_id: u32,
+/// One ingested clip. Clip `i` of a shard owns root record `i` of the
+/// shard's index.
+pub(crate) struct ClipMeta {
+    pub(crate) name: String,
     /// Number of frames ingested.
-    pub frames: usize,
+    pub(crate) frames: usize,
     /// Ids of the OGs extracted from this clip.
-    pub og_ids: Vec<u64>,
-}
-
-/// A stored Object Graph with its provenance.
-#[derive(Clone, Debug)]
-pub struct StoredOg {
-    /// Database-wide OG id.
-    pub id: u64,
-    /// Index of the owning clip in its shard's clip list.
-    pub clip: usize,
-    /// The full Object Graph (the leaf `ptr` target).
-    pub og: ObjectGraph,
+    pub(crate) og_ids: Vec<u64>,
+    /// The full Object Graphs (the leaf `ptr` targets): `ogs[i]` has id
+    /// `og_ids[i]`.
+    pub(crate) ogs: Vec<ObjectGraph>,
 }
 
 /// Report returned by an ingest.
 #[derive(Clone, Debug)]
 pub struct IngestReport {
-    /// Root record id created for the clip.
+    /// Position of the clip's root record in its shard's index.
     pub root_id: u32,
     /// Number of OGs extracted and indexed.
     pub objects: usize,
@@ -100,13 +95,11 @@ pub struct DbStats {
     pub index_bytes: usize,
 }
 
-/// One shard: an STRG-Index tree, the clips routed to it (in ingest
-/// order, which is also its root order) and their stored OGs (sorted by
-/// id).
+/// One shard: an STRG-Index tree and the clips routed to it, in ingest
+/// order — clip `i` owns root `i`.
 pub(crate) struct Shard {
     pub(crate) index: Idx,
     pub(crate) clips: Vec<ClipMeta>,
-    pub(crate) ogs: Vec<StoredOg>,
     pub(crate) strg_bytes: usize,
 }
 
@@ -117,7 +110,6 @@ impl Shard {
         recorder: &Recorder,
         roots: Vec<RootRecord<Point2>>,
         clips: Vec<ClipMeta>,
-        ogs: Vec<StoredOg>,
         strg_bytes: usize,
     ) -> Self {
         let mut index = StrgIndex::from_parts(EgedMetric::new(), opts.index, roots);
@@ -125,7 +117,6 @@ impl Shard {
         Self {
             index,
             clips,
-            ogs,
             strg_bytes,
         }
     }
@@ -140,20 +131,35 @@ impl Shard {
         }
     }
 
-    /// The root id of the clip named `name`, if this shard holds it.
-    fn root_of(&self, name: &str) -> Option<u32> {
-        self.clips
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.root_id)
+    /// The position of the first clip named `name`, if this shard holds
+    /// one: also its root's position.
+    fn position(&self, name: &str) -> Option<u32> {
+        let p = self.clips.iter().position(|c| c.name == name)?;
+        Some(p as u32)
     }
+}
+
+/// Walks clip names in global ingest order with one cursor per shard and
+/// yields each clip's `(shard, position in that shard)`: the `k`-th name
+/// that routes to shard `s` is shard `s`'s clip `k`.
+pub(crate) fn clip_positions(
+    order: &[String],
+    shards: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut next = vec![0; shards];
+    order.iter().map(move |name| {
+        let s = route(name, shards);
+        next[s] += 1;
+        (s, next[s] - 1)
+    })
 }
 
 /// Everything a database mutates, behind its one lock.
 pub(crate) struct State {
     pub(crate) shards: Vec<Shard>,
     /// Clip names in global ingest order (each clip's shard is `route` of
-    /// its name). Background matching scans roots in this order.
+    /// its name, its position there is given by [`clip_positions`]). Background
+    /// matching scans roots in this order.
     pub(crate) order: Vec<String>,
     /// The next OG id to hand out.
     pub(crate) next_og: u64,
@@ -161,23 +167,15 @@ pub(crate) struct State {
 
 impl State {
     /// Resolves shard-tagged hits to clip provenance, in their merged
-    /// order. Every indexed OG is stored, and the search ran under the same
+    /// order: root `i` is clip `i`, and the search ran under the same
     /// guard, so every hit resolves.
     fn resolve(&self, tagged: &[(usize, Hit)]) -> Vec<QueryHit> {
         tagged
             .iter()
-            .map(|&(s, h)| {
-                let shard = &self.shards[s];
-                // Each store is sorted by id, even after removals.
-                let i = shard
-                    .ogs
-                    .binary_search_by_key(&h.og_id, |o| o.id)
-                    .expect("every indexed OG is stored");
-                QueryHit {
-                    clip: shard.clips[shard.ogs[i].clip].name.clone(),
-                    og_id: h.og_id,
-                    dist: h.dist,
-                }
+            .map(|&(s, h)| QueryHit {
+                clip: self.shards[s].clips[h.root_id as usize].name.clone(),
+                og_id: h.og_id,
+                dist: h.dist,
             })
             .collect()
     }
@@ -203,7 +201,7 @@ impl VideoDatabase {
         opts.shards = opts.shards.max(1);
         let recorder = Recorder::new();
         let shards = (0..opts.shards)
-            .map(|_| Shard::new(&opts, &recorder, Vec::new(), Vec::new(), Vec::new(), 0))
+            .map(|_| Shard::new(&opts, &recorder, Vec::new(), Vec::new(), 0))
             .collect();
         Self::assemble(opts, shards, Vec::new(), 0, recorder, PersistInfo::fresh())
     }
@@ -222,9 +220,10 @@ impl VideoDatabase {
         opts.shards = shards.len();
         let past_stored = shards
             .iter()
-            .filter_map(|s| s.ogs.last().map(|o| o.id + 1))
+            .flat_map(|s| &s.clips)
+            .flat_map(|c| &c.og_ids)
             .max()
-            .unwrap_or(0);
+            .map_or(0, |id| id + 1);
         recorder.add("shard.count", shards.len() as u64);
         Self {
             cfg: opts,
@@ -307,37 +306,28 @@ impl VideoDatabase {
         let strg_bytes = strg_graph::decompose::strg_size_bytes(&d);
         let background_nodes = d.background.rag.node_count();
 
-        // 4/5. Cluster + index (Algorithm 2), under the write lock.
+        // 4/5. Cluster + index (Algorithm 2), under the write lock. The
+        // clip takes one contiguous id block and its root's position.
         let mut state = self.state.write();
         let s = route(name, state.shards.len());
-        // One contiguous id block per clip, so each shard's store stays
-        // sorted by id.
-        let base_id = state.next_og;
-        state.next_og += d.objects.len() as u64;
+        let objects = d.objects.len();
+        let og_ids: Vec<u64> = (state.next_og..).take(objects).collect();
+        state.next_og += objects as u64;
+        let items = og_ids
+            .iter()
+            .zip(&d.objects)
+            .map(|(&id, og)| (id, og.centroid_series()))
+            .collect();
         let shard = &mut state.shards[s];
-        let clip_idx = shard.clips.len();
-        let mut items = Vec::with_capacity(d.objects.len());
-        let mut og_ids = Vec::with_capacity(d.objects.len());
-        for (i, og) in d.objects.iter().enumerate() {
-            let id = base_id + i as u64;
-            items.push((id, og.centroid_series()));
-            og_ids.push(id);
-            shard.ogs.push(StoredOg {
-                id,
-                clip: clip_idx,
-                og: og.clone(),
-            });
-        }
-        let objects = items.len();
         let root_id = {
             let _s = self.recorder.span("ingest.index");
             shard.index.add_segment(d.background, items)
         };
         shard.clips.push(ClipMeta {
             name: name.to_string(),
-            root_id,
             frames: frames.len(),
             og_ids,
+            ogs: d.objects,
         });
         shard.strg_bytes += strg_bytes;
         state.order.push(name.to_string());
@@ -393,7 +383,7 @@ impl VideoDatabase {
             Some(name) => {
                 let s = route(name, state.shards.len());
                 let shard = &state.shards[s];
-                match shard.root_of(name) {
+                match shard.position(name) {
                     Some(root) => {
                         let (hits, cost) =
                             shard.index.search(q.trajectory, q.kind, Scope::Root(root));
@@ -431,16 +421,12 @@ impl VideoDatabase {
         // Algorithm 3 step 2: match the query's Background Graph against
         // every root record in global ingest order, charged as one node
         // access per root.
-        let mut best: Option<(usize, u32, f64)> = None;
-        for name in &state.order {
-            let s = route(name, idxs.len());
-            let root = state.shards[s]
-                .root_of(name)
-                .and_then(|id| idxs[s].roots().iter().find(|r| r.id == id))
-                .expect("every ordered clip has a root in its shard");
-            let sim = background_similarity(&bg, &root.bg, &self.cfg.tracker.compat);
+        let mut best: Option<(usize, usize, f64)> = None;
+        for (s, p) in clip_positions(&state.order, idxs.len()) {
+            let bg_p = &idxs[s].roots()[p].bg;
+            let sim = background_similarity(&bg, bg_p, &self.cfg.tracker.compat);
             if best.is_none_or(|(_, _, b)| sim >= b) {
-                best = Some((s, root.id, sim));
+                best = Some((s, p, sim));
             }
         }
         let mut total = QueryCost {
@@ -449,7 +435,7 @@ impl VideoDatabase {
         };
         match best {
             Some((s, root, sim)) if sim >= 0.5 => {
-                let (hits, inner) = idxs[s].search(q.trajectory, q.kind, Scope::Root(root));
+                let (hits, inner) = idxs[s].search(q.trajectory, q.kind, Scope::Root(root as u32));
                 total.merge(&inner);
                 (tag(s, hits), total, Vec::new())
             }
@@ -473,9 +459,10 @@ impl VideoDatabase {
 
     /// The stored Object Graph with id `id`, wherever it lives.
     pub fn og(&self, id: u64) -> Option<ObjectGraph> {
-        self.state.read().shards.iter().find_map(|s| {
-            let idx = s.ogs.binary_search_by_key(&id, |o| o.id).ok()?;
-            Some(s.ogs[idx].og.clone())
+        let state = self.state.read();
+        state.shards.iter().flat_map(|s| &s.clips).find_map(|c| {
+            let i = c.og_ids.iter().position(|&x| x == id)?;
+            Some(c.ogs[i].clone())
         })
     }
 
@@ -487,18 +474,9 @@ impl VideoDatabase {
         let mut state = self.state.write();
         let s = route(name, state.shards.len());
         let shard = &mut state.shards[s];
-        let pos = shard.clips.iter().position(|c| c.name == name)?;
-        let removed = shard
-            .index
-            .remove_segment(shard.clips[pos].root_id)
-            .unwrap_or(0);
-        shard.clips.remove(pos);
-        shard.ogs.retain(|o| o.clip != pos);
-        for o in shard.ogs.iter_mut() {
-            if o.clip > pos {
-                o.clip -= 1;
-            }
-        }
+        let pos = shard.position(name)?;
+        let removed = shard.index.remove_segment(pos).unwrap_or(0);
+        shard.clips.remove(pos as usize);
         if let Some(at) = state.order.iter().position(|c| c == name) {
             state.order.remove(at);
         }

@@ -87,6 +87,7 @@ SUITES=(
     shard_equivalence
     persist_equivalence
     persist_faults
+    store_model
     query_alloc
     ingest_alloc
     index_equivalence

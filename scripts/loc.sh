@@ -2,8 +2,10 @@
 # Non-test Rust lines per crate: every `.rs` file counted up to its first
 # `#[cfg(test)]` line, with integration-test directories (`crates/*/tests/`)
 # left out. One row per directory under `crates/` plus the facade crate's
-# `src/`, then the total. Compare two commits by running it in each.
-# Run from anywhere: `scripts/loc.sh`.
+# `src/`, then the total. Two rows after it give the size of the
+# integration suites — every line of every `.rs` file under `tests/` and
+# under `crates/*/tests/` — and stay out of the totals. Compare two commits
+# by running it in each. Run from anywhere: `scripts/loc.sh`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,3 +29,11 @@ src=$(count src)
 printf '%-20s %7d\n' "src" "$src"
 printf '%-20s %7d\n' "crates/ total" "$crates_total"
 printf '%-20s %7d\n' "total" "$((crates_total + src))"
+
+# Every line of the integration-test files under the given directories.
+test_lines() {
+    find "$@" -name '*.rs' -print0 | xargs -0 -r cat | wc -l
+}
+
+printf '%-20s %7d\n' "tests/" "$(test_lines tests)"
+printf '%-20s %7d\n' "crates/*/tests/" "$(test_lines crates/*/tests)"

@@ -191,12 +191,12 @@ fn video_database_identical_in_both_modes() {
             let leaves = db.with_index(|idx| {
                 idx.roots()
                     .iter()
-                    .flat_map(|r| {
-                        r.clusters.iter().flat_map(move |c| {
-                            c.leaf
-                                .records
-                                .iter()
-                                .map(move |rec| (r.id * 1000 + c.id, rec.og_id, rec.key.to_bits()))
+                    .enumerate()
+                    .flat_map(|(ri, r)| {
+                        r.clusters.iter().enumerate().flat_map(move |(ci, c)| {
+                            c.leaf.records.iter().map(move |rec| {
+                                ((ri * 1000 + ci) as u32, rec.og_id, rec.key.to_bits())
+                            })
                         })
                     })
                     .collect::<Vec<_>>()

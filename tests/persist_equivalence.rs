@@ -208,10 +208,10 @@ fn v2_fast_load_matches_rebuild_sharded() {
     }
 }
 
-/// Clip removal leaves non-contiguous root ids and OG id blocks in memory;
-/// the canonical remap on save must still make `save → load → save` a byte
-/// identity and keep the fast loader equivalent to the database it was
-/// saved from — also when clips are ingested after a removal in the middle.
+/// Clip removal leaves non-contiguous OG id blocks in memory and moves the
+/// later roots up one position; `save → load → save` must still be a byte
+/// identity and the fast loader equivalent to the database it was saved
+/// from — also when clips are ingested after a removal in the middle.
 #[test]
 fn removal_then_save_stays_canonical() {
     let built = VideoDatabase::new(DbOptions::new());
@@ -247,6 +247,41 @@ fn removal_then_save_stays_canonical() {
         let _ = std::fs::remove_file(&out);
         let _ = std::fs::remove_file(&path);
         assert_eq!(original, resaved, "{stage}: re-saved bytes differ");
+    }
+}
+
+/// A root's position is its only number: after a middle removal and
+/// another ingest, the built database and its save → load copy return the
+/// same raw tree hits — `root_id` and `cluster_id` included — over
+/// `Scope::All` and over every `Scope::Root(p)`.
+#[test]
+fn removal_then_ingest_keeps_root_positions_across_save_load() {
+    let built = VideoDatabase::new(DbOptions::new());
+    ingest_all(&built);
+    assert!(built.remove_clip("clip-9").is_some());
+    built.ingest_clip(&demo_clip(23), 23);
+    let path = temp_path("positions");
+    built.save(&path).unwrap();
+    let loaded = VideoDatabase::load(&path, DbOptions::new()).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    let roots = built.with_index(|i| i.roots().len()) as u32;
+    assert_eq!(roots, 3);
+    let scopes: Vec<Scope> = std::iter::once(Scope::All)
+        .chain((0..roots).map(Scope::Root))
+        .collect();
+    for (qi, q) in trajectories(&built).iter().enumerate() {
+        for kind in [QueryKind::Knn(5), QueryKind::Range(200.0)] {
+            for &scope in &scopes {
+                let ctx = format!("q{qi} {kind:?} {scope:?}");
+                let (a, _) = built.with_index(|i| i.search(q, kind, scope));
+                let (b, _) = loaded.with_index(|i| i.search(q, kind, scope));
+                if let QueryKind::Knn(_) = kind {
+                    assert!(!a.is_empty(), "{ctx}: no hits");
+                }
+                assert_eq!(a, b, "{ctx}: raw hits");
+            }
+        }
     }
 }
 

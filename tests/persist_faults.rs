@@ -286,9 +286,9 @@ fn truncated_payloads_are_rejected_by_their_decoders() {
     }
 }
 
-/// Oversized point, sample, node and edge counts, each re-sealed with a
-/// valid CRC so the count check itself must refuse it before allocating;
-/// and a ROOT edge naming a node the record does not hold.
+/// Oversized point, sample, node, edge and cluster counts, each re-sealed
+/// with a valid CRC so the count check itself must refuse it before
+/// allocating; and a ROOT edge naming a node the record does not hold.
 #[test]
 fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
     let bytes = sample_bytes();
@@ -309,6 +309,7 @@ fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
         (first(b"OGS\0"), 28, "first OG's samples"),
         (root, 4, "BG nodes"),
         (root, 12, "BG edges"),
+        (root, 20, "clusters"),
     ];
     for (pos, at, what) in fields {
         let len = records[pos].3.len();
@@ -518,4 +519,55 @@ fn manifest_disagreeing_with_its_shard_files_is_rejected() {
         r.expect("repeated name loads").clip_names(),
         ["twin", "twin"]
     );
+}
+
+/// Two clips of one shard whose `MANIFEST` lines trade places: every name
+/// and count still agrees, but the manifest's order is not the shard's
+/// root order, so the load is refused rather than reporting the swap.
+#[test]
+fn manifest_reordering_clips_of_one_shard_is_rejected() {
+    let db = VideoDatabase::new(DbOptions::new().shards(3));
+    let frames = VideoClip {
+        name: "cam".into(),
+        scene: lab_scene(&ScenarioConfig {
+            n_actors: 1,
+            frames: 30,
+            seed: 4,
+            ..Default::default()
+        }),
+        fps: 30.0,
+    }
+    .render_all(4);
+    // Four names over three shards: two of them share a shard.
+    let names: Vec<String> = (0..4).map(|i| format!("cam{i}")).collect();
+    let (a, b) = names
+        .iter()
+        .enumerate()
+        .find_map(|(i, a)| {
+            let s = strg::core::route(a, 3);
+            let b = names[i + 1..]
+                .iter()
+                .find(|b| strg::core::route(b, 3) == s)?;
+            Some((a.clone(), b.clone()))
+        })
+        .expect("pigeonhole");
+    for name in &names {
+        db.ingest_frames(name, &frames);
+    }
+    let dir = temp_path("manifest_reordered");
+    db.save(&dir).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let (line_a, line_b) = (format!("clip {a}\n"), format!("clip {b}\n"));
+    let swapped = manifest
+        .replace(&line_a, "@A@")
+        .replace(&line_b, &line_a)
+        .replace("@A@", &line_b);
+    assert_ne!(swapped, manifest);
+    std::fs::write(dir.join("MANIFEST"), swapped).unwrap();
+    let r = VideoDatabase::load(&dir, DbOptions::new());
+    let _ = std::fs::remove_dir_all(&dir);
+    match r {
+        Ok(db) => panic!("a reordered manifest loaded: {:?}", db.clip_names()),
+        Err(e) => assert_structured(&e, "reordered clips"),
+    }
 }

@@ -158,15 +158,14 @@ fn one_shard_matches_plain_database() {
     let stored: Corpus = (0..db.stats().objects as u64)
         .map(|id| (id, db.og(id).expect("dense og ids").centroid_series()))
         .collect();
-    // `demo3` is the first clip: the first root, holding these objects.
-    let (root, in_clip) = db.with_index(|i| {
-        let r = &i.roots()[0];
-        let ids: Vec<u64> = r
+    // `demo3` is the first clip: root 0, holding these objects.
+    let root = 0;
+    let in_clip: Vec<u64> = db.with_index(|i| {
+        i.roots()[0]
             .clusters
             .iter()
             .flat_map(|c| c.leaf.records.iter().map(|rec| rec.og_id))
-            .collect();
-        (r.id, ids)
+            .collect()
     });
     let clip_objects: Corpus = stored
         .iter()
@@ -198,6 +197,22 @@ fn one_shard_matches_plain_database() {
             }
         }
     }
+}
+
+/// Frames of a traffic scene no stored clip was rendered from: its
+/// Background Graph matches the traffic roots.
+fn traffic_query_frames() -> Vec<Frame> {
+    VideoClip {
+        name: "traffic-query".into(),
+        scene: traffic_scene(&ScenarioConfig {
+            n_actors: 1,
+            frames: 40,
+            seed: 77,
+            ..Default::default()
+        }),
+        fps: 30.0,
+    }
+    .render_all(5)
 }
 
 fn scene_clip(name: &str, traffic: bool, seed: u64) -> VideoClip {
@@ -240,17 +255,7 @@ fn background_matching_is_the_scoped_tree_search() {
         }
     }
     let opts = *one.options();
-    let query_clip = VideoClip {
-        name: "traffic-query".into(),
-        scene: traffic_scene(&ScenarioConfig {
-            n_actors: 1,
-            frames: 40,
-            seed: 77,
-            ..Default::default()
-        }),
-        fps: 30.0,
-    };
-    let matching = query_clip.render_all(5);
+    let matching = traffic_query_frames();
     // One flat colour no scene paints: nothing in it resembles a root.
     let (w, h) = (matching[0].width(), matching[0].height());
     let blank: Vec<Frame> = (0..4)
@@ -276,10 +281,10 @@ fn background_matching_is_the_scoped_tree_search() {
         };
         let (roots, best, sim) = one.with_index(|i| {
             let mut best: Option<(u32, f64)> = None;
-            for r in i.roots() {
+            for (p, r) in i.roots().iter().enumerate() {
                 let sim = strg::graph::background_similarity(&bg, &r.bg, &opts.tracker.compat);
                 if best.is_none_or(|(_, b)| sim >= b) {
-                    best = Some((r.id, sim));
+                    best = Some((p as u32, sim));
                 }
             }
             let (best, sim) = best.expect("four roots");
@@ -324,6 +329,46 @@ fn background_matching_is_the_scoped_tree_search() {
             }
             let (hits3, _) = run(&three, query);
             assert_hits_eq(&hits, &hits3, &format!("{ctx}: 1 vs 3 shards"));
+        }
+    }
+}
+
+/// A lab clip and a traffic clip may share a name (the library does not
+/// refuse one). Background matching walks the global ingest order with
+/// one cursor per shard, so it reaches the second clip's root too: a
+/// traffic query searches root 1, the traffic clip, at 1 and 3 shards,
+/// charged one node access per root on top of that scoped search.
+#[test]
+fn background_matching_reaches_the_second_of_two_clips_sharing_a_name() {
+    let one = VideoDatabase::new(DbOptions::new());
+    let three = VideoDatabase::new(DbOptions::new().shards(3));
+    for db in [&one, &three] {
+        db.ingest_clip(&scene_clip("cam", false, 41), 1);
+        db.ingest_clip(&scene_clip("cam", true, 42), 1);
+    }
+    let frames = traffic_query_frames();
+    let q: Vec<Point2> = (0..30).map(|i| Point2::new(6.0 * i as f64, 50.0)).collect();
+    let (want, _) = one.with_index(|i| i.search(&q, QueryKind::Knn(3), Scope::Root(1)));
+    let radius = want.last().expect("the traffic clip holds objects").dist;
+    for kind in [QueryKind::Knn(3), QueryKind::Range(radius)] {
+        let (want, inner) = one.with_index(|i| i.search(&q, kind, Scope::Root(1)));
+        let mut want_cost = QueryCost {
+            node_accesses: 2,
+            ..QueryCost::default()
+        };
+        want_cost.merge(&inner);
+        let query = match kind {
+            QueryKind::Knn(k) => Query::knn(k),
+            QueryKind::Range(r) => Query::range(r),
+        };
+        for db in [&one, &three] {
+            let ctx = format!("{} shards {kind:?}", db.shard_count());
+            let (hits, cost) = run(db, query.clone().trajectory(&q).with_background(&frames));
+            assert_eq!(pairs(&hits), tree_pairs(&want), "{ctx}: hits");
+            assert!(
+                cost.same_work(&want_cost),
+                "{ctx}: {cost:?} vs {want_cost:?}"
+            );
         }
     }
 }
