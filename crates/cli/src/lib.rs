@@ -1,7 +1,7 @@
 //! Command implementations of the `strgdb` CLI.
 //!
 //! The binary is a thin wrapper over these functions so that every command
-//! is unit-testable. The database file format is `strg-core`'s STRGDB v2
+//! is unit-testable. The database file format is `strg-core`'s STRGDB
 //! (see `strg_core::persist`).
 //!
 //! JSON output goes through `strg_serve::wire` — the same renderers the
@@ -133,7 +133,7 @@ impl<'a> Args<'a> {
 }
 
 /// Opens (or creates) the database at `path` via [`strg_core::open`]: a
-/// STRGDB v2 file loads as one shard, a shard directory through its
+/// STRGDB file loads as one shard, a shard directory through its
 /// manifest (whose shard count wins), and a fresh path creates `--shards`
 /// shards.
 fn open_db(path: &str, args: &Args) -> Result<VideoDatabase, CliError> {

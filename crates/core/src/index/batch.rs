@@ -5,7 +5,7 @@
 //! [`crate::Database::query_batch`].
 
 use strg_cluster::ClusterValue;
-use strg_distance::{BoundedDistance, LowerBound, MetricDistance};
+use strg_distance::MetricDistance;
 use strg_obs::QueryCost;
 
 use super::search::{Hit, QueryScratch};
@@ -54,9 +54,7 @@ impl BatchScratch {
     }
 }
 
-impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>
-    StrgIndex<V, D>
-{
+impl<V: ClusterValue, D: MetricDistance<V> + Sync> StrgIndex<V, D> {
     /// Answers every query in `queries` with [`StrgIndex::knn_with_cost_into`]
     /// and the same `k`, member `i` into slot `i` of `scratch`.
     pub fn knn_batch_with_cost_into(&self, queries: &[&[V]], k: usize, scratch: &mut BatchScratch) {

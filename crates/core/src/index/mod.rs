@@ -23,9 +23,7 @@ pub(crate) use search::reserve_counted;
 pub use search::{with_query_scratch, Hit, QueryScratch, Scope};
 
 use strg_cluster::{bic, bic_sweep_threads, ClusterValue, Clusterer, EmClusterer, EmConfig};
-use strg_distance::{
-    BoundedDistance, Eged, LowerBound, MetricDistance, SeqSummary, SequenceDistance,
-};
+use strg_distance::{Eged, MetricDistance, SeqSummary, SequenceDistance};
 use strg_graph::BackgroundGraph;
 use strg_obs::{QueryCost, Recorder};
 use strg_parallel::{par_map_indexed, Threads};
@@ -107,9 +105,9 @@ pub struct LeafRecord<V> {
     pub seq: Vec<V>,
     /// Precomputed summary of `seq` under the index metric, feeding the
     /// admissible lower-bound filter at query time (see
-    /// `strg_distance::LowerBound`). Depends only on `seq` and the metric's
-    /// gap constant, so it survives leaf splits unchanged.
-    pub summary: SeqSummary<V>,
+    /// `strg_distance::MetricDistance::lower_bound`). Depends only on `seq`
+    /// and the metric's gap constant, so it survives leaf splits unchanged.
+    pub summary: SeqSummary,
 }
 
 /// A leaf node: member records sorted by key.
@@ -183,9 +181,7 @@ pub struct StrgIndex<V, D> {
     recorder: Option<Recorder>,
 }
 
-impl<V: ClusterValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V> + Sync>
-    StrgIndex<V, D>
-{
+impl<V: ClusterValue, D: MetricDistance<V> + Sync> StrgIndex<V, D> {
     /// Creates an empty index.
     pub fn new(metric: D, cfg: StrgIndexConfig) -> Self {
         Self {

@@ -52,7 +52,7 @@
 
 use std::cell::RefCell;
 
-use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
+use strg_distance::{MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
 
 use super::{ClusterRecord, LeafRecord, RootRecord};
@@ -264,7 +264,7 @@ fn cutoff(kind: QueryKind, hits: &[Hit]) -> f64 {
 /// position)`, and it visits in root/cluster order. Everything runs on the
 /// calling thread, so the result and the cost are the same at every
 /// thread count.
-pub fn search_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
+pub fn search_into<V: SeqValue, D: MetricDistance<V>>(
     roots: &[RootRecord<V>],
     metric: &D,
     query: &[V],
@@ -317,11 +317,11 @@ pub fn search_into<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + Lowe
 struct Probe<'a, V: SeqValue, D> {
     metric: &'a D,
     query: &'a [V],
-    qsum: &'a SeqSummary<V>,
+    qsum: &'a SeqSummary,
     kind: QueryKind,
 }
 
-impl<V: SeqValue, D: LowerBound<V>> Probe<'_, V, D> {
+impl<V: SeqValue, D: MetricDistance<V>> Probe<'_, V, D> {
     /// The admissible summary lower bound on `d(query, record)`.
     fn lower_bound(&self, record: &LeafRecord<V>) -> f64 {
         self.metric
@@ -345,7 +345,7 @@ impl<V: SeqValue, D: LowerBound<V>> Probe<'_, V, D> {
 /// charged to `pruned`; so are the records of clusters a k-NN never
 /// reaches, while a range cluster cut by its bound charges its records to
 /// `lb_pruned`.
-fn visit_lazily<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
+fn visit_lazily<V: SeqValue, D: MetricDistance<V>>(
     roots: &[RootRecord<V>],
     probe: &Probe<'_, V, D>,
     cands: &mut [Cand],
@@ -424,7 +424,7 @@ fn visit_lazily<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBo
 /// A leaf of two or more records whose centroid distance is known: either
 /// bound may exclude it at the current cutoff (for a deferred leaf, `d_k`
 /// has moved since); otherwise its key band is scanned.
-fn open_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
+fn open_leaf<V: SeqValue, D: MetricDistance<V>>(
     records: &[LeafRecord<V>],
     probe: &Probe<'_, V, D>,
     centroid_dist: f64,
@@ -461,7 +461,7 @@ fn key_range_bound<V>(records: &[LeafRecord<V>], centroid_dist: f64) -> f64 {
 /// scope is evaluated in root/cluster order, and only the first nearest
 /// one's leaf is visited. Every other leaf is charged to `pruned`
 /// unopened.
-fn visit_nearest<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>>(
+fn visit_nearest<V: SeqValue, D: MetricDistance<V>>(
     roots: &[RootRecord<V>],
     probe: &Probe<'_, V, D>,
     cands: &[Cand],
@@ -495,7 +495,7 @@ fn visit_nearest<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerB
 /// record: a k-NN's band narrows as `d_k` improves, a range's never moves.
 /// Keys ascend and the cutoff only shrinks, so the first key above the
 /// band ends the scan and everything past it is pruned in bulk.
-fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
+fn visit_leaf<V: SeqValue, D: MetricDistance<V>>(
     records: &[LeafRecord<V>],
     probe: &Probe<'_, V, D>,
     centroid_dist: f64,
@@ -533,7 +533,7 @@ fn visit_leaf<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>>(
 /// The step every admitted record ends in: one bounded evaluation at
 /// `cutoff_now`, then acceptance — a sorted insert into the best `k`, or a
 /// push for a range.
-fn refine<V: SeqValue, D: BoundedDistance<V>>(
+fn refine<V: SeqValue, D: MetricDistance<V>>(
     record: &LeafRecord<V>,
     probe: &Probe<'_, V, D>,
     cutoff_now: f64,

@@ -1,16 +1,16 @@
-//! Database persistence: the STRGDB v2 segment-file format and the shard
-//! directory layout.
+//! Database persistence: the STRGDB segment-file format (version 3, magic
+//! `STRGDB2`) and the shard directory layout.
 //!
 //! # Layouts
 //!
 //! [`VideoDatabase::save`] picks one of two layouts, and
 //! [`VideoDatabase::load`] reads both:
 //!
-//! - **a single file** — one STRGDB v2 segment file, for a one-shard
-//!   database saved to a path that is not an existing directory (the
-//!   default configuration). The file stores no "next OG id": a load
-//!   starts the OG-id counter past the largest stored id.
-//! - **a directory** — a `MANIFEST` plus one STRGDB v2 file per shard
+//! - **a single file** — one segment file, for a one-shard database saved
+//!   to a path that is not an existing directory (the default
+//!   configuration). Its META record stores the OG-id counter, and a load
+//!   starts the counter there.
+//! - **a directory** — a `MANIFEST` plus one segment file per shard
 //!   (`shard-000.strgdb`, `shard-001.strgdb`, …), for every other case.
 //!   The manifest is text: the line `STRG-SHARDS v2`, then
 //!   `shards <N>`, `next_og <id>`, and one `clip <name>` line per clip in
@@ -18,14 +18,18 @@
 //!   [`DbOptions::shards`] on load. A load refuses a manifest that
 //!   disagrees with its shard files: for every shard `s`, the clip lines
 //!   whose names route to `s`, in manifest order, must name exactly shard
-//!   `s`'s clips, in their order.
+//!   `s`'s clips, in their order. Every shard file stores the counter too,
+//!   and a load starts it at the largest of the manifest's and the files'.
+//!
+//! Every file's counter must lie past every OG id it stores, so no loaded
+//! id is handed out again.
 //!
 //! A save encodes the manifest and every shard file under one read guard
 //! of the database's state, so they describe one state.
 //!
 //! # The segment file
 //!
-//! A v2 file serializes the data — clips, Background Graphs, and Object
+//! A segment file serializes the data — clips, Background Graphs, and Object
 //! Graphs — together with the **built index**: cluster centroids, leaf
 //! records with their metric keys, and the precomputed [`SeqSummary`]
 //! sidecars, in fixed-width checksummed binary records. Loading reassembles
@@ -35,11 +39,11 @@
 //! measure it). A file that does not begin with the `STRGDB2\0` magic is
 //! refused with one [`io::ErrorKind::InvalidData`] error.
 //!
-//! # The v2 record grammar (DESIGN.md §14)
+//! # The record grammar (DESIGN.md §14)
 //!
 //! ```text
 //! file    := header record* toc trailer
-//! header  := magic[8]="STRGDB2\0" version:u32 flags:u32
+//! header  := magic[8]="STRGDB2\0" version:u32=3 flags:u32
 //! record  := tag:u32 len:u64 crc:u32 payload[len]        # crc = CRC-32 (IEEE) of payload
 //! trailer := toc_offset:u64 magic[8]="STRG2END"
 //! ```
@@ -48,9 +52,12 @@
 //! pattern (`f64::to_bits`), so round-trips are lossless. Records appear
 //! in one canonical order (META, one CLIP per clip, then per segment one
 //! ROOT followed by its CLUS/LEAF/SUMS extents per cluster, one OGS extent
-//! per clip, TOC). A shard's clips, roots and OG extents are one list in
-//! memory and in the file — clip `i` owns root `i` and OGS extent `i` —
-//! so the writer renumbers nothing. The deterministic band makes the
+//! per clip, TOC). META holds five `u64`s: clip count, OG count, the OG-id
+//! counter, `strg_bytes` and the leaf-record count. A SUMS row is a leaf
+//! record's [`SeqSummary`]: `len:u64 gap_mass:f64 min_gap:f64`, 24 bytes.
+//! A file of any other version is refused. A shard's clips, roots and OG
+//! extents are one list in memory and in the file — clip `i` owns root `i`
+//! and OGS extent `i` — so the writer renumbers nothing. The deterministic band makes the
 //! in-memory index byte-identical at any `STRG_THREADS`, so the serialized
 //! bytes are too, and `save → load → save` is a byte-identity (pinned by
 //! tests here and in `tests/persist_equivalence.rs`).
@@ -97,20 +104,20 @@ use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
 use crate::pipeline::{clip_positions, ClipMeta, Shard, VideoDatabase};
 
-/// v2 leading magic.
-const V2_MAGIC: &[u8; 8] = b"STRGDB2\0";
-/// v2 trailing magic (the last 8 bytes of every well-formed v2 file).
-const V2_END_MAGIC: &[u8; 8] = b"STRG2END";
+/// Leading magic.
+const MAGIC: &[u8; 8] = b"STRGDB2\0";
+/// Trailing magic (the last 8 bytes of every well-formed file).
+const END_MAGIC: &[u8; 8] = b"STRG2END";
 
 /// The format version [`VideoDatabase::save`] writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// How a database came to hold its in-memory index when it was opened.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReopenMode {
     /// Created empty — nothing was loaded.
     Fresh,
-    /// Deserialized from v2 index extents — no clustering on load.
+    /// Deserialized from stored index extents — no clustering on load.
     Fast,
 }
 
@@ -218,7 +225,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Record tags.
 // ---------------------------------------------------------------------------
 
-/// Database-wide counts: `clips, ogs, roots, strg_bytes, index_len`.
+/// Database-wide counts: `clips, ogs, next_og, strg_bytes, index_len`.
 const TAG_META: u32 = u32::from_le_bytes(*b"META");
 /// One clip's metadata: frames, root position, name, OG ids.
 const TAG_CLIP: u32 = u32::from_le_bytes(*b"CLIP");
@@ -240,7 +247,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 // ---------------------------------------------------------------------------
-// v2 encoding.
+// Encoding.
 // ---------------------------------------------------------------------------
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -333,7 +340,7 @@ impl VideoDatabase {
         // and every shard file agree.
         let state = self.state.read();
         if state.shards.len() == 1 && !path.is_dir() {
-            return fs::write(path, encode_shard(&state.shards[0]));
+            return fs::write(path, encode_shard(&state.shards[0], state.next_og));
         }
         let mut manifest = String::from("STRG-SHARDS v2\n");
         manifest.push_str(&format!("shards {}\n", state.shards.len()));
@@ -352,7 +359,7 @@ impl VideoDatabase {
         fs::create_dir_all(path)?;
         fs::write(path.join("MANIFEST"), manifest)?;
         for (i, shard) in state.shards.iter().enumerate() {
-            fs::write(path.join(shard_file(i)), encode_shard(shard))?;
+            fs::write(path.join(shard_file(i)), encode_shard(shard, state.next_og))?;
         }
         Ok(())
     }
@@ -365,19 +372,21 @@ impl VideoDatabase {
         let path = path.as_ref();
         let recorder = Recorder::new();
         let (shards, order, next_og) = if path.is_dir() {
-            let (count, next_og, order) = read_manifest(path)?;
+            let (count, mut next_og, order) = read_manifest(path)?;
             opts.shards = count;
-            let shards = (0..count)
-                .map(|i| read_shard(&path.join(shard_file(i)), &opts, &recorder))
-                .collect::<io::Result<Vec<_>>>()?;
+            let mut shards = Vec::with_capacity(count);
+            for i in 0..count {
+                let (shard, shard_next_og) =
+                    read_shard(&path.join(shard_file(i)), &opts, &recorder)?;
+                next_og = next_og.max(shard_next_og);
+                shards.push(shard);
+            }
             check_manifest(&order, &shards)?;
             (shards, order, next_og)
         } else {
-            let shard = read_shard(path, &opts, &recorder)?;
+            let (shard, next_og) = read_shard(path, &opts, &recorder)?;
             let order = shard.clips.iter().map(|c| c.name.clone()).collect();
-            // The file stores no "next id": `assemble` starts past the
-            // largest stored one.
-            (vec![shard], order, 0)
+            (vec![shard], order, next_og)
         };
         let persist = PersistInfo {
             loaded_format: Some(FORMAT_VERSION),
@@ -439,15 +448,16 @@ fn check_manifest(order: &[String], shards: &[Shard]) -> io::Result<()> {
     Ok(())
 }
 
-/// One shard as a STRGDB v2 file image.
-fn encode_shard(shard: &Shard) -> Vec<u8> {
+/// One shard as a STRGDB file image; `next_og` is the database's OG-id
+/// counter, which every shard file records.
+fn encode_shard(shard: &Shard, next_og: u64) -> Vec<u8> {
     let Shard {
         index,
         clips,
         strg_bytes,
     } = shard;
     let mut out = Vec::with_capacity(64 * 1024);
-    out.extend_from_slice(V2_MAGIC);
+    out.extend_from_slice(MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, 0); // flags (reserved)
     let mut toc: Vec<TocEntry> = Vec::new();
@@ -458,7 +468,7 @@ fn encode_shard(shard: &Shard) -> Vec<u8> {
     let n_ogs: usize = clips.iter().map(|c| c.ogs.len()).sum();
     put_u64(&mut payload, clips.len() as u64);
     put_u64(&mut payload, n_ogs as u64);
-    put_u64(&mut payload, clips.len() as u64); // roots (1:1 with clips)
+    put_u64(&mut payload, next_og);
     put_u64(&mut payload, *strg_bytes as u64);
     put_u64(&mut payload, index_len as u64);
     push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
@@ -509,8 +519,6 @@ fn encode_shard(shard: &Shard) -> Vec<u8> {
                 put_u64(&mut payload, rec.summary.len as u64);
                 put_f64(&mut payload, rec.summary.gap_mass);
                 put_f64(&mut payload, rec.summary.min_gap);
-                put_point(&mut payload, rec.summary.lo);
-                put_point(&mut payload, rec.summary.hi);
             }
             push_record(&mut out, &mut toc, TAG_SUMS, ri, cl_i, &payload);
         }
@@ -552,29 +560,31 @@ fn encode_shard(shard: &Shard) -> Vec<u8> {
     let mut toc_sink = Vec::new();
     push_record(&mut out, &mut toc_sink, TAG_TOC, 0, 0, &payload);
     put_u64(&mut out, toc_offset);
-    out.extend_from_slice(V2_END_MAGIC);
+    out.extend_from_slice(END_MAGIC);
     out
 }
 
-/// Reads one STRGDB v2 file as a shard, deserializing its index with
-/// [`StrgIndex::from_parts`] — no clustering, no distance evaluations.
-fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<Shard> {
+/// Reads one STRGDB file as a shard and the OG-id counter it records,
+/// deserializing its index with [`StrgIndex::from_parts`] — no clustering,
+/// no distance evaluations.
+fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<(Shard, u64)> {
     let bytes = fs::read(path)?;
-    if !bytes.starts_with(V2_MAGIC) {
-        return Err(bad("not a STRGDB v2 file (missing the STRGDB2 magic)"));
+    if !bytes.starts_with(MAGIC) {
+        return Err(bad("not a STRGDB file (missing the STRGDB2 magic)"));
     }
-    let parsed = parse_v2(&bytes)?;
-    Ok(Shard::new(
+    let parsed = parse_file(&bytes)?;
+    let shard = Shard::new(
         opts,
         recorder,
         parsed.roots,
         parsed.clips,
         parsed.strg_bytes,
-    ))
+    );
+    Ok((shard, parsed.next_og))
 }
 
 // ---------------------------------------------------------------------------
-// v2 decoding.
+// Decoding.
 // ---------------------------------------------------------------------------
 
 /// Bounds-checked little-endian reader over a record payload (or the whole
@@ -687,10 +697,10 @@ struct RawRecord<'a> {
     payload: &'a [u8],
 }
 
-/// Splits a v2 file into validated records: header and trailer magics,
+/// Splits a file into validated records: header and trailer magics,
 /// version, per-record length bounds and CRC, and the TOC footer are all
 /// checked here, so the assembly stage below only sees intact payloads.
-fn split_v2_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
+fn split_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
     // Header.
     if bytes.len() < 16 + 16 {
         return Err(bad("file too short for a STRGDB2 header and trailer"));
@@ -707,7 +717,7 @@ fn split_v2_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
     }
     // Trailer.
     let trailer = &bytes[bytes.len() - 16..];
-    if &trailer[8..] != V2_END_MAGIC {
+    if &trailer[8..] != END_MAGIC {
         return Err(bad("missing STRG2END trailer (truncated file?)"));
     }
     let toc_offset = u64_at(trailer, 0);
@@ -809,15 +819,16 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<(BackgroundGraph, usize)> {
     ))
 }
 
-/// Everything parsed out of a v2 file, before index assembly.
-struct ParsedV2 {
+/// Everything parsed out of a file, before index assembly.
+struct Parsed {
     clips: Vec<ClipMeta>,
     roots: Vec<RootRecord<Point2>>,
     strg_bytes: usize,
+    next_og: u64,
 }
 
-fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
-    let records = split_v2_records(bytes)?;
+fn parse_file(bytes: &[u8]) -> io::Result<Parsed> {
+    let records = split_records(bytes)?;
     let mut it = records.iter();
 
     // META first.
@@ -828,12 +839,9 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
     let mut cur = Cursor::new(meta.payload, "META");
     let n_clips = cur.u64()? as usize;
     let n_ogs = cur.u64()? as usize;
-    let n_roots = cur.u64()? as usize;
+    let next_og = cur.u64()?;
     let strg_bytes = cur.u64()? as usize;
     let index_len = cur.u64()? as usize;
-    if n_roots != n_clips {
-        return Err(bad("META root/clip count mismatch"));
-    }
 
     // Every clip, root and cluster has a record of its own, so no count
     // read from the file reserves more than the records it holds.
@@ -909,8 +917,6 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                             len: 0,
                             gap_mass: 0.0,
                             min_gap: 0.0,
-                            lo: Point2::new(0.0, 0.0),
-                            hi: Point2::new(0.0, 0.0),
                         },
                     });
                 }
@@ -922,17 +928,15 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
                     .clusters
                     .last_mut()
                     .ok_or_else(|| bad("SUMS before CLUS"))?;
-                let n = cur.count(56)?;
+                let n = cur.count(24)?;
                 if n != cl.leaf.records.len() {
                     return Err(bad("SUMS sidecar arity disagrees with LEAF extent"));
                 }
-                for (rec, s) in cl.leaf.records.iter_mut().zip(cur.run::<56>(n)?) {
+                for (rec, s) in cl.leaf.records.iter_mut().zip(cur.run::<24>(n)?) {
                     rec.summary = SeqSummary {
                         len: u64_at(s, 0) as usize,
                         gap_mass: f64_at(s, 8),
                         min_gap: f64_at(s, 16),
-                        lo: point_at(s, 24),
-                        hi: point_at(s, 40),
                     };
                 }
             }
@@ -1016,6 +1020,9 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
     if ids.windows(2).any(|w| w[0] == w[1]) {
         return Err(bad("duplicate OG id across clips"));
     }
+    if ids.last().is_some_and(|&max| max >= next_og) {
+        return Err(bad("META next OG id does not lie past every stored id"));
+    }
     let leaf_total: usize = roots
         .iter()
         .flat_map(|r| &r.clusters)
@@ -1024,10 +1031,11 @@ fn parse_v2(bytes: &[u8]) -> io::Result<ParsedV2> {
     if leaf_total != index_len {
         return Err(bad("leaf record count disagrees with META index length"));
     }
-    Ok(ParsedV2 {
+    Ok(Parsed {
         clips,
         roots,
         strg_bytes,
+        next_og,
     })
 }
 
@@ -1059,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_v2() {
+    fn save_load_roundtrip() {
         let db = sample_db();
         let path = temp_path("roundtrip");
         db.save(&path).expect("save");
@@ -1076,7 +1084,7 @@ mod tests {
         assert_eq!(
             loaded.persist_info(),
             PersistInfo {
-                loaded_format: Some(2),
+                loaded_format: Some(3),
                 reopen: ReopenMode::Fast
             }
         );
@@ -1120,7 +1128,7 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_truncated_v2() {
+    fn load_rejects_truncated() {
         let db = sample_db();
         let path = temp_path("trunc");
         db.save(&path).unwrap();

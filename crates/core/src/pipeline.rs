@@ -207,8 +207,8 @@ impl VideoDatabase {
     }
 
     /// The one constructor behind [`VideoDatabase::new`] and the loaders.
-    /// The id counter starts at `next_og` or past the largest stored id,
-    /// whichever is higher, so no stored id is ever handed out again.
+    /// The id counter starts at `next_og`, which the loaders check lies
+    /// past every stored id, so no id is ever handed out again.
     pub(crate) fn assemble(
         mut opts: DbOptions,
         shards: Vec<Shard>,
@@ -218,19 +218,13 @@ impl VideoDatabase {
         persist: PersistInfo,
     ) -> Self {
         opts.shards = shards.len();
-        let past_stored = shards
-            .iter()
-            .flat_map(|s| &s.clips)
-            .flat_map(|c| &c.og_ids)
-            .max()
-            .map_or(0, |id| id + 1);
         recorder.add("shard.count", shards.len() as u64);
         Self {
             cfg: opts,
             state: RwLock::new(State {
                 shards,
                 order,
-                next_og: next_og.max(past_stored),
+                next_og,
             }),
             recorder,
             persist,

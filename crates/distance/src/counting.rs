@@ -10,8 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::bounded::{BoundedDistance, LowerBound, SeqSummary};
-use crate::traits::{MetricDistance, SequenceDistance};
+use crate::traits::{MetricDistance, SeqSummary, SequenceDistance};
 use crate::value::SeqValue;
 
 /// Wraps a distance function, counting every evaluation.
@@ -59,9 +58,7 @@ impl<V: SeqValue, D: SequenceDistance<V>> SequenceDistance<V> for CountingDistan
     }
 }
 
-impl<V: SeqValue, D: MetricDistance<V>> MetricDistance<V> for CountingDistance<D> {}
-
-impl<V: SeqValue, D: BoundedDistance<V>> BoundedDistance<V> for CountingDistance<D> {
+impl<V: SeqValue, D: MetricDistance<V>> MetricDistance<V> for CountingDistance<D> {
     /// A bounded evaluation counts as one distance evaluation, whether or
     /// not it abandons — the cost model charges the *decision to refine*,
     /// and early abandoning is how a refine gets cheaper, not free.
@@ -69,20 +66,13 @@ impl<V: SeqValue, D: BoundedDistance<V>> BoundedDistance<V> for CountingDistance
         self.counter.fetch_add(1, Ordering::Relaxed);
         self.inner.distance_upto(a, b, cutoff)
     }
-}
 
-impl<V: SeqValue, D: LowerBound<V>> LowerBound<V> for CountingDistance<D> {
     // Summaries and lower bounds are filter-side work, not distance
     // evaluations: they are deliberately not counted.
-    fn summarize(&self, seq: &[V]) -> SeqSummary<V> {
+    fn summarize(&self, seq: &[V]) -> SeqSummary {
         self.inner.summarize(seq)
     }
-    fn lower_bound(
-        &self,
-        query: &[V],
-        query_summary: &SeqSummary<V>,
-        candidate: &SeqSummary<V>,
-    ) -> f64 {
+    fn lower_bound(&self, query: &[V], query_summary: &SeqSummary, candidate: &SeqSummary) -> f64 {
         self.inner.lower_bound(query, query_summary, candidate)
     }
 }

@@ -10,55 +10,34 @@ use crate::value::SeqValue;
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Dtw;
 
-/// Cutoff-bounded DTW: `Some(d)` iff `d <= cutoff` (with `d` bit-identical
-/// to the unbounded DP), `None` iff the distance exceeds `cutoff`.
-///
-/// Same row-minimum argument as EGED: warping costs are non-negative, every
-/// cell extends some cell of the previous or current row, so the final value
-/// is `>=` the minimum of any completed row.
-pub(crate) fn dtw_upto<V: SeqValue>(a: &[V], b: &[V], cutoff: f64) -> Option<f64> {
-    let m = a.len();
-    let n = b.len();
-    if m == 0 || n == 0 {
-        // Conventional: distance to an empty sequence is the sum of
-        // ground distances to the origin, so that the function stays
-        // total on degenerate inputs.
-        let rest = if m == 0 { b } else { a };
-        let d: f64 = rest.iter().map(|v| v.dist(&V::origin())).sum();
-        return if d <= cutoff { Some(d) } else { None };
-    }
-    // The textbook recurrence, one row at a time over this thread's arena
-    // rows (no allocation after warm-up — `tests/query_alloc.rs`).
-    crate::scratch::with_dp_scratch(|s| {
-        let mut prev = s.prev.sized(n + 1);
-        let mut cur = s.cur.sized(n + 1);
-        prev.fill(f64::INFINITY);
-        prev[0] = 0.0;
-        for ai in a {
-            cur[0] = f64::INFINITY;
-            let mut row_min = f64::INFINITY;
-            for j in 1..=n {
-                let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
-                cur[j] = ai.dist(&b[j - 1]) + best;
-                row_min = row_min.min(cur[j]);
-            }
-            if row_min > cutoff {
-                return None;
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let d = prev[n];
-        if d <= cutoff {
-            Some(d)
-        } else {
-            None
-        }
-    })
-}
-
 impl<V: SeqValue> SequenceDistance<V> for Dtw {
     fn distance(&self, a: &[V], b: &[V]) -> f64 {
-        dtw_upto(a, b, f64::INFINITY).expect("infinite cutoff never abandons")
+        let m = a.len();
+        let n = b.len();
+        if m == 0 || n == 0 {
+            // Conventional: distance to an empty sequence is the sum of
+            // ground distances to the origin, so that the function stays
+            // total on degenerate inputs.
+            let rest = if m == 0 { b } else { a };
+            return rest.iter().map(|v| v.dist(&V::origin())).sum();
+        }
+        // The textbook recurrence, one row at a time over this thread's
+        // arena rows (no allocation after warm-up).
+        crate::scratch::with_dp_scratch(|s| {
+            let mut prev = s.prev.sized(n + 1);
+            let mut cur = s.cur.sized(n + 1);
+            prev.fill(f64::INFINITY);
+            prev[0] = 0.0;
+            for ai in a {
+                cur[0] = f64::INFINITY;
+                for j in 1..=n {
+                    let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
+                    cur[j] = ai.dist(&b[j - 1]) + best;
+                }
+                std::mem::swap(&mut prev, &mut cur);
+            }
+            prev[n]
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -69,7 +48,6 @@ impl<V: SeqValue> SequenceDistance<V> for Dtw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BoundedDistance;
     use strg_graph::Point2;
 
     fn dtw(a: &[f64], b: &[f64]) -> f64 {
@@ -141,21 +119,11 @@ mod tests {
         let label = format!("m={} n={}", a.len(), b.len());
         let d = SequenceDistance::distance(&Dtw, a, b);
         assert_eq!(d.to_bits(), bits, "{label}: {d}");
-        for (cutoff, want) in [
-            (f64::INFINITY, Some(bits)),
-            (f64::from_bits(bits + 1), Some(bits)),
-            (d, Some(bits)),
-            (f64::from_bits(bits - 1), None),
-        ] {
-            let got = BoundedDistance::distance_upto(&Dtw, a, b, cutoff);
-            assert_eq!(got.map(f64::to_bits), want, "{label} cutoff={cutoff}");
-        }
     }
 
     /// `f64::to_bits` of `Dtw.distance` as the staged, explicit-lane kernel
     /// of commit c21b775 computed it, before the textbook recurrence
-    /// replaced it: `(m, n, f64 bits, Point2 bits)`. Cutoffs one ulp either
-    /// side of each value pin the abandon decision as well. (The 0×0 pair
+    /// replaced it: `(m, n, f64 bits, Point2 bits)`. (The 0×0 pair
     /// is left to `empty_sequences`: the sign of an empty sum's zero is the
     /// standard library's choice, not the kernel's.)
     const GOLDEN: [(usize, usize, u64, u64); 5] = [

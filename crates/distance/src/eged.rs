@@ -19,7 +19,7 @@
 //! rows at a time along its anti-diagonals, bit-identical to the textbook
 //! double loop kept as the unit tests' reference (DESIGN.md §13).
 
-use crate::traits::{MetricDistance, SequenceDistance};
+use crate::traits::{MetricDistance, SeqSummary, SequenceDistance};
 use crate::value::SeqValue;
 
 /// Gap policy of the EGED recurrence.
@@ -98,48 +98,6 @@ fn edit_cost<V: SeqValue>(v: &V, opp: Option<&V>, policy: &GapPolicy<V>) -> f64 
             Some(o) => v.dist(&v.midpoint(o)),
             None => v.dist(&V::origin()),
         },
-    }
-}
-
-/// The textbook scalar DP: the reference `wavefront_matches_scalar_bitwise`
-/// pins the kernel to.
-#[cfg(test)]
-fn eged_dp_upto_scalar<V: SeqValue>(
-    a: &[V],
-    b: &[V],
-    policy: &GapPolicy<V>,
-    cutoff: f64,
-) -> Option<f64> {
-    let m = a.len();
-    let n = b.len();
-    let edit = |v: &V, opp: Option<&V>| edit_cost(v, opp, policy);
-
-    // Two-row DP; rows indexed by j over b.
-    let mut prev = vec![0.0f64; n + 1];
-    let mut cur = vec![0.0f64; n + 1];
-    for j in 1..=n {
-        prev[j] = prev[j - 1] + edit(&b[j - 1], a.first());
-    }
-    for i in 1..=m {
-        cur[0] = prev[0] + edit(&a[i - 1], b.first());
-        let mut row_min = cur[0];
-        for j in 1..=n {
-            let replace = prev[j - 1] + a[i - 1].dist(&b[j - 1]);
-            let delete = prev[j] + edit(&a[i - 1], Some(&b[j - 1]));
-            let add = cur[j - 1] + edit(&b[j - 1], Some(&a[i - 1]));
-            cur[j] = replace.min(delete).min(add);
-            row_min = row_min.min(cur[j]);
-        }
-        if row_min > cutoff {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[n];
-    if d <= cutoff {
-        Some(d)
-    } else {
-        None
     }
 }
 
@@ -413,11 +371,88 @@ impl<V: SeqValue> SequenceDistance<V> for EgedMetric<V> {
     }
 }
 
-impl<V: SeqValue> MetricDistance<V> for EgedMetric<V> {}
+/// Deflates an analytic bound by a small relative + absolute margin so that
+/// floating-point rounding in the summary arithmetic can never push it
+/// above the true distance: the summary sums are accumulated in a different
+/// order than the DP's own arithmetic, so an exactly-tight bound could
+/// round a hair above it. Costs ~1e-9 of pruning power. Clamped at zero.
+fn deflate(bound: f64) -> f64 {
+    (bound - bound * 1e-9 - 1e-9).max(0.0)
+}
+
+impl<V: SeqValue> MetricDistance<V> for EgedMetric<V> {
+    fn distance_upto(&self, a: &[V], b: &[V], cutoff: f64) -> Option<f64> {
+        eged_dp_upto(a, b, &GapPolicy::Constant(self.gap), cutoff)
+    }
+
+    fn summarize(&self, seq: &[V]) -> SeqSummary {
+        SeqSummary::of(seq, &self.gap)
+    }
+
+    /// Two admissible bounds, combined by `max`:
+    ///
+    /// * **Gap mass** — `EGED_M` is a metric (Theorem 2) and the distance
+    ///   to the empty sequence is the gap mass, so the triangle inequality
+    ///   through `∅` gives `d(a, b) >= |gm(a) - gm(b)|` (Chen & Ng's ERP
+    ///   bound with a general gap constant).
+    /// * **Length surplus** — transforming the longer sequence into the
+    ///   shorter one forces at least `|len(a) - len(b)|` deletions, each
+    ///   costing at least the longer side's minimum single-element gap.
+    fn lower_bound(&self, _query: &[V], a: &SeqSummary, b: &SeqSummary) -> f64 {
+        let mass = (a.gap_mass - b.gap_mass).abs();
+        let surplus = if a.len >= b.len {
+            (a.len - b.len) as f64 * a.min_gap
+        } else {
+            (b.len - a.len) as f64 * b.min_gap
+        };
+        deflate(mass.max(surplus))
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook scalar DP: the reference `wavefront_matches_scalar_bitwise`
+    /// pins the kernel to.
+    fn eged_dp_upto_scalar<V: SeqValue>(
+        a: &[V],
+        b: &[V],
+        policy: &GapPolicy<V>,
+        cutoff: f64,
+    ) -> Option<f64> {
+        let m = a.len();
+        let n = b.len();
+        let edit = |v: &V, opp: Option<&V>| edit_cost(v, opp, policy);
+
+        // Two-row DP; rows indexed by j over b.
+        let mut prev = vec![0.0f64; n + 1];
+        let mut cur = vec![0.0f64; n + 1];
+        for j in 1..=n {
+            prev[j] = prev[j - 1] + edit(&b[j - 1], a.first());
+        }
+        for i in 1..=m {
+            cur[0] = prev[0] + edit(&a[i - 1], b.first());
+            let mut row_min = cur[0];
+            for j in 1..=n {
+                let replace = prev[j - 1] + a[i - 1].dist(&b[j - 1]);
+                let delete = prev[j] + edit(&a[i - 1], Some(&b[j - 1]));
+                let add = cur[j - 1] + edit(&b[j - 1], Some(&a[i - 1]));
+                cur[j] = replace.min(delete).min(add);
+                row_min = row_min.min(cur[j]);
+            }
+            if row_min > cutoff {
+                return None;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        let d = prev[n];
+        if d <= cutoff {
+            Some(d)
+        } else {
+            None
+        }
+    }
 
     fn eged(a: &[f64], b: &[f64]) -> f64 {
         SequenceDistance::distance(&Eged, a, b)
@@ -573,7 +608,6 @@ mod tests {
 
     #[test]
     fn upto_is_some_iff_within_cutoff() {
-        use crate::BoundedDistance;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use strg_graph::Point2;
         let mut rng = StdRng::seed_from_u64(20050614);
@@ -587,17 +621,17 @@ mod tests {
                 })
                 .collect()
         };
-        let (metric, non_metric) = (EgedMetric::<Point2>::new(), Eged);
+        let metric = EgedMetric::<Point2>::new();
         let (mut within, mut beyond) = (0, 0);
         for _ in 0..1000 {
             let (a, b) = (walk(&mut rng), walk(&mut rng));
             let d = metric.distance(&a, &b);
-            let e = SequenceDistance::distance(&non_metric, &a, &b);
+            let e = SequenceDistance::distance(&Eged, &a, &b);
             // Cutoffs from well below to well above the value, and the value.
             let f = [0.0, 0.5, 0.9, 1.0, 1.1, 2.0][rng.gen_range(0..6usize)];
             for (got, full, c) in [
                 (metric.distance_upto(&a, &b, d * f), d, d * f),
-                (non_metric.distance_upto(&a, &b, e * f), e, e * f),
+                (eged_dp_upto(&a, &b, &GapPolicy::Midpoint, e * f), e, e * f),
             ] {
                 if full <= c {
                     assert_eq!(got.map(f64::to_bits), Some(full.to_bits()));
@@ -616,7 +650,6 @@ mod tests {
 
     #[test]
     fn finite_inputs_never_produce_nan() {
-        use crate::BoundedDistance;
         use strg_graph::Point2;
         // Huge, tiny and mixed magnitudes: squares overflow to +inf or
         // underflow to 0, and neither may turn into NaN on the way out.
@@ -661,6 +694,68 @@ mod tests {
             Some(f64::INFINITY)
         );
         assert_eq!(m.distance_upto(&far, &near, 1e300), None);
+    }
+
+    #[test]
+    fn cutoff_contract_eged_metric() {
+        let m = EgedMetric::<f64>::new();
+        let a = [0.0, 3.0, 1.0];
+        let b = [2.0, 2.0];
+        let d = m.distance(&a, &b);
+        assert_eq!(m.distance_upto(&a, &b, d), Some(d));
+        assert_eq!(m.distance_upto(&a, &b, f64::INFINITY), Some(d));
+        assert_eq!(m.distance_upto(&a, &b, d * 0.99), None);
+        assert_eq!(m.distance_upto(&a, &b, 0.0), None);
+        let e: [f64; 0] = [];
+        assert_eq!(m.distance_upto(&e, &e, 0.0), Some(0.0));
+        assert_eq!(m.distance_upto(&e, &[2.0, 2.0, 3.0], 6.0), None);
+        assert_eq!(m.distance_upto(&e, &[2.0, 2.0, 3.0], 7.0), Some(7.0));
+    }
+
+    #[test]
+    fn abandoning_triggers_on_far_sequences() {
+        // Far apart; a tight cutoff must abandon, an infinite one must not.
+        let m = EgedMetric::<f64>::new();
+        let a: Vec<f64> = (0..64).map(|i| i as f64).collect();
+        let b: Vec<f64> = (0..64).map(|i| 1000.0 + i as f64).collect();
+        assert_eq!(m.distance_upto(&a, &b, 10.0), None);
+        let d = m.distance(&a, &b);
+        assert_eq!(m.distance_upto(&a, &b, d), Some(d));
+    }
+
+    #[test]
+    fn mass_bound_is_admissible_and_useful() {
+        let m = EgedMetric::<f64>::new();
+        let a = [10.0, 10.0, 10.0];
+        let b = [1.0];
+        let (sa, sb) = (m.summarize(&a), m.summarize(&b));
+        let lb = m.lower_bound(&a, &sa, &sb);
+        let d = m.distance(&a, &b);
+        assert!(lb <= d, "{lb} vs {d}");
+        assert!(lb > 20.0, "mass bound should nearly reach {d}: {lb}");
+        // Symmetric in the summaries.
+        assert_eq!(lb, m.lower_bound(&b, &sb, &sa));
+    }
+
+    #[test]
+    fn length_surplus_bound_kicks_in_with_nonzero_gap() {
+        // Same mass difference zero, but a length mismatch with a gap far
+        // from every element forces deletions.
+        let m = EgedMetric::with_gap(100.0);
+        let a = [99.0, 101.0, 99.0, 101.0];
+        let b = [99.0, 101.0];
+        let (sa, sb) = (m.summarize(&a), m.summarize(&b));
+        let lb = m.lower_bound(&a, &sa, &sb);
+        let d = m.distance(&a, &b);
+        assert!(lb <= d, "{lb} vs {d}");
+        assert!(lb >= 1.9, "two forced deletions at cost ~1: {lb}");
+    }
+
+    #[test]
+    fn deflate_never_negative() {
+        assert_eq!(deflate(0.0), 0.0);
+        assert!(deflate(1.0) < 1.0);
+        assert!(deflate(1.0) > 0.999_999);
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! * [`Eged`] — the non-metric Extended Graph Edit Distance with the
 //!   midpoint gap, used for clustering Object Graphs;
 //! * [`EgedMetric`] — the metric EGED (fixed constant gap, Theorem 2), the
-//!   key function of the STRG-Index and of the M-tree baseline;
+//!   key function of the STRG-Index and of the M-tree baseline, and the one
+//!   implementor of [`MetricDistance`], the trait every index search is
+//!   generic over: the distance plus its early-abandoning
+//!   [`MetricDistance::distance_upto`] and its [`SeqSummary`]-based
+//!   [`MetricDistance::lower_bound`];
 //! * [`Dtw`], [`Lcs`] — the baselines of the paper's clustering
-//!   evaluation (Figure 5);
+//!   evaluation (Figure 5), plain [`SequenceDistance`]s;
 //! * [`CountingDistance`] — instrumentation for the paper's cost model
 //!   (number of distance evaluations, §6.3);
 //! * [`resample`] — the linear resampling the cluster centroids use.
@@ -36,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bounded;
 mod counting;
 mod dtw;
 mod eged;
@@ -46,11 +49,10 @@ mod scratch;
 mod traits;
 mod value;
 
-pub use bounded::{BoundedDistance, LowerBound, SeqSummary};
 pub use counting::CountingDistance;
 pub use dtw::Dtw;
 pub use eged::{Eged, EgedMetric, EgedRepeatGap, GapPolicy};
 pub use lcs::Lcs;
 pub use resample::{resample, Lerp};
-pub use traits::{MetricDistance, SequenceDistance};
+pub use traits::{MetricDistance, SeqSummary, SequenceDistance};
 pub use value::SeqValue;

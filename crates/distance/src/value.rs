@@ -34,15 +34,6 @@ pub trait SeqValue: Copy + std::fmt::Debug + PartialEq + Send + Sync {
     fn midpoint(&self, other: &Self) -> Self;
     /// The canonical fixed gap constant (`g`) that makes EGED a metric.
     fn origin() -> Self;
-    /// Componentwise minimum, for axis-aligned bounding envelopes.
-    fn component_min(&self, other: &Self) -> Self;
-    /// Componentwise maximum, for axis-aligned bounding envelopes.
-    fn component_max(&self, other: &Self) -> Self;
-    /// Ground distance from `self` to the axis-aligned box `[lo, hi]`
-    /// (zero inside). Must satisfy `self.dist_to_box(lo, hi) <= self.dist(u)`
-    /// for every `u` with `lo <= u <= hi` componentwise, so that envelope
-    /// lower bounds built on it stay admissible.
-    fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64;
     /// Lane-wise paired distances: `out[i] = a[i].dist(&b[i])` over fixed
     /// arrays — the EGED wavefront's four cells of a step (`N = 4`). An
     /// override must produce values bit-identical to
@@ -71,21 +62,6 @@ impl SeqValue for f64 {
     fn origin() -> Self {
         0.0
     }
-    fn component_min(&self, other: &Self) -> Self {
-        self.min(*other)
-    }
-    fn component_max(&self, other: &Self) -> Self {
-        self.max(*other)
-    }
-    fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64 {
-        if self < lo {
-            lo - self
-        } else if self > hi {
-            self - hi
-        } else {
-            0.0
-        }
-    }
 }
 
 impl SeqValue for Point2 {
@@ -99,17 +75,6 @@ impl SeqValue for Point2 {
     }
     fn origin() -> Self {
         Point2::ZERO
-    }
-    fn component_min(&self, other: &Self) -> Self {
-        Point2::new(self.x.min(other.x), self.y.min(other.y))
-    }
-    fn component_max(&self, other: &Self) -> Self {
-        Point2::new(self.x.max(other.x), self.y.max(other.y))
-    }
-    fn dist_to_box(&self, lo: &Self, hi: &Self) -> f64 {
-        let dx = (lo.x - self.x).max(self.x - hi.x).max(0.0);
-        let dy = (lo.y - self.y).max(self.y - hi.y).max(0.0);
-        (dx * dx + dy * dy).sqrt()
     }
 }
 
@@ -131,34 +96,5 @@ mod tests {
         assert_eq!(SeqValue::dist(&a, &b), 5.0);
         assert_eq!(SeqValue::midpoint(&a, &b), Point2::new(1.5, 2.0));
         assert_eq!(Point2::origin(), Point2::ZERO);
-    }
-
-    #[test]
-    fn f64_box_distance() {
-        assert_eq!(SeqValue::component_min(&2.0f64, &-1.0), -1.0);
-        assert_eq!(SeqValue::component_max(&2.0f64, &-1.0), 2.0);
-        assert_eq!(1.5f64.dist_to_box(&1.0, &2.0), 0.0);
-        assert_eq!(0.5f64.dist_to_box(&1.0, &2.0), 0.5);
-        assert_eq!(3.0f64.dist_to_box(&1.0, &2.0), 1.0);
-    }
-
-    #[test]
-    fn point_box_distance() {
-        let lo = Point2::new(0.0, 0.0);
-        let hi = Point2::new(2.0, 2.0);
-        assert_eq!(Point2::new(1.0, 1.0).dist_to_box(&lo, &hi), 0.0);
-        // Outside on one axis only: distance along that axis.
-        assert_eq!(Point2::new(5.0, 1.0).dist_to_box(&lo, &hi), 3.0);
-        // Outside diagonally: Euclidean corner distance.
-        assert_eq!(Point2::new(5.0, 6.0).dist_to_box(&lo, &hi), 5.0);
-        let m = Point2::new(-1.0, 3.0);
-        assert_eq!(
-            SeqValue::component_min(&m, &Point2::new(0.0, 1.0)),
-            Point2::new(-1.0, 1.0)
-        );
-        assert_eq!(
-            SeqValue::component_max(&m, &Point2::new(0.0, 1.0)),
-            Point2::new(0.0, 3.0)
-        );
     }
 }

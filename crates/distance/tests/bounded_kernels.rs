@@ -1,6 +1,6 @@
-//! Property-based verification of the bounded-kernel contracts
-//! (DESIGN.md §9): admissibility of every summary lower bound and
-//! cutoff-equivalence of every `distance_upto` implementation.
+//! Property-based verification of the index metric's bounded evaluation
+//! (DESIGN.md §9): admissibility of `EGED_M`'s summary lower bound and
+//! cutoff-equivalence of its `distance_upto`.
 //!
 //! The contracts under test:
 //!
@@ -15,7 +15,7 @@
 //!   underlying distances.
 
 use proptest::prelude::*;
-use strg_distance::{BoundedDistance, Dtw, Eged, EgedMetric, LowerBound, SequenceDistance};
+use strg_distance::{EgedMetric, MetricDistance, SequenceDistance};
 use strg_graph::Point2;
 
 fn seq() -> impl Strategy<Value = Vec<f64>> {
@@ -39,7 +39,7 @@ fn cutoffs(d: f64) -> [f64; 6] {
 fn assert_cutoff_contract<V, D>(dist: &D, a: &[V], b: &[V])
 where
     V: strg_distance::SeqValue,
-    D: BoundedDistance<V>,
+    D: MetricDistance<V>,
 {
     let d = dist.distance(a, b);
     for c in cutoffs(d) {
@@ -84,43 +84,17 @@ proptest! {
         prop_assert!(lb <= m.distance(&a, &b));
     }
 
-    /// DTW's envelope bound is admissible over scalars and trajectories.
-    #[test]
-    fn dtw_lb_admissible(a in seq(), b in seq()) {
-        let d = Dtw;
-        let lb = LowerBound::<f64>::lower_bound(&d, &a, &d.summarize(&a), &d.summarize(&b));
-        prop_assert!(lb <= SequenceDistance::<f64>::distance(&d, &a, &b));
-    }
-
-    #[test]
-    fn dtw_lb_admissible_points(a in point_seq(), b in point_seq()) {
-        let d = Dtw;
-        let lb = LowerBound::<Point2>::lower_bound(&d, &a, &d.summarize(&a), &d.summarize(&b));
-        prop_assert!(lb <= SequenceDistance::<Point2>::distance(&d, &a, &b));
-    }
-
-    /// Cutoff equivalence for every bounded kernel, over f64.
+    /// Cutoff equivalence over f64, at the origin gap and a non-zero one.
     #[test]
     fn eged_metric_cutoff_equivalence(a in seq(), b in seq()) {
         assert_cutoff_contract(&EgedMetric::<f64>::new(), &a, &b);
         assert_cutoff_contract(&EgedMetric::with_gap(7.5f64), &a, &b);
     }
 
-    #[test]
-    fn eged_cutoff_equivalence(a in seq(), b in seq()) {
-        assert_cutoff_contract::<f64, _>(&Eged, &a, &b);
-    }
-
-    #[test]
-    fn dtw_cutoff_equivalence(a in seq(), b in seq()) {
-        assert_cutoff_contract::<f64, _>(&Dtw, &a, &b);
-    }
-
     /// Cutoff equivalence over 2-D trajectories.
     #[test]
     fn cutoff_equivalence_points(a in point_seq(), b in point_seq()) {
         assert_cutoff_contract(&EgedMetric::<Point2>::new(), &a, &b);
-        assert_cutoff_contract::<Point2, _>(&Dtw, &a, &b);
     }
 
     /// The bounded kernel stays symmetric: abandoning depends only on row

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqValue};
+use strg_distance::{MetricDistance, SeqValue};
 use strg_obs::QueryCost;
 
 use node::{Entry, LeafEntry, Node, RoutingEntry};
@@ -93,7 +93,7 @@ pub struct MTree<V, D> {
     len: usize,
 }
 
-impl<V: SeqValue, D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>> MTree<V, D> {
+impl<V: SeqValue, D: MetricDistance<V>> MTree<V, D> {
     /// Creates an empty tree.
     pub fn new(dist: D, cfg: MTreeConfig) -> Self {
         Self {

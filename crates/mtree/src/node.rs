@@ -28,7 +28,7 @@ pub(crate) struct LeafEntry<V> {
     pub parent_dist: f64,
     /// O(1) summary of `seq` for lower-bound filtering. Depends only on
     /// the sequence and the metric's constants, so it survives splits.
-    pub summary: SeqSummary<V>,
+    pub summary: SeqSummary,
 }
 
 /// A routing entry of an internal node.
@@ -42,7 +42,7 @@ pub(crate) struct RoutingEntry<V> {
     /// Distance from `pivot` to the parent routing pivot.
     pub parent_dist: f64,
     /// O(1) summary of `pivot` for lower-bound filtering.
-    pub summary: SeqSummary<V>,
+    pub summary: SeqSummary,
     /// The subtree: an index into the tree's node arena.
     pub child: u32,
 }
@@ -74,7 +74,7 @@ pub(crate) trait Entry<V>: Sized {
     /// The indexed sequence, or the routing pivot.
     fn object(&self) -> &[V];
     /// The summary of [`Entry::object`].
-    fn summary(&self) -> &SeqSummary<V>;
+    fn summary(&self) -> &SeqSummary;
     /// 0 for an indexed object, the covering radius for a routing entry.
     fn radius(&self) -> f64;
     /// Distance from the object to the parent routing pivot.
@@ -89,7 +89,7 @@ impl<V> Entry<V> for LeafEntry<V> {
     fn object(&self) -> &[V] {
         &self.seq
     }
-    fn summary(&self) -> &SeqSummary<V> {
+    fn summary(&self) -> &SeqSummary {
         &self.summary
     }
     fn radius(&self) -> f64 {
@@ -110,7 +110,7 @@ impl<V> Entry<V> for RoutingEntry<V> {
     fn object(&self) -> &[V] {
         &self.pivot
     }
-    fn summary(&self) -> &SeqSummary<V> {
+    fn summary(&self) -> &SeqSummary {
         &self.summary
     }
     fn radius(&self) -> f64 {

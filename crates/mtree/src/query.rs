@@ -8,7 +8,7 @@
 //! filter-and-refine discipline as the STRG-Index leaf scan: an admissible
 //! summary lower bound (charged as `lb_pruned`) cuts candidates before any
 //! distance evaluation, and surviving candidates are refined with
-//! [`BoundedDistance::distance_upto`] so hopeless alignments abandon early
+//! [`MetricDistance::distance_upto`] so hopeless alignments abandon early
 //! (charged as `early_abandoned`, still counted in `distance_calls`).
 //! Both shortcuts are exact; `tests/kernel_equivalence.rs` pins the hits
 //! to a linear scan.
@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use strg_distance::{BoundedDistance, LowerBound, MetricDistance, SeqSummary, SeqValue};
+use strg_distance::{MetricDistance, SeqSummary, SeqValue};
 use strg_obs::QueryCost;
 
 use crate::node::{Entry, Node};
@@ -138,7 +138,7 @@ pub(crate) fn search_into<V, D>(
     scratch: &mut MtreeScratch,
 ) where
     V: SeqValue,
-    D: MetricDistance<V> + BoundedDistance<V> + LowerBound<V>,
+    D: MetricDistance<V>,
 {
     scratch.out.clear();
     if k == 0 {
@@ -212,10 +212,10 @@ fn kth(best: &BinaryHeap<Best>, k: usize) -> f64 {
 struct Probe<'a, V, D> {
     dist: &'a D,
     query: &'a [V],
-    qsum: SeqSummary<V>,
+    qsum: SeqSummary,
 }
 
-impl<V: SeqValue, D: BoundedDistance<V> + LowerBound<V>> Probe<'_, V, D> {
+impl<V: SeqValue, D: MetricDistance<V>> Probe<'_, V, D> {
     /// Filter and refine one entry of either kind: it survives iff its
     /// object lies within `cutoff + radius` of the query. The cheap tests
     /// run first — the parent distance (`|d(q, pivot) − d(o, pivot)|`

@@ -155,11 +155,15 @@ impl RTree3 {
     }
 
     /// Best-first nearest boxes to a point: returns up to `k` distinct
-    /// trajectory ids ordered by minimum box distance. This is the only
-    /// "similarity" a 3DR-tree offers — coarse, which is the paper's
-    /// criticism.
+    /// trajectory ids, each with its smallest box distance, ordered by that
+    /// distance (ties by id). This is the only "similarity" a 3DR-tree
+    /// offers — coarse, which is the paper's criticism.
     pub fn nearest_ids(&self, p: [f64; 3], k: usize) -> Vec<(u64, f64)> {
-        use std::collections::BinaryHeap;
+        use std::collections::{BinaryHeap, HashMap};
+
+        if k == 0 {
+            return Vec::new();
+        }
 
         struct Q<'a>(f64, &'a Node);
         impl PartialEq for Q<'_> {
@@ -179,32 +183,28 @@ impl RTree3 {
             }
         }
 
+        // Each id's smallest distance over every box seen so far, and the
+        // k-th smallest of those once k ids are seen: a node farther than
+        // that holds no box that can change the answer.
+        let mut best: HashMap<u64, f64> = HashMap::new();
+        let mut kth = f64::INFINITY;
         let mut heap = BinaryHeap::new();
         heap.push(Q(0.0, &self.root));
-        let mut best: Vec<(u64, f64)> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
         while let Some(Q(d, node)) = heap.pop() {
-            if best.len() >= k && d > best.last().map_or(f64::INFINITY, |b| b.1) {
+            if d > kth {
                 break;
             }
             match node {
                 Node::Leaf(items) => {
                     for it in items {
                         let dist = it.bbox.min_dist(p);
-                        if seen.contains(&it.id) {
-                            // Keep the smaller distance for the id.
-                            if let Some(e) = best.iter_mut().find(|e| e.0 == it.id) {
-                                if dist < e.1 {
-                                    e.1 = dist;
-                                }
-                            }
-                            continue;
-                        }
-                        seen.insert(it.id);
-                        best.push((it.id, dist));
+                        let e = best.entry(it.id).or_insert(dist);
+                        *e = e.min(dist);
                     }
-                    best.sort_by(|a, b| a.1.total_cmp(&b.1));
-                    best.truncate(k.max(best.len().min(k)));
+                    if best.len() >= k {
+                        let mut dists: Vec<f64> = best.values().copied().collect();
+                        kth = *dists.select_nth_unstable_by(k - 1, f64::total_cmp).1;
+                    }
                 }
                 Node::Internal(children) => {
                     for (b, c) in children {
@@ -213,9 +213,10 @@ impl RTree3 {
                 }
             }
         }
-        best.sort_by(|a, b| a.1.total_cmp(&b.1));
-        best.truncate(k);
-        best
+        let mut out: Vec<(u64, f64)> = best.into_iter().collect();
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        out.truncate(k);
+        out
     }
 
     /// Verifies R-tree invariants (bounding boxes contain children, node

@@ -275,30 +275,29 @@ pub fn table1_clips_scaled(scale: f64) -> Vec<VideoClip> {
     ]
 }
 
-/// Clip `i` of the benchmark's `clips150` corpus (alternating lab /
-/// traffic, 4 actors, a 24-frame budget, seed `20050614 + i`) and its
-/// render seed — the frames the segmenter's oracle tests replay.
 #[cfg(test)]
-pub(crate) fn clips150_clip(i: usize) -> (VideoClip, u64) {
-    let seed = 20050614 + i as u64;
-    let cfg = ScenarioConfig {
-        n_actors: 4,
-        frames: 24,
-        seed,
-        ..ScenarioConfig::default()
-    };
-    let scene = [lab_scene, traffic_scene][i % 2];
-    let clip = VideoClip {
-        name: format!("clip-{i:04}"),
-        scene: scene(&cfg),
-        fps: 30.0,
-    };
-    (clip, seed)
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Clip `i` of the benchmark's `clips150` corpus (alternating lab /
+    /// traffic, 4 actors, a 24-frame budget, seed `20050614 + i`) and its
+    /// render seed — the frames the segmenter's oracle tests replay.
+    pub(crate) fn clips150_clip(i: usize) -> (VideoClip, u64) {
+        let seed = 20050614 + i as u64;
+        let cfg = ScenarioConfig {
+            n_actors: 4,
+            frames: 24,
+            seed,
+            ..ScenarioConfig::default()
+        };
+        let scene = [lab_scene, traffic_scene][i % 2];
+        let clip = VideoClip {
+            name: format!("clip-{i:04}"),
+            scene: scene(&cfg),
+            fps: 30.0,
+        };
+        (clip, seed)
+    }
 
     /// FNV-1a over every channel byte of every frame.
     fn pixel_hash(frames: &[Frame]) -> u64 {

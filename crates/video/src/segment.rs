@@ -621,7 +621,7 @@ fn mode_of_window_naive(
 mod tests {
     use super::*;
     use crate::raster::Pixel;
-    use crate::scenario::clips150_clip;
+    use crate::scenario::tests::clips150_clip;
 
     // ---- the reference: the pixel-by-pixel segmenter ----
 

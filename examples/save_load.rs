@@ -1,4 +1,4 @@
-//! Persistence: build a database, save it to disk (STRGDB v2 segment
+//! Persistence: build a database, save it to disk (STRGDB segment
 //! file), load it back and verify queries agree — the restart story of a
 //! production video database. The reload deserializes the built index
 //! (no re-clustering), so it reports the `fast` reopen mode.

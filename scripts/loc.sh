@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: every `.rs` file counted up to its first
-# `#[cfg(test)]` line, with integration-test directories (`crates/*/tests/`)
+# `#[cfg(test)]` line that stands right above a `mod` line (the unit-test
+# module; a `#[cfg(test)]` on any other item is counted with the file), with
+# integration-test directories (`crates/*/tests/`)
 # left out. One row per directory under `crates/` plus the facade crate's
 # `src/`, then the total. Two rows after it give the size of the
 # integration suites — every line of every `.rs` file under `tests/` and
@@ -14,7 +16,16 @@ cd "$(dirname "$0")/.."
 # file list over several `awk` runs, hence the second sum).
 count() {
     find "$@" -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' -print0 |
-        xargs -0 -r awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' |
+        xargs -0 -r awk '
+            /^[[:space:]]*#\[cfg\(test\)\]/ {
+                n++
+                if ((getline line) <= 0) next
+                if (line ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/) { n--; nextfile }
+                n++
+                next
+            }
+            { n++ }
+            END { print n + 0 }' |
         awk '{ s += $1 } END { print s + 0 }'
 }
 

@@ -66,8 +66,7 @@ pub mod prelude {
         StrgIndexConfig, VideoDatabase, FORMAT_VERSION,
     };
     pub use strg_distance::{
-        BoundedDistance, CountingDistance, Dtw, Eged, EgedMetric, Lcs, LowerBound, MetricDistance,
-        SeqSummary, SequenceDistance,
+        CountingDistance, Dtw, Eged, EgedMetric, Lcs, MetricDistance, SeqSummary, SequenceDistance,
     };
     pub use strg_graph::{
         decompose, BackgroundGraph, DecomposeConfig, ObjectGraph, Point2, Rag, Rgb, Strg,

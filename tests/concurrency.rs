@@ -226,7 +226,9 @@ fn concurrent_ingest_and_removal_stay_consistent() {
 
 /// OG ids come from one database-wide allocator at every shard count:
 /// removing the newest clip must not hand its ids to the next ingest, or
-/// `og(id)` would silently name a different object.
+/// `og(id)` would silently name a different object — not even when a save
+/// and a load (what the CLI does between two commands) come in between,
+/// in the single-file layout (1 shard) or the directory layout (3).
 #[test]
 fn removing_the_last_clip_never_reissues_its_ids() {
     for shards in [1, 3] {
@@ -237,6 +239,12 @@ fn removing_the_last_clip_never_reissues_its_ids() {
         let removed: Vec<u64> = (first..db.stats().objects as u64).collect();
         assert!(!removed.is_empty(), "{shards} shards: cam2 holds objects");
         db.remove_clip("cam2").expect("known clip");
+        let path =
+            std::env::temp_dir().join(format!("strg_reissue_{shards}_{}", std::process::id()));
+        db.save(&path).expect("save");
+        let db = VideoDatabase::load(&path, DbOptions::new()).expect("load");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
         db.ingest_clip(&clip(3), 3);
         assert!(
             db.stats().objects as u64 > first,

@@ -1,7 +1,7 @@
-//! Persistence equivalence suite: the STRGDB v2 fast reopen is a
+//! Persistence equivalence suite: the STRGDB fast reopen is a
 //! *physical* optimization only.
 //!
-//! Loading a v2 file deserializes the built index (`ReopenMode::Fast`)
+//! Loading a saved file deserializes the built index (`ReopenMode::Fast`)
 //! instead of re-clustering. The reference is the database the file was
 //! saved from — and a second one rebuilt from the same clips: the loaded
 //! database must be indistinguishable from both in every observable: hits,
@@ -132,7 +132,7 @@ fn assert_bgs_identical(a: &VideoDatabase, b: &VideoDatabase, ctx: &str) {
     }
 }
 
-/// v2 fast load ≡ the database it was saved from ≡ a rebuild from the same
+/// Fast load ≡ the database it was saved from ≡ a rebuild from the same
 /// clips, in every observable — and the loaded database re-saves the exact
 /// original bytes.
 #[test]
@@ -140,12 +140,12 @@ fn v2_fast_load_matches_rebuild_single_tree() {
     let built = VideoDatabase::new(DbOptions::new());
     ingest_all(&built);
     let path = temp_path("single");
-    built.save(&path).expect("save v2");
+    built.save(&path).expect("save");
     let original = std::fs::read(&path).unwrap();
 
     let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(2));
+    assert_eq!(fast.persist_info().loaded_format, Some(3));
     let rebuilt = VideoDatabase::new(DbOptions::new());
     ingest_all(&rebuilt);
 
@@ -189,7 +189,7 @@ fn v2_fast_load_matches_rebuild_sharded() {
 
     let fast = ShardedDatabase::load(&dir, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(2));
+    assert_eq!(fast.persist_info().loaded_format, Some(3));
     let rebuilt = ShardedDatabase::new(DbOptions::new().shards(3));
     ingest_all(&rebuilt);
 
@@ -285,7 +285,7 @@ fn removal_then_ingest_keeps_root_positions_across_save_load() {
     }
 }
 
-/// `open()` on a v2 file and on a shard directory reports the fast reopen
+/// `open()` on a file and on a shard directory reports the fast reopen
 /// through the object-safe [`Database`] surface.
 #[test]
 fn open_reports_persist_info() {

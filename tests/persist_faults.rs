@@ -137,15 +137,19 @@ fn garbage_and_bad_headers_are_rejected() {
 
 #[test]
 fn unsupported_version_is_rejected() {
-    let mut bytes = sample_bytes();
-    // Version field lives at offset 8..12.
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-    let e = must_reject(&bytes, "version 3");
-    assert_structured(&e, "version 3");
-    assert!(
-        e.to_string().contains("version"),
-        "error should name the version: {e}"
-    );
+    // Version field lives at offset 8..12. Version 2 is the retired
+    // layout with 56-byte summary rows; 4 is from the future.
+    for version in [2u32, 4] {
+        let mut bytes = sample_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let ctx = format!("version {version}");
+        let e = must_reject(&bytes, &ctx);
+        assert_structured(&e, &ctx);
+        assert!(
+            e.to_string().contains(&ctx),
+            "error should name the version: {e}"
+        );
+    }
 }
 
 /// Offsets of each record header (tag, len, crc) walked from the file
@@ -188,7 +192,7 @@ fn zero_length_and_oversized_length_fields_are_rejected() {
 fn oversized_internal_counts_are_rejected_without_allocating() {
     let bytes = sample_bytes();
     // The META payload starts right after the first record header at 16:
-    // clips, ogs, roots, strg_bytes, index_len — all u64. Claim 2^60 clips
+    // clips, ogs, next_og, strg_bytes, index_len — all u64. Claim 2^60 clips
     // and fix up the CRC so the count check itself (not the checksum) has
     // to reject it. `Vec::with_capacity(2^60)` would abort the process, so
     // surviving this case proves counts are capped before allocation.
@@ -233,7 +237,7 @@ fn split_records(bytes: &[u8]) -> Vec<Record> {
 /// passes every framing check and reaches its record decoder.
 fn assemble(records: &[Record]) -> Vec<u8> {
     let mut out = b"STRGDB2\0".to_vec();
-    out.extend(2u32.to_le_bytes());
+    out.extend(FORMAT_VERSION.to_le_bytes());
     out.extend(0u32.to_le_bytes());
     let push = |out: &mut Vec<u8>, tag: u32, payload: &[u8]| {
         out.extend(tag.to_le_bytes());
@@ -330,6 +334,24 @@ fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
         let e = must_reject(&assemble(&evil), "edge to unknown node");
         assert_structured(&e, "edge to unknown node");
         assert!(e.to_string().contains("unknown node"), "{e}");
+    }
+}
+
+/// META's OG-id counter (its third field) must lie past every stored id:
+/// a counter at or below one would hand a live id out again.
+#[test]
+fn next_og_behind_a_stored_id_is_rejected() {
+    let records = split_records(&sample_bytes());
+    assert_eq!(records[0].0, tag(b"META"));
+    let next_og = u64::from_le_bytes(records[0].3[16..24].try_into().unwrap());
+    assert!(next_og > 0, "the sample stores objects");
+    for n in [0, next_og - 1] {
+        let mut evil = records.clone();
+        evil[0].3[16..24].copy_from_slice(&n.to_le_bytes());
+        let ctx = format!("META next_og = {n} of {next_og}");
+        let e = must_reject(&assemble(&evil), &ctx);
+        assert_structured(&e, &ctx);
+        assert!(e.to_string().contains("next OG id"), "{ctx}: {e}");
     }
 }
 

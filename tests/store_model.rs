@@ -57,9 +57,9 @@ enum Step {
 use Step::{Ingest, Remove, Reopen};
 
 /// The fixed sequence: `a` is ingested twice and stays twinned for five
-/// steps, `d` twice with the first removed in between; the single-file
-/// reopen after removing the newest clip makes the next ingest reuse its
-/// ids on one shard.
+/// steps, `d` twice with the first removed in between; after the
+/// single-file reopen that follows removing the newest clip, the next
+/// ingest still takes fresh ids (every file stores the id counter).
 const STEPS: [Step; 18] = [
     Ingest("a", 1),
     Ingest("b", 2),
@@ -93,7 +93,7 @@ struct Model {
     clips: Vec<Clip>,
     /// The next OG id the database hands out.
     next: u64,
-    /// Ids removed and not handed out again.
+    /// Ids removed; none is ever handed out again.
     removed: Vec<u64>,
 }
 
@@ -235,7 +235,6 @@ fn run_model(shards: usize) {
                 let objects = db.ingest_frames(name, frames).objects;
                 let ids: Vec<u64> = (model.next..).take(objects).collect();
                 model.next += objects as u64;
-                model.removed.retain(|id| !ids.contains(id));
                 let series = ids
                     .iter()
                     .map(|&id| db.og(id).expect("a fresh id resolves").centroid_series())
@@ -269,12 +268,6 @@ fn run_model(shards: usize) {
                     let _ = std::fs::remove_dir_all(&path);
                 } else {
                     let _ = std::fs::remove_file(&path);
-                }
-                // A single file stores no next id: the counter restarts
-                // past the largest live one.
-                if layout == Layout::File && shards == 1 {
-                    let live = model.clips.iter().flat_map(|c| &c.ids).max();
-                    model.next = live.map_or(0, |id| id + 1);
                 }
             }
         }
