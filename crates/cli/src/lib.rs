@@ -435,8 +435,10 @@ pub fn cmd_send(args: &Args) -> CmdResult {
     }
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-    stream.write_all(req.as_bytes())?;
-    stream.write_all(b"\n")?;
+    // One segment, sent at once: a separate newline write would wait on
+    // Nagle's algorithm for the server's delayed ACK.
+    stream.set_nodelay(true)?;
+    stream.write_all(format!("{req}\n").as_bytes())?;
     let mut line = String::new();
     BufReader::new(stream).read_line(&mut line)?;
     if line.is_empty() {

@@ -649,7 +649,10 @@ impl<'a> Cursor<'a> {
     /// check: once [`Cursor::count`] has bounded `n`, the items are decoded
     /// straight from the slice by the `*_at` readers instead of one
     /// `Result` per field.
-    fn run<const W: usize>(&mut self, n: usize) -> io::Result<impl Iterator<Item = &'a [u8; W]>> {
+    fn run<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> io::Result<impl Iterator<Item = &'a [u8; W]> + Clone> {
         let len = n
             .checked_mul(W)
             .ok_or_else(|| bad(format!("oversized count {n} in {}", self.what)))?;
@@ -795,21 +798,36 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<(BackgroundGraph, usize)> {
     let n_nodes = cur.count(44)?;
     let n_edges = cur.u64()?;
     let n_clusters = cur.u64()? as usize;
-    let mut rag = Rag::with_capacity(FrameId(0), n_nodes);
-    for node in cur.run::<44>(n_nodes)? {
-        let (size, color, centroid) = region_at(node);
-        rag.add_node(NodeAttr::new(size, color, centroid));
-    }
+    let nodes: Vec<NodeAttr> = cur
+        .run::<44>(n_nodes)?
+        .map(|node| {
+            let (size, color, centroid) = region_at(node);
+            NodeAttr::new(size, color, centroid)
+        })
+        .collect();
     if n_edges > (cur.remaining() / 8) as u64 {
         return Err(bad("oversized edge count in ROOT record"));
     }
-    for edge in cur.run::<8>(n_edges as usize)? {
-        let (u, v) = (u32_at(edge, 0), u32_at(edge, 4));
+    let edges = cur
+        .run::<8>(n_edges as usize)?
+        .map(|edge| (u32_at(edge, 0), u32_at(edge, 4)));
+    // `save` writes each edge once as `u < v`, in `(u, v)` order; anything
+    // else is refused, so the RAG takes the list without sorting it.
+    let mut last = None;
+    for (u, v) in edges.clone() {
         if u as usize >= n_nodes || v as usize >= n_nodes {
             return Err(bad("ROOT edge references unknown node"));
         }
-        rag.add_edge(NodeId(u), NodeId(v));
+        if u >= v || last >= Some((u, v)) {
+            return Err(bad("ROOT edges not strictly increasing"));
+        }
+        last = Some((u, v));
     }
+    let rag = Rag::from_pairs(
+        FrameId(0),
+        nodes,
+        edges.map(|(u, v)| (NodeId(u), NodeId(v))),
+    );
     Ok((
         BackgroundGraph {
             rag,

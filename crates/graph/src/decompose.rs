@@ -212,11 +212,7 @@ fn merge_group(id: u32, group: &[&Org]) -> ObjectGraph {
 /// mean attributes), and representatives are connected when their regions
 /// were spatially adjacent in the track's first frame.
 fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
-    let mut rag = Rag::new(
-        strg.rags()
-            .first()
-            .map_or(crate::rag::FrameId(0), |r| r.frame()),
-    );
+    let mut nodes = Vec::with_capacity(background.len());
     // Map (frame, node) -> representative node, for adjacency wiring.
     let mut rep_of: HashMap<(usize, NodeId), NodeId> = HashMap::new();
     for org in background {
@@ -236,7 +232,8 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
             cx += s.attr.centroid.x;
             cy += s.attr.centroid.y;
         }
-        let rep = rag.add_node(crate::attr::NodeAttr::new(
+        let rep = NodeId(nodes.len() as u32);
+        nodes.push(crate::attr::NodeAttr::new(
             (size / n) as u32,
             crate::geom::Rgb::new(color.0 / n, color.1 / n, color.2 / n),
             crate::geom::Point2::new(cx / n, cy / n),
@@ -246,20 +243,27 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
         }
     }
     // Wire representatives whose underlying regions are adjacent somewhere.
-    // Each edge is added as `(min, max)`, the orientation the stored form
+    // Each edge is taken as `(min, max)`, the orientation the stored form
     // (`Rag::edges`, `u < v`) replays on load, so a built and a loaded
     // Background Graph measure every edge's angle from the same end.
+    let mut pairs = Vec::new();
     for (m, frame_rag) in strg.rags().iter().enumerate() {
         for (u, v, _) in frame_rag.edges() {
             if let (Some(&ru), Some(&rv)) = (rep_of.get(&(m, u)), rep_of.get(&(m, v))) {
-                if ru != rv && !rag.has_edge(ru, rv) {
-                    rag.add_edge(ru.min(rv), ru.max(rv));
+                if ru != rv {
+                    pairs.push((ru.min(rv), ru.max(rv)));
                 }
             }
         }
     }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let frame = strg
+        .rags()
+        .first()
+        .map_or(crate::rag::FrameId(0), |r| r.frame());
     BackgroundGraph {
-        rag,
+        rag: Rag::from_pairs(frame, nodes, pairs),
         frames_covered: strg.frame_count() as u32,
     }
 }
@@ -340,28 +344,16 @@ mod tests {
     fn toy_strg(frames: usize) -> Strg {
         let mut rags = Vec::new();
         for m in 0..frames {
-            let mut rag = Rag::new(FrameId(m as u32));
             let x = 10.0 + 5.0 * m as f64;
-            // part A and part B of the object move together
-            let a = rag.add_node(NodeAttr::new(
-                50,
-                Rgb::new(200.0, 0.0, 0.0),
-                Point2::new(x, 20.0),
-            ));
-            let b = rag.add_node(NodeAttr::new(
-                80,
-                Rgb::new(0.0, 200.0, 0.0),
-                Point2::new(x, 30.0),
-            ));
-            // static background
-            let c = rag.add_node(NodeAttr::new(
-                1000,
-                Rgb::new(90.0, 90.0, 90.0),
-                Point2::new(160.0, 120.0),
-            ));
-            rag.add_edge(a, b);
-            rag.add_edge(b, c);
-            rags.push(rag);
+            let nodes = vec![
+                // part A and part B of the object move together
+                NodeAttr::new(50, Rgb::new(200.0, 0.0, 0.0), Point2::new(x, 20.0)),
+                NodeAttr::new(80, Rgb::new(0.0, 200.0, 0.0), Point2::new(x, 30.0)),
+                // static background
+                NodeAttr::new(1000, Rgb::new(90.0, 90.0, 90.0), Point2::new(160.0, 120.0)),
+            ];
+            let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+            rags.push(Rag::from_pairs(FrameId(m as u32), nodes, [(a, b), (b, c)]));
         }
         let mut temporal = Vec::new();
         for m in 0..frames - 1 {
@@ -429,18 +421,19 @@ mod tests {
         let mut rags = Vec::new();
         let frames = 8;
         for m in 0..frames {
-            let mut rag = Rag::new(FrameId(m as u32));
-            rag.add_node(NodeAttr::new(
-                50,
-                Rgb::new(200.0, 0.0, 0.0),
-                Point2::new(10.0 + 5.0 * m as f64, 50.0),
-            ));
-            rag.add_node(NodeAttr::new(
-                50,
-                Rgb::new(0.0, 0.0, 200.0),
-                Point2::new(80.0 - 5.0 * m as f64, 50.0),
-            ));
-            rags.push(rag);
+            let nodes = vec![
+                NodeAttr::new(
+                    50,
+                    Rgb::new(200.0, 0.0, 0.0),
+                    Point2::new(10.0 + 5.0 * m as f64, 50.0),
+                ),
+                NodeAttr::new(
+                    50,
+                    Rgb::new(0.0, 0.0, 200.0),
+                    Point2::new(80.0 - 5.0 * m as f64, 50.0),
+                ),
+            ];
+            rags.push(Rag::from_pairs(FrameId(m as u32), nodes, []));
         }
         let mut temporal = Vec::new();
         for m in 0..frames - 1 {

@@ -17,17 +17,15 @@
 //!
 //! ```
 //! use strg_graph::{
-//!     build_strg, decompose, DecomposeConfig, FrameId, NodeAttr, Point2,
-//!     Rag, Rgb, TrackerConfig,
+//!     build_strg, decompose, DecomposeConfig, FrameId, NodeAttr, NodeId,
+//!     Point2, Rag, Rgb, TrackerConfig,
 //! };
 //!
 //! // Two frames with one moving region and one static one.
 //! let frame = |id: u32, x: f64| {
-//!     let mut rag = Rag::new(FrameId(id));
-//!     let mover = rag.add_node(NodeAttr::new(60, Rgb::new(200.0, 0.0, 0.0), Point2::new(x, 20.0)));
-//!     let wall = rag.add_node(NodeAttr::new(900, Rgb::new(90.0, 90.0, 90.0), Point2::new(80.0, 60.0)));
-//!     rag.add_edge(mover, wall);
-//!     rag
+//!     let mover = NodeAttr::new(60, Rgb::new(200.0, 0.0, 0.0), Point2::new(x, 20.0));
+//!     let wall = NodeAttr::new(900, Rgb::new(90.0, 90.0, 90.0), Point2::new(80.0, 60.0));
+//!     Rag::from_pairs(FrameId(id), vec![mover, wall], [(NodeId(0), NodeId(1))])
 //! };
 //! let frames: Vec<Rag> = (0..6).map(|m| frame(m, 10.0 + 5.0 * m as f64)).collect();
 //!

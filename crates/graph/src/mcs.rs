@@ -31,12 +31,8 @@ impl Star {
     /// Builds `G_N(v)` from the RAG holding `v`.
     pub fn neighborhood(rag: &Rag, v: NodeId) -> Self {
         let leaves = rag
-            .neighbors(v)
-            .iter()
-            .map(|&u| {
-                let edge = rag.edge_attr(v, u).expect("neighbor implies an edge");
-                (*rag.attr(u), *edge)
-            })
+            .incident(v)
+            .map(|(u, edge)| (*rag.attr(u), *edge))
             .collect();
         Self {
             centre: *rag.attr(v),
@@ -203,15 +199,17 @@ mod tests {
 
     #[test]
     fn neighborhood_is_a_star() {
-        let mut rag = Rag::new(FrameId(0));
-        let c = rag.add_node(attr(0.0));
-        let a = rag.add_node(attr(1.0));
-        let b = rag.add_node(attr(2.0));
-        let d = rag.add_node(attr(3.0));
-        rag.add_edge(c, a);
-        rag.add_edge(c, b);
-        rag.add_edge(a, b); // neighbor-neighbor edge must NOT appear
-        rag.add_edge(b, d); // d is not adjacent to c
+        let (c, a, b, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let rag = Rag::from_pairs(
+            FrameId(0),
+            [0.0, 1.0, 2.0, 3.0].map(attr).to_vec(),
+            [
+                (c, a),
+                (c, b),
+                (a, b), // neighbor-neighbor edge must NOT appear
+                (b, d), // d is not adjacent to c
+            ],
+        );
 
         let g = Star::neighborhood(&rag, c);
         assert_eq!(g.node_count(), 3);
@@ -223,15 +221,9 @@ mod tests {
 
     #[test]
     fn background_similarity_discriminates() {
-        let mk = |colors: &[f64]| {
-            let mut rag = Rag::new(FrameId(0));
-            for &c in colors {
-                rag.add_node(attr(c));
-            }
-            BackgroundGraph {
-                rag,
-                frames_covered: 1,
-            }
+        let mk = |colors: &[f64]| BackgroundGraph {
+            rag: Rag::from_pairs(FrameId(0), colors.iter().map(|&c| attr(c)).collect(), []),
+            frames_covered: 1,
         };
         let lab = mk(&[10.0, 60.0, 110.0]);
         let lab2 = mk(&[11.0, 61.0, 111.0]);

@@ -191,9 +191,20 @@ impl ObjectGraph {
 
     /// Approximate in-memory footprint, for Equations (9) and (10).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.samples.len() * std::mem::size_of::<OgSample>()
+        OG_HEADER_BYTES + self.samples.len() * std::mem::size_of::<OgSample>()
     }
 }
+
+/// The fixed per-graph term of an Object Graph's size in Equations (9)
+/// and (10): its id, start frame and sample-list header. A constant, not
+/// the struct's `size_of`, so a layout change cannot move the sizes that
+/// META stores and Table 2 reports.
+const OG_HEADER_BYTES: usize = 40;
+
+/// The fixed per-graph term of a Background Graph's size, as
+/// [`OG_HEADER_BYTES`] is for an Object Graph: frame coverage plus the
+/// RAG's header.
+const BG_HEADER_BYTES: usize = 88;
 
 /// Recomputes `velocity`/`direction` of each sample from consecutive
 /// centroids (the last sample gets zero motion).
@@ -226,7 +237,7 @@ pub struct BackgroundGraph {
 impl BackgroundGraph {
     /// Approximate in-memory footprint of the single stored BG.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.rag.approx_bytes()
+        BG_HEADER_BYTES + self.rag.approx_bytes()
     }
 }
 
@@ -302,12 +313,14 @@ mod tests {
 
     #[test]
     fn background_graph_bytes() {
-        let mut rag = Rag::new(FrameId(0));
-        rag.add_node(NodeAttr::new(100, Rgb::BLACK, Point2::ZERO));
+        let node = NodeAttr::new(100, Rgb::BLACK, Point2::ZERO);
         let bg = BackgroundGraph {
-            rag,
+            rag: Rag::from_pairs(FrameId(0), vec![node], []),
             frames_covered: 10,
         };
-        assert!(bg.approx_bytes() > std::mem::size_of::<BackgroundGraph>());
+        assert_eq!(
+            bg.approx_bytes(),
+            BG_HEADER_BYTES + std::mem::size_of::<NodeAttr>()
+        );
     }
 }

@@ -119,21 +119,20 @@ impl Strg {
         let mut remap: Vec<std::collections::HashMap<NodeId, NodeId>> =
             Vec::with_capacity(self.frames.len());
         for (m, rag) in self.frames.iter().enumerate() {
-            let mut new_rag = Rag::new(rag.frame());
+            let mut nodes: Vec<NodeAttr> = Vec::new();
             let mut map = std::collections::HashMap::new();
             for v in rag.node_ids() {
                 if select(m, v) {
-                    let attr: NodeAttr = *rag.attr(v);
-                    let nv = new_rag.add_node(attr);
-                    map.insert(v, nv);
+                    map.insert(v, NodeId(nodes.len() as u32));
+                    nodes.push(*rag.attr(v));
                 }
             }
-            for (u, v, attr) in rag.edges() {
-                if let (Some(&nu), Some(&nv)) = (map.get(&u), map.get(&v)) {
-                    new_rag.add_edge_with(nu, nv, *attr);
-                }
-            }
-            frames.push(new_rag);
+            // Renumbering keeps node order, so the edges stay sorted.
+            let edges = rag
+                .edges()
+                .filter_map(|(u, v, attr)| Some((*map.get(&u)?, *map.get(&v)?, *attr)))
+                .collect();
+            frames.push(Rag::new(rag.frame(), nodes, edges));
             remap.push(map);
         }
         let mut temporal = Vec::with_capacity(self.temporal.len());
@@ -172,12 +171,16 @@ mod tests {
     use crate::attr::NodeAttr;
     use crate::geom::{Point2, Rgb};
 
+    fn rag_with(frame: u32, n: usize, pairs: &[(u32, u32)]) -> Rag {
+        let nodes = (0..n)
+            .map(|i| NodeAttr::new(10, Rgb::BLACK, Point2::new(i as f64, 0.0)))
+            .collect();
+        let pairs = pairs.iter().map(|&(u, v)| (NodeId(u), NodeId(v)));
+        Rag::from_pairs(FrameId(frame), nodes, pairs)
+    }
+
     fn rag(frame: u32, n: usize) -> Rag {
-        let mut g = Rag::new(FrameId(frame));
-        for i in 0..n {
-            g.add_node(NodeAttr::new(10, Rgb::BLACK, Point2::new(i as f64, 0.0)));
-        }
-        g
+        rag_with(frame, n, &[])
     }
 
     fn edge(from: u32, to: u32) -> TemporalEdge {
@@ -232,10 +235,7 @@ mod tests {
         // temporal edges; keep nodes 0 and 1 only.
         let mut rags = Vec::new();
         for m in 0..2 {
-            let mut r = rag(m, 3);
-            r.add_edge(NodeId(0), NodeId(1));
-            r.add_edge(NodeId(1), NodeId(2));
-            rags.push(r);
+            rags.push(rag_with(m, 3, &[(0, 1), (1, 2)]));
         }
         let temporal = vec![vec![edge(0, 0), edge(1, 1), edge(2, 2)]];
         let g = Strg::from_parts(rags, temporal);

@@ -109,31 +109,22 @@ mod tests {
     /// A frame with a 3-region "object" (distinct colors, fixed shape) at
     /// `(x, y)` plus a distinctly-colored static corner region.
     fn frame(id: u32, x: f64, y: f64) -> Rag {
-        let mut g = Rag::new(FrameId(id));
-        let head = g.add_node(NodeAttr::new(
-            40,
-            Rgb::new(200.0, 30.0, 30.0),
-            Point2::new(x, y - 10.0),
-        ));
-        let body = g.add_node(NodeAttr::new(
-            100,
-            Rgb::new(30.0, 200.0, 30.0),
-            Point2::new(x, y),
-        ));
-        let legs = g.add_node(NodeAttr::new(
-            60,
-            Rgb::new(30.0, 30.0, 200.0),
-            Point2::new(x, y + 12.0),
-        ));
-        let corner = g.add_node(NodeAttr::new(
-            500,
-            Rgb::new(120.0, 120.0, 0.0),
-            Point2::new(300.0, 300.0),
-        ));
-        g.add_edge(head, body);
-        g.add_edge(body, legs);
-        let _ = corner;
-        g
+        let nodes = vec![
+            // head, body, legs
+            NodeAttr::new(40, Rgb::new(200.0, 30.0, 30.0), Point2::new(x, y - 10.0)),
+            NodeAttr::new(100, Rgb::new(30.0, 200.0, 30.0), Point2::new(x, y)),
+            NodeAttr::new(60, Rgb::new(30.0, 30.0, 200.0), Point2::new(x, y + 12.0)),
+            // the static corner
+            NodeAttr::new(500, Rgb::new(120.0, 120.0, 0.0), Point2::new(300.0, 300.0)),
+        ];
+        let (head, body, legs) = (NodeId(0), NodeId(1), NodeId(2));
+        Rag::from_pairs(FrameId(id), nodes, [(head, body), (body, legs)])
+    }
+
+    /// Frame 1 holding only the corner region.
+    fn corner_only() -> Rag {
+        let corner = NodeAttr::new(500, Rgb::new(120.0, 120.0, 0.0), Point2::new(300.0, 300.0));
+        Rag::from_pairs(FrameId(1), vec![corner], [])
     }
 
     #[test]
@@ -158,12 +149,7 @@ mod tests {
     fn no_match_for_vanished_object() {
         let f0 = frame(0, 50.0, 50.0);
         // Frame 1 has only the corner region.
-        let mut f1 = Rag::new(FrameId(1));
-        f1.add_node(NodeAttr::new(
-            500,
-            Rgb::new(120.0, 120.0, 0.0),
-            Point2::new(300.0, 300.0),
-        ));
+        let f1 = corner_only();
         let edges = track_pair(&f0, &f1, &TrackerConfig::default());
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].from, NodeId(3));
@@ -176,12 +162,7 @@ mod tests {
         // have no candidate past the centre gate; a threshold below zero
         // must not turn "no candidate" into an edge.
         let f0 = frame(0, 50.0, 50.0);
-        let mut f1 = Rag::new(FrameId(1));
-        f1.add_node(NodeAttr::new(
-            500,
-            Rgb::new(120.0, 120.0, 0.0),
-            Point2::new(300.0, 300.0),
-        ));
+        let f1 = corner_only();
         let cfg = TrackerConfig {
             t_sim: -1.0,
             ..TrackerConfig::default()
@@ -208,24 +189,14 @@ mod tests {
         // yellow region, so the body's neighborhood star only partially
         // matches (SimGraph = 2/3) and the threshold decides.
         let f0 = frame(0, 50.0, 50.0);
-        let mut f1 = Rag::new(FrameId(1));
-        let head = f1.add_node(NodeAttr::new(
-            40,
-            Rgb::new(200.0, 30.0, 30.0),
-            Point2::new(50.0, 40.0),
-        ));
-        let body = f1.add_node(NodeAttr::new(
-            100,
-            Rgb::new(30.0, 200.0, 30.0),
-            Point2::new(50.0, 50.0),
-        ));
-        let other = f1.add_node(NodeAttr::new(
-            60,
-            Rgb::new(230.0, 230.0, 30.0),
-            Point2::new(50.0, 62.0),
-        ));
-        f1.add_edge(head, body);
-        f1.add_edge(body, other);
+        let nodes = vec![
+            // head, body, and a yellow region in the legs' place
+            NodeAttr::new(40, Rgb::new(200.0, 30.0, 30.0), Point2::new(50.0, 40.0)),
+            NodeAttr::new(100, Rgb::new(30.0, 200.0, 30.0), Point2::new(50.0, 50.0)),
+            NodeAttr::new(60, Rgb::new(230.0, 230.0, 30.0), Point2::new(50.0, 62.0)),
+        ];
+        let (head, body, other) = (NodeId(0), NodeId(1), NodeId(2));
+        let f1 = Rag::from_pairs(FrameId(1), nodes, [(head, body), (body, other)]);
 
         let body0 = NodeId(1);
         let mut cfg = TrackerConfig {

@@ -25,20 +25,21 @@ pub struct ExtractStats {
 }
 
 /// Builds the Region Adjacency Graph of a segmentation.
+///
+/// Region `i` of the segmentation is node `i`, and its adjacency (sorted,
+/// each pair once) is the edge list as it stands.
 pub fn rag_from_segmentation(seg: &Segmentation, frame: FrameId) -> Rag {
-    let mut rag = Rag::with_capacity(frame, seg.regions.len());
-    for r in &seg.regions {
-        let id = rag.add_node(NodeAttr::new(
-            r.size.min(u32::MAX as usize) as u32,
-            r.color,
-            r.centroid,
-        ));
-        debug_assert_eq!(id, NodeId(r.label));
-    }
-    for &(a, b) in &seg.adjacency {
-        rag.add_edge(NodeId(a), NodeId(b));
-    }
-    rag
+    let nodes = seg
+        .regions
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            debug_assert_eq!(r.label as usize, i);
+            NodeAttr::new(r.size.min(u32::MAX as usize) as u32, r.color, r.centroid)
+        })
+        .collect();
+    let pairs = seg.adjacency.iter().map(|&(a, b)| (NodeId(a), NodeId(b)));
+    Rag::from_pairs(frame, nodes, pairs)
 }
 
 /// Extracts the RAG of every frame, numbering frames by slice index.

@@ -4,7 +4,8 @@
 //! `tests/alloc_util` (shared with `query_alloc.rs`) and asserts that
 //! steady-state segmentation through a warm [`SegScratch`] arena performs
 //! **zero** heap allocations: every buffer the pipeline touches is owned
-//! by the arena and only recycled after warm-up (DESIGN.md §10).
+//! by the arena and only recycled after warm-up (DESIGN.md §10). It also
+//! bounds the allocations of one sequential `VideoDatabase::load`.
 
 mod alloc_util;
 
@@ -101,4 +102,37 @@ fn cold_arena_grows_then_stops() {
         cold_grows,
         "second call on the same frame must not grow"
     );
+}
+
+/// A reopen's allocations, bounded: one `VideoDatabase::load` at
+/// `Threads::Fixed(1)` of a fixed 12-clip database (alternating lab /
+/// traffic, 3 actors, 12 frames). Each Background Graph decodes into a
+/// flat RAG of four buffers. The incremental layout it replaced (a
+/// `BTreeMap` of edges plus one neighbour `Vec` per node) took 429
+/// allocations for this file; the flat one takes 227, the bound. A
+/// decoder that starts allocating per node or per edge fails here.
+#[test]
+fn load_allocations_are_bounded() {
+    let db = VideoDatabase::new(DbOptions::new());
+    for i in 0..12u64 {
+        let scene = if i.is_multiple_of(2) {
+            "lab"
+        } else {
+            "traffic"
+        };
+        let clip = strg::serve::wire::make_clip(scene, &format!("clip-{i:02}"), 3, 12, 40 + i)
+            .expect("lab and traffic are known scenes");
+        db.ingest_clip(&clip, 40 + i);
+    }
+    let path = std::env::temp_dir().join(format!("strg_load_alloc_{}", std::process::id()));
+    db.save(&path).expect("save");
+    let opts = || DbOptions::new().threads(Threads::Fixed(1));
+    // Warm-up: first-use statics and thread-locals are not the loader's.
+    drop(VideoDatabase::load(&path, opts()).expect("load"));
+    let before = alloc_events();
+    let loaded = VideoDatabase::load(&path, opts()).expect("load");
+    let events = alloc_events() - before;
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.stats().clips, 12);
+    assert!(events <= 227, "load performed {events} allocations");
 }

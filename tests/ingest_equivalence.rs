@@ -266,24 +266,35 @@ fn bulk_leaf_load_matches_incremental_with_duplicate_keys() {
     assert!(has_dup, "no duplicate keys in any leaf — test is vacuous");
 }
 
+/// Clip `i` of the benchmark's `clips150` corpus and its seed, built as
+/// `benchmark/src/corpus.rs` builds it: alternating lab / traffic, 4
+/// actors, 24 frames, seed `20050614 + i`.
+fn corpus_clip(i: u32) -> (VideoClip, u64) {
+    let seed = 20050614 + i as u64;
+    let scene = if i.is_multiple_of(2) {
+        "lab"
+    } else {
+        "traffic"
+    };
+    let clip = strg::serve::wire::make_clip(scene, &format!("clip-{i:04}"), 4, 24, seed)
+        .expect("lab and traffic are known scenes");
+    (clip, seed)
+}
+
 /// Algorithm 1's output on the benchmark's `clips150` corpus, pinned: the
-/// 150 clips built as `benchmark/src/corpus.rs` builds them (alternating
-/// lab / traffic, 4 actors, 24 frames, seed `20050614 + i`, rendered with
-/// that seed), segmented with the default [`SegmentConfig`] and tracked
-/// with the default [`TrackerConfig`]. The digest is FNV-1a 64 over every
-/// temporal edge's `(clip, frame pair, from, to)`, each a little-endian
-/// `u32`, in clip, frame and edge order. Too slow unoptimised:
-/// `scripts/ci.sh` runs it under `--release`.
+/// 150 clips of [`corpus_clip`], rendered with their seeds, segmented with
+/// the default [`SegmentConfig`] and tracked with the default
+/// [`TrackerConfig`]. The digest is FNV-1a 64 over every temporal edge's
+/// `(clip, frame pair, from, to)`, each a little-endian `u32`, in clip,
+/// frame and edge order. Too slow unoptimised: `scripts/ci.sh` runs it
+/// under `--release`.
 #[test]
 #[ignore]
 fn tracking_is_pinned_on_the_benchmark_corpus() {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let (mut pairs, mut edges) = (0usize, 0usize);
     for i in 0..150u32 {
-        let seed = 20050614 + i as u64;
-        let scene = if i % 2 == 0 { "lab" } else { "traffic" };
-        let clip = strg::serve::wire::make_clip(scene, &format!("clip-{i:04}"), 4, 24, seed)
-            .expect("lab and traffic are known scenes");
+        let (clip, seed) = corpus_clip(i);
         let rags = frames_to_rags(
             &clip.render_all(seed),
             &SegmentConfig::default(),
@@ -303,4 +314,25 @@ fn tracking_is_pinned_on_the_benchmark_corpus() {
         }
     }
     assert_eq!((pairs, edges, digest), (6636, 80335, 15113619104161036681));
+}
+
+/// Equation (9)'s STRG size of the `clips150` corpus, pinned, as ingest
+/// counts it and as META stores it. The size models each graph with fixed
+/// per-graph terms, so a Rust struct that grows or shrinks must not move
+/// it (nor Table 2's STRG size). Too slow unoptimised: `scripts/ci.sh`
+/// runs it under `--release`.
+#[test]
+#[ignore]
+fn strg_bytes_are_pinned_on_the_benchmark_corpus() {
+    let db = VideoDatabase::new(DbOptions::new());
+    for i in 0..150u32 {
+        let (clip, seed) = corpus_clip(i);
+        db.ingest_clip(&clip, seed);
+    }
+    assert_eq!(db.stats().strg_bytes, 13_324_664);
+    let path = std::env::temp_dir().join(format!("strg_bytes_pin_{}", std::process::id()));
+    db.save(&path).expect("save");
+    let loaded = VideoDatabase::load(&path, DbOptions::new());
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.expect("load").stats().strg_bytes, 13_324_664);
 }

@@ -337,6 +337,44 @@ fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
     }
 }
 
+/// `save` writes a Background Graph's edges once each, as `u < v`, in
+/// `(u, v)` order. A duplicate, reversed, self-loop or out-of-order edge is
+/// refused rather than repaired, so the loader can build the graph
+/// without sorting.
+#[test]
+fn root_edges_out_of_canonical_order_are_rejected() {
+    let records = split_records(&sample_bytes());
+    let root = records.iter().position(|r| r.0 == tag(b"ROOT")).unwrap();
+    let payload = &records[root].3;
+    let n_nodes = u64::from_le_bytes(payload[4..12].try_into().unwrap()) as usize;
+    let n_edges = u64::from_le_bytes(payload[12..20].try_into().unwrap());
+    assert!(n_edges >= 2, "sample BG needs two edges");
+    let at = 28 + 44 * n_nodes;
+    let edge = |i: usize| payload[at + 8 * i..at + 8 * i + 8].to_vec();
+    let (e0, e1) = (edge(0), edge(1));
+    let mut reversed = e0[4..].to_vec();
+    reversed.extend(&e0[..4]);
+    let mut self_loop = e0[..4].to_vec();
+    self_loop.extend(&e0[..4]);
+    let cases = [
+        ("duplicate", [e0.clone(), e0.clone()]),
+        ("reversed", [reversed, e1.clone()]),
+        ("self-loop", [self_loop, e1.clone()]),
+        ("unsorted", [e1, e0]),
+    ];
+    for (what, [first, second]) in cases {
+        let mut evil = records.clone();
+        evil[root].3[at..at + 8].copy_from_slice(&first);
+        evil[root].3[at + 8..at + 16].copy_from_slice(&second);
+        let e = must_reject(&assemble(&evil), what);
+        assert_structured(&e, what);
+        assert!(
+            e.to_string().contains("ROOT edges not strictly increasing"),
+            "{what}: {e}"
+        );
+    }
+}
+
 /// META's OG-id counter (its third field) must lie past every stored id:
 /// a counter at or below one would hand a live id out again.
 #[test]

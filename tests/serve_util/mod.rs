@@ -60,10 +60,12 @@ impl Client {
         Client { reader, writer }
     }
 
-    /// Sends one request line and waits for its response line.
+    /// Sends one request line and waits for its response line. The line
+    /// and its newline go out as one write: two small writes would leave
+    /// the newline to Nagle's algorithm, which holds it until the server's
+    /// delayed ACK (about 40 ms) and charges every request that stall.
     pub fn send(&mut self, line: &str) -> String {
-        self.send_raw(line.as_bytes());
-        self.send_raw(b"\n");
+        self.send_raw(format!("{line}\n").as_bytes());
         self.recv()
             .unwrap_or_else(|| panic!("connection closed instead of answering {line:?}"))
     }
