@@ -31,7 +31,7 @@ use strg_obs::Recorder;
 use strg_parallel::{par_map_range, Threads};
 
 use crate::centroid::{median_length, weighted_centroid, ClusterValue};
-use crate::init::{distance_matrix, kmeans_pp_indices_threaded};
+use crate::init::{distance_matrix, kmeans_pp_seeds};
 use crate::model::{Clusterer, Clustering};
 
 /// Configuration of the EM clusterer.
@@ -104,8 +104,10 @@ impl<D> EmClusterer<D> {
     }
 
     /// Records fit statistics (`cluster.em.fits`, `cluster.em.iterations`,
-    /// `cluster.em.reseeds`) into `recorder`. The fit is bit-identical at
-    /// any thread count, so these counters are deterministic.
+    /// `cluster.em.reseeds`, and `cluster.em.distance_calls`: `K · M` per
+    /// distance matrix, the seeding's included) into `recorder`. The fit is
+    /// bit-identical at any thread count, so these counters are
+    /// deterministic.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -171,14 +173,15 @@ impl<D> EmClusterer<D> {
         let threads = self.cfg.threads;
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // Init: k-means++ seeded centroids.
-        let idx = kmeans_pp_indices_threaded(data, k, &self.dist, &mut rng, threads);
+        // Init: k-means++ seeded centroids. Seeding measured every item's
+        // distance to every seed, which is the first iteration's matrix.
+        let (idx, mut dists) = kmeans_pp_seeds(data, k, &self.dist, &mut rng, threads);
+        let mut matrices = 1u64;
         let mut centroids: Vec<Vec<V>> = idx.iter().map(|&i| data[i].clone()).collect();
         let mut weights = vec![1.0 / k as f64; k];
 
         // The shared sigma, set from the mean distance to the initial
         // centroids in the first iteration.
-        let mut dists: Vec<Vec<f64>>;
         let mut sigma = 0.0f64;
         let mut sigma_cap = f64::INFINITY;
         let mut iterations = 0;
@@ -190,7 +193,10 @@ impl<D> EmClusterer<D> {
             iterations = iter + 1;
             // Distances (the O(KM) work of one iteration), rows fanned out
             // across the workers and merged back in item order.
-            dists = distance_matrix(data, &centroids, &self.dist, threads);
+            if iter > 0 {
+                dists = distance_matrix(data, &centroids, &self.dist, threads);
+                matrices += 1;
+            }
             if iter == 0 {
                 // Initialize sigma at the *within-cluster* scale: the mean
                 // distance from each item to its nearest centroid. A
@@ -268,6 +274,7 @@ impl<D> EmClusterer<D> {
             r.add("cluster.em.fits", 1);
             r.add("cluster.em.iterations", iterations as u64);
             r.add("cluster.em.reseeds", reseeds);
+            r.add("cluster.em.distance_calls", matrices * (k * m) as u64);
         }
 
         // Final assignment (Equation 7: maximum posterior responsibility).
@@ -411,6 +418,29 @@ mod tests {
         assert_eq!(s.counter("cluster.em.fits"), Some(3));
         assert!(s.counter("cluster.em.iterations").unwrap() >= c.iterations as u64);
         assert!(s.counter("cluster.em.reseeds").is_some());
+    }
+
+    #[test]
+    fn each_restart_pays_one_matrix_per_iteration() {
+        use strg_distance::CountingDistance;
+        let (data, _) = two_groups();
+        let (r, n, k, m) = (2, 4, 3, data.len());
+        let mut cfg = EmConfig::new(k).with_seed(6);
+        cfg.n_init = r;
+        cfg.max_iters = n;
+        // No weight change is below zero: every restart runs all n.
+        cfg.tol = 0.0;
+        let rec = Recorder::new();
+        let em = EmClusterer::new(CountingDistance::new(Eged), cfg).with_recorder(rec.clone());
+        let c = em.fit(&data);
+        assert_eq!(c.iterations, n);
+        // The seeding's matrix is the first iteration's: r · n · K · M.
+        let calls = (r * n * k * m) as u64;
+        assert_eq!(em.dist.count(), calls);
+        assert_eq!(
+            rec.snapshot().counter("cluster.em.distance_calls"),
+            Some(calls)
+        );
     }
 
     #[test]

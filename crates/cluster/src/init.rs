@@ -39,17 +39,34 @@ pub fn kmeans_pp_indices_threaded<V: SeqValue, D: SequenceDistance<V> + Sync>(
     rng: &mut StdRng,
     threads: Threads,
 ) -> Vec<usize> {
+    kmeans_pp_seeds(data, k, dist, rng, threads).0
+}
+
+/// k-means++ seeding that keeps what it measured: the chosen indices, and
+/// the `m x k` matrix of every item's distance to every chosen seed.
+///
+/// Each round scans `dist(data[j], data[seed])` for every item `j` — the
+/// same function on the same arguments in the same order as
+/// [`distance_matrix`] over the seeds — so the matrix is bit-identical to
+/// `distance_matrix(data, seeds, dist, threads)`, and a clusterer's first
+/// iteration takes it instead of paying its `k · m` calls twice.
+pub(crate) fn kmeans_pp_seeds<V: SeqValue, D: SequenceDistance<V> + Sync>(
+    data: &[Vec<V>],
+    k: usize,
+    dist: &D,
+    rng: &mut StdRng,
+    threads: Threads,
+) -> (Vec<usize>, Vec<Vec<f64>>) {
     let m = data.len();
     let k = k.min(m);
     if k == 0 {
-        return Vec::new();
+        return (Vec::new(), vec![Vec::new(); m]);
     }
+    let column = |seed: usize| par_map(data, threads, |y| dist.distance(y, &data[seed]));
     let mut chosen = Vec::with_capacity(k);
     chosen.push(rng.gen_range(0..m));
-    let mut best_d2: Vec<f64> = par_map(data, threads, |y| {
-        let d = dist.distance(y, &data[chosen[0]]);
-        d * d
-    });
+    let mut columns = vec![column(chosen[0])];
+    let mut best_d2: Vec<f64> = columns[0].iter().map(|d| d * d).collect();
     while chosen.len() < k {
         let total: f64 = best_d2.iter().sum();
         let next = if total <= 0.0 {
@@ -69,15 +86,16 @@ pub fn kmeans_pp_indices_threaded<V: SeqValue, D: SequenceDistance<V> + Sync>(
             pick
         };
         chosen.push(next);
-        let d2_next = par_map(data, threads, |y| {
-            let d = dist.distance(y, &data[next]);
-            d * d
-        });
-        for (b, d2) in best_d2.iter_mut().zip(d2_next) {
-            *b = b.min(d2);
+        let col = column(next);
+        for (b, d) in best_d2.iter_mut().zip(&col) {
+            *b = b.min(d * d);
         }
+        columns.push(col);
     }
-    chosen
+    let rows = (0..m)
+        .map(|j| columns.iter().map(|col| col[j]).collect())
+        .collect();
+    (chosen, rows)
 }
 
 /// The `m x k` matrix of distances from every item to every centroid, rows
@@ -162,6 +180,41 @@ mod tests {
                 let par =
                     kmeans_pp_indices_threaded(&data, 4, &Eged, &mut rng, Threads::Fixed(threads));
                 assert_eq!(seq, par, "seed {seed} threads {threads}");
+            }
+        }
+    }
+
+    /// Four groups of 10 integer-valued sequences of 3–7 elements.
+    fn banded() -> Vec<Vec<f64>> {
+        (0..40usize)
+            .map(|i| {
+                (0..3 + i % 5)
+                    .map(|t| ((i * 7 + t * 3) % 11) as f64 + (i / 10) as f64 * 20.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeding_distances_are_the_seeds_distance_matrix() {
+        let data = banded();
+        // The indices this seeding chose before it kept its distances.
+        for (seed, pinned) in [
+            (11u64, [15, 6, 31, 24, 4, 17]),
+            (12, [25, 16, 38, 9, 11, 8]),
+        ] {
+            for threads in [Threads::Fixed(1), Threads::Fixed(8)] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (idx, dists) = kmeans_pp_seeds(&data, 6, &Eged, &mut rng, threads);
+                assert_eq!(idx, pinned, "seed {seed} {threads:?}");
+                let seeds: Vec<Vec<f64>> = idx.iter().map(|&i| data[i].clone()).collect();
+                let want = distance_matrix(&data, &seeds, &Eged, threads);
+                let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                    m.iter()
+                        .map(|r| r.iter().map(|d| d.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&dists), bits(&want), "seed {seed} {threads:?}");
             }
         }
     }

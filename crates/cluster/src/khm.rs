@@ -18,7 +18,7 @@ use strg_obs::Recorder;
 use strg_parallel::par_map;
 
 use crate::centroid::{median_length, weighted_centroid, ClusterValue};
-use crate::init::kmeans_pp_indices_threaded;
+use crate::init::{distance_matrix, kmeans_pp_seeds};
 use crate::kmeans::{empty_clustering, HardConfig};
 use crate::model::{Clusterer, Clustering};
 
@@ -69,19 +69,21 @@ impl<V: ClusterValue, D: SequenceDistance<V> + Sync> Clusterer<V> for KHarmonicM
         let target_len = median_length(data).max(1);
         let threads = self.cfg.threads;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let idx = kmeans_pp_indices_threaded(data, k, &self.dist, &mut rng, threads);
+        // The seeding's distances are the first iteration's matrix.
+        let (idx, mut dists) = kmeans_pp_seeds(data, k, &self.dist, &mut rng, threads);
         let mut centroids: Vec<Vec<V>> = idx.iter().map(|&i| data[i].clone()).collect();
         let mut iterations = 0;
 
         for iter in 0..self.cfg.max_iters {
             iterations = iter + 1;
-            // The O(KM) distance matrix, rows fanned out in item order.
-            let dists: Vec<Vec<f64>> = par_map(data, threads, |y| {
-                centroids
-                    .iter()
-                    .map(|mu| self.dist.distance(y, mu).max(D_FLOOR))
-                    .collect()
-            });
+            // The O(KM) distance matrix, rows fanned out in item order,
+            // floored against exact centroid hits.
+            if iter > 0 {
+                dists = distance_matrix(data, &centroids, &self.dist, threads);
+            }
+            for d in dists.iter_mut().flatten() {
+                *d = d.max(D_FLOOR);
+            }
             // Per-item membership * weight coefficients.
             let mut coeffs = vec![vec![0.0f64; k]; m];
             for j in 0..m {
@@ -204,6 +206,23 @@ mod tests {
             assert_eq!(seq.assignments, par.assignments);
             assert_eq!(seq.iterations, par.iterations);
         }
+    }
+
+    #[test]
+    fn each_iteration_pays_one_matrix_and_k_moves() {
+        use strg_distance::CountingDistance;
+        let data = two_groups();
+        let (n, k, m) = (4, 2, data.len());
+        let mut cfg = HardConfig::new(k).with_seed(4);
+        cfg.max_iters = n;
+        // No centroid moves less than zero: the fit runs all n.
+        cfg.tol = 0.0;
+        let khm = KHarmonicMeans::new(CountingDistance::new(Eged), cfg);
+        let c = khm.fit(&data);
+        assert_eq!(c.iterations, n);
+        // The seeding's matrix is the first iteration's; the final hard
+        // assignment scans one more.
+        assert_eq!(khm.dist.count(), (n * k * m + n * k + k * m) as u64);
     }
 
     #[test]

@@ -9,10 +9,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use strg_distance::SequenceDistance;
 use strg_obs::Recorder;
-use strg_parallel::{par_map, par_map_indexed, Threads};
+use strg_parallel::{par_map_indexed, Threads};
 
 use crate::centroid::{median_length, weighted_centroid, ClusterValue};
-use crate::init::kmeans_pp_indices_threaded;
+use crate::init::{distance_matrix, kmeans_pp_seeds};
 use crate::model::{Clusterer, Clustering};
 
 /// Configuration shared by the hard clusterers (KM and KHM).
@@ -98,7 +98,8 @@ impl<V: ClusterValue, D: SequenceDistance<V> + Sync> Clusterer<V> for KMeans<D> 
         let target_len = median_length(data).max(1);
         let threads = self.cfg.threads;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let idx = kmeans_pp_indices_threaded(data, k, &self.dist, &mut rng, threads);
+        // The seeding's distances are the first assignment step's.
+        let (idx, mut dists) = kmeans_pp_seeds(data, k, &self.dist, &mut rng, threads);
         let mut centroids: Vec<Vec<V>> = idx.iter().map(|&i| data[i].clone()).collect();
         let mut assignments = vec![0usize; m];
         let mut iterations = 0;
@@ -106,18 +107,20 @@ impl<V: ClusterValue, D: SequenceDistance<V> + Sync> Clusterer<V> for KMeans<D> 
 
         for iter in 0..self.cfg.max_iters {
             iterations = iter + 1;
-            // Assignment step: each item's nearest centroid is independent,
-            // so the scan fans out; results come back in item order and the
-            // per-item `min_by` ties break exactly as in the sequential loop.
-            let best_per_item = par_map(data, threads, |y| {
-                (0..k)
-                    .map(|c| (c, self.dist.distance(y, &centroids[c])))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0)
-            });
+            // Assignment step: each item's nearest centroid. The matrix's
+            // rows fan out and come back in item order; the per-item
+            // `min_by` ties break exactly as in the sequential loop.
+            if iter > 0 {
+                dists = distance_matrix(data, &centroids, &self.dist, threads);
+            }
             let mut changed = false;
-            for (j, &best) in best_per_item.iter().enumerate() {
+            for (j, row) in dists.iter().enumerate() {
+                let best = row
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(c, _)| c)
+                    .unwrap_or(0);
                 if assignments[j] != best {
                     assignments[j] = best;
                     changed = true;
@@ -262,6 +265,24 @@ mod tests {
             s.counter("cluster.km.iterations"),
             Some(c.iterations as u64)
         );
+    }
+
+    #[test]
+    fn each_iteration_pays_one_matrix_and_k_moves() {
+        use strg_distance::CountingDistance;
+        let data = two_groups();
+        let (n, k, m) = (4, 2, data.len());
+        let mut cfg = HardConfig::new(k).with_seed(4);
+        cfg.max_iters = n;
+        // No centroid moves less than zero: the fit runs all n.
+        cfg.tol = 0.0;
+        let rec = Recorder::new();
+        let km = KMeans::new(CountingDistance::new(Eged), cfg).with_recorder(rec.clone());
+        let c = km.fit(&data);
+        assert_eq!(c.iterations, n);
+        assert_eq!(rec.snapshot().counter("cluster.km.reseeds"), Some(0));
+        // The seeding's matrix is the first assignment step's.
+        assert_eq!(km.dist.count(), (n * k * m + n * k) as u64);
     }
 
     #[test]

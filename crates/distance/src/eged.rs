@@ -7,7 +7,9 @@
 //!
 //! * `g_i = (v_{i-1} + v_i) / 2` (midpoint) handles local time shifting but
 //!   breaks the triangle inequality — the **non-metric** EGED used for
-//!   clustering ([`Eged`]);
+//!   clustering ([`Eged`]). An edit against the midpoint costs
+//!   `dist(v, (v + o) / 2)`, which is `dist(v, o) / 2` for a norm, so the
+//!   kernel prices it as half the substitution it already computed;
 //! * `g_i = v_{i-1}` (repeat-previous) reproduces DTW's cost model, offered
 //!   for the ablation of §3.1's discussion;
 //! * `g_i = g` fixed makes EGED a **metric** (Theorem 2) — [`EgedMetric`],
@@ -33,15 +35,17 @@ use crate::value::SeqValue;
 ///   `g_i = v_{i-1}`, the cost function is the same as one in DTW";
 /// * with `g_i` the *midpoint* between the edited node and the opposite
 ///   node ([`GapPolicy::Midpoint`]) deletions/additions cost half the
-///   ground distance, which absorbs local time shifting more cheaply than a
-///   substitution while still penalizing genuinely different content;
+///   ground distance (`0.5 · dist(v, o)`, exactly how it is computed),
+///   which absorbs local time shifting more cheaply than a substitution
+///   while still penalizing genuinely different content;
 /// * with a *fixed constant* `g` ([`GapPolicy::Constant`]) the cost of an
 ///   edit no longer depends on alignment context, which is what restores
 ///   the triangle inequality (Theorem 2).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum GapPolicy<V> {
-    /// `g_i = (opposite + v_i) / 2`: non-metric, tolerant to local time
-    /// shifting (the paper's clustering configuration).
+    /// `g_i = (opposite + v_i) / 2`, priced `0.5 · dist(v_i, opposite)`:
+    /// non-metric, tolerant to local time shifting (the paper's clustering
+    /// configuration).
     Midpoint,
     /// `g_i = opposite node`: reproduces DTW.
     Opposite,
@@ -95,7 +99,7 @@ fn edit_cost<V: SeqValue>(v: &V, opp: Option<&V>, policy: &GapPolicy<V>) -> f64 
             None => v.dist(&V::origin()),
         },
         GapPolicy::Midpoint => match opp {
-            Some(o) => v.dist(&v.midpoint(o)),
+            Some(o) => v.dist(o) * 0.5,
             None => v.dist(&V::origin()),
         },
     }
@@ -165,8 +169,8 @@ impl<V: SeqValue> Strip<V> {
             ),
             GapPolicy::Opposite => (sub, sub),
             GapPolicy::Midpoint => {
-                let mid: [V; LANES] = std::array::from_fn(|k| av[k].midpoint(&bv[k]));
-                (V::dist_pairs(av, &mid), V::dist_pairs(&bv, &mid))
+                let half = sub.map(|d| d * 0.5);
+                (half, half)
             }
         };
         // The row above lane 3 is the row above the strip.
@@ -454,6 +458,63 @@ mod tests {
         }
     }
 
+    /// The midpoint element `(v + o) / 2` the midpoint gap is defined by.
+    trait Midpoint: SeqValue {
+        fn midpoint(&self, other: &Self) -> Self;
+    }
+
+    impl Midpoint for f64 {
+        fn midpoint(&self, other: &f64) -> f64 {
+            (self + other) / 2.0
+        }
+    }
+
+    impl Midpoint for strg_graph::Point2 {
+        fn midpoint(&self, other: &Self) -> Self {
+            (*self + *other) * 0.5
+        }
+    }
+
+    /// The midpoint-gap EGED by its definition: a textbook DP whose edit
+    /// cost is the distance to the midpoint element,
+    /// `dist(v, midpoint(v, o))`, where the kernel computes
+    /// `0.5 · dist(v, o)`. The two are equal in exact arithmetic.
+    fn eged_midpoint_element<V: Midpoint>(a: &[V], b: &[V]) -> f64 {
+        let edit = |v: &V, opp: Option<&V>| match opp {
+            Some(o) => v.dist(&v.midpoint(o)),
+            None => v.dist(&V::origin()),
+        };
+        let mut prev: Vec<f64> = vec![0.0; b.len() + 1];
+        for j in 1..=b.len() {
+            prev[j] = prev[j - 1] + edit(&b[j - 1], a.first());
+        }
+        for ai in a {
+            let mut cur = vec![prev[0] + edit(ai, b.first()); b.len() + 1];
+            for (j, bj) in b.iter().enumerate() {
+                let replace = prev[j] + ai.dist(bj);
+                let delete = prev[j + 1] + edit(ai, Some(bj));
+                let add = cur[j] + edit(bj, Some(ai));
+                cur[j + 1] = replace.min(delete).min(add);
+            }
+            prev = cur;
+        }
+        prev[b.len()]
+    }
+
+    /// A random walk of 0–39 steps inside a 160 × 120 frame.
+    fn walk(rng: &mut rand::rngs::StdRng) -> Vec<strg_graph::Point2> {
+        use rand::Rng;
+        use strg_graph::Point2;
+        let len = rng.gen_range(0..40usize);
+        let mut p = Point2::new(rng.gen_range(0.0..160.0), rng.gen_range(0.0..120.0));
+        (0..len)
+            .map(|_| {
+                p = p + Point2::new(rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
+                p
+            })
+            .collect()
+    }
+
     fn eged(a: &[f64], b: &[f64]) -> f64 {
         SequenceDistance::distance(&Eged, a, b)
     }
@@ -502,6 +563,54 @@ mod tests {
         assert!(non_metric < metric);
         // Deleting the duplicated 5 against midpoint(5,5) = 5 is free.
         assert_eq!(non_metric, 0.0);
+    }
+
+    #[test]
+    fn midpoint_gap_is_the_distance_to_the_midpoint_element() {
+        use rand::SeedableRng;
+        use strg_graph::Point2;
+        // Integer-valued elements: `(v + o) / 2` and `|v - o| / 2` are both
+        // exact, and `sqrt(x / 4) = sqrt(x) / 2` is too, so the two
+        // formulas agree to the bit.
+        let ints: [&[f64]; 6] = [
+            &[1.0, 5.0, 9.0],
+            &[1.0, 5.0, 5.0, 9.0],
+            &[0.0, 3.0, 1.0],
+            &[2.0, 2.0],
+            &[0.0, 7.0, -3.0, 4.0, 4.0, 11.0],
+            &[],
+        ];
+        for a in ints {
+            for b in ints {
+                let e = eged(a, b);
+                assert_eq!(e.to_bits(), eged_midpoint_element(a, b).to_bits());
+                let pa: Vec<Point2> = a.iter().map(|&x| Point2::new(x, 2.0 * x - 1.0)).collect();
+                let pb: Vec<Point2> = b.iter().map(|&x| Point2::new(-x, x + 3.0)).collect();
+                assert_eq!(
+                    SequenceDistance::distance(&Eged, &pa, &pb).to_bits(),
+                    eged_midpoint_element(&pa, &pb).to_bits(),
+                    "{a:?} {b:?}"
+                );
+            }
+        }
+        // Random walks: the midpoint element's coordinates round, so the
+        // two differ in the last bits of each edit cost, never by more.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20050615);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * got.max(want);
+        for _ in 0..1000 {
+            let (a, b) = (walk(&mut rng), walk(&mut rng));
+            let (got, want) = (
+                SequenceDistance::distance(&Eged, &a, &b),
+                eged_midpoint_element(&a, &b),
+            );
+            assert!(close(got, want), "Point2 {got} vs {want}");
+            let (fa, fb): (Vec<f64>, Vec<f64>) = (
+                a.iter().map(|p| p.x).collect(),
+                b.iter().map(|p| p.y).collect(),
+            );
+            let (got, want) = (eged(&fa, &fb), eged_midpoint_element(&fa, &fb));
+            assert!(close(got, want), "f64 {got} vs {want}");
+        }
     }
 
     #[test]
@@ -611,16 +720,6 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use strg_graph::Point2;
         let mut rng = StdRng::seed_from_u64(20050614);
-        let walk = |rng: &mut StdRng| -> Vec<Point2> {
-            let len = rng.gen_range(0..40usize);
-            let mut p = Point2::new(rng.gen_range(0.0..160.0), rng.gen_range(0.0..120.0));
-            (0..len)
-                .map(|_| {
-                    p = p + Point2::new(rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
-                    p
-                })
-                .collect()
-        };
         let metric = EgedMetric::<Point2>::new();
         let (mut within, mut beyond) = (0, 0);
         for _ in 0..1000 {

@@ -4,8 +4,9 @@
 //! `nu(v)` and measures `|v_i - v_j|`. Object Graphs scalarize to `f64`
 //! sequences, but trajectories are naturally 2-D, so every distance in this
 //! crate is generic over [`SeqValue`]: anything with a metric ground
-//! distance, a midpoint (for the non-metric gap policy), and an origin (the
-//! fixed constant gap of Theorem 2).
+//! distance and an origin (the fixed constant gap of Theorem 2). The
+//! non-metric midpoint gap needs no midpoint element: it costs half the
+//! ground distance.
 
 use strg_graph::Point2;
 
@@ -29,9 +30,6 @@ use strg_graph::Point2;
 pub trait SeqValue: Copy + std::fmt::Debug + PartialEq + Send + Sync {
     /// Ground distance between two elements (`|v_i - v_j|` in the paper).
     fn dist(&self, other: &Self) -> f64;
-    /// Midpoint of two elements, for the non-metric gap
-    /// `g_i = (v_{i-1} + v_i) / 2`.
-    fn midpoint(&self, other: &Self) -> Self;
     /// The canonical fixed gap constant (`g`) that makes EGED a metric.
     fn origin() -> Self;
     /// Lane-wise paired distances: `out[i] = a[i].dist(&b[i])` over fixed
@@ -55,10 +53,6 @@ impl SeqValue for f64 {
     fn dist(&self, other: &Self) -> f64 {
         (self - other).abs()
     }
-    #[inline]
-    fn midpoint(&self, other: &Self) -> Self {
-        (self + other) / 2.0
-    }
     fn origin() -> Self {
         0.0
     }
@@ -68,10 +62,6 @@ impl SeqValue for Point2 {
     #[inline]
     fn dist(&self, other: &Self) -> f64 {
         Point2::dist(*self, *other)
-    }
-    #[inline]
-    fn midpoint(&self, other: &Self) -> Self {
-        Point2::midpoint(*self, *other)
     }
     fn origin() -> Self {
         Point2::ZERO
@@ -85,7 +75,6 @@ mod tests {
     #[test]
     fn f64_value() {
         assert_eq!(SeqValue::dist(&2.0f64, &-1.0), 3.0);
-        assert_eq!(SeqValue::midpoint(&2.0f64, &4.0), 3.0);
         assert_eq!(f64::origin(), 0.0);
     }
 
@@ -94,7 +83,6 @@ mod tests {
         let a = Point2::new(0.0, 0.0);
         let b = Point2::new(3.0, 4.0);
         assert_eq!(SeqValue::dist(&a, &b), 5.0);
-        assert_eq!(SeqValue::midpoint(&a, &b), Point2::new(1.5, 2.0));
         assert_eq!(Point2::origin(), Point2::ZERO);
     }
 }

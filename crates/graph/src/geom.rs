@@ -51,12 +51,6 @@ impl Point2 {
         self.y.atan2(self.x)
     }
 
-    /// Component-wise midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(self, other: Point2) -> Point2 {
-        (self + other) * 0.5
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     #[inline]
     pub fn lerp(self, other: Point2, t: f64) -> Point2 {
@@ -194,10 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn point_midpoint_and_lerp() {
+    fn point_lerp() {
         let a = Point2::new(0.0, 0.0);
         let b = Point2::new(10.0, -4.0);
-        assert_eq!(a.midpoint(b), Point2::new(5.0, -2.0));
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.25), Point2::new(2.5, -1.0));

@@ -61,13 +61,17 @@ scripts/loc.sh
 # ignored test compares it with its pixel-by-pixel reference on every
 # frame of the benchmark's 150-clip corpus, too slow unoptimised, and
 # `ingest_equivalence`'s pins Algorithm 1's temporal edges on the same
-# clips (about 2 s optimised). The thread-invariance suite rides along, so
+# clips (about 2 s optimised). `kernel_equivalence`'s fits the 600-object
+# `lib_index` set with the midpoint gap's half-distance kernel and with its
+# midpoint-element definition and requires the same clustering (about 2 s
+# optimised). The thread-invariance suite rides along, so
 # the pool's hand-off and the leaf scan are compared across worker counts
 # in the build that ships.
 echo "==> cargo test --release (distance, segmentation, tracking and persistence kernels, thread invariance)"
 cargo test -q --release -p strg-distance -p strg-graph -p strg-video
 cargo test -q --release -p strg-video -- --ignored
 cargo test -q --release --test ingest_equivalence -- --ignored
+cargo test -q --release --test kernel_equivalence -- --ignored
 cargo test -q --release -p strg-core persist
 cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence --test shard_equivalence

@@ -15,6 +15,11 @@
 //! and requires identical work fields in [`QueryCost`] across the two;
 //! `scripts/ci.sh` additionally runs this binary under `STRG_THREADS=1`
 //! and `8`.
+//!
+//! The ignored case (`scripts/ci.sh` runs it optimised) fits the
+//! 600-object `lib_index` set twice, once with [`Eged`]'s half-distance
+//! midpoint gap and once with the gap priced against the midpoint element
+//! itself, and requires the same clustering.
 
 mod oracle;
 
@@ -344,4 +349,55 @@ fn singleton_leaves_match_the_scan_with_fewer_calls_than_clusters() {
             }
         }
     }
+}
+
+/// The midpoint-gap EGED by its definition: a textbook DP whose edit cost
+/// is the distance to the midpoint element, `dist(v, (v + o) / 2)`, where
+/// [`Eged`] computes `0.5 · dist(v, o)`.
+struct EgedMidpointElement;
+
+impl SequenceDistance<Point2> for EgedMidpointElement {
+    fn distance(&self, a: &[Point2], b: &[Point2]) -> f64 {
+        let edit = |v: Point2, opp: Option<&Point2>| match opp {
+            Some(&o) => v.dist((v + o) * 0.5),
+            None => v.norm(),
+        };
+        let mut prev: Vec<f64> = vec![0.0; b.len() + 1];
+        for j in 1..=b.len() {
+            prev[j] = prev[j - 1] + edit(b[j - 1], a.first());
+        }
+        for &ai in a {
+            let mut cur = vec![prev[0] + edit(ai, b.first()); b.len() + 1];
+            for (j, &bj) in b.iter().enumerate() {
+                let replace = prev[j] + ai.dist(bj);
+                let delete = prev[j + 1] + edit(ai, Some(&bj));
+                let add = cur[j] + edit(bj, Some(&ai));
+                cur[j + 1] = replace.min(delete).min(add);
+            }
+            prev = cur;
+        }
+        prev[b.len()]
+    }
+    fn name(&self) -> &'static str {
+        "EGED-midpoint-element"
+    }
+}
+
+#[test]
+#[ignore = "fits 600 objects at K = 48 twice; run optimised by scripts/ci.sh"]
+fn em_fit_is_the_same_under_the_midpoint_element_gap() {
+    let data = generate_total(600, &SynthConfig::with_noise(0.10), 20050615).series();
+    let mut cfg = EmConfig::new(48)
+        .with_seed(20050614)
+        .with_threads(Threads::Fixed(1));
+    cfg.max_iters = 10;
+    cfg.n_init = 1;
+    let kernel = EmClusterer::new(CountingDistance::new(Eged), cfg);
+    let reference = EmClusterer::new(EgedMidpointElement, cfg);
+    let (got, want) = (kernel.fit(&data), reference.fit(&data));
+    assert_eq!(got.assignments, want.assignments);
+    assert_eq!(got.iterations, want.iterations);
+    // Three iterations, the seeding's matrix serving as the first.
+    assert_eq!(got.iterations, 3);
+    assert_eq!(kernel.dist.count(), 3 * 48 * 600);
 }
