@@ -1,4 +1,4 @@
-//! Database persistence: the STRGDB segment-file format (version 3, magic
+//! Database persistence: the STRGDB segment-file format (version 4, magic
 //! `STRGDB2`) and the shard directory layout.
 //!
 //! # Layouts
@@ -29,44 +29,45 @@
 //!
 //! # The segment file
 //!
-//! A segment file serializes the data — clips, Background Graphs, and Object
-//! Graphs — together with the **built index**: cluster centroids, leaf
-//! records with their metric keys, and the precomputed [`SeqSummary`]
-//! sidecars, in fixed-width checksummed binary records. Loading reassembles
-//! the tree with [`crate::StrgIndex::from_parts`] — no clustering, no distance
-//! evaluations — so a reopened database serves its first k-NN in
-//! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*` rows
-//! measure it). A file that does not begin with the `STRGDB2\0` magic is
-//! refused with one [`io::ErrorKind::InvalidData`] error.
+//! A segment file holds one record per clip: its Object Graphs, its
+//! Background Graph and the **built index** below its root — the cluster
+//! centroids and, in leaf order, each member's `(key, og_id)`. That is the
+//! paper's leaf record `(Key, OG_mem, ptr)`: an entry points at an OG of
+//! its clip, whose samples the file holds once. The loader rebuilds the
+//! entry's sequence as that OG's `centroid_series()` and its summary with
+//! the index metric — the values `add_segment` computed — and reassembles
+//! the tree with [`crate::StrgIndex::from_parts`]: no clustering and no
+//! distance evaluations, so a reopened database serves its first k-NN in
+//! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*`
+//! rows measure it). A file that does not begin with the `STRGDB2\0` magic
+//! is refused with one [`io::ErrorKind::InvalidData`] error.
 //!
 //! # The record grammar (DESIGN.md §14)
 //!
 //! ```text
-//! file    := header record* toc trailer
-//! header  := magic[8]="STRGDB2\0" version:u32=3 flags:u32
+//! file    := header record* trailer
+//! header  := magic[8]="STRGDB2\0" version:u32=4 flags:u32
 //! record  := tag:u32 len:u64 crc:u32 payload[len]        # crc = CRC-32 (IEEE) of payload
-//! trailer := toc_offset:u64 magic[8]="STRG2END"
+//! trailer := magic[8]="STRG2END"
+//! META    := clips:u64 next_og:u64 strg_bytes:u64
+//! CLIP    := frames:u64 name_len:u32 name ogs:u64 og* bg clusters:u64 cluster*
+//! og      := id:u64 og_id:u32 start_frame:u64 samples:u64 sample[60]*
+//! bg      := frames_covered:u32 nodes:u64 node[44]* edges:u64 edge[8]*
+//! cluster := points:u64 point[16]* entries:u64 (key:f64 og_id:u64)*
 //! ```
 //!
 //! All integers are little-endian; every `f64` is stored as its IEEE bit
-//! pattern (`f64::to_bits`), so round-trips are lossless. Records appear
-//! in one canonical order (META, one CLIP per clip, then per segment one
-//! ROOT followed by its CLUS/LEAF/SUMS extents per cluster, one OGS extent
-//! per clip, TOC). META holds five `u64`s: clip count, OG count, the OG-id
-//! counter, `strg_bytes` and the leaf-record count. A SUMS row is a leaf
-//! record's [`SeqSummary`]: `len:u64 gap_mass:f64 min_gap:f64`, 24 bytes.
-//! A file of any other version is refused. A shard's clips, roots and OG
-//! extents are one list in memory and in the file — clip `i` owns root `i`
-//! and OGS extent `i` — so the writer renumbers nothing. The deterministic band makes the
-//! in-memory index byte-identical at any `STRG_THREADS`, so the serialized
-//! bytes are too, and `save → load → save` is a byte-identity (pinned by
-//! tests here and in `tests/persist_equivalence.rs`).
-//!
-//! The TOC footer lists every record's `(tag, root, cluster, offset,
-//! len)`. Leaf sequences are self-contained inside their offset-addressed
-//! LEAF extents, so a follow-up can demand-page leaves straight from the
-//! TOC instead of slurping the file; today the loader reads everything and
-//! only uses the TOC as an end-to-end structural cross-check.
+//! pattern (`f64::to_bits`), so round-trips are lossless. A file is one
+//! META record, then one CLIP record per clip in the shard's order — clip
+//! `i` owns root `i` — so the writer renumbers nothing. A file of any
+//! other version is refused. The loader refuses OG ids that do not
+//! increase through the file (`ingest` hands them out from one counter),
+//! a leaf entry naming an OG its clip does not hold, two entries naming
+//! one OG, and an OG no entry names: a database removes only whole clips,
+//! so every stored OG has exactly one leaf entry. The deterministic band
+//! makes the in-memory index byte-identical at any `STRG_THREADS`, so the
+//! serialized bytes are too, and `save → load → save` is a byte-identity
+//! (pinned by tests here and in `tests/persist_equivalence.rs`).
 //!
 //! # Speed
 //!
@@ -77,12 +78,13 @@
 //!   16 KiB, built at compile time; sixteen bytes per step, the bytewise
 //!   recurrence over the tail), bit-identical to the byte-at-a-time loop
 //!   the unit tests keep as its reference.
-//! - The loader decodes fixed-width *runs* — centroid and leaf points,
-//!   summaries, OG samples, Background Graph nodes and edges, OG id lists,
-//!   TOC rows — with one bounds check per run: a count is first bounded
-//!   against the bytes that remain (before anything is allocated), then
-//!   the run is taken once and every item decoded from its slice. Every
-//!   magic, version, CRC, length, count, arity and TOC check stands.
+//! - The writer encodes each payload straight into the file image and
+//!   fills in its length and CRC afterwards.
+//! - The loader decodes fixed-width *runs* — OG samples, Background Graph
+//!   nodes and edges, centroid points, leaf entries — with one bounds
+//!   check per run: a count is first bounded against the bytes that
+//!   remain (before anything is allocated), then the run is taken once
+//!   and every item decoded from its slice.
 //!
 //! # Equivalence
 //!
@@ -94,7 +96,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use strg_distance::SeqSummary;
+use strg_distance::{EgedMetric, MetricDistance};
 use strg_graph::{
     BackgroundGraph, FrameId, NodeAttr, NodeId, ObjectGraph, OgSample, Point2, Rag, Rgb,
 };
@@ -102,7 +104,7 @@ use strg_obs::Recorder;
 
 use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
-use crate::pipeline::{clip_positions, ClipMeta, Shard, VideoDatabase};
+use crate::pipeline::{clip_positions, index_metric, ClipMeta, Shard, VideoDatabase};
 
 /// Leading magic.
 const MAGIC: &[u8; 8] = b"STRGDB2\0";
@@ -110,7 +112,7 @@ const MAGIC: &[u8; 8] = b"STRGDB2\0";
 const END_MAGIC: &[u8; 8] = b"STRG2END";
 
 /// The format version [`VideoDatabase::save`] writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// How a database came to hold its in-memory index when it was opened.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -225,22 +227,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Record tags.
 // ---------------------------------------------------------------------------
 
-/// Database-wide counts: `clips, ogs, next_og, strg_bytes, index_len`.
+/// Database-wide fields: `clips, next_og, strg_bytes`.
 const TAG_META: u32 = u32::from_le_bytes(*b"META");
-/// One clip's metadata: frames, root position, name, OG ids.
+/// One clip: frames, name, Object Graphs, Background Graph, clusters.
 const TAG_CLIP: u32 = u32::from_le_bytes(*b"CLIP");
-/// One segment root: Background Graph nodes/edges + cluster count.
-const TAG_ROOT: u32 = u32::from_le_bytes(*b"ROOT");
-/// One cluster record: the EM centroid sequence.
-const TAG_CLUS: u32 = u32::from_le_bytes(*b"CLUS");
-/// One leaf extent: every member record of one cluster (key, OG id, seq).
-const TAG_LEAF: u32 = u32::from_le_bytes(*b"LEAF");
-/// One summary sidecar: the [`SeqSummary`] of each record of one leaf.
-const TAG_SUMS: u32 = u32::from_le_bytes(*b"SUMS");
-/// One OG extent: the stored Object Graphs of one clip.
-const TAG_OGS: u32 = u32::from_le_bytes(*b"OGS\0");
-/// The table-of-contents footer.
-const TAG_TOC: u32 = u32::from_le_bytes(*b"TOC\0");
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -267,58 +257,75 @@ fn put_point(out: &mut Vec<u8>, p: Point2) {
     put_f64(out, p.y);
 }
 
-/// One TOC row: `(tag, root, cluster, offset, len)` — `offset` addresses
-/// the record header, `len` covers header + payload.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct TocEntry {
-    tag: u32,
-    a: u32,
-    b: u32,
-    offset: u64,
-    len: u64,
+/// `size:u32, r, g, b, x, y` — the 44-byte head shared by a Background
+/// Graph node and an OG sample.
+fn put_region(out: &mut Vec<u8>, size: u32, color: Rgb, centroid: Point2) {
+    put_u32(out, size);
+    put_f64(out, color.r);
+    put_f64(out, color.g);
+    put_f64(out, color.b);
+    put_point(out, centroid);
 }
 
 /// Record header size: tag (4) + len (8) + crc (4).
 const REC_HEADER: usize = 16;
 
-fn push_record(
-    out: &mut Vec<u8>,
-    toc: &mut Vec<TocEntry>,
-    tag: u32,
-    a: u32,
-    b: u32,
-    payload: &[u8],
-) {
-    toc.push(TocEntry {
-        tag,
-        a,
-        b,
-        offset: out.len() as u64,
-        len: (REC_HEADER + payload.len()) as u64,
-    });
+/// Appends one record: `payload` writes its bytes straight into `out`, and
+/// the header's length and CRC are filled in after it.
+fn push_record(out: &mut Vec<u8>, tag: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+    let head = out.len();
     put_u32(out, tag);
-    put_u64(out, payload.len() as u64);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; REC_HEADER - 4]);
+    payload(out);
+    let body = &out[head + REC_HEADER..];
+    let (len, crc) = (body.len() as u64, crc32(body));
+    out[head + 4..head + 12].copy_from_slice(&len.to_le_bytes());
+    out[head + 12..head + REC_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn encode_bg(payload: &mut Vec<u8>, bg: &BackgroundGraph, n_clusters: usize) {
-    let rag = &bg.rag;
-    put_u32(payload, bg.frames_covered);
-    put_u64(payload, rag.node_count() as u64);
-    put_u64(payload, rag.edge_count() as u64);
-    put_u64(payload, n_clusters as u64);
-    for v in rag.node_ids() {
-        let a = rag.attr(v);
-        put_u32(payload, a.size);
-        put_f64(payload, a.color.r);
-        put_f64(payload, a.color.g);
-        put_f64(payload, a.color.b);
-        put_point(payload, a.centroid);
+/// One clip's CLIP payload: its Object Graphs, then its root's Background
+/// Graph and clusters, each leaf entry naming its OG by id.
+fn encode_clip(out: &mut Vec<u8>, clip: &ClipMeta, root: &RootRecord<Point2>) {
+    put_u64(out, clip.frames as u64);
+    put_u32(out, clip.name.len() as u32);
+    out.extend_from_slice(clip.name.as_bytes());
+    put_u64(out, clip.ogs.len() as u64);
+    for (&id, og) in clip.og_ids.iter().zip(&clip.ogs) {
+        put_u64(out, id);
+        put_u32(out, og.id);
+        put_u64(out, og.start_frame as u64);
+        put_u64(out, og.samples.len() as u64);
+        for s in &og.samples {
+            put_region(out, s.size, s.color, s.centroid);
+            put_f64(out, s.velocity);
+            put_f64(out, s.direction);
+        }
     }
+    let BackgroundGraph {
+        rag,
+        frames_covered,
+    } = &root.bg;
+    put_u32(out, *frames_covered);
+    put_u64(out, rag.node_count() as u64);
+    for a in rag.node_attrs() {
+        put_region(out, a.size, a.color, a.centroid);
+    }
+    put_u64(out, rag.edge_count() as u64);
     for (u, v, _) in rag.edges() {
-        put_u32(payload, u.0);
-        put_u32(payload, v.0);
+        put_u32(out, u.0);
+        put_u32(out, v.0);
+    }
+    put_u64(out, root.clusters.len() as u64);
+    for cl in &root.clusters {
+        put_u64(out, cl.centroid.len() as u64);
+        for &p in &cl.centroid {
+            put_point(out, p);
+        }
+        put_u64(out, cl.leaf.records.len() as u64);
+        for rec in &cl.leaf.records {
+            put_f64(out, rec.key);
+            put_u64(out, rec.og_id);
+        }
     }
 }
 
@@ -460,106 +467,15 @@ fn encode_shard(shard: &Shard, next_og: u64) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, 0); // flags (reserved)
-    let mut toc: Vec<TocEntry> = Vec::new();
-
-    // META.
-    let index_len: usize = index.len();
-    let mut payload = Vec::new();
-    let n_ogs: usize = clips.iter().map(|c| c.ogs.len()).sum();
-    put_u64(&mut payload, clips.len() as u64);
-    put_u64(&mut payload, n_ogs as u64);
-    put_u64(&mut payload, next_og);
-    put_u64(&mut payload, *strg_bytes as u64);
-    put_u64(&mut payload, index_len as u64);
-    push_record(&mut out, &mut toc, TAG_META, 0, 0, &payload);
-
-    // CLIP records, in ingest order, each with its root's position.
-    for (ci, c) in clips.iter().enumerate() {
-        payload.clear();
-        put_u64(&mut payload, c.frames as u64);
-        put_u32(&mut payload, ci as u32);
-        put_u32(&mut payload, c.name.len() as u32);
-        payload.extend_from_slice(c.name.as_bytes());
-        put_u64(&mut payload, c.og_ids.len() as u64);
-        for &id in &c.og_ids {
-            put_u64(&mut payload, id);
-        }
-        push_record(&mut out, &mut toc, TAG_CLIP, ci as u32, 0, &payload);
+    push_record(&mut out, TAG_META, |p| {
+        put_u64(p, clips.len() as u64);
+        put_u64(p, next_og);
+        put_u64(p, *strg_bytes as u64);
+    });
+    // Clip `i` owns root `i`.
+    for (clip, root) in clips.iter().zip(index.roots()) {
+        push_record(&mut out, TAG_CLIP, |p| encode_clip(p, clip, root));
     }
-
-    // Per segment: ROOT, then (CLUS, LEAF, SUMS) per cluster.
-    for (ri, root) in (0u32..).zip(index.roots()) {
-        payload.clear();
-        encode_bg(&mut payload, &root.bg, root.clusters.len());
-        push_record(&mut out, &mut toc, TAG_ROOT, ri, 0, &payload);
-
-        for (cl_i, cl) in (0u32..).zip(&root.clusters) {
-            payload.clear();
-            put_u64(&mut payload, cl.centroid.len() as u64);
-            for &p in &cl.centroid {
-                put_point(&mut payload, p);
-            }
-            push_record(&mut out, &mut toc, TAG_CLUS, ri, cl_i, &payload);
-
-            payload.clear();
-            put_u64(&mut payload, cl.leaf.records.len() as u64);
-            for rec in &cl.leaf.records {
-                put_f64(&mut payload, rec.key);
-                put_u64(&mut payload, rec.og_id);
-                put_u64(&mut payload, rec.seq.len() as u64);
-                for &p in &rec.seq {
-                    put_point(&mut payload, p);
-                }
-            }
-            push_record(&mut out, &mut toc, TAG_LEAF, ri, cl_i, &payload);
-
-            payload.clear();
-            put_u64(&mut payload, cl.leaf.records.len() as u64);
-            for rec in &cl.leaf.records {
-                put_u64(&mut payload, rec.summary.len as u64);
-                put_f64(&mut payload, rec.summary.gap_mass);
-                put_f64(&mut payload, rec.summary.min_gap);
-            }
-            push_record(&mut out, &mut toc, TAG_SUMS, ri, cl_i, &payload);
-        }
-    }
-
-    // One OGS extent per clip, in clip order.
-    for (ci, c) in clips.iter().enumerate() {
-        payload.clear();
-        put_u64(&mut payload, c.ogs.len() as u64);
-        for (&id, og) in c.og_ids.iter().zip(&c.ogs) {
-            put_u64(&mut payload, id);
-            put_u32(&mut payload, og.id);
-            put_u64(&mut payload, og.start_frame as u64);
-            put_u64(&mut payload, og.samples.len() as u64);
-            for smp in &og.samples {
-                put_u32(&mut payload, smp.size);
-                put_f64(&mut payload, smp.color.r);
-                put_f64(&mut payload, smp.color.g);
-                put_f64(&mut payload, smp.color.b);
-                put_point(&mut payload, smp.centroid);
-                put_f64(&mut payload, smp.velocity);
-                put_f64(&mut payload, smp.direction);
-            }
-        }
-        push_record(&mut out, &mut toc, TAG_OGS, ci as u32, 0, &payload);
-    }
-
-    // TOC footer (lists every record above, not itself) + trailer.
-    payload.clear();
-    put_u64(&mut payload, toc.len() as u64);
-    for e in &toc {
-        put_u32(&mut payload, e.tag);
-        put_u32(&mut payload, e.a);
-        put_u32(&mut payload, e.b);
-        put_u64(&mut payload, e.offset);
-        put_u64(&mut payload, e.len);
-    }
-    let toc_offset = out.len() as u64;
-    let mut toc_sink = Vec::new();
-    push_record(&mut out, &mut toc_sink, TAG_TOC, 0, 0, &payload);
-    put_u64(&mut out, toc_offset);
     out.extend_from_slice(END_MAGIC);
     out
 }
@@ -587,9 +503,9 @@ fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<
 // Decoding.
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a record payload (or the whole
-/// file). Every getter returns a structured error instead of panicking, so
-/// arbitrarily corrupt input can never take the process down.
+/// Bounds-checked little-endian reader over a record payload. Every getter
+/// returns a structured error instead of panicking, so arbitrarily corrupt
+/// input can never take the process down.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -626,16 +542,12 @@ impl<'a> Cursor<'a> {
         Ok(u64_at(self.take(8)?, 0))
     }
 
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64_at(self.take(8)?, 0))
-    }
-
     /// A count of `min_size`-byte items that must fit in the remaining
     /// payload — rejects absurd counts *before* any allocation, so an
     /// oversized length field yields an error, not an OOM abort.
     fn count(&mut self, min_size: usize) -> io::Result<usize> {
         let n = self.u64()?;
-        if n > (self.remaining() / min_size.max(1)) as u64 {
+        if n > (self.remaining() / min_size) as u64 {
             return Err(bad(format!(
                 "oversized count {n} in {} ({} bytes remain)",
                 self.what,
@@ -645,21 +557,26 @@ impl<'a> Cursor<'a> {
         Ok(n as usize)
     }
 
-    /// A run of `n` fixed-width `W`-byte items, taken with one bounds
-    /// check: once [`Cursor::count`] has bounded `n`, the items are decoded
-    /// straight from the slice by the `*_at` readers instead of one
-    /// `Result` per field.
+    /// A counted run of fixed-width `W`-byte items, taken with one bounds
+    /// check: once [`Cursor::count`] has bounded the count, the items are
+    /// decoded straight from the slice by the `*_at` readers instead of
+    /// one `Result` per field.
     fn run<const W: usize>(
         &mut self,
-        n: usize,
-    ) -> io::Result<impl Iterator<Item = &'a [u8; W]> + Clone> {
-        let len = n
-            .checked_mul(W)
-            .ok_or_else(|| bad(format!("oversized count {n} in {}", self.what)))?;
+    ) -> io::Result<impl ExactSizeIterator<Item = &'a [u8; W]> + Clone> {
+        let n = self.count(W)?;
         Ok(self
-            .take(len)?
+            .take(n * W)?
             .chunks_exact(W)
             .map(|item| item.try_into().expect("chunks_exact(W) yields W bytes")))
+    }
+
+    /// Refuses bytes left over after the last field.
+    fn finish(self) -> io::Result<()> {
+        if self.remaining() != 0 {
+            return Err(bad(format!("{} has trailing bytes", self.what)));
+        }
+        Ok(())
     }
 }
 
@@ -682,8 +599,7 @@ fn point_at(b: &[u8], at: usize) -> Point2 {
     Point2::new(f64_at(b, at), f64_at(b, at + 8))
 }
 
-/// `size:u32, r, g, b, x, y` — the 44-byte head shared by a Background
-/// Graph node and an OG sample.
+/// The 44-byte head [`put_region`] writes.
 fn region_at(b: &[u8]) -> (u32, Rgb, Point2) {
     (
         u32_at(b, 0),
@@ -692,20 +608,12 @@ fn region_at(b: &[u8]) -> (u32, Rgb, Point2) {
     )
 }
 
-/// One decoded record: tag, `(a, b)` addressing, payload slice, and its
-/// file offset/length for the TOC cross-check.
-struct RawRecord<'a> {
-    tag: u32,
-    a_hint: TocEntry,
-    payload: &'a [u8],
-}
-
-/// Splits a file into validated records: header and trailer magics,
-/// version, per-record length bounds and CRC, and the TOC footer are all
-/// checked here, so the assembly stage below only sees intact payloads.
-fn split_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
-    // Header.
-    if bytes.len() < 16 + 16 {
+/// Splits a file into its records' `(tag, payload)`: the header and
+/// trailer magics, the version and flags, and every record's length bound
+/// and CRC are checked here, so the decoders below only see intact
+/// payloads.
+fn split_records(bytes: &[u8]) -> io::Result<Vec<(u32, &[u8])>> {
+    if bytes.len() < 16 + END_MAGIC.len() {
         return Err(bad("file too short for a STRGDB2 header and trailer"));
     }
     let version = u32_at(bytes, 8);
@@ -718,19 +626,10 @@ fn split_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
     if flags != 0 {
         return Err(bad(format!("unsupported STRGDB2 flags {flags:#x}")));
     }
-    // Trailer.
-    let trailer = &bytes[bytes.len() - 16..];
-    if &trailer[8..] != END_MAGIC {
+    if !bytes.ends_with(END_MAGIC) {
         return Err(bad("missing STRG2END trailer (truncated file?)"));
     }
-    let toc_offset = u64_at(trailer, 0);
-    let body_end = bytes.len() - 16;
-    if toc_offset < 16 || toc_offset as usize >= body_end {
-        return Err(bad("TOC offset out of bounds"));
-    }
-    let toc_offset = toc_offset as usize;
-
-    // Walk records from the header to the trailer.
+    let body_end = bytes.len() - END_MAGIC.len();
     let mut records = Vec::new();
     let mut pos = 16usize;
     while pos < body_end {
@@ -751,75 +650,33 @@ fn split_records(bytes: &[u8]) -> io::Result<Vec<RawRecord<'_>>> {
         if crc32(payload) != crc {
             return Err(bad(format!("checksum mismatch in record at offset {pos}")));
         }
-        records.push(RawRecord {
-            tag,
-            a_hint: TocEntry {
-                tag,
-                a: 0,
-                b: 0,
-                offset: pos as u64,
-                len: (REC_HEADER + len as usize) as u64,
-            },
-            payload,
-        });
+        records.push((tag, payload));
         pos += REC_HEADER + len as usize;
-    }
-    if pos != body_end {
-        return Err(bad("trailing bytes between last record and trailer"));
-    }
-
-    // The last record must be the TOC, sitting exactly at toc_offset; its
-    // rows must describe every preceding record (the structural
-    // cross-check a future demand-pager relies on).
-    let toc_rec = records.pop().ok_or_else(|| bad("empty STRGDB2 file"))?;
-    if toc_rec.tag != TAG_TOC || toc_rec.a_hint.offset != toc_offset as u64 {
-        return Err(bad("trailer does not point at the TOC record"));
-    }
-    let mut cur = Cursor::new(toc_rec.payload, "TOC");
-    let n = cur.count(28)?;
-    if n != records.len() {
-        return Err(bad(format!(
-            "TOC lists {n} records, file holds {}",
-            records.len()
-        )));
-    }
-    // Row: tag:u32 a:u32 b:u32 offset:u64 len:u64 (a, b unchecked).
-    for (rec, row) in records.iter().zip(cur.run::<28>(n)?) {
-        let (tag, offset, len) = (u32_at(row, 0), u64_at(row, 12), u64_at(row, 20));
-        if tag != rec.tag || offset != rec.a_hint.offset || len != rec.a_hint.len {
-            return Err(bad("TOC row disagrees with record layout"));
-        }
     }
     Ok(records)
 }
 
-fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<(BackgroundGraph, usize)> {
+fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<BackgroundGraph> {
     let frames_covered = cur.u32()?;
-    let n_nodes = cur.count(44)?;
-    let n_edges = cur.u64()?;
-    let n_clusters = cur.u64()? as usize;
     let nodes: Vec<NodeAttr> = cur
-        .run::<44>(n_nodes)?
+        .run::<44>()?
         .map(|node| {
             let (size, color, centroid) = region_at(node);
             NodeAttr::new(size, color, centroid)
         })
         .collect();
-    if n_edges > (cur.remaining() / 8) as u64 {
-        return Err(bad("oversized edge count in ROOT record"));
-    }
     let edges = cur
-        .run::<8>(n_edges as usize)?
+        .run::<8>()?
         .map(|edge| (u32_at(edge, 0), u32_at(edge, 4)));
     // `save` writes each edge once as `u < v`, in `(u, v)` order; anything
     // else is refused, so the RAG takes the list without sorting it.
     let mut last = None;
     for (u, v) in edges.clone() {
-        if u as usize >= n_nodes || v as usize >= n_nodes {
-            return Err(bad("ROOT edge references unknown node"));
+        if u as usize >= nodes.len() || v as usize >= nodes.len() {
+            return Err(bad("Background Graph edge references unknown node"));
         }
         if u >= v || last >= Some((u, v)) {
-            return Err(bad("ROOT edges not strictly increasing"));
+            return Err(bad("Background Graph edges not strictly increasing"));
         }
         last = Some((u, v));
     }
@@ -828,13 +685,107 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<(BackgroundGraph, usize)> {
         nodes,
         edges.map(|(u, v)| (NodeId(u), NodeId(v))),
     );
-    Ok((
-        BackgroundGraph {
-            rag,
-            frames_covered,
-        },
-        n_clusters,
-    ))
+    Ok(BackgroundGraph {
+        rag,
+        frames_covered,
+    })
+}
+
+/// Decodes one CLIP record into the clip and its root. Each leaf entry is
+/// resolved to the OG it names: its sequence is that OG's centroid series
+/// and its summary is `metric`'s, the values `add_segment` computed.
+/// `last_id` carries the previous clip's largest OG id: ids increase
+/// through the file, so an entry finds its OG by binary search. `named`
+/// is scratch space, one flag per OG, reused from clip to clip.
+fn decode_clip(
+    payload: &[u8],
+    metric: &EgedMetric<Point2>,
+    last_id: &mut Option<u64>,
+    named: &mut Vec<bool>,
+) -> io::Result<(ClipMeta, RootRecord<Point2>)> {
+    let mut cur = Cursor::new(payload, "CLIP record");
+    let frames = cur.u64()? as usize;
+    let name_len = cur.u32()? as usize;
+    let name = std::str::from_utf8(cur.take(name_len)?)
+        .map_err(|_| bad("clip name is not UTF-8"))?
+        .to_string();
+    let n_ogs = cur.count(28)?;
+    let mut og_ids = Vec::with_capacity(n_ogs);
+    let mut ogs = Vec::with_capacity(n_ogs);
+    for _ in 0..n_ogs {
+        let id = cur.u64()?;
+        if last_id.is_some_and(|last| id <= last) {
+            return Err(bad(format!(
+                "OG id {id} does not increase through the file (duplicated or out of order)"
+            )));
+        }
+        *last_id = Some(id);
+        let og_id = cur.u32()?;
+        let start_frame = cur.u64()? as usize;
+        let samples = cur
+            .run::<60>()?
+            .map(|s| {
+                let (size, color, centroid) = region_at(s);
+                OgSample {
+                    size,
+                    color,
+                    centroid,
+                    velocity: f64_at(s, 44),
+                    direction: f64_at(s, 52),
+                }
+            })
+            .collect();
+        og_ids.push(id);
+        ogs.push(ObjectGraph {
+            id: og_id,
+            start_frame,
+            samples,
+        });
+    }
+    let bg = decode_bg(&mut cur)?;
+    // Each cluster holds at least its two counts.
+    let n_clusters = cur.count(16)?;
+    let mut clusters = Vec::with_capacity(n_clusters);
+    named.clear();
+    named.resize(n_ogs, false);
+    for _ in 0..n_clusters {
+        let centroid = cur.run::<16>()?.map(|p| point_at(p, 0)).collect();
+        let entries = cur.run::<16>()?;
+        let mut records = Vec::with_capacity(entries.len());
+        for entry in entries {
+            let (key, og_id) = (f64_at(entry, 0), u64_at(entry, 8));
+            let i = og_ids.binary_search(&og_id).map_err(|_| {
+                bad(format!(
+                    "leaf entry names OG {og_id}, which its clip does not hold"
+                ))
+            })?;
+            if std::mem::replace(&mut named[i], true) {
+                return Err(bad(format!("OG {og_id} is named by two leaf entries")));
+            }
+            let seq = ogs[i].centroid_series();
+            records.push(LeafRecord {
+                key,
+                og_id,
+                summary: metric.summarize(&seq),
+                seq,
+            });
+        }
+        clusters.push(ClusterRecord {
+            centroid,
+            leaf: LeafNode { records },
+        });
+    }
+    if let Some(i) = named.iter().position(|&n| !n) {
+        return Err(bad(format!("OG {} is named by no leaf entry", og_ids[i])));
+    }
+    cur.finish()?;
+    let clip = ClipMeta {
+        name,
+        frames,
+        og_ids,
+        ogs,
+    };
+    Ok((clip, RootRecord { bg, clusters }))
 }
 
 /// Everything parsed out of a file, before index assembly.
@@ -847,207 +798,34 @@ struct Parsed {
 
 fn parse_file(bytes: &[u8]) -> io::Result<Parsed> {
     let records = split_records(bytes)?;
-    let mut it = records.iter();
-
-    // META first.
-    let meta = it.next().ok_or_else(|| bad("missing META record"))?;
-    if meta.tag != TAG_META {
-        return Err(bad("first record is not META"));
-    }
-    let mut cur = Cursor::new(meta.payload, "META");
-    let n_clips = cur.u64()? as usize;
-    let n_ogs = cur.u64()? as usize;
+    let Some((&(TAG_META, meta), rest)) = records.split_first() else {
+        return Err(bad("the first record is not META"));
+    };
+    let mut cur = Cursor::new(meta, "META record");
+    let n_clips = cur.u64()?;
     let next_og = cur.u64()?;
     let strg_bytes = cur.u64()? as usize;
-    let index_len = cur.u64()? as usize;
-
-    // Every clip, root and cluster has a record of its own, so no count
-    // read from the file reserves more than the records it holds.
-    let cap = records.len();
-    let mut clips: Vec<ClipMeta> = Vec::with_capacity(n_clips.min(cap));
-    let mut roots: Vec<RootRecord<Point2>> = Vec::with_capacity(n_clips.min(cap));
-    // Cluster count declared by each ROOT, checked off by CLUS records.
-    let mut declared_clusters: Vec<usize> = Vec::new();
-    // OGS extents seen: extent `i` holds clip `i`'s Object Graphs.
-    let mut og_extents = 0usize;
-
-    for rec in it {
-        let mut cur = Cursor::new(rec.payload, "record payload");
-        match rec.tag {
-            TAG_CLIP => {
-                let frames = cur.u64()? as usize;
-                let root_id = cur.u32()?;
-                if root_id as usize != clips.len() {
-                    return Err(bad("CLIP records out of order"));
-                }
-                let name_len = cur.u32()? as usize;
-                let name = std::str::from_utf8(cur.take(name_len)?)
-                    .map_err(|_| bad("clip name is not UTF-8"))?
-                    .to_string();
-                let n = cur.count(8)?;
-                let og_ids = cur.run::<8>(n)?.map(|id| u64_at(id, 0)).collect();
-                clips.push(ClipMeta {
-                    name,
-                    frames,
-                    og_ids,
-                    ogs: Vec::new(),
-                });
-            }
-            TAG_ROOT => {
-                let (bg, n_clusters) = decode_bg(&mut cur)?;
-                declared_clusters.push(n_clusters);
-                roots.push(RootRecord {
-                    bg,
-                    clusters: Vec::with_capacity(n_clusters.min(cap)),
-                });
-            }
-            TAG_CLUS => {
-                let root = roots.last_mut().ok_or_else(|| bad("CLUS before ROOT"))?;
-                let n = cur.count(16)?;
-                let centroid = cur.run::<16>(n)?.map(|p| point_at(p, 0)).collect();
-                root.clusters.push(ClusterRecord {
-                    centroid,
-                    leaf: LeafNode::default(),
-                });
-            }
-            TAG_LEAF => {
-                let root = roots.last_mut().ok_or_else(|| bad("LEAF before ROOT"))?;
-                let cl = root
-                    .clusters
-                    .last_mut()
-                    .ok_or_else(|| bad("LEAF before CLUS"))?;
-                if !cl.leaf.records.is_empty() {
-                    return Err(bad("duplicate LEAF extent for cluster"));
-                }
-                let n = cur.count(24)?;
-                let mut recs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = cur.f64()?;
-                    let og_id = cur.u64()?;
-                    let seq_len = cur.count(16)?;
-                    let seq = cur.run::<16>(seq_len)?.map(|p| point_at(p, 0)).collect();
-                    recs.push(LeafRecord {
-                        key,
-                        og_id,
-                        seq,
-                        // Placeholder until the SUMS sidecar lands.
-                        summary: SeqSummary {
-                            len: 0,
-                            gap_mass: 0.0,
-                            min_gap: 0.0,
-                        },
-                    });
-                }
-                cl.leaf.records = recs;
-            }
-            TAG_SUMS => {
-                let root = roots.last_mut().ok_or_else(|| bad("SUMS before ROOT"))?;
-                let cl = root
-                    .clusters
-                    .last_mut()
-                    .ok_or_else(|| bad("SUMS before CLUS"))?;
-                let n = cur.count(24)?;
-                if n != cl.leaf.records.len() {
-                    return Err(bad("SUMS sidecar arity disagrees with LEAF extent"));
-                }
-                for (rec, s) in cl.leaf.records.iter_mut().zip(cur.run::<24>(n)?) {
-                    rec.summary = SeqSummary {
-                        len: u64_at(s, 0) as usize,
-                        gap_mass: f64_at(s, 8),
-                        min_gap: f64_at(s, 16),
-                    };
-                }
-            }
-            TAG_OGS => {
-                // Extent `i` belongs to clip `i` and must carry exactly the
-                // ids its CLIP record lists, in that order.
-                let clip = clips
-                    .get_mut(og_extents)
-                    .ok_or_else(|| bad("OGS extent without a clip"))?;
-                og_extents += 1;
-                let n = cur.count(28)?;
-                if n != clip.og_ids.len() {
-                    return Err(bad("OGS extent disagrees with its clip's OG ids"));
-                }
-                for &id in &clip.og_ids {
-                    if cur.u64()? != id {
-                        return Err(bad("OGS extent disagrees with its clip's OG ids"));
-                    }
-                    let og_id = cur.u32()?;
-                    let start_frame = cur.u64()? as usize;
-                    let n_samples = cur.count(60)?;
-                    let samples = cur
-                        .run::<60>(n_samples)?
-                        .map(|s| {
-                            let (size, color, centroid) = region_at(s);
-                            OgSample {
-                                size,
-                                color,
-                                centroid,
-                                velocity: f64_at(s, 44),
-                                direction: f64_at(s, 52),
-                            }
-                        })
-                        .collect();
-                    clip.ogs.push(ObjectGraph {
-                        id: og_id,
-                        start_frame,
-                        samples,
-                    });
-                }
-            }
-            TAG_TOC => return Err(bad("TOC record before end of file")),
-            other => {
-                return Err(bad(format!("unknown record tag {other:#010x}")));
-            }
+    cur.finish()?;
+    if n_clips != rest.len() as u64 {
+        return Err(bad(format!(
+            "META counts {n_clips} clips, the file holds {} CLIP records",
+            rest.len()
+        )));
+    }
+    let metric = index_metric();
+    let mut clips = Vec::with_capacity(rest.len());
+    let mut roots = Vec::with_capacity(rest.len());
+    let (mut last_id, mut named) = (None, Vec::new());
+    for &(tag, payload) in rest {
+        if tag != TAG_CLIP {
+            return Err(bad(format!("unexpected record tag {tag:#010x}")));
         }
-        if cur.remaining() != 0 {
-            return Err(bad("record payload has trailing bytes"));
-        }
+        let (clip, root) = decode_clip(payload, &metric, &mut last_id, &mut named)?;
+        clips.push(clip);
+        roots.push(root);
     }
-
-    if clips.len() != n_clips {
-        return Err(bad("CLIP record count disagrees with META"));
-    }
-    if roots.len() != n_clips {
-        return Err(bad("ROOT record count disagrees with META"));
-    }
-    for (root, &declared) in roots.iter().zip(&declared_clusters) {
-        if root.clusters.len() != declared {
-            return Err(bad("CLUS record count disagrees with ROOT header"));
-        }
-        for cl in &root.clusters {
-            for rec in &cl.leaf.records {
-                if rec.summary.len != rec.seq.len() {
-                    return Err(bad("summary sidecar missing or stale for leaf record"));
-                }
-            }
-        }
-    }
-    if og_extents != n_clips {
-        return Err(bad("OGS extent count disagrees with META"));
-    }
-    if clips.iter().map(|c| c.ogs.len()).sum::<usize>() != n_ogs {
-        return Err(bad("stored OG count disagrees with META"));
-    }
-    let mut ids: Vec<u64> = clips
-        .iter()
-        .flat_map(|c| c.og_ids.iter().copied())
-        .collect();
-    ids.sort_unstable();
-    if ids.windows(2).any(|w| w[0] == w[1]) {
-        return Err(bad("duplicate OG id across clips"));
-    }
-    if ids.last().is_some_and(|&max| max >= next_og) {
+    if last_id.is_some_and(|max| max >= next_og) {
         return Err(bad("META next OG id does not lie past every stored id"));
-    }
-    let leaf_total: usize = roots
-        .iter()
-        .flat_map(|r| &r.clusters)
-        .map(|c| c.leaf.records.len())
-        .sum();
-    if leaf_total != index_len {
-        return Err(bad("leaf record count disagrees with META index length"));
     }
     Ok(Parsed {
         clips,
@@ -1102,7 +880,7 @@ mod tests {
         assert_eq!(
             loaded.persist_info(),
             PersistInfo {
-                loaded_format: Some(3),
+                loaded_format: Some(FORMAT_VERSION),
                 reopen: ReopenMode::Fast
             }
         );

@@ -43,6 +43,12 @@ use crate::shard::{route, sharded_query};
 
 type Idx = StrgIndex<Point2, EgedMetric<Point2>>;
 
+/// The metric every shard's tree keys, summarizes and searches with; a
+/// load summarizes its leaf sequences with it too.
+pub(crate) fn index_metric() -> EgedMetric<Point2> {
+    EgedMetric::new()
+}
+
 /// One ingested clip. Clip `i` of a shard owns root record `i` of the
 /// shard's index.
 pub(crate) struct ClipMeta {
@@ -112,7 +118,7 @@ impl Shard {
         clips: Vec<ClipMeta>,
         strg_bytes: usize,
     ) -> Self {
-        let mut index = StrgIndex::from_parts(EgedMetric::new(), opts.index, roots);
+        let mut index = StrgIndex::from_parts(index_metric(), opts.index, roots);
         index.set_recorder(recorder.clone());
         Self {
             index,

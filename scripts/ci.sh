@@ -64,7 +64,9 @@ scripts/loc.sh
 # clips (about 2 s optimised). `kernel_equivalence`'s fits the 600-object
 # `lib_index` set with the midpoint gap's half-distance kernel and with its
 # midpoint-element definition and requires the same clustering (about 2 s
-# optimised). The thread-invariance suite rides along, so
+# optimised). `paper_shapes`' assert Fig 7b/7c and Table 2 at the reduced
+# paper scale (2,000 objects, full-length clips; about 5 s optimised). The
+# thread-invariance suite rides along, so
 # the pool's hand-off and the leaf scan are compared across worker counts
 # in the build that ships.
 echo "==> cargo test --release (distance, segmentation, tracking and persistence kernels, thread invariance)"
@@ -72,6 +74,7 @@ cargo test -q --release -p strg-distance -p strg-graph -p strg-video
 cargo test -q --release -p strg-video -- --ignored
 cargo test -q --release --test ingest_equivalence -- --ignored
 cargo test -q --release --test kernel_equivalence -- --ignored
+cargo test -q --release -p strg-bench --test paper_shapes -- --ignored
 cargo test -q --release -p strg-core persist
 cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence --test shard_equivalence

@@ -319,8 +319,10 @@ fn tracking_is_pinned_on_the_benchmark_corpus() {
 /// Equation (9)'s STRG size of the `clips150` corpus, pinned, as ingest
 /// counts it and as META stores it. The size models each graph with fixed
 /// per-graph terms, so a Rust struct that grows or shrinks must not move
-/// it (nor Table 2's STRG size). Too slow unoptimised: `scripts/ci.sh`
-/// runs it under `--release`.
+/// it (nor Table 2's STRG size). The saved file's size is pinned too
+/// (format v4, single file), and saving the loaded database again writes
+/// the same bytes. Too slow unoptimised: `scripts/ci.sh` runs it under
+/// `--release`.
 #[test]
 #[ignore]
 fn strg_bytes_are_pinned_on_the_benchmark_corpus() {
@@ -332,7 +334,12 @@ fn strg_bytes_are_pinned_on_the_benchmark_corpus() {
     assert_eq!(db.stats().strg_bytes, 13_324_664);
     let path = std::env::temp_dir().join(format!("strg_bytes_pin_{}", std::process::id()));
     db.save(&path).expect("save");
-    let loaded = VideoDatabase::load(&path, DbOptions::new());
+    let saved = std::fs::read(&path).expect("read");
+    let loaded = VideoDatabase::load(&path, DbOptions::new()).expect("load");
+    loaded.save(&path).expect("save again");
+    let resaved = std::fs::read(&path).expect("read again");
     let _ = std::fs::remove_file(&path);
-    assert_eq!(loaded.expect("load").stats().strg_bytes, 13_324_664);
+    assert_eq!(loaded.stats().strg_bytes, 13_324_664);
+    assert_eq!(saved.len(), 1_058_690);
+    assert!(saved == resaved, "save → load → save changed the bytes");
 }

@@ -145,7 +145,7 @@ fn v2_fast_load_matches_rebuild_single_tree() {
 
     let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(3));
+    assert_eq!(fast.persist_info().loaded_format, Some(FORMAT_VERSION));
     let rebuilt = VideoDatabase::new(DbOptions::new());
     ingest_all(&rebuilt);
 
@@ -189,7 +189,7 @@ fn v2_fast_load_matches_rebuild_sharded() {
 
     let fast = ShardedDatabase::load(&dir, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(3));
+    assert_eq!(fast.persist_info().loaded_format, Some(FORMAT_VERSION));
     let rebuilt = ShardedDatabase::new(DbOptions::new().shards(3));
     ingest_all(&rebuilt);
 

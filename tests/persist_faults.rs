@@ -2,14 +2,14 @@
 //! yield a structured `io::Error` — never a panic, an abort (oversized
 //! allocation), or a partially-populated database.
 //!
-//! The v2 loader's defenses under test: leading/trailing magic and version
+//! The loader's defenses under test: leading/trailing magic and version
 //! checks, per-record CRC-32, length-bounds checks before any slice or
-//! allocation, count-vs-remaining-bytes caps, arity cross-checks between
-//! META / CLIP / ROOT / CLUS / LEAF / SUMS / OGS records, and the TOC
-//! structural cross-check.
+//! allocation, count-vs-remaining-bytes caps, the META clip count against
+//! the CLIP records, canonical edge order, increasing OG ids and the OG-id
+//! counter, and every leaf entry naming a distinct OG of its own clip.
 
 use std::io::ErrorKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use strg::prelude::*;
@@ -50,7 +50,7 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 /// Loads `bytes` as a database file; returns the error, failing the test
-/// if the load unexpectedly succeeds.
+/// if the load unexpectedly succeeds or the error is not structured.
 fn must_reject(bytes: &[u8], ctx: &str) -> std::io::Error {
     let path = temp_path("case");
     std::fs::write(&path, bytes).unwrap();
@@ -62,8 +62,40 @@ fn must_reject(bytes: &[u8], ctx: &str) -> std::io::Error {
             db.stats().clips,
             db.stats().objects
         ),
-        Err(e) => e,
+        Err(e) => {
+            assert_structured(&e, ctx);
+            e
+        }
     }
+}
+
+/// Loads the database directory `dir`, which must fail with a structured
+/// error.
+fn must_reject_dir(dir: &Path, ctx: &str) -> std::io::Error {
+    match VideoDatabase::load(dir, DbOptions::new()) {
+        Ok(db) => panic!("{ctx}: loaded as {:?}", db.clip_names()),
+        Err(e) => {
+            assert_structured(&e, ctx);
+            e
+        }
+    }
+}
+
+/// One actor's 30 lab frames, for the directory cases.
+fn one_actor_frames() -> Vec<Frame> {
+    let scene = lab_scene(&ScenarioConfig {
+        n_actors: 1,
+        frames: 30,
+        seed: 4,
+        ..Default::default()
+    });
+    let name = "cam".into();
+    VideoClip {
+        name,
+        scene,
+        fps: 30.0,
+    }
+    .render_all(4)
 }
 
 /// Structured means `InvalidData` from the format validators (not a panic,
@@ -78,22 +110,12 @@ fn truncations_are_rejected_everywhere() {
     assert!(bytes.len() > 600, "sample too small to exercise truncation");
     // Every prefix length in a spread across the file, plus the exact
     // boundaries that historically go wrong.
+    // Inside / just past the header, then the trailer shaved.
     let mut cuts: Vec<usize> = (0..bytes.len()).step_by(211).collect();
-    cuts.extend([
-        0,
-        1,
-        7,
-        8,
-        15,
-        16, // inside / just past the header
-        bytes.len() - 1,
-        bytes.len() - 8,
-        bytes.len() - 16, // trailer shaved
-        bytes.len() - 17,
-    ]);
+    cuts.extend([0, 1, 7, 8, 15, 16]);
+    cuts.extend([1, 8, 9, 16, 17].map(|n| bytes.len() - n));
     for cut in cuts {
-        let e = must_reject(&bytes[..cut], &format!("truncate at {cut}"));
-        assert_structured(&e, &format!("truncate at {cut}"));
+        must_reject(&bytes[..cut], &format!("truncate at {cut}"));
     }
 }
 
@@ -101,13 +123,12 @@ fn truncations_are_rejected_everywhere() {
 fn flipped_bytes_are_rejected_everywhere() {
     let bytes = sample_bytes();
     // Flip one byte at a time across the whole file — header, record
-    // headers, payloads, CRCs, TOC, trailer. Every single-byte corruption
+    // headers, payloads, CRCs, trailer. Every single-byte corruption
     // must be caught (payloads by CRC-32, structure by the validators).
     for pos in (0..bytes.len()).step_by(37) {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0xFF;
-        let e = must_reject(&corrupt, &format!("flip at {pos}"));
-        assert_structured(&e, &format!("flip at {pos}"));
+        must_reject(&corrupt, &format!("flip at {pos}"));
     }
 }
 
@@ -127,7 +148,6 @@ fn garbage_and_bad_headers_are_rejected() {
         ("non-utf8", vec![0xFF, 0xFE, 0x00, 0x01, 0x80]),
     ] {
         let e = must_reject(&bytes, name);
-        assert_structured(&e, name);
         assert!(
             e.to_string().contains("STRGDB2"),
             "{name}: error should name the STRGDB2 magic: {e}"
@@ -137,14 +157,15 @@ fn garbage_and_bad_headers_are_rejected() {
 
 #[test]
 fn unsupported_version_is_rejected() {
-    // Version field lives at offset 8..12. Version 2 is the retired
-    // layout with 56-byte summary rows; 4 is from the future.
-    for version in [2u32, 4] {
+    // Version field lives at offset 8..12. Version 2 is the retired layout
+    // with 56-byte summary rows, version 3 the one that stored every leaf
+    // sequence a second time beside a summary sidecar and a TOC; 5 is from
+    // the future.
+    for version in [2u32, 3, 5] {
         let mut bytes = sample_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let ctx = format!("version {version}");
         let e = must_reject(&bytes, &ctx);
-        assert_structured(&e, &ctx);
         assert!(
             e.to_string().contains(&ctx),
             "error should name the version: {e}"
@@ -157,9 +178,9 @@ fn unsupported_version_is_rejected() {
 fn record_offsets(bytes: &[u8]) -> Vec<(usize, u64)> {
     let mut out = Vec::new();
     let mut pos = 16usize;
-    let body_end = bytes.len() - 16;
+    let body_end = bytes.len() - 8;
     while pos < body_end {
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        let len = u64_at(bytes, pos + 4);
         out.push((pos, len));
         pos += 16 + len as usize;
     }
@@ -174,95 +195,111 @@ fn zero_length_and_oversized_length_fields_are_rejected() {
         // be caught by the bounds check before any slicing or allocation.
         let mut oversized = bytes.clone();
         oversized[off + 4..off + 12].copy_from_slice(&u64::MAX.to_le_bytes());
-        let e = must_reject(&oversized, &format!("record {i} len=u64::MAX"));
-        assert_structured(&e, &format!("record {i} len=u64::MAX"));
+        must_reject(&oversized, &format!("record {i} len=u64::MAX"));
 
         // Zero: collapsing a non-empty record desynchronizes the walk; the
-        // CRC, tag, or TOC cross-check must refuse the file.
+        // CRC, length or tag check must refuse the file.
         if *len > 0 {
             let mut zeroed = bytes.clone();
             zeroed[off + 4..off + 12].copy_from_slice(&0u64.to_le_bytes());
-            let e = must_reject(&zeroed, &format!("record {i} len=0"));
-            assert_structured(&e, &format!("record {i} len=0"));
+            must_reject(&zeroed, &format!("record {i} len=0"));
         }
     }
 }
 
 #[test]
 fn oversized_internal_counts_are_rejected_without_allocating() {
-    let bytes = sample_bytes();
-    // The META payload starts right after the first record header at 16:
-    // clips, ogs, next_og, strg_bytes, index_len — all u64. Claim 2^60 clips
-    // and fix up the CRC so the count check itself (not the checksum) has
-    // to reject it. `Vec::with_capacity(2^60)` would abort the process, so
-    // surviving this case proves counts are capped before allocation.
-    let meta_payload = 32usize;
-    let mut evil = bytes.clone();
-    evil[meta_payload..meta_payload + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-    let len = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
-    let crc = crc32_of(&evil[meta_payload..meta_payload + len]);
-    evil[28..32].copy_from_slice(&crc.to_le_bytes());
-    let e = must_reject(&evil, "META clips=2^60");
-    assert_structured(&e, "META clips=2^60");
+    // META holds clips, next_og, strg_bytes — all u64. Claim 2^60 clips
+    // and re-seal the CRC so the count check itself (not the checksum)
+    // has to reject it. `Vec::with_capacity(2^60)` would abort the
+    // process, so surviving this case proves counts are capped before
+    // allocation.
+    let mut evil = split_records(&sample_bytes());
+    evil[0].1[..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+    must_reject(&assemble(&evil), "META clips=2^60");
 }
 
-/// One record of a v2 file: `(tag, a, b, payload)`, `a`/`b` from its TOC row.
-type Record = (u32, u32, u32, Vec<u8>);
-
-fn tag(name: &[u8; 4]) -> u32 {
-    u32::from_le_bytes(*name)
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
 }
 
-/// Splits a well-formed v2 file into its records (the TOC excluded).
+/// One record of a file: `(tag, payload)`.
+type Record = (u32, Vec<u8>);
+
+/// Splits a well-formed file into its records: META, then one CLIP per
+/// clip.
 fn split_records(bytes: &[u8]) -> Vec<Record> {
-    let offsets = record_offsets(bytes);
-    let (&(toc_off, _), body) = offsets.split_last().expect("a TOC record");
-    let rows = &bytes[toc_off + 16 + 8..];
-    body.iter()
-        .enumerate()
-        .map(|(i, &(off, len))| {
-            let row = &rows[i * 28..];
-            (
-                u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()),
-                u32::from_le_bytes(row[4..8].try_into().unwrap()),
-                u32::from_le_bytes(row[8..12].try_into().unwrap()),
-                bytes[off + 16..off + 16 + len as usize].to_vec(),
-            )
+    record_offsets(bytes)
+        .into_iter()
+        .map(|(off, len)| {
+            let tag = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            (tag, bytes[off + 16..off + 16 + len as usize].to_vec())
         })
         .collect()
 }
 
-/// Writes `records` back as a complete v2 file — header, CRC-sealed
-/// records, a TOC that agrees with them, trailer — so a tampered payload
-/// passes every framing check and reaches its record decoder.
+/// Writes `records` back as a complete file — header, CRC-sealed
+/// records, trailer — so a tampered payload passes every framing check
+/// and reaches its record decoder.
 fn assemble(records: &[Record]) -> Vec<u8> {
     let mut out = b"STRGDB2\0".to_vec();
     out.extend(FORMAT_VERSION.to_le_bytes());
     out.extend(0u32.to_le_bytes());
-    let push = |out: &mut Vec<u8>, tag: u32, payload: &[u8]| {
+    for (tag, payload) in records {
         out.extend(tag.to_le_bytes());
         out.extend((payload.len() as u64).to_le_bytes());
         out.extend(crc32_of(payload).to_le_bytes());
         out.extend(payload);
-    };
-    let mut toc = (records.len() as u64).to_le_bytes().to_vec();
-    for (tag, a, b, payload) in records {
-        toc.extend(tag.to_le_bytes());
-        toc.extend(a.to_le_bytes());
-        toc.extend(b.to_le_bytes());
-        toc.extend((out.len() as u64).to_le_bytes());
-        toc.extend((16 + payload.len() as u64).to_le_bytes());
-        push(&mut out, *tag, payload);
     }
-    let toc_offset = out.len() as u64;
-    push(&mut out, tag(b"TOC\0"), &toc);
-    out.extend(toc_offset.to_le_bytes());
     out.extend(b"STRG2END");
     out
 }
 
-/// A record of every kind cut short inside its payload (and re-framed, so
-/// the cut reaches the run decoders): every cut is a structured error.
+/// Where the `u64` count of each run of a CLIP payload sits, walked by
+/// the grammar in `strg_core::persist`'s docs.
+struct ClipLayout {
+    ogs: usize,
+    /// The first OG's sample count.
+    samples: usize,
+    nodes: usize,
+    edges: usize,
+    clusters: usize,
+    /// Per cluster: its centroid's point count and its leaf-entry count.
+    cluster_runs: Vec<(usize, usize)>,
+}
+
+fn clip_layout(p: &[u8]) -> ClipLayout {
+    let count = |at: usize| u64_at(p, at) as usize;
+    let ogs = 12 + u32::from_le_bytes(p[8..12].try_into().unwrap()) as usize;
+    let mut at = ogs + 8;
+    for _ in 0..count(ogs) {
+        at += 28 + 60 * count(at + 20);
+    }
+    let nodes = at + 4;
+    let edges = nodes + 8 + 44 * count(nodes);
+    let clusters = edges + 8 + 8 * count(edges);
+    let mut at = clusters + 8;
+    let cluster_runs = (0..count(clusters))
+        .map(|_| {
+            let entries = at + 8 + 16 * count(at);
+            let runs = (at, entries);
+            at = entries + 8 + 16 * count(entries);
+            runs
+        })
+        .collect();
+    assert_eq!(at, p.len(), "the walk must cover the payload");
+    ClipLayout {
+        ogs,
+        samples: ogs + 28,
+        nodes,
+        edges,
+        clusters,
+        cluster_runs,
+    }
+}
+
+/// META and a CLIP cut short inside each of its sections (and re-framed,
+/// so the cut reaches the decoders): every cut is a structured error.
 #[test]
 fn truncated_payloads_are_rejected_by_their_decoders() {
     let bytes = sample_bytes();
@@ -272,67 +309,62 @@ fn truncated_payloads_are_rejected_by_their_decoders() {
         bytes,
         "the test's writer must round-trip"
     );
-    for name in [b"ROOT", b"CLUS", b"LEAF", b"SUMS", b"OGS\0"] {
-        let pos = records
-            .iter()
-            .position(|r| r.0 == tag(name))
-            .expect("sample holds every record kind");
-        let name = String::from_utf8_lossy(name);
-        let len = records[pos].3.len();
-        assert!(len > 16, "{name} payload too short to cut");
-        for cut in [0, 7, 8, 9, len / 2, len - 8, len - 1] {
+    let clip = clip_layout(&records[1].1);
+    let (points, entries) = clip.cluster_runs[0];
+    let len = records[1].1.len();
+    // 13 bytes into each section: past its count, inside its first item.
+    let inside = [clip.samples, clip.nodes, clip.edges, points, entries].map(|at| at + 13);
+    for (pos, cuts) in [
+        (0, vec![0, 7, 8, 23]),
+        (1, [0, 7, 9, len / 2, len - 8, len - 1].into()),
+        (1, inside.into()),
+    ] {
+        for cut in cuts {
             let mut evil = records.clone();
-            evil[pos].3.truncate(cut);
-            let ctx = format!("{name} cut to {cut} of {len}");
-            let e = must_reject(&assemble(&evil), &ctx);
-            assert_structured(&e, &ctx);
+            evil[pos].1.truncate(cut);
+            must_reject(&assemble(&evil), &format!("record {pos} cut to {cut}"));
         }
     }
 }
 
-/// Oversized point, sample, node, edge and cluster counts, each re-sealed
-/// with a valid CRC so the count check itself must refuse it before
-/// allocating; and a ROOT edge naming a node the record does not hold.
+/// Oversized OG, sample, node, edge, cluster, point and leaf-entry counts,
+/// each re-sealed with a valid CRC so the count check itself must refuse
+/// it before allocating; and an edge naming a node the Background Graph
+/// does not hold.
 #[test]
 fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
-    let bytes = sample_bytes();
-    let records = split_records(&bytes);
-    let first = |name: &[u8; 4]| records.iter().position(|r| r.0 == tag(name)).unwrap();
-    let root = first(b"ROOT");
-    let n_nodes = u64::from_le_bytes(records[root].3[4..12].try_into().unwrap()) as usize;
-    let n_edges = u64::from_le_bytes(records[root].3[12..20].try_into().unwrap());
+    let records = split_records(&sample_bytes());
+    let clip = clip_layout(&records[1].1);
+    let (points, entries) = clip.cluster_runs[0];
+    let n_nodes = u64_at(&records[1].1, clip.nodes) as usize;
+    let n_edges = u64_at(&records[1].1, clip.edges);
     assert!(
         n_nodes > 1 && n_edges > 0,
         "sample BG needs nodes and edges"
     );
-    // (record, byte offset of the u64 count in its payload, what it counts)
     let fields = [
-        (first(b"CLUS"), 0, "centroid points"),
-        (first(b"LEAF"), 24, "first leaf sequence's points"),
-        (first(b"SUMS"), 0, "summaries"),
-        (first(b"OGS\0"), 28, "first OG's samples"),
-        (root, 4, "BG nodes"),
-        (root, 12, "BG edges"),
-        (root, 20, "clusters"),
+        (clip.ogs, "OGs"),
+        (clip.samples, "first OG's samples"),
+        (clip.nodes, "BG nodes"),
+        (clip.edges, "BG edges"),
+        (clip.clusters, "clusters"),
+        (points, "centroid points"),
+        (entries, "leaf entries"),
     ];
-    for (pos, at, what) in fields {
-        let len = records[pos].3.len();
-        assert!(len >= at + 8, "{what}: payload holds no such count");
+    let len = records[1].1.len();
+    for (at, what) in fields {
         // Every item is at least 8 bytes, so `len / 8 + 1` never fits.
         for n in [u64::MAX, 1 << 60, len as u64 / 8 + 1] {
             let mut evil = records.clone();
-            evil[pos].3[at..at + 8].copy_from_slice(&n.to_le_bytes());
-            let ctx = format!("{what} = {n}");
-            let e = must_reject(&assemble(&evil), &ctx);
-            assert_structured(&e, &ctx);
+            evil[1].1[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            must_reject(&assemble(&evil), &format!("{what} = {n}"));
         }
     }
-    let first_edge = 28 + 44 * n_nodes;
+    let first_edge = clip.edges + 8;
     for u in [n_nodes as u32, u32::MAX] {
         let mut evil = records.clone();
-        evil[root].3[first_edge..first_edge + 4].copy_from_slice(&u.to_le_bytes());
+        evil[1].1[first_edge..first_edge + 4].copy_from_slice(&u.to_le_bytes());
         let e = must_reject(&assemble(&evil), "edge to unknown node");
-        assert_structured(&e, "edge to unknown node");
         assert!(e.to_string().contains("unknown node"), "{e}");
     }
 }
@@ -344,13 +376,10 @@ fn oversized_run_counts_and_unknown_edge_nodes_are_rejected() {
 #[test]
 fn root_edges_out_of_canonical_order_are_rejected() {
     let records = split_records(&sample_bytes());
-    let root = records.iter().position(|r| r.0 == tag(b"ROOT")).unwrap();
-    let payload = &records[root].3;
-    let n_nodes = u64::from_le_bytes(payload[4..12].try_into().unwrap()) as usize;
-    let n_edges = u64::from_le_bytes(payload[12..20].try_into().unwrap());
-    assert!(n_edges >= 2, "sample BG needs two edges");
-    let at = 28 + 44 * n_nodes;
-    let edge = |i: usize| payload[at + 8 * i..at + 8 * i + 8].to_vec();
+    let payload = &records[1].1;
+    let at = clip_layout(payload).edges;
+    assert!(u64_at(payload, at) >= 2, "sample BG needs two edges");
+    let edge = |i: usize| payload[at + 8 + 8 * i..at + 16 + 8 * i].to_vec();
     let (e0, e1) = (edge(0), edge(1));
     let mut reversed = e0[4..].to_vec();
     reversed.extend(&e0[..4]);
@@ -364,53 +393,72 @@ fn root_edges_out_of_canonical_order_are_rejected() {
     ];
     for (what, [first, second]) in cases {
         let mut evil = records.clone();
-        evil[root].3[at..at + 8].copy_from_slice(&first);
-        evil[root].3[at + 8..at + 16].copy_from_slice(&second);
+        evil[1].1[at + 8..at + 16].copy_from_slice(&first);
+        evil[1].1[at + 16..at + 24].copy_from_slice(&second);
         let e = must_reject(&assemble(&evil), what);
-        assert_structured(&e, what);
         assert!(
-            e.to_string().contains("ROOT edges not strictly increasing"),
+            e.to_string().contains("edges not strictly increasing"),
             "{what}: {e}"
         );
     }
 }
 
-/// META's OG-id counter (its third field) must lie past every stored id:
+/// Every stored OG has exactly one leaf entry, in its own clip: an entry
+/// naming another clip's OG, two entries naming one OG, and an OG no entry
+/// names are each refused (a database removes only whole clips).
+#[test]
+fn leaf_entries_must_name_each_of_their_clips_ogs_once() {
+    let records = split_records(&sample_bytes());
+    let clip = clip_layout(&records[1].1);
+    let (_, first) = clip.cluster_runs[0];
+    let (_, last) = *clip.cluster_runs.last().unwrap();
+    let foreign = u64_at(&records[2].1, clip_layout(&records[2].1).ogs + 8);
+    let (n, len) = (u64_at(&records[1].1, last), records[1].1.len());
+    let mut cases = [
+        ("foreign", "which its clip does not hold"),
+        ("twice", "named by two leaf entries"),
+        ("unnamed", "named by no leaf entry"),
+    ]
+    .map(|(what, text)| (what, text, records.clone()));
+    cases[0].2[1].1[first + 16..first + 24].copy_from_slice(&foreign.to_le_bytes());
+    // The last entry ends the payload: repeat it, or drop it.
+    let last_entry = records[1].1[len - 16..].to_vec();
+    cases[1].2[1].1.extend(last_entry);
+    cases[1].2[1].1[last..last + 8].copy_from_slice(&(n + 1).to_le_bytes());
+    cases[2].2[1].1.truncate(len - 16);
+    cases[2].2[1].1[last..last + 8].copy_from_slice(&(n - 1).to_le_bytes());
+    for (what, text, evil) in cases {
+        let e = must_reject(&assemble(&evil), what);
+        assert!(e.to_string().contains(text), "{what}: {e}");
+    }
+}
+
+/// META's OG-id counter (its second field) must lie past every stored id:
 /// a counter at or below one would hand a live id out again.
 #[test]
 fn next_og_behind_a_stored_id_is_rejected() {
     let records = split_records(&sample_bytes());
-    assert_eq!(records[0].0, tag(b"META"));
-    let next_og = u64::from_le_bytes(records[0].3[16..24].try_into().unwrap());
+    assert_eq!(records[0].0, u32::from_le_bytes(*b"META"));
+    let next_og = u64_at(&records[0].1, 8);
     assert!(next_og > 0, "the sample stores objects");
     for n in [0, next_og - 1] {
         let mut evil = records.clone();
-        evil[0].3[16..24].copy_from_slice(&n.to_le_bytes());
+        evil[0].1[8..16].copy_from_slice(&n.to_le_bytes());
         let ctx = format!("META next_og = {n} of {next_og}");
         let e = must_reject(&assemble(&evil), &ctx);
-        assert_structured(&e, &ctx);
         assert!(e.to_string().contains("next OG id"), "{ctx}: {e}");
     }
 }
 
-/// Local CRC-32 (IEEE) mirror so the test can re-seal a record after
-/// tampering with its payload.
+/// Local bitwise CRC-32 (IEEE) mirror so the test can re-seal a record
+/// after tampering with its payload.
 fn crc32_of(data: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, t) in table.iter_mut().enumerate() {
-        let mut c = i as u32;
-        for _ in 0..8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-        }
-        *t = c;
-    }
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !0u32;
     for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
     }
     !crc
 }
@@ -431,35 +479,19 @@ fn sharded_manifest_faults_are_rejected() {
     // Garbage manifests: an unknown version, and the retired v1 stamp.
     for header in ["STRG-SHARDS v9", "STRG-SHARDS v1"] {
         std::fs::write(dir.join("MANIFEST"), format!("{header}\nshards 1\n")).unwrap();
-        let Err(e) = ShardedDatabase::load(&dir, DbOptions::new()) else {
-            panic!("{header} manifest accepted");
-        };
-        assert_eq!(e.kind(), ErrorKind::InvalidData, "{header}: {e}");
+        must_reject_dir(&dir, header);
     }
 
     // Zero shards.
     std::fs::write(dir.join("MANIFEST"), "STRG-SHARDS v2\nshards 0\n").unwrap();
-    let Err(e) = ShardedDatabase::load(&dir, DbOptions::new()) else {
-        panic!("zero-shard manifest accepted");
-    };
-    assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}");
+    must_reject_dir(&dir, "zero shards");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_shard_file_fails_the_whole_load() {
     let db = ShardedDatabase::new(DbOptions::new().shards(2));
-    let clip = VideoClip {
-        name: "only".into(),
-        scene: lab_scene(&ScenarioConfig {
-            n_actors: 1,
-            frames: 30,
-            seed: 4,
-            ..Default::default()
-        }),
-        fps: 30.0,
-    };
-    db.ingest_clip(&clip, 4);
+    db.ingest_frames("only", &one_actor_frames());
     let dir = temp_path("shard_corrupt");
     db.save(&dir).unwrap();
     // Flip a byte in the middle of shard 0's file.
@@ -468,12 +500,8 @@ fn corrupt_shard_file_fails_the_whole_load() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&shard0, &bytes).unwrap();
-    let r = ShardedDatabase::load(&dir, DbOptions::new());
+    must_reject_dir(&dir, "corrupt shard");
     let _ = std::fs::remove_dir_all(&dir);
-    let Err(e) = r else {
-        panic!("corrupt shard accepted");
-    };
-    assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}");
 }
 
 /// A clip name with a line break, ingested through the library (no front
@@ -483,18 +511,7 @@ fn corrupt_shard_file_fails_the_whole_load() {
 #[test]
 fn sharded_save_refuses_a_name_the_manifest_cannot_hold() {
     let db = ShardedDatabase::new(DbOptions::new().shards(2));
-    let scene = lab_scene(&ScenarioConfig {
-        n_actors: 1,
-        frames: 30,
-        seed: 4,
-        ..Default::default()
-    });
-    let frames = VideoClip {
-        name: "good".into(),
-        scene,
-        fps: 30.0,
-    }
-    .render_all(4);
+    let frames = one_actor_frames();
     db.ingest_frames("good", &frames);
     let dir = temp_path("shard_newline_name");
     db.save(&dir).unwrap();
@@ -519,17 +536,7 @@ fn sharded_save_refuses_a_name_the_manifest_cannot_hold() {
 #[test]
 fn manifest_disagreeing_with_its_shard_files_is_rejected() {
     let db = VideoDatabase::new(DbOptions::new().shards(3));
-    let frames = VideoClip {
-        name: "cam".into(),
-        scene: lab_scene(&ScenarioConfig {
-            n_actors: 1,
-            frames: 30,
-            seed: 4,
-            ..Default::default()
-        }),
-        fps: 30.0,
-    }
-    .render_all(4);
+    let frames = one_actor_frames();
     for name in ["cam1", "cam2"] {
         db.ingest_frames(name, &frames);
     }
@@ -544,10 +551,7 @@ fn manifest_disagreeing_with_its_shard_files_is_rejected() {
         ("duplicated clip", format!("{manifest}clip cam2\n")),
     ] {
         std::fs::write(dir.join("MANIFEST"), text).unwrap();
-        let Err(e) = VideoDatabase::load(&dir, DbOptions::new()) else {
-            panic!("{what}: an inconsistent manifest loaded");
-        };
-        assert_structured(&e, what);
+        must_reject_dir(&dir, what);
     }
 
     // Wrong shard: cam1's shard file and the next one trade places.
@@ -558,12 +562,8 @@ fn manifest_disagreeing_with_its_shard_files_is_rejected() {
     let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
     std::fs::write(&a, bytes_b).unwrap();
     std::fs::write(&b, bytes_a).unwrap();
-    let r = VideoDatabase::load(&dir, DbOptions::new());
+    must_reject_dir(&dir, "wrong shard");
     let _ = std::fs::remove_dir_all(&dir);
-    let Err(e) = r else {
-        panic!("a clip in the wrong shard loaded");
-    };
-    assert_structured(&e, "wrong shard");
 
     // The library does not refuse a repeated name (the CLI and the server
     // do), so a manifest listing a name twice is consistent when its shard
@@ -587,17 +587,7 @@ fn manifest_disagreeing_with_its_shard_files_is_rejected() {
 #[test]
 fn manifest_reordering_clips_of_one_shard_is_rejected() {
     let db = VideoDatabase::new(DbOptions::new().shards(3));
-    let frames = VideoClip {
-        name: "cam".into(),
-        scene: lab_scene(&ScenarioConfig {
-            n_actors: 1,
-            frames: 30,
-            seed: 4,
-            ..Default::default()
-        }),
-        fps: 30.0,
-    }
-    .render_all(4);
+    let frames = one_actor_frames();
     // Four names over three shards: two of them share a shard.
     let names: Vec<String> = (0..4).map(|i| format!("cam{i}")).collect();
     let (a, b) = names
@@ -624,10 +614,6 @@ fn manifest_reordering_clips_of_one_shard_is_rejected() {
         .replace("@A@", &line_b);
     assert_ne!(swapped, manifest);
     std::fs::write(dir.join("MANIFEST"), swapped).unwrap();
-    let r = VideoDatabase::load(&dir, DbOptions::new());
+    must_reject_dir(&dir, "reordered clips");
     let _ = std::fs::remove_dir_all(&dir);
-    match r {
-        Ok(db) => panic!("a reordered manifest loaded: {:?}", db.clip_names()),
-        Err(e) => assert_structured(&e, "reordered clips"),
-    }
 }
