@@ -18,9 +18,7 @@ use strg_bench::report::write_csv;
 use strg_bench::Scale;
 use strg_cluster::{clustering_error_rate, Clusterer, EmClusterer, EmConfig};
 use strg_core::{StrgIndex, StrgIndexConfig};
-use strg_distance::{
-    CountingDistance, Eged, EgedMetric, EgedRepeatGap, GapPolicy, SeqValue, SequenceDistance,
-};
+use strg_distance::{CountingDistance, Dtw, Eged, EgedMetric, SeqValue, SequenceDistance};
 use strg_graph::{BackgroundGraph, Point2};
 use strg_synth::{generate_for_patterns, generate_total, SynthConfig};
 
@@ -42,10 +40,11 @@ fn main() {
 }
 
 /// A named gap policy wrapper so the three variants share one code path.
+/// The DTW gap (`g_i` = the opposite node) is DTW itself (DESIGN.md §5).
 #[derive(Copy, Clone)]
 enum Gap {
     Midpoint,
-    Opposite,
+    Dtw,
     Constant,
 }
 
@@ -53,14 +52,14 @@ impl<V: SeqValue> SequenceDistance<V> for Gap {
     fn distance(&self, a: &[V], b: &[V]) -> f64 {
         match self {
             Gap::Midpoint => Eged.distance(a, b),
-            Gap::Opposite => EgedRepeatGap.distance(a, b),
+            Gap::Dtw => Dtw.distance(a, b),
             Gap::Constant => EgedMetric::new().distance(a, b),
         }
     }
     fn name(&self) -> &'static str {
         match self {
             Gap::Midpoint => "midpoint",
-            Gap::Opposite => "dtw-gap",
+            Gap::Dtw => "dtw-gap",
             Gap::Constant => "constant",
         }
     }
@@ -72,7 +71,7 @@ fn gap_policy_ablation(scale: &Scale) {
     let k = patterns.len();
     let mut rows = Vec::new();
     print!("  {:>8}", "noise %");
-    for g in [Gap::Midpoint, Gap::Opposite, Gap::Constant] {
+    for g in [Gap::Midpoint, Gap::Dtw, Gap::Constant] {
         print!(" {:>10}", SequenceDistance::<Point2>::name(&g));
     }
     println!();
@@ -90,7 +89,7 @@ fn gap_policy_ablation(scale: &Scale) {
             .map(|t| patterns.iter().position(|p| p.id == t.label).unwrap() as u32)
             .collect();
         print!("  {:>8.0}", noise * 100.0);
-        for g in [Gap::Midpoint, Gap::Opposite, Gap::Constant] {
+        for g in [Gap::Midpoint, Gap::Dtw, Gap::Constant] {
             let em = EmClusterer::new(g, EmConfig::new(k).with_seed(scale.seed));
             let c = em.fit(&data);
             let err = clustering_error_rate(&c.assignments, &labels, c.k());
@@ -103,7 +102,6 @@ fn gap_policy_ablation(scale: &Scale) {
             ));
         }
         println!();
-        let _ = GapPolicy::Constant(0.0f64); // the enum the library exposes
     }
     let p = write_csv(
         "ablation_gap_policy.csv",

@@ -220,7 +220,7 @@ fn run_fig7(scale: &Scale) {
         println!();
     }
 
-    println!("\n  (c) precision / recall (cluster-membership relevance)");
+    println!("\n  (c) precision@k / recall (cluster-membership relevance)");
     print!("  {:>6}", "k");
     for m in fig7::METHODS {
         print!(" {:>17}", m);

@@ -192,7 +192,9 @@ pub fn run(scale: &Scale) -> Fig7 {
 }
 
 /// Judges a result set by cluster (pattern) membership, the paper's
-/// definition of relevance for Figure 7c.
+/// definition of relevance for Figure 7c. Precision is precision@k: hits
+/// over `k`, so an answer shorter than `k` counts its missing places as
+/// misses rather than reading higher for returning less.
 fn precision_recall(ids: &[u64], query_label: u32, db: &Dataset, k: usize) -> (f64, f64) {
     let relevant_total = db
         .items
@@ -205,11 +207,7 @@ fn precision_recall(ids: &[u64], query_label: u32, db: &Dataset, k: usize) -> (f
         .filter(|&&id| db.items[id as usize].label == query_label)
         .count();
     let recall = hit as f64 / relevant_total.min(k) as f64;
-    let precision = if ids.is_empty() {
-        0.0
-    } else {
-        hit as f64 / ids.len() as f64
-    };
+    let precision = hit as f64 / k.max(1) as f64;
     (recall.min(1.0), precision)
 }
 
@@ -236,6 +234,24 @@ mod tests {
             let n = r.db_size as u64;
             assert!(r.dist_calls >= 48.min(n) * n + n, "{r:?}");
         }
+    }
+
+    #[test]
+    fn precision_counts_missing_answers_as_misses() {
+        let db = generate_total(400, &noise(), 7);
+        let label = db.items[0].label;
+        let same: Vec<u64> = (0..db.len() as u64)
+            .filter(|&i| db.items[i as usize].label == label)
+            .take(3)
+            .collect();
+        assert_eq!(same.len(), 3);
+        // Three relevant answers where ten were asked for: precision@10 is
+        // 0.3, not the 1.0 of dividing by the answers returned.
+        let (_, p) = precision_recall(&same, label, &db, 10);
+        assert_eq!(p, 0.3);
+        let (_, p) = precision_recall(&same, label, &db, 3);
+        assert_eq!(p, 1.0);
+        assert_eq!(precision_recall(&[], label, &db, 5).1, 0.0);
     }
 
     #[test]

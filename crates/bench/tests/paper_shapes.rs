@@ -2,9 +2,9 @@
 //!
 //! - Fig 7b: Algorithm 3 (`knn_single_cluster`) makes fewer distance calls
 //!   per k-NN than MT-RA and MT-SA at every `k`;
-//! - Fig 7c: its precision and recall are at least MT-RA's (at a `k`
-//!   above its cluster's size Algorithm 3 returns only that cluster, so
-//!   its precision is over fewer than `k` answers);
+//! - Fig 7c: its precision@k and recall are at least MT-RA's (precision
+//!   divides hits by `k`, so returning only a cluster smaller than `k`
+//!   counts the missing places as misses);
 //! - Table 2: the STRG-Index is at least ten times smaller than the STRG
 //!   (Equation 10 against Equation 9) on every video.
 //!

@@ -46,12 +46,6 @@ impl BatchScratch {
     pub fn cost(&self, i: usize) -> QueryCost {
         self.costs[i]
     }
-
-    /// Buffer growth events across every slot since construction — stops
-    /// moving once the arena reaches its high-water mark.
-    pub fn grow_events(&self) -> u64 {
-        self.slots.iter().map(QueryScratch::grow_events).sum()
-    }
 }
 
 impl<V: ClusterValue, D: MetricDistance<V> + Sync> StrgIndex<V, D> {

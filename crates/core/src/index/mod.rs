@@ -19,7 +19,6 @@ mod batch;
 mod search;
 
 pub use batch::BatchScratch;
-pub(crate) use search::reserve_counted;
 pub use search::{with_query_scratch, Hit, QueryScratch, Scope};
 
 use strg_cluster::{bic, bic_sweep_threads, ClusterValue, Clusterer, EmClusterer, EmConfig};

@@ -120,23 +120,16 @@ pub struct QueryScratch {
     hits_tmp: Vec<Hit>,
     /// The result list (best-k for k-NN, every accepted hit for range).
     hits: Vec<Hit>,
-    /// Number of times a buffer had to grow (0 in steady state).
-    grows: u64,
 }
 
 impl QueryScratch {
     /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) const fn empty() -> Self {
+    pub const fn new() -> Self {
         Self {
             cands: Vec::new(),
             order: Vec::new(),
             hits_tmp: Vec::new(),
             hits: Vec::new(),
-            grows: 0,
         }
     }
 
@@ -144,23 +137,10 @@ impl QueryScratch {
     pub fn hits(&self) -> &[Hit] {
         &self.hits
     }
-
-    /// Number of buffer growth events since construction — stops moving
-    /// once the arena reaches its high-water mark.
-    pub fn grow_events(&self) -> u64 {
-        self.grows
-    }
-
-    /// Bytes currently reserved across all buffers.
-    pub fn alloc_bytes(&self) -> usize {
-        self.cands.capacity() * std::mem::size_of::<Cand>()
-            + self.order.capacity() * std::mem::size_of::<u32>()
-            + (self.hits_tmp.capacity() + self.hits.capacity()) * std::mem::size_of::<Hit>()
-    }
 }
 
 thread_local! {
-    static QUERY_SCRATCH: RefCell<QueryScratch> = const { RefCell::new(QueryScratch::empty()) };
+    static QUERY_SCRATCH: RefCell<QueryScratch> = const { RefCell::new(QueryScratch::new()) };
 }
 
 /// Runs `f` with this thread's search arena — the long-lived workers of the
@@ -169,17 +149,8 @@ thread_local! {
 pub fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
     QUERY_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut QueryScratch::empty()),
+        Err(_) => f(&mut QueryScratch::new()),
     })
-}
-
-/// Reserves room for `need` elements, charging the arena's growth counter
-/// only when the reservation actually enlarges the buffer.
-pub(crate) fn reserve_counted<T>(v: &mut Vec<T>, need: usize, grows: &mut u64) {
-    if v.capacity() < need {
-        *grows += 1;
-        v.reserve(need - v.len());
-    }
 }
 
 fn cluster<'r, V>(roots: &'r [RootRecord<V>], cand: &Cand) -> &'r ClusterRecord<V> {
@@ -203,10 +174,10 @@ fn gather_cands_into<V>(
     cost: &mut QueryCost,
     scratch: &mut QueryScratch,
 ) {
-    let QueryScratch { cands, grows, .. } = scratch;
+    let cands = &mut scratch.cands;
     let n_cands: usize = in_scope.iter().map(|r| r.clusters.len()).sum();
     cands.clear();
-    reserve_counted(cands, n_cands, grows);
+    cands.reserve(n_cands);
     for (ri, root) in in_scope.iter().enumerate() {
         cands.extend((0..root.clusters.len()).map(|ci| Cand {
             root_idx: (first + ri) as u32,
@@ -286,9 +257,7 @@ pub fn search_into<V: SeqValue, D: MetricDistance<V>>(
         Scope::All | Scope::NearestCluster => (0, roots),
     };
     gather_cands_into(first, in_scope, cost, scratch);
-    let QueryScratch {
-        cands, hits, grows, ..
-    } = scratch;
+    let QueryScratch { cands, hits, .. } = scratch;
     // One slot of headroom, so a k-NN's insert-then-truncate never
     // reallocates.
     let records = total_records(roots, cands);
@@ -296,7 +265,7 @@ pub fn search_into<V: SeqValue, D: MetricDistance<V>>(
         QueryKind::Knn(k) => k.min(records) + 1,
         QueryKind::Range(_) => records,
     };
-    reserve_counted(hits, room, grows);
+    hits.reserve(room);
     let probe = Probe {
         metric,
         query,
@@ -587,11 +556,10 @@ fn sort_hits_stable(scratch: &mut QueryScratch) {
         hits,
         order,
         hits_tmp,
-        grows,
         ..
     } = scratch;
     order.clear();
-    reserve_counted(order, hits.len(), grows);
+    order.reserve(hits.len());
     order.extend(0..hits.len() as u32);
     order.sort_unstable_by(|&i, &j| {
         hits[i as usize]
@@ -600,7 +568,7 @@ fn sort_hits_stable(scratch: &mut QueryScratch) {
             .then(i.cmp(&j))
     });
     hits_tmp.clear();
-    reserve_counted(hits_tmp, hits.len(), grows);
+    hits_tmp.reserve(hits.len());
     hits_tmp.extend(order.iter().map(|&i| hits[i as usize]));
     std::mem::swap(hits, hits_tmp);
 }
@@ -933,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_stops_growing() {
+    fn reused_scratch_matches_fresh_answers() {
         let mut idx = StrgIndex::new(
             EgedMetric::<f64>::new(),
             StrgIndexConfig::with_k(4).with_threads(Threads::Fixed(1)),
@@ -956,15 +924,9 @@ mod tests {
             }
             total
         };
+        // Allocation-freedom at steady state is `tests/query_alloc.rs`'s.
         let a = warm(&mut scratch);
-        let grows_after_warmup = scratch.grow_events();
         let b = warm(&mut scratch);
         assert_eq!(a, b);
-        assert_eq!(
-            scratch.grow_events(),
-            grows_after_warmup,
-            "steady-state queries must not grow the arena"
-        );
-        assert!(scratch.alloc_bytes() > 0);
     }
 }

@@ -33,7 +33,7 @@ use strg_graph::{
     background_similarity, build_strg, decompose, BackgroundGraph, ObjectGraph, Point2,
 };
 use strg_obs::{QueryCost, Recorder, Snapshot};
-use strg_video::{frames_to_rags, frames_to_rags_with_stats, Frame, VideoClip};
+use strg_video::{frames_to_rags, Frame, VideoClip};
 
 use crate::index::{Hit, RootRecord, Scope, StrgIndex};
 use crate::options::{Database, DbOptions};
@@ -273,25 +273,14 @@ impl VideoDatabase {
     /// Stage timings land in the `ingest.segment_ns` / `ingest.track_ns` /
     /// `ingest.decompose_ns` / `ingest.index_ns` histograms; deterministic
     /// volume counters in `ingest.clips` / `ingest.frames` /
-    /// `ingest.objects` and `shard.<i>.clips`. Per-worker scratch-arena
-    /// telemetry lands in the *volatile* counters `ingest.scratch_workers`
-    /// / `ingest.scratch_bytes` / `ingest.scratch_grows` (volatile because
-    /// the arena count follows the worker count).
+    /// `ingest.objects` and `shard.<i>.clips`.
     pub fn ingest_frames(&self, name: &str, frames: &[Frame]) -> IngestReport {
         let _total = self.recorder.span("ingest.total");
         // 1. Frame -> RAG (§2.1), fanned out across frames with one
         // reusable segmentation arena per worker.
         let rags = {
             let _s = self.recorder.span("ingest.segment");
-            let (rags, scratch) =
-                frames_to_rags_with_stats(frames, &self.cfg.segment, self.cfg.threads);
-            self.recorder
-                .volatile_add("ingest.scratch_workers", scratch.workers as u64);
-            self.recorder
-                .volatile_add("ingest.scratch_bytes", scratch.scratch_bytes as u64);
-            self.recorder
-                .volatile_add("ingest.scratch_grows", scratch.scratch_grows);
-            rags
+            frames_to_rags(frames, &self.cfg.segment, self.cfg.threads)
         };
         // 2. RAGs -> STRG via tracking (§2.2).
         let strg = {

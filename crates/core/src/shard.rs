@@ -32,7 +32,7 @@ use strg_graph::Point2;
 use strg_obs::QueryCost;
 use strg_parallel::{par_map, Threads};
 
-use crate::index::{reserve_counted, Hit, QueryScratch, Scope, StrgIndex};
+use crate::index::{Hit, QueryScratch, Scope, StrgIndex};
 use crate::pipeline::VideoDatabase;
 use crate::query::QueryKind;
 
@@ -69,23 +69,17 @@ pub struct ShardScratch {
     merged_tmp: Vec<(usize, Hit)>,
     order: Vec<u32>,
     costs: Vec<QueryCost>,
-    grows: u64,
 }
 
 impl ShardScratch {
     /// An empty arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    const fn empty() -> Self {
+    pub const fn new() -> Self {
         Self {
-            tree: QueryScratch::empty(),
+            tree: QueryScratch::new(),
             merged: Vec::new(),
             merged_tmp: Vec::new(),
             order: Vec::new(),
             costs: Vec::new(),
-            grows: 0,
         }
     }
 
@@ -101,12 +95,6 @@ impl ShardScratch {
         &self.costs
     }
 
-    /// Number of buffer growth events since construction — stops moving
-    /// once the arena reaches its high-water mark.
-    pub fn grow_events(&self) -> u64 {
-        self.grows + self.tree.grow_events()
-    }
-
     /// Sorts the appended hits by distance and cuts a k-NN to its best
     /// `k`. Hits were appended in shard-id order, each shard's ascending,
     /// so an unstable sort of positions keyed (distance, position) is the
@@ -117,11 +105,10 @@ impl ShardScratch {
             merged,
             merged_tmp,
             order,
-            grows,
             ..
         } = self;
         order.clear();
-        reserve_counted(order, merged.len(), grows);
+        order.reserve(merged.len());
         order.extend(0..merged.len() as u32);
         order.sort_unstable_by(|&i, &j| {
             let (a, b) = (&merged[i as usize].1, &merged[j as usize].1);
@@ -131,14 +118,14 @@ impl ShardScratch {
             order.truncate(k);
         }
         merged_tmp.clear();
-        reserve_counted(merged_tmp, order.len(), grows);
+        merged_tmp.reserve(order.len());
         merged_tmp.extend(order.iter().map(|&i| merged[i as usize]));
         std::mem::swap(merged, merged_tmp);
     }
 }
 
 thread_local! {
-    static SHARD_SCRATCH: RefCell<ShardScratch> = const { RefCell::new(ShardScratch::empty()) };
+    static SHARD_SCRATCH: RefCell<ShardScratch> = const { RefCell::new(ShardScratch::new()) };
 }
 
 /// Runs `f` with this thread's fan-out arena; reentrant calls fall back to
@@ -146,7 +133,7 @@ thread_local! {
 pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ShardScratch) -> R) -> R {
     SHARD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut ShardScratch::empty()),
+        Err(_) => f(&mut ShardScratch::new()),
     })
 }
 
@@ -186,14 +173,13 @@ pub fn sharded_query_into(
         tree,
         merged,
         costs,
-        grows,
         ..
     } = &mut *scratch;
     merged.clear();
     costs.clear();
-    reserve_counted(costs, idxs.len(), grows);
+    costs.reserve(idxs.len());
     let mut append = |shard: usize, hits: &[Hit], cost: QueryCost| {
-        reserve_counted(merged, merged.len() + hits.len(), grows);
+        merged.reserve(hits.len());
         merged.extend(hits.iter().map(|&h| (shard, h)));
         costs.push(cost);
     };

@@ -17,9 +17,10 @@ impl<V: SeqValue> SequenceDistance<V> for Dtw {
         if m == 0 || n == 0 {
             // Conventional: distance to an empty sequence is the sum of
             // ground distances to the origin, so that the function stays
-            // total on degenerate inputs.
+            // total on degenerate inputs. Folded from `+0.0`: `sum()` starts
+            // from `-0.0`, which `total_cmp` orders below every other zero.
             let rest = if m == 0 { b } else { a };
-            return rest.iter().map(|v| v.dist(&V::origin())).sum();
+            return rest.iter().fold(0.0, |acc, v| acc + v.dist(&V::origin()));
         }
         // The textbook recurrence, one row at a time over this thread's
         // arena rows (no allocation after warm-up).
@@ -95,6 +96,10 @@ mod tests {
     #[test]
     fn empty_sequences() {
         assert_eq!(dtw(&[], &[]), 0.0);
+        // Positive zero, to the bit, for either value type.
+        assert_eq!(dtw(&[], &[]).to_bits(), 0);
+        let none: [Point2; 0] = [];
+        assert_eq!(SequenceDistance::distance(&Dtw, &none, &none).to_bits(), 0);
         assert_eq!(dtw(&[], &[3.0, 4.0]), 7.0);
         assert_eq!(dtw(&[3.0], &[]), 3.0);
     }
@@ -123,9 +128,8 @@ mod tests {
 
     /// `f64::to_bits` of `Dtw.distance` as the staged, explicit-lane kernel
     /// of commit c21b775 computed it, before the textbook recurrence
-    /// replaced it: `(m, n, f64 bits, Point2 bits)`. (The 0×0 pair
-    /// is left to `empty_sequences`: the sign of an empty sum's zero is the
-    /// standard library's choice, not the kernel's.)
+    /// replaced it: `(m, n, f64 bits, Point2 bits)`. (`empty_sequences`
+    /// pins the 0×0 pair to positive zero.)
     const GOLDEN: [(usize, usize, u64, u64); 5] = [
         (0, 3, 0x40170a3d70a3d70a, 0x402430af3ef1505c),
         (1, 1, 0x4007ae147ae147af, 0x4010be89b23f6ed1),

@@ -10,13 +10,13 @@
 //!   clustering ([`Eged`]). An edit against the midpoint costs
 //!   `dist(v, (v + o) / 2)`, which is `dist(v, o) / 2` for a norm, so the
 //!   kernel prices it as half the substitution it already computed;
-//! * `g_i = v_{i-1}` (repeat-previous) reproduces DTW's cost model, offered
-//!   for the ablation of §3.1's discussion;
+//! * `g_i = v_{i-1}` (repeat-previous) reproduces DTW's cost model, so it
+//!   is not a policy here: DTW is [`crate::Dtw`];
 //! * `g_i = g` fixed makes EGED a **metric** (Theorem 2) — [`EgedMetric`],
 //!   used for index keys. With `g = 0` this coincides with Chen's ERP,
 //!   which is exactly the lineage the paper cites.
 //!
-//! One kernel evaluates all three, for either value type
+//! One kernel evaluates both policies, for either value type
 //! (`eged_dp_upto_wavefront`): safe Rust that fills the edit lattice four
 //! rows at a time along its anti-diagonals, bit-identical to the textbook
 //! double loop kept as the unit tests' reference (DESIGN.md §13).
@@ -30,9 +30,9 @@ use crate::value::SeqValue;
 /// alignment; concretely, editing out a node is priced against the node the
 /// *other* sequence currently sits at:
 ///
-/// * with `g_i` equal to that node ([`GapPolicy::Opposite`]) the recurrence
-///   collapses to DTW's — exactly the paper's remark that "when
-///   `g_i = v_{i-1}`, the cost function is the same as one in DTW";
+/// * with `g_i` equal to that node the recurrence collapses to DTW's —
+///   exactly the paper's remark that "when `g_i = v_{i-1}`, the cost
+///   function is the same as one in DTW" — so that case is [`crate::Dtw`];
 /// * with `g_i` the *midpoint* between the edited node and the opposite
 ///   node ([`GapPolicy::Midpoint`]) deletions/additions cost half the
 ///   ground distance (`0.5 · dist(v, o)`, exactly how it is computed),
@@ -42,13 +42,11 @@ use crate::value::SeqValue;
 ///   edit no longer depends on alignment context, which is what restores
 ///   the triangle inequality (Theorem 2).
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub enum GapPolicy<V> {
+pub(crate) enum GapPolicy<V> {
     /// `g_i = (opposite + v_i) / 2`, priced `0.5 · dist(v_i, opposite)`:
     /// non-metric, tolerant to local time shifting (the paper's clustering
     /// configuration).
     Midpoint,
-    /// `g_i = opposite node`: reproduces DTW.
-    Opposite,
     /// Fixed constant gap: the metric configuration of Theorem 2.
     Constant(V),
 }
@@ -94,10 +92,6 @@ pub(crate) fn eged_dp_upto<V: SeqValue>(
 fn edit_cost<V: SeqValue>(v: &V, opp: Option<&V>, policy: &GapPolicy<V>) -> f64 {
     match policy {
         GapPolicy::Constant(g) => v.dist(g),
-        GapPolicy::Opposite => match opp {
-            Some(o) => v.dist(o),
-            None => v.dist(&V::origin()),
-        },
         GapPolicy::Midpoint => match opp {
             Some(o) => v.dist(o) * 0.5,
             None => v.dist(&V::origin()),
@@ -128,7 +122,7 @@ struct Strip<V> {
     /// The strip's elements of `a`, bottom row first.
     av: [V; LANES],
     /// `dist(av[k], g)`: the lanes' deletion costs under the constant gap
-    /// (unused by the other policies).
+    /// (unused by the midpoint gap).
     del_const: [f64; LANES],
     /// Each lane's latest cell: its row's column-0 cell before the lane
     /// starts, its row's last cell once it has finished.
@@ -141,18 +135,34 @@ struct Strip<V> {
 }
 
 impl<V: SeqValue> Strip<V> {
+    /// Every step of the strip under one gap policy, the constant gap if
+    /// `CONST_GAP` and the midpoint gap otherwise: each policy gets a loop
+    /// of its own, so no step branches on (or computes both arms of) it.
+    #[inline(always)]
+    fn walk<const CONST_GAP: bool>(&mut self, b: &[V], ins: &[f64], row: &mut [f64]) {
+        let n = b.len();
+        for s in 0..LANES - 1 {
+            self.step::<true, CONST_GAP>(s, b, ins, row);
+        }
+        for s in LANES - 1..n {
+            self.step::<false, CONST_GAP>(s, b, ins, row);
+        }
+        for s in n..n + LANES - 1 {
+            self.step::<true, CONST_GAP>(s, b, ins, row);
+        }
+    }
+
     /// Step `s`: lane `k` computes the cell of column `s - 3 + k`. In `EDGE`
     /// steps (the first and last three of a strip) some of those columns
     /// are outside `0..n`: such a lane clamps its index into `b` and keeps
     /// its state. A full step reads `b[s-3..=s]` as one slice.
     #[inline(always)]
-    fn step<const EDGE: bool>(
+    fn step<const EDGE: bool, const CONST_GAP: bool>(
         &mut self,
         s: usize,
         b: &[V],
         ins: &[f64],
         row: &mut [f64],
-        policy: &GapPolicy<V>,
     ) {
         let n = b.len();
         let av = &self.av;
@@ -162,16 +172,14 @@ impl<V: SeqValue> Strip<V> {
             *<&[V; LANES]>::try_from(&b[s + 1 - LANES..=s]).expect("four columns")
         };
         let sub = V::dist_pairs(av, &bv);
-        let (del, add) = match policy {
-            GapPolicy::Constant(_) => (
+        let (del, add) = if CONST_GAP {
+            (
                 self.del_const,
                 *<&[f64; LANES]>::try_from(&ins[s..s + LANES]).expect("four costs"),
-            ),
-            GapPolicy::Opposite => (sub, sub),
-            GapPolicy::Midpoint => {
-                let half = sub.map(|d| d * 0.5);
-                (half, half)
-            }
+            )
+        } else {
+            let half = sub.map(|d| d * 0.5);
+            (half, half)
         };
         // The row above lane 3 is the row above the strip.
         let up = [self.cur[1], self.cur[2], self.cur[3], row[(s + 1).min(n)]];
@@ -271,14 +279,9 @@ fn eged_dp_upto_wavefront<V: SeqValue>(
             diag,
             mins: cur,
         };
-        for s in 0..PAD {
-            strip.step::<true>(s, b, ins, row, policy);
-        }
-        for s in PAD..n {
-            strip.step::<false>(s, b, ins, row, policy);
-        }
-        for s in n..n + PAD {
-            strip.step::<true>(s, b, ins, row, policy);
+        match policy {
+            GapPolicy::Constant(_) => strip.walk::<true>(b, ins, row),
+            GapPolicy::Midpoint => strip.walk::<false>(b, ins, row),
         }
         if strip.mins.iter().any(|&m| m > cutoff) {
             return None;
@@ -322,20 +325,6 @@ impl<V: SeqValue> SequenceDistance<V> for Eged {
     }
     fn name(&self) -> &'static str {
         "EGED"
-    }
-}
-
-/// EGED with the DTW gap (`g_i` = the opposite node), provided for the
-/// gap-policy ablation; equivalent to DTW.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct EgedRepeatGap;
-
-impl<V: SeqValue> SequenceDistance<V> for EgedRepeatGap {
-    fn distance(&self, a: &[V], b: &[V]) -> f64 {
-        eged_dp(a, b, &GapPolicy::Opposite)
-    }
-    fn name(&self) -> &'static str {
-        "EGED-dtwgap"
     }
 }
 
@@ -630,17 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_gap_matches_dtw_flavor() {
-        let a = [1.0, 5.0, 9.0];
-        let b = [1.0, 5.0, 5.0, 9.0];
-        // Deleting the duplicate 5 at cost |5 - 5| = 0.
-        assert_eq!(
-            SequenceDistance::<f64>::distance(&EgedRepeatGap, &a, &b),
-            0.0
-        );
-    }
-
-    #[test]
     fn custom_gap_constant() {
         let d = EgedMetric::with_gap(10.0);
         // Adding 12 against gap 10 costs 2.
@@ -683,11 +661,7 @@ mod tests {
             let b: Vec<V> = (0..n)
                 .map(|i| lift_b((i as f64 * 0.3).cos() * 4.0))
                 .collect();
-            for policy in [
-                GapPolicy::Midpoint,
-                GapPolicy::Opposite,
-                GapPolicy::Constant(gap),
-            ] {
+            for policy in [GapPolicy::Midpoint, GapPolicy::Constant(gap)] {
                 let d = eged_dp_upto_scalar(&a, &b, &policy, f64::INFINITY).unwrap();
                 let mut cutoffs = vec![f64::INFINITY, d, d / 2.0, 0.0];
                 if d > 0.0 {
@@ -763,11 +737,7 @@ mod tests {
                 let (a, b) = (seq(start, m), seq(start + 5, n));
                 let fa: Vec<f64> = a.iter().map(|p| p.x).collect();
                 let fb: Vec<f64> = b.iter().map(|p| p.y).collect();
-                for policy in [
-                    GapPolicy::Midpoint,
-                    GapPolicy::Opposite,
-                    GapPolicy::Constant(Point2::ZERO),
-                ] {
+                for policy in [GapPolicy::Midpoint, GapPolicy::Constant(Point2::ZERO)] {
                     let d = eged_dp(&a, &b, &policy);
                     assert!(!d.is_nan(), "{policy:?} m={m} n={n} start={start}");
                     assert_eq!(
@@ -775,11 +745,7 @@ mod tests {
                         Some(d.to_bits())
                     );
                 }
-                for policy in [
-                    GapPolicy::Midpoint,
-                    GapPolicy::Opposite,
-                    GapPolicy::Constant(0.0),
-                ] {
+                for policy in [GapPolicy::Midpoint, GapPolicy::Constant(0.0)] {
                     assert!(!eged_dp(&fa, &fb, &policy).is_nan(), "f64 {policy:?}");
                 }
             }

@@ -51,7 +51,7 @@ mod value;
 
 pub use counting::CountingDistance;
 pub use dtw::Dtw;
-pub use eged::{Eged, EgedMetric, EgedRepeatGap, GapPolicy};
+pub use eged::{Eged, EgedMetric};
 pub use lcs::Lcs;
 pub use resample::{resample, Lerp};
 pub use traits::{MetricDistance, SeqSummary, SequenceDistance};

@@ -40,7 +40,7 @@ pub(crate) struct DpScratch {
 }
 
 impl DpScratch {
-    const fn empty() -> Self {
+    const fn new() -> Self {
         Self {
             prev: Row(Vec::new()),
             cur: Row(Vec::new()),
@@ -50,7 +50,7 @@ impl DpScratch {
 }
 
 thread_local! {
-    static DP_SCRATCH: RefCell<DpScratch> = const { RefCell::new(DpScratch::empty()) };
+    static DP_SCRATCH: RefCell<DpScratch> = const { RefCell::new(DpScratch::new()) };
 }
 
 /// Runs `f` with this thread's DP arena; reentrant calls get a fresh local
@@ -58,6 +58,6 @@ thread_local! {
 pub(crate) fn with_dp_scratch<R>(f: impl FnOnce(&mut DpScratch) -> R) -> R {
     DP_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut DpScratch::empty()),
+        Err(_) => f(&mut DpScratch::new()),
     })
 }

@@ -74,7 +74,6 @@ pub struct MtreeScratch {
     pending: Vec<Pending>,
     best: Vec<Best>,
     out: Vec<Neighbor>,
-    grows: u64,
 }
 
 impl MtreeScratch {
@@ -84,26 +83,12 @@ impl MtreeScratch {
             pending: Vec::new(),
             best: Vec::new(),
             out: Vec::new(),
-            grows: 0,
         }
     }
 
     /// The neighbors of the last search, ascending by (distance, id).
     pub fn neighbors(&self) -> &[Neighbor] {
         &self.out
-    }
-
-    /// Number of queries that grew some buffer (0 in steady state).
-    pub fn grow_events(&self) -> u64 {
-        self.grows
-    }
-
-    fn capacities(&self) -> [usize; 3] {
-        [
-            self.pending.capacity(),
-            self.best.capacity(),
-            self.out.capacity(),
-        ]
     }
 }
 
@@ -144,7 +129,6 @@ pub(crate) fn search_into<V, D>(
     if k == 0 {
         return;
     }
-    let caps = scratch.capacities();
     let probe = Probe {
         dist: &tree.dist,
         query,
@@ -194,9 +178,6 @@ pub(crate) fn search_into<V, D>(
         .extend(sorted.iter().map(|&(Dist(dist), id)| Neighbor { id, dist }));
     sorted.clear();
     scratch.best = sorted;
-    if scratch.capacities() != caps {
-        scratch.grows += 1;
-    }
 }
 
 /// `d_k`: the k-th best distance so far, ∞ until `k` hits are held.

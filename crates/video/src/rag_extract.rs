@@ -2,26 +2,20 @@
 //!
 //! Batch extraction fans out across `strg_parallel` workers with one
 //! reusable [`SegScratch`] arena per worker (`par_map_with`), so steady
-//! state per-frame segmentation allocates nothing; the arenas report their
-//! footprint through [`ExtractStats`] for the `ingest.scratch_*` counters.
+//! state per-frame segmentation allocates nothing but the RAGs it returns
+//! (`tests/ingest_alloc.rs`).
 
 use strg_graph::{FrameId, NodeAttr, NodeId, Rag};
-use strg_parallel::{par_map_indexed, par_map_with, Threads};
+use strg_parallel::{par_map_with, Threads};
 
 use crate::raster::Frame;
-use crate::segment::{segment, segment_into, SegScratch, SegmentConfig, Segmentation};
+use crate::segment::{segment_into, SegScratch, SegmentConfig, Segmentation};
 
-/// Scratch-arena telemetry of one [`frames_to_rags_with_stats`] run.
+/// What one [`frames_to_rags_with_stats`] run reports besides its RAGs.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct ExtractStats {
     /// Number of worker arenas the fan-out created.
     pub workers: usize,
-    /// Total heap bytes reserved across all worker arenas at the end of
-    /// the run.
-    pub scratch_bytes: usize,
-    /// Total buffer-growth events across all worker arenas (a steady-state
-    /// run over same-sized frames re-grows nothing).
-    pub scratch_grows: u64,
 }
 
 /// Builds the Region Adjacency Graph of a segmentation.
@@ -44,31 +38,26 @@ pub fn rag_from_segmentation(seg: &Segmentation, frame: FrameId) -> Rag {
 
 /// Extracts the RAG of every frame, numbering frames by slice index.
 ///
-/// Frames are independent, so extraction fans out across `threads` workers;
-/// the returned vector is in frame order and identical to a sequential
-/// loop regardless of the thread count.
+/// Frames are independent, so extraction fans out across `threads` workers,
+/// each segmenting its frames through one reused [`SegScratch`]; the
+/// returned vector is in frame order and identical to a sequential loop of
+/// fresh-arena [`segment`](crate::segment::segment) calls at any thread count
+/// (`tests/ingest_equivalence.rs`).
 pub fn frames_to_rags(frames: &[Frame], cfg: &SegmentConfig, threads: Threads) -> Vec<Rag> {
-    par_map_indexed(frames, threads, |i, f| {
-        rag_from_segmentation(&segment(f, cfg), FrameId(i as u32))
-    })
+    frames_to_rags_with_stats(frames, cfg, threads).0
 }
 
-/// [`frames_to_rags`] with one [`SegScratch`] arena per worker, returning
-/// the arenas' telemetry alongside the RAGs. The RAGs are byte-identical
-/// to [`frames_to_rags`] at any thread count — the arenas recycle only
-/// capacity, never results.
+/// [`frames_to_rags`], also reporting how many worker arenas it used.
 pub fn frames_to_rags_with_stats(
     frames: &[Frame],
     cfg: &SegmentConfig,
     threads: Threads,
 ) -> (Vec<Rag>, ExtractStats) {
-    let (rags, scratches) = par_map_with(frames, threads, SegScratch::new, |scratch, i, f| {
+    let (rags, arenas) = par_map_with(frames, threads, SegScratch::new, |scratch, i, f| {
         rag_from_segmentation(segment_into(f, cfg, scratch), FrameId(i as u32))
     });
     let stats = ExtractStats {
-        workers: scratches.len(),
-        scratch_bytes: scratches.iter().map(SegScratch::alloc_bytes).sum(),
-        scratch_grows: scratches.iter().map(SegScratch::grow_events).sum(),
+        workers: arenas.len(),
     };
     (rags, stats)
 }
@@ -77,6 +66,7 @@ pub fn frames_to_rags_with_stats(
 mod tests {
     use super::*;
     use crate::raster::Pixel;
+    use crate::segment::segment;
 
     #[test]
     fn rag_mirrors_segmentation() {
@@ -97,29 +87,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_extraction_matches_sequential() {
-        let frames: Vec<Frame> = (0..12)
-            .map(|i| {
-                let mut f = Frame::new(40, 30, Pixel::new(20, 20, 20));
-                f.fill_rect(2 * i, 0, 10, 30, Pixel::new(230, 230, 230));
-                f
-            })
-            .collect();
-        let cfg = SegmentConfig::default();
-        let seq = frames_to_rags(&frames, &cfg, Threads::Fixed(1));
-        for threads in [2, 8] {
-            let par = frames_to_rags(&frames, &cfg, Threads::Fixed(threads));
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.frame(), b.frame());
-                assert_eq!(a.node_count(), b.node_count());
-                assert_eq!(a.edge_count(), b.edge_count());
-            }
-        }
-    }
-
-    #[test]
-    fn with_stats_matches_plain_extraction() {
+    fn extraction_matches_fresh_segmentation_at_any_thread_count() {
         let frames: Vec<Frame> = (0..9)
             .map(|i| {
                 let mut f = Frame::new(40, 30, Pixel::new(20, 20, 20));
@@ -128,11 +96,11 @@ mod tests {
             })
             .collect();
         let cfg = SegmentConfig::default();
-        let plain = frames_to_rags(&frames, &cfg, Threads::Fixed(1));
         for threads in [1usize, 3, 8] {
             let (rags, stats) = frames_to_rags_with_stats(&frames, &cfg, Threads::Fixed(threads));
-            assert_eq!(rags.len(), plain.len());
-            for (a, b) in plain.iter().zip(&rags) {
+            assert_eq!(rags.len(), frames.len());
+            for (i, (f, b)) in frames.iter().zip(&rags).enumerate() {
+                let a = rag_from_segmentation(&segment(f, &cfg), FrameId(i as u32));
                 assert_eq!(a.frame(), b.frame());
                 assert_eq!(a.node_count(), b.node_count());
                 assert_eq!(a.edge_count(), b.edge_count());
@@ -150,8 +118,6 @@ mod tests {
             if threads == 1 {
                 assert_eq!(stats.workers, 1);
             }
-            assert!(stats.scratch_bytes > 0);
-            assert!(stats.scratch_grows > 0, "cold arenas must have grown");
         }
     }
 

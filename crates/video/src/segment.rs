@@ -119,44 +119,12 @@ pub struct SegScratch {
     dense: Vec<u32>,
     // Reused output.
     out: Segmentation,
-    grows: u64,
 }
 
 impl SegScratch {
     /// Creates an empty arena; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total heap bytes currently reserved by the arena's buffers
-    /// (including the reused output segmentation).
-    pub fn alloc_bytes(&self) -> usize {
-        fn cap<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
-        cap(&self.classes)
-            + cap(&self.smoothed)
-            + cap(&self.same)
-            + cap(&self.window)
-            + cap(&self.runs)
-            + cap(&self.run_comp)
-            + cap(&self.row_runs)
-            + cap(&self.sums)
-            + cap(&self.pairs)
-            + cap(&self.nbr_off)
-            + cap(&self.nbr_cursor)
-            + cap(&self.nbr)
-            + cap(&self.uf)
-            + cap(&self.dense)
-            + cap(&self.out.labels)
-            + cap(&self.out.regions)
-            + cap(&self.out.adjacency)
-    }
-
-    /// Number of buffer-growth events since creation. Zero growth across a
-    /// call means the call performed no heap allocation.
-    pub fn grow_events(&self) -> u64 {
-        self.grows
     }
 
     /// Moves the most recent segmentation out of the arena (the arena keeps
@@ -166,24 +134,16 @@ impl SegScratch {
     }
 }
 
-/// Clears `v` and resizes it to `n` copies of `value`, counting a growth
-/// event iff the buffer had to reallocate.
-fn fill_to<T: Copy>(v: &mut Vec<T>, n: usize, value: T, grows: &mut u64) {
-    v.clear();
-    if v.capacity() < n {
-        *grows += 1;
-        v.reserve_exact(n);
-    }
+/// Clears `v` and resizes it to `n` copies of `value`.
+fn fill_to<T: Copy>(v: &mut Vec<T>, n: usize, value: T) {
+    clear_with_cap(v, n);
     v.resize(n, value);
 }
 
 /// Clears `v`, ensuring capacity for at least `cap` elements.
-fn clear_with_cap<T>(v: &mut Vec<T>, cap: usize, grows: &mut u64) {
+fn clear_with_cap<T>(v: &mut Vec<T>, cap: usize) {
     v.clear();
-    if v.capacity() < cap {
-        *grows += 1;
-        v.reserve_exact(cap);
-    }
+    v.reserve_exact(cap);
 }
 
 /// Union-find root with path halving.
@@ -277,7 +237,6 @@ pub fn segment_into<'s>(
         uf,
         dense,
         out,
-        grows,
     } = scratch;
     out.width = w;
     out.labels.clear();
@@ -287,9 +246,9 @@ pub fn segment_into<'s>(
         return out;
     }
 
-    quantize_into(frame, cfg.quant_levels, classes, grows);
+    quantize_into(frame, cfg.quant_levels, classes);
     let classes: &[u32] = if cfg.smooth_radius > 0 {
-        mode_filter_into(classes, w, cfg.smooth_radius, smoothed, same, window, grows);
+        mode_filter_into(classes, w, cfg.smooth_radius, smoothed, same, window);
         smoothed
     } else {
         classes
@@ -298,8 +257,8 @@ pub fn segment_into<'s>(
     // 4-connected components over identical classes: each row splits into
     // maximal same-class runs, and a run joins every same-class run of the
     // row above that it overlaps.
-    clear_with_cap(runs, n, grows);
-    fill_to(row_runs, h + 1, 0, grows);
+    clear_with_cap(runs, n);
+    fill_to(row_runs, h + 1, 0);
     for (y, row) in classes.chunks_exact(w).enumerate() {
         let mut x0 = 0;
         while x0 < w {
@@ -318,12 +277,12 @@ pub fn segment_into<'s>(
         }
         row_runs[y + 1] = runs.len() as u32;
     }
-    clear_with_cap(run_comp, runs.len(), grows);
+    clear_with_cap(run_comp, runs.len());
     run_comp.extend(0..runs.len() as u32);
     // Adjacency candidates as run pairs: neighbors within a row (fewer
     // than one per run) and overlapping runs of different classes across
     // rows (fewer than two per run).
-    clear_with_cap(pairs, 3 * runs.len(), grows);
+    clear_with_cap(pairs, 3 * runs.len());
     for y in 0..h {
         let (start, end) = (row_runs[y] as usize, row_runs[y + 1] as usize);
         pairs.extend((start as u32..end as u32 - 1).map(|i| (i, i + 1)));
@@ -365,7 +324,7 @@ pub fn segment_into<'s>(
     let n_comp = n_comp as usize;
 
     // Region sums from the ORIGINAL pixels, one run at a time.
-    fill_to(sums, n_comp, RegionSums::default(), grows);
+    fill_to(sums, n_comp, RegionSums::default());
     let pixels = frame.pixels();
     for (run, &c) in runs.iter().zip(run_comp.iter()) {
         let (x0, x1, len) = (run.x0 as u64, run.x1 as u64, (run.x1 - run.x0) as u64);
@@ -392,12 +351,12 @@ pub fn segment_into<'s>(
     // picks A) coalesce instead of livelocking; every union strictly
     // reduces the number of live regions, so the loop terminates. Live
     // regions are exactly the union-find's roots at the start of a round.
-    clear_with_cap(uf, n_comp, grows);
+    clear_with_cap(uf, n_comp);
     uf.extend(0..n_comp as u32);
     loop {
         // Neighbor lists in CSR layout, preserving the per-region neighbor
         // order of the pair list (both endpoint directions, pair order).
-        fill_to(nbr_off, n_comp + 1, 0, grows);
+        fill_to(nbr_off, n_comp + 1, 0);
         for &(a, b) in pairs.iter() {
             nbr_off[a as usize + 1] += 1;
             nbr_off[b as usize + 1] += 1;
@@ -405,9 +364,9 @@ pub fn segment_into<'s>(
         for i in 1..nbr_off.len() {
             nbr_off[i] += nbr_off[i - 1];
         }
-        clear_with_cap(nbr_cursor, n_comp, grows);
+        clear_with_cap(nbr_cursor, n_comp);
         nbr_cursor.extend_from_slice(&nbr_off[..n_comp]);
-        fill_to(nbr, pairs.len() * 2, 0, grows);
+        fill_to(nbr, pairs.len() * 2, 0);
         for &(a, b) in pairs.iter() {
             nbr[nbr_cursor[a as usize] as usize] = b;
             nbr_cursor[a as usize] += 1;
@@ -460,14 +419,11 @@ pub fn segment_into<'s>(
     }
 
     // Compact labels to dense 0..n, one fill per run.
-    fill_to(dense, n_comp, u32::MAX, grows);
+    fill_to(dense, n_comp, u32::MAX);
     let regions = &mut out.regions;
     for (l, acc) in sums.iter().enumerate() {
         if acc.count > 0 {
             dense[l] = regions.len() as u32;
-            if regions.len() == regions.capacity() {
-                *grows += 1;
-            }
             regions.push(Region {
                 label: regions.len() as u32,
                 size: acc.count as usize,
@@ -477,14 +433,14 @@ pub fn segment_into<'s>(
         }
     }
     let labels = &mut out.labels;
-    clear_with_cap(labels, n, grows);
+    clear_with_cap(labels, n);
     for (run, &c) in runs.iter().zip(run_comp.iter()) {
         let l = dense[find(uf, c) as usize];
         labels.resize(labels.len() + (run.x1 - run.x0) as usize, l);
     }
     // `dense` is increasing over live regions, so the pairs stay sorted,
     // unique and ordered within each pair.
-    clear_with_cap(&mut out.adjacency, pairs.len(), grows);
+    clear_with_cap(&mut out.adjacency, pairs.len());
     out.adjacency.extend(
         pairs
             .iter()
@@ -502,7 +458,7 @@ pub fn segment_into<'s>(
 /// 256-entry lookup tables, and the key distributes over the per-channel
 /// terms, so the weights are premultiplied into the tables: the per-pixel
 /// work is three loads and two adds.
-fn quantize_into(frame: &Frame, quant_levels: u32, classes: &mut Vec<u32>, grows: &mut u64) {
+fn quantize_into(frame: &Frame, quant_levels: u32, classes: &mut Vec<u32>) {
     let levels = quant_levels.clamp(2, 256);
     let step = 255.0 / (levels - 1) as f64;
     let mut lut_r = [0u32; 256];
@@ -514,7 +470,7 @@ fn quantize_into(frame: &Frame, quant_levels: u32, classes: &mut Vec<u32>, grows
         lut_g[v] = q * levels;
         lut_b[v] = q;
     }
-    clear_with_cap(classes, frame.pixels().len(), grows);
+    clear_with_cap(classes, frame.pixels().len());
     classes.extend(
         frame
             .pixels()
@@ -540,18 +496,17 @@ fn mode_filter_into(
     out: &mut Vec<u32>,
     same: &mut Vec<u32>,
     window: &mut Vec<(u32, u32)>,
-    grows: &mut u64,
 ) {
     let h = classes.len() / w;
-    clear_with_cap(out, classes.len(), grows);
+    clear_with_cap(out, classes.len());
     out.extend_from_slice(classes);
     // Past the frame's extent a radius clips to the same windows.
     let r = radius.min(w.max(h));
     // A window holds at most this many distinct classes.
-    clear_with_cap(window, (2 * r + 1).pow(2).min(classes.len()), grows);
+    clear_with_cap(window, (2 * r + 1).pow(2).min(classes.len()));
     for (y, center) in classes.chunks_exact(w).enumerate() {
         let (y0, y1) = (y.saturating_sub(r), (y + r).min(h - 1));
-        fill_to(same, w, 0, grows);
+        fill_to(same, w, 0);
         for src in classes[y0 * w..(y1 + 1) * w].chunks_exact(w) {
             for d in 0..=2 * r {
                 // Cell `x` meets `src[x + d - r]`.
@@ -700,7 +655,7 @@ mod tests {
         let (w, h) = (frame.width(), frame.height());
         let n = w * h;
         let mut classes = Vec::new();
-        quantize_into(frame, cfg.quant_levels, &mut classes, &mut 0);
+        quantize_into(frame, cfg.quant_levels, &mut classes);
         if cfg.smooth_radius > 0 {
             classes = mode_filter_naive(&classes, w, h, cfg.smooth_radius);
         }
@@ -945,7 +900,7 @@ mod tests {
     fn fallback_profile(frame: &Frame, r: usize) -> (usize, usize) {
         let (w, h) = (frame.width(), frame.height());
         let mut classes = Vec::new();
-        quantize_into(frame, 2, &mut classes, &mut 0);
+        quantize_into(frame, 2, &mut classes);
         let (mut fallback, mut ties) = (0, 0);
         let mut counts = Vec::new();
         for y in 0..h {
@@ -1154,7 +1109,6 @@ mod tests {
             &mut out,
             &mut Vec::new(),
             &mut Vec::new(),
-            &mut 0,
         );
         out
     }
@@ -1256,32 +1210,6 @@ mod tests {
             let fresh = fingerprint(&segment(f, &cfg));
             assert!(fingerprint(segment_into(f, &cfg, &mut scratch)) == fresh);
         }
-    }
-
-    /// After a warm-up pass the arena stops growing: re-segmenting the
-    /// same frames triggers no further buffer growth.
-    #[test]
-    fn scratch_reaches_steady_state() {
-        let cfg = SegmentConfig::default();
-        let frames = [busy_frame(40, 30, 7), busy_frame(40, 30, 8)];
-        let mut scratch = SegScratch::new();
-        for f in &frames {
-            segment_into(f, &cfg, &mut scratch);
-        }
-        let grows_after_warmup = scratch.grow_events();
-        let bytes_after_warmup = scratch.alloc_bytes();
-        assert!(bytes_after_warmup > 0);
-        for _ in 0..3 {
-            for f in &frames {
-                segment_into(f, &cfg, &mut scratch);
-            }
-        }
-        assert_eq!(
-            scratch.grow_events(),
-            grows_after_warmup,
-            "steady-state segmentation must not grow the arena"
-        );
-        assert_eq!(scratch.alloc_bytes(), bytes_after_warmup);
     }
 
     #[test]

@@ -10,8 +10,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 # `strg-parallel`'s job-lifetime transmute is the workspace's one `unsafe`
-# block. Every other crate root — libraries, binaries, shims, examples —
-# forbids `unsafe_code`, so the compiler rejects a new block anywhere else.
+# block; DESIGN.md §7 ("Why the transmute stays") gives the measurements
+# that keep it. Every other crate root — libraries, binaries, shims,
+# examples — forbids `unsafe_code`, so the compiler rejects a new block
+# anywhere else.
 echo "==> #![forbid(unsafe_code)] in every crate root but strg-parallel's"
 shopt -s nullglob
 missing=0

@@ -4,13 +4,17 @@
 //! `tests/alloc_util` (shared with `query_alloc.rs`) and asserts that
 //! steady-state segmentation through a warm [`SegScratch`] arena performs
 //! **zero** heap allocations: every buffer the pipeline touches is owned
-//! by the arena and only recycled after warm-up (DESIGN.md §10). It also
-//! bounds the allocations of one sequential `VideoDatabase::load`.
+//! by the arena and only recycled after warm-up (DESIGN.md §10). Batch
+//! extraction (`frames_to_rags`) keeps one such arena per worker, so past
+//! its first frames it allocates only the RAGs it returns. It also bounds
+//! the allocations of one sequential `VideoDatabase::load`.
 
 mod alloc_util;
 
 use alloc_util::alloc_events;
+use strg::graph::FrameId;
 use strg::prelude::*;
+use strg::video::rag_from_segmentation;
 
 /// A deterministic busy frame (blocks + xorshift speckles) at the paper's
 /// scene scale, matching the equivalence suite's workload shape.
@@ -59,9 +63,6 @@ fn steady_state_segmentation_allocates_nothing() {
             segment_into(f, &cfg, &mut scratch);
         }
     }
-    let grows_warm = scratch.grow_events();
-    let bytes_warm = scratch.alloc_bytes();
-    assert!(bytes_warm > 0, "warm arena owns real buffers");
 
     // Measure: three steady-state passes under the counting allocator.
     let mut last_regions = 0;
@@ -79,28 +80,69 @@ fn steady_state_segmentation_allocates_nothing() {
         delta, 0,
         "steady-state segmentation performed {delta} heap allocations"
     );
-    // The arena's own bookkeeping agrees with the allocator.
-    assert_eq!(scratch.grow_events(), grows_warm);
-    assert_eq!(scratch.alloc_bytes(), bytes_warm);
 }
 
-/// The arena's grow-event counter is an upper bound witness: a cold arena
-/// grows, a warm one does not, and `alloc_bytes` is monotone under reuse.
+/// A cold arena allocates on its first frame (building an arena allocates
+/// nothing), and a second call on the same frame allocates nothing.
 #[test]
 fn cold_arena_grows_then_stops() {
     let cfg = SegmentConfig::default();
     let f = busy_frame(96, 72, 3);
+    let before = alloc_events();
     let mut scratch = SegScratch::new();
-    assert_eq!(scratch.grow_events(), 0);
-    assert_eq!(scratch.alloc_bytes(), 0);
+    assert_eq!(alloc_events(), before, "a new arena owns no buffers");
     segment_into(&f, &cfg, &mut scratch);
-    let cold_grows = scratch.grow_events();
-    assert!(cold_grows > 0, "first call must grow the arena");
+    let cold = alloc_events() - before;
+    assert!(cold > 0, "first call must grow the arena");
+    let before = alloc_events();
     segment_into(&f, &cfg, &mut scratch);
+    let warm = alloc_events() - before;
     assert_eq!(
-        scratch.grow_events(),
-        cold_grows,
-        "second call on the same frame must not grow"
+        warm, 0,
+        "second call on the same frame allocated {warm} times"
+    );
+}
+
+/// `frames_to_rags` at one worker threads a single arena through every
+/// frame: once the arena has seen the frames, each further frame costs
+/// exactly the allocations of the RAG built for it. A fresh arena per
+/// frame would add the whole arena's buffers per frame.
+#[test]
+fn frames_to_rags_allocates_only_the_rags_it_returns() {
+    let cfg = SegmentConfig::default();
+    let base: Vec<Frame> = (0..3).map(|i| busy_frame(160, 120, 21 + i)).collect();
+    let rag_allocs: u64 = base
+        .iter()
+        .map(|f| {
+            let seg = segment(f, &cfg);
+            let before = alloc_events();
+            let rag = rag_from_segmentation(&seg, FrameId(0));
+            let events = alloc_events() - before;
+            assert!(rag.node_count() > 0, "frame produced regions");
+            events
+        })
+        .sum();
+    let events_for = |passes: usize| {
+        let frames: Vec<Frame> = base
+            .iter()
+            .cycle()
+            .take(passes * base.len())
+            .cloned()
+            .collect();
+        let before = alloc_events();
+        let rags = frames_to_rags(&frames, &cfg, Threads::Fixed(1));
+        let events = alloc_events() - before;
+        assert_eq!(rags.len(), frames.len());
+        events
+    };
+    // Two passes warm the arena; two more add one RAG per frame and
+    // nothing else.
+    let extra = events_for(4) - events_for(2);
+    assert_eq!(
+        extra,
+        2 * rag_allocs,
+        "six further frames cost {extra} allocations, their RAGs {}",
+        2 * rag_allocs
     );
 }
 

@@ -13,7 +13,9 @@
 //! `scripts/ci.sh` runs this binary under `STRG_THREADS=1` and `8`, so the
 //! equivalence is also pinned at both ends of the thread knob.
 
+use strg::graph::FrameId;
 use strg::prelude::*;
+use strg::video::rag_from_segmentation;
 
 /// A deterministic busy test frame: background, blocks, and xorshift
 /// speckle noise (exercises smoothing, merging, and adjacency).
@@ -122,30 +124,33 @@ fn segmentation_identical_in_both_modes() {
     }
 }
 
-/// Both extraction modes — [`frames_to_rags`] (a fresh arena per frame) and
-/// [`frames_to_rags_with_stats`] (one arena per worker) — produce the same
-/// RAGs, at any thread count.
+/// Both extraction modes agree: [`frames_to_rags`], one recycled arena
+/// per worker at one and at eight workers, is byte for byte the reference
+/// built here, a fresh arena per frame ([`segment`] then
+/// [`rag_from_segmentation`]).
 #[test]
 fn rag_extraction_identical_in_both_modes_at_any_thread_count() {
     let frames: Vec<Frame> = (0..10).map(|i| busy_frame(64, 48, 100 + i)).collect();
     let cfg = SegmentConfig::default();
-    let mut reference: Option<Vec<Vec<u64>>> = None;
+    let reference: Vec<_> = frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| rag_fingerprint(&rag_from_segmentation(&segment(f, &cfg), FrameId(i as u32))))
+        .collect();
     for threads in [1usize, 8] {
         let threads = Threads::Fixed(threads);
-        let (rags, stats) = frames_to_rags_with_stats(&frames, &cfg, threads);
-        assert!(stats.workers >= 1);
-        assert!(stats.scratch_bytes > 0);
-        let pooled: Vec<_> = rags.iter().map(rag_fingerprint).collect();
-        let plain: Vec<_> = frames_to_rags(&frames, &cfg, threads)
+        let pooled: Vec<_> = frames_to_rags(&frames, &cfg, threads)
             .iter()
             .map(rag_fingerprint)
             .collect();
-        assert_eq!(pooled, plain, "{threads:?}: per-worker vs per-frame arenas");
-        // ... and identical across thread counts.
-        match &reference {
-            None => reference = Some(pooled),
-            Some(r) => assert_eq!(r, &pooled, "{threads:?}: thread-count band"),
-        }
+        assert_eq!(
+            pooled, reference,
+            "{threads:?}: per-worker vs per-frame arenas"
+        );
+        let (rags, stats) = frames_to_rags_with_stats(&frames, &cfg, threads);
+        assert!(stats.workers >= 1);
+        let with_stats: Vec<_> = rags.iter().map(rag_fingerprint).collect();
+        assert_eq!(with_stats, reference, "{threads:?}: with stats");
     }
 }
 

@@ -87,7 +87,6 @@ fn tree_queries_allocate_nothing_at(threads: Threads) {
             idx.range_with_cost_into(q, radius, &mut scratch);
         }
     }
-    let grows_warm = scratch.grow_events();
 
     let mut last_hits = 0;
     let before = alloc_events();
@@ -105,7 +104,6 @@ fn tree_queries_allocate_nothing_at(threads: Threads) {
         delta, 0,
         "steady-state tree queries at {threads:?} performed {delta} heap allocations"
     );
-    assert_eq!(scratch.grow_events(), grows_warm, "arena kept growing");
 }
 
 /// Steady-state sequential sharded fan-outs must not touch the
@@ -131,7 +129,6 @@ fn steady_state_sharded_queries_allocate_nothing() {
             sharded_query_into(&idxs, q, range, Threads::Fixed(1), &mut scratch);
         }
     }
-    let grows_warm = scratch.grow_events();
 
     let mut last_hits = 0;
     let before = alloc_events();
@@ -149,11 +146,6 @@ fn steady_state_sharded_queries_allocate_nothing() {
         delta, 0,
         "steady-state sharded queries performed {delta} heap allocations"
     );
-    assert_eq!(
-        scratch.grow_events(),
-        grows_warm,
-        "shard arena kept growing"
-    );
 }
 
 /// The benchmark probe's batch arena is one tree arena per member, so a
@@ -169,7 +161,6 @@ fn steady_state_batched_queries_allocate_nothing() {
     for _ in 0..2 {
         idx.knn_batch_with_cost_into(&batch, 5, &mut scratch);
     }
-    let grows_warm = scratch.grow_events();
     assert_eq!(scratch.len(), batch.len());
     assert!(!scratch.hits(0).is_empty(), "batched queries produced hits");
 
@@ -181,11 +172,6 @@ fn steady_state_batched_queries_allocate_nothing() {
     assert_eq!(
         delta, 0,
         "steady-state batched queries performed {delta} heap allocations"
-    );
-    assert_eq!(
-        scratch.grow_events(),
-        grows_warm,
-        "batch arena kept growing"
     );
 }
 
@@ -211,7 +197,6 @@ fn steady_state_mtree_queries_allocate_nothing() {
             tree.range_with_cost_into(q, radius, &mut scratch);
         }
     }
-    let grows_warm = scratch.grow_events();
 
     let mut last_hits = 0;
     let before = alloc_events();
@@ -228,10 +213,5 @@ fn steady_state_mtree_queries_allocate_nothing() {
     assert_eq!(
         delta, 0,
         "steady-state M-tree queries performed {delta} heap allocations"
-    );
-    assert_eq!(
-        scratch.grow_events(),
-        grows_warm,
-        "M-tree arena kept growing"
     );
 }
