@@ -61,9 +61,10 @@ USAGE:
 
 Creates <path> on first ingest; later commands load and (for mutations)
 rewrite it. `--shards N` (first ingest/serve on a fresh path, N > 1)
-creates a sharded database — a directory of N independent STRG-Index
-trees behind deterministic hash-of-name clip routing; an existing
-database keeps its on-disk layout and shard count. `--json` switches ingest/query/stats to
+creates a sharded database — N independent STRG-Index trees behind
+deterministic hash-of-name clip routing, saved as a directory holding
+one STRGDB file; an existing database keeps its on-disk layout and
+shard count. `--json` switches ingest/query/stats to
 machine-readable output, including the per-query cost record and the
 database's metrics snapshot (same serialization as
 `VideoDatabase::metrics_snapshot`). `serve` answers the same shapes over
@@ -133,9 +134,8 @@ impl<'a> Args<'a> {
 }
 
 /// Opens (or creates) the database at `path` via [`strg_core::open`]: a
-/// STRGDB file loads as one shard, a shard directory through its
-/// manifest (whose shard count wins), and a fresh path creates `--shards`
-/// shards.
+/// STRGDB file, or the one file of a database directory, loads with the
+/// shard count it stores, and a fresh path creates `--shards` shards.
 fn open_db(path: &str, args: &Args) -> Result<VideoDatabase, CliError> {
     let shards: usize = args.parse_or("--shards", 1)?;
     strg_core::open(path, DbOptions::new().shards(shards))

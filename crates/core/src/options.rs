@@ -168,8 +168,8 @@ pub trait Database: Send + Sync {
     /// The database's metric recorder.
     fn recorder(&self) -> &Recorder;
 
-    /// Where this database's contents came from: the on-disk format it was
-    /// loaded from (if any) and whether the index was deserialized.
+    /// Where this database's contents came from: whether the index was
+    /// deserialized from a file or the database is fresh.
     fn persist_info(&self) -> PersistInfo;
 
     /// A point-in-time snapshot of every recorded metric.
@@ -185,9 +185,9 @@ pub trait Database: Send + Sync {
 /// Opens the database at `path`, or creates an empty one if nothing is
 /// there yet.
 ///
-/// * an existing **directory** loads through its manifest (whose shard
-///   count wins over [`DbOptions::shards`]);
-/// * an existing **file** loads as a one-shard database;
+/// * an existing **file**, or an existing **directory** through the one
+///   file a save writes into it, loads with the shard count the file
+///   stores (which wins over [`DbOptions::shards`]);
 /// * a missing path creates an empty database with
 ///   [`DbOptions::shards`] shards.
 pub fn open(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<VideoDatabase> {

@@ -1,73 +1,63 @@
-//! Database persistence: the STRGDB segment-file format (version 4, magic
-//! `STRGDB2`) and the shard directory layout.
+//! Database persistence: the STRGDB file format (version 5, magic
+//! `STRGDB2`).
 //!
-//! # Layouts
+//! # One file per database
 //!
-//! [`VideoDatabase::save`] picks one of two layouts, and
-//! [`VideoDatabase::load`] reads both:
+//! [`VideoDatabase::save`] writes one STRGDB file at any shard count: to
+//! `path` itself for a one-shard database whose `path` is not an existing
+//! directory (the default configuration), else to `db.strgdb` inside the
+//! directory `path`. [`VideoDatabase::load`] reads either. META stores the
+//! shard count, which wins over [`DbOptions::shards`] on load, and the
+//! OG-id counter; the CLIP records follow in global ingest order, and the
+//! loader appends each one to the shard [`crate::route`] sends its name to.
+//! So every shard's clip order, the global order and the counter come from
+//! one file, and nothing has to agree across files. A save encodes the
+//! file under one read guard of the database's state.
 //!
-//! - **a single file** — one segment file, for a one-shard database saved
-//!   to a path that is not an existing directory (the default
-//!   configuration). Its META record stores the OG-id counter, and a load
-//!   starts the counter there.
-//! - **a directory** — a `MANIFEST` plus one segment file per shard
-//!   (`shard-000.strgdb`, `shard-001.strgdb`, …), for every other case.
-//!   The manifest is text: the line `STRG-SHARDS v2`, then
-//!   `shards <N>`, `next_og <id>`, and one `clip <name>` line per clip in
-//!   global ingest order. Its shard count wins over
-//!   [`DbOptions::shards`] on load. A load refuses a manifest that
-//!   disagrees with its shard files: for every shard `s`, the clip lines
-//!   whose names route to `s`, in manifest order, must name exactly shard
-//!   `s`'s clips, in their order. Every shard file stores the counter too,
-//!   and a load starts it at the largest of the manifest's and the files'.
+//! # The file
 //!
-//! Every file's counter must lie past every OG id it stores, so no loaded
-//! id is handed out again.
-//!
-//! A save encodes the manifest and every shard file under one read guard
-//! of the database's state, so they describe one state.
-//!
-//! # The segment file
-//!
-//! A segment file holds one record per clip: its Object Graphs, its
-//! Background Graph and the **built index** below its root — the cluster
-//! centroids and, in leaf order, each member's `(key, og_id)`. That is the
-//! paper's leaf record `(Key, OG_mem, ptr)`: an entry points at an OG of
-//! its clip, whose samples the file holds once. The loader rebuilds the
-//! entry's sequence as that OG's `centroid_series()` and its summary with
-//! the index metric — the values `add_segment` computed — and reassembles
-//! the tree with [`crate::StrgIndex::from_parts`]: no clustering and no
-//! distance evaluations, so a reopened database serves its first k-NN in
-//! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*`
-//! rows measure it). A file that does not begin with the `STRGDB2\0` magic
-//! is refused with one [`io::ErrorKind::InvalidData`] error.
+//! A file holds one record per clip: its Object Graphs, its Background
+//! Graph and the **built index** below its root — the cluster centroids
+//! and, in leaf order, each member's `(key, og_id)`. That is the paper's
+//! leaf record `(Key, OG_mem, ptr)`: an entry points at an OG of its clip,
+//! whose samples the file holds once. The loader rebuilds the entry's
+//! sequence as that OG's `centroid_series()` and its summary with the index
+//! metric — the values `add_segment` computed — and reassembles the tree
+//! with [`crate::StrgIndex::from_parts`]: no clustering and no distance
+//! evaluations, so a reopened database serves its first k-NN in
+//! milliseconds (`benchmark/`'s `reopen` workload and `core.persist.*` rows
+//! measure it). A file that does not begin with the `STRGDB2\0` magic is
+//! refused with one [`io::ErrorKind::InvalidData`] error.
 //!
 //! # The record grammar (DESIGN.md §14)
 //!
 //! ```text
 //! file    := header record* trailer
-//! header  := magic[8]="STRGDB2\0" version:u32=4 flags:u32
+//! header  := magic[8]="STRGDB2\0" version:u32=5 flags:u32
 //! record  := tag:u32 len:u64 crc:u32 payload[len]        # crc = CRC-32 (IEEE) of payload
 //! trailer := magic[8]="STRG2END"
-//! META    := clips:u64 next_og:u64 strg_bytes:u64
-//! CLIP    := frames:u64 name_len:u32 name ogs:u64 og* bg clusters:u64 cluster*
-//! og      := id:u64 og_id:u32 start_frame:u64 samples:u64 sample[60]*
+//! META    := clips:u64 next_og:u64 shards:u64
+//! CLIP    := frames:u64 name_len:u32 name first_og:u64 ogs:u64 og* bg clusters:u64 cluster*
+//! og      := start_frame:u64 samples:u64 sample[60]*
 //! bg      := frames_covered:u32 nodes:u64 node[44]* edges:u64 edge[8]*
 //! cluster := points:u64 point[16]* entries:u64 (key:f64 og_id:u64)*
 //! ```
 //!
 //! All integers are little-endian; every `f64` is stored as its IEEE bit
-//! pattern (`f64::to_bits`), so round-trips are lossless. A file is one
-//! META record, then one CLIP record per clip in the shard's order — clip
-//! `i` owns root `i` — so the writer renumbers nothing. A file of any
-//! other version is refused. The loader refuses OG ids that do not
-//! increase through the file (`ingest` hands them out from one counter),
-//! a leaf entry naming an OG its clip does not hold, two entries naming
-//! one OG, and an OG no entry names: a database removes only whole clips,
-//! so every stored OG has exactly one leaf entry. The deterministic band
-//! makes the in-memory index byte-identical at any `STRG_THREADS`, so the
-//! serialized bytes are too, and `save → load → save` is a byte-identity
-//! (pinned by tests here and in `tests/persist_equivalence.rs`).
+//! pattern (`f64::to_bits`), so round-trips are lossless. A file of any
+//! other version is refused. Nothing a load can derive is stored: `ingest`
+//! gives a clip one contiguous block of OG ids and `decompose` numbers its
+//! OGs `0..n`, so OG `i` of a clip is number `i` with id `first_og + i`; and
+//! Equation (9)'s STRG size is summed from the stored OGs and Background
+//! Graphs. The loader refuses a block that does not start at or past the
+//! end of the previous clip's (ids are handed out in ingest order, from one
+//! counter), a counter that does not lie past the last block, a leaf entry
+//! naming an id outside its clip's block, two entries naming one OG, and
+//! an OG no entry names: a database removes only whole clips, so every
+//! stored OG has exactly one leaf entry. The deterministic band makes the
+//! in-memory index byte-identical at any `STRG_THREADS`, so the serialized
+//! bytes are too, and `save → load → save` is a byte-identity (pinned by
+//! tests here and in `tests/persist_equivalence.rs`).
 //!
 //! # Speed
 //!
@@ -89,8 +79,8 @@
 //! # Equivalence
 //!
 //! `tests/persist_equivalence.rs` pins the fast load to the originally
-//! built database in hits, costs, stats, and re-saved bytes, in both
-//! layouts.
+//! built database in hits, costs, stats, and re-saved bytes, at one shard
+//! and at three.
 
 use std::fs;
 use std::io;
@@ -104,15 +94,24 @@ use strg_obs::Recorder;
 
 use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
-use crate::pipeline::{clip_positions, index_metric, ClipMeta, Shard, VideoDatabase};
+use crate::pipeline::{clip_positions, index_metric, ClipMeta, Shard, State, VideoDatabase};
+use crate::shard::route;
 
 /// Leading magic.
 const MAGIC: &[u8; 8] = b"STRGDB2\0";
 /// Trailing magic (the last 8 bytes of every well-formed file).
 const END_MAGIC: &[u8; 8] = b"STRG2END";
 
-/// The format version [`VideoDatabase::save`] writes.
-pub const FORMAT_VERSION: u32 = 4;
+/// The format version [`VideoDatabase::save`] writes and
+/// [`VideoDatabase::load`] reads.
+pub const FORMAT_VERSION: u32 = 5;
+
+/// The file's name inside a database directory.
+const DIR_FILE: &str = "db.strgdb";
+
+/// The largest shard count a load accepts: it builds one tree per shard
+/// before reading any clip, so an absurd META count is refused first.
+const MAX_SHARDS: u64 = 1 << 16;
 
 /// How a database came to hold its in-memory index when it was opened.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -137,9 +136,6 @@ impl ReopenMode {
 /// [`crate::Database::persist_info`] and the `stats` wire body.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PersistInfo {
-    /// Format version of the file(s) the database was loaded from; `None`
-    /// for a freshly created database.
-    pub loaded_format: Option<u32>,
     /// How the in-memory index came to be.
     pub reopen: ReopenMode,
 }
@@ -148,15 +144,14 @@ impl PersistInfo {
     /// The info of a freshly created (unloaded) database.
     pub const fn fresh() -> Self {
         Self {
-            loaded_format: None,
             reopen: ReopenMode::Fresh,
         }
     }
 
-    /// The on-disk format version this database speaks: the loaded version,
-    /// or the version a save will write for a fresh database.
+    /// The on-disk format version this database speaks:
+    /// [`FORMAT_VERSION`], the only one a load reads and a save writes.
     pub fn format(&self) -> u32 {
-        self.loaded_format.unwrap_or(FORMAT_VERSION)
+        FORMAT_VERSION
     }
 }
 
@@ -227,7 +222,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Record tags.
 // ---------------------------------------------------------------------------
 
-/// Database-wide fields: `clips, next_og, strg_bytes`.
+/// Database-wide fields: `clips, next_og, shards`.
 const TAG_META: u32 = u32::from_le_bytes(*b"META");
 /// One clip: frames, name, Object Graphs, Background Graph, clusters.
 const TAG_CLIP: u32 = u32::from_le_bytes(*b"CLIP");
@@ -283,16 +278,16 @@ fn push_record(out: &mut Vec<u8>, tag: u32, payload: impl FnOnce(&mut Vec<u8>)) 
     out[head + 12..head + REC_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// One clip's CLIP payload: its Object Graphs, then its root's Background
-/// Graph and clusters, each leaf entry naming its OG by id.
+/// One clip's CLIP payload: its OG-id block and Object Graphs, then its
+/// root's Background Graph and clusters, each leaf entry naming its OG by
+/// id.
 fn encode_clip(out: &mut Vec<u8>, clip: &ClipMeta, root: &RootRecord<Point2>) {
     put_u64(out, clip.frames as u64);
     put_u32(out, clip.name.len() as u32);
     out.extend_from_slice(clip.name.as_bytes());
+    put_u64(out, clip.first_og);
     put_u64(out, clip.ogs.len() as u64);
-    for (&id, og) in clip.og_ids.iter().zip(&clip.ogs) {
-        put_u64(out, id);
-        put_u32(out, og.id);
+    for og in &clip.ogs {
         put_u64(out, og.start_frame as u64);
         put_u64(out, og.samples.len() as u64);
         for s in &og.samples {
@@ -329,174 +324,70 @@ fn encode_clip(out: &mut Vec<u8>, clip: &ClipMeta, root: &RootRecord<Point2>) {
     }
 }
 
-/// The file name of shard `i` inside a database directory.
-fn shard_file(i: usize) -> String {
-    format!("shard-{i:03}.strgdb")
+/// The database as one STRGDB file image: META, then one CLIP record per
+/// clip in global ingest order.
+fn encode(state: &State) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 * 1024);
+    out.extend_from_slice(MAGIC);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u32(&mut out, 0); // flags (reserved)
+    push_record(&mut out, TAG_META, |p| {
+        put_u64(p, state.order.len() as u64);
+        put_u64(p, state.next_og);
+        put_u64(p, state.shards.len() as u64);
+    });
+    for (s, p) in clip_positions(&state.order, state.shards.len()) {
+        let shard = &state.shards[s];
+        push_record(&mut out, TAG_CLIP, |out| {
+            encode_clip(out, &shard.clips[p], &shard.index.roots()[p]);
+        });
+    }
+    out.extend_from_slice(END_MAGIC);
+    out
 }
 
 impl VideoDatabase {
-    /// Serializes the database to `path`: one file for a one-shard
-    /// database whose `path` is not an existing directory, else a shard
-    /// directory (module docs, "Layouts"). `save → load → save` is a
-    /// byte-identity in either layout. A clip name with a line break cannot
-    /// go into a manifest: the directory layout then fails with
-    /// [`io::ErrorKind::InvalidInput`] before anything is written.
+    /// Serializes the database to one file: `path` itself for a one-shard
+    /// database whose `path` is not an existing directory, else
+    /// `db.strgdb` inside the directory `path` (module docs).
+    /// `save → load → save` is a byte-identity.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        // One read guard keeps ingests and removals out, so the manifest
-        // and every shard file agree.
-        let state = self.state.read();
-        if state.shards.len() == 1 && !path.is_dir() {
-            return fs::write(path, encode_shard(&state.shards[0], state.next_og));
-        }
-        let mut manifest = String::from("STRG-SHARDS v2\n");
-        manifest.push_str(&format!("shards {}\n", state.shards.len()));
-        manifest.push_str(&format!("next_og {}\n", state.next_og));
-        for name in &state.order {
-            if name.contains(['\n', '\r']) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "clip name {name:?} contains a line break: the manifest cannot hold it"
-                    ),
-                ));
-            }
-            manifest.push_str(&format!("clip {name}\n"));
+        // One read guard keeps ingests and removals out of the encoding.
+        let bytes = encode(&self.state.read());
+        if self.shard_count() == 1 && !path.is_dir() {
+            return fs::write(path, bytes);
         }
         fs::create_dir_all(path)?;
-        fs::write(path.join("MANIFEST"), manifest)?;
-        for (i, shard) in state.shards.iter().enumerate() {
-            fs::write(path.join(shard_file(i)), encode_shard(shard, state.next_og))?;
-        }
-        Ok(())
+        fs::write(path.join(DIR_FILE), bytes)
     }
 
-    /// Loads a database from a file or a shard directory (whose shard
-    /// count wins over `opts.shards`), deserializing every built index
-    /// ([`ReopenMode::Fast`]). Anything malformed is an
+    /// Loads a database from a file, or from the file a database directory
+    /// holds, deserializing every built index ([`ReopenMode::Fast`]). The
+    /// file's shard count wins over `opts.shards`. Anything malformed is an
     /// [`io::ErrorKind::InvalidData`] error.
-    pub fn load(path: impl AsRef<Path>, mut opts: DbOptions) -> io::Result<Self> {
+    pub fn load(path: impl AsRef<Path>, opts: DbOptions) -> io::Result<Self> {
         let path = path.as_ref();
-        let recorder = Recorder::new();
-        let (shards, order, next_og) = if path.is_dir() {
-            let (count, mut next_og, order) = read_manifest(path)?;
-            opts.shards = count;
-            let mut shards = Vec::with_capacity(count);
-            for i in 0..count {
-                let (shard, shard_next_og) =
-                    read_shard(&path.join(shard_file(i)), &opts, &recorder)?;
-                next_og = next_og.max(shard_next_og);
-                shards.push(shard);
-            }
-            check_manifest(&order, &shards)?;
-            (shards, order, next_og)
+        let bytes = if path.is_dir() {
+            let file = path.join(DIR_FILE);
+            fs::read(&file)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", file.display())))?
         } else {
-            let (shard, next_og) = read_shard(path, &opts, &recorder)?;
-            let order = shard.clips.iter().map(|c| c.name.clone()).collect();
-            (vec![shard], order, next_og)
+            fs::read(path)?
         };
+        let (parts, order, next_og) = parse_file(&bytes)?;
+        let recorder = Recorder::new();
+        let shards = parts
+            .into_iter()
+            .map(|(roots, clips)| Shard::new(&opts, &recorder, roots, clips))
+            .collect();
         let persist = PersistInfo {
-            loaded_format: Some(FORMAT_VERSION),
             reopen: ReopenMode::Fast,
         };
         Ok(Self::assemble(
             opts, shards, order, next_og, recorder, persist,
         ))
     }
-}
-
-/// Parses a database directory's `MANIFEST`: shard count, next OG id and
-/// the global clip order.
-fn read_manifest(dir: &Path) -> io::Result<(usize, u64, Vec<String>)> {
-    let manifest = fs::read_to_string(dir.join("MANIFEST"))?;
-    let mut lines = manifest.lines();
-    if lines.next() != Some("STRG-SHARDS v2") {
-        return Err(bad("not a STRG-SHARDS v2 manifest"));
-    }
-    let mut count = 0usize;
-    let mut next_og = 0u64;
-    let mut order = Vec::new();
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("shards ") {
-            count = rest.parse().map_err(|_| bad("bad shard count"))?;
-        } else if let Some(rest) = line.strip_prefix("next_og ") {
-            next_og = rest.parse().map_err(|_| bad("bad next_og"))?;
-        } else if let Some(name) = line.strip_prefix("clip ") {
-            order.push(name.to_string());
-        } else if !line.trim().is_empty() {
-            return Err(bad("unrecognized manifest line"));
-        }
-    }
-    if count == 0 {
-        return Err(bad("manifest declares zero shards"));
-    }
-    Ok((count, next_og, order))
-}
-
-/// Refuses a directory whose `MANIFEST` disagrees with its shard files:
-/// the clip lines that route to shard `s`, in manifest order, must be
-/// shard `s`'s clips in order — the walk background matching makes (a
-/// name the library let two clips share still round-trips). A crash
-/// between writing the manifest and the shard files leaves such a
-/// directory.
-fn check_manifest(order: &[String], shards: &[Shard]) -> io::Result<()> {
-    for (name, (s, p)) in order.iter().zip(clip_positions(order, shards.len())) {
-        if shards[s].clips.get(p).map(|c| &c.name) != Some(name) {
-            return Err(bad(format!(
-                "MANIFEST clip {name:?} is not clip {p} of shard {s} (missing, extra, duplicated or reordered clip)"
-            )));
-        }
-    }
-    // Every line matched a distinct stored clip, so equal totals leave none
-    // unlisted.
-    if order.len() != shards.iter().map(|s| s.clips.len()).sum::<usize>() {
-        return Err(bad("MANIFEST lists fewer clips than the shard files hold"));
-    }
-    Ok(())
-}
-
-/// One shard as a STRGDB file image; `next_og` is the database's OG-id
-/// counter, which every shard file records.
-fn encode_shard(shard: &Shard, next_og: u64) -> Vec<u8> {
-    let Shard {
-        index,
-        clips,
-        strg_bytes,
-    } = shard;
-    let mut out = Vec::with_capacity(64 * 1024);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, 0); // flags (reserved)
-    push_record(&mut out, TAG_META, |p| {
-        put_u64(p, clips.len() as u64);
-        put_u64(p, next_og);
-        put_u64(p, *strg_bytes as u64);
-    });
-    // Clip `i` owns root `i`.
-    for (clip, root) in clips.iter().zip(index.roots()) {
-        push_record(&mut out, TAG_CLIP, |p| encode_clip(p, clip, root));
-    }
-    out.extend_from_slice(END_MAGIC);
-    out
-}
-
-/// Reads one STRGDB file as a shard and the OG-id counter it records,
-/// deserializing its index with [`StrgIndex::from_parts`] — no clustering,
-/// no distance evaluations.
-fn read_shard(path: &Path, opts: &DbOptions, recorder: &Recorder) -> io::Result<(Shard, u64)> {
-    let bytes = fs::read(path)?;
-    if !bytes.starts_with(MAGIC) {
-        return Err(bad("not a STRGDB file (missing the STRGDB2 magic)"));
-    }
-    let parsed = parse_file(&bytes)?;
-    let shard = Shard::new(
-        opts,
-        recorder,
-        parsed.roots,
-        parsed.clips,
-        parsed.strg_bytes,
-    );
-    Ok((shard, parsed.next_og))
 }
 
 // ---------------------------------------------------------------------------
@@ -613,6 +504,9 @@ fn region_at(b: &[u8]) -> (u32, Rgb, Point2) {
 /// and CRC are checked here, so the decoders below only see intact
 /// payloads.
 fn split_records(bytes: &[u8]) -> io::Result<Vec<(u32, &[u8])>> {
+    if !bytes.starts_with(MAGIC) {
+        return Err(bad("not a STRGDB file (missing the STRGDB2 magic)"));
+    }
     if bytes.len() < 16 + END_MAGIC.len() {
         return Err(bad("file too short for a STRGDB2 header and trailer"));
     }
@@ -694,13 +588,13 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<BackgroundGraph> {
 /// Decodes one CLIP record into the clip and its root. Each leaf entry is
 /// resolved to the OG it names: its sequence is that OG's centroid series
 /// and its summary is `metric`'s, the values `add_segment` computed.
-/// `last_id` carries the previous clip's largest OG id: ids increase
-/// through the file, so an entry finds its OG by binary search. `named`
-/// is scratch space, one flag per OG, reused from clip to clip.
+/// `free` is the first id past the previous clip's block, and moves past
+/// this one's. `named` is scratch space, one flag per OG, reused from clip
+/// to clip.
 fn decode_clip(
     payload: &[u8],
     metric: &EgedMetric<Point2>,
-    last_id: &mut Option<u64>,
+    free: &mut u64,
     named: &mut Vec<bool>,
 ) -> io::Result<(ClipMeta, RootRecord<Point2>)> {
     let mut cur = Cursor::new(payload, "CLIP record");
@@ -709,18 +603,18 @@ fn decode_clip(
     let name = std::str::from_utf8(cur.take(name_len)?)
         .map_err(|_| bad("clip name is not UTF-8"))?
         .to_string();
-    let n_ogs = cur.count(28)?;
-    let mut og_ids = Vec::with_capacity(n_ogs);
+    let first_og = cur.u64()?;
+    let n_ogs = cur.count(16)?;
+    if first_og < *free {
+        return Err(bad(format!(
+            "OG block of clip {name:?} starts at {first_og}, inside the previous clip's (ids below {free} are taken)"
+        )));
+    }
+    *free = first_og
+        .checked_add(n_ogs as u64)
+        .ok_or_else(|| bad("OG id block overflows the id space"))?;
     let mut ogs = Vec::with_capacity(n_ogs);
-    for _ in 0..n_ogs {
-        let id = cur.u64()?;
-        if last_id.is_some_and(|last| id <= last) {
-            return Err(bad(format!(
-                "OG id {id} does not increase through the file (duplicated or out of order)"
-            )));
-        }
-        *last_id = Some(id);
-        let og_id = cur.u32()?;
+    for i in 0..n_ogs {
         let start_frame = cur.u64()? as usize;
         let samples = cur
             .run::<60>()?
@@ -735,9 +629,8 @@ fn decode_clip(
                 }
             })
             .collect();
-        og_ids.push(id);
         ogs.push(ObjectGraph {
-            id: og_id,
+            id: i as u32,
             start_frame,
             samples,
         });
@@ -754,11 +647,14 @@ fn decode_clip(
         let mut records = Vec::with_capacity(entries.len());
         for entry in entries {
             let (key, og_id) = (f64_at(entry, 0), u64_at(entry, 8));
-            let i = og_ids.binary_search(&og_id).map_err(|_| {
-                bad(format!(
-                    "leaf entry names OG {og_id}, which its clip does not hold"
-                ))
-            })?;
+            let i = og_id
+                .checked_sub(first_og)
+                .filter(|&i| i < n_ogs as u64)
+                .ok_or_else(|| {
+                    bad(format!(
+                        "leaf entry names OG {og_id}, which its clip does not hold"
+                    ))
+                })? as usize;
             if std::mem::replace(&mut named[i], true) {
                 return Err(bad(format!("OG {og_id} is named by two leaf entries")));
             }
@@ -776,27 +672,28 @@ fn decode_clip(
         });
     }
     if let Some(i) = named.iter().position(|&n| !n) {
-        return Err(bad(format!("OG {} is named by no leaf entry", og_ids[i])));
+        return Err(bad(format!(
+            "OG {} is named by no leaf entry",
+            first_og + i as u64
+        )));
     }
     cur.finish()?;
     let clip = ClipMeta {
         name,
         frames,
-        og_ids,
+        first_og,
         ogs,
     };
     Ok((clip, RootRecord { bg, clusters }))
 }
 
-/// Everything parsed out of a file, before index assembly.
-struct Parsed {
-    clips: Vec<ClipMeta>,
-    roots: Vec<RootRecord<Point2>>,
-    strg_bytes: usize,
-    next_og: u64,
-}
+/// One shard's parts as a file holds them: its roots and its clips, both
+/// in the shard's order.
+type ShardParts = (Vec<RootRecord<Point2>>, Vec<ClipMeta>);
 
-fn parse_file(bytes: &[u8]) -> io::Result<Parsed> {
+/// Parses a file into every shard's parts, the global clip order and the
+/// OG-id counter: each CLIP is appended to the shard its name routes to.
+fn parse_file(bytes: &[u8]) -> io::Result<(Vec<ShardParts>, Vec<String>, u64)> {
     let records = split_records(bytes)?;
     let Some((&(TAG_META, meta), rest)) = records.split_first() else {
         return Err(bad("the first record is not META"));
@@ -804,7 +701,7 @@ fn parse_file(bytes: &[u8]) -> io::Result<Parsed> {
     let mut cur = Cursor::new(meta, "META record");
     let n_clips = cur.u64()?;
     let next_og = cur.u64()?;
-    let strg_bytes = cur.u64()? as usize;
+    let n_shards = cur.u64()?;
     cur.finish()?;
     if n_clips != rest.len() as u64 {
         return Err(bad(format!(
@@ -812,27 +709,30 @@ fn parse_file(bytes: &[u8]) -> io::Result<Parsed> {
             rest.len()
         )));
     }
+    if !(1..=MAX_SHARDS).contains(&n_shards) {
+        return Err(bad(format!(
+            "META shard count {n_shards} is not in 1..={MAX_SHARDS}"
+        )));
+    }
+    let n_shards = n_shards as usize;
     let metric = index_metric();
-    let mut clips = Vec::with_capacity(rest.len());
-    let mut roots = Vec::with_capacity(rest.len());
-    let (mut last_id, mut named) = (None, Vec::new());
+    let mut shards: Vec<ShardParts> = (0..n_shards).map(|_| Default::default()).collect();
+    let mut order = Vec::with_capacity(rest.len());
+    let (mut free, mut named) = (0, Vec::new());
     for &(tag, payload) in rest {
         if tag != TAG_CLIP {
             return Err(bad(format!("unexpected record tag {tag:#010x}")));
         }
-        let (clip, root) = decode_clip(payload, &metric, &mut last_id, &mut named)?;
-        clips.push(clip);
+        let (clip, root) = decode_clip(payload, &metric, &mut free, &mut named)?;
+        let (roots, clips) = &mut shards[route(&clip.name, n_shards)];
+        order.push(clip.name.clone());
         roots.push(root);
+        clips.push(clip);
     }
-    if last_id.is_some_and(|max| max >= next_og) {
+    if free > next_og {
         return Err(bad("META next OG id does not lie past every stored id"));
     }
-    Ok(Parsed {
-        clips,
-        roots,
-        strg_bytes,
-        next_og,
-    })
+    Ok((shards, order, next_og))
 }
 
 #[cfg(test)]
@@ -880,7 +780,6 @@ mod tests {
         assert_eq!(
             loaded.persist_info(),
             PersistInfo {
-                loaded_format: Some(FORMAT_VERSION),
                 reopen: ReopenMode::Fast
             }
         );

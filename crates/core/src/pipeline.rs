@@ -29,6 +29,7 @@
 
 use parking_lot::RwLock;
 use strg_distance::EgedMetric;
+use strg_graph::decompose::strg_size_bytes;
 use strg_graph::{
     background_similarity, build_strg, decompose, BackgroundGraph, ObjectGraph, Point2,
 };
@@ -55,10 +56,10 @@ pub(crate) struct ClipMeta {
     pub(crate) name: String,
     /// Number of frames ingested.
     pub(crate) frames: usize,
-    /// Ids of the OGs extracted from this clip.
-    pub(crate) og_ids: Vec<u64>,
+    /// The first id of the clip's OG-id block.
+    pub(crate) first_og: u64,
     /// The full Object Graphs (the leaf `ptr` targets): `ogs[i]` has id
-    /// `og_ids[i]`.
+    /// `first_og + i`.
     pub(crate) ogs: Vec<ObjectGraph>,
 }
 
@@ -106,7 +107,6 @@ pub struct DbStats {
 pub(crate) struct Shard {
     pub(crate) index: Idx,
     pub(crate) clips: Vec<ClipMeta>,
-    pub(crate) strg_bytes: usize,
 }
 
 impl Shard {
@@ -116,23 +116,25 @@ impl Shard {
         recorder: &Recorder,
         roots: Vec<RootRecord<Point2>>,
         clips: Vec<ClipMeta>,
-        strg_bytes: usize,
     ) -> Self {
         let mut index = StrgIndex::from_parts(index_metric(), opts.index, roots);
         index.set_recorder(recorder.clone());
-        Self {
-            index,
-            clips,
-            strg_bytes,
-        }
+        Self { index, clips }
     }
 
+    /// The shard's statistics; Equation (9) sums over the clips it holds
+    /// now, each clip's OGs and its root's Background Graph.
     fn stats(&self) -> DbStats {
         DbStats {
             clips: self.clips.len(),
             objects: self.index.len(),
             clusters: self.index.cluster_count(),
-            strg_bytes: self.strg_bytes,
+            strg_bytes: self
+                .clips
+                .iter()
+                .zip(self.index.roots())
+                .map(|(c, r)| strg_size_bytes(&c.ogs, &r.bg))
+                .sum(),
             index_bytes: self.index.size_bytes(),
         }
     }
@@ -207,7 +209,7 @@ impl VideoDatabase {
         opts.shards = opts.shards.max(1);
         let recorder = Recorder::new();
         let shards = (0..opts.shards)
-            .map(|_| Shard::new(&opts, &recorder, Vec::new(), Vec::new(), 0))
+            .map(|_| Shard::new(&opts, &recorder, Vec::new(), Vec::new()))
             .collect();
         Self::assemble(opts, shards, Vec::new(), 0, recorder, PersistInfo::fresh())
     }
@@ -248,9 +250,9 @@ impl VideoDatabase {
         self.cfg.shards
     }
 
-    /// Where this database's contents came from: the on-disk format it was
-    /// loaded from (if any) and whether the index was deserialized
-    /// ([`crate::persist::ReopenMode::Fast`]) or the database is fresh.
+    /// Where this database's contents came from: whether the index was
+    /// deserialized ([`crate::persist::ReopenMode::Fast`]) or the database
+    /// is fresh.
     pub fn persist_info(&self) -> PersistInfo {
         self.persist
     }
@@ -292,7 +294,7 @@ impl VideoDatabase {
             let _s = self.recorder.span("ingest.decompose");
             decompose(&strg, &self.cfg.decompose)
         };
-        let strg_bytes = strg_graph::decompose::strg_size_bytes(&d);
+        let strg_bytes = strg_size_bytes(&d.objects, &d.background);
         let background_nodes = d.background.rag.node_count();
 
         // 4/5. Cluster + index (Algorithm 2), under the write lock. The
@@ -300,12 +302,11 @@ impl VideoDatabase {
         let mut state = self.state.write();
         let s = route(name, state.shards.len());
         let objects = d.objects.len();
-        let og_ids: Vec<u64> = (state.next_og..).take(objects).collect();
+        let first_og = state.next_og;
         state.next_og += objects as u64;
-        let items = og_ids
-            .iter()
+        let items = (first_og..)
             .zip(&d.objects)
-            .map(|(&id, og)| (id, og.centroid_series()))
+            .map(|(id, og)| (id, og.centroid_series()))
             .collect();
         let shard = &mut state.shards[s];
         let root_id = {
@@ -315,10 +316,9 @@ impl VideoDatabase {
         shard.clips.push(ClipMeta {
             name: name.to_string(),
             frames: frames.len(),
-            og_ids,
+            first_og,
             ogs: d.objects,
         });
-        shard.strg_bytes += strg_bytes;
         state.order.push(name.to_string());
         drop(state);
         self.recorder.add("ingest.clips", 1);
@@ -449,10 +449,12 @@ impl VideoDatabase {
     /// The stored Object Graph with id `id`, wherever it lives.
     pub fn og(&self, id: u64) -> Option<ObjectGraph> {
         let state = self.state.read();
-        state.shards.iter().flat_map(|s| &s.clips).find_map(|c| {
-            let i = c.og_ids.iter().position(|&x| x == id)?;
-            Some(c.ogs[i].clone())
-        })
+        state
+            .shards
+            .iter()
+            .flat_map(|s| &s.clips)
+            .find_map(|c| c.ogs.get(id.checked_sub(c.first_og)? as usize))
+            .cloned()
     }
 
     /// Removes a clip and everything extracted from it (its root record,

@@ -323,12 +323,9 @@ pub fn decompose(strg: &Strg, cfg: &DecomposeConfig) -> Decomposition {
 
 /// Size of the raw STRG per Equation (9): the OGs plus one BG *per frame*
 /// (the un-deduplicated background).
-pub fn strg_size_bytes(d: &Decomposition) -> usize {
-    d.objects
-        .iter()
-        .map(ObjectGraph::approx_bytes)
-        .sum::<usize>()
-        + d.background.frames_covered as usize * d.background.approx_bytes()
+pub fn strg_size_bytes(objects: &[ObjectGraph], background: &BackgroundGraph) -> usize {
+    objects.iter().map(ObjectGraph::approx_bytes).sum::<usize>()
+        + background.frames_covered as usize * background.approx_bytes()
 }
 
 #[cfg(test)]
@@ -470,7 +467,7 @@ mod tests {
     fn strg_size_dominates_index_size_inputs() {
         let strg = toy_strg(6);
         let d = decompose(&strg, &DecomposeConfig::default());
-        let raw = strg_size_bytes(&d);
+        let raw = strg_size_bytes(&d.objects, &d.background);
         let og_part: usize = d.objects.iter().map(ObjectGraph::approx_bytes).sum();
         assert!(raw > og_part + d.background.approx_bytes());
     }

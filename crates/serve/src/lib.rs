@@ -100,7 +100,7 @@ pub struct ServeConfig {
     /// `too_large` error and closes the connection (default 1 MiB).
     pub max_line_bytes: usize,
     /// When set, every successful ingest persists the database here
-    /// (STRGDB segment files), mirroring the CLI's save-on-mutation
+    /// (one STRGDB file), mirroring the CLI's save-on-mutation
     /// behavior.
     pub db_path: Option<String>,
     /// Largest accepted `query_batch` width, which also bounds how many

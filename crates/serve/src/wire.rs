@@ -151,8 +151,8 @@ impl QuerySpec {
 /// either front end, which arrive from outside the program and are checked
 /// here before anything is sized from them: `frames` in
 /// `1..=`[`MAX_INGEST_FRAMES`], `actors` in `0..=`[`MAX_INGEST_ACTORS`], and
-/// a `name` of 1 to 255 bytes without control characters (the shard
-/// manifest stores one clip name per line).
+/// a `name` of 1 to 255 bytes without control characters (the CLI prints
+/// one hit per line, its clip name first; the library stores any name).
 pub fn make_clip(
     scene_kind: &str,
     name: &str,
@@ -379,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn clip_names_must_fit_one_manifest_line() {
+    fn clip_names_must_fit_one_output_line() {
         assert!(make_clip("lab", &"n".repeat(255), 1, 10, 0).is_ok());
         assert!(make_clip("lab", "caméra 1", 1, 10, 0).is_ok());
         let long = "n".repeat(256);

@@ -159,7 +159,20 @@ fn benchmark_surface() {
     let dir = temp_path("sharded");
     sharded.save(&dir).expect("save shards");
     ShardedDatabase::load(&dir, opts).expect("load shards");
+    // `lib_shards`' `store_bytes_per_object` sums the regular files directly
+    // inside the directory a sharded save writes (`dir_bytes`): a layout
+    // that put them anywhere else would read 0 there.
+    let dir_bytes: u64 = std::fs::read_dir(&dir)
+        .expect("a sharded save writes a directory")
+        .map(|e| e.unwrap().metadata().unwrap())
+        .filter(|m| m.is_file())
+        .map(|m| m.len())
+        .sum();
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        dir_bytes > 0,
+        "a sharded save's directory holds no file bytes"
+    );
 
     // obs.
     let recorder = Recorder::new();

@@ -151,10 +151,11 @@ fn frames_to_rags_allocates_only_the_rags_it_returns() {
 /// traffic, 3 actors, 12 frames). Each Background Graph decodes into a
 /// flat RAG of four buffers. The incremental layout it replaced (a
 /// `BTreeMap` of edges plus one neighbour `Vec` per node) took 429
-/// allocations for this file and the flat one 227 in format v3. Format v4
-/// takes 217, the bound: one record per clip, and each clip's OG and id
-/// lists sized up front. A decoder that starts allocating per node or per
-/// edge fails here.
+/// allocations for this file and the flat one 227 in format v3; format v4
+/// took 217. Format v5 takes 210, the bound: one record per clip, each
+/// clip's OG list sized up front, and no id list (a clip's ids are one
+/// block). A decoder that starts allocating per node or per edge fails
+/// here.
 #[test]
 fn load_allocations_are_bounded() {
     let db = VideoDatabase::new(DbOptions::new());
@@ -178,5 +179,5 @@ fn load_allocations_are_bounded() {
     let events = alloc_events() - before;
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded.stats().clips, 12);
-    assert!(events <= 217, "load performed {events} allocations");
+    assert!(events <= 210, "load performed {events} allocations");
 }

@@ -145,7 +145,7 @@ fn v2_fast_load_matches_rebuild_single_tree() {
 
     let fast = VideoDatabase::load(&path, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(FORMAT_VERSION));
+    assert_eq!(fast.persist_info().format(), FORMAT_VERSION);
     let rebuilt = VideoDatabase::new(DbOptions::new());
     ingest_all(&rebuilt);
 
@@ -163,7 +163,7 @@ fn v2_fast_load_matches_rebuild_single_tree() {
 
 /// The same contract on a sharded database: fast load ≡ the built
 /// database ≡ a rebuild from the same clips, and the re-saved directory
-/// (manifest + every shard file) is byte-identical.
+/// (its one file) is byte-identical.
 #[test]
 fn v2_fast_load_matches_rebuild_sharded() {
     let built = ShardedDatabase::new(DbOptions::new().shards(3));
@@ -185,11 +185,11 @@ fn v2_fast_load_matches_rebuild_sharded() {
         files
     };
     let original = read_dir(&dir);
-    assert_eq!(original.len(), 4, "manifest + 3 shard files");
+    assert_eq!(original.len(), 1, "one file at any shard count");
 
     let fast = ShardedDatabase::load(&dir, DbOptions::new()).unwrap();
     assert_eq!(fast.persist_info().reopen, ReopenMode::Fast);
-    assert_eq!(fast.persist_info().loaded_format, Some(FORMAT_VERSION));
+    assert_eq!(fast.persist_info().format(), FORMAT_VERSION);
     let rebuilt = ShardedDatabase::new(DbOptions::new().shards(3));
     ingest_all(&rebuilt);
 
@@ -302,6 +302,42 @@ fn open_reports_persist_info() {
     // A fresh database is Fresh and speaks the current format.
     let fresh = VideoDatabase::new(DbOptions::new());
     assert_eq!(fresh.persist_info().reopen, ReopenMode::Fresh);
-    assert_eq!(fresh.persist_info().loaded_format, None);
     assert_eq!(fresh.persist_info().format(), FORMAT_VERSION);
+}
+
+/// Equation (9)'s `strg_bytes` counts only the clips a database holds: after
+/// a removal it equals that of a database that ingested only the
+/// survivors, at 1 and 3 shards, and again after save → load.
+#[test]
+fn removal_subtracts_the_clips_strg_bytes() {
+    for shards in [1, 3] {
+        let opts = DbOptions::new().shards(shards);
+        let both = VideoDatabase::new(opts);
+        let survivor = VideoDatabase::new(opts);
+        both.ingest_clip(&demo_clip(5), 5);
+        both.ingest_clip(&demo_clip(9), 9);
+        survivor.ingest_clip(&demo_clip(9), 9);
+        let ctx = format!("{shards} shards");
+        assert!(
+            both.stats().strg_bytes > survivor.stats().strg_bytes,
+            "{ctx}"
+        );
+        both.remove_clip("clip-5").expect("known clip");
+        let want = survivor.stats().strg_bytes;
+        assert_eq!(both.stats().strg_bytes, want, "{ctx}: after removal");
+        let path = temp_path(&format!("strg_bytes_{shards}"));
+        both.save(&path).unwrap();
+        let loaded = VideoDatabase::load(&path, DbOptions::new()).unwrap();
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.stats().strg_bytes, want, "{ctx}: after save → load");
+        for (i, (a, b)) in loaded
+            .shard_stats()
+            .iter()
+            .zip(survivor.shard_stats())
+            .enumerate()
+        {
+            assert_eq!(a.strg_bytes, b.strg_bytes, "{ctx}: shard {i}");
+        }
+    }
 }

@@ -5,8 +5,9 @@
 //! The loader's defenses under test: leading/trailing magic and version
 //! checks, per-record CRC-32, length-bounds checks before any slice or
 //! allocation, count-vs-remaining-bytes caps, the META clip count against
-//! the CLIP records, canonical edge order, increasing OG ids and the OG-id
-//! counter, and every leaf entry naming a distinct OG of its own clip.
+//! the CLIP records and its shard count, canonical edge order, OG-id blocks
+//! that follow each other and the OG-id counter, and every leaf entry
+//! naming a distinct OG of its own clip's block.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -159,9 +160,10 @@ fn garbage_and_bad_headers_are_rejected() {
 fn unsupported_version_is_rejected() {
     // Version field lives at offset 8..12. Version 2 is the retired layout
     // with 56-byte summary rows, version 3 the one that stored every leaf
-    // sequence a second time beside a summary sidecar and a TOC; 5 is from
-    // the future.
-    for version in [2u32, 3, 5] {
+    // sequence a second time beside a summary sidecar and a TOC, version 4
+    // the one that stored two ids per OG and the STRG size, one file per
+    // shard; 6 is from the future.
+    for version in [2u32, 3, 4, 6] {
         let mut bytes = sample_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let ctx = format!("version {version}");
@@ -209,7 +211,7 @@ fn zero_length_and_oversized_length_fields_are_rejected() {
 
 #[test]
 fn oversized_internal_counts_are_rejected_without_allocating() {
-    // META holds clips, next_og, strg_bytes — all u64. Claim 2^60 clips
+    // META holds clips, next_og, shards — all u64. Claim 2^60 clips
     // and re-seal the CRC so the count check itself (not the checksum)
     // has to reject it. `Vec::with_capacity(2^60)` would abort the
     // process, so surviving this case proves counts are capped before
@@ -258,6 +260,8 @@ fn assemble(records: &[Record]) -> Vec<u8> {
 /// Where the `u64` count of each run of a CLIP payload sits, walked by
 /// the grammar in `strg_core::persist`'s docs.
 struct ClipLayout {
+    /// The clip's first OG id; its OG count follows it.
+    first_og: usize,
     ogs: usize,
     /// The first OG's sample count.
     samples: usize,
@@ -270,10 +274,11 @@ struct ClipLayout {
 
 fn clip_layout(p: &[u8]) -> ClipLayout {
     let count = |at: usize| u64_at(p, at) as usize;
-    let ogs = 12 + u32::from_le_bytes(p[8..12].try_into().unwrap()) as usize;
+    let first_og = 12 + u32::from_le_bytes(p[8..12].try_into().unwrap()) as usize;
+    let ogs = first_og + 8;
     let mut at = ogs + 8;
     for _ in 0..count(ogs) {
-        at += 28 + 60 * count(at + 20);
+        at += 16 + 60 * count(at + 8);
     }
     let nodes = at + 4;
     let edges = nodes + 8 + 44 * count(nodes);
@@ -289,8 +294,9 @@ fn clip_layout(p: &[u8]) -> ClipLayout {
         .collect();
     assert_eq!(at, p.len(), "the walk must cover the payload");
     ClipLayout {
+        first_og,
         ogs,
-        samples: ogs + 28,
+        samples: ogs + 16,
         nodes,
         edges,
         clusters,
@@ -412,7 +418,7 @@ fn leaf_entries_must_name_each_of_their_clips_ogs_once() {
     let clip = clip_layout(&records[1].1);
     let (_, first) = clip.cluster_runs[0];
     let (_, last) = *clip.cluster_runs.last().unwrap();
-    let foreign = u64_at(&records[2].1, clip_layout(&records[2].1).ogs + 8);
+    let foreign = u64_at(&records[2].1, clip_layout(&records[2].1).first_og);
     let (n, len) = (u64_at(&records[1].1, last), records[1].1.len());
     let mut cases = [
         ("foreign", "which its clip does not hold"),
@@ -428,6 +434,29 @@ fn leaf_entries_must_name_each_of_their_clips_ogs_once() {
     cases[2].2[1].1.truncate(len - 16);
     cases[2].2[1].1[last..last + 8].copy_from_slice(&(n - 1).to_le_bytes());
     for (what, text, evil) in cases {
+        let e = must_reject(&assemble(&evil), what);
+        assert!(e.to_string().contains(text), "{what}: {e}");
+    }
+}
+
+/// Each clip's OG ids are one block, and the blocks follow each other in
+/// the file: a block that starts inside the previous clip's, or one whose
+/// end overflows the id space, is refused.
+#[test]
+fn og_blocks_must_follow_each_other() {
+    let records = split_records(&sample_bytes());
+    let (a, b) = (clip_layout(&records[1].1), clip_layout(&records[2].1));
+    let first_a = u64_at(&records[1].1, a.first_og);
+    assert!(
+        u64_at(&records[1].1, a.ogs) > 0,
+        "the first clip stores OGs"
+    );
+    for (what, first_b, text) in [
+        ("overlapping", first_a, "inside the previous clip's"),
+        ("overflowing", u64::MAX, "overflows"),
+    ] {
+        let mut evil = records.clone();
+        evil[2].1[b.first_og..b.first_og + 8].copy_from_slice(&first_b.to_le_bytes());
         let e = must_reject(&assemble(&evil), what);
         assert!(e.to_string().contains(text), "{what}: {e}");
     }
@@ -463,157 +492,69 @@ fn crc32_of(data: &[u8]) -> u32 {
     !crc
 }
 
+/// META's shard count (its third field) must be at least one, and small
+/// enough that building one empty tree per shard cannot exhaust memory.
 #[test]
-fn sharded_manifest_faults_are_rejected() {
-    // A missing shard file referenced by an otherwise valid manifest.
-    let dir = temp_path("shard_missing");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("MANIFEST"),
-        "STRG-SHARDS v2\nshards 2\nnext_og 0\n",
-    )
-    .unwrap();
-    let r = ShardedDatabase::load(&dir, DbOptions::new());
-    assert!(r.is_err(), "missing shard files accepted");
-
-    // Garbage manifests: an unknown version, and the retired v1 stamp.
-    for header in ["STRG-SHARDS v9", "STRG-SHARDS v1"] {
-        std::fs::write(dir.join("MANIFEST"), format!("{header}\nshards 1\n")).unwrap();
-        must_reject_dir(&dir, header);
+fn meta_shard_count_out_of_range_is_rejected() {
+    let records = split_records(&sample_bytes());
+    for n in [0, u64::MAX] {
+        let mut evil = records.clone();
+        evil[0].1[16..24].copy_from_slice(&n.to_le_bytes());
+        let ctx = format!("META shards = {n}");
+        let e = must_reject(&assemble(&evil), &ctx);
+        assert!(e.to_string().contains("shard count"), "{ctx}: {e}");
     }
-
-    // Zero shards.
-    std::fs::write(dir.join("MANIFEST"), "STRG-SHARDS v2\nshards 0\n").unwrap();
-    must_reject_dir(&dir, "zero shards");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The one regular file a database directory holds.
+fn the_file(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "a database directory holds one file");
+    files.into_iter().next().unwrap()
+}
+
+/// A directory is a database only through the one file `save` writes into
+/// it: that file corrupt, or missing, fails the load.
 #[test]
 fn corrupt_shard_file_fails_the_whole_load() {
     let db = ShardedDatabase::new(DbOptions::new().shards(2));
     db.ingest_frames("only", &one_actor_frames());
     let dir = temp_path("shard_corrupt");
     db.save(&dir).unwrap();
-    // Flip a byte in the middle of shard 0's file.
-    let shard0 = dir.join("shard-000.strgdb");
-    let mut bytes = std::fs::read(&shard0).unwrap();
+    // Flip a byte in the middle of the directory's file.
+    let file = the_file(&dir);
+    let mut bytes = std::fs::read(&file).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    std::fs::write(&shard0, &bytes).unwrap();
+    std::fs::write(&file, &bytes).unwrap();
     must_reject_dir(&dir, "corrupt shard");
+    std::fs::remove_file(&file).unwrap();
+    let result = VideoDatabase::load(&dir, DbOptions::new());
     let _ = std::fs::remove_dir_all(&dir);
+    let e = result.err().expect("a directory without its file loaded");
+    assert_eq!(e.kind(), ErrorKind::NotFound, "{e}");
 }
 
-/// A clip name with a line break, ingested through the library (no front
-/// end to refuse it), cannot go into the one-name-per-line manifest: `save`
-/// fails with `InvalidInput` before touching the directory, so the state
-/// saved before it still loads.
+/// Names the library does not refuse (the CLI and the server do) round-trip
+/// through a sharded save: one with a line break, and one name given to
+/// two clips, whose shard keeps both in ingest order.
 #[test]
 fn sharded_save_refuses_a_name_the_manifest_cannot_hold() {
-    let db = ShardedDatabase::new(DbOptions::new().shards(2));
     let frames = one_actor_frames();
-    db.ingest_frames("good", &frames);
-    let dir = temp_path("shard_newline_name");
-    db.save(&dir).unwrap();
-    let manifest = std::fs::read(dir.join("MANIFEST")).unwrap();
-
-    db.ingest_frames("a\nb", &frames);
-    let e = db
-        .save(&dir)
-        .expect_err("a manifest with a split line was written");
-    assert_eq!(e.kind(), ErrorKind::InvalidInput, "{e}");
-    assert_eq!(std::fs::read(dir.join("MANIFEST")).unwrap(), manifest);
-    let reloaded = ShardedDatabase::load(&dir, DbOptions::new()).expect("previous state loads");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(reloaded.clip_names(), ["good"]);
-}
-
-/// A `MANIFEST` that disagrees with its shard files is refused, not loaded
-/// as a different database: a clip missing from it, an extra or a
-/// duplicated clip line, or a clip stored in a shard its name does not
-/// route to. `save` writes the manifest before the shard files, so a crash
-/// between the two leaves such a directory.
-#[test]
-fn manifest_disagreeing_with_its_shard_files_is_rejected() {
-    let db = VideoDatabase::new(DbOptions::new().shards(3));
-    let frames = one_actor_frames();
-    for name in ["cam1", "cam2"] {
-        db.ingest_frames(name, &frames);
+    for names in [&["good", "a\nb"], &["twin", "twin"]] {
+        let db = ShardedDatabase::new(DbOptions::new().shards(3));
+        for name in names {
+            db.ingest_frames(name, &frames);
+        }
+        let dir = temp_path("sharded_names");
+        db.save(&dir).unwrap();
+        let reloaded = ShardedDatabase::load(&dir, DbOptions::new());
+        let _ = std::fs::remove_dir_all(&dir);
+        let reloaded = reloaded.expect("the saved names load");
+        assert_eq!(reloaded.clip_names(), names, "{names:?}");
+        assert_eq!(reloaded.stats().objects, db.stats().objects, "{names:?}");
     }
-    let dir = temp_path("manifest_mismatch");
-    db.save(&dir).unwrap();
-    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
-    VideoDatabase::load(&dir, DbOptions::new()).expect("the saved directory loads");
-
-    for (what, text) in [
-        ("missing clip", manifest.replace("clip cam1\n", "")),
-        ("extra clip", format!("{manifest}clip ghost\n")),
-        ("duplicated clip", format!("{manifest}clip cam2\n")),
-    ] {
-        std::fs::write(dir.join("MANIFEST"), text).unwrap();
-        must_reject_dir(&dir, what);
-    }
-
-    // Wrong shard: cam1's shard file and the next one trade places.
-    std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
-    let s = strg::core::route("cam1", 3);
-    let a = dir.join(format!("shard-{s:03}.strgdb"));
-    let b = dir.join(format!("shard-{:03}.strgdb", (s + 1) % 3));
-    let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-    std::fs::write(&a, bytes_b).unwrap();
-    std::fs::write(&b, bytes_a).unwrap();
-    must_reject_dir(&dir, "wrong shard");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The library does not refuse a repeated name (the CLI and the server
-    // do), so a manifest listing a name twice is consistent when its shard
-    // holds two clips of that name, and it loads.
-    let twins = VideoDatabase::new(DbOptions::new().shards(3));
-    twins.ingest_frames("twin", &frames);
-    twins.ingest_frames("twin", &frames);
-    let dir = temp_path("manifest_twins");
-    twins.save(&dir).unwrap();
-    let r = VideoDatabase::load(&dir, DbOptions::new());
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        r.expect("repeated name loads").clip_names(),
-        ["twin", "twin"]
-    );
-}
-
-/// Two clips of one shard whose `MANIFEST` lines trade places: every name
-/// and count still agrees, but the manifest's order is not the shard's
-/// root order, so the load is refused rather than reporting the swap.
-#[test]
-fn manifest_reordering_clips_of_one_shard_is_rejected() {
-    let db = VideoDatabase::new(DbOptions::new().shards(3));
-    let frames = one_actor_frames();
-    // Four names over three shards: two of them share a shard.
-    let names: Vec<String> = (0..4).map(|i| format!("cam{i}")).collect();
-    let (a, b) = names
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            let s = strg::core::route(a, 3);
-            let b = names[i + 1..]
-                .iter()
-                .find(|b| strg::core::route(b, 3) == s)?;
-            Some((a.clone(), b.clone()))
-        })
-        .expect("pigeonhole");
-    for name in &names {
-        db.ingest_frames(name, &frames);
-    }
-    let dir = temp_path("manifest_reordered");
-    db.save(&dir).unwrap();
-    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
-    let (line_a, line_b) = (format!("clip {a}\n"), format!("clip {b}\n"));
-    let swapped = manifest
-        .replace(&line_a, "@A@")
-        .replace(&line_b, &line_a)
-        .replace("@A@", &line_b);
-    assert_ne!(swapped, manifest);
-    std::fs::write(dir.join("MANIFEST"), swapped).unwrap();
-    must_reject_dir(&dir, "reordered clips");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -201,9 +201,9 @@ fn extreme_query_coordinates_are_exact_and_nan_free() {
 
 /// The CLI takes `--frames`, `--actors` and `--name` from outside the
 /// program: unbounded counts (which aborted the process on a multi-terabyte
-/// allocation) and names the shard manifest cannot hold on one line (which
-/// left the database unloadable) end in a `CliError` naming the limit, and
-/// the sharded database ingested before them still opens.
+/// allocation) and names that would not fit on one line of its output end
+/// in a `CliError` naming the limit, and the sharded database ingested
+/// before them still opens.
 #[test]
 fn cli_refuses_unbounded_and_unnameable_ingests() {
     let dir = std::env::temp_dir().join(format!("strg_robust_cli_{}", std::process::id()));

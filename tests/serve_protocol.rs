@@ -137,9 +137,9 @@ fn non_finite_and_unbounded_query_input_is_refused() {
 
 /// `"frames":100000000000` asked the allocator for 3.5 TB of scene and
 /// `"actors":100000000000` for one sprite path each (both aborted the
-/// server); a clip name with a line break wrote a shard manifest no later
-/// start could read. Each is refused with `invalid` before anything is
-/// built or saved, and the same connection still answers `ping`.
+/// server); a clip name with a line break would split the CLI's
+/// one-hit-per-line output. Each is refused with `invalid` before anything
+/// is built or saved, and the same connection still answers `ping`.
 #[test]
 fn unbounded_and_unnameable_ingests_are_refused() {
     let srv_db = temp_path("refused_ingest");

@@ -574,7 +574,7 @@ fn oracle_corners_four_shards() {
     }
 }
 
-/// Directory save/load round-trip: the manifest's shard count wins over
+/// Directory save/load round-trip: the file's shard count wins over
 /// `DbOptions::shards`, stats survive, and queries return identical hits.
 #[test]
 fn sharded_save_load_roundtrip() {
@@ -586,7 +586,7 @@ fn sharded_save_load_roundtrip() {
     db.save(&dir).expect("save sharded db");
 
     let loaded = ShardedDatabase::load(&dir, DbOptions::new().shards(5)).expect("load sharded db");
-    assert_eq!(loaded.shard_count(), 3, "manifest shard count wins");
+    assert_eq!(loaded.shard_count(), 3, "the file's shard count wins");
     assert_eq!(db.stats().clips, loaded.stats().clips);
     assert_eq!(db.stats().objects, loaded.stats().objects);
 
@@ -606,9 +606,9 @@ fn sharded_save_load_roundtrip() {
 
 /// `shards(1)` through the `open()` factory persists the plain single-file
 /// format, byte-identical to `VideoDatabase::save` — no format fork for
-/// the default configuration. A one-shard *directory* (a manifest naming
-/// one shard file) loads too, and saving back into it keeps the directory
-/// layout, byte for byte.
+/// the default configuration. Saved into an existing directory, the same
+/// database is that directory's one file, byte for byte; it loads from
+/// there and saves back into it unchanged.
 #[test]
 fn one_shard_persists_plain_bytes() {
     let base = std::env::temp_dir().join(format!("strg_shard_bytes_{}", std::process::id()));
@@ -632,17 +632,20 @@ fn one_shard_persists_plain_bytes() {
     let b = std::fs::read(&one_path).expect("read shards(1) bytes");
     assert_eq!(a, b, "shards(1) persisted bytes diverge from single-tree");
 
-    // The same database as a hand-built one-shard directory.
-    let mut manifest = format!(
-        "STRG-SHARDS v2\nshards 1\nnext_og {}\n",
-        plain.stats().objects
-    );
-    for name in plain.clip_names() {
-        manifest.push_str(&format!("clip {name}\n"));
-    }
+    // The same database saved into a directory: one file, the same bytes.
+    let dir_bytes = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+            .collect()
+    };
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
-    std::fs::write(dir.join("shard-000.strgdb"), &a).unwrap();
+    plain.save(&dir).expect("save into a directory");
+    assert_eq!(
+        dir_bytes(&dir),
+        std::slice::from_ref(&a),
+        "the directory's one file"
+    );
     let loaded = VideoDatabase::load(&dir, DbOptions::new()).expect("load a one-shard directory");
     assert_eq!(loaded.shard_count(), 1);
     assert_eq!(loaded.clip_names(), plain.clip_names());
@@ -653,17 +656,7 @@ fn one_shard_persists_plain_bytes() {
         assert!(ca.same_work(&cb), "one-shard directory: {ca:?} vs {cb:?}");
     }
     loaded.save(&dir).expect("save back into the directory");
-    assert_eq!(
-        std::fs::read_to_string(dir.join("MANIFEST")).unwrap(),
-        manifest,
-        "the directory keeps its manifest"
-    );
-    assert_eq!(
-        std::fs::read(dir.join("shard-000.strgdb")).unwrap(),
-        a,
-        "the directory keeps its shard file"
-    );
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+    assert_eq!(dir_bytes(&dir), [a], "the directory keeps its one file");
 
     let _ = std::fs::remove_file(&plain_path);
     let _ = std::fs::remove_file(&one_path);
