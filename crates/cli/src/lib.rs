@@ -60,11 +60,14 @@ USAGE:
   strgdb send   --addr <host:port> --req '<json request line>'
 
 Creates <path> on first ingest; later commands load and (for mutations)
-rewrite it. `--shards N` (first ingest/serve on a fresh path, N > 1)
+rewrite it. `--frames N` bounds when the scene's actors may start, not
+the clip's length: the clip ends when the last actor leaves the scene,
+so it may be shorter or longer than N frames (`ingest` reports its
+length). `--shards N` (first ingest/serve on a fresh path, N > 1)
 creates a sharded database — N independent STRG-Index trees behind
 deterministic hash-of-name clip routing, saved as a directory holding
-one STRGDB file; an existing database keeps its on-disk layout and
-shard count. `--json` switches ingest/query/stats to
+one STRGDB file; an existing database keeps its on-disk layout (a file
+stays a file) and shard count. `--json` switches ingest/query/stats to
 machine-readable output, including the per-query cost record and the
 database's metrics snapshot (same serialization as
 `VideoDatabase::metrics_snapshot`). `serve` answers the same shapes over

@@ -4,9 +4,10 @@
 //! # One file per database
 //!
 //! [`VideoDatabase::save`] writes one STRGDB file at any shard count: to
-//! `path` itself for a one-shard database whose `path` is not an existing
-//! directory (the default configuration), else to `db.strgdb` inside the
-//! directory `path`. [`VideoDatabase::load`] reads either. META stores the
+//! `path` itself when `path` is an existing file, or for a one-shard
+//! database whose `path` is not an existing directory (the default
+//! configuration); else to `db.strgdb` inside the directory `path`.
+//! [`VideoDatabase::load`] reads either. META stores the
 //! shard count, which wins over [`DbOptions::shards`] on load, and the
 //! OG-id counter; the CLIP records follow in global ingest order, and the
 //! loader appends each one to the shard [`crate::route`] sends its name to.
@@ -75,6 +76,14 @@
 //!   check per run: a count is first bounded against the bytes that
 //!   remain (before anything is allocated), then the run is taken once
 //!   and every item decoded from its slice.
+//! - The loader frames the records on the calling thread, then checks
+//!   every CRC and decodes every CLIP on the database's workers
+//!   ([`DbOptions::threads`]; at one worker, the plain loop). What needs
+//!   file order stays on the calling thread: META, the OG-id blocks,
+//!   routing, and which error a damaged file reports — every checksum
+//!   mismatch first, then a framing error, then record by record its
+//!   header, its OG block and its body — so a load's result and its error
+//!   are the same at every thread count.
 //!
 //! # Equivalence
 //!
@@ -91,6 +100,7 @@ use strg_graph::{
     BackgroundGraph, FrameId, NodeAttr, NodeId, ObjectGraph, OgSample, Point2, Rag, Rgb,
 };
 use strg_obs::Recorder;
+use strg_parallel::{par_map_with, Threads};
 
 use crate::index::{ClusterRecord, LeafNode, LeafRecord, RootRecord};
 use crate::options::DbOptions;
@@ -347,15 +357,15 @@ fn encode(state: &State) -> Vec<u8> {
 }
 
 impl VideoDatabase {
-    /// Serializes the database to one file: `path` itself for a one-shard
-    /// database whose `path` is not an existing directory, else
-    /// `db.strgdb` inside the directory `path` (module docs).
-    /// `save → load → save` is a byte-identity.
+    /// Serializes the database to one file: `path` itself when it is an
+    /// existing file or for a one-shard database whose `path` is not an
+    /// existing directory, else `db.strgdb` inside the directory `path`
+    /// (module docs). `save → load → save` is a byte-identity.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         // One read guard keeps ingests and removals out of the encoding.
         let bytes = encode(&self.state.read());
-        if self.shard_count() == 1 && !path.is_dir() {
+        if path.is_file() || (self.shard_count() == 1 && !path.is_dir()) {
             return fs::write(path, bytes);
         }
         fs::create_dir_all(path)?;
@@ -375,7 +385,7 @@ impl VideoDatabase {
         } else {
             fs::read(path)?
         };
-        let (parts, order, next_og) = parse_file(&bytes)?;
+        let (parts, order, next_og) = parse_file(&bytes, opts.threads)?;
         let recorder = Recorder::new();
         let shards = parts
             .into_iter()
@@ -499,11 +509,20 @@ fn region_at(b: &[u8]) -> (u32, Rgb, Point2) {
     )
 }
 
-/// Splits a file into its records' `(tag, payload)`: the header and
-/// trailer magics, the version and flags, and every record's length bound
-/// and CRC are checked here, so the decoders below only see intact
-/// payloads.
-fn split_records(bytes: &[u8]) -> io::Result<Vec<(u32, &[u8])>> {
+/// One framed record: where it starts in the file, its tag, its stored
+/// CRC and its payload.
+struct Frame<'a> {
+    offset: usize,
+    tag: u32,
+    crc: u32,
+    payload: &'a [u8],
+}
+
+/// Checks the header and trailer magics, the version and the flags, and
+/// frames the records between them: every record whose length fits the
+/// file, in file order, then the framing error that stopped the walk, if
+/// any. The list is allocated once, at its final size.
+fn split_records(bytes: &[u8]) -> io::Result<(Vec<Frame<'_>>, io::Result<()>)> {
     if !bytes.starts_with(MAGIC) {
         return Err(bad("not a STRGDB file (missing the STRGDB2 magic)"));
     }
@@ -524,30 +543,35 @@ fn split_records(bytes: &[u8]) -> io::Result<Vec<(u32, &[u8])>> {
         return Err(bad("missing STRG2END trailer (truncated file?)"));
     }
     let body_end = bytes.len() - END_MAGIC.len();
-    let mut records = Vec::new();
-    let mut pos = 16usize;
-    while pos < body_end {
-        if body_end - pos < REC_HEADER {
-            return Err(bad("truncated record header"));
-        }
-        let (tag, len, crc) = (
-            u32_at(bytes, pos),
-            u64_at(bytes, pos + 4),
-            u32_at(bytes, pos + 12),
-        );
-        if len > (body_end - pos - REC_HEADER) as u64 {
-            return Err(bad(format!(
-                "record length {len} overruns the file (offset {pos})"
-            )));
-        }
-        let payload = &bytes[pos + REC_HEADER..pos + REC_HEADER + len as usize];
-        if crc32(payload) != crc {
-            return Err(bad(format!("checksum mismatch in record at offset {pos}")));
-        }
-        records.push((tag, payload));
-        pos += REC_HEADER + len as usize;
-    }
-    Ok(records)
+    let walk = || {
+        let mut pos = 16usize;
+        std::iter::from_fn(move || {
+            if pos >= body_end {
+                return None;
+            }
+            // An error ends the walk: `pos` stays at the end.
+            let offset = std::mem::replace(&mut pos, body_end);
+            if body_end - offset < REC_HEADER {
+                return Some(Err(bad("truncated record header")));
+            }
+            let len = u64_at(bytes, offset + 4);
+            if len > (body_end - offset - REC_HEADER) as u64 {
+                return Some(Err(bad(format!(
+                    "record length {len} overruns the file (offset {offset})"
+                ))));
+            }
+            pos = offset + REC_HEADER + len as usize;
+            Some(Ok(Frame {
+                offset,
+                tag: u32_at(bytes, offset),
+                crc: u32_at(bytes, offset + 12),
+                payload: &bytes[offset + REC_HEADER..pos],
+            }))
+        })
+    };
+    let mut frames = Vec::with_capacity(walk().take_while(Result::is_ok).count());
+    let framing = walk().try_for_each(|frame| frame.map(|f| frames.push(f)));
+    Ok((frames, framing))
 }
 
 fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<BackgroundGraph> {
@@ -585,34 +609,42 @@ fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<BackgroundGraph> {
     })
 }
 
+/// A CLIP payload's fields ahead of its Object Graphs. The loader reads
+/// them on its own thread too, to check the OG-id blocks in file order.
+struct ClipHead<'a> {
+    frames: usize,
+    name: &'a str,
+    first_og: u64,
+    ogs: usize,
+}
+
+impl<'a> ClipHead<'a> {
+    fn read(cur: &mut Cursor<'a>) -> io::Result<Self> {
+        let frames = cur.u64()? as usize;
+        let name_len = cur.u32()? as usize;
+        let name =
+            std::str::from_utf8(cur.take(name_len)?).map_err(|_| bad("clip name is not UTF-8"))?;
+        Ok(Self {
+            frames,
+            name,
+            first_og: cur.u64()?,
+            ogs: cur.count(16)?,
+        })
+    }
+}
+
 /// Decodes one CLIP record into the clip and its root. Each leaf entry is
 /// resolved to the OG it names: its sequence is that OG's centroid series
 /// and its summary is `metric`'s, the values `add_segment` computed.
-/// `free` is the first id past the previous clip's block, and moves past
-/// this one's. `named` is scratch space, one flag per OG, reused from clip
-/// to clip.
+/// `named` is scratch space, one flag per OG, reused from clip to clip.
 fn decode_clip(
     payload: &[u8],
     metric: &EgedMetric<Point2>,
-    free: &mut u64,
     named: &mut Vec<bool>,
 ) -> io::Result<(ClipMeta, RootRecord<Point2>)> {
     let mut cur = Cursor::new(payload, "CLIP record");
-    let frames = cur.u64()? as usize;
-    let name_len = cur.u32()? as usize;
-    let name = std::str::from_utf8(cur.take(name_len)?)
-        .map_err(|_| bad("clip name is not UTF-8"))?
-        .to_string();
-    let first_og = cur.u64()?;
-    let n_ogs = cur.count(16)?;
-    if first_og < *free {
-        return Err(bad(format!(
-            "OG block of clip {name:?} starts at {first_og}, inside the previous clip's (ids below {free} are taken)"
-        )));
-    }
-    *free = first_og
-        .checked_add(n_ogs as u64)
-        .ok_or_else(|| bad("OG id block overflows the id space"))?;
+    let head = ClipHead::read(&mut cur)?;
+    let (first_og, n_ogs) = (head.first_og, head.ogs);
     let mut ogs = Vec::with_capacity(n_ogs);
     for i in 0..n_ogs {
         let start_frame = cur.u64()? as usize;
@@ -679,8 +711,8 @@ fn decode_clip(
     }
     cur.finish()?;
     let clip = ClipMeta {
-        name,
-        frames,
+        name: head.name.to_string(),
+        frames: head.frames,
         first_og,
         ogs,
     };
@@ -693,12 +725,27 @@ type ShardParts = (Vec<RootRecord<Point2>>, Vec<ClipMeta>);
 
 /// Parses a file into every shard's parts, the global clip order and the
 /// OG-id counter: each CLIP is appended to the shard its name routes to.
-fn parse_file(bytes: &[u8]) -> io::Result<(Vec<ShardParts>, Vec<String>, u64)> {
-    let records = split_records(bytes)?;
-    let Some((&(TAG_META, meta), rest)) = records.split_first() else {
+/// The records' CRCs and the CLIPs' decodes run on `threads` workers; what
+/// needs file order runs on the calling thread.
+fn parse_file(bytes: &[u8], threads: Threads) -> io::Result<(Vec<ShardParts>, Vec<String>, u64)> {
+    let (frames, framing) = split_records(bytes)?;
+    let metric = index_metric();
+    let (checked, _) = par_map_with(&frames, threads, Vec::new, |named, _, f| {
+        let intact = crc32(f.payload) == f.crc;
+        let clip = (intact && f.tag == TAG_CLIP).then(|| decode_clip(f.payload, &metric, named));
+        (intact, clip)
+    });
+    if let Some((f, _)) = frames.iter().zip(&checked).find(|(_, (intact, _))| !intact) {
+        return Err(bad(format!(
+            "checksum mismatch in record at offset {}",
+            f.offset
+        )));
+    }
+    framing?;
+    let Some((meta, rest)) = frames.split_first().filter(|(m, _)| m.tag == TAG_META) else {
         return Err(bad("the first record is not META"));
     };
-    let mut cur = Cursor::new(meta, "META record");
+    let mut cur = Cursor::new(meta.payload, "META record");
     let n_clips = cur.u64()?;
     let next_og = cur.u64()?;
     let n_shards = cur.u64()?;
@@ -715,15 +762,26 @@ fn parse_file(bytes: &[u8]) -> io::Result<(Vec<ShardParts>, Vec<String>, u64)> {
         )));
     }
     let n_shards = n_shards as usize;
-    let metric = index_metric();
     let mut shards: Vec<ShardParts> = (0..n_shards).map(|_| Default::default()).collect();
     let mut order = Vec::with_capacity(rest.len());
-    let (mut free, mut named) = (0, Vec::new());
-    for &(tag, payload) in rest {
-        if tag != TAG_CLIP {
-            return Err(bad(format!("unexpected record tag {tag:#010x}")));
+    let mut free = 0;
+    for (f, (_, clip)) in rest.iter().zip(checked.into_iter().skip(1)) {
+        let Some(decoded) = clip else {
+            return Err(bad(format!("unexpected record tag {:#010x}", f.tag)));
+        };
+        // The header's errors and the block checks come before the body's.
+        let head = ClipHead::read(&mut Cursor::new(f.payload, "CLIP record"))?;
+        if head.first_og < free {
+            return Err(bad(format!(
+                "OG block of clip {:?} starts at {}, inside the previous clip's (ids below {free} are taken)",
+                head.name, head.first_og
+            )));
         }
-        let (clip, root) = decode_clip(payload, &metric, &mut free, &mut named)?;
+        free = head
+            .first_og
+            .checked_add(head.ogs as u64)
+            .ok_or_else(|| bad("OG id block overflows the id space"))?;
+        let (clip, root) = decoded?;
         let (roots, clips) = &mut shards[route(&clip.name, n_shards)];
         order.push(clip.name.clone());
         roots.push(root);

@@ -32,10 +32,12 @@
 //!
 //! ## Methods
 //!
-//! `ingest`, `query` (k-NN or range), `query_batch` (many queries in one
-//! request, identical ones answered once — each element byte-identical to
-//! `query` run alone), `stats`, `metrics`, `ping` (optionally
-//! `{"delay_ms":N}` — a latency/queue probe), `shutdown`.
+//! `ingest` (a scripted clip: `name`, `scene`, `actors`, `frames` — the
+//! window its actors start in, so the clip may run shorter or longer; the
+//! reply reports its length), `query` (k-NN or range), `query_batch` (many
+//! queries in one request, identical ones answered once — each element
+//! byte-identical to `query` run alone), `stats`, `metrics`, `ping`
+//! (optionally `{"delay_ms":N}` — a latency/queue probe), `shutdown`.
 //!
 //! ## Coalescing
 //!
@@ -79,8 +81,11 @@ pub const MAX_PING_DELAY_MS: u64 = 10_000;
 /// interpolated query trajectory), on the wire and in `strgdb query`.
 pub const MAX_QUERY_STEPS: u64 = 4096;
 
-/// Upper bound accepted for an ingest's `frames` (every frame is rendered,
-/// segmented and tracked), on the wire and in `strgdb ingest`.
+/// Upper bound accepted for an ingest's `frames`, on the wire and in
+/// `strgdb ingest`. `frames` is the window the scene's actors start in, not
+/// the clip's length ([`strg_video::ScenarioConfig::frames`]); the clip runs
+/// until its last actor leaves, and the ingest reply's `frames` is that
+/// length.
 pub const MAX_INGEST_FRAMES: usize = 4096;
 
 /// Upper bound accepted for an ingest's `actors` (the scene scripts one

@@ -24,7 +24,12 @@ pub const SCENE_H: usize = 120;
 pub struct ScenarioConfig {
     /// Number of moving objects scripted into the clip.
     pub n_actors: usize,
-    /// Frame budget actors are scheduled within.
+    /// The window actors start in, not the clip's length. An actor whose
+    /// path takes `steps` frames starts in `0..max(frames - steps, 1)`, and
+    /// the clip ends when the last path does ([`Scene::frame_count`]): it
+    /// falls short of `frames` when no actor starts late, and outruns it
+    /// when a path is longer than the window (`strgdb ingest --scene lab
+    /// --frames 40` renders 54 frames, `--scene traffic --frames 40` 38).
     pub frames: usize,
     /// RNG seed (actor schedules, lanes, speeds).
     pub seed: u64,

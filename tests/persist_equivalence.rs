@@ -208,6 +208,71 @@ fn v2_fast_load_matches_rebuild_sharded() {
     }
 }
 
+/// The loader checks and decodes records on the database's workers: one
+/// file, of a one-shard and of a three-shard database, loads at 1, 2, 4
+/// and 8 workers into databases that agree in stats, hits and costs, and
+/// that re-save the file byte for byte.
+#[test]
+fn load_is_identical_at_any_thread_count() {
+    // The bytes a save to `path` wrote, and `path` removed.
+    let take = |path: &PathBuf| {
+        let bytes = std::fs::read(if path.is_dir() {
+            path.join("db.strgdb")
+        } else {
+            path.clone()
+        });
+        let _ = std::fs::remove_dir_all(path);
+        let _ = std::fs::remove_file(path);
+        bytes.unwrap()
+    };
+    for shards in [1, 3] {
+        let built = VideoDatabase::new(DbOptions::new().shards(shards));
+        ingest_all(&built);
+        let file = temp_path(&format!("threads_{shards}"));
+        built.save(&file).unwrap();
+        let original = take(&file);
+        std::fs::write(&file, &original).unwrap();
+        let load = |n| VideoDatabase::load(&file, DbOptions::new().threads(Threads::Fixed(n)));
+        let one = load(1).unwrap();
+        for n in [1, 2, 4, 8] {
+            let ctx = format!("{shards} shards, Fixed(1) vs Fixed({n})");
+            let many = load(n).unwrap();
+            assert_dbs_equivalent(&one, &many, &ctx);
+            assert_bgs_identical(&one, &many, &ctx);
+            let out = temp_path(&format!("threads_{shards}_{n}"));
+            many.save(&out).unwrap();
+            assert_eq!(original, take(&out), "{ctx}: re-saved bytes differ");
+        }
+        let _ = std::fs::remove_file(&file);
+    }
+}
+
+/// A database loaded from a plain file is saved back to that file at any
+/// shard count: a three-shard database's file, copied out of its
+/// directory, takes an ingest and a save and reloads with all four clips.
+#[test]
+fn a_sharded_database_loaded_from_a_file_saves_back_to_that_file() {
+    let built = VideoDatabase::new(DbOptions::new().shards(3));
+    ingest_all(&built);
+    let dir = temp_path("file_of_shards_dir");
+    built.save(&dir).unwrap();
+    let file = temp_path("file_of_shards.db");
+    std::fs::copy(dir.join("db.strgdb"), &file).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let db = VideoDatabase::load(&file, DbOptions::new()).unwrap();
+    assert_eq!(db.shard_count(), 3);
+    db.ingest_clip(&demo_clip(23), 23);
+    let saved = db.save(&file);
+    let reloaded = saved.and_then(|()| VideoDatabase::load(&file, DbOptions::new()));
+    let is_file = file.is_file();
+    let _ = std::fs::remove_file(&file);
+    let reloaded = reloaded.expect("save back to the file it was loaded from");
+    assert!(is_file, "the database is still one plain file");
+    assert_eq!(reloaded.clip_names(), db.clip_names());
+    assert_dbs_equivalent(&reloaded, &db, "file of a sharded database");
+}
+
 /// Clip removal leaves non-contiguous OG id blocks in memory and moves the
 /// later roots up one position; `save → load → save` must still be a byte
 /// identity and the fast loader equivalent to the database it was saved

@@ -55,31 +55,30 @@ fn sample_bytes() -> Vec<u8> {
 fn must_reject(bytes: &[u8], ctx: &str) -> std::io::Error {
     let path = temp_path("case");
     std::fs::write(&path, bytes).unwrap();
-    let result = VideoDatabase::load(&path, DbOptions::new());
+    let result = must_reject_path(&path, ctx);
     let _ = std::fs::remove_file(&path);
-    match result {
-        Ok(db) => panic!(
-            "{ctx}: corrupt file loaded as a database ({} clips, {} objects)",
-            db.stats().clips,
-            db.stats().objects
-        ),
-        Err(e) => {
-            assert_structured(&e, ctx);
-            e
-        }
-    }
+    result
 }
 
-/// Loads the database directory `dir`, which must fail with a structured
-/// error.
-fn must_reject_dir(dir: &Path, ctx: &str) -> std::io::Error {
-    match VideoDatabase::load(dir, DbOptions::new()) {
-        Ok(db) => panic!("{ctx}: loaded as {:?}", db.clip_names()),
+/// Loads the database file or directory at `path` on one worker and on
+/// four, which must both fail with the same structured error: the loader
+/// checks and decodes records in parallel but reports in file order.
+fn must_reject_path(path: &Path, ctx: &str) -> std::io::Error {
+    let load = |threads| match VideoDatabase::load(path, DbOptions::new().threads(threads)) {
+        Ok(db) => panic!("{ctx}: loaded as {:?} at {threads:?}", db.clip_names()),
         Err(e) => {
             assert_structured(&e, ctx);
             e
         }
-    }
+    };
+    let (one, four) = (load(Threads::Fixed(1)), load(Threads::Fixed(4)));
+    assert_eq!(one.kind(), four.kind(), "{ctx}: error kind by thread count");
+    assert_eq!(
+        one.to_string(),
+        four.to_string(),
+        "{ctx}: error by thread count"
+    );
+    one
 }
 
 /// One actor's 30 lab frames, for the directory cases.
@@ -530,7 +529,7 @@ fn corrupt_shard_file_fails_the_whole_load() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&file, &bytes).unwrap();
-    must_reject_dir(&dir, "corrupt shard");
+    must_reject_path(&dir, "corrupt shard");
     std::fs::remove_file(&file).unwrap();
     let result = VideoDatabase::load(&dir, DbOptions::new());
     let _ = std::fs::remove_dir_all(&dir);
