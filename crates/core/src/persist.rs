@@ -1,4 +1,4 @@
-//! Database persistence: the STRGDB file format (version 5, magic
+//! Database persistence: the STRGDB file format (version 6, magic
 //! `STRGDB2`).
 //!
 //! # One file per database
@@ -34,19 +34,22 @@
 //!
 //! ```text
 //! file    := header record* trailer
-//! header  := magic[8]="STRGDB2\0" version:u32=5 flags:u32
+//! header  := magic[8]="STRGDB2\0" version:u32=6 flags:u32
 //! record  := tag:u32 len:u64 crc:u32 payload[len]        # crc = CRC-32 (IEEE) of payload
 //! trailer := magic[8]="STRG2END"
 //! META    := clips:u64 next_og:u64 shards:u64
 //! CLIP    := frames:u64 name_len:u32 name first_og:u64 ogs:u64 og* bg clusters:u64 cluster*
-//! og      := start_frame:u64 samples:u64 sample[60]*
+//! og      := start_frame:u64 nodes:u64 node[44]*
 //! bg      := frames_covered:u32 nodes:u64 node[44]* edges:u64 edge[8]*
+//! node    := size:u32 r:f64 g:f64 b:f64 x:f64 y:f64
 //! cluster := points:u64 point[16]* entries:u64 (key:f64 og_id:u64)*
 //! ```
 //!
 //! All integers are little-endian; every `f64` is stored as its IEEE bit
 //! pattern (`f64::to_bits`), so round-trips are lossless. A file of any
-//! other version is refused. Nothing a load can derive is stored: `ingest`
+//! other version is refused. Nothing a load can derive is stored: an OG
+//! sample is its region node, the one node codec a Background Graph uses
+//! too, and its motion is derived from consecutive centroids; `ingest`
 //! gives a clip one contiguous block of OG ids and `decompose` numbers its
 //! OGs `0..n`, so OG `i` of a clip is number `i` with id `first_og + i`; and
 //! Equation (9)'s STRG size is summed from the stored OGs and Background
@@ -71,11 +74,12 @@
 //!   the unit tests keep as its reference.
 //! - The writer encodes each payload straight into the file image and
 //!   fills in its length and CRC afterwards.
-//! - The loader decodes fixed-width *runs* — OG samples, Background Graph
-//!   nodes and edges, centroid points, leaf entries — with one bounds
-//!   check per run: a count is first bounded against the bytes that
-//!   remain (before anything is allocated), then the run is taken once
-//!   and every item decoded from its slice.
+//! - The loader decodes fixed-width *runs* — region nodes (OG samples and
+//!   Background Graph nodes), Background Graph edges, centroid points,
+//!   leaf entries — with one bounds check per run: a count is first
+//!   bounded against the bytes that remain (before anything is
+//!   allocated), then the run is taken once and every item decoded from
+//!   its slice.
 //! - The loader frames the records on the calling thread, then checks
 //!   every CRC and decodes every CLIP on the database's workers
 //!   ([`DbOptions::threads`]; at one worker, the plain loop). What needs
@@ -96,9 +100,7 @@ use std::io;
 use std::path::Path;
 
 use strg_distance::{EgedMetric, MetricDistance};
-use strg_graph::{
-    BackgroundGraph, FrameId, NodeAttr, NodeId, ObjectGraph, OgSample, Point2, Rag, Rgb,
-};
+use strg_graph::{BackgroundGraph, FrameId, NodeAttr, NodeId, ObjectGraph, Point2, Rag, Rgb};
 use strg_obs::Recorder;
 use strg_parallel::{par_map_with, Threads};
 
@@ -114,7 +116,7 @@ const END_MAGIC: &[u8; 8] = b"STRG2END";
 
 /// The format version [`VideoDatabase::save`] writes and
 /// [`VideoDatabase::load`] reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// The file's name inside a database directory.
 const DIR_FILE: &str = "db.strgdb";
@@ -262,14 +264,14 @@ fn put_point(out: &mut Vec<u8>, p: Point2) {
     put_f64(out, p.y);
 }
 
-/// `size:u32, r, g, b, x, y` — the 44-byte head shared by a Background
-/// Graph node and an OG sample.
-fn put_region(out: &mut Vec<u8>, size: u32, color: Rgb, centroid: Point2) {
-    put_u32(out, size);
-    put_f64(out, color.r);
-    put_f64(out, color.g);
-    put_f64(out, color.b);
-    put_point(out, centroid);
+/// A 44-byte region node, `size:u32, r, g, b, x, y`: a Background Graph
+/// node or an OG sample.
+fn put_node(out: &mut Vec<u8>, node: &NodeAttr) {
+    put_u32(out, node.size);
+    put_f64(out, node.color.r);
+    put_f64(out, node.color.g);
+    put_f64(out, node.color.b);
+    put_point(out, node.centroid);
 }
 
 /// Record header size: tag (4) + len (8) + crc (4).
@@ -300,10 +302,8 @@ fn encode_clip(out: &mut Vec<u8>, clip: &ClipMeta, root: &RootRecord<Point2>) {
     for og in &clip.ogs {
         put_u64(out, og.start_frame as u64);
         put_u64(out, og.samples.len() as u64);
-        for s in &og.samples {
-            put_region(out, s.size, s.color, s.centroid);
-            put_f64(out, s.velocity);
-            put_f64(out, s.direction);
+        for node in &og.samples {
+            put_node(out, node);
         }
     }
     let BackgroundGraph {
@@ -312,8 +312,8 @@ fn encode_clip(out: &mut Vec<u8>, clip: &ClipMeta, root: &RootRecord<Point2>) {
     } = &root.bg;
     put_u32(out, *frames_covered);
     put_u64(out, rag.node_count() as u64);
-    for a in rag.node_attrs() {
-        put_region(out, a.size, a.color, a.centroid);
+    for node in rag.node_attrs() {
+        put_node(out, node);
     }
     put_u64(out, rag.edge_count() as u64);
     for (u, v, _) in rag.edges() {
@@ -500,13 +500,19 @@ fn point_at(b: &[u8], at: usize) -> Point2 {
     Point2::new(f64_at(b, at), f64_at(b, at + 8))
 }
 
-/// The 44-byte head [`put_region`] writes.
-fn region_at(b: &[u8]) -> (u32, Rgb, Point2) {
-    (
+/// The 44-byte region node [`put_node`] writes.
+fn node_at(b: &[u8; 44]) -> NodeAttr {
+    NodeAttr::new(
         u32_at(b, 0),
         Rgb::new(f64_at(b, 4), f64_at(b, 12), f64_at(b, 20)),
         point_at(b, 28),
     )
+}
+
+/// A counted run of region nodes: an OG's samples or a Background Graph's
+/// nodes.
+fn read_nodes(cur: &mut Cursor<'_>) -> io::Result<Vec<NodeAttr>> {
+    Ok(cur.run::<44>()?.map(node_at).collect())
 }
 
 /// One framed record: where it starts in the file, its tag, its stored
@@ -576,13 +582,7 @@ fn split_records(bytes: &[u8]) -> io::Result<(Vec<Frame<'_>>, io::Result<()>)> {
 
 fn decode_bg(cur: &mut Cursor<'_>) -> io::Result<BackgroundGraph> {
     let frames_covered = cur.u32()?;
-    let nodes: Vec<NodeAttr> = cur
-        .run::<44>()?
-        .map(|node| {
-            let (size, color, centroid) = region_at(node);
-            NodeAttr::new(size, color, centroid)
-        })
-        .collect();
+    let nodes = read_nodes(cur)?;
     let edges = cur
         .run::<8>()?
         .map(|edge| (u32_at(edge, 0), u32_at(edge, 4)));
@@ -648,23 +648,10 @@ fn decode_clip(
     let mut ogs = Vec::with_capacity(n_ogs);
     for i in 0..n_ogs {
         let start_frame = cur.u64()? as usize;
-        let samples = cur
-            .run::<60>()?
-            .map(|s| {
-                let (size, color, centroid) = region_at(s);
-                OgSample {
-                    size,
-                    color,
-                    centroid,
-                    velocity: f64_at(s, 44),
-                    direction: f64_at(s, 52),
-                }
-            })
-            .collect();
         ogs.push(ObjectGraph {
             id: i as u32,
             start_frame,
-            samples,
+            samples: read_nodes(&mut cur)?,
         });
     }
     let bg = decode_bg(&mut cur)?;

@@ -74,12 +74,6 @@ impl TemporalEdgeAttr {
             direction: d.angle(),
         }
     }
-
-    /// A zero-motion attribute (stationary region).
-    pub const STILL: TemporalEdgeAttr = TemporalEdgeAttr {
-        velocity: 0.0,
-        direction: 0.0,
-    };
 }
 
 /// Tolerances deciding when two attributed nodes or edges are considered

@@ -10,10 +10,10 @@
 
 use std::collections::HashMap;
 
-use crate::attr::TemporalEdgeAttr;
-use crate::geom::angle_diff;
-use crate::og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample};
-use crate::rag::{NodeId, Rag};
+use crate::attr::NodeAttr;
+use crate::geom::{angle_diff, Point2, Rgb};
+use crate::og::{BackgroundGraph, ObjectGraph, Org, OrgSample};
+use crate::rag::{FrameId, NodeId, Rag};
 use crate::strg::Strg;
 
 /// Configuration of the decomposition stage.
@@ -22,7 +22,7 @@ pub struct DecomposeConfig {
     /// An ORG is foreground (object-like) when its mean velocity is at least
     /// this many pixels/frame...
     pub min_velocity: f64,
-    /// ...or its net displacement is at least this many pixels.
+    /// ...and its net displacement is at least this many pixels.
     pub min_displacement: f64,
     /// Trajectories shorter than this many frames are treated as
     /// segmentation noise and folded into the background.
@@ -56,9 +56,6 @@ impl Default for DecomposeConfig {
 pub struct Decomposition {
     /// The merged Object Graphs (foreground), ordered by start frame.
     pub objects: Vec<ObjectGraph>,
-    /// The foreground ORGs that were merged into `objects` (same order as
-    /// discovered; useful for diagnostics and tests).
-    pub foreground_orgs: Vec<Org>,
     /// The single deduplicated Background Graph of the segment.
     pub background: BackgroundGraph,
 }
@@ -74,13 +71,12 @@ pub fn extract_orgs(strg: &Strg) -> Vec<Org> {
     if n == 0 {
         return Vec::new();
     }
-    // Per frame-pair: from-node -> edge.
-    let mut out: Vec<HashMap<NodeId, (NodeId, TemporalEdgeAttr)>> =
-        Vec::with_capacity(n.saturating_sub(1));
+    // Per frame-pair: from-node -> to-node.
+    let mut out: Vec<HashMap<NodeId, NodeId>> = Vec::with_capacity(n.saturating_sub(1));
     for m in 0..n.saturating_sub(1) {
         let mut map = HashMap::new();
         for e in strg.temporal_edges(m) {
-            map.entry(e.from).or_insert((e.to, e.attr));
+            map.entry(e.from).or_insert(e.to);
         }
         out.push(map);
     }
@@ -95,17 +91,13 @@ pub fn extract_orgs(strg: &Strg) -> Vec<Org> {
             let mut samples = Vec::new();
             let (mut cur_m, mut cur_v) = (m, v);
             loop {
-                let attr = *strg.rag(cur_m).attr(cur_v);
-                let next = out.get(cur_m).and_then(|map| map.get(&cur_v)).copied();
-                let motion = next.map_or(TemporalEdgeAttr::STILL, |(_, a)| a);
                 samples.push(OrgSample {
                     frame: cur_m,
                     node: cur_v,
-                    attr,
-                    motion,
+                    attr: *strg.rag(cur_m).attr(cur_v),
                 });
-                match next {
-                    Some((to, _)) => {
+                match out.get(cur_m).and_then(|map| map.get(&cur_v)) {
+                    Some(&to) => {
                         cur_m += 1;
                         cur_v = to;
                     }
@@ -129,30 +121,47 @@ pub fn is_foreground(org: &Org, cfg: &DecomposeConfig) -> bool {
         && org.total_displacement() >= cfg.min_displacement
 }
 
+/// A foreground ORG with its mean velocity and direction, derived once.
+struct Fragment<'a> {
+    org: &'a Org,
+    velocity: f64,
+    direction: f64,
+}
+
+impl<'a> Fragment<'a> {
+    fn new(org: &'a Org) -> Self {
+        Self {
+            org,
+            velocity: org.mean_velocity(),
+            direction: org.mean_direction(),
+        }
+    }
+}
+
 /// Whether two foreground ORGs belong to the same object: temporal overlap
 /// with agreeing velocity, direction, and spatial proximity (§2.3.2: "if
 /// two ORGs have the same moving direction and the same velocity, these can
 /// be merged into a single OG").
-pub fn should_merge(a: &Org, b: &Org, cfg: &DecomposeConfig) -> bool {
-    let lo = a.start_frame().max(b.start_frame());
-    let hi = a.end_frame().min(b.end_frame());
+fn should_merge(a: &Fragment<'_>, b: &Fragment<'_>, cfg: &DecomposeConfig) -> bool {
+    let lo = a.org.start_frame().max(b.org.start_frame());
+    let hi = a.org.end_frame().min(b.org.end_frame());
     if lo > hi {
         return false; // no temporal overlap
     }
-    if (a.mean_velocity() - b.mean_velocity()).abs() > cfg.merge_velocity_tol {
+    if (a.velocity - b.velocity).abs() > cfg.merge_velocity_tol {
         return false;
     }
     // Direction only matters for actually-moving fragments.
-    if a.mean_velocity() > 0.25
-        && b.mean_velocity() > 0.25
-        && angle_diff(a.mean_direction(), b.mean_direction()) > cfg.merge_direction_tol
+    if a.velocity > 0.25
+        && b.velocity > 0.25
+        && angle_diff(a.direction, b.direction) > cfg.merge_direction_tol
     {
         return false;
     }
     let mut dist_sum = 0.0;
     let mut count = 0usize;
     for f in lo..=hi {
-        if let (Some(sa), Some(sb)) = (a.sample_at(f), b.sample_at(f)) {
+        if let (Some(sa), Some(sb)) = (a.org.sample_at(f), b.org.sample_at(f)) {
             dist_sum += sa.attr.centroid.dist(sb.attr.centroid);
             count += 1;
         }
@@ -161,8 +170,7 @@ pub fn should_merge(a: &Org, b: &Org, cfg: &DecomposeConfig) -> bool {
 }
 
 /// Merges a group of ORGs into one Object Graph by per-frame size-weighted
-/// aggregation, then recomputes the motion attributes from the merged
-/// centroids.
+/// aggregation; its motion is derived from the merged centroids.
 fn merge_group(id: u32, group: &[&Org]) -> ObjectGraph {
     let start = group.iter().map(|o| o.start_frame()).min().unwrap_or(0);
     let end = group.iter().map(|o| o.end_frame()).max().unwrap_or(0);
@@ -191,15 +199,12 @@ fn merge_group(id: u32, group: &[&Org]) -> ObjectGraph {
             continue;
         }
         let w = size as f64;
-        samples.push(OgSample {
-            size: size.min(u32::MAX as u64) as u32,
-            color: crate::geom::Rgb::new(color.0 / w, color.1 / w, color.2 / w),
-            centroid: crate::geom::Point2::new(cx / w, cy / w),
-            velocity: 0.0,
-            direction: 0.0,
-        });
+        samples.push(NodeAttr::new(
+            size.min(u32::MAX as u64) as u32,
+            Rgb::new(color.0 / w, color.1 / w, color.2 / w),
+            Point2::new(cx / w, cy / w),
+        ));
     }
-    crate::og::recompute_motion(&mut samples);
     ObjectGraph {
         id,
         start_frame: start,
@@ -233,10 +238,10 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
             cy += s.attr.centroid.y;
         }
         let rep = NodeId(nodes.len() as u32);
-        nodes.push(crate::attr::NodeAttr::new(
+        nodes.push(NodeAttr::new(
             (size / n) as u32,
-            crate::geom::Rgb::new(color.0 / n, color.1 / n, color.2 / n),
-            crate::geom::Point2::new(cx / n, cy / n),
+            Rgb::new(color.0 / n, color.1 / n, color.2 / n),
+            Point2::new(cx / n, cy / n),
         ));
         for s in &org.samples {
             rep_of.insert((s.frame, s.node), rep);
@@ -258,10 +263,7 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
     }
     pairs.sort_unstable();
     pairs.dedup();
-    let frame = strg
-        .rags()
-        .first()
-        .map_or(crate::rag::FrameId(0), |r| r.frame());
+    let frame = strg.rags().first().map_or(FrameId(0), |r| r.frame());
     BackgroundGraph {
         rag: Rag::from_pairs(frame, nodes, pairs),
         frames_covered: strg.frame_count() as u32,
@@ -271,7 +273,8 @@ fn build_background(strg: &Strg, background: &[&Org]) -> BackgroundGraph {
 /// Decomposes an STRG into Object Graphs and one Background Graph (§2.3).
 pub fn decompose(strg: &Strg, cfg: &DecomposeConfig) -> Decomposition {
     let orgs = extract_orgs(strg);
-    let (fg, bg): (Vec<Org>, Vec<Org>) = orgs.into_iter().partition(|o| is_foreground(o, cfg));
+    let (fg_orgs, bg): (Vec<Org>, Vec<Org>) = orgs.into_iter().partition(|o| is_foreground(o, cfg));
+    let fg: Vec<Fragment<'_>> = fg_orgs.iter().map(Fragment::new).collect();
 
     // Union-find over foreground ORGs.
     let mut parent: Vec<usize> = (0..fg.len()).collect();
@@ -297,9 +300,9 @@ pub fn decompose(strg: &Strg, cfg: &DecomposeConfig) -> Decomposition {
     // the grouping must iterate in a deterministic order.
     let mut groups: std::collections::BTreeMap<usize, Vec<&Org>> =
         std::collections::BTreeMap::new();
-    for (i, org) in fg.iter().enumerate() {
+    for (i, fragment) in fg.iter().enumerate() {
         let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(org);
+        groups.entry(r).or_default().push(fragment.org);
     }
     let mut objects: Vec<ObjectGraph> = groups
         .values()
@@ -316,7 +319,6 @@ pub fn decompose(strg: &Strg, cfg: &DecomposeConfig) -> Decomposition {
 
     Decomposition {
         objects,
-        foreground_orgs: fg,
         background,
     }
 }
@@ -331,10 +333,17 @@ pub fn strg_size_bytes(objects: &[ObjectGraph], background: &BackgroundGraph) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::NodeAttr;
-    use crate::geom::{Point2, Rgb};
-    use crate::rag::FrameId;
     use crate::strg::TemporalEdge;
+
+    /// Temporal edges linking node `v` of one frame to node `v` of the next.
+    fn identity_edges(nodes: u32) -> Vec<TemporalEdge> {
+        (0..nodes)
+            .map(|v| TemporalEdge {
+                from: NodeId(v),
+                to: NodeId(v),
+            })
+            .collect()
+    }
 
     /// Builds an STRG with one moving region (two parts) and one static
     /// background region, with hand-wired temporal edges.
@@ -352,17 +361,7 @@ mod tests {
             let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
             rags.push(Rag::from_pairs(FrameId(m as u32), nodes, [(a, b), (b, c)]));
         }
-        let mut temporal = Vec::new();
-        for m in 0..frames - 1 {
-            let mut edges = Vec::new();
-            for v in 0..3u32 {
-                let from = NodeId(v);
-                let to = NodeId(v);
-                let attr = TemporalEdgeAttr::between(rags[m].attr(from), rags[m + 1].attr(to));
-                edges.push(TemporalEdge { from, to, attr });
-            }
-            temporal.push(edges);
-        }
+        let temporal = (1..frames).map(|_| identity_edges(3)).collect();
         Strg::from_parts(rags, temporal)
     }
 
@@ -400,8 +399,10 @@ mod tests {
         assert_eq!(og.samples[0].size, 130, "sizes add up");
         // Size-weighted centroid: (50*20 + 80*30)/130 ≈ 26.15 in y.
         assert!((og.samples[0].centroid.y - (50.0 * 20.0 + 80.0 * 30.0) / 130.0).abs() < 1e-9);
-        assert!((og.samples[0].velocity - 5.0).abs() < 1e-9);
-        assert_eq!(d.foreground_orgs.len(), 2);
+        assert!((og.mean_velocity() - 5.0).abs() < 1e-9);
+        let cfg = DecomposeConfig::default();
+        let orgs = extract_orgs(&strg);
+        assert_eq!(orgs.iter().filter(|o| is_foreground(o, &cfg)).count(), 2);
     }
 
     #[test]
@@ -432,20 +433,7 @@ mod tests {
             ];
             rags.push(Rag::from_pairs(FrameId(m as u32), nodes, []));
         }
-        let mut temporal = Vec::new();
-        for m in 0..frames - 1 {
-            let edges = (0..2u32)
-                .map(|v| TemporalEdge {
-                    from: NodeId(v),
-                    to: NodeId(v),
-                    attr: TemporalEdgeAttr::between(
-                        rags[m].attr(NodeId(v)),
-                        rags[m + 1].attr(NodeId(v)),
-                    ),
-                })
-                .collect();
-            temporal.push(edges);
-        }
+        let temporal = (1..frames).map(|_| identity_edges(2)).collect();
         let strg = Strg::from_parts(rags, temporal);
         let d = decompose(&strg, &DecomposeConfig::default());
         assert_eq!(d.objects.len(), 2, "opposite directions stay separate");

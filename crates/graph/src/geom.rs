@@ -123,33 +123,12 @@ impl Rgb {
         (dr * dr + dg * dg + db * db).sqrt()
     }
 
-    /// Component-wise blend: `self` weighted by `w`, `other` by `1 - w`.
-    pub fn blend(self, other: Rgb, w: f64) -> Rgb {
-        Rgb::new(
-            self.r * w + other.r * (1.0 - w),
-            self.g * w + other.g * (1.0 - w),
-            self.b * w + other.b * (1.0 - w),
-        )
-    }
-
     /// Clamps all components into `[0, 255]`.
     pub fn clamp(self) -> Rgb {
         Rgb::new(
             self.r.clamp(0.0, 255.0),
             self.g.clamp(0.0, 255.0),
             self.b.clamp(0.0, 255.0),
-        )
-    }
-
-    /// Quantizes each component to `levels` evenly spaced values, which is
-    /// the first step of the EDISON-stand-in segmenter.
-    pub fn quantize(self, levels: u32) -> Rgb {
-        debug_assert!(levels >= 2);
-        let step = 255.0 / (levels - 1) as f64;
-        Rgb::new(
-            (self.r / step).round() * step,
-            (self.g / step).round() * step,
-            (self.b / step).round() * step,
         )
     }
 }
@@ -212,16 +191,6 @@ mod tests {
         let a = Rgb::new(10.0, 20.0, 30.0);
         let b = Rgb::new(200.0, 10.0, 90.0);
         assert_eq!(a.dist(b), b.dist(a));
-    }
-
-    #[test]
-    fn color_quantize() {
-        let c = Rgb::new(100.0, 101.0, 99.0).quantize(2);
-        assert_eq!(c, Rgb::new(0.0, 0.0, 0.0));
-        let c = Rgb::new(130.0, 200.0, 255.0).quantize(2);
-        assert_eq!(c, Rgb::new(255.0, 255.0, 255.0));
-        let c = Rgb::new(130.0, 64.0, 0.0).quantize(3);
-        assert_eq!(c, Rgb::new(127.5, 127.5, 0.0));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use attr::{CompatParams, NodeAttr, SpatialEdgeAttr, TemporalEdgeAttr};
 pub use decompose::{decompose, DecomposeConfig, Decomposition};
 pub use geom::{Point2, Rgb};
 pub use mcs::{background_similarity, greedy_attr_match, Star};
-pub use og::{BackgroundGraph, ObjectGraph, OgSample, Org, OrgSample};
+pub use og::{BackgroundGraph, ObjectGraph, Org, OrgSample};
 pub use rag::{FrameId, NodeId, Rag};
 pub use strg::{Strg, TemporalEdge};
 pub use tracking::{build_strg, track_pair, TrackerConfig};

@@ -3,14 +3,40 @@
 //! - An **ORG** is a temporal subgraph with an empty spatial edge set
 //!   (Definition 8): the trajectory of one tracked region.
 //! - An **OG** merges the ORGs that belong to a single moving object
-//!   (§2.3.2, Theorem 1).
+//!   (§2.3.2, Theorem 1): one region node per frame of its lifetime.
 //! - A **BG** is the overlap of everything that is not an object (§2.3.3);
 //!   one BG per segment suffices when the background is stable, which is
 //!   what makes the STRG-Index small (Equations 9 and 10).
+//!
+//! Neither an ORG nor an OG stores its motion: the velocity and direction
+//! between two consecutive samples are [`TemporalEdgeAttr::between`] of
+//! their regions, evaluated by the means below, the only places motion is
+//! read.
 
 use crate::attr::{NodeAttr, TemporalEdgeAttr};
 use crate::geom::{Point2, Rgb};
 use crate::rag::{NodeId, Rag};
+
+/// The motion between each pair of consecutive samples, whose regions
+/// `region` picks out.
+fn steps<T>(
+    samples: &[T],
+    region: fn(&T) -> &NodeAttr,
+) -> impl Iterator<Item = TemporalEdgeAttr> + '_ {
+    samples
+        .windows(2)
+        .map(move |w| TemporalEdgeAttr::between(region(&w[0]), region(&w[1])))
+}
+
+/// Mean velocity over a sample sequence (pixels per frame), 0 for fewer
+/// than two samples.
+fn mean_velocity<T>(samples: &[T], region: fn(&T) -> &NodeAttr) -> f64 {
+    if samples.len() < 2 {
+        return 0.0;
+    }
+    let n = (samples.len() - 1) as f64;
+    steps(samples, region).map(|t| t.velocity).sum::<f64>() / n
+}
 
 /// One sample of an Object Region Graph: a tracked region in one frame.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -21,9 +47,6 @@ pub struct OrgSample {
     pub node: NodeId,
     /// The region's attributes in that frame.
     pub attr: NodeAttr,
-    /// Motion towards the *next* sample; `TemporalEdgeAttr::STILL` for the
-    /// final sample of the trajectory.
-    pub motion: TemporalEdgeAttr,
 }
 
 /// An Object Region Graph: the linear temporal subgraph traced by one
@@ -58,23 +81,16 @@ impl Org {
     /// Mean velocity over the trajectory (pixels per frame), 0 for
     /// single-sample trajectories.
     pub fn mean_velocity(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let n = (self.samples.len() - 1) as f64;
-        self.samples[..self.samples.len() - 1]
-            .iter()
-            .map(|s| s.motion.velocity)
-            .sum::<f64>()
-            / n
+        mean_velocity(&self.samples, |s| &s.attr)
     }
 
-    /// Circular-mean moving direction over the trajectory, in radians.
+    /// Velocity-weighted circular-mean moving direction over the
+    /// trajectory, in radians.
     pub fn mean_direction(&self) -> f64 {
         let (mut sx, mut sy) = (0.0, 0.0);
-        for s in &self.samples[..self.samples.len().saturating_sub(1)] {
-            sx += s.motion.direction.cos() * s.motion.velocity;
-            sy += s.motion.direction.sin() * s.motion.velocity;
+        for t in steps(&self.samples, |s| &s.attr) {
+            sx += t.direction.cos() * t.velocity;
+            sy += t.direction.sin() * t.velocity;
         }
         sy.atan2(sx)
     }
@@ -99,21 +115,6 @@ impl Org {
     }
 }
 
-/// One per-frame sample of a (merged) Object Graph.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct OgSample {
-    /// Total pixel size of the merged regions in this frame.
-    pub size: u32,
-    /// Size-weighted mean color of the merged regions.
-    pub color: Rgb,
-    /// Size-weighted mean centroid of the merged regions.
-    pub centroid: Point2,
-    /// Velocity towards the next sample (0 for the last sample).
-    pub velocity: f64,
-    /// Moving direction towards the next sample, radians.
-    pub direction: f64,
-}
-
 /// An Object Graph: the merged ORGs of a single moving object — the unit
 /// that is clustered (§4) and indexed (§5).
 #[derive(Clone, Debug, PartialEq)]
@@ -122,8 +123,10 @@ pub struct ObjectGraph {
     pub id: u32,
     /// First frame index of the object's lifetime.
     pub start_frame: usize,
-    /// One sample per frame of the object's lifetime.
-    pub samples: Vec<OgSample>,
+    /// One region per frame of the object's lifetime: the merged regions'
+    /// total size, size-weighted mean color and size-weighted mean
+    /// centroid.
+    pub samples: Vec<NodeAttr>,
 }
 
 impl ObjectGraph {
@@ -138,21 +141,13 @@ impl ObjectGraph {
         size: u32,
         color: Rgb,
     ) -> Self {
-        let mut samples: Vec<OgSample> = centroids
-            .iter()
-            .map(|&c| OgSample {
-                size,
-                color,
-                centroid: c,
-                velocity: 0.0,
-                direction: 0.0,
-            })
-            .collect();
-        recompute_motion(&mut samples);
         Self {
             id,
             start_frame,
-            samples,
+            samples: centroids
+                .iter()
+                .map(|&c| NodeAttr::new(size, color, c))
+                .collect(),
         }
     }
 
@@ -166,32 +161,20 @@ impl ObjectGraph {
         self.samples.is_empty()
     }
 
-    /// Lifetime in frames (same as [`ObjectGraph::len`]).
-    pub fn duration(&self) -> usize {
-        self.samples.len()
-    }
-
     /// The centroid trajectory of the object.
     pub fn centroid_series(&self) -> Vec<Point2> {
         self.samples.iter().map(|s| s.centroid).collect()
     }
 
-    /// Mean velocity over the lifetime.
+    /// Mean velocity over the lifetime (pixels per frame), 0 for a
+    /// single-sample object.
     pub fn mean_velocity(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let n = (self.samples.len() - 1) as f64;
-        self.samples[..self.samples.len() - 1]
-            .iter()
-            .map(|s| s.velocity)
-            .sum::<f64>()
-            / n
+        mean_velocity(&self.samples, |s| s)
     }
 
     /// Approximate in-memory footprint, for Equations (9) and (10).
     pub fn approx_bytes(&self) -> usize {
-        OG_HEADER_BYTES + self.samples.len() * std::mem::size_of::<OgSample>()
+        OG_HEADER_BYTES + self.samples.len() * OG_SAMPLE_BYTES
     }
 }
 
@@ -201,26 +184,17 @@ impl ObjectGraph {
 /// META stores and Table 2 reports.
 const OG_HEADER_BYTES: usize = 40;
 
+/// The per-sample term of an Object Graph's size in Equations (9) and
+/// (10): the paper's region node plus the temporal edge attributes `tau`
+/// to the next sample (size, color, centroid, velocity and direction,
+/// padded to 64 bytes). A constant for the reason [`OG_HEADER_BYTES`] is,
+/// although the samples hold only the node and the motion is derived.
+const OG_SAMPLE_BYTES: usize = 64;
+
 /// The fixed per-graph term of a Background Graph's size, as
 /// [`OG_HEADER_BYTES`] is for an Object Graph: frame coverage plus the
 /// RAG's header.
 const BG_HEADER_BYTES: usize = 88;
-
-/// Recomputes `velocity`/`direction` of each sample from consecutive
-/// centroids (the last sample gets zero motion).
-pub fn recompute_motion(samples: &mut [OgSample]) {
-    let n = samples.len();
-    for i in 0..n {
-        if i + 1 < n {
-            let d = samples[i + 1].centroid - samples[i].centroid;
-            samples[i].velocity = d.norm();
-            samples[i].direction = d.angle();
-        } else {
-            samples[i].velocity = 0.0;
-            samples[i].direction = 0.0;
-        }
-    }
-}
 
 /// A Background Graph: one representative RAG summarizing everything that is
 /// not a moving object across the whole segment (§2.3.3).
@@ -246,21 +220,37 @@ mod tests {
     use super::*;
     use crate::rag::FrameId;
 
-    fn org_line(n: usize, step: f64) -> Org {
-        let mut samples: Vec<OrgSample> = (0..n)
-            .map(|i| OrgSample {
-                frame: i,
+    fn org_through(points: &[Point2]) -> Org {
+        let samples = points
+            .iter()
+            .enumerate()
+            .map(|(frame, &c)| OrgSample {
+                frame,
                 node: NodeId(0),
-                attr: NodeAttr::new(10, Rgb::BLACK, Point2::new(step * i as f64, 0.0)),
-                motion: TemporalEdgeAttr::STILL,
+                attr: NodeAttr::new(10, Rgb::BLACK, c),
             })
             .collect();
-        for i in 0..n.saturating_sub(1) {
-            let a = samples[i].attr;
-            let b = samples[i + 1].attr;
-            samples[i].motion = TemporalEdgeAttr::between(&a, &b);
-        }
         Org { samples }
+    }
+
+    fn org_line(n: usize, step: f64) -> Org {
+        let points: Vec<Point2> = (0..n).map(|i| Point2::new(step * i as f64, 0.0)).collect();
+        org_through(&points)
+    }
+
+    /// `(mean velocity, mean direction)` written out as the fold of
+    /// `TemporalEdgeAttr::between` over consecutive regions.
+    fn folded(regions: &[NodeAttr]) -> (f64, f64) {
+        let (mut v, mut sx, mut sy) = (0.0, 0.0, 0.0);
+        for i in 1..regions.len() {
+            let t = TemporalEdgeAttr::between(&regions[i - 1], &regions[i]);
+            v += t.velocity;
+            sx += t.direction.cos() * t.velocity;
+            sy += t.direction.sin() * t.velocity;
+        }
+        let steps = regions.len().saturating_sub(1);
+        let v = if steps == 0 { 0.0 } else { v / steps as f64 };
+        (v, sy.atan2(sx))
     }
 
     #[test]
@@ -298,17 +288,44 @@ mod tests {
         assert_eq!(og.id, 7);
         assert_eq!(og.start_frame, 2);
         assert_eq!(og.len(), 3);
-        assert!((og.samples[0].velocity - 4.0).abs() < 1e-12);
-        assert!((og.samples[1].velocity - 5.0).abs() < 1e-12);
-        assert_eq!(og.samples[2].velocity, 0.0);
+        assert!((og.mean_velocity() - 4.5).abs() < 1e-12, "steps of 4 and 5");
         assert_eq!(og.centroid_series(), pts);
+    }
+
+    #[test]
+    fn motion_is_the_fold_of_between_over_consecutive_samples() {
+        let pts = [
+            (0.0, 0.0),
+            (1.5, -2.25),
+            (4.0, 1.0 / 3.0),
+            (-7.125, 9.0),
+            (0.1, 0.2),
+        ]
+        .map(|(x, y)| Point2::new(x, y));
+        let org = org_through(&pts);
+        let regions: Vec<NodeAttr> = org.samples.iter().map(|s| s.attr).collect();
+        let (v, d) = folded(&regions);
+        assert_eq!(org.mean_velocity().to_bits(), v.to_bits());
+        assert_eq!(org.mean_direction().to_bits(), d.to_bits());
+
+        let line = ObjectGraph::from_centroids(0, 0, &pts, 30, Rgb::WHITE);
+        let single = ObjectGraph::from_centroids(1, 4, &pts[..1], 30, Rgb::WHITE);
+        // A gap frame repeats the previous sample: a zero step.
+        let mut gap = line.clone();
+        gap.samples.insert(2, gap.samples[1]);
+        for og in [&line, &single, &gap] {
+            let (v, _) = folded(&og.samples);
+            assert_eq!(og.mean_velocity().to_bits(), v.to_bits());
+        }
+        assert_eq!(single.mean_velocity(), 0.0);
+        assert!(gap.mean_velocity() < line.mean_velocity());
     }
 
     #[test]
     fn og_bytes_scale_with_length() {
         let short = ObjectGraph::from_centroids(0, 0, &[Point2::ZERO; 2], 1, Rgb::BLACK);
         let long = ObjectGraph::from_centroids(0, 0, &[Point2::ZERO; 20], 1, Rgb::BLACK);
-        assert!(long.approx_bytes() > short.approx_bytes());
+        assert_eq!(long.approx_bytes() - short.approx_bytes(), 18 * 64);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `SimGraph` (Equation 1) — to `G_N(v)`. The result is the temporal edge
 //! set `E_T` of the STRG.
 
-use crate::attr::{CompatParams, TemporalEdgeAttr};
+use crate::attr::CompatParams;
 use crate::mcs::Star;
 use crate::rag::{NodeId, Rag};
 use crate::strg::{Strg, TemporalEdge};
@@ -79,11 +79,7 @@ pub fn track_pair(prev: &Rag, next: &Rag, cfg: &TrackerConfig) -> Vec<TemporalEd
         }
 
         if let Some(v2) = isomorphic.or(max_node.filter(|_| max_sim > cfg.t_sim)) {
-            edges.push(TemporalEdge {
-                from: v,
-                to: v2,
-                attr: TemporalEdgeAttr::between(&g.centre, next.attr(v2)),
-            });
+            edges.push(TemporalEdge { from: v, to: v2 });
         }
     }
     edges
@@ -102,7 +98,7 @@ pub fn build_strg(frames: Vec<Rag>, cfg: &TrackerConfig) -> Strg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::NodeAttr;
+    use crate::attr::{NodeAttr, TemporalEdgeAttr};
     use crate::geom::{Point2, Rgb};
     use crate::rag::FrameId;
 
@@ -138,11 +134,14 @@ mod tests {
             assert_eq!(e.from, e.to, "same insertion order on both frames");
         }
         // The moving regions report ~5 px/frame velocity; the corner ~0.
-        let body = edges.iter().find(|e| e.from == NodeId(1)).unwrap();
-        assert!((body.attr.velocity - 5.0).abs() < 1e-9);
-        assert!(body.attr.direction.abs() < 1e-9, "moving along +x");
-        let corner = edges.iter().find(|e| e.from == NodeId(3)).unwrap();
-        assert!(corner.attr.velocity < 1e-9);
+        let motion = |v| {
+            let e = edges.iter().find(|e| e.from == NodeId(v)).unwrap();
+            TemporalEdgeAttr::between(f0.attr(e.from), f1.attr(e.to))
+        };
+        let body = motion(1);
+        assert!((body.velocity - 5.0).abs() < 1e-9);
+        assert!(body.direction.abs() < 1e-9, "moving along +x");
+        assert!(motion(3).velocity < 1e-9);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
             hit.clip,
             hit.og_id,
             hit.dist,
-            og.duration(),
+            og.len(),
             og.mean_velocity()
         );
     }

@@ -9,6 +9,21 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# A file the docs name by its repository path must exist, so a move or a
+# deletion that leaves a stale reference behind fails here. A path is a
+# token with at least one `/` and one of the extensions below, read from
+# the repository root.
+echo "==> every file path DESIGN.md, README.md and EXPERIMENTS.md name exists"
+stale=0
+for path in $(grep -ohE '[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)+\.(rs|sh|csv|json|jsonl|md|toml|lock)\b' \
+    DESIGN.md README.md EXPERIMENTS.md | sort -u); do
+    if [ ! -e "$path" ]; then
+        echo "no such file: $path"
+        stale=1
+    fi
+done
+[ "$stale" = 0 ]
+
 # `strg-parallel`'s job-lifetime transmute is the workspace's one `unsafe`
 # block; DESIGN.md §7 ("Why the transmute stays") gives the measurements
 # that keep it. Every other crate root — libraries, binaries, shims,

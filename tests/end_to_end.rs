@@ -45,7 +45,7 @@ fn stored_objects_have_plausible_motion() {
     let stats = db.stats();
     for id in 0..stats.objects as u64 {
         let og = db.og(id).expect("stored");
-        assert!(og.duration() >= 3, "objects live for several frames");
+        assert!(og.len() >= 3, "objects live for several frames");
         assert!(og.mean_velocity() > 0.3, "objects move");
         // The scripted walkers are horizontal: displacement mostly in x.
         let series = og.centroid_series();

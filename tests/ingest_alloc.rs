@@ -152,7 +152,7 @@ fn frames_to_rags_allocates_only_the_rags_it_returns() {
 /// flat RAG of four buffers. The incremental layout it replaced (a
 /// `BTreeMap` of edges plus one neighbour `Vec` per node) took 429
 /// allocations for this file and the flat one 227 in format v3; format v4
-/// took 217. Format v5 takes 210, the bound: one record per clip, each
+/// took 217. Formats v5 and v6 take 210, the bound: one record per clip, each
 /// clip's OG list sized up front, the record list sized before it is
 /// filled, and no id list (a clip's ids are one block). A decoder that
 /// starts allocating per node or per edge fails here.

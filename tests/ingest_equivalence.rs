@@ -325,7 +325,7 @@ fn tracking_is_pinned_on_the_benchmark_corpus() {
 /// counts it and as a load sums it from the stored graphs. The size models
 /// each graph with fixed per-graph terms, so a Rust struct that grows or
 /// shrinks must not move it (nor Table 2's STRG size). The saved file's
-/// size is pinned too (format v5), and saving the loaded database again writes
+/// size is pinned too (format v6), and saving the loaded database again writes
 /// the same bytes. Too slow unoptimised: `scripts/ci.sh` runs it under
 /// `--release`.
 #[test]
@@ -345,6 +345,6 @@ fn strg_bytes_are_pinned_on_the_benchmark_corpus() {
     let resaved = std::fs::read(&path).expect("read again");
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded.stats().strg_bytes, 13_324_664);
-    assert_eq!(saved.len(), 1_054_766);
+    assert_eq!(saved.len(), 871_230);
     assert!(saved == resaved, "save → load → save changed the bytes");
 }

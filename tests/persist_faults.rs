@@ -161,8 +161,9 @@ fn unsupported_version_is_rejected() {
     // with 56-byte summary rows, version 3 the one that stored every leaf
     // sequence a second time beside a summary sidecar and a TOC, version 4
     // the one that stored two ids per OG and the STRG size, one file per
-    // shard; 6 is from the future.
-    for version in [2u32, 3, 4, 6] {
+    // shard, version 5 the one that stored each OG sample's velocity and
+    // direction beside its region node; 7 is from the future.
+    for version in [2u32, 3, 4, 5, 7] {
         let mut bytes = sample_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let ctx = format!("version {version}");
@@ -277,7 +278,7 @@ fn clip_layout(p: &[u8]) -> ClipLayout {
     let ogs = first_og + 8;
     let mut at = ogs + 8;
     for _ in 0..count(ogs) {
-        at += 16 + 60 * count(at + 8);
+        at += 16 + 44 * count(at + 8);
     }
     let nodes = at + 4;
     let edges = nodes + 8 + 44 * count(nodes);

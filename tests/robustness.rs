@@ -41,7 +41,7 @@ fn survives_heavy_pixel_noise() {
     );
     assert!(report.objects >= 1, "walkers still tracked under noise");
     let og = db.og(0).unwrap();
-    assert!(og.duration() >= 5, "tracks are not shredded to confetti");
+    assert!(og.len() >= 5, "tracks are not shredded to confetti");
 }
 
 #[test]
