@@ -6,11 +6,13 @@
 //! * Table 2 — EM-EGED error rate, optimal vs BIC-found cluster count,
 //!   STRG vs STRG-Index size.
 //!
-//! Ground-truth cluster membership, which the paper hand-labels, comes for
-//! free here: every extracted OG is matched back to the scripted actor that
-//! produced it, and actors are classed by moving direction (the dominant
+//! Cluster labels, which the paper hand-labels, come here from the
+//! trajectories being clustered: [`direction_class`] classes each extracted
+//! OG by the horizontal direction of its own centroid series (the dominant
 //! content classes of these scenes — e.g. the "bidirectional movement of
-//! vehicles" the paper calls out for the traffic videos).
+//! vehicles" the paper calls out for the traffic videos). No OG is matched
+//! back to the scripted actor that produced it; ROADMAP's "Planted ground
+//! truth" item plans that match-back.
 
 use strg_cluster::{bic_sweep, clustering_error_rate, Clusterer, EmClusterer, EmConfig};
 use strg_core::{DbOptions, VideoDatabase};

@@ -43,10 +43,17 @@ pub struct Frame {
 impl Frame {
     /// Creates a frame filled with `fill`.
     pub fn new(width: usize, height: usize, fill: Pixel) -> Self {
+        // One pixel, then doubling copies: `vec![fill; n]` stores 3 bytes at a time.
+        let n = width * height;
+        let mut pixels = Vec::with_capacity(n);
+        pixels.extend((n > 0).then_some(fill));
+        while pixels.len() < n {
+            pixels.extend_from_within(..pixels.len().min(n - pixels.len()));
+        }
         Self {
             width,
             height,
-            pixels: vec![fill; width * height],
+            pixels,
         }
     }
 
@@ -85,8 +92,21 @@ impl Frame {
         };
         let (x0, x1) = clip(x, w, self.width);
         let (y0, y1) = clip(y, h, self.height);
-        for row in y0..y1 {
-            self.pixels[row * self.width + x0..row * self.width + x1].fill(p);
+        if y0 == y1 {
+            return;
+        }
+        // The first row as `Frame::new` fills a frame, then copies of it.
+        let first = y0 * self.width + x0..y0 * self.width + x1;
+        let row = &mut self.pixels[first.clone()];
+        let mut done = row.len().min(1);
+        row[..done].fill(p);
+        while done < row.len() {
+            let n = done.min(row.len() - done);
+            row.copy_within(..n, done);
+            done += n;
+        }
+        for y in y0 + 1..y1 {
+            self.pixels.copy_within(first.clone(), y * self.width + x0);
         }
     }
 
@@ -168,6 +188,47 @@ mod tests {
         let mut f = Frame::new(3, 2, Pixel::default());
         f.fill_rect(-1, -1, usize::MAX, usize::MAX, Pixel::new(1, 1, 1));
         assert!(f.pixels().iter().all(|&p| p == Pixel::new(1, 1, 1)));
+    }
+
+    /// The doubling copies fill exactly the frame at every length around
+    /// their power-of-two steps.
+    #[test]
+    fn new_fills_every_length() {
+        for w in 0..=17 {
+            for h in [0, 1, 2, 3, 17] {
+                let p = Pixel::new(w as u8, h as u8, 7);
+                let f = Frame::new(w, h, p);
+                assert_eq!(f.pixels(), vec![p; w * h], "{w}x{h}");
+            }
+        }
+    }
+
+    /// A rectangle's first row and its copies ≡ a `set` per pixel, at
+    /// every width and height 0–17, at both edges and over the whole frame.
+    #[test]
+    fn fill_rect_matches_set_at_every_length() {
+        let (fw, fh) = (20, 19);
+        for len in 0..=17usize {
+            let rects = [
+                (1, 2, len, 3),
+                (3, 1, 2, len),
+                (fw as isize - len as isize + 2, -1, len, len),
+                (-2, fh as isize - 5, len, len),
+                (0, 0, fw, fh),
+            ];
+            for (x, y, w, h) in rects {
+                let p = Pixel::new(len as u8 + 1, 2, 3);
+                let mut want = Frame::new(fw, fh, Pixel::new(9, 8, 7));
+                for yy in y..y + h as isize {
+                    for xx in x..x + w as isize {
+                        want.set(xx, yy, p);
+                    }
+                }
+                let mut got = Frame::new(fw, fh, Pixel::new(9, 8, 7));
+                got.fill_rect(x, y, w, h, p);
+                assert_eq!(got.pixels(), want.pixels(), "rect {x},{y} {w}x{h}");
+            }
+        }
     }
 
     #[test]

@@ -304,9 +304,11 @@ pub(crate) mod tests {
         (clip, seed)
     }
 
-    /// FNV-1a over every channel byte of every frame.
-    fn pixel_hash(frames: &[Frame]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+    /// FNV-1a's offset basis: the hash of no bytes.
+    pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a state `h` continued over every channel byte of every frame.
+    pub(crate) fn pixel_hash(mut h: u64, frames: &[Frame]) -> u64 {
         for p in frames.iter().flat_map(Frame::pixels) {
             for byte in [p.r, p.g, p.b] {
                 h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
@@ -324,7 +326,7 @@ pub(crate) mod tests {
         for i in 0..2 {
             let (clip, seed) = clips150_clip(i);
             let frames = clip.render_all(seed);
-            got.push((frames.len(), pixel_hash(&frames)));
+            got.push((frames.len(), pixel_hash(FNV_BASIS, &frames)));
         }
         assert_eq!(
             got,

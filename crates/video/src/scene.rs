@@ -5,7 +5,7 @@
 //! each a multi-part sprite following a per-frame path. Rendering draws
 //! background then actors, and optionally applies illumination jitter and
 //! pixel noise so that segmentation and tracking face the same nuisances
-//! real footage has.
+//! real footage has. The jitter shifts each fill's colour, not each pixel.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -125,8 +125,10 @@ pub struct SceneNoise {
     pub illumination: f64,
     /// Per-pixel chance of salt noise.
     pub pixel_noise: f64,
-    /// Per-frame chance that the frame is dropped (rendered as an exact
-    /// copy of the background only — simulates a decode glitch).
+    /// Per-frame chance that the frame is dropped: its actors are not
+    /// drawn, so it shows the background only (simulates a decode
+    /// glitch). A dropped frame still gets its own illumination offset
+    /// and salt noise, so it is not an exact copy of the background.
     pub frame_drop: f64,
 }
 
@@ -167,13 +169,30 @@ impl Scene {
             .unwrap_or(0)
     }
 
-    /// Renders frame `t`.
+    /// Renders frame `t`. It draws the drop flag, the illumination offset,
+    /// then one salt draw per pixel; painting draws nothing. The offset maps
+    /// channel values, so each fill is painted in its shifted colour
+    /// (DESIGN.md §10, "Rendering").
     pub fn render(&self, t: usize, rng: &mut StdRng) -> Frame {
-        let mut f = Frame::new(self.width, self.height, self.base);
-        for p in &self.background {
-            f.fill_rect(p.x, p.y, p.w, p.h, p.color);
-        }
         let dropped = self.noise.frame_drop > 0.0 && rng.gen::<f64>() < self.noise.frame_drop;
+        let off = if self.noise.illumination > 0.0 {
+            rng.gen_range(-self.noise.illumination..=self.noise.illumination)
+        } else {
+            0.0
+        };
+        // Channels are u8, so the shift has 256 possible inputs.
+        let shifted: [u8; 256] = std::array::from_fn(|v| (v as f64 + off).clamp(0.0, 255.0) as u8);
+        let shift = |c: Pixel| {
+            Pixel::new(
+                shifted[c.r as usize],
+                shifted[c.g as usize],
+                shifted[c.b as usize],
+            )
+        };
+        let mut f = Frame::new(self.width, self.height, shift(self.base));
+        for p in &self.background {
+            f.fill_rect(p.x, p.y, p.w, p.h, shift(p.color));
+        }
         if !dropped {
             for a in &self.actors {
                 if let Some(pos) = a.position_at(t) {
@@ -184,34 +203,18 @@ impl Scene {
                             (c.y - part.half_h).round() as isize,
                             (2.0 * part.half_w).round() as usize,
                             (2.0 * part.half_h).round() as usize,
-                            part.color,
+                            shift(part.color),
                         );
                     }
                 }
             }
         }
-        // Illumination jitter: one offset per frame.
-        if self.noise.illumination > 0.0 {
-            let off = rng.gen_range(-self.noise.illumination..=self.noise.illumination);
-            // Channels are u8, so the shifted value has 256 possible
-            // inputs: tabulate the expression once per frame.
-            let mut shifted = [0u8; 256];
-            for (v, s) in shifted.iter_mut().enumerate() {
-                *s = (v as f64 + off).clamp(0.0, 255.0) as u8;
-            }
-            for p in f.pixels_mut() {
-                p.r = shifted[p.r as usize];
-                p.g = shifted[p.g as usize];
-                p.b = shifted[p.b as usize];
-            }
-        }
         // Salt noise.
         if self.noise.pixel_noise > 0.0 {
-            let n = f.pixels_mut().len();
-            for i in 0..n {
+            for p in f.pixels_mut() {
                 if rng.gen::<f64>() < self.noise.pixel_noise {
                     let v: u8 = rng.gen();
-                    f.pixels_mut()[i] = Pixel::new(v, v, v);
+                    *p = Pixel::new(v, v, v);
                 }
             }
         }
@@ -265,6 +268,135 @@ mod tests {
             }],
             noise: SceneNoise::default(),
         })
+    }
+
+    /// The renderer as it stood before fills were painted in their
+    /// shifted colour: paint everything, then map every pixel through the
+    /// illumination table. [`Scene::render`] must match it pixel for pixel
+    /// and draw the same RNG stream.
+    fn render_reference(scene: &Scene, t: usize, rng: &mut StdRng) -> Frame {
+        let mut f = Frame::new(scene.width, scene.height, scene.base);
+        for p in &scene.background {
+            f.fill_rect(p.x, p.y, p.w, p.h, p.color);
+        }
+        let dropped = scene.noise.frame_drop > 0.0 && rng.gen::<f64>() < scene.noise.frame_drop;
+        if !dropped {
+            for a in &scene.actors {
+                if let Some(pos) = a.position_at(t) {
+                    for part in &a.sprite.parts {
+                        let c = pos + part.offset;
+                        f.fill_rect(
+                            (c.x - part.half_w).round() as isize,
+                            (c.y - part.half_h).round() as isize,
+                            (2.0 * part.half_w).round() as usize,
+                            (2.0 * part.half_h).round() as usize,
+                            part.color,
+                        );
+                    }
+                }
+            }
+        }
+        // Illumination jitter: one offset per frame.
+        if scene.noise.illumination > 0.0 {
+            let off = rng.gen_range(-scene.noise.illumination..=scene.noise.illumination);
+            // Channels are u8, so the shifted value has 256 possible
+            // inputs: tabulate the expression once per frame.
+            let mut shifted = [0u8; 256];
+            for (v, s) in shifted.iter_mut().enumerate() {
+                *s = (v as f64 + off).clamp(0.0, 255.0) as u8;
+            }
+            for p in f.pixels_mut() {
+                p.r = shifted[p.r as usize];
+                p.g = shifted[p.g as usize];
+                p.b = shifted[p.b as usize];
+            }
+        }
+        // Salt noise.
+        if scene.noise.pixel_noise > 0.0 {
+            let n = f.pixels_mut().len();
+            for i in 0..n {
+                if rng.gen::<f64>() < scene.noise.pixel_noise {
+                    let v: u8 = rng.gen();
+                    f.pixels_mut()[i] = Pixel::new(v, v, v);
+                }
+            }
+        }
+        f
+    }
+
+    /// A scene that reaches every branch of both renderers: channels
+    /// within 4 of 0 and of 255, overlapping and zero-size patches, a
+    /// sprite that walks in from off-frame, one that never enters it and
+    /// one whose part rounds to zero size.
+    fn branchy_scene() -> Scene {
+        let walker = Actor {
+            sprite: Sprite::person(1.0, Pixel::new(254, 1, 128)),
+            start_frame: 0,
+            path: line_path(Point2::new(-12.0, 15.0), Point2::new(30.0, 18.0), 12),
+        };
+        let outside = Actor {
+            sprite: Sprite::car(1.0, Pixel::new(0, 255, 3)),
+            start_frame: 2,
+            path: line_path(Point2::new(-50.0, -40.0), Point2::new(90.0, -40.0), 8),
+        };
+        let mut flat = Sprite::car(0.8, Pixel::new(4, 251, 90));
+        flat.parts[1].half_w = 0.2;
+        let flat = Actor {
+            sprite: flat,
+            start_frame: 3,
+            path: line_path(Point2::new(30.0, 25.0), Point2::new(10.0, 5.0), 9),
+        };
+        let patch = |x, y, w, h, color| BgPatch { x, y, w, h, color };
+        Scene {
+            width: 40,
+            height: 30,
+            base: Pixel::new(2, 253, 128),
+            background: vec![
+                patch(-5, -5, 20, 15, Pixel::new(255, 0, 4)),
+                patch(10, 5, 20, 20, Pixel::new(251, 3, 60)),
+                patch(25, 0, 15, 30, Pixel::new(0, 128, 255)),
+                patch(5, 5, 0, 10, Pixel::new(9, 9, 9)),
+                patch(5, 5, 10, 0, Pixel::new(9, 9, 9)),
+                patch(60, 40, 5, 5, Pixel::new(9, 9, 9)),
+            ],
+            actors: vec![walker, outside, flat],
+            noise: SceneNoise::default(),
+        }
+    }
+
+    /// `render` equals the paint-then-map reference pixel for pixel on
+    /// every frame, and leaves the RNG where the reference does, across
+    /// no, small and saturating illumination, no, sparse and full salt,
+    /// and dropped frames.
+    #[test]
+    fn render_matches_reference() {
+        let mut scene = branchy_scene();
+        let mut cases = 0;
+        for illumination in [0.0, 4.0, 300.0] {
+            for pixel_noise in [0.0, 0.01, 1.0] {
+                for frame_drop in [0.0, 0.5] {
+                    scene.noise = SceneNoise {
+                        illumination,
+                        pixel_noise,
+                        frame_drop,
+                    };
+                    let mut got_rng = StdRng::seed_from_u64(cases);
+                    let mut want_rng = got_rng.clone();
+                    for t in 0..scene.frame_count() + 2 {
+                        let got = scene.render(t, &mut got_rng);
+                        let want = render_reference(&scene, t, &mut want_rng);
+                        let ctx = format!("{:?} frame {t}", scene.noise);
+                        assert_eq!(got.pixels(), want.pixels(), "{ctx}");
+                        assert_eq!(
+                            got_rng.clone().gen::<u64>(),
+                            want_rng.clone().gen::<u64>(),
+                            "{ctx}: RNG stream"
+                        );
+                    }
+                    cases += 1;
+                }
+            }
+        }
     }
 
     #[test]

@@ -576,7 +576,7 @@ fn mode_of_window_naive(
 mod tests {
     use super::*;
     use crate::raster::Pixel;
-    use crate::scenario::tests::clips150_clip;
+    use crate::scenario::tests::{clips150_clip, pixel_hash, FNV_BASIS};
 
     // ---- the reference: the pixel-by-pixel segmenter ----
 
@@ -829,6 +829,23 @@ mod tests {
     #[ignore]
     fn matches_reference_on_every_corpus_clip() {
         check_corpus(150);
+    }
+
+    /// Every frame of all 150 corpus clips, pinned bit for bit: the frame
+    /// count and one FNV-1a digest over every channel byte, in clip order,
+    /// as the renderer that mapped every pixel after painting produced
+    /// them. A change that moves one channel of one frame fails here.
+    #[test]
+    #[ignore]
+    fn corpus_renders_are_pinned_on_every_clip() {
+        let (mut frames, mut h) = (0, FNV_BASIS);
+        for i in 0..150 {
+            let (clip, seed) = clips150_clip(i);
+            let clip_frames = clip.render_all(seed);
+            frames += clip_frames.len();
+            h = pixel_hash(h, &clip_frames);
+        }
+        assert_eq!((frames, h), (6786, 8108758750492762771));
     }
 
     /// A deterministic frame with structured content plus pseudo-noise.

@@ -76,7 +76,9 @@ scripts/loc.sh
 # they trap the `u32` overflow a release build wraps), so arithmetic that
 # only goes wrong optimised would pass the run above. The segmenter's
 # ignored test compares it with its pixel-by-pixel reference on every
-# frame of the benchmark's 150-clip corpus, too slow unoptimised, and
+# frame of the benchmark's 150-clip corpus, too slow unoptimised;
+# `corpus_renders_are_pinned_on_every_clip` pins the renderer's output on
+# the same 6,786 frames (frame count and one FNV-1a digest), and
 # `ingest_equivalence`'s pins Algorithm 1's temporal edges on the same
 # clips (about 2 s optimised). `kernel_equivalence`'s fits the 600-object
 # `lib_index` set with the midpoint gap's half-distance kernel and with its

@@ -6,8 +6,9 @@
 //! **zero** heap allocations: every buffer the pipeline touches is owned
 //! by the arena and only recycled after warm-up (DESIGN.md §10). Batch
 //! extraction (`frames_to_rags`) keeps one such arena per worker, so past
-//! its first frames it allocates only the RAGs it returns. It also bounds
-//! the allocations of one `VideoDatabase::load` at one and at two workers.
+//! its first frames it allocates only the RAGs it returns. It also pins
+//! the allocations of rendering a clip and bounds those of one
+//! `VideoDatabase::load` at one and at two workers.
 
 mod alloc_util;
 
@@ -143,6 +144,33 @@ fn frames_to_rags_allocates_only_the_rags_it_returns() {
         2 * rag_allocs,
         "six further frames cost {extra} allocations, their RAGs {}",
         2 * rag_allocs
+    );
+}
+
+/// Rendering a clip allocates one pixel buffer per frame plus the frame
+/// list, and nothing else: no per-frame table, cache or scratch buffer.
+#[test]
+fn render_allocates_one_buffer_per_frame() {
+    let cfg = ScenarioConfig {
+        n_actors: 4,
+        frames: 24,
+        seed: 20050614,
+        ..ScenarioConfig::default()
+    };
+    let clip = VideoClip {
+        name: "clip-0000".into(),
+        scene: lab_scene(&cfg),
+        fps: 30.0,
+    };
+    let before = alloc_events();
+    let frames = clip.render_all(cfg.seed);
+    let events = alloc_events() - before;
+    assert_eq!(frames.len(), 59);
+    assert_eq!(
+        events,
+        frames.len() as u64 + 1,
+        "rendering {} frames performed {events} allocations",
+        frames.len()
     );
 }
 
