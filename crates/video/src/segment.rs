@@ -17,15 +17,22 @@
 //!
 //! ## Hot path (DESIGN.md §10)
 //!
-//! Only the mode filter visits the class image cell by cell. Labeling
-//! works on maximal same-class runs per row, joined across rows by a
-//! union-find; region statistics are integer sums per run; and the merge
-//! of small regions runs on the region graph — adjacency pairs built once
-//! from the runs and relabelled each round — instead of re-scanning the
-//! pixels every round. The pixel-by-pixel pipeline this replaced is
-//! compiled only into this module's unit tests, which pin the two to each
-//! other byte for byte: labels, bit-identical `f64` colors and centroids,
-//! and adjacency.
+//! A corpus frame is a few hundred runs of identical pixels, not 19,200
+//! pixels, so only one scan per row looks at every pixel: it splits the
+//! row into runs of one pixel value, classes each run once and joins
+//! neighbouring runs of one class. Everything after it works on runs, and
+//! no stage builds a per-pixel class plane. The mode filter cuts each row
+//! where any of its window rows changes class, decides every pixel whose
+//! window lies within one such segment at once, and decides only the
+//! pixels within its radius of a cut one by one, from the runs each window
+//! row has there. Labeling joins the smoothed runs across rows by a
+//! union-find; region statistics are integer sums over the pixel runs
+//! under each smoothed run; and the merge of small regions runs on the
+//! region graph — adjacency pairs built once from the runs and relabelled
+//! each round — instead of re-scanning the pixels every round. The
+//! pixel-by-pixel pipeline this replaced is compiled only into this
+//! module's unit tests, which pin the two to each other byte for byte:
+//! labels, bit-identical `f64` colors and centroids, and adjacency.
 //!
 //! Per-frame buffers live in a reusable [`SegScratch`] arena so that
 //! steady-state segmentation performs **zero heap allocations** (pinned by
@@ -34,7 +41,7 @@
 
 use strg_graph::{Point2, Rgb};
 
-use crate::raster::Frame;
+use crate::raster::{Frame, Pixel};
 
 /// Configuration of the segmenter.
 #[derive(Copy, Clone, Debug)]
@@ -89,26 +96,27 @@ pub struct Segmentation {
 
 /// Reusable per-worker scratch arena for [`segment_into`].
 ///
-/// Owns every intermediate buffer of the segmentation pipeline (class
-/// planes, the mode filter's per-row tallies, row runs and their
-/// union-find, region sums, the region graph's adjacency pairs and
-/// neighbor lists, the merge union-find) plus the output [`Segmentation`]
-/// itself. Buffers are grown on demand and **never shrink**, so repeated
-/// calls on same-sized frames reach a steady state with zero heap
-/// allocations (`tests/ingest_alloc.rs` pins this). One arena serves one
-/// worker; `frames_to_rags` creates one per `par_map` worker via
-/// `strg_parallel::par_map_with`.
+/// Owns every intermediate buffer of the segmentation pipeline (pixel and
+/// class runs, the mode filter's window cursors and class counts, smoothed
+/// runs and their union-find, region sums, the region graph's
+/// adjacency pairs and neighbor lists, the merge union-find) plus the
+/// output [`Segmentation`] itself. Run buffers grow with the frame's run
+/// count, not its pixel count. Buffers are grown on demand and **never
+/// shrink**, so repeated calls on same-sized frames reach a steady state
+/// with zero heap allocations (`tests/ingest_alloc.rs` pins this). One
+/// arena serves one worker; `frames_to_rags` creates one per `par_map`
+/// worker via `strg_parallel::par_map_with`.
 #[derive(Debug, Default)]
 pub struct SegScratch {
-    // Quantized class planes and the mode filter.
-    classes: Vec<u32>,
-    smoothed: Vec<u32>,
-    same: Vec<u32>,
-    window: Vec<(u32, u32)>,
-    // Row runs, their union-find (then component numbers), row offsets.
-    runs: Vec<Run>,
+    // The scan: runs of one pixel value and runs of one class.
+    pixel_runs: Vec<PixelRun>,
+    class_runs: RowRuns,
+    // The mode filter.
+    cursors: Vec<u32>,
+    counts: Vec<(u32, u32)>,
+    // Smoothed runs and their union-find (then component numbers).
+    smoothed: RowRuns,
     run_comp: Vec<u32>,
-    row_runs: Vec<u32>,
     // Region sums and the region-graph merge.
     sums: Vec<RegionSums>,
     pairs: Vec<(u32, u32)>,
@@ -162,6 +170,52 @@ struct Run {
     x0: u32,
     x1: u32,
     class: u32,
+}
+
+/// A maximal run of one pixel value within one row. It starts where the
+/// row's previous run ends (at 0 for the row's first run) and ends at
+/// `x1`.
+#[derive(Copy, Clone, Debug)]
+struct PixelRun {
+    x1: u32,
+    pixel: Pixel,
+}
+
+/// The runs of a class image in raster order: row `y`'s runs are
+/// `runs[row[y]..row[y + 1]]`, and they tile the row.
+#[derive(Debug, Default)]
+struct RowRuns {
+    runs: Vec<Run>,
+    row: Vec<u32>,
+}
+
+impl RowRuns {
+    /// Empties the image; rows follow with [`RowRuns::push`] and
+    /// [`RowRuns::end_row`].
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.row.clear();
+        self.row.push(0);
+    }
+
+    /// Appends pixels `x0..x1` of row `y` in `class`, extending the row's
+    /// last run when it holds the same class, so runs stay maximal.
+    fn push(&mut self, y: usize, x0: usize, x1: usize, class: u32) {
+        match self.runs.last_mut() {
+            Some(run) if run.y == y as u32 && run.class == class => run.x1 = x1 as u32,
+            _ => self.runs.push(Run {
+                y: y as u32,
+                x0: x0 as u32,
+                x1: x1 as u32,
+                class,
+            }),
+        }
+    }
+
+    /// Closes the current row.
+    fn end_row(&mut self) {
+        self.row.push(self.runs.len() as u32);
+    }
 }
 
 /// Integer pixel sums of one region: count, Σx, Σy and the channel sums.
@@ -222,13 +276,12 @@ pub fn segment_into<'s>(
     let n = w * h;
 
     let SegScratch {
-        classes,
+        pixel_runs,
+        class_runs,
+        cursors,
+        counts,
         smoothed,
-        same,
-        window,
-        runs,
         run_comp,
-        row_runs,
         sums,
         pairs,
         nbr_off,
@@ -246,37 +299,15 @@ pub fn segment_into<'s>(
         return out;
     }
 
-    quantize_into(frame, cfg.quant_levels, classes);
-    let classes: &[u32] = if cfg.smooth_radius > 0 {
-        mode_filter_into(classes, w, cfg.smooth_radius, smoothed, same, window);
-        smoothed
-    } else {
-        classes
-    };
+    scan_runs(frame, cfg.quant_levels, pixel_runs, class_runs);
+    mode_filter_runs(class_runs, w, cfg.smooth_radius, smoothed, cursors, counts);
+    let RowRuns {
+        runs,
+        row: row_runs,
+    } = smoothed;
 
-    // 4-connected components over identical classes: each row splits into
-    // maximal same-class runs, and a run joins every same-class run of the
-    // row above that it overlaps.
-    clear_with_cap(runs, n);
-    fill_to(row_runs, h + 1, 0);
-    for (y, row) in classes.chunks_exact(w).enumerate() {
-        let mut x0 = 0;
-        while x0 < w {
-            let class = row[x0];
-            let x1 = row[x0..]
-                .iter()
-                .position(|&c| c != class)
-                .map_or(w, |len| x0 + len);
-            runs.push(Run {
-                y: y as u32,
-                x0: x0 as u32,
-                x1: x1 as u32,
-                class,
-            });
-            x0 = x1;
-        }
-        row_runs[y + 1] = runs.len() as u32;
-    }
+    // 4-connected components over identical classes: a smoothed run joins
+    // every same-class run of the row above that it overlaps.
     clear_with_cap(run_comp, runs.len());
     run_comp.extend(0..runs.len() as u32);
     // Adjacency candidates as run pairs: neighbors within a row (fewer
@@ -323,20 +354,26 @@ pub fn segment_into<'s>(
     }
     let n_comp = n_comp as usize;
 
-    // Region sums from the ORIGINAL pixels, one run at a time.
+    // Region sums from the ORIGINAL pixels: each smoothed run adds the
+    // stretches of the pixel runs under it, length times color. Both run
+    // lists tile every row in raster order, so one cursor walks them.
     fill_to(sums, n_comp, RegionSums::default());
-    let pixels = frame.pixels();
+    let mut p = 0;
     for (run, &c) in runs.iter().zip(run_comp.iter()) {
         let (x0, x1, len) = (run.x0 as u64, run.x1 as u64, (run.x1 - run.x0) as u64);
         let s = &mut sums[c as usize];
         s.count += len;
         s.x += (x0 + x1 - 1) * len / 2;
         s.y += run.y as u64 * len;
-        let row = run.y as usize * w;
-        for p in &pixels[row + run.x0 as usize..row + run.x1 as usize] {
-            s.r += p.r as u64;
-            s.g += p.g as u64;
-            s.b += p.b as u64;
+        let mut x = run.x0;
+        while x < run.x1 {
+            let PixelRun { x1: end, pixel } = pixel_runs[p];
+            let stretch = (end.min(run.x1) - x) as u64;
+            s.r += stretch * pixel.r as u64;
+            s.g += stretch * pixel.g as u64;
+            s.b += stretch * pixel.b as u64;
+            x += stretch as u32;
+            p += (end == x) as usize;
         }
     }
     for p in pairs.iter_mut() {
@@ -449,16 +486,24 @@ pub fn segment_into<'s>(
     out
 }
 
-/// Quantized color class keys `(q_r·L + q_g)·L + q_b` of every pixel.
+/// Splits every row of `frame` into maximal runs of one pixel value
+/// (`pixel_runs`) and of one class (`class_runs`), classing each pixel run
+/// once.
 ///
-/// `L` is `quant_levels` clamped to `2..=256`, so the largest key is below
-/// 2^24. Larger values would overflow the `u32` key without changing which
-/// pixels share a class: from 256 levels on the per-channel quantizer is
-/// one-to-one on `u8`. Channels are u8, so the quantizer collapses to
-/// 256-entry lookup tables, and the key distributes over the per-channel
-/// terms, so the weights are premultiplied into the tables: the per-pixel
-/// work is three loads and two adds.
-fn quantize_into(frame: &Frame, quant_levels: u32, classes: &mut Vec<u32>) {
+/// The class key is `(q_r·L + q_g)·L + q_b`, where `L` is `quant_levels`
+/// clamped to `2..=256`, so the largest key is below 2^24. Larger values
+/// would overflow the `u32` key without changing which pixels share a
+/// class: from 256 levels on the per-channel quantizer is one-to-one on
+/// `u8`. Channels are u8, so the quantizer collapses to 256-entry lookup
+/// tables, and the key distributes over the per-channel terms, so the
+/// weights are premultiplied into the tables: a run's key is three loads
+/// and two adds.
+fn scan_runs(
+    frame: &Frame,
+    quant_levels: u32,
+    pixel_runs: &mut Vec<PixelRun>,
+    class_runs: &mut RowRuns,
+) {
     let levels = quant_levels.clamp(2, 256);
     let step = 255.0 / (levels - 1) as f64;
     let mut lut_r = [0u32; 256];
@@ -470,99 +515,176 @@ fn quantize_into(frame: &Frame, quant_levels: u32, classes: &mut Vec<u32>) {
         lut_g[v] = q * levels;
         lut_b[v] = q;
     }
-    clear_with_cap(classes, frame.pixels().len());
-    classes.extend(
-        frame
-            .pixels()
-            .iter()
-            .map(|p| lut_r[p.r as usize] + lut_g[p.g as usize] + lut_b[p.b as usize]),
-    );
+    pixel_runs.clear();
+    class_runs.clear();
+    let w = frame.width();
+    for (y, row) in frame.pixels().chunks_exact(w).enumerate() {
+        let mut x0 = 0;
+        while x0 < w {
+            let pixel = row[x0];
+            let x1 = run_end(row, x0);
+            pixel_runs.push(PixelRun {
+                x1: x1 as u32,
+                pixel,
+            });
+            let class = lut_r[pixel.r as usize] + lut_g[pixel.g as usize] + lut_b[pixel.b as usize];
+            class_runs.push(y, x0, x1, class);
+            x0 = x1;
+        }
+        class_runs.end_row();
+    }
 }
 
-/// Edge-preserving mode filter over a non-empty `w`-wide class image: each
-/// pixel takes the majority class of its clipped `(2r+1)^2` window, the
-/// center winning ties — byte-identical to the naïve filter.
+/// The end of the run of `row[x0]`'s value that starts at `x0`: eight
+/// pixels at a time while all eight match (an OR of channel XORs, which
+/// the compiler vectorises), then pixel by pixel.
+fn run_end(row: &[Pixel], x0: usize) -> usize {
+    let p = row[x0];
+    let mut x = x0 + 1;
+    for chunk in row[x..].chunks_exact(8) {
+        let diff = chunk
+            .iter()
+            .fold(0, |acc, q| acc | (q.r ^ p.r) | (q.g ^ p.g) | (q.b ^ p.b));
+        if diff != 0 {
+            break;
+        }
+        x += 8;
+    }
+    row[x..]
+        .iter()
+        .position(|&q| q != p)
+        .map_or(row.len(), |len| x + len)
+}
+
+/// Edge-preserving mode filter on the runs of a non-empty `w`-wide class
+/// image: each pixel takes the majority class of its clipped `(2r+1)^2`
+/// window, the center winning ties — byte-identical to the naïve filter.
+/// The filtered image lands in `out` as maximal runs.
 ///
-/// Per window offset, one `zip` pass over row slices tallies the cells
-/// equal to the center. A center holding at least half of its clipped
-/// window cannot be strictly beaten and survives; every other pixel
-/// (region borders and noise, under 1 % of a corpus frame) is decided by
-/// [`mode_of_window_naive`] itself, so ties resolve exactly as the naïve
-/// filter resolves them.
-fn mode_filter_into(
-    classes: &[u32],
+/// The run starts of a row's window rows cut it into segments within
+/// which every window row is constant. A pixel whose clipped window lies
+/// inside one segment sees each window row contribute its class once per
+/// window column, so its class counts are the window rows' counts times
+/// the window's width, met in window-row order. Every such pixel of a
+/// segment therefore gets the same answer, decided once: the center
+/// survives when it holds at least half of the window rows (it cannot be
+/// strictly beaten), and otherwise [`window_mode`] decides at one of
+/// them. The pixels within `r` of a cut are decided one by one by
+/// [`window_mode`].
+fn mode_filter_runs(
+    src: &RowRuns,
     w: usize,
     radius: usize,
-    out: &mut Vec<u32>,
-    same: &mut Vec<u32>,
-    window: &mut Vec<(u32, u32)>,
+    out: &mut RowRuns,
+    cursors: &mut Vec<u32>,
+    counts: &mut Vec<(u32, u32)>,
 ) {
-    let h = classes.len() / w;
-    clear_with_cap(out, classes.len());
-    out.extend_from_slice(classes);
+    let h = src.row.len() - 1;
     // Past the frame's extent a radius clips to the same windows.
     let r = radius.min(w.max(h));
     // A window holds at most this many distinct classes.
-    clear_with_cap(window, (2 * r + 1).pow(2).min(classes.len()));
-    for (y, center) in classes.chunks_exact(w).enumerate() {
+    clear_with_cap(counts, (2 * r + 1).pow(2).min(w * h));
+    out.clear();
+    for y in 0..h {
         let (y0, y1) = (y.saturating_sub(r), (y + r).min(h - 1));
-        fill_to(same, w, 0);
-        for src in classes[y0 * w..(y1 + 1) * w].chunks_exact(w) {
-            for d in 0..=2 * r {
-                // Cell `x` meets `src[x + d - r]`.
-                if d < r {
-                    let s = (r - d).min(w);
-                    tally(&mut same[s..], &center[s..], &src[..w - s]);
+        // Each window row's run over the current segment.
+        cursors.clear();
+        cursors.extend_from_slice(&src.row[y0..=y1]);
+        let center_row = y - y0;
+        let mut s0 = 0;
+        while s0 < w {
+            let s1 = cursors
+                .iter()
+                .map(|&c| src.runs[c as usize].x1)
+                .min()
+                .unwrap_or(w as u32) as usize;
+            // Pixels `lo..hi` have their whole clipped window in the segment.
+            let lo = if s0 == 0 { 0 } else { (s0 + r).min(s1) };
+            let hi = if s1 == w { w } else { s1.saturating_sub(r) }.max(lo);
+            for x in s0..lo {
+                let class = window_mode(&src.runs, cursors, center_row, x, r, w, counts);
+                out.push(y, x, x + 1, class);
+            }
+            if lo < hi {
+                let center = src.runs[cursors[center_row] as usize].class;
+                let center_rows = cursors
+                    .iter()
+                    .filter(|&&c| src.runs[c as usize].class == center)
+                    .count();
+                let class = if 2 * center_rows >= cursors.len() {
+                    center
                 } else {
-                    let s = (d - r).min(w);
-                    tally(&mut same[..w - s], &center[..w - s], &src[s..]);
-                }
+                    window_mode(&src.runs, cursors, center_row, lo, r, w, counts)
+                };
+                out.push(y, lo, hi, class);
             }
-        }
-        for (x, &n_same) in same.iter().enumerate() {
-            let area = (y1 - y0 + 1) * ((x + r).min(w - 1) - x.saturating_sub(r) + 1);
-            if 2 * (n_same as usize) < area {
-                out[y * w + x] = mode_of_window_naive(classes, w, h, x, y, r, window);
+            for x in hi..s1 {
+                let class = window_mode(&src.runs, cursors, center_row, x, r, w, counts);
+                out.push(y, x, x + 1, class);
             }
+            for c in cursors.iter_mut() {
+                *c += (src.runs[*c as usize].x1 as usize == s1) as u32;
+            }
+            s0 = s1;
         }
+        out.end_row();
     }
 }
 
-/// Adds one to `same[x]` wherever `center[x] == src[x]`.
-fn tally(same: &mut [u32], center: &[u32], src: &[u32]) {
-    for ((n, &c), &s) in same.iter_mut().zip(center).zip(src) {
-        *n += (c == s) as u32;
-    }
-}
-
-/// The naïve mode of one `(2r+1)^2` window, exactly as the original filter
-/// computed it: counts accumulate in first-encounter (row-major window
-/// scan) order, `max_by_key` picks the **last** maximal entry in that
-/// order, and the center class wins unless strictly beaten. Shared by the
-/// test-only reference filter and the production filter's fallback, so
-/// both resolve multi-way ties identically by construction.
-fn mode_of_window_naive(
-    classes: &[u32],
-    w: usize,
-    h: usize,
+/// The naïve filter's answer at pixel `x` of a row whose window rows' runs
+/// over `x` are `runs[cursors[k]]`, the center row's at `center_row`.
+///
+/// The class counts of the clipped window `x - r..=x + r` come from the
+/// runs each window row has there, top row first and left to right: the
+/// order in which a row-major scan of the window's cells first meets each
+/// class. So `counts` ends up as the naïve filter's list, entry for entry,
+/// and the choice is its choice: the **last** maximal entry in that order
+/// (`max_by_key`), unless it does not strictly beat the center class.
+fn window_mode(
+    runs: &[Run],
+    cursors: &[u32],
+    center_row: usize,
     x: usize,
-    y: usize,
-    radius: usize,
+    r: usize,
+    w: usize,
     counts: &mut Vec<(u32, u32)>,
 ) -> u32 {
-    counts.clear();
-    let r = radius as isize;
-    let (xi, yi) = (x as isize, y as isize);
-    for yy in (yi - r).max(0)..=(yi + r).min(h as isize - 1) {
-        for xx in (xi - r).max(0)..=(xi + r).min(w as isize - 1) {
-            let c = classes[yy as usize * w + xx as usize];
-            match counts.iter_mut().find(|e| e.0 == c) {
-                Some(e) => e.1 += 1,
-                None => counts.push((c, 1)),
+    let (a, b) = (x.saturating_sub(r) as u32, (x + r + 1).min(w) as u32);
+    let center = runs[cursors[center_row] as usize].class;
+    // Row `c`'s runs over `a..b`. Rows tile `0..w`, so neither walk leaves
+    // the row.
+    let span = |c: u32| {
+        let (mut i, mut j) = (c as usize, c as usize);
+        while runs[i].x0 > a {
+            i -= 1;
+        }
+        while runs[j].x1 < b {
+            j += 1;
+        }
+        &runs[i..=j]
+    };
+    let cells = |run: &Run| run.x1.min(b) - run.x0.max(a);
+    // A center holding half of its window cannot be strictly beaten.
+    let mut same = 0;
+    for &c in cursors {
+        for run in span(c) {
+            if run.class == center {
+                same += cells(run);
             }
         }
     }
-    let center = classes[y * w + x];
+    if 2 * same as usize >= cursors.len() * (b - a) as usize {
+        return center;
+    }
+    counts.clear();
+    for &c in cursors {
+        for run in span(c) {
+            match counts.iter_mut().find(|e| e.0 == run.class) {
+                Some(e) => e.1 += cells(run),
+                None => counts.push((run.class, cells(run))),
+            }
+        }
+    }
     let center_n = counts.iter().find(|e| e.0 == center).map_or(0, |e| e.1);
     let best = counts.iter().max_by_key(|e| e.1).expect("window non-empty");
     if best.1 > center_n {
@@ -575,8 +697,9 @@ fn mode_of_window_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raster::Pixel;
     use crate::scenario::tests::{clips150_clip, pixel_hash, FNV_BASIS};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     // ---- the reference: the pixel-by-pixel segmenter ----
 
@@ -633,6 +756,54 @@ mod tests {
         pairs
     }
 
+    /// The class key of every pixel, computed pixel by pixel from the
+    /// quantizer's formula rather than from the premultiplied tables.
+    fn quantize_reference(frame: &Frame, quant_levels: u32) -> Vec<u32> {
+        let levels = quant_levels.clamp(2, 256);
+        let step = 255.0 / (levels - 1) as f64;
+        let q = |v: u8| ((v as f64 / step).round() as u32).min(levels - 1);
+        frame
+            .pixels()
+            .iter()
+            .map(|p| (q(p.r) * levels + q(p.g)) * levels + q(p.b))
+            .collect()
+    }
+
+    /// The naïve mode of one `(2r+1)^2` window, exactly as the original filter
+    /// computed it: counts accumulate in first-encounter (row-major window
+    /// scan) order, `max_by_key` picks the **last** maximal entry in that
+    /// order, and the center class wins unless strictly beaten.
+    fn mode_of_window_naive(
+        classes: &[u32],
+        w: usize,
+        h: usize,
+        x: usize,
+        y: usize,
+        radius: usize,
+        counts: &mut Vec<(u32, u32)>,
+    ) -> u32 {
+        counts.clear();
+        let r = radius as isize;
+        let (xi, yi) = (x as isize, y as isize);
+        for yy in (yi - r).max(0)..=(yi + r).min(h as isize - 1) {
+            for xx in (xi - r).max(0)..=(xi + r).min(w as isize - 1) {
+                let c = classes[yy as usize * w + xx as usize];
+                match counts.iter_mut().find(|e| e.0 == c) {
+                    Some(e) => e.1 += 1,
+                    None => counts.push((c, 1)),
+                }
+            }
+        }
+        let center = classes[y * w + x];
+        let center_n = counts.iter().find(|e| e.0 == center).map_or(0, |e| e.1);
+        let best = counts.iter().max_by_key(|e| e.1).expect("window non-empty");
+        if best.1 > center_n {
+            best.0
+        } else {
+            center
+        }
+    }
+
     /// The original `O(r^2)`-per-pixel mode filter: each output pixel is
     /// the most frequent class in its `(2r+1)^2` window, with the center
     /// class winning ties.
@@ -654,8 +825,7 @@ mod tests {
     fn segment_reference(frame: &Frame, cfg: &SegmentConfig) -> Segmentation {
         let (w, h) = (frame.width(), frame.height());
         let n = w * h;
-        let mut classes = Vec::new();
-        quantize_into(frame, cfg.quant_levels, &mut classes);
+        let mut classes = quantize_reference(frame, cfg.quant_levels);
         if cfg.smooth_radius > 0 {
             classes = mode_filter_naive(&classes, w, h, cfg.smooth_radius);
         }
@@ -916,8 +1086,7 @@ mod tests {
     /// center.
     fn fallback_profile(frame: &Frame, r: usize) -> (usize, usize) {
         let (w, h) = (frame.width(), frame.height());
-        let mut classes = Vec::new();
-        quantize_into(frame, 2, &mut classes);
+        let classes = quantize_reference(frame, 2);
         let (mut fallback, mut ties) = (0, 0);
         let mut counts = Vec::new();
         for y in 0..h {
@@ -1008,6 +1177,155 @@ mod tests {
             assert!(seg(levels) == at_256, "{levels} levels");
         }
         assert!(seg(0) == seg(2) && seg(1) == seg(2), "below 2 clamps to 2");
+    }
+
+    // ---- generated frames ----
+
+    /// Frames `w × h` with both sides drawn from `sides`: a base color,
+    /// up to six rectangles, some of them horizontal gradients, then salt.
+    /// A gradient steps its red and blue channels by 1–3 per column, so
+    /// its pixels are runs of one pixel each that coarse levels quantize
+    /// into one class: one smoothed run then spans many pixel runs of
+    /// different colors.
+    fn generated_frames(sides: std::ops::Range<usize>) -> impl Strategy<Value = Frame> {
+        let color = || (0u8..=255, 0u8..=255, 0u8..=255);
+        (
+            sides.clone(),
+            sides,
+            color(),
+            prop::collection::vec(
+                (
+                    0usize..64,
+                    0usize..64,
+                    1usize..48,
+                    1usize..48,
+                    color(),
+                    0u8..4,
+                ),
+                0..7,
+            ),
+            0usize..=16,
+            0u64..u64::MAX,
+        )
+            .prop_map(|(w, h, base, rects, salt, seed)| {
+                let mut f = Frame::new(w, h, Pixel::new(base.0, base.1, base.2));
+                for (x, y, rw, rh, (r, g, b), step) in rects {
+                    let (x, y) = (x % w, y % h);
+                    for dx in 0..rw.min(w - x) {
+                        let d = (dx * step as usize).min(255) as u8;
+                        let p = Pixel::new(r.saturating_add(d), g, b.saturating_sub(d));
+                        f.fill_rect((x + dx) as isize, y as isize, 1, rh, p);
+                    }
+                }
+                // Up to one pixel in 16 salted with a random color.
+                let mut state = seed | 1;
+                for _ in 0..w * h * salt / 256 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let (x, y) = (
+                        (state % w as u64) as isize,
+                        ((state >> 16) % h as u64) as isize,
+                    );
+                    let v = (state >> 32).to_le_bytes();
+                    f.set(x, y, Pixel::new(v[0], v[1], v[2]));
+                }
+                f
+            })
+    }
+
+    /// A segmenter configuration for a `w × h` frame: levels `2..=300`,
+    /// minimum sizes `0..=40`, and radius `0..=4` or, one time in six, one
+    /// past the frame's extent.
+    fn generated_config(
+        (quant_levels, radius, min_region_size): (u32, usize, usize),
+        frame: &Frame,
+    ) -> SegmentConfig {
+        let past_extent = frame.width().max(frame.height()) + 1;
+        SegmentConfig {
+            quant_levels,
+            min_region_size,
+            smooth_radius: if radius == 5 { past_extent } else { radius },
+        }
+    }
+
+    /// Smoothed runs of the arena's last segmentation that span two or
+    /// more pixel runs, which differ in color by construction.
+    fn runs_spanning_pixel_runs(s: &SegScratch) -> usize {
+        let mut p = 0;
+        s.smoothed
+            .runs
+            .iter()
+            .filter(|run| {
+                let first = p;
+                while s.pixel_runs[p].x1 < run.x1 {
+                    p += 1;
+                }
+                let spans = p > first;
+                p += (s.pixel_runs[p].x1 == run.x1) as usize;
+                spans
+            })
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn matches_reference_on_generated_frames(
+            frame in generated_frames(1..40),
+            cfg in (2u32..=300, 0usize..=5, 0usize..=40),
+        ) {
+            let cfg = generated_config(cfg, &frame);
+            let got = fingerprint(&segment(&frame, &cfg));
+            let (w, h) = (frame.width(), frame.height());
+            prop_assert!(
+                got == fingerprint(&segment_reference(&frame, &cfg)),
+                "{w}x{h} {cfg:?}: segmentation differs from the reference"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Frames up to 120 pixels a side at radius 0–4 (a radius past
+        /// the extent makes the reference's filter quadratic in the
+        /// pixels); too slow unoptimised, so CI runs it in its `--release`
+        /// leg.
+        #[test]
+        #[ignore]
+        fn matches_reference_on_large_generated_frames(
+            frame in generated_frames(40..121),
+            cfg in (2u32..=300, 0usize..=4, 0usize..=40),
+        ) {
+            let cfg = generated_config(cfg, &frame);
+            let got = fingerprint(&segment(&frame, &cfg));
+            let (w, h) = (frame.width(), frame.height());
+            prop_assert!(
+                got == fingerprint(&segment_reference(&frame, &cfg)),
+                "{w}x{h} {cfg:?}: segmentation differs from the reference"
+            );
+        }
+    }
+
+    /// The generated cases reach the sums walk's multi-run case: in most
+    /// of them some smoothed run covers pixel runs of different colors.
+    #[test]
+    fn generated_frames_span_pixel_runs() {
+        let strategy = (
+            generated_frames(1..40),
+            (2u32..=300, 0usize..=5, 0usize..=40),
+        );
+        let mut s = SegScratch::new();
+        let spanning = (0..96)
+            .filter(|&case| {
+                let (frame, cfg) = strategy.sample(&mut TestRng::for_case(case));
+                segment_into(&frame, &generated_config(cfg, &frame), &mut s);
+                runs_spanning_pixel_runs(&s) > 0
+            })
+            .count();
+        assert!(spanning > 48, "{spanning} of 96 cases");
     }
 
     // ---- behaviour ----
@@ -1117,17 +1435,25 @@ mod tests {
 
     // ---- the mode filter ----
 
+    /// The run filter as an image filter: the class image's maximal row
+    /// runs go through [`mode_filter_runs`], and its runs are expanded back
+    /// into an image.
     fn mode_filter(classes: &[u32], w: usize, radius: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        mode_filter_into(
-            classes,
-            w,
-            radius,
-            &mut out,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
-        out
+        let mut src = RowRuns::default();
+        src.clear();
+        for (y, row) in classes.chunks_exact(w).enumerate() {
+            for (x, &c) in row.iter().enumerate() {
+                src.push(y, x, x + 1, c);
+            }
+            src.end_row();
+        }
+        let mut out = RowRuns::default();
+        mode_filter_runs(&src, w, radius, &mut out, &mut Vec::new(), &mut Vec::new());
+        let mut image = Vec::new();
+        for run in &out.runs {
+            image.resize(image.len() + (run.x1 - run.x0) as usize, run.class);
+        }
+        image
     }
 
     /// The mode filter's border windows are *clipped*: a corner pixel with

@@ -75,8 +75,11 @@ scripts/loc.sh
 # vectorise the lane loops nor elide the bounds checks they rely on (and
 # they trap the `u32` overflow a release build wraps), so arithmetic that
 # only goes wrong optimised would pass the run above. The segmenter's
-# ignored test compares it with its pixel-by-pixel reference on every
-# frame of the benchmark's 150-clip corpus, too slow unoptimised;
+# ignored tests compare it with its pixel-by-pixel reference on every
+# frame of the benchmark's 150-clip corpus
+# (`matches_reference_on_every_corpus_clip`) and on generated
+# rectangle-, gradient- and salt-frames up to 120 pixels a side
+# (`matches_reference_on_large_generated_frames`), both too slow unoptimised;
 # `corpus_renders_are_pinned_on_every_clip` pins the renderer's output on
 # the same 6,786 frames (frame count and one FNV-1a digest), and
 # `ingest_equivalence`'s pins Algorithm 1's temporal edges on the same
