@@ -13,37 +13,9 @@ use rand::Rng;
 use strg_distance::{SeqValue, SequenceDistance};
 use strg_parallel::{par_map, Threads};
 
-/// Picks `k` item indices as initial centroids with k-means++ sampling.
-///
-/// Costs `O(kM)` distance evaluations. `k` is clamped to the data size.
-pub fn kmeans_pp_indices<V: SeqValue, D: SequenceDistance<V> + Sync>(
-    data: &[Vec<V>],
-    k: usize,
-    dist: &D,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    kmeans_pp_indices_threaded(data, k, dist, rng, Threads::Fixed(1))
-}
-
-/// [`kmeans_pp_indices`] with the per-round distance scans fanned out over
-/// `threads` workers.
-///
-/// Only the distance evaluations move off the calling thread; every RNG
-/// draw happens between rounds on the caller, and the per-item minimum
-/// updates are order-independent per element, so the chosen indices are
-/// identical to the sequential run at any thread count.
-pub fn kmeans_pp_indices_threaded<V: SeqValue, D: SequenceDistance<V> + Sync>(
-    data: &[Vec<V>],
-    k: usize,
-    dist: &D,
-    rng: &mut StdRng,
-    threads: Threads,
-) -> Vec<usize> {
-    kmeans_pp_seeds(data, k, dist, rng, threads).0
-}
-
 /// k-means++ seeding that keeps what it measured: the chosen indices, and
 /// the `m x k` matrix of every item's distance to every chosen seed.
+/// `k` is clamped to the data size.
 ///
 /// Each round scans `dist(data[j], data[seed])` for every item `j` — the
 /// same function on the same arguments in the same order as
@@ -122,6 +94,11 @@ mod tests {
     use rand::SeedableRng;
     use strg_distance::Eged;
 
+    /// The indices k-means++ picks on one thread.
+    fn indices(data: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<usize> {
+        kmeans_pp_seeds(data, k, &Eged, rng, Threads::Fixed(1)).0
+    }
+
     fn groups() -> Vec<Vec<f64>> {
         let mut data = Vec::new();
         for i in 0..10 {
@@ -137,7 +114,7 @@ mod tests {
     fn picks_k_distinct_indices() {
         let data = groups();
         let mut rng = StdRng::seed_from_u64(0);
-        let idx = kmeans_pp_indices(&data, 2, &Eged, &mut rng);
+        let idx = indices(&data, 2, &mut rng);
         assert_eq!(idx.len(), 2);
         assert_ne!(idx[0], idx[1]);
     }
@@ -150,7 +127,7 @@ mod tests {
         let mut straddles = 0;
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let idx = kmeans_pp_indices(&data, 2, &Eged, &mut rng);
+            let idx = indices(&data, 2, &mut rng);
             let g = |i: usize| i / 10;
             if g(idx[0]) != g(idx[1]) {
                 straddles += 1;
@@ -163,9 +140,9 @@ mod tests {
     fn k_clamped_and_degenerate() {
         let data = vec![vec![1.0], vec![1.0]];
         let mut rng = StdRng::seed_from_u64(0);
-        let idx = kmeans_pp_indices(&data, 5, &Eged, &mut rng);
+        let idx = indices(&data, 5, &mut rng);
         assert_eq!(idx.len(), 2);
-        let idx = kmeans_pp_indices(&Vec::<Vec<f64>>::new(), 3, &Eged, &mut rng);
+        let idx = indices(&[], 3, &mut rng);
         assert!(idx.is_empty());
     }
 
@@ -174,11 +151,10 @@ mod tests {
         let data = groups();
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let seq = kmeans_pp_indices(&data, 4, &Eged, &mut rng);
+            let seq = indices(&data, 4, &mut rng);
             for threads in [2, 8] {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let par =
-                    kmeans_pp_indices_threaded(&data, 4, &Eged, &mut rng, Threads::Fixed(threads));
+                let par = kmeans_pp_seeds(&data, 4, &Eged, &mut rng, Threads::Fixed(threads)).0;
                 assert_eq!(seq, par, "seed {seed} threads {threads}");
             }
         }
@@ -236,7 +212,7 @@ mod tests {
     fn identical_items_fall_back_to_unchosen() {
         let data = vec![vec![2.0], vec![2.0], vec![2.0]];
         let mut rng = StdRng::seed_from_u64(1);
-        let idx = kmeans_pp_indices(&data, 3, &Eged, &mut rng);
+        let idx = indices(&data, 3, &mut rng);
         let mut sorted = idx.clone();
         sorted.sort_unstable();
         sorted.dedup();

@@ -44,7 +44,7 @@ pub mod model;
 pub use bic::{bic, bic_sweep, bic_sweep_threads, num_params, BicPoint};
 pub use centroid::{median_length, member_centroid, weighted_centroid, ClusterValue};
 pub use em::{EmClusterer, EmConfig};
-pub use init::{distance_matrix, kmeans_pp_indices, kmeans_pp_indices_threaded};
+pub use init::distance_matrix;
 pub use khm::KHarmonicMeans;
 pub use kmeans::{HardConfig, KMeans};
 pub use metrics::{

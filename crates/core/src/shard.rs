@@ -161,7 +161,8 @@ pub fn sharded_query(
 /// returns the total cost. Sequentially each shard is searched straight
 /// into the arena's tree scratch, so a warmed-up arena allocates nothing.
 /// With at least two shards and at least two workers the shards are
-/// searched in parallel, each into a buffer of its own (allocating).
+/// searched in parallel, each in its worker thread's own search arena
+/// ([`StrgIndex::search`]), and its hits are copied out (allocating).
 pub fn sharded_query_into(
     idxs: &[&Idx],
     query: &[Point2],
@@ -188,9 +189,7 @@ pub fn sharded_query_into(
     let workers = if idxs.len() > 1 { threads.resolve() } else { 1 };
     if workers > 1 {
         let searched = par_map(idxs, Threads::Fixed(workers), |idx| {
-            let mut tree = QueryScratch::new();
-            let (hits, cost) = idx.search_into(query, kind, Scope::All, &mut tree);
-            (hits.to_vec(), cost)
+            idx.search(query, kind, Scope::All)
         });
         for (s, (hits, cost)) in searched.iter().enumerate() {
             append(s, hits, *cost);

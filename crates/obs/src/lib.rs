@@ -58,7 +58,7 @@ pub struct Recorder {
 
 #[derive(Debug, Default)]
 struct Registry {
-    counters: RwLock<Vec<(String, Counter, bool)>>, // (name, counter, volatile)
+    counters: RwLock<Vec<(String, (Counter, bool))>>, // (name, (counter, volatile))
     histograms: RwLock<Vec<(String, Histogram)>>,
 }
 
@@ -83,55 +83,14 @@ impl Recorder {
     }
 
     fn counter_impl(&self, name: &str, volatile: bool) -> Counter {
-        if let Some((_, c, _)) = self
-            .inner
-            .counters
-            .read()
-            .expect("counter registry poisoned")
-            .iter()
-            .find(|(n, _, _)| n == name)
-        {
-            return c.clone();
-        }
-        let mut w = self
-            .inner
-            .counters
-            .write()
-            .expect("counter registry poisoned");
-        // Re-check under the write lock (another thread may have won).
-        if let Some((_, c, _)) = w.iter().find(|(n, _, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::new();
-        w.push((name.to_string(), c.clone(), volatile));
-        c
+        register(&self.inner.counters, name, || (Counter::new(), volatile)).0
     }
 
     /// The histogram registered under `name`, creating it on first use.
     /// Histograms hold wall-clock or otherwise non-deterministic values and
     /// are always excluded from [`Snapshot::deterministic`].
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some((_, h)) = self
-            .inner
-            .histograms
-            .read()
-            .expect("histogram registry poisoned")
-            .iter()
-            .find(|(n, _)| n == name)
-        {
-            return h.clone();
-        }
-        let mut w = self
-            .inner
-            .histograms
-            .write()
-            .expect("histogram registry poisoned");
-        if let Some((_, h)) = w.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = Histogram::new();
-        w.push((name.to_string(), h.clone()));
-        h
+        register(&self.inner.histograms, name, Histogram::new)
     }
 
     /// Adds `v` to the counter `name` (registering it if needed). Prefer a
@@ -186,7 +145,7 @@ impl Recorder {
             .read()
             .expect("counter registry poisoned")
             .iter()
-            .map(|(n, c, volatile)| CounterSnapshot {
+            .map(|(n, (c, volatile))| CounterSnapshot {
                 name: n.clone(),
                 value: c.get(),
                 volatile: *volatile,
@@ -210,7 +169,7 @@ impl Recorder {
 
     /// Resets every registered counter and histogram to zero.
     pub fn reset(&self) {
-        for (_, c, _) in self
+        for (_, (c, _)) in self
             .inner
             .counters
             .read()
@@ -229,6 +188,33 @@ impl Recorder {
             h.reset();
         }
     }
+}
+
+/// The entry registered under `name` in `registry`, pushing `make()` on
+/// first use. The lookup takes the read lock; a miss re-checks under the
+/// write lock, since another thread may have registered the name between
+/// the two.
+fn register<T: Clone>(
+    registry: &RwLock<Vec<(String, T)>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    let find = |entries: &[(String, T)]| {
+        entries
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.clone())
+    };
+    if let Some(v) = find(&registry.read().expect("metric registry poisoned")) {
+        return v;
+    }
+    let mut entries = registry.write().expect("metric registry poisoned");
+    if let Some(v) = find(&entries) {
+        return v;
+    }
+    let v = make();
+    entries.push((name.to_string(), v.clone()));
+    v
 }
 
 #[cfg(test)]
@@ -338,5 +324,38 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
+    }
+
+    #[test]
+    fn concurrent_first_registration_yields_one_entry() {
+        // Eight threads released together ask for names nobody registered
+        // yet, so several miss under the read lock and race for the write
+        // lock; the losers must find the winner's entry there.
+        const NAMES: usize = 64;
+        let r = Recorder::new();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for i in 0..NAMES {
+                        start.wait();
+                        let c = r.counter(&format!("c{i:02}"));
+                        let h = r.histogram(&format!("h{i:02}"));
+                        for v in 1..=100 {
+                            c.incr();
+                            h.record(v);
+                        }
+                    }
+                });
+            }
+        });
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), NAMES);
+        assert!(snap.counters.iter().all(|c| c.value == 800));
+        assert_eq!(snap.histograms.len(), NAMES);
+        assert!(snap
+            .histograms
+            .iter()
+            .all(|h| h.count == 800 && h.sum == 8 * 5_050));
     }
 }

@@ -26,10 +26,10 @@
 //! window lies within one such segment at once, and decides only the
 //! pixels within its radius of a cut one by one, from the runs each window
 //! row has there. Labeling joins the smoothed runs across rows by a
-//! union-find; region statistics are integer sums over the pixel runs
-//! under each smoothed run; and the merge of small regions runs on the
-//! region graph — adjacency pairs built once from the runs and relabelled
-//! each round — instead of re-scanning the pixels every round. The
+//! union-find and names each region by its first run; region statistics
+//! are integer sums over the pixel runs under each smoothed run; and the
+//! small-region merge runs on the region graph, one pass over its pairs a
+//! round, instead of re-scanning the pixels every round. The
 //! pixel-by-pixel pipeline this replaced is compiled only into this
 //! module's unit tests, which pin the two to each other byte for byte:
 //! labels, bit-identical `f64` colors and centroids, and adjacency.
@@ -98,14 +98,14 @@ pub struct Segmentation {
 ///
 /// Owns every intermediate buffer of the segmentation pipeline (pixel and
 /// class runs, the mode filter's window cursors and class counts, smoothed
-/// runs and their union-find, region sums, the region graph's
-/// adjacency pairs and neighbor lists, the merge union-find) plus the
-/// output [`Segmentation`] itself. Run buffers grow with the frame's run
-/// count, not its pixel count. Buffers are grown on demand and **never
-/// shrink**, so repeated calls on same-sized frames reach a steady state
-/// with zero heap allocations (`tests/ingest_alloc.rs` pins this). One
-/// arena serves one worker; `frames_to_rags` creates one per `par_map`
-/// worker via `strg_parallel::par_map_with`.
+/// runs and the union-find that labels and merges them, the region graph's
+/// adjacency pairs, and the region sums, merge targets and dense numbering,
+/// indexed by run) plus the output [`Segmentation`] itself. Run buffers
+/// grow with the frame's run count, not its pixel count. Buffers are grown
+/// on demand and **never shrink**, so repeated calls on same-sized frames
+/// reach a steady state with zero heap allocations (`tests/ingest_alloc.rs`
+/// pins this). One arena serves one worker; `frames_to_rags` creates one
+/// per `par_map` worker via `strg_parallel::par_map_with`.
 #[derive(Debug, Default)]
 pub struct SegScratch {
     // The scan: runs of one pixel value and runs of one class.
@@ -114,16 +114,13 @@ pub struct SegScratch {
     // The mode filter.
     cursors: Vec<u32>,
     counts: Vec<(u32, u32)>,
-    // Smoothed runs and their union-find (then component numbers).
+    // Smoothed runs and the union-find over them that names the regions.
     smoothed: RowRuns,
     run_comp: Vec<u32>,
     // Region sums and the region-graph merge.
     sums: Vec<RegionSums>,
     pairs: Vec<(u32, u32)>,
-    nbr_off: Vec<u32>,
-    nbr_cursor: Vec<u32>,
-    nbr: Vec<u32>,
-    uf: Vec<u32>,
+    target: Vec<(f64, u32)>,
     dense: Vec<u32>,
     // Reused output.
     out: Segmentation,
@@ -284,10 +281,7 @@ pub fn segment_into<'s>(
         run_comp,
         sums,
         pairs,
-        nbr_off,
-        nbr_cursor,
-        nbr,
-        uf,
+        target,
         dense,
         out,
     } = scratch;
@@ -338,26 +332,19 @@ pub fn segment_into<'s>(
             j += (b.x1 <= a.x1) as usize;
         }
     }
-    // Number the components by their first run — the order a raster-scan
+    // Name every component by its first run — the order a raster-scan
     // flood fill meets them, since a component's first pixel starts its
     // first run. Parents point to lower runs, so a run's parent already
-    // holds the component number when the run is reached.
-    let mut n_comp = 0u32;
+    // points at that first run when the run is reached. The name stays the
+    // region's until the merge folds it into another.
     for i in 0..run_comp.len() {
-        let parent = run_comp[i] as usize;
-        run_comp[i] = if parent == i {
-            n_comp += 1;
-            n_comp - 1
-        } else {
-            run_comp[parent]
-        };
+        run_comp[i] = run_comp[run_comp[i] as usize];
     }
-    let n_comp = n_comp as usize;
 
     // Region sums from the ORIGINAL pixels: each smoothed run adds the
     // stretches of the pixel runs under it, length times color. Both run
     // lists tile every row in raster order, so one cursor walks them.
-    fill_to(sums, n_comp, RegionSums::default());
+    fill_to(sums, runs.len(), RegionSums::default());
     let mut p = 0;
     for (run, &c) in runs.iter().zip(run_comp.iter()) {
         let (x0, x1, len) = (run.x0 as u64, run.x1 as u64, (run.x1 - run.x0) as u64);
@@ -376,6 +363,8 @@ pub fn segment_into<'s>(
             p += (end == x) as usize;
         }
     }
+    // The region graph: the run pairs named by their regions, deduplicated
+    // here so that each merge round passes over edges, not run pairs.
     for p in pairs.iter_mut() {
         let (a, b) = (run_comp[p.0 as usize], run_comp[p.1 as usize]);
         *p = (a.min(b), a.max(b));
@@ -384,51 +373,37 @@ pub fn segment_into<'s>(
     pairs.dedup();
 
     // Merge small regions into their most similar neighbor until stable.
-    // Merges go through a union-find so that mutual choices (A picks B, B
-    // picks A) coalesce instead of livelocking; every union strictly
-    // reduces the number of live regions, so the loop terminates. Live
-    // regions are exactly the union-find's roots at the start of a round.
-    clear_with_cap(uf, n_comp);
-    uf.extend(0..n_comp as u32);
+    // The rule: a small region's target is its neighbor with the least
+    // (mean-color distance, name), and the unions run in ascending region
+    // order, pointing the small region's root at its target's root. Mutual
+    // choices (A picks B, B picks A) coalesce in the union-find instead of
+    // livelocking; every union strictly reduces the number of live regions,
+    // so the loop terminates. Live regions are the roots with sums at the
+    // start of a round. A round only relabels the pairs: the duplicates
+    // that makes change no target, so they stay until the loop ends.
     loop {
-        // Neighbor lists in CSR layout, preserving the per-region neighbor
-        // order of the pair list (both endpoint directions, pair order).
-        fill_to(nbr_off, n_comp + 1, 0);
+        fill_to(target, runs.len(), (f64::INFINITY, u32::MAX));
         for &(a, b) in pairs.iter() {
-            nbr_off[a as usize + 1] += 1;
-            nbr_off[b as usize + 1] += 1;
-        }
-        for i in 1..nbr_off.len() {
-            nbr_off[i] += nbr_off[i - 1];
-        }
-        clear_with_cap(nbr_cursor, n_comp);
-        nbr_cursor.extend_from_slice(&nbr_off[..n_comp]);
-        fill_to(nbr, pairs.len() * 2, 0);
-        for &(a, b) in pairs.iter() {
-            nbr[nbr_cursor[a as usize] as usize] = b;
-            nbr_cursor[a as usize] += 1;
-            nbr[nbr_cursor[b as usize] as usize] = a;
-            nbr_cursor[b as usize] += 1;
+            for (l, t) in [(a as usize, b), (b as usize, a)] {
+                if sums[l].count < cfg.min_region_size as u64 {
+                    let d = sums[t as usize].mean_color().dist(sums[l].mean_color());
+                    let best = &mut target[l];
+                    if d.total_cmp(&best.0).then(t.cmp(&best.1)).is_lt() {
+                        *best = (d, t);
+                    }
+                }
+            }
         }
         let mut merged_any = false;
-        for (l, acc) in sums.iter().enumerate() {
-            if acc.count == 0 || acc.count >= cfg.min_region_size as u64 {
-                continue;
-            }
-            // Most similar (by mean color) live neighbor.
-            let target = nbr[nbr_off[l] as usize..nbr_off[l + 1] as usize]
-                .iter()
-                .filter(|&&n| sums[n as usize].count > 0)
-                .min_by(|&&a, &&b| {
-                    let da = sums[a as usize].mean_color().dist(acc.mean_color());
-                    let db = sums[b as usize].mean_color().dist(acc.mean_color());
-                    da.total_cmp(&db)
-                })
-                .copied();
-            if let Some(t) = target {
-                let (rl, rt) = (find(uf, l as u32), find(uf, t));
+        for l in 0..runs.len() as u32 {
+            let t = target[l as usize].1;
+            if t != u32::MAX {
+                let (rl, rt) = (find(run_comp, l), find(run_comp, t));
                 if rl != rt {
-                    uf[rl as usize] = rt;
+                    // The targets are all chosen, so the sums can move now.
+                    run_comp[rl as usize] = rt;
+                    let merged = std::mem::take(&mut sums[rl as usize]);
+                    sums[rt as usize].absorb(merged);
                     merged_any = true;
                 }
             }
@@ -436,27 +411,19 @@ pub fn segment_into<'s>(
         if !merged_any {
             break;
         }
-        // Fold each merged region's sums into its root, and relabel the
-        // region graph through the roots: the pairs a re-scan of the
-        // relabelled pixels would find.
-        for l in 0..n_comp {
-            let root = find(uf, l as u32) as usize;
-            if root != l && sums[l].count > 0 {
-                let merged = std::mem::take(&mut sums[l]);
-                sums[root].absorb(merged);
-            }
-        }
+        // Relabel the region graph through the roots: the pairs a re-scan
+        // of the relabelled pixels would find.
         for p in pairs.iter_mut() {
-            let (a, b) = (find(uf, p.0), find(uf, p.1));
+            let (a, b) = (find(run_comp, p.0), find(run_comp, p.1));
             *p = (a.min(b), a.max(b));
         }
         pairs.retain(|&(a, b)| a != b);
-        pairs.sort_unstable();
-        pairs.dedup();
     }
+    pairs.sort_unstable();
+    pairs.dedup();
 
-    // Compact labels to dense 0..n, one fill per run.
-    fill_to(dense, n_comp, u32::MAX);
+    // Number the live regions densely in name order, one label fill per run.
+    fill_to(dense, runs.len(), u32::MAX);
     let regions = &mut out.regions;
     for (l, acc) in sums.iter().enumerate() {
         if acc.count > 0 {
@@ -471,8 +438,8 @@ pub fn segment_into<'s>(
     }
     let labels = &mut out.labels;
     clear_with_cap(labels, n);
-    for (run, &c) in runs.iter().zip(run_comp.iter()) {
-        let l = dense[find(uf, c) as usize];
+    for (i, run) in runs.iter().enumerate() {
+        let l = dense[find(run_comp, i as u32) as usize];
         labels.resize(labels.len() + (run.x1 - run.x0) as usize, l);
     }
     // `dense` is increasing over live regions, so the pairs stay sorted,

@@ -102,6 +102,15 @@ cargo test -q --release --test kernel_equivalence
 cargo test -q --release --test parallel_equivalence --test shard_equivalence
 cargo test -q --release --test persist_faults --test persist_equivalence
 
+# Every example once, as a user runs it: each must exit 0 (`save_load`
+# asserts its round trip and writes only under the system temp dir).
+echo "==> every example, release"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--> $name"
+    cargo run --release -q --example "$name" >/dev/null
+done
+
 # The matrix: every suite below runs once per STRG_THREADS value; adding a
 # leg is one line. GUARDED suites talk to a real TCP server (or spawn
 # one) or race writers against readers: `timeout` keeps a wedged worker, a
